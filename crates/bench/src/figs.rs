@@ -1,11 +1,8 @@
 //! Shared figure runner.
 //!
 //! All six paper figures live here as functions that render into a
-//! `String`; the `fig1`…`fig6` binaries and the `bce fig <n>` subcommand
-//! are thin shims over [`run_fig`]. Keeping the bodies in one module
-//! removes the copy-pasted option handling the per-figure binaries used
-//! to carry and guarantees the CLI and the standalone binaries produce
-//! byte-identical output.
+//! `String`; the `bce fig <n>` subcommand is a thin shim over
+//! [`run_fig`].
 
 use crate::{fetch_policies, sched_policies, FigOpts};
 use bce_client::{rr_simulate, ClientConfig, FetchPolicy, JobSchedPolicy, RrJob, RrPlatform};
@@ -25,10 +22,9 @@ macro_rules! outln {
     ($out:expr, $($arg:tt)*) => { let _ = writeln!($out, $($arg)*); };
 }
 
-/// The default emulated period for figure `n`, matching what each
-/// standalone binary passes to [`FigOpts::parse`]. Figure 2 is a
-/// workload snapshot (no emulation); figure 6 needs 60 days because a
-/// 10-day window cannot hold even one of its 11.6-day jobs.
+/// The default emulated period for figure `n`. Figure 2 is a workload
+/// snapshot (no emulation); figure 6 needs 60 days because a 10-day
+/// window cannot hold even one of its 11.6-day jobs.
 pub fn default_days(n: u32) -> f64 {
     match n {
         2 => 0.0,

@@ -1,11 +1,11 @@
 //! # bce-bench — figure regeneration and performance benchmarks
 //!
-//! The six paper figures live in [`figs`] as one shared runner; the
-//! `fig1` … `fig6` binaries and the `bce fig <n>` subcommand are thin
-//! shims over it, each printing the series the paper reports (tables +
-//! ASCII charts) and writing CSV to `target/figures/`. Criterion benches
-//! cover the engine's performance and the design-choice ablations called
-//! out in DESIGN.md.
+//! The six paper figures live in [`figs`] as one shared runner behind
+//! the `bce fig <n>` subcommand, each printing the series the paper
+//! reports (tables + ASCII charts) and writing CSV to `target/figures/`.
+//! The study binaries (`faults_study`, `fleet_study`, `emboinc_study`)
+//! share [`FigOpts`]. Criterion benches cover the engine's performance
+//! and the design-choice ablations called out in DESIGN.md.
 
 use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_core::{CheckpointPolicy, EmulatorConfig};
@@ -13,7 +13,7 @@ use bce_types::SimDuration;
 
 pub mod figs;
 
-/// Standard labelled policy sets used across the figure binaries.
+/// Standard labelled policy sets used across the figures.
 pub fn sched_policies() -> Vec<(String, ClientConfig)> {
     [JobSchedPolicy::WRR, JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL]
         .into_iter()
@@ -28,7 +28,7 @@ pub fn fetch_policies() -> Vec<(String, ClientConfig)> {
         .collect()
 }
 
-/// Command-line options shared by the figure binaries.
+/// Options shared by the figures and the study binaries.
 #[derive(Debug, Clone)]
 pub struct FigOpts {
     /// Emulated days (figures default to the paper's 10; fig6 to 60).

@@ -2,11 +2,10 @@
 //! so tests can assert on it; the binary prints it.
 
 use crate::args::{ArgError, Args};
-use bce_client::{ClientConfig, DeadlineOrder, FetchPolicy, JobSchedPolicy};
+use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_controller::{
-    compare_policies, fnv64, population_campaign, population_header, population_study,
-    population_table, run_manifest, standard_policies, standard_population, CampaignError,
-    CampaignManifest, CampaignOptions, Metric, Table,
+    compare_policies, population_header, population_study, population_table, run_manifest,
+    CampaignError, CampaignManifest, CampaignOptions, ManifestError, Metric, Table,
 };
 use bce_core::{render_timeline, CheckpointError, Emulator, EmulatorConfig, FaultConfig, Scenario};
 use bce_fleet::{assign_shares, host_scenarios, run_fleet, Fleet, FleetHost, ShareStrategy};
@@ -15,7 +14,7 @@ use bce_scenarios::{
     doc_from_scenario, scenario1, scenario2, scenario3, scenario4, LoadedScenario, ScenarioSource,
     ScenarioSpec, BUILTIN_NAMES,
 };
-use bce_sim::Level;
+use bce_sim::{fnv64, Level};
 use bce_types::{AppClass, Hardware, ProcType, ProjectSpec, SimDuration};
 
 pub const HELP: &str = "\
@@ -68,9 +67,6 @@ USAGE:
   bce export <scenario-ref> [--out FILE]
       write the scenario as a client_state.xml template
 
-  bce validate <scenario-ref>
-      load and validate a scenario, reporting precise errors
-
   bce fleet [--days N] [--threads N] [--scenario REF]
       cross-host share-enforcement study on a demo heterogeneous fleet;
       --scenario replaces the demo projects and seed with the
@@ -95,8 +91,7 @@ USAGE:
       scenario alongside the standard set)
 
   bce fig <1-6> [--days N] [--quick] [--json FILE] [--checkpoint-every D]
-      regenerate one of the paper's figures (same output as the
-      standalone fig1..fig6 binaries); --checkpoint-every D checkpoints
+      regenerate one of the paper's figures; --checkpoint-every D checkpoints
       each run every D simulated days under target/checkpoints and
       resumes automatically after a crash; --scenario REF replaces the
       figure's base scenario (figures 3-6)
@@ -258,7 +253,6 @@ pub fn dispatch<I: IntoIterator<Item = String>>(raw: I) -> Result<String, CliErr
         "campaign" => cmd_campaign(&args)?,
         "population" => cmd_population(&args)?,
         "export" => cmd_export(&args)?,
-        "validate" => cmd_validate(&args)?,
         "fleet" => cmd_fleet(&args)?,
         "faults" => cmd_faults(&args)?,
         "bench" => cmd_bench(&args)?,
@@ -349,36 +343,15 @@ fn validate_all<'a>(scenarios: impl IntoIterator<Item = &'a Scenario>) -> Result
     Ok(())
 }
 
-fn parse_sched(name: &str) -> Result<JobSchedPolicy, CliError> {
-    Ok(match name {
-        "wrr" => JobSchedPolicy::WRR,
-        "local" => JobSchedPolicy::LOCAL,
-        "global" => JobSchedPolicy::GLOBAL,
-        "local-llf" => {
-            JobSchedPolicy { deadline_order: DeadlineOrder::Llf, ..JobSchedPolicy::LOCAL }
-        }
-        "global-dd" => {
-            JobSchedPolicy { deadline_order: DeadlineOrder::Density, ..JobSchedPolicy::GLOBAL }
-        }
-        other => return Err(CliError::msg(format!("unknown scheduling policy {other:?}"))),
-    })
-}
-
-fn parse_fetch(name: &str) -> Result<FetchPolicy, CliError> {
-    Ok(match name {
-        "orig" => FetchPolicy::Orig,
-        "hysteresis" | "hyst" => FetchPolicy::Hysteresis,
-        other => return Err(CliError::msg(format!("unknown fetch policy {other:?}"))),
-    })
-}
-
 fn client_config(args: &Args) -> Result<ClientConfig, CliError> {
     let mut cfg = ClientConfig::default();
     if let Some(s) = args.opt("sched") {
-        cfg.sched_policy = parse_sched(s)?;
+        cfg.sched_policy = JobSchedPolicy::from_flag(s)
+            .ok_or_else(|| CliError::msg(format!("unknown scheduling policy {s:?}")))?;
     }
     if let Some(f) = args.opt("fetch") {
-        cfg.fetch_policy = parse_fetch(f)?;
+        cfg.fetch_policy = FetchPolicy::from_flag(f)
+            .ok_or_else(|| CliError::msg(format!("unknown fetch policy {f:?}")))?;
     }
     if let Some(hl) = args.opt_parse::<f64>("half-life")? {
         if hl <= 0.0 {
@@ -569,6 +542,11 @@ fn cmd_campaign(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `bce population` — a thin builder: the flags become an in-memory
+/// manifest (the standard sampled population, or one `--scenario`),
+/// and the campaign runs through [`run_manifest`] like every other
+/// front end. All status lines start with "# " so scripts comparing
+/// tables can strip them.
 fn cmd_population(args: &Args) -> Result<String, CliError> {
     let days: f64 = args.opt_or("days", 2.0)?;
     let threads: usize = args.opt_or("threads", 0usize)?;
@@ -577,8 +555,7 @@ fn cmd_population(args: &Args) -> Result<String, CliError> {
         args.opt("checkpoint").map(std::path::PathBuf::from).or_else(|| resume_path.clone());
     let checkpoint_every: usize = args.opt_or("checkpoint-every", 0usize)?;
     let max_runs: Option<usize> = args.opt_parse("max-runs")?;
-    let mut faults = FaultConfig::OFF;
-    let (scenarios, mut out) = if args.opt("scenario").is_some() {
+    let (manifest, mut out) = if args.opt("scenario").is_some() {
         // Single-scenario study through the unified resolver.
         if args.opt("hosts").is_some() {
             return Err(CliError::msg(
@@ -588,34 +565,19 @@ fn cmd_population(args: &Args) -> Result<String, CliError> {
             ));
         }
         let loaded = resolve_scenario(args)?;
-        faults = loaded.faults.unwrap_or(FaultConfig::OFF);
         let header = format!(
             "population study: scenario {} x {days} days (seed {})\n\n",
             loaded.scenario.name, loaded.scenario.seed
         );
-        (vec![std::sync::Arc::new(loaded.scenario)], header)
+        (CampaignManifest::single_scenario(loaded, days), header)
     } else {
         let hosts: usize = args.opt_or("hosts", 16usize)?;
         let seed: u64 = args.opt_or("seed", 1u64)?;
-        // The daemon's /campaign endpoint shares these exact
-        // constructors, so a drained-and-resumed service campaign diffs
-        // cleanly against this command's uninterrupted output.
-        let scenarios = standard_population(hosts, seed);
-        validate_all(scenarios.iter().map(|s| s.as_ref()))?;
-        (scenarios, population_header(hosts, days, seed))
+        (
+            CampaignManifest::sampled_population(hosts, seed, days),
+            population_header(hosts, days, seed),
+        )
     };
-    let emu =
-        EmulatorConfig { duration: SimDuration::from_days(days), faults, ..Default::default() };
-    let policies = standard_policies();
-
-    if checkpoint_path.is_none() && max_runs.is_none() {
-        let outcomes = population_study(&scenarios, &policies, &emu, threads);
-        out.push_str(&population_table(&outcomes).render());
-        return Ok(out);
-    }
-
-    // Crash-safe path: the resumable campaign runner. All status lines
-    // start with "# " so scripts comparing tables can strip them.
     let opts = CampaignOptions {
         checkpoint_path: checkpoint_path.clone(),
         checkpoint_every_runs: checkpoint_every,
@@ -623,9 +585,9 @@ fn cmd_population(args: &Args) -> Result<String, CliError> {
         stop_after_runs: max_runs,
         ..Default::default()
     };
-    let report = population_campaign(&scenarios, &policies, &emu, threads, &opts)
-        .map_err(campaign_cli_error)?;
-    if let Some(rec) = report.recovery.as_ref().filter(|r| r.recovered() || r.legacy) {
+    let outcome = run_manifest(&manifest, threads, &opts, None).map_err(manifest_cli_error)?;
+    let report = &outcome.report;
+    if let Some(rec) = report.recovery.as_ref().filter(|r| r.recovered()) {
         out.push_str(&format!("# checkpoint recovery: {}\n", rec.describe()));
     }
     if report.resumed_runs > 0 {
@@ -643,11 +605,20 @@ fn cmd_population(args: &Args) -> Result<String, CliError> {
             report.completed_runs, report.total_runs
         ));
     }
-    out.push_str(&population_table(&report.outcomes).render());
+    out.push_str(&outcome.table);
     if let Some(p) = &checkpoint_path {
         out.push_str(&format!("# checkpoint: {}\n", p.display()));
     }
     Ok(out)
+}
+
+/// Classify a manifest-run failure for the exit code: campaign failures
+/// as [`campaign_cli_error`], anything else generic.
+fn manifest_cli_error(e: ManifestError) -> CliError {
+    match e {
+        ManifestError::Campaign(e) => campaign_cli_error(e),
+        e => CliError::msg(e.to_string()),
+    }
 }
 
 /// Classify a campaign failure for the exit code: filesystem and
@@ -665,9 +636,10 @@ fn campaign_cli_error(e: CampaignError) -> CliError {
 /// `bce chaos` — prove the checkpoint store recovers under a seeded
 /// disk-fault schedule.
 ///
-/// The harness runs the same standard population campaign twice:
-/// once fault-free and uninterrupted (the reference), then again in
-/// segments over a fault-injecting I/O backend, with deterministic
+/// The harness builds the standard sampled-population manifest and runs
+/// it twice: once fault-free and uninterrupted through
+/// `population_study` (the reference), then again in segments through
+/// [`run_manifest`] over a fault-injecting I/O backend, with deterministic
 /// corruption of the newest checkpoint generation between segments. If
 /// rotation + CRC fallback work, the recovered campaign's final table
 /// is bit-identical to the reference — asserted by FNV fingerprint.
@@ -702,16 +674,14 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     let scratch = std::path::PathBuf::from(args.opt("dir").unwrap_or("target/chaos").to_string())
         .join(format!("run-{chaos_seed}"));
 
-    let scenarios = standard_population(hosts, seed);
-    validate_all(scenarios.iter().map(|s| s.as_ref()))?;
-    let policies = standard_policies();
-    let emu = EmulatorConfig { duration: SimDuration::from_days(days), ..Default::default() };
+    let manifest = CampaignManifest::sampled_population(hosts, seed, days);
+    let (scenarios, faults) = manifest.expand_scenarios().map_err(manifest_cli_error)?;
 
     let mut out = format!(
         "# chaos: {hosts} hosts x {} policies x {days} days (seed {seed}), \
          chaos seed {chaos_seed}, {segments} segments\n\
          # faults: eio {} enospc {} power-cut {} torn-rename {} read-eio {} corrupt {}\n",
-        policies.len(),
+        manifest.policies.len(),
         fault_cfg.write_eio_prob,
         fault_cfg.write_enospc_prob,
         fault_cfg.power_cut_prob,
@@ -720,10 +690,11 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         corrupt_prob,
     );
 
-    // Fault-free, uninterrupted reference.
-    let reference = population_study(&scenarios, &policies, &emu, threads);
-    let ref_table = population_table(&reference).render();
-    let ref_fp = fnv64(ref_table.as_bytes());
+    // Fault-free, uninterrupted reference, computed by the independent
+    // population_study path rather than the campaign runner under test.
+    let reference =
+        population_study(&scenarios, &manifest.policies, &manifest.emulator(faults), threads);
+    let ref_fp = fnv64(population_table(&reference).render().as_bytes());
     out.push_str(&format!("# reference fingerprint: {ref_fp:016x}\n"));
 
     // Fresh scratch store under the fault-injecting backend.
@@ -742,7 +713,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     let probe = bce_statefile::CheckpointStore::with_real_io(&base, keep);
     let mut corrupt_rng = bce_sim::Rng::stream(chaos_seed, "chaos-corrupt");
 
-    let total = scenarios.len() * policies.len();
+    let total = scenarios.len() * manifest.policies.len();
     let per_segment = total.div_ceil(segments).max(1);
     let max_attempts = segments * 10 + 20;
     let mut attempts = 0usize;
@@ -750,7 +721,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     let mut write_failures = 0u64;
     let mut pruned = 0u64;
 
-    let report = loop {
+    let outcome = loop {
         attempts += 1;
         if attempts > max_attempts {
             return Err(CliError::io(format!(
@@ -766,8 +737,9 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
             keep_generations: keep,
             io: Some(io.clone()),
         };
-        match population_campaign(&scenarios, &policies, &emu, threads, &opts) {
-            Ok(r) => {
+        match run_manifest(&manifest, threads, &opts, None) {
+            Ok(outcome) => {
+                let r = &outcome.report;
                 write_failures += r.checkpoint_write_failures;
                 pruned += r.generations_pruned;
                 if let Some(rec) = r.recovery.as_ref().filter(|x| x.recovered()) {
@@ -775,7 +747,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
                     out.push_str(&format!("# recovery: {}\n", rec.describe()));
                 }
                 if r.completed_runs >= r.total_runs {
-                    break r;
+                    break outcome;
                 }
                 // Between segments: bit rot strikes the newest
                 // generation, seeded and replayable.
@@ -783,7 +755,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
                     corrupt_newest_generation(&probe, &mut corrupt_rng, &mut out)?;
                 }
             }
-            Err(CampaignError::Checkpoint(e)) => {
+            Err(ManifestError::Campaign(CampaignError::Checkpoint(e))) => {
                 // A failed checkpoint write or read: note it and retry
                 // the segment from the last good generation. If every
                 // generation is corrupt the store refuses to guess —
@@ -805,15 +777,14 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         }
     };
 
-    let table = population_table(&report.outcomes).render();
-    let fp = fnv64(table.as_bytes());
+    let fp = outcome.table_fingerprint;
     let stats = faulty.stats();
     out.push_str(&format!(
         "# injected: {stats}\n\
          # recoveries: {recoveries}, checkpoint write failures: {write_failures}, \
          generations pruned: {pruned}, attempts: {attempts}\n"
     ));
-    out.push_str(&table);
+    out.push_str(&outcome.table);
     if fp == ref_fp {
         out.push_str(&format!(
             "# chaos: PASS — recovered fingerprint {fp:016x} matches fault-free reference\n"
@@ -886,22 +857,6 @@ fn cmd_export(args: &Args) -> Result<String, CliError> {
         }
         None => Ok(xml),
     }
-}
-
-fn cmd_validate(args: &Args) -> Result<String, CliError> {
-    let raw = args
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::msg("expected a scenario reference".into()))?;
-    let loaded = load_source(raw)?;
-    let scenario = &loaded.scenario;
-    Ok(format!(
-        "{}: OK — {} projects, {} initial jobs, host {:.1} GFLOPS\n",
-        loaded.origin,
-        scenario.projects.len(),
-        scenario.initial_queue.len(),
-        scenario.hardware.total_peak_flops() / 1e9
-    ))
 }
 
 fn demo_fleet() -> Fleet {
@@ -1150,7 +1105,7 @@ fn cmd_fig(args: &Args) -> Result<String, CliError> {
     let quick = args.flag("quick");
     let mut days: f64 = args.opt_or("days", bce_bench::figs::default_days(n))?;
     if quick {
-        // Same cap FigOpts::parse applies in the standalone binaries.
+        // Same cap FigOpts::parse applies in the study binaries.
         days = days.min(1.0);
     }
     let json = args.opt("json").map(std::path::PathBuf::from);
@@ -1378,7 +1333,7 @@ mod tests {
         let p = path.to_str().unwrap();
         let out = run(&format!("export scenario2 --out {p}")).unwrap();
         assert!(out.contains("wrote"), "{out}");
-        let out = run(&format!("validate {p}")).unwrap();
+        let out = run(&format!("scenario validate {p}")).unwrap();
         assert!(out.contains("OK"), "{out}");
         let out = run(&format!("run {p} --days 0.1")).unwrap();
         assert!(out.contains("figures of merit"), "{out}");
@@ -1390,7 +1345,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.xml");
         std::fs::write(&path, "<client_state><project/></client_state>").unwrap();
-        assert!(run(&format!("validate {}", path.to_str().unwrap())).is_err());
+        assert!(run(&format!("scenario validate {}", path.to_str().unwrap())).is_err());
     }
 
     #[test]

@@ -27,6 +27,16 @@ pub enum FetchPolicy {
 }
 
 impl FetchPolicy {
+    /// Parse the spelling every front end accepts (`--fetch`, manifest
+    /// `"fetch"`, `?fetch=`): `orig`, or `hysteresis` / `hyst`.
+    pub fn from_flag(name: &str) -> Option<Self> {
+        match name {
+            "orig" => Some(FetchPolicy::Orig),
+            "hysteresis" | "hyst" => Some(FetchPolicy::Hysteresis),
+            _ => None,
+        }
+    }
+
     pub fn name(&self) -> &'static str {
         match self {
             FetchPolicy::Orig => "JF-ORIG",

@@ -62,6 +62,22 @@ impl JobSchedPolicy {
         deadline_order: DeadlineOrder::Edf,
     };
 
+    /// Parse the spelling every front end accepts (`--sched`, manifest
+    /// `"sched"`, `?sched=`): `wrr`, `local`, `global`, `local-llf` or
+    /// `global-dd`.
+    pub fn from_flag(name: &str) -> Option<Self> {
+        Some(match name {
+            "wrr" => Self::WRR,
+            "local" => Self::LOCAL,
+            "global" => Self::GLOBAL,
+            "local-llf" => JobSchedPolicy { deadline_order: DeadlineOrder::Llf, ..Self::LOCAL },
+            "global-dd" => {
+                JobSchedPolicy { deadline_order: DeadlineOrder::Density, ..Self::GLOBAL }
+            }
+            _ => return None,
+        })
+    }
+
     pub fn name(&self) -> String {
         if !self.use_deadlines {
             return "JS-WRR".into();
@@ -358,6 +374,18 @@ mod tests {
     use super::*;
     use crate::rr_sim::{simulate, RrJob, RrPlatform};
     use bce_types::{AppId, JobId, JobSpec, ResourceUsage, SimDuration};
+
+    #[test]
+    fn flag_names_parse_to_the_paper_variants() {
+        let names: Vec<String> = ["wrr", "local", "global", "local-llf", "global-dd"]
+            .iter()
+            .map(|f| JobSchedPolicy::from_flag(f).unwrap().name())
+            .collect();
+        assert_eq!(names, ["JS-WRR", "JS-LOCAL", "JS-GLOBAL", "JS-LOCAL+LLF", "JS-GLOBAL+DD"]);
+        assert_eq!(JobSchedPolicy::from_flag("edf"), None);
+        assert_eq!(crate::FetchPolicy::from_flag("hyst"), Some(crate::FetchPolicy::Hysteresis));
+        assert_eq!(crate::FetchPolicy::from_flag("none"), None);
+    }
 
     fn spec(
         id: u64,

@@ -26,9 +26,8 @@ use crate::montecarlo::{population_specs, PolicyAccum, PopulationOutcome};
 use crate::run::{run_supervised, RunError};
 use crate::sweep::Metric;
 use bce_client::ClientConfig;
-use bce_core::checkpoint::write_atomic;
 use bce_core::{CheckpointError, EmulatorConfig, Scenario};
-use bce_sim::OnlineStats;
+use bce_sim::{Fnv64, OnlineStats};
 use bce_statefile::{
     attr_f64_bits, attr_parse, envelope, fmt_f64_bits, open_envelope, parse_u64_hex, req_attr,
     req_child, CheckpointStore, CodecError, IoOp, RecoveryReport, SharedIo, StoreError,
@@ -116,7 +115,7 @@ pub struct CampaignOptions {
     /// final completion checkpoint).
     pub checkpoint_every_runs: usize,
     /// Resume from the newest *valid* generation under `checkpoint_path`
-    /// (a bare legacy file is version-sniffed as a last resort). A
+    /// (a framed bare file at the base path is the last resort). A
     /// missing, mismatched, or all-generations-corrupt store is an error
     /// — silently starting over would discard work the user explicitly
     /// asked to keep.
@@ -176,9 +175,9 @@ pub struct CampaignReport {
     /// Total runs in the campaign (policies × scenarios).
     pub total_runs: usize,
     /// How the resume opened the store, when it resumed: which
-    /// generation, whether corrupt newer generations were skipped
-    /// ([`RecoveryReport::recovered`]), whether a legacy unframed file
-    /// was loaded. `None` when the campaign did not resume.
+    /// generation, and whether corrupt newer generations were skipped
+    /// ([`RecoveryReport::recovered`]). `None` when the campaign did not
+    /// resume.
     pub recovery: Option<RecoveryReport>,
     /// Mid-flight checkpoint writes that failed (best-effort writes
     /// degrade crash-safety, not the study — but operators should see
@@ -362,14 +361,6 @@ impl CampaignCheckpoint {
         Ok(CampaignCheckpoint { fingerprint, total, completed, errors, accums })
     }
 
-    /// Write a single framed checkpoint file atomically and durably
-    /// (shared temp-fsync-rename-fsync protocol). Campaigns themselves
-    /// use [`CampaignCheckpoint::write_store`] for generation rotation;
-    /// this is the one-file form for tools that manage their own layout.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), CampaignError> {
-        Ok(write_atomic(path, self.to_xml_string().as_bytes())?)
-    }
-
     /// Publish this checkpoint as the next generation of `store`.
     pub fn write_store(&self, store: &CheckpointStore) -> Result<WriteReceipt, CampaignError> {
         store.write(self.to_xml_string().as_bytes()).map_err(|e| store_error(store.base(), e))
@@ -385,8 +376,7 @@ impl CampaignCheckpoint {
     }
 
     /// Read and parse a campaign checkpoint from the store rooted at
-    /// `path`, newest valid generation first (a bare legacy file still
-    /// loads, version-sniffed).
+    /// `path`, newest valid generation first.
     pub fn read_from(path: &Path) -> Result<Self, CampaignError> {
         let store = CheckpointStore::with_real_io(path, DEFAULT_KEEP_GENERATIONS);
         Self::read_store(&store).map(|(ckpt, _)| ckpt)
@@ -442,30 +432,27 @@ fn campaign_fingerprint(
     policies: &[(String, ClientConfig)],
     emulator: &EmulatorConfig,
 ) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&(policies.len() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.u64(policies.len() as u64);
     for (label, _) in policies {
-        eat(label.as_bytes());
-        eat(&[0]);
+        h.bytes(label.as_bytes());
+        h.bytes(&[0]);
     }
-    eat(&(scenarios.len() as u64).to_le_bytes());
+    h.u64(scenarios.len() as u64);
     for s in scenarios {
-        eat(s.name.as_bytes());
-        eat(&[0]);
-        eat(&s.seed.to_le_bytes());
+        h.bytes(s.name.as_bytes());
+        h.bytes(&[0]);
+        h.u64(s.seed);
     }
-    eat(&emulator.duration.secs().to_bits().to_le_bytes());
-    hash
+    h.f64(emulator.duration.secs());
+    h.finish()
 }
 
 /// Run a population study under the supervised executor, optionally
 /// writing periodic campaign checkpoints and resuming from one.
+/// Front ends do not call this directly: they build a
+/// [`CampaignManifest`](crate::CampaignManifest) and go through
+/// [`run_manifest`](crate::run_manifest).
 ///
 /// Outcomes are bit-identical to [`crate::population_study`] over the
 /// same inputs when no run panics; panicking runs are quarantined into

@@ -18,12 +18,10 @@ pub use campaign::{
     population_campaign, CampaignCheckpoint, CampaignError, CampaignOptions, CampaignReport,
 };
 pub use compare::{compare_policies, Comparison};
-pub use manifest::{
-    fnv64, run_manifest, summary_json, CampaignManifest, ManifestError, ManifestOutcome,
-};
+pub use manifest::{run_manifest, summary_json, CampaignManifest, ManifestError, ManifestOutcome};
 pub use montecarlo::{
-    population_header, population_study, population_table, standard_policies, standard_population,
-    MetricStats, PopulationOutcome,
+    population_header, population_study, population_table, standard_policies, MetricStats,
+    PopulationOutcome,
 };
 pub use plot::{bar_chart, line_chart, Series};
 pub use run::{

@@ -1,22 +1,29 @@
-//! Campaign manifests: a JSON file describing scenario refs × policies ×
-//! seed ranges, executed through the resumable
-//! [`population_campaign`](crate::population_campaign) runner.
+//! Campaign manifests: scenario refs × policies × seed ranges, executed
+//! through the resumable [`population_campaign`] runner.
 //!
-//! A manifest is the declarative face of a population study. Scenario
-//! refs use the same [`ScenarioSource`] syntax as every CLI `--scenario`
-//! flag (`builtin:<name>` or a path, resolved relative to the manifest),
-//! plus a `{"sampled": ...}` form that draws hosts from a named
-//! [`PopulationModel`]. Running a manifest emits `summary.json` into a
-//! run directory: the aggregated figures of merit, the quarantine
+//! A manifest is the one way a campaign is assembled and run. `bce
+//! campaign` parses it from a JSON file; `bce population`, `bce chaos`
+//! and the daemon's `/campaign` endpoint build one in memory with
+//! [`CampaignManifest::sampled_population`] or
+//! [`CampaignManifest::single_scenario`], and every front end then calls
+//! [`run_manifest`] with its own [`CampaignOptions`].
+//!
+//! Scenario refs use the same [`ScenarioSource`] syntax as every CLI
+//! `--scenario` flag (`builtin:<name>` or a path, resolved relative to
+//! the manifest), plus a `{"sampled": ...}` form that draws hosts from a
+//! named [`PopulationModel`]. Running a manifest can emit `summary.json`
+//! into a run directory: the aggregated figures of merit, the quarantine
 //! report, and a `table_fingerprint` (FNV-1a of the rendered population
-//! table) that must match an uninterrupted `bce population` reference
-//! over the same inputs.
+//! table).
 
 use crate::campaign::{population_campaign, CampaignError, CampaignOptions, CampaignReport};
 use crate::montecarlo::{population_table, standard_policies};
-use bce_client::{ClientConfig, DeadlineOrder, FetchPolicy, JobSchedPolicy};
+use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_core::{EmulatorConfig, FaultConfig, Scenario, ScenarioBuilder};
-use bce_scenarios::{PopulationModel, PopulationSampler, ScenarioSource, SourceError};
+use bce_scenarios::{
+    LoadedScenario, PopulationModel, PopulationSampler, ScenarioSource, SourceError,
+};
+use bce_sim::fnv64;
 use bce_statefile::{parse_json, JsonError, JsonValue};
 use bce_types::SimDuration;
 use std::path::{Path, PathBuf};
@@ -91,6 +98,9 @@ enum ScenarioRef {
     Source(String),
     /// `{"sampled": {"model": ..., "hosts": N, "seed": S}}`.
     Sampled { model: String, hosts: usize, seed: u64 },
+    /// A scenario a front end already resolved (in-memory manifests
+    /// only; see [`CampaignManifest::single_scenario`]).
+    Loaded { scenario: Arc<Scenario>, faults: Option<FaultConfig> },
 }
 
 /// A parsed campaign manifest.
@@ -176,26 +186,15 @@ fn parse_policy(v: &JsonValue, path: &str) -> Result<(String, ClientConfig), Man
     let mut cfg = ClientConfig::default();
     if let Some(s) = get_opt(entries, "sched") {
         let p = format!("{path}.sched");
-        cfg.sched_policy = match s.as_str().ok_or_else(|| invalid(&p, "expected string"))? {
-            "wrr" => JobSchedPolicy::WRR,
-            "local" => JobSchedPolicy::LOCAL,
-            "global" => JobSchedPolicy::GLOBAL,
-            "local-llf" => {
-                JobSchedPolicy { deadline_order: DeadlineOrder::Llf, ..JobSchedPolicy::LOCAL }
-            }
-            "global-dd" => {
-                JobSchedPolicy { deadline_order: DeadlineOrder::Density, ..JobSchedPolicy::GLOBAL }
-            }
-            other => return Err(invalid(&p, format!("unknown scheduling policy {other:?}"))),
-        };
+        let name = s.as_str().ok_or_else(|| invalid(&p, "expected string"))?;
+        cfg.sched_policy = JobSchedPolicy::from_flag(name)
+            .ok_or_else(|| invalid(&p, format!("unknown scheduling policy {name:?}")))?;
     }
     if let Some(fv) = get_opt(entries, "fetch") {
         let p = format!("{path}.fetch");
-        cfg.fetch_policy = match fv.as_str().ok_or_else(|| invalid(&p, "expected string"))? {
-            "orig" => FetchPolicy::Orig,
-            "hysteresis" | "hyst" => FetchPolicy::Hysteresis,
-            other => return Err(invalid(&p, format!("unknown fetch policy {other:?}"))),
-        };
+        let name = fv.as_str().ok_or_else(|| invalid(&p, "expected string"))?;
+        cfg.fetch_policy = FetchPolicy::from_flag(name)
+            .ok_or_else(|| invalid(&p, format!("unknown fetch policy {name:?}")))?;
     }
     if let Some(hl) = get_opt(entries, "half_life_secs") {
         let p = format!("{path}.half_life_secs");
@@ -240,6 +239,38 @@ fn parse_ref(v: &JsonValue, path: &str) -> Result<ScenarioRef, ManifestError> {
 }
 
 impl CampaignManifest {
+    /// The standard sampled population: `hosts` hosts drawn from the
+    /// default model with `seed`, under [`standard_policies`] — the same
+    /// campaign as a parsed manifest with `"scenarios": [{"sampled":
+    /// {"model": "default", "hosts": hosts, "seed": seed}}]` and
+    /// `"policies": "standard"`.
+    pub fn sampled_population(hosts: usize, seed: u64, days: f64) -> Self {
+        CampaignManifest {
+            name: "population".to_string(),
+            days,
+            policies: standard_policies(),
+            seeds: Vec::new(),
+            refs: vec![ScenarioRef::Sampled { model: "default".to_string(), hosts, seed }],
+            base_dir: PathBuf::from("."),
+        }
+    }
+
+    /// One already-resolved scenario (its fault overlay included) under
+    /// [`standard_policies`].
+    pub fn single_scenario(loaded: LoadedScenario, days: f64) -> Self {
+        CampaignManifest {
+            name: loaded.scenario.name.clone(),
+            days,
+            policies: standard_policies(),
+            seeds: Vec::new(),
+            refs: vec![ScenarioRef::Loaded {
+                scenario: Arc::new(loaded.scenario),
+                faults: loaded.faults,
+            }],
+            base_dir: PathBuf::from("."),
+        }
+    }
+
     /// Parse a manifest document. `base_dir` is the directory scenario
     /// paths resolve against (normally the manifest file's parent).
     pub fn parse(src: &str, base_dir: &Path) -> Result<Self, ManifestError> {
@@ -341,7 +372,7 @@ impl CampaignManifest {
         let mut scenarios = Vec::new();
         let mut faults: Option<FaultConfig> = None;
         for r in &self.refs {
-            match r {
+            let (scenario, overlay) = match r {
                 ScenarioRef::Source(raw) => {
                     let source = match ScenarioSource::parse(raw) {
                         ScenarioSource::File(p) if p.is_relative() => {
@@ -350,24 +381,9 @@ impl CampaignManifest {
                         other => other,
                     };
                     let loaded = source.load()?;
-                    if let Some(f) = loaded.faults {
-                        match faults {
-                            Some(prev) if prev != f => return Err(ManifestError::FaultConflict),
-                            _ => faults = Some(f),
-                        }
-                    }
-                    if self.seeds.is_empty() {
-                        scenarios.push(Arc::new(loaded.scenario));
-                    } else {
-                        for &seed in &self.seeds {
-                            let name = format!("{}@s{seed}", loaded.scenario.name);
-                            let s = ScenarioBuilder::from(loaded.scenario.clone())
-                                .seed(seed)
-                                .build_unchecked();
-                            scenarios.push(Arc::new(Scenario { name, ..s }));
-                        }
-                    }
+                    (Arc::new(loaded.scenario), loaded.faults)
                 }
+                ScenarioRef::Loaded { scenario, faults } => (scenario.clone(), *faults),
                 ScenarioRef::Sampled { model, hosts, seed } => {
                     let m = PopulationModel::named(model).expect("validated at parse");
                     let seeds: &[u64] = if self.seeds.is_empty() { &[*seed] } else { &self.seeds };
@@ -375,10 +391,34 @@ impl CampaignManifest {
                         let mut sampler = PopulationSampler::new(m.clone(), s);
                         scenarios.extend(sampler.sample_many(*hosts).into_iter().map(Arc::new));
                     }
+                    continue;
+                }
+            };
+            if let Some(f) = overlay {
+                match faults {
+                    Some(prev) if prev != f => return Err(ManifestError::FaultConflict),
+                    _ => faults = Some(f),
+                }
+            }
+            if self.seeds.is_empty() {
+                scenarios.push(scenario);
+            } else {
+                for &seed in &self.seeds {
+                    let name = format!("{}@s{seed}", scenario.name);
+                    let s = ScenarioBuilder::from(Scenario::clone(&scenario))
+                        .seed(seed)
+                        .build_unchecked();
+                    scenarios.push(Arc::new(Scenario { name, ..s }));
                 }
             }
         }
         Ok((scenarios, faults.unwrap_or(FaultConfig::OFF)))
+    }
+
+    /// The emulator configuration every run of this campaign shares:
+    /// the manifest's horizon under the expanded fault overlay.
+    pub fn emulator(&self, faults: FaultConfig) -> EmulatorConfig {
+        EmulatorConfig { duration: SimDuration::from_days(self.days), faults, ..Default::default() }
     }
 }
 
@@ -389,21 +429,10 @@ pub struct ManifestOutcome {
     pub report: CampaignReport,
     /// `population_table` over the outcomes, rendered.
     pub table: String,
-    /// FNV-1a of `table` — must match the same study run via
-    /// `bce population`.
+    /// FNV-1a of `table`.
     pub table_fingerprint: u64,
     /// The `summary.json` document.
     pub summary: String,
-}
-
-/// FNV-1a over raw bytes — the shared table-fingerprint hash.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Execute a manifest through [`population_campaign`] and assemble the
@@ -417,11 +446,7 @@ pub fn run_manifest(
     out_dir: Option<&Path>,
 ) -> Result<ManifestOutcome, ManifestError> {
     let (scenarios, faults) = manifest.expand_scenarios()?;
-    let emulator = EmulatorConfig {
-        duration: SimDuration::from_days(manifest.days),
-        faults,
-        ..Default::default()
-    };
+    let emulator = manifest.emulator(faults);
 
     let mut opts = opts.clone();
     if let Some(dir) = out_dir {
@@ -459,13 +484,17 @@ pub fn summary_json(
                 .per_metric
                 .iter()
                 .map(|ms| {
+                    // A policy with no completed run (a budget-stopped
+                    // campaign) has non-finite moments: null in JSON.
+                    let num =
+                        |x: f64| if x.is_finite() { JsonValue::Num(x) } else { JsonValue::Null };
                     JsonValue::Obj(vec![
                         ("metric".into(), JsonValue::Str(ms.metric.name().to_string())),
-                        ("mean".into(), JsonValue::Num(ms.stats.mean())),
-                        ("sd".into(), JsonValue::Num(ms.stats.std_dev())),
-                        ("min".into(), JsonValue::Num(ms.stats.min())),
-                        ("max".into(), JsonValue::Num(ms.stats.max())),
-                        ("p95".into(), JsonValue::Num(ms.p95)),
+                        ("mean".into(), num(ms.stats.mean())),
+                        ("sd".into(), num(ms.stats.std_dev())),
+                        ("min".into(), num(ms.stats.min())),
+                        ("max".into(), num(ms.stats.max())),
+                        ("p95".into(), num(ms.p95)),
                     ])
                 })
                 .collect();
@@ -507,7 +536,7 @@ pub fn summary_json(
 mod tests {
     use super::*;
     use crate::campaign::CampaignCheckpoint;
-    use crate::montecarlo::{population_study, standard_population};
+    use crate::montecarlo::population_study;
 
     fn minimal(scenarios: &str, extra: &str) -> String {
         format!(
@@ -575,14 +604,18 @@ mod tests {
     #[test]
     fn sampled_manifest_fingerprint_matches_population_reference() {
         // The acceptance cross-check: a manifest over the standard
-        // sampled population must fingerprint to the same table as the
-        // `bce population` path (population_study over
-        // standard_population with standard_policies).
+        // sampled population must fingerprint to the same table as an
+        // independent population_study over the same sampler draws and
+        // standard_policies.
         let src = minimal("[{\"sampled\": {\"hosts\": 3, \"seed\": 1}}]", "");
         let m = CampaignManifest::parse(&src, Path::new(".")).unwrap();
         let out = run_manifest(&m, 0, &CampaignOptions::default(), None).unwrap();
 
-        let scenarios = standard_population(3, 1);
+        let scenarios: Vec<Arc<Scenario>> = PopulationSampler::new(PopulationModel::default(), 1)
+            .sample_many(3)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         let emulator =
             EmulatorConfig { duration: SimDuration::from_days(0.05), ..Default::default() };
         let reference =
@@ -592,6 +625,27 @@ mod tests {
         assert_eq!(out.table_fingerprint, fnv64(reference.as_bytes()));
         assert!(out.summary.contains(&format!("{:016x}", out.table_fingerprint)));
         assert!(out.summary.contains("\"total_runs\": 6"));
+
+        // The typed constructor is the same campaign as the document.
+        let built = CampaignManifest::sampled_population(3, 1, 0.05);
+        let built = run_manifest(&built, 0, &CampaignOptions::default(), None).unwrap();
+        assert_eq!(built.table, out.table);
+    }
+
+    #[test]
+    fn single_scenario_manifest_carries_scenario_and_overlay() {
+        let mut loaded = ScenarioSource::parse("scenario2").load().unwrap();
+        loaded.scenario.seed = 7;
+        let faults = FaultConfig { rpc_fail_prob: 0.1, ..FaultConfig::OFF };
+        loaded.faults = Some(faults);
+        let m = CampaignManifest::single_scenario(loaded, 0.05);
+        assert_eq!(m.policies, standard_policies());
+        let (scenarios, overlay) = m.expand_scenarios().unwrap();
+        assert_eq!(scenarios.len(), 1);
+        assert_eq!((scenarios[0].name.as_str(), scenarios[0].seed), ("scenario2", 7));
+        assert_eq!(overlay, faults);
+        let out = run_manifest(&m, 1, &CampaignOptions::default(), None).unwrap();
+        assert_eq!(out.report.total_runs, 2);
     }
 
     #[test]

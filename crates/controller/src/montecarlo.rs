@@ -128,17 +128,6 @@ pub(crate) fn population_specs(
         .collect()
 }
 
-/// The standard sampled population shared by every front end (the
-/// `bce population` command and the daemon's `/campaign` endpoint).
-/// Both must build scenarios through this one function: identical
-/// sampling is what makes a drained-and-resumed daemon campaign
-/// byte-comparable against the CLI's uninterrupted reference table.
-pub fn standard_population(hosts: usize, seed: u64) -> Vec<Arc<Scenario>> {
-    let mut sampler =
-        bce_scenarios::PopulationSampler::new(bce_scenarios::PopulationModel::default(), seed);
-    sampler.sample_many(hosts).into_iter().map(Arc::new).collect()
-}
-
 /// The standard policy pair of the population study: the paper's
 /// recommended combination (GLOBAL scheduling + hysteresis fetch)
 /// against the original BOINC baseline (LOCAL + ORIG).

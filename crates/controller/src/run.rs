@@ -140,11 +140,7 @@ impl RunSpec {
 /// sanitized prefix for the human, an FNV-1a hash of the full label for
 /// uniqueness (labels may differ only in characters the sanitizer folds).
 fn checkpoint_file_name(label: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = bce_sim::fnv64(label.as_bytes());
     let prefix: String = label
         .chars()
         .take(40)

@@ -22,11 +22,9 @@
 //! assert_eq!(scenario.seed, 7);
 //! ```
 //!
-//! The legacy `Scenario::with_*` chain methods are deprecated: every
-//! in-tree user goes through the builder (or [`Scenario::from_spec`] for
-//! JSON scenario files), and a single shim test below keeps the old
-//! chain compiling until it is removed. `build_unchecked` exists for
-//! tests that construct deliberately-invalid scenarios.
+//! Every in-tree scenario is built here (or by [`Scenario::from_spec`]
+//! for JSON scenario files). `build_unchecked` exists for tests that
+//! construct deliberately-invalid scenarios.
 
 use crate::scenario::Scenario;
 use bce_avail::{AvailSpec, AvailTrace};
@@ -137,25 +135,6 @@ mod tests {
 
     fn app() -> AppClass {
         AppClass::cpu(0, SimDuration::from_secs(100.0), SimDuration::from_secs(1000.0))
-    }
-
-    /// The one place the deprecated chain API is still exercised: it must
-    /// keep compiling and agreeing with the builder until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn builder_matches_chain_construction() {
-        let chained = Scenario::new("s", Hardware::cpu_only(2, 1e9))
-            .with_seed(3)
-            .with_project(ProjectSpec::new(0, "p", 100.0).with_app(app()));
-        let built = ScenarioBuilder::new("s", Hardware::cpu_only(2, 1e9))
-            .seed(3)
-            .project(ProjectSpec::new(0, "p", 100.0).with_app(app()))
-            .build()
-            .unwrap();
-        assert_eq!(built.name, chained.name);
-        assert_eq!(built.seed, chained.seed);
-        assert_eq!(built.projects.len(), chained.projects.len());
-        assert_eq!(built.projects[0].id, chained.projects[0].id);
     }
 
     #[test]

@@ -218,11 +218,10 @@ impl CheckpointState {
         write_atomic(path, self.to_xml_string().as_bytes())
     }
 
-    /// Read and parse a checkpoint file (framed, or legacy unframed —
-    /// see [`read_checkpoint_text`]).
+    /// Read and parse a framed checkpoint file (see
+    /// [`read_checkpoint_text`]).
     pub fn read_from(path: &Path) -> Result<Self, CheckpointError> {
-        let (src, _legacy) = read_checkpoint_text(path)?;
-        Self::from_xml_str(&src)
+        Self::from_xml_str(&read_checkpoint_text(path)?)
     }
 
     fn to_xml(&self) -> XmlNode {
@@ -618,39 +617,20 @@ pub fn write_atomic_io(
 }
 
 /// Read a checkpoint file's text payload, verifying the CRC-64 frame.
-///
-/// Legacy checkpoints written before framing are bare XML; they are
-/// version-sniffed (no `BCEFRAME` magic) and still load, returning
-/// `true` in the second slot so callers can surface a deprecation note —
-/// an unframed file has no corruption detection and should be rewritten
-/// by the next save.
-pub fn read_checkpoint_text(path: &Path) -> Result<(String, bool), CheckpointError> {
+/// An unframed file (no `BCEFRAME` magic, e.g. one written before
+/// framing) is rejected as [`CheckpointError::Corrupt`].
+pub fn read_checkpoint_text(path: &Path) -> Result<String, CheckpointError> {
     read_checkpoint_text_io(path, &RealIo)
 }
 
 /// [`read_checkpoint_text`] over an injectable I/O backend.
-pub fn read_checkpoint_text_io(
-    path: &Path,
-    io: &dyn StateIo,
-) -> Result<(String, bool), CheckpointError> {
+pub fn read_checkpoint_text_io(path: &Path, io: &dyn StateIo) -> Result<String, CheckpointError> {
     let bytes = io.read(path).map_err(|e| CheckpointError::io(IoOp::Read, path, e))?;
-    match frame::decode(&bytes) {
-        Ok(payload) => match std::str::from_utf8(payload) {
-            Ok(text) => Ok((text.to_string(), false)),
-            Err(_) => Err(CheckpointError::Corrupt {
-                path: path.to_path_buf(),
-                reason: "framed payload is not valid UTF-8".into(),
-            }),
-        },
-        Err(frame::FrameError::NotFramed) => match String::from_utf8(bytes) {
-            Ok(text) => Ok((text, true)),
-            Err(_) => Err(CheckpointError::Corrupt {
-                path: path.to_path_buf(),
-                reason: "legacy checkpoint is not valid UTF-8".into(),
-            }),
-        },
-        Err(e) => Err(CheckpointError::Corrupt { path: path.to_path_buf(), reason: e.to_string() }),
-    }
+    let corrupt = |reason: String| CheckpointError::Corrupt { path: path.to_path_buf(), reason };
+    let payload = frame::decode(&bytes).map_err(|e| corrupt(e.to_string()))?;
+    std::str::from_utf8(payload)
+        .map(str::to_string)
+        .map_err(|_| corrupt("framed payload is not valid UTF-8".into()))
 }
 
 // --- Attribute helpers -------------------------------------------------

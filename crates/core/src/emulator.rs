@@ -21,7 +21,7 @@ use bce_obs::{
     MetricsSnapshot, ProfileReport, Profiler, SpanId, TraceBuffer, TraceRecord, TraceSink,
 };
 use bce_server::{ProjectServer, RpcOutcome, SchedulerRequest, ServerConfig, TypeRequest};
-use bce_sim::{EventQueue, Level, LogEntry, MsgLog, Occupancy, Rng, Timeline};
+use bce_sim::{EventQueue, Fnv64, Level, LogEntry, MsgLog, Occupancy, Rng, Timeline};
 use bce_types::{Hardware, InstanceId, JobId, ProcType, ProjectId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -152,7 +152,7 @@ impl EmulationResult {
     /// bit-identical iff their fingerprints match; the determinism matrix
     /// and the fresh-vs-reused arena tests compare these.
     pub fn bit_fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv64::new();
         h.str(&self.scenario_name);
         for x in [
             self.merit.idle_fraction,
@@ -219,36 +219,6 @@ impl EmulationResult {
         }
         h.u64(self.log.dropped());
         h.finish()
-    }
-}
-
-/// Minimal FNV-1a accumulator for [`EmulationResult::bit_fingerprint`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -44,47 +44,11 @@ impl Scenario {
         }
     }
 
-    #[deprecated(note = "use ScenarioBuilder::seed (or Scenario::from_spec)")]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    #[deprecated(note = "use ScenarioBuilder::prefs (or Scenario::from_spec)")]
-    pub fn with_prefs(mut self, prefs: Preferences) -> Self {
-        self.prefs = prefs;
-        self
-    }
-
-    #[deprecated(note = "use ScenarioBuilder::project (or Scenario::from_spec)")]
-    pub fn with_project(mut self, p: ProjectSpec) -> Self {
-        self.projects.push(p);
-        self
-    }
-
-    #[deprecated(note = "use ScenarioBuilder::avail (or Scenario::from_spec)")]
-    pub fn with_avail(mut self, avail: AvailSpec) -> Self {
-        self.avail = avail;
-        self
-    }
-
-    #[deprecated(note = "use ScenarioBuilder::network (or Scenario::from_spec)")]
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = Some(network);
-        self
-    }
-
-    #[deprecated(note = "use ScenarioBuilder::initial_job (or Scenario::from_spec)")]
-    pub fn with_initial_job(mut self, job: InitialJob) -> Self {
-        self.initial_queue.push(job);
-        self
-    }
-
     /// Sanity-check the scenario before emulation, reporting *every*
     /// problem found (a typed [`ScenarioErrors`] list), not just the
     /// first. The emulator assumes a validated scenario; feeding it an
     /// invalid one may panic, so [`crate::ScenarioBuilder::build`] and
-    /// the `bce validate` subcommand both route through here.
+    /// the `bce scenario validate` subcommand both route through here.
     pub fn validate(&self) -> Result<(), ScenarioErrors> {
         // `true` when `x` is a usable positive finite quantity; NaN and
         // infinities fail (NaN fails every comparison).

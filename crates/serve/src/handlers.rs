@@ -8,10 +8,10 @@
 use crate::http::{Request, Response};
 use crate::server::Shared;
 use crate::wall::{retry_io, WallRetry, CHECKPOINT_RETRY};
-use bce_client::{ClientConfig, DeadlineOrder, FetchPolicy, JobSchedPolicy};
+use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_controller::{
-    population_campaign, population_header, population_table, run_supervised, standard_policies,
-    standard_population, CampaignError, CampaignOptions, RunSpec,
+    population_header, run_manifest, run_supervised, CampaignError, CampaignManifest,
+    CampaignOptions, ManifestError, RunSpec,
 };
 use bce_core::{EmulatorConfig, FaultConfig, Scenario};
 use bce_obs::to_jsonl;
@@ -95,29 +95,6 @@ fn parse_days(req: &Request, default: f64, max_days: f64) -> Result<f64, Respons
     Ok(days)
 }
 
-fn parse_sched(name: &str) -> Result<JobSchedPolicy, Response> {
-    Ok(match name {
-        "wrr" => JobSchedPolicy::WRR,
-        "local" => JobSchedPolicy::LOCAL,
-        "global" => JobSchedPolicy::GLOBAL,
-        "local-llf" => {
-            JobSchedPolicy { deadline_order: DeadlineOrder::Llf, ..JobSchedPolicy::LOCAL }
-        }
-        "global-dd" => {
-            JobSchedPolicy { deadline_order: DeadlineOrder::Density, ..JobSchedPolicy::GLOBAL }
-        }
-        other => return Err(bad(format!("unknown scheduling policy {other:?}"))),
-    })
-}
-
-fn parse_fetch(name: &str) -> Result<FetchPolicy, Response> {
-    Ok(match name {
-        "orig" => FetchPolicy::Orig,
-        "hysteresis" | "hyst" => FetchPolicy::Hysteresis,
-        other => return Err(bad(format!("unknown fetch policy {other:?}"))),
-    })
-}
-
 /// Resolve the scenario for `/run`: a named builtin via `?scenario=`, or
 /// a posted body (JSON scenario spec or `client_state.xml`, sniffed by
 /// the shared [`load_scenario_text`] resolver) — exactly one of the two.
@@ -178,15 +155,15 @@ fn run(req: &Request, shared: &Shared) -> Response {
     };
     let mut client = ClientConfig::default();
     if let Some(s) = req.param("sched") {
-        match parse_sched(s) {
-            Ok(p) => client.sched_policy = p,
-            Err(resp) => return resp,
+        match JobSchedPolicy::from_flag(s) {
+            Some(p) => client.sched_policy = p,
+            None => return bad(format!("unknown scheduling policy {s:?}")),
         }
     }
     if let Some(f) = req.param("fetch") {
-        match parse_fetch(f) {
-            Ok(p) => client.fetch_policy = p,
-            Err(resp) => return resp,
+        match FetchPolicy::from_flag(f) {
+            Some(p) => client.fetch_policy = p,
+            None => return bad(format!("unknown fetch policy {f:?}")),
         }
     }
     let emu = EmulatorConfig {
@@ -244,7 +221,9 @@ fn valid_campaign_id(id: &str) -> bool {
         && id.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
 }
 
-/// `POST /campaign` — a resumable population campaign.
+/// `POST /campaign` — a resumable population campaign: the query
+/// string becomes the standard sampled-population manifest, run through
+/// [`run_manifest`] like every other campaign front end.
 ///
 /// The campaign executes in chunks of `campaign_chunk_runs` supervised
 /// runs; between chunks the handler observes the wall deadline and the
@@ -305,13 +284,11 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
     }
     let ckpt = shared.cfg.checkpoint_dir.join(format!("{id}.ckpt"));
 
-    let scenarios = standard_population(hosts, seed);
-    let policies = standard_policies();
-    let emu = EmulatorConfig { duration: SimDuration::from_days(days), ..Default::default() };
+    let manifest = CampaignManifest::sampled_population(hosts, seed, days);
 
     let deadline = Instant::now() + budget;
     let mut first_resumed = None;
-    let report = loop {
+    let outcome = loop {
         let opts = CampaignOptions {
             checkpoint_path: Some(ckpt.clone()),
             checkpoint_every_runs: 0,
@@ -320,8 +297,7 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
             ..Default::default()
         };
         // Resume iff the generation store holds anything — including a
-        // corrupt newest generation (the store falls back) or a legacy
-        // pre-rotation file (version-sniffed).
+        // corrupt newest generation (the store falls back).
         let store = opts.store().expect("checkpoint path was just set");
         let opts = CampaignOptions { resume: store.any_checkpoint_present(), ..opts };
         // A failed checkpoint *write* (CampaignError::Checkpoint on I/O)
@@ -331,10 +307,10 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
         // never retried — it means the id is being reused for different
         // parameters.
         let mut retry = WallRetry::new(CHECKPOINT_RETRY);
-        let chunk_report = loop {
-            match population_campaign(&scenarios, &policies, &emu, threads, &opts) {
+        let chunk_outcome = loop {
+            match run_manifest(&manifest, threads, &opts, None) {
                 Ok(r) => break Ok(r),
-                Err(CampaignError::Mismatch(what)) => {
+                Err(ManifestError::Campaign(CampaignError::Mismatch(what))) => {
                     return Response::text(
                         409,
                         format!(
@@ -344,7 +320,7 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
                         ),
                     );
                 }
-                Err(e @ CampaignError::Checkpoint(_)) => {
+                Err(e @ ManifestError::Campaign(CampaignError::Checkpoint(_))) => {
                     // The typed error names the operation and path, so
                     // the daemon log is actionable without strace.
                     eprintln!("bce-serve: campaign {id}: {e}; retrying");
@@ -353,16 +329,18 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
                         None => break Err(e),
                     }
                 }
+                Err(e) => break Err(e),
             }
         };
-        let chunk_report = match chunk_report {
+        let chunk_outcome = match chunk_outcome {
             Ok(r) => r,
             Err(e) => return Response::text(500, format!("campaign failed: {e}\n")),
         };
+        let chunk_report = &chunk_outcome.report;
         shared.inc(shared.ids.campaign_chunks);
         shared.add(shared.ids.ckpt_write_failures, chunk_report.checkpoint_write_failures);
         shared.add(shared.ids.ckpt_generations_pruned, chunk_report.generations_pruned);
-        if let Some(rec) = chunk_report.recovery.as_ref().filter(|r| r.recovered() || r.legacy) {
+        if let Some(rec) = chunk_report.recovery.as_ref().filter(|r| r.recovered()) {
             shared.inc(shared.ids.ckpt_recoveries);
             eprintln!("bce-serve: campaign {id}: checkpoint recovery: {}", rec.describe());
         }
@@ -370,17 +348,18 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
             first_resumed = Some(chunk_report.resumed_runs);
         }
         if chunk_report.completed_runs >= chunk_report.total_runs {
-            break chunk_report;
+            break chunk_outcome;
         }
         if shared.is_draining() || crate::signal::termination_requested() {
             shared.inc(shared.ids.campaigns_parked);
-            return parked(shared, &id, &ckpt, &chunk_report, "daemon draining");
+            return parked(shared, &id, &ckpt, chunk_report, "daemon draining");
         }
         if Instant::now() >= deadline {
             shared.inc(shared.ids.campaigns_parked);
-            return parked(shared, &id, &ckpt, &chunk_report, "request deadline reached");
+            return parked(shared, &id, &ckpt, chunk_report, "request deadline reached");
         }
     };
+    let report = &outcome.report;
 
     shared.inc(shared.ids.campaigns_completed);
     let mut body = format!("# campaign {id}: complete ({} runs)\n", report.total_runs);
@@ -393,10 +372,9 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
     for e in &report.errors {
         body.push_str(&format!("# quarantined: {e}\n"));
     }
-    let table = population_table(&report.outcomes).render();
-    body.push_str(&format!("# fingerprint: {:016x}\n", fnv64(table.as_bytes())));
+    body.push_str(&format!("# fingerprint: {:016x}\n", outcome.table_fingerprint));
     body.push_str(&population_header(hosts, days, seed));
-    body.push_str(&table);
+    body.push_str(&outcome.table);
     Response::text(200, body)
 }
 
@@ -422,14 +400,4 @@ fn parked(
         ),
     )
     .with_header("Retry-After", shared.cfg.retry_after_secs.to_string())
-}
-
-/// FNV-1a over bytes, for the campaign table fingerprint.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

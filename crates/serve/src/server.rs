@@ -131,7 +131,7 @@ pub(crate) struct Ids {
     /// writes; crash-safety degraded, study unaffected).
     pub ckpt_write_failures: CounterId,
     /// Resumes that had to fall back past a corrupt checkpoint
-    /// generation (or loaded a deprecated legacy file).
+    /// generation.
     pub ckpt_recoveries: CounterId,
     /// Old checkpoint generations removed by rotation.
     pub ckpt_generations_pruned: CounterId,

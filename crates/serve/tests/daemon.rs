@@ -2,10 +2,9 @@
 //! load shedding under a concurrent burst, deadline parking, graceful
 //! drain, and bit-identical resume across a daemon restart.
 
-use bce_controller::{
-    population_header, population_study, population_table, standard_policies, standard_population,
-};
+use bce_controller::{population_header, population_study, population_table, standard_policies};
 use bce_core::EmulatorConfig;
+use bce_scenarios::{PopulationModel, PopulationSampler};
 use bce_serve::{ServeConfig, ServeSummary, Server, ServerHandle};
 use bce_types::SimDuration;
 use std::io::{Read, Write};
@@ -199,7 +198,9 @@ fn campaign_parks_on_deadline_and_resumes_bit_identically_across_restart() {
 
     // Bit-identical to the uninterrupted study computed in-process.
     let emu = EmulatorConfig { duration: SimDuration::from_days(0.1), ..EmulatorConfig::default() };
-    let outcomes = population_study(&standard_population(4, 7), &standard_policies(), &emu, 1);
+    let population = PopulationSampler::new(PopulationModel::default(), 7).sample_many(4);
+    let population: Vec<_> = population.into_iter().map(std::sync::Arc::new).collect();
+    let outcomes = population_study(&population, &standard_policies(), &emu, 1);
     let reference =
         format!("{}{}", population_header(4, 0.1, 7), population_table(&outcomes).render());
     assert_eq!(table_of(&body), table_of(&reference));

@@ -11,6 +11,7 @@
 //! global RNG, no hash-order dependence.
 
 pub mod dist;
+pub mod hash;
 pub mod log;
 pub mod queue;
 pub mod rng;
@@ -18,6 +19,7 @@ pub mod stats;
 pub mod timeline;
 
 pub use dist::{Constant, Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform};
+pub use hash::{fnv64, Fnv64};
 pub use log::{Component, Level, LogEntry, MsgLog};
 pub use queue::EventQueue;
 pub use rng::Rng;

@@ -24,9 +24,9 @@
 //! at memory speed with a 256-entry table. Cryptographic hashes would
 //! buy tamper resistance we don't need at 4× the cost.
 //!
-//! Legacy checkpoints written before framing are bare XML. [`decode`]
-//! distinguishes them by magic: a buffer not starting with `BCEFRAME`
-//! yields [`FrameError::NotFramed`], and callers sniff it as legacy.
+//! A buffer not starting with `BCEFRAME` yields
+//! [`FrameError::NotFramed`]; readers reject it like any other corrupt
+//! file (checkpoints written before framing no longer load).
 
 /// Frame magic. Eight bytes so the version/length fields stay aligned
 /// and an accidental XML payload (`<bce_...`) can never collide.
@@ -41,8 +41,8 @@ pub const FRAME_HEADER_LEN: usize = 28;
 /// Why a buffer failed to decode as a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The buffer does not begin with [`FRAME_MAGIC`] — either a legacy
-    /// unchecksummed checkpoint or not a checkpoint at all.
+    /// The buffer does not begin with [`FRAME_MAGIC`] — an unframed
+    /// pre-framing checkpoint or not a checkpoint at all.
     NotFramed,
     /// Framed, but with a version this build does not understand.
     UnsupportedVersion { found: u32, max: u32 },

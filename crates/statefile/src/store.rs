@@ -19,9 +19,9 @@
 //! * **All-corrupt is fatal.** If generations exist but none validates,
 //!   the store returns [`StoreError::NoValidGeneration`] — it never
 //!   silently restarts from scratch.
-//! * **Legacy files load.** A bare unframed `<base>` file from before
-//!   this format is version-sniffed and opened with
-//!   [`RecoveryReport::legacy`] set, so operators see the deprecation.
+//! * **Only framed files load.** A bare `<base>` file is tried last,
+//!   and only if it is framed (as `write_atomic` writes it); an
+//!   unframed file is rejected like any corrupt generation.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ pub const DEFAULT_KEEP_GENERATIONS: usize = 3;
 pub enum StoreError {
     /// A filesystem operation failed; carries what, where, and the OS error.
     Io { op: IoOp, path: PathBuf, source: std::io::Error },
-    /// Nothing to open: no generation files and no legacy file.
+    /// Nothing to open: no generation files and no bare file.
     NoCheckpoint,
     /// Generations exist but every one failed validation. Deliberately
     /// distinct from [`StoreError::NoCheckpoint`]: callers must not
@@ -81,14 +81,12 @@ pub struct RejectedGeneration {
 }
 
 /// What [`CheckpointStore::open_latest_with`] actually did: which
-/// generation it opened, whether it was a legacy unframed file, and
-/// every newer generation it had to reject on the way.
+/// generation it opened and every newer generation it had to reject on
+/// the way.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Generation opened; `None` when a legacy bare file was loaded.
+    /// Generation opened; `None` when the bare `<base>` file was loaded.
     pub opened_generation: Option<u64>,
-    /// The opened file predates checksummed framing (deprecated format).
-    pub legacy: bool,
     /// Newer generations rejected before one validated, newest first.
     pub rejected: Vec<RejectedGeneration>,
 }
@@ -103,7 +101,7 @@ impl RecoveryReport {
     pub fn describe(&self) -> String {
         let opened = match self.opened_generation {
             Some(g) => format!("generation {g}"),
-            None => "legacy unframed checkpoint (deprecated; rewrite on next save)".to_string(),
+            None => "bare checkpoint file".to_string(),
         };
         if self.rejected.is_empty() {
             format!("opened {opened}")
@@ -135,7 +133,7 @@ pub struct WriteReceipt {
 /// dir/pop.ckpt.2
 /// dir/pop.ckpt.3          newest generation (framed)
 /// dir/pop.ckpt.manifest   hint: latest generation + keep count
-/// dir/pop.ckpt            only if written by a pre-rotation build (legacy)
+/// dir/pop.ckpt            only if written by `write_atomic` (framed)
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -192,7 +190,7 @@ impl CheckpointStore {
     }
 
     /// Is there anything to resume from — any generation file or a
-    /// legacy bare file? (Corrupt counts as "something": resuming must
+    /// bare `<base>` file? (Corrupt counts as "something": resuming must
     /// then either recover or fail loudly, never restart silently.)
     pub fn any_checkpoint_present(&self) -> bool {
         !self.generations_on_disk().unwrap_or_default().is_empty() || self.io.exists(&self.base)
@@ -298,19 +296,21 @@ impl CheckpointStore {
     }
 
     /// Open the newest generation whose frame validates **and** whose
-    /// payload `parse` accepts, falling back past corrupt ones. Returns
-    /// the parsed value plus a [`RecoveryReport`]. Running `parse`
-    /// inside the walk means a CRC-valid generation with an unparseable
-    /// payload (e.g. interrupted schema migration) also falls back
-    /// instead of failing.
+    /// payload `parse` accepts, falling back past corrupt ones; the bare
+    /// `<base>` file is the last candidate. Returns the parsed value plus
+    /// a [`RecoveryReport`]. Running `parse` inside the walk means a
+    /// CRC-valid generation with an unparseable payload (e.g. interrupted
+    /// schema migration) also falls back instead of failing.
     pub fn open_latest_with<T>(
         &self,
         mut parse: impl FnMut(&str) -> Result<T, String>,
     ) -> Result<(T, RecoveryReport), StoreError> {
         let mut rejected = Vec::new();
         let gens = self.generations_on_disk()?;
-        for &gen in gens.iter().rev() {
-            let path = self.generation_path(gen);
+        let bare = self.io.exists(&self.base).then(|| (None, self.base.clone()));
+        let candidates =
+            gens.iter().rev().map(|&gen| (Some(gen), self.generation_path(gen))).chain(bare);
+        for (gen, path) in candidates {
             let reason = match self.io.read(&path) {
                 Err(e) => format!("read failed: {e}"),
                 Ok(bytes) => match frame::decode(&bytes) {
@@ -320,92 +320,20 @@ impl CheckpointStore {
                         Ok(text) => match parse(text) {
                             Err(e) => format!("payload rejected: {e}"),
                             Ok(value) => {
-                                return Ok((
-                                    value,
-                                    RecoveryReport {
-                                        opened_generation: Some(gen),
-                                        legacy: false,
-                                        rejected,
-                                    },
-                                ));
+                                let report = RecoveryReport { opened_generation: gen, rejected };
+                                return Ok((value, report));
                             }
                         },
                     },
                 },
             };
-            rejected.push(RejectedGeneration { generation: gen, path, reason });
+            rejected.push(RejectedGeneration { generation: gen.unwrap_or(0), path, reason });
         }
-
-        // No generation validated. A bare legacy file (pre-rotation
-        // build) is still an acceptable source — version-sniffed, loud
-        // about its deprecation via `legacy: true`.
-        if self.io.exists(&self.base) {
-            let bytes = self.io.read(&self.base).map_err(|e| StoreError::Io {
-                op: IoOp::Read,
-                path: self.base.clone(),
-                source: e,
-            })?;
-            let (text, legacy) = match frame::decode(&bytes) {
-                Ok(payload) => match std::str::from_utf8(payload) {
-                    Ok(t) => (t.to_string(), false),
-                    Err(_) => {
-                        return Err(self.all_rejected(
-                            rejected,
-                            &self.base.clone(),
-                            "payload is not valid UTF-8",
-                        ))
-                    }
-                },
-                Err(frame::FrameError::NotFramed) => match String::from_utf8(bytes) {
-                    Ok(t) => (t, true),
-                    Err(_) => {
-                        return Err(self.all_rejected(
-                            rejected,
-                            &self.base.clone(),
-                            "legacy file is not valid UTF-8",
-                        ))
-                    }
-                },
-                Err(e) => {
-                    return Err(self.all_rejected(rejected, &self.base.clone(), &format!("{e}")))
-                }
-            };
-            match parse(&text) {
-                Ok(value) => {
-                    return Ok((
-                        value,
-                        RecoveryReport { opened_generation: None, legacy, rejected },
-                    ))
-                }
-                Err(e) => {
-                    return Err(self.all_rejected(
-                        rejected,
-                        &self.base.clone(),
-                        &format!("payload rejected: {e}"),
-                    ))
-                }
-            }
-        }
-
         if rejected.is_empty() {
             Err(StoreError::NoCheckpoint)
         } else {
             Err(StoreError::NoValidGeneration { rejected })
         }
-    }
-
-    fn all_rejected(
-        &self,
-        mut rejected: Vec<RejectedGeneration>,
-        path: &Path,
-        reason: &str,
-    ) -> StoreError {
-        rejected.push(RejectedGeneration {
-            generation: 0,
-            path: path.to_path_buf(),
-            reason: reason.to_string(),
-        });
-        StoreError::NoValidGeneration { rejected }
     }
 
     /// Read the newest valid generation's raw payload without parsing.
@@ -444,7 +372,7 @@ mod tests {
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"payload-5");
         assert_eq!(report.opened_generation, Some(5));
-        assert!(!report.recovered() && !report.legacy);
+        assert!(!report.recovered());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -526,27 +454,42 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_file_loads_with_deprecation_flag() {
-        let dir = scratch("legacy");
+    fn unframed_bare_file_is_rejected() {
+        let dir = scratch("unframed");
         let s = store(&dir, 3);
         fs::write(dir.join("pop.ckpt"), b"<bce_checkpoint version=\"2\"/>").unwrap();
-        let (bytes, report) = s.read_latest().unwrap();
-        assert_eq!(bytes, b"<bce_checkpoint version=\"2\"/>");
-        assert!(report.legacy);
-        assert_eq!(report.opened_generation, None);
-        assert!(report.describe().contains("deprecated"));
+        assert!(s.any_checkpoint_present());
+        match s.read_latest() {
+            Err(StoreError::NoValidGeneration { rejected }) => {
+                assert_eq!(rejected.len(), 1);
+                assert_eq!(rejected[0].path, dir.join("pop.ckpt"));
+                assert!(rejected[0].reason.contains("not a checksummed frame"), "{rejected:?}");
+            }
+            other => panic!("expected NoValidGeneration, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn generations_win_over_legacy_file() {
+    fn framed_bare_file_still_opens() {
+        let dir = scratch("bare");
+        let s = store(&dir, 3);
+        fs::write(dir.join("pop.ckpt"), frame::encode(b"bare")).unwrap();
+        let (bytes, report) = s.read_latest().unwrap();
+        assert_eq!(bytes, b"bare");
+        assert_eq!(report.opened_generation, None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generations_win_over_bare_file() {
         let dir = scratch("mixed");
         let s = store(&dir, 3);
-        fs::write(dir.join("pop.ckpt"), b"legacy").unwrap();
+        fs::write(dir.join("pop.ckpt"), frame::encode(b"bare")).unwrap();
         s.write(b"framed").unwrap();
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"framed");
-        assert!(!report.legacy);
+        assert_eq!(report.opened_generation, Some(1));
         let _ = fs::remove_dir_all(&dir);
     }
 
