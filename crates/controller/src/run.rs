@@ -11,10 +11,12 @@
 //!   [`EmulatorArena`] and drives every run through it, so the event
 //!   queue, RR-simulation scratch, task buffers and accounting sample are
 //!   allocated once per worker, not once per run.
-//! * **No lock on the hot path** — work is split statically (worker `w`
-//!   runs spec indices `w, w + T, w + 2T, …`) and each worker streams its
-//!   results through its own bounded channel; there is no shared mutex or
-//!   result funnel.
+//! * **Dynamic claiming in a bounded window** — the consumer issues run
+//!   indices as tickets, at most `W = T × (WORKER_SLACK + 1)` ahead of
+//!   the reduction front; an idle worker claims the next ticket, so a
+//!   slow run no longer leaves another worker blocked on its own full
+//!   channel. The cost is one uncontended lock per claimed run, and
+//!   results come back over one channel into a `W`-slot reorder ring.
 //! * **Streaming reduction** — [`run_streaming`] hands each
 //!   [`EmulationResult`] to a caller-supplied reducer *in submission
 //!   order* as soon as it is available, so a caller that only aggregates
@@ -32,7 +34,7 @@ use bce_core::{
     Scenario,
 };
 use bce_obs::Profiler;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// A run that panicked inside the emulator, quarantined by the
 /// supervised executor instead of tearing down the whole campaign.
@@ -158,9 +160,10 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Results a worker may buffer ahead of the consumer before blocking.
-/// Bounds memory at O(workers × slack) while giving fast workers room to
-/// run ahead of an uneven reduction front.
+/// Runs each worker may complete ahead of the reduction front. The
+/// reorder window is `threads × (WORKER_SLACK + 1)` runs, which bounds
+/// memory at O(workers × slack) while giving fast workers room to run
+/// ahead of a slow run at the front.
 const WORKER_SLACK: usize = 4;
 
 /// Execute every spec, streaming each [`EmulationResult`] into `consume`
@@ -180,8 +183,9 @@ where
 /// As [`run_streaming`], but timing the executor's phases into `prof`:
 ///
 /// * `exec.emulate` — serial path only: the emulations themselves.
-/// * `exec.recv_wait` — parallel path: consumer time blocked on worker
-///   channels (how far the reduction front trails the workers).
+/// * `exec.recv_wait` — parallel path: consumer time blocked waiting for
+///   the run at the reduction front (how far the front trails the
+///   workers), one count per run.
 /// * `exec.reduce` — time inside the caller's reducer, which runs on the
 ///   consuming thread and therefore bounds streaming throughput.
 ///
@@ -246,32 +250,56 @@ pub fn run_supervised_profiled<F>(
     }
 
     let sp_wait = prof.span("exec.recv_wait");
+    let window = nthreads * (WORKER_SLACK + 1);
+    // At most `window` tickets are outstanding, so neither channel's
+    // sender ever blocks.
+    let (ticket_tx, ticket_rx) = mpsc::sync_channel::<usize>(window);
+    let ticket_rx = Mutex::new(ticket_rx);
     std::thread::scope(|scope| {
-        // Worker `w` computes indices w, w+T, w+2T, … in order and streams
-        // them through its own bounded channel; the consumer pulls index i
-        // from channel i % T, which restores global submission order
-        // without any reorder buffer or shared lock.
-        let receivers: Vec<_> = (0..nthreads)
-            .map(|w| {
-                let (tx, rx) =
-                    std::sync::mpsc::sync_channel::<Result<EmulationResult, String>>(WORKER_SLACK);
-                scope.spawn(move || {
-                    let mut arena = EmulatorArena::new();
-                    for spec in specs.iter().skip(w).step_by(nthreads) {
-                        // A closed channel means the consumer was dropped
-                        // (panic unwinding); stop quietly.
-                        if tx.send(supervised_emulate(spec, &mut arena)).is_err() {
-                            break;
-                        }
+        // Owned by this closure, so it is dropped when the consumer
+        // finishes or unwinds (a reducer's panic): workers then drain the
+        // tickets already issued and exit, and the scope can join them.
+        let ticket_tx = ticket_tx;
+        let (result_tx, result_rx) =
+            mpsc::sync_channel::<(usize, Result<EmulationResult, String>)>(window);
+        for _ in 0..nthreads {
+            let (ticket_rx, result_tx) = (&ticket_rx, result_tx.clone());
+            scope.spawn(move || {
+                let mut arena = EmulatorArena::new();
+                loop {
+                    let ticket = ticket_rx.lock().expect("ticket lock").recv();
+                    let Ok(i) = ticket else { break };
+                    // A closed result channel means the consumer is
+                    // unwinding; stop quietly.
+                    if result_tx.send((i, supervised_emulate(&specs[i], &mut arena))).is_err() {
+                        break;
                     }
-                });
-                rx
-            })
-            .collect();
+                }
+            });
+        }
+        drop(result_tx);
+
+        // Tickets outstanding are always `[i, i + window)` for the next
+        // index `i` to reduce, so slot `j % window` is free for result `j`.
+        let mut ring: Vec<Option<Result<EmulationResult, String>>> =
+            (0..window.min(n)).map(|_| None).collect();
+        let mut issued = ring.len();
+        for i in 0..issued {
+            ticket_tx.send(i).expect("ticket receiver outlives the scope");
+        }
         for (i, spec) in specs.iter().enumerate() {
-            let outcome = prof
-                .time(sp_wait, || receivers[i % nthreads].recv())
-                .expect("worker delivered outcome");
+            let slot = i % window;
+            let outcome = prof.time(sp_wait, || loop {
+                if let Some(outcome) = ring[slot].take() {
+                    break outcome;
+                }
+                let (j, outcome) = result_rx.recv().expect("worker delivered outcome");
+                ring[j % window] = Some(outcome);
+            });
+            if issued < n {
+                ticket_tx.send(issued).expect("ticket receiver outlives the scope");
+                issued += 1;
+            }
             let outcome = outcome.map_err(|message| RunError {
                 index: i,
                 label: spec.label.clone(),
@@ -380,20 +408,45 @@ mod tests {
         }
     }
 
+    /// Every other spec emulates ten times its neighbour's horizon: the
+    /// worst case for a static `w, w + T` split, which would put every
+    /// costly run on the same worker at two threads.
+    fn skewed_specs(n: u64) -> Vec<RunSpec> {
+        let cheap = Arc::new(short());
+        let costly =
+            Arc::new(EmulatorConfig { duration: SimDuration::from_hours(30.0), ..short() });
+        (0..n)
+            .map(|i| {
+                let emu = if i % 2 == 1 { &costly } else { &cheap };
+                RunSpec::new(format!("run{i}"), tiny_scenario(i), ClientConfig::default())
+                    .with_emulator(emu.clone())
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_equals_serial_on_every_field() {
-        let ser = run_all(mk_specs(6), 1);
-        for threads in [2, 4, 8] {
-            let par = run_all(mk_specs(6), threads);
-            for ((la, a), (lb, b)) in par.iter().zip(&ser) {
-                assert_eq!(la, lb);
-                assert_eq!(
-                    a.bit_fingerprint(),
-                    b.bit_fingerprint(),
-                    "threads={threads} diverged on {la}"
-                );
-                assert_eq!(a.jobs_completed, b.jobs_completed);
-                assert_eq!(a.total_flops_used.to_bits(), b.total_flops_used.to_bits());
+        for specs in [mk_specs(6), skewed_specs(24)] {
+            let ser = run_all(specs.clone(), 1);
+            for threads in [2, 3, 4, 8] {
+                let mut order = Vec::new();
+                let mut par = Vec::new();
+                run_supervised(&specs, threads, |i, spec, outcome| {
+                    order.push(i);
+                    par.push((spec.label.clone(), outcome.expect("no run panics")));
+                });
+                assert_eq!(order, (0..specs.len()).collect::<Vec<_>>(), "threads={threads}");
+                assert_eq!(par.len(), ser.len());
+                for ((la, a), (lb, b)) in par.iter().zip(&ser) {
+                    assert_eq!(la, lb);
+                    assert_eq!(
+                        a.bit_fingerprint(),
+                        b.bit_fingerprint(),
+                        "threads={threads} diverged on {la}"
+                    );
+                    assert_eq!(a.jobs_completed, b.jobs_completed);
+                    assert_eq!(a.total_flops_used.to_bits(), b.total_flops_used.to_bits());
+                }
             }
         }
     }
@@ -479,10 +532,10 @@ mod tests {
     }
 
     /// A scenario that reliably panics inside the emulator: a project
-    /// with zero apps. `Scenario::validate` rejects it, which is exactly
-    /// why the emulator has no defined behaviour for it — constructing it
-    /// directly (bypassing the builder) models a corrupted input slipping
-    /// into a large campaign.
+    /// with zero apps. `Scenario::validate` rejects it, and the emulator
+    /// panics on any scenario that fails validation, in every build
+    /// profile — constructing it directly (bypassing the builder) models
+    /// a corrupted input slipping into a large campaign.
     fn poison_spec() -> RunSpec {
         let s = bce_core::ScenarioBuilder::new("poison", Hardware::cpu_only(1, 1e9))
             .project(ProjectSpec::new(0, "p", 100.0))
@@ -556,6 +609,28 @@ mod tests {
         .expect_err("poison run must abort the unsupervised executor");
         let msg = panic_message(payload);
         assert!(msg.contains("run 0 (poison) panicked"), "{msg}");
+    }
+
+    #[test]
+    fn unsupervised_executor_aborts_without_hanging_at_two_threads() {
+        // The re-raise unwinds the consumer while workers still hold
+        // tickets: dropping the ticket sender must end them so the
+        // thread scope can join. A hang fails the test on the timeout
+        // instead of stalling the suite.
+        let mut specs = mk_specs(24);
+        specs[1] = poison_spec();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_streaming(&specs, 2, |_, _, _| {});
+            }));
+            let _ = tx.send(payload.map_err(panic_message));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("executor hung after the consumer unwound");
+        let msg = outcome.expect_err("poison run must abort the unsupervised executor");
+        assert!(msg.contains("run 1 (poison) panicked"), "{msg}");
     }
 
     #[test]

@@ -340,6 +340,8 @@ impl Emulator {
     /// [`Emulator::run`]; population-scale drivers keep one arena per
     /// worker so the event queue, RR scratch, task buffers and log buffer
     /// are allocated once per worker rather than once per run.
+    ///
+    /// Panics if the scenario fails [`Scenario::validate`].
     pub fn run_in(&self, arena: &mut EmulatorArena) -> EmulationResult {
         let mut st = self.start_in(arena);
         while st.step(self) {}
@@ -351,14 +353,21 @@ impl Emulator {
     /// restore replays exactly this path before overwriting mutable
     /// state), the event queue is seeded, and the reusable buffers are
     /// taken out of the arena ([`RunState::finalize`] hands them back).
+    ///
+    /// The validation runs in every build profile: the emulator has no
+    /// defined behaviour for an invalid scenario, and a run that silently
+    /// completes with nothing to do would hide the bad input from
+    /// supervised executors.
     fn start_in(&self, arena: &mut EmulatorArena) -> RunState {
+        let scenario = &*self.scenario;
+        if let Err(errors) = scenario.validate() {
+            panic!("invalid scenario {:?}: {errors}", scenario.name);
+        }
         let mut queue = std::mem::replace(&mut arena.queue, EventQueue::with_capacity(0));
         let client_scratch = arena.client.take();
         let mut per_project = std::mem::take(&mut arena.per_project);
         let log_entries = std::mem::take(&mut arena.log_entries);
         let trace_records = std::mem::take(&mut arena.trace_records);
-        let scenario = &*self.scenario;
-        debug_assert!(scenario.validate().is_ok(), "invalid scenario: {:?}", scenario.validate());
         let hw = scenario.hardware.clone();
         let end = SimTime::ZERO + self.cfg.duration;
 
