@@ -4,8 +4,8 @@
 
 use bce_avail::HostRunState;
 use bce_client::{
-    rr_simulate, rr_simulate_into, rr_simulate_reference, Client, ClientConfig, RrJob, RrOutcome,
-    RrPlatform, RrScratch,
+    rr_simulate, rr_simulate_into, rr_simulate_reference, Client, ClientConfig, JobSchedPolicy,
+    RrJob, RrOutcome, RrPlatform, RrScratch,
 };
 use bce_sim::Rng;
 use bce_types::{
@@ -250,11 +250,79 @@ fn bench_incremental_refresh(c: &mut Criterion) {
     g.finish();
 }
 
+/// A client in scenario 4's shape: 20 equal-share projects, 60 queued
+/// jobs (every fifth a GPU job), 4 CPUs + 1 GPU. The jobs are far longer
+/// than any bench run advances the clock, so every iteration sees the
+/// same queue.
+fn per_decision_client(sched_policy: JobSchedPolicy) -> Client {
+    let nprojects = 20u32;
+    let mut c = Client::new(
+        Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(4e9),
+        Preferences::default(),
+        (0..nprojects)
+            .map(|p| {
+                Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu])
+            })
+            .collect(),
+        ClientConfig { sched_policy, ..ClientConfig::default() },
+    );
+    let mut rng = Rng::from_seed(29);
+    c.add_jobs(
+        (0..60)
+            .map(|i| JobSpec {
+                id: JobId(i as u64),
+                project: ProjectId(i as u32 % nprojects),
+                app: AppId(0),
+                usage: if i % 5 == 0 {
+                    ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1)
+                } else {
+                    ResourceUsage::one_cpu()
+                },
+                duration: SimDuration::from_secs(rng.range(1e7, 2e7)),
+                duration_est: SimDuration::from_secs(rng.range(1e7, 2e7)),
+                latency_bound: SimDuration::from_secs(rng.range(5e7, 2e8)),
+                checkpoint_period: Some(SimDuration::from_secs(60.0)),
+                working_set_bytes: 1e8,
+                input_bytes: 0.0,
+                output_bytes: 0.0,
+                received: SimTime::from_secs(i as f64),
+            })
+            .collect(),
+    );
+    c
+}
+
+/// Per-decision client cost outside the RR kernel: one `advance` (usage
+/// sample + resource-share accounting) and one `reschedule` (RR refresh,
+/// mostly served from the frozen window, + planner) per iteration, under
+/// local debts (JS-LOCAL) and global REC (JS-GLOBAL) accounting.
+fn bench_per_decision(c: &mut Criterion) {
+    let mut g = c.benchmark_group("client_per_decision");
+    let rs = HostRunState { can_compute: true, can_gpu: true, net_up: true, user_active: false };
+    let step = SimDuration::from_secs(0.05);
+    for (name, policy) in
+        [("js_local", JobSchedPolicy::LOCAL), ("js_global", JobSchedPolicy::GLOBAL)]
+    {
+        let mut client = per_decision_client(policy);
+        client.reschedule(SimTime::ZERO, rs, 1.0);
+        let mut now = SimTime::ZERO;
+        g.bench_function(BenchmarkId::new("advance_reschedule", name), |b| {
+            b.iter(|| {
+                now += step;
+                black_box(client.advance(now, rs));
+                black_box(client.reschedule(now, rs, 1.0))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_rr,
     bench_scratch_vs_alloc,
     bench_cached_vs_uncached,
-    bench_incremental_refresh
+    bench_incremental_refresh,
+    bench_per_decision
 );
 criterion_main!(benches);

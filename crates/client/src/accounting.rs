@@ -16,7 +16,6 @@
 //!   (Figure 6).
 
 use bce_types::{Hardware, ProcMap, ProcType, ProjectId, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Which accounting scheme is in force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,58 +29,121 @@ pub enum AccountingKind {
 /// claim on the host.
 const MAX_DEBT: f64 = 86_400.0;
 
-/// Per-interval usage report fed to [`Accounting::update`].
+/// A set of project slots (see [`Accounting`]) that remembers insertion
+/// order and answers membership in O(1).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotSet {
+    order: Vec<usize>,
+    member: Vec<bool>,
+}
+
+impl SlotSet {
+    fn reset(&mut self, nslots: usize) {
+        self.order.clear();
+        self.member.clear();
+        self.member.resize(nslots, false);
+    }
+
+    fn clear(&mut self) {
+        for &s in &self.order {
+            self.member[s] = false;
+        }
+        self.order.clear();
+    }
+
+    /// Add `slot` unless present; the first insertion fixes its position.
+    fn insert(&mut self, slot: usize) -> bool {
+        let fresh = !self.member[slot];
+        if fresh {
+            self.member[slot] = true;
+            self.order.push(slot);
+        }
+        fresh
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.member[slot]
+    }
+
+    /// Members in first-insertion order.
+    fn slots(&self) -> &[usize] {
+        &self.order
+    }
+}
+
+/// Per-interval usage report fed to [`Accounting::update`], keyed by
+/// project slot.
 ///
 /// Rebuilt once per client advance (the hot path), so the containers are
-/// flat vectors that can be cleared and refilled without reallocating;
-/// each project appears at most once in `used`.
+/// cleared and refilled without reallocating. Membership lists keep
+/// first-appearance order: it fixes the summation order of the debt
+/// update.
 #[derive(Debug, Clone, Default)]
-pub struct UsageSample {
-    /// Instances of each type in use by each project over the interval.
-    pub used: Vec<(ProjectId, ProcMap<f64>)>,
+pub(crate) struct UsageSample {
+    /// Instances of each type in use by each slot over the interval;
+    /// meaningful only for slots in `running`.
+    used: Vec<ProcMap<f64>>,
+    /// Slots with anything running.
+    running: SlotSet,
     /// Projects with runnable/queued work of each type. Short-term
     /// (scheduling) debt accrues only while a project can actually use the
     /// resource; §2.1 leaves this unspecified and we follow the BOINC
     /// client.
-    pub runnable: ProcMap<Vec<ProjectId>>,
+    runnable: ProcMap<SlotSet>,
     /// Projects that *supply* jobs of each type, whether or not any are
     /// queued right now. Long-term (fetch) debt accrues over these, so a
     /// project the client never asked for work still builds its claim —
     /// without this, whichever project wins the first tie monopolizes
     /// fetch forever.
-    pub fetchable: ProcMap<Vec<ProjectId>>,
+    fetchable: ProcMap<SlotSet>,
 }
 
 impl UsageSample {
-    /// Empty the sample, keeping allocated capacity for reuse.
-    pub fn clear(&mut self) {
+    /// Size the sample for an accounting with `nslots` slots and empty it.
+    pub(crate) fn reset(&mut self, nslots: usize) {
         self.used.clear();
+        self.used.resize(nslots, ProcMap::zero());
+        self.running.reset(nslots);
+        for t in ProcType::ALL {
+            self.runnable[t].reset(nslots);
+            self.fetchable[t].reset(nslots);
+        }
+    }
+
+    /// Empty the sample, keeping its size and allocated capacity.
+    pub(crate) fn clear(&mut self) {
+        self.running.clear();
         for t in ProcType::ALL {
             self.runnable[t].clear();
             self.fetchable[t].clear();
         }
     }
 
-    /// Instances in use by project `p`, if any.
-    pub fn used_of(&self, p: ProjectId) -> Option<&ProcMap<f64>> {
-        self.used.iter().find(|(id, _)| *id == p).map(|(_, m)| m)
+    /// Instances in use by `slot`, if anything runs there.
+    fn used_of(&self, slot: usize) -> Option<&ProcMap<f64>> {
+        self.running.contains(slot).then(|| &self.used[slot])
     }
 
-    /// The (created-on-demand) usage entry for project `p`.
-    pub fn used_entry(&mut self, p: ProjectId) -> &mut ProcMap<f64> {
-        let idx = match self.used.iter().position(|(id, _)| *id == p) {
-            Some(i) => i,
-            None => {
-                self.used.push((p, ProcMap::zero()));
-                self.used.len() - 1
-            }
-        };
-        &mut self.used[idx].1
+    /// The (created-on-demand) usage entry for `slot`.
+    pub(crate) fn used_entry(&mut self, slot: usize) -> &mut ProcMap<f64> {
+        if self.running.insert(slot) {
+            self.used[slot] = ProcMap::zero();
+        }
+        &mut self.used[slot]
+    }
+
+    pub(crate) fn mark_runnable(&mut self, t: ProcType, slot: usize) {
+        self.runnable[t].insert(slot);
+    }
+
+    pub(crate) fn mark_fetchable(&mut self, t: ProcType, slot: usize) {
+        self.fetchable[t].insert(slot);
     }
 }
 
-/// Complete mutable accounting state, for checkpointing. Shares, kind and
-/// half-life are scenario constants reconstructed from the scenario itself.
+/// Complete mutable accounting state, for checkpointing, in ascending
+/// project-id order. Shares, kind and half-life are scenario constants
+/// reconstructed from the scenario itself.
 #[derive(Debug, Clone, Default)]
 pub struct AccountingSnapshot {
     pub debts: Vec<(ProjectId, ProcMap<f64>)>,
@@ -91,18 +153,30 @@ pub struct AccountingSnapshot {
 }
 
 /// Resource-share accounting state.
+///
+/// Every per-project table is indexed by *slot*: a project's position in
+/// the ascending list of project ids, resolved once. Slot order is id
+/// order on purpose: it fixes the summation order of the REC total and
+/// the order of the snapshot, and so the checkpoint bytes.
 #[derive(Debug, Clone)]
 pub struct Accounting {
     kind: AccountingKind,
-    shares: Vec<(ProjectId, f64)>,
+    /// Project ids, ascending and distinct; the index is the slot.
+    ids: Vec<ProjectId>,
+    /// Resource share per slot.
+    share: Vec<f64>,
+    /// Total resource share, summed in construction order.
+    share_total: f64,
     /// Local: per-project, per-type short-term debt in instance-seconds
     /// (drives job scheduling).
-    debts: BTreeMap<ProjectId, ProcMap<f64>>,
+    debts: Vec<ProcMap<f64>>,
     /// Local: per-project, per-type long-term debt (drives work fetch).
-    lt_debts: BTreeMap<ProjectId, ProcMap<f64>>,
+    lt_debts: Vec<ProcMap<f64>>,
     /// Global: REC value and its last-update instant (decay is applied
     /// lazily).
-    rec: BTreeMap<ProjectId, f64>,
+    rec: Vec<f64>,
+    /// `rec` summed in slot order; refreshed whenever `rec` changes.
+    rec_total: f64,
     rec_updated: SimTime,
     half_life: SimDuration,
 }
@@ -114,130 +188,169 @@ impl Accounting {
         half_life: SimDuration,
     ) -> Self {
         let shares: Vec<_> = shares.into_iter().collect();
-        let debts: BTreeMap<ProjectId, ProcMap<f64>> =
-            shares.iter().map(|&(p, _)| (p, ProcMap::zero())).collect();
-        let lt_debts = debts.clone();
-        let rec = shares.iter().map(|&(p, _)| (p, 0.0)).collect();
-        Accounting { kind, shares, debts, lt_debts, rec, rec_updated: SimTime::ZERO, half_life }
+        let share_total = shares.iter().map(|(_, s)| *s).sum();
+        let mut ids: Vec<ProjectId> = shares.iter().map(|&(p, _)| p).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        // A repeated id takes its first listed share.
+        let share = ids
+            .iter()
+            .map(|&p| shares.iter().find(|(id, _)| *id == p).map_or(0.0, |(_, s)| *s))
+            .collect();
+        let n = ids.len();
+        let rec = vec![0.0; n];
+        Accounting {
+            kind,
+            ids,
+            share,
+            share_total,
+            debts: vec![ProcMap::zero(); n],
+            lt_debts: vec![ProcMap::zero(); n],
+            rec_total: Self::sum_rec(&rec),
+            rec,
+            rec_updated: SimTime::ZERO,
+            half_life,
+        }
     }
 
     pub fn kind(&self) -> AccountingKind {
         self.kind
     }
 
+    /// The slot of project `p`, or `None` if it holds no share here.
+    pub(crate) fn slot_of(&self, p: ProjectId) -> Option<usize> {
+        self.ids.binary_search(&p).ok()
+    }
+
+    /// Number of slots (distinct projects).
+    pub(crate) fn num_slots(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn sum_rec(rec: &[f64]) -> f64 {
+        rec.iter().sum()
+    }
+
     /// Capture all mutable state (debts, REC averages, decay clock).
     pub fn snapshot(&self) -> AccountingSnapshot {
+        let ids = self.ids.iter().copied();
         AccountingSnapshot {
-            debts: self.debts.iter().map(|(&p, m)| (p, *m)).collect(),
-            lt_debts: self.lt_debts.iter().map(|(&p, m)| (p, *m)).collect(),
-            rec: self.rec.iter().map(|(&p, &r)| (p, r)).collect(),
+            debts: ids.clone().zip(self.debts.iter().copied()).collect(),
+            lt_debts: ids.clone().zip(self.lt_debts.iter().copied()).collect(),
+            rec: ids.zip(self.rec.iter().copied()).collect(),
             rec_updated: self.rec_updated,
         }
     }
 
     /// Overwrite all mutable state from a capture (checkpoint restore).
-    pub fn restore_snapshot(&mut self, snap: &AccountingSnapshot) {
-        self.debts = snap.debts.iter().map(|&(p, m)| (p, m)).collect();
-        self.lt_debts = snap.lt_debts.iter().map(|&(p, m)| (p, m)).collect();
-        self.rec = snap.rec.iter().map(|&(p, r)| (p, r)).collect();
+    /// Each table must list exactly this accounting's projects in
+    /// ascending id order, as [`Accounting::snapshot`] writes them;
+    /// otherwise nothing changes and the error names the table.
+    pub fn restore_snapshot(&mut self, snap: &AccountingSnapshot) -> Result<(), String> {
+        let ids = || self.ids.iter().copied();
+        for (table, matches) in [
+            ("debts", snap.debts.iter().map(|(p, _)| *p).eq(ids())),
+            ("lt_debts", snap.lt_debts.iter().map(|(p, _)| *p).eq(ids())),
+            ("rec", snap.rec.iter().map(|(p, _)| *p).eq(ids())),
+        ] {
+            if !matches {
+                return Err(format!("accounting {table} do not list the scenario's projects"));
+            }
+        }
+        self.debts = snap.debts.iter().map(|&(_, m)| m).collect();
+        self.lt_debts = snap.lt_debts.iter().map(|&(_, m)| m).collect();
+        self.rec = snap.rec.iter().map(|&(_, r)| r).collect();
+        self.rec_total = Self::sum_rec(&self.rec);
         self.rec_updated = snap.rec_updated;
+        Ok(())
     }
 
     pub fn half_life(&self) -> SimDuration {
         self.half_life
     }
 
-    fn share_of(&self, p: ProjectId) -> f64 {
-        self.shares.iter().find(|(id, _)| *id == p).map_or(0.0, |(_, s)| *s)
-    }
-
     /// `P`'s fraction of the total resource share.
     pub fn share_frac(&self, p: ProjectId) -> f64 {
-        let total: f64 = self.shares.iter().map(|(_, s)| *s).sum();
-        if total > 0.0 {
-            self.share_of(p) / total
+        self.slot_of(p).map_or(0.0, |s| self.share_frac_at(s))
+    }
+
+    pub(crate) fn share_frac_at(&self, slot: usize) -> f64 {
+        if self.share_total > 0.0 {
+            self.share[slot] / self.share_total
         } else {
             0.0
         }
     }
 
     /// Account an interval `[prev, now)` of usage.
-    pub fn update(&mut self, prev: SimTime, now: SimTime, hw: &Hardware, sample: &UsageSample) {
+    pub(crate) fn update(
+        &mut self,
+        prev: SimTime,
+        now: SimTime,
+        hw: &Hardware,
+        sample: &UsageSample,
+    ) {
         let dt = (now - prev).secs();
         if dt <= 0.0 {
             return;
         }
         match self.kind {
-            AccountingKind::Local => self.update_local(dt, hw, sample),
+            AccountingKind::Local => {
+                Self::update_debts(&mut self.debts, &self.share, dt, hw, sample, &sample.runnable);
+                Self::update_debts(
+                    &mut self.lt_debts,
+                    &self.share,
+                    dt,
+                    hw,
+                    sample,
+                    &sample.fetchable,
+                );
+            }
             AccountingKind::Global => self.update_global(now, hw, sample),
         }
     }
 
-    fn update_local(&mut self, dt: f64, hw: &Hardware, sample: &UsageSample) {
-        Self::update_debt_map(
-            &mut self.debts,
-            &self.shares,
-            dt,
-            hw,
-            &sample.used,
-            &sample.runnable,
-        );
-        Self::update_debt_map(
-            &mut self.lt_debts,
-            &self.shares,
-            dt,
-            hw,
-            &sample.used,
-            &sample.fetchable,
-        );
-    }
-
-    fn update_debt_map(
-        debts: &mut BTreeMap<ProjectId, ProcMap<f64>>,
-        shares: &[(ProjectId, f64)],
+    fn update_debts(
+        debts: &mut [ProcMap<f64>],
+        share: &[f64],
         dt: f64,
         hw: &Hardware,
-        used: &[(ProjectId, ProcMap<f64>)],
-        membership: &ProcMap<Vec<ProjectId>>,
+        sample: &UsageSample,
+        membership: &ProcMap<SlotSet>,
     ) {
-        let share_of = |p: ProjectId| -> f64 {
-            shares.iter().find(|(id, _)| *id == p).map_or(0.0, |(_, s)| *s)
-        };
-        let used_of = |p: ProjectId| used.iter().find(|(id, _)| *id == p).map(|(_, m)| m);
         for t in ProcType::ALL {
             let ninst = hw.ninstances(t) as f64;
             if ninst <= 0.0 {
                 continue;
             }
             let eligible = &membership[t];
-            if eligible.is_empty() {
+            let order = eligible.slots();
+            if order.is_empty() {
                 continue;
             }
-            let share_sum: f64 = eligible.iter().map(|&p| share_of(p)).sum();
+            let share_sum: f64 = order.iter().map(|&s| share[s]).sum();
             if share_sum <= 0.0 {
                 continue;
             }
             // Accrue: entitled instance-seconds minus used instance-seconds.
-            for &p in eligible {
-                let entitled = share_of(p) / share_sum * ninst;
-                let u = used_of(p).map_or(0.0, |m| m[t]);
-                let d = debts.entry(p).or_insert_with(ProcMap::zero);
-                d[t] += dt * (entitled - u);
+            for &s in order {
+                let entitled = share[s] / share_sum * ninst;
+                let u = sample.used_of(s).map_or(0.0, |m| m[t]);
+                debts[s][t] += dt * (entitled - u);
             }
             // Projects not eligible still pay for use (e.g. finishing a
             // last job while out of further work).
-            for &(p, ref used_map) in used {
-                if !eligible.contains(&p) && used_map[t] > 0.0 {
-                    let d = debts.entry(p).or_insert_with(ProcMap::zero);
-                    d[t] -= dt * used_map[t];
+            for &s in sample.running.slots() {
+                let u = sample.used[s][t];
+                if !eligible.contains(s) && u > 0.0 {
+                    debts[s][t] -= dt * u;
                 }
             }
             // Normalize to zero mean over eligible projects and clamp.
-            let mean: f64 =
-                eligible.iter().map(|&p| debts[&p][t]).sum::<f64>() / eligible.len() as f64;
-            for &p in eligible {
-                let d = debts.get_mut(&p).expect("debt entry");
-                d[t] = (d[t] - mean).clamp(-MAX_DEBT, MAX_DEBT);
+            let mean: f64 = order.iter().map(|&s| debts[s][t]).sum::<f64>() / order.len() as f64;
+            for &s in order {
+                let d = &mut debts[s][t];
+                *d = (*d - mean).clamp(-MAX_DEBT, MAX_DEBT);
             }
         }
     }
@@ -251,59 +364,61 @@ impl Accounting {
         let hl = self.half_life.secs();
         let decay = (-ln2 * dt / hl).exp();
         let gain = hl / ln2 * (1.0 - decay);
-        for (p, rec) in self.rec.iter_mut() {
+        for (s, rec) in self.rec.iter_mut().enumerate() {
             // Peak FLOPS in use by this project over the interval.
             let rate: f64 = sample
-                .used_of(*p)
+                .used_of(s)
                 .map_or(0.0, |m| ProcType::ALL.iter().map(|&t| m[t] * hw.flops_per_inst(t)).sum());
             *rec = *rec * decay + rate * gain;
         }
+        self.rec_total = Self::sum_rec(&self.rec);
         self.rec_updated = now;
     }
 
     /// `PRIO_sched(P, T)`: higher means the project deserves the processor
     /// more.
     pub fn prio_sched(&self, p: ProjectId, t: ProcType) -> f64 {
+        self.slot_of(p).map_or(0.0, |s| self.prio_sched_at(s, t))
+    }
+
+    pub(crate) fn prio_sched_at(&self, slot: usize, t: ProcType) -> f64 {
         match self.kind {
-            AccountingKind::Local => self.debts.get(&p).map_or(0.0, |d| d[t]),
-            AccountingKind::Global => self.global_prio(p),
+            AccountingKind::Local => self.debts[slot][t],
+            AccountingKind::Global => self.global_prio(slot),
         }
     }
 
     /// `PRIO_fetch(P)`: higher means new work should come from this
     /// project.
     pub fn prio_fetch(&self, p: ProjectId, hw: &Hardware) -> f64 {
+        let Some(s) = self.slot_of(p) else { return 0.0 };
         match self.kind {
-            AccountingKind::Local => self
-                .lt_debts
-                .get(&p)
-                .map_or(0.0, |d| ProcType::ALL.iter().map(|&t| d[t] * hw.peak_flops(t)).sum()),
-            AccountingKind::Global => self.global_prio(p),
+            AccountingKind::Local => {
+                let d = &self.lt_debts[s];
+                ProcType::ALL.iter().map(|&t| d[t] * hw.peak_flops(t)).sum()
+            }
+            AccountingKind::Global => self.global_prio(s),
         }
     }
 
-    fn global_prio(&self, p: ProjectId) -> f64 {
-        let share_sum: f64 = self.shares.iter().map(|(_, s)| *s).sum();
-        let share_frac = if share_sum > 0.0 { self.share_of(p) / share_sum } else { 0.0 };
-        let rec_sum: f64 = self.rec.values().sum();
-        let rec_frac =
-            if rec_sum > 0.0 { self.rec.get(&p).copied().unwrap_or(0.0) / rec_sum } else { 0.0 };
-        share_frac - rec_frac
+    fn global_prio(&self, slot: usize) -> f64 {
+        let rec_frac = if self.rec_total > 0.0 { self.rec[slot] / self.rec_total } else { 0.0 };
+        self.share_frac_at(slot) - rec_frac
     }
 
     /// Raw REC value (global accounting), for inspection/plots.
     pub fn rec_of(&self, p: ProjectId) -> f64 {
-        *self.rec.get(&p).unwrap_or(&0.0)
+        self.slot_of(p).map_or(0.0, |s| self.rec[s])
     }
 
     /// Raw short-term debt (local accounting).
     pub fn debt_of(&self, p: ProjectId, t: ProcType) -> f64 {
-        self.debts.get(&p).map_or(0.0, |d| d[t])
+        self.slot_of(p).map_or(0.0, |s| self.debts[s][t])
     }
 
     /// Raw long-term (fetch) debt (local accounting).
     pub fn lt_debt_of(&self, p: ProjectId, t: ProcType) -> f64 {
-        self.lt_debts.get(&p).map_or(0.0, |d| d[t])
+        self.slot_of(p).map_or(0.0, |s| self.lt_debts[s][t])
     }
 }
 
@@ -324,16 +439,20 @@ mod tests {
         runnable_cpu: &[u32],
         runnable_gpu: &[u32],
     ) -> UsageSample {
+        // `shares2`'s ids 0 and 1 are slots 0 and 1.
         let mut s = UsageSample::default();
+        s.reset(2);
         for &(p, c, g) in used {
-            let mut m = ProcMap::zero();
+            let m = s.used_entry(p as usize);
             m[ProcType::Cpu] = c;
             m[ProcType::NvidiaGpu] = g;
-            s.used.push((ProjectId(p), m));
         }
-        s.runnable[ProcType::Cpu] = runnable_cpu.iter().map(|&p| ProjectId(p)).collect();
-        s.runnable[ProcType::NvidiaGpu] = runnable_gpu.iter().map(|&p| ProjectId(p)).collect();
-        s.fetchable = s.runnable.clone();
+        for (t, list) in [(ProcType::Cpu, runnable_cpu), (ProcType::NvidiaGpu, runnable_gpu)] {
+            for &p in list {
+                s.mark_runnable(t, p as usize);
+                s.mark_fetchable(t, p as usize);
+            }
+        }
         s
     }
 
@@ -415,7 +534,7 @@ mod tests {
             a.update(t(0.0), t(1000.0), &hw(), &s0);
             let s1 = sample(&[(1, 4.0, 0.0)], &[0, 1], &[]);
             a.update(t(1000.0), t(11_000.0), &hw(), &s1);
-            a.global_prio(ProjectId(0))
+            a.prio_sched(ProjectId(0), ProcType::Cpu)
         };
         let short = mk(500.0);
         let long = mk(50_000.0);
@@ -452,5 +571,29 @@ mod tests {
         let s = sample(&[(1, 2.0, 0.0)], &[0], &[]);
         a.update(t(0.0), t(100.0), &hw(), &s);
         assert!(a.debt_of(ProjectId(1), ProcType::Cpu) < 0.0);
+    }
+
+    #[test]
+    fn slots_follow_ascending_ids_whatever_the_listing_order() {
+        let shares = [(ProjectId(4_000_000_000), 1.0), (ProjectId(7), 2.0), (ProjectId(12), 1.0)];
+        let mut a = Accounting::new(AccountingKind::Local, shares, SimDuration::from_days(10.0));
+        assert_eq!(a.num_slots(), 3);
+        assert_eq!(a.slot_of(ProjectId(7)), Some(0));
+        assert_eq!(a.slot_of(ProjectId(4_000_000_000)), Some(2));
+        assert_eq!(a.slot_of(ProjectId(8)), None);
+        assert_eq!(a.share_frac(ProjectId(7)), 0.5);
+        assert_eq!(a.prio_sched(ProjectId(8), ProcType::Cpu), 0.0);
+        let ids: Vec<u32> = a.snapshot().debts.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(ids, [7, 12, 4_000_000_000]);
+
+        // A capture listing other projects is refused without side effects.
+        let mut snap = a.snapshot();
+        snap.debts[0].1[ProcType::Cpu] = 5.0;
+        snap.rec.swap(0, 1);
+        assert!(a.restore_snapshot(&snap).is_err());
+        assert_eq!(a.debt_of(ProjectId(7), ProcType::Cpu), 0.0);
+        snap.rec.swap(0, 1);
+        a.restore_snapshot(&snap).unwrap();
+        assert_eq!(a.debt_of(ProjectId(7), ProcType::Cpu), 5.0);
     }
 }

@@ -409,7 +409,6 @@ impl Client {
         finished.clear();
         xfer_retries.clear();
         rr_jobs.clear();
-        usage_buf.clear();
         // `rr_scratch` and `rr_cache` are fully overwritten by every
         // simulation call, and `rr_key: None` below guarantees the first
         // snapshot query re-runs the simulation before anything reads the
@@ -419,6 +418,7 @@ impl Client {
             projects.iter().map(|p| (p.id, p.share)),
             cfg.rec_half_life,
         );
+        usage_buf.reset(accounting.num_slots());
         let transfers = Transfers::new(cfg.network);
         let rr_platform = RrPlatform {
             now: SimTime::ZERO,
@@ -547,9 +547,19 @@ impl Client {
         self.hw.mem_bytes * frac
     }
 
+    /// Is `p` one of the projects this client is attached to?
+    fn attached(&self, p: ProjectId) -> bool {
+        self.accounting.slot_of(p).is_some()
+    }
+
     /// Restore an in-flight job from an imported state file, with its
     /// recorded execution progress.
+    ///
+    /// # Panics
+    /// If the job's project is not attached (a validated scenario's
+    /// initial queue names only its own projects).
     pub fn add_initial_task(&mut self, spec: JobSpec, progress: SimDuration) {
+        assert!(self.attached(spec.project), "initial task of unattached project {}", spec.project);
         let task = Task::with_progress(spec, progress);
         if task.state() == TaskState::Downloading {
             self.enqueue_transfer(task.spec.id, task.spec.input_bytes, XferDir::Download);
@@ -577,13 +587,14 @@ impl Client {
             .all(|&t| spec.usage.instances_of(t) <= self.hw.ninstances(t) as f64 + 1e-9)
     }
 
-    /// Ingest jobs from a scheduler reply. Infeasible jobs are rejected
-    /// (client-side error, as in the real client) and their ids returned.
+    /// Ingest jobs from a scheduler reply. Infeasible jobs, and jobs of a
+    /// project the client is not attached to, are rejected (client-side
+    /// error, as in the real client) and their ids returned.
     pub fn add_jobs(&mut self, jobs: Vec<JobSpec>) -> Vec<JobId> {
         let mut rejected = Vec::new();
         let mut accepted_any = false;
         for spec in jobs {
-            if !self.job_feasible(&spec) {
+            if !self.job_feasible(&spec) || !self.attached(spec.project) {
                 rejected.push(spec.id);
                 continue;
             }
@@ -613,7 +624,13 @@ impl Client {
         }
 
         // Accounting sees the interval's usage before tasks mutate.
-        Self::fill_usage_sample(&self.projects, &self.tasks, &self.hw, &mut self.usage_buf);
+        Self::fill_usage_sample(
+            &self.accounting,
+            &self.projects,
+            &self.tasks,
+            &self.hw,
+            &mut self.usage_buf,
+        );
         self.accounting.update(self.last_advance, now, &self.hw, &self.usage_buf);
 
         // Transfers progress first: uploads enqueued by completions later
@@ -737,33 +754,40 @@ impl Client {
     /// Usage/runnability snapshot for accounting, refilled into a reusable
     /// buffer (this runs once per event interval).
     fn fill_usage_sample(
+        accounting: &Accounting,
         projects: &[ClientProject],
         tasks: &[Task],
         hw: &Hardware,
         sample: &mut UsageSample,
     ) {
+        // Every queued task's project is attached (`add_jobs`,
+        // `add_initial_task` and `restore_snapshot` check it), and every
+        // attached project has an accounting slot.
+        let slot_of = |p: ProjectId| accounting.slot_of(p).expect("attached project has a slot");
         sample.clear();
         for p in projects {
             for t in ProcType::ALL {
                 if p.supplies[t] && hw.ninstances(t) > 0 {
-                    sample.fetchable[t].push(p.id);
+                    sample.mark_fetchable(t, slot_of(p.id));
                 }
             }
         }
         for task in tasks {
-            if task.is_running() {
-                let entry = sample.used_entry(task.spec.project);
+            let running = task.is_running();
+            let runnable = !task.is_complete() && !task.is_errored();
+            if !running && !runnable {
+                continue;
+            }
+            let slot = slot_of(task.spec.project);
+            if running {
+                let entry = sample.used_entry(slot);
                 entry[ProcType::Cpu] += task.spec.usage.avg_cpus;
                 if let Some((t, n)) = task.spec.usage.coproc {
                     entry[t] += n;
                 }
             }
-            if !task.is_complete() && !task.is_errored() {
-                let t = task.spec.usage.main_proc_type();
-                let list = &mut sample.runnable[t];
-                if !list.contains(&task.spec.project) {
-                    list.push(task.spec.project);
-                }
+            if runnable {
+                sample.mark_runnable(task.spec.usage.main_proc_type(), slot);
             }
         }
     }
@@ -1154,8 +1178,14 @@ impl Client {
     /// Overwrite the client's mutable state from a capture (checkpoint
     /// restore). The client must have been constructed from the same
     /// scenario through the normal path first (same projects, config and
-    /// fault models); scenario constants are not restored.
-    pub fn restore_snapshot(&mut self, snap: &ClientSnapshot) {
+    /// fault models); scenario constants are not restored. A capture whose
+    /// tasks or accounting name other projects is refused before anything
+    /// changes.
+    pub fn restore_snapshot(&mut self, snap: &ClientSnapshot) -> Result<(), String> {
+        if let Some(t) = snap.tasks.iter().find(|t| !self.attached(t.spec.project)) {
+            return Err(format!("task {} of unattached project {}", t.spec.id, t.spec.project));
+        }
+        self.accounting.restore_snapshot(&snap.accounting)?;
         for ps in &snap.projects {
             if let Some(p) = self.projects.iter_mut().find(|p| p.id == ps.id) {
                 p.backoff = Backoff::from_state(ps.backoff);
@@ -1167,7 +1197,6 @@ impl Client {
         self.tasks.extend(snap.tasks.iter().cloned().map(Task::from_snapshot));
         self.finished.clear();
         self.finished.extend(snap.finished.iter().cloned().map(Task::from_snapshot));
-        self.accounting.restore_snapshot(&snap.accounting);
         self.transfers.downloads.restore(&snap.downloads);
         self.transfers.uploads.restore(&snap.uploads);
         self.last_advance = snap.last_advance;
@@ -1188,6 +1217,7 @@ impl Client {
         self.rr_stats = snap.rr_stats;
         self.rr_frozen_until = snap.rr_frozen_until;
         self.rr_dirty = snap.rr_dirty.clone();
+        Ok(())
     }
 
     /// Peak FLOPS this job consumes while running (for converting lost
@@ -1427,6 +1457,14 @@ mod tests {
         let d1 = c.accounting().debt_of(ProjectId(1), ProcType::Cpu);
         assert!((d0 + d1).abs() < 1e-6);
         assert!(d0.abs() > 100.0, "imbalance should accrue, d0={d0}");
+    }
+
+    #[test]
+    fn jobs_of_unattached_projects_are_rejected() {
+        let mut c = client();
+        let rejected = c.add_jobs(vec![spec(1, 0, 100.0, 1e6), spec(2, 9, 100.0, 1e6)]);
+        assert_eq!(rejected, vec![JobId(2)]);
+        assert_eq!(c.tasks().len(), 1);
     }
 
     #[test]

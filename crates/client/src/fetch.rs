@@ -324,21 +324,13 @@ mod tests {
         let projects = [cpu_project(0, 1.0), cpu_project(1, 1.0)];
         let mut a = acct(&[(0, 1.0), (1, 1.0)]);
         // P1 starved on CPU => higher debt => chosen.
-        let mut m = ProcMap::zero();
-        m[ProcType::Cpu] = 4.0;
-        let used = vec![(ProjectId(0), m)];
-        let membership = ProcMap::from_fn(|t| {
-            if t == ProcType::Cpu {
-                vec![ProjectId(0), ProjectId(1)]
-            } else {
-                vec![]
-            }
-        });
-        let sample = crate::accounting::UsageSample {
-            used,
-            runnable: membership.clone(),
-            fetchable: membership,
-        };
+        let mut sample = crate::accounting::UsageSample::default();
+        sample.reset(2);
+        sample.used_entry(0)[ProcType::Cpu] = 4.0;
+        for slot in [0, 1] {
+            sample.mark_runnable(ProcType::Cpu, slot);
+            sample.mark_fetchable(ProcType::Cpu, slot);
+        }
         a.update(SimTime::ZERO, SimTime::from_secs(100.0), &hw(), &sample);
         let d = decide(
             FetchPolicy::Hysteresis,

@@ -18,7 +18,7 @@ pub mod sched;
 pub mod task;
 pub mod xfer;
 
-pub use accounting::{Accounting, AccountingKind, AccountingSnapshot, UsageSample};
+pub use accounting::{Accounting, AccountingKind, AccountingSnapshot};
 pub use client::{
     AdvanceEvents, Client, ClientConfig, ClientProject, ClientScratch, ClientSnapshot, DirtClass,
     DirtyGroups, ProjectClientSnapshot, Reschedule, RrStats, XferRetrySnapshot,

@@ -20,7 +20,7 @@ use crate::accounting::{Accounting, AccountingKind};
 use crate::rr_sim::RrOutcome;
 use crate::task::Task;
 use bce_avail::HostRunState;
-use bce_types::{Hardware, Preferences, ProcMap, ProcType, ProjectId, SimTime};
+use bce_types::{Hardware, Preferences, ProcMap, ProcType, SimTime};
 
 /// How deadline-endangered jobs are ordered among themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +140,6 @@ struct Cand {
 /// candidates, with its share-derived constants resolved once.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    project: ProjectId,
-    pt: usize,
     /// `PRIO_sched(project, pt)` — frozen for the duration of a plan.
     base: f64,
     ninst: f64,
@@ -156,6 +154,10 @@ struct Slot {
 pub struct PlanScratch {
     classes: [Vec<usize>; 3],
     slots: Vec<Slot>,
+    /// Index into `slots` of each (accounting slot, processor type) pair,
+    /// at `accounting slot * ProcType::COUNT + type index`; `NO_SLOT` until
+    /// the pair's first candidate. Reset per plan.
+    slot_index: Vec<usize>,
     remaining: Vec<Cand>,
     adj: Vec<f64>,
 }
@@ -173,6 +175,9 @@ pub fn plan(policy: JobSchedPolicy, input: &PlanInput<'_>) -> RunPlan {
 }
 
 /// [`plan`] with a caller-owned workspace; bit-identical output.
+///
+/// # Panics
+/// If a runnable task's project holds no share in `input.accounting`.
 pub fn plan_into(
     policy: JobSchedPolicy,
     input: &PlanInput<'_>,
@@ -286,37 +291,40 @@ pub fn plan_into(
     // the accounting state is frozen for the duration of a plan — so
     // each candidate's base priority, receive-order tiebreak, debt slot
     // and post-placement delta are computed once up front, and the
-    // accounting lookups (`prio_sched` walks every project under global
-    // accounting; `share_frac` is a map probe) happen once per distinct
-    // (project, type) slot rather than once per candidate per round.
+    // accounting lookups happen once per distinct (project, type) slot
+    // rather than once per candidate per round.
     // The selection key `base + adj[slot]` and the adjustment
     // arithmetic are exactly the expressions the per-round version
     // evaluated, on the same operands, so the plan is bit-identical.
     const ADJ_SLICE: f64 = 3600.0;
+    const NO_SLOT: usize = usize::MAX;
     let slots = &mut scratch.slots;
     let remaining = &mut scratch.remaining;
+    let slot_index = &mut scratch.slot_index;
     slots.clear();
     remaining.clear();
+    slot_index.clear();
+    slot_index.resize(input.accounting.num_slots() * ProcType::COUNT, NO_SLOT);
     for &i in classes[2].iter() {
-        if plan.contains(i) {
-            continue;
-        }
+        // The classes are disjoint and `plan.run` holds only class-0 and
+        // class-1 indices so far.
+        debug_assert!(!plan.contains(i));
         let task = &input.tasks[i];
         let pt = task.spec.usage.main_proc_type();
-        let slot =
-            match slots.iter().position(|s| s.project == task.spec.project && s.pt == pt.index()) {
-                Some(p) => p,
-                None => {
-                    slots.push(Slot {
-                        project: task.spec.project,
-                        pt: pt.index(),
-                        base: input.accounting.prio_sched(task.spec.project, pt),
-                        ninst: input.hw.ninstances(pt).max(1) as f64,
-                        share: input.accounting.share_frac(task.spec.project).max(1e-6),
-                    });
-                    slots.len() - 1
-                }
-            };
+        let acct_slot = input
+            .accounting
+            .slot_of(task.spec.project)
+            .expect("planned task's project holds a share");
+        let index = &mut slot_index[acct_slot * ProcType::COUNT + pt.index()];
+        if *index == NO_SLOT {
+            *index = slots.len();
+            slots.push(Slot {
+                base: input.accounting.prio_sched_at(acct_slot, pt),
+                ninst: input.hw.ninstances(pt).max(1) as f64,
+                share: input.accounting.share_frac_at(acct_slot).max(1e-6),
+            });
+        }
+        let slot = *index;
         let s = &slots[slot];
         // Anticipated-debt delta: the project claims a slice of this
         // type, so its effective priority drops — scaled inversely by
@@ -373,7 +381,7 @@ pub fn plan_into(
 mod tests {
     use super::*;
     use crate::rr_sim::{simulate, RrJob, RrPlatform};
-    use bce_types::{AppId, JobId, JobSpec, ResourceUsage, SimDuration};
+    use bce_types::{AppId, JobId, JobSpec, ProjectId, ResourceUsage, SimDuration};
 
     #[test]
     fn flag_names_parse_to_the_paper_variants() {

@@ -584,7 +584,7 @@ impl Emulator {
                 .ok_or_else(|| CheckpointError::ConfigMismatch(format!("project {id}")))?;
             server.restore_snapshot(snap);
         }
-        st.client.restore_snapshot(&ckpt.client);
+        st.client.restore_snapshot(&ckpt.client).map_err(CheckpointError::ConfigMismatch)?;
         if let (Some(inj), Some(streams)) = (&mut st.rpc_faults, &ckpt.rpc_fault_streams) {
             inj.restore_streams(streams);
         }

@@ -5,7 +5,7 @@
 //! This is the determinism contract the crash-safe executor builds on.
 
 use bce_avail::{AvailSpec, OnOffSpec};
-use bce_client::ClientConfig;
+use bce_client::{ClientConfig, JobSchedPolicy};
 use bce_core::{
     CheckpointError, CheckpointState, EmulationResult, Emulator, EmulatorArena, EmulatorConfig,
     FaultConfig, Scenario, ScenarioBuilder,
@@ -58,6 +58,41 @@ fn gpu_scenario(seed: u64) -> Scenario {
     .build_unchecked()
 }
 
+/// Project ids are arbitrary `u32`s: sparse, listed out of order, one
+/// near `u32::MAX`. Per-project tables must not be sized by the id.
+fn sparse_id_scenario(seed: u64) -> Scenario {
+    ScenarioBuilder::new(
+        format!("ckpt-sparse-{seed}"),
+        Hardware::cpu_only(2, 1.5e9).with_group(ProcType::NvidiaGpu, 1, 1e10),
+    )
+    .seed(seed)
+    .project(ProjectSpec::new(4_000_000_000, "huge", 100.0).with_app(AppClass::cpu(
+        0,
+        SimDuration::from_secs(1100.0),
+        SimDuration::from_hours(8.0),
+    )))
+    .project(
+        ProjectSpec::new(7, "seven", 200.0)
+            .with_app(AppClass::gpu(
+                0,
+                ProcType::NvidiaGpu,
+                SimDuration::from_secs(800.0),
+                SimDuration::from_hours(6.0),
+            ))
+            .with_app(AppClass::cpu(
+                1,
+                SimDuration::from_secs(1500.0),
+                SimDuration::from_hours(10.0),
+            )),
+    )
+    .project(ProjectSpec::new(12, "twelve", 100.0).with_app(AppClass::cpu(
+        0,
+        SimDuration::from_secs(900.0),
+        SimDuration::from_hours(5.0),
+    )))
+    .build_unchecked()
+}
+
 fn bare_cfg() -> EmulatorConfig {
     EmulatorConfig { duration: SimDuration::from_hours(18.0), ..Default::default() }
 }
@@ -94,6 +129,8 @@ fn resume_is_bit_identical_across_configs_and_instants() {
         (cpu_scenario(11), observed_cfg()),
         (gpu_scenario(7), bare_cfg()),
         (gpu_scenario(7), observed_cfg()),
+        (sparse_id_scenario(5), bare_cfg()),
+        (sparse_id_scenario(5), observed_cfg()),
     ];
     for (scenario, cfg) in cases {
         let emu = Emulator::new(scenario.clone(), client, cfg);
@@ -181,6 +218,51 @@ fn checkpoint_reuses_arena_without_contamination() {
 /// same frozen hits the uninterrupted run did. A dense instant sweep
 /// guarantees some checkpoints land mid-window; the test asserts it
 /// actually witnessed at least one.
+/// The `id` attributes of every `<{element} id="...">` in `doc`, in order.
+fn element_ids(doc: &str, element: &str) -> Vec<u32> {
+    let open = format!("<{element} id=\"");
+    doc.match_indices(&open)
+        .map(|(at, _)| {
+            let rest = &doc[at + open.len()..];
+            rest[..rest.find('"').expect("closing quote")].parse().expect("numeric id")
+        })
+        .collect()
+}
+
+#[test]
+fn sparse_out_of_order_project_ids_checkpoint_in_id_order_and_resume() {
+    for sched_policy in [JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL] {
+        let client = ClientConfig { sched_policy, ..ClientConfig::default() };
+        let emu = Emulator::new(sparse_id_scenario(5), client, bare_cfg());
+        // Completing at all shows no table was sized by the largest id.
+        let straight = emu.run();
+        for p in &straight.projects {
+            assert!(p.jobs_completed > 0, "{}: project {} starved", sched_policy.name(), p.id);
+        }
+
+        let ckpt = emu.checkpoint_at(SimTime::from_secs(7.3 * 3600.0));
+        let doc = ckpt.to_xml_string();
+        for element in ["debt", "lt_debt", "rec"] {
+            assert_eq!(
+                element_ids(&doc, element),
+                [7, 12, 4_000_000_000],
+                "{}: accounting {element} entries not in ascending id order",
+                sched_policy.name()
+            );
+        }
+        let parsed = CheckpointState::from_xml_str(&doc).expect("parse sparse-id checkpoint");
+        let resumed = emu.resume(&parsed).expect("resume sparse-id checkpoint");
+        assert_same(&resumed, &straight, &format!("sparse ids, {}", sched_policy.name()));
+
+        // Accounting entries naming a project the scenario lacks are
+        // refused, not silently dropped or grown.
+        let foreign = doc.replacen("<debt id=\"12\"", "<debt id=\"13\"", 1);
+        assert_ne!(foreign, doc);
+        let parsed = CheckpointState::from_xml_str(&foreign).expect("still well-formed");
+        assert!(matches!(emu.resume(&parsed), Err(CheckpointError::ConfigMismatch(_))));
+    }
+}
+
 #[test]
 fn resume_mid_dirty_window_is_bit_identical() {
     let client = ClientConfig::default();
