@@ -4,8 +4,9 @@
 
 use bce_avail::HostRunState;
 use bce_client::{
-    rr_simulate, rr_simulate_into, rr_simulate_reference, Client, ClientConfig, JobSchedPolicy,
-    RrJob, RrOutcome, RrPlatform, RrScratch,
+    plan_into, rr_simulate, rr_simulate_into, rr_simulate_reference, Accounting, AccountingKind,
+    AccountingSnapshot, Client, ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob,
+    RrOutcome, RrPlatform, RrScratch, Task,
 };
 use bce_sim::Rng;
 use bce_types::{
@@ -292,10 +293,65 @@ fn per_decision_client(sched_policy: JobSchedPolicy) -> Client {
     c
 }
 
+/// A GPU-saturated planner input: 4 CPUs and one GPU held by a running,
+/// uncheckpointed (class-0) GPU job; 12 queued GPU and 22 queued CPU jobs
+/// over 20 projects. Jobs arrive four to an RPC (shared `received`) and
+/// debts take three values, so the class-2 argmax sees exact key ties.
+fn gpu_saturated_queue() -> (Hardware, Vec<Task>, Accounting) {
+    let nprojects = 20u32;
+    let hw = Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10);
+    let spec = |id: u64, usage: ResourceUsage| JobSpec {
+        id: JobId(id),
+        project: ProjectId(id as u32 % nprojects),
+        app: AppId(0),
+        usage,
+        duration: SimDuration::from_secs(5e4),
+        duration_est: SimDuration::from_secs(5e4),
+        latency_bound: SimDuration::from_secs(1e7),
+        checkpoint_period: Some(SimDuration::from_secs(600.0)),
+        working_set_bytes: 1e8,
+        input_bytes: 0.0,
+        output_bytes: 0.0,
+        received: SimTime::from_secs((id / 4) as f64 * 3600.0),
+    };
+    let gpu = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
+    let mut holder = Task::new(spec(0, gpu));
+    holder.start();
+    holder.advance(SimDuration::from_secs(60.0), SimTime::from_secs(60.0));
+    let mut tasks = vec![holder];
+    // GPU and CPU jobs interleave in the queue, as successive RPCs do.
+    for i in 1..=34u64 {
+        let usage = if i % 3 == 1 { gpu } else { ResourceUsage::one_cpu() };
+        tasks.push(Task::new(spec(i, usage)));
+    }
+    assert_eq!(tasks.iter().filter(|t| t.spec.usage.is_gpu_job()).count(), 1 + 12);
+    let ids = || (0..nprojects).map(ProjectId);
+    let mut accounting = Accounting::new(
+        AccountingKind::Local,
+        ids().map(|p| (p, 1.0 + (p.0 % 4) as f64)),
+        SimDuration::from_days(10.0),
+    );
+    accounting
+        .restore_snapshot(&AccountingSnapshot {
+            debts: ids()
+                .map(|p| {
+                    (p, ProcMap::from_fn(|t| [0.0, -500.0, 800.0][(p.0 as usize + t.index()) % 3]))
+                })
+                .collect(),
+            lt_debts: ids().map(|p| (p, ProcMap::zero())).collect(),
+            rec: ids().map(|p| (p, 0.0)).collect(),
+            rec_updated: SimTime::ZERO,
+        })
+        .expect("snapshot lists every project");
+    (hw, tasks, accounting)
+}
+
 /// Per-decision client cost outside the RR kernel: one `advance` (usage
 /// sample + resource-share accounting) and one `reschedule` (RR refresh,
 /// mostly served from the frozen window, + planner) per iteration, under
-/// local debts (JS-LOCAL) and global REC (JS-GLOBAL) accounting.
+/// local debts (JS-LOCAL) and global REC (JS-GLOBAL) accounting; and the
+/// planner alone on a GPU-saturated queue, where most class-2 rounds are
+/// failed GPU placements.
 fn bench_per_decision(c: &mut Criterion) {
     let mut g = c.benchmark_group("client_per_decision");
     let rs = HostRunState { can_compute: true, can_gpu: true, net_up: true, user_active: false };
@@ -314,6 +370,22 @@ fn bench_per_decision(c: &mut Criterion) {
             })
         });
     }
+    let (hw, tasks, accounting) = gpu_saturated_queue();
+    let rr = RrOutcome::default();
+    let input = PlanInput {
+        now: SimTime::from_secs(60.0),
+        tasks: &tasks,
+        rr: &rr,
+        accounting: &accounting,
+        hw: &hw,
+        prefs: &Preferences::default(),
+        run_state: rs,
+        mem_budget: 4e9,
+    };
+    let mut scratch = PlanScratch::new();
+    g.bench_function("plan_gpu_saturated", |b| {
+        b.iter(|| black_box(plan_into(JobSchedPolicy::LOCAL, &input, &mut scratch).run.len()))
+    });
     g.finish();
 }
 

@@ -126,15 +126,18 @@ impl RunPlan {
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     idx: usize,
-    gpu: bool,
-    base: f64,
-    neg_recv: f64,
-    /// Index into [`PlanScratch::adj`] for this candidate's
-    /// (project, type) anticipated debt.
+    /// Index into [`PlanScratch::slots`] for this candidate's
+    /// (project, type) pair, which holds its priority key.
     slot: usize,
-    /// Debt delta applied to `adj[slot]` when this candidate places.
+    /// `ord(-received)`: the receive-order tiebreak.
+    recv: u64,
+    /// Debt delta applied to the slot's `adj` when this candidate places.
     delta: f64,
+    /// This candidate's entry in [`PlanScratch::gpu_tier`], or `CPU_JOB`.
+    tier: usize,
 }
+
+const CPU_JOB: usize = usize::MAX;
 
 /// One distinct (project, processor type) pair among the class-2
 /// candidates, with its share-derived constants resolved once.
@@ -144,12 +147,30 @@ struct Slot {
     base: f64,
     ninst: f64,
     share: f64,
+    /// Anticipated debt claimed so far by this slot's placements.
+    adj: f64,
+    /// `ord(base + adj)`: the priority part of the selection key, shared
+    /// by every candidate of the slot.
+    key: u64,
 }
 
-/// Reusable workspace for [`plan_into`]. All vectors retain their
-/// capacity across calls, so steady-state planning performs no heap
-/// allocation. [`plan`] allocates one per call; the client owns one and
-/// reuses it at every scheduling point.
+/// Map a finite `f64` to a `u64` in the same order, folding −0.0 onto
+/// +0.0 because `partial_cmp` holds them equal.
+fn ord(x: f64) -> u64 {
+    debug_assert!(x.is_finite(), "class-2 selection key {x} is not finite");
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Reusable workspace for [`plan_into`], which also holds the plan it
+/// returns. All vectors retain their capacity across calls, so
+/// steady-state planning performs no heap allocation. [`plan`] allocates
+/// one per call; the client owns one and reuses it at every scheduling
+/// point.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     classes: [Vec<usize>; 3],
@@ -159,7 +180,10 @@ pub struct PlanScratch {
     /// the pair's first candidate. Reset per plan.
     slot_index: Vec<usize>,
     remaining: Vec<Cand>,
-    adj: Vec<f64>,
+    /// Positions in `remaining` of the GPU candidates, in no particular
+    /// order; `Cand::tier` points back into it.
+    gpu_tier: Vec<usize>,
+    plan: RunPlan,
 }
 
 impl PlanScratch {
@@ -168,21 +192,27 @@ impl PlanScratch {
     }
 }
 
-/// Build the run plan. Deterministic: ties break on dispatch order.
-/// Allocating convenience wrapper around [`plan_into`].
+/// Build the run plan. Deterministic: a class-2 tie (equal priority and
+/// receive time) goes to the candidate at the lowest current position in
+/// the candidate list, which starts in task order and is permuted by the
+/// `swap_remove` of every pick. Allocating convenience wrapper around
+/// [`plan_into`].
 pub fn plan(policy: JobSchedPolicy, input: &PlanInput<'_>) -> RunPlan {
-    plan_into(policy, input, &mut PlanScratch::new())
+    let mut scratch = PlanScratch::new();
+    plan_into(policy, input, &mut scratch);
+    scratch.plan
 }
 
-/// [`plan`] with a caller-owned workspace; bit-identical output.
+/// [`plan`] with a caller-owned workspace; bit-identical output, held in
+/// `scratch` until the next call.
 ///
 /// # Panics
 /// If a runnable task's project holds no share in `input.accounting`.
-pub fn plan_into(
+pub fn plan_into<'s>(
     policy: JobSchedPolicy,
     input: &PlanInput<'_>,
-    scratch: &mut PlanScratch,
-) -> RunPlan {
+    scratch: &'s mut PlanScratch,
+) -> &'s RunPlan {
     let hw = input.hw;
     let mut free = ProcMap::from_fn(|t| match t {
         ProcType::Cpu => {
@@ -201,9 +231,11 @@ pub fn plan_into(
         }
     });
     let mut mem_left = input.mem_budget;
-    let mut plan = RunPlan::default();
+    let plan = &mut scratch.plan;
+    plan.run.clear();
+    plan.skipped_mem = 0;
     if !input.run_state.can_compute && !input.run_state.can_gpu {
-        return plan;
+        return &scratch.plan;
     }
 
     // Candidate indices, classed. Class 0: running & uncheckpointed.
@@ -280,29 +312,41 @@ pub fn plan_into(
 
     // Class 0 and class 1 go in list order.
     for &i in classes[0].iter().chain(classes[1].iter()) {
-        try_place(i, &mut free, &mut mem_left, &mut plan);
+        try_place(i, &mut free, &mut mem_left, plan);
     }
 
-    // Class 2: repeated argmax with anticipated-debt adjustment so a
-    // single scan interleaves projects instead of letting whichever
-    // project is microscopically ahead fill every instance.
+    // Class 2: repeated argmax of the key (gpu, base + adj, -received),
+    // with an anticipated-debt adjustment so a single scan interleaves
+    // projects instead of letting whichever project is microscopically
+    // ahead fill every instance.
     //
     // Everything but the debt adjustment is invariant across rounds —
     // the accounting state is frozen for the duration of a plan — so
-    // each candidate's base priority, receive-order tiebreak, debt slot
-    // and post-placement delta are computed once up front, and the
-    // accounting lookups happen once per distinct (project, type) slot
-    // rather than once per candidate per round.
-    // The selection key `base + adj[slot]` and the adjustment
-    // arithmetic are exactly the expressions the per-round version
-    // evaluated, on the same operands, so the plan is bit-identical.
+    // each candidate's slot, receive-order key and post-placement delta
+    // are computed once up front, and the accounting lookups happen once
+    // per distinct (project, type) slot rather than once per candidate
+    // per round. The priority part `base + adj` is the same for every
+    // candidate of a slot, so it lives in the slot and a placement
+    // recomputes only its own slot's key.
+    //
+    // The floats are compared as `ord` integers, which is exact because
+    // every key is finite: local debts are finite, the divisions in
+    // `global_prio` and `share_frac_at` are guarded against a zero
+    // total, `delta` divides by `ninst >= 1` and `share >= 1e-6`, and
+    // `received` is a finite time.
+    //
+    // Positions in `remaining` are semantics, not bookkeeping: among
+    // equal keys the lowest position wins, and `swap_remove` permutes
+    // the positions after every pick.
     const ADJ_SLICE: f64 = 3600.0;
     const NO_SLOT: usize = usize::MAX;
     let slots = &mut scratch.slots;
     let remaining = &mut scratch.remaining;
     let slot_index = &mut scratch.slot_index;
+    let gpu_tier = &mut scratch.gpu_tier;
     slots.clear();
     remaining.clear();
+    gpu_tier.clear();
     slot_index.clear();
     slot_index.resize(input.accounting.num_slots() * ProcType::COUNT, NO_SLOT);
     for &i in classes[2].iter() {
@@ -318,14 +362,25 @@ pub fn plan_into(
         let index = &mut slot_index[acct_slot * ProcType::COUNT + pt.index()];
         if *index == NO_SLOT {
             *index = slots.len();
+            let base = input.accounting.prio_sched_at(acct_slot, pt);
             slots.push(Slot {
-                base: input.accounting.prio_sched_at(acct_slot, pt),
+                base,
                 ninst: input.hw.ninstances(pt).max(1) as f64,
                 share: input.accounting.share_frac_at(acct_slot).max(1e-6),
+                adj: 0.0,
+                // `ord(base + 0.0)`: adding +0.0 only turns −0.0 into +0.0,
+                // which `ord` folds anyway.
+                key: ord(base),
             });
         }
         let slot = *index;
         let s = &slots[slot];
+        let tier = if task.spec.usage.is_gpu_job() {
+            gpu_tier.push(remaining.len());
+            gpu_tier.len() - 1
+        } else {
+            CPU_JOB
+        };
         // Anticipated-debt delta: the project claims a slice of this
         // type, so its effective priority drops — scaled inversely by
         // its share so the single scan interleaves projects in share
@@ -333,16 +388,12 @@ pub fn plan_into(
         // before parity).
         remaining.push(Cand {
             idx: i,
-            gpu: task.spec.usage.is_gpu_job(),
-            base: s.base,
-            neg_recv: -task.spec.received.secs(),
             slot,
+            recv: ord(-task.spec.received.secs()),
             delta: task.spec.usage.instances_of(pt) / s.ninst * ADJ_SLICE / s.share,
+            tier,
         });
     }
-    let adj = &mut scratch.adj;
-    adj.clear();
-    adj.resize(slots.len(), 0.0);
     while !remaining.is_empty() {
         // Stop early if nothing can fit at all.
         let cpu_space = free[ProcType::Cpu] > 1e-9;
@@ -350,31 +401,51 @@ pub fn plan_into(
         if !cpu_space && !gpu_space {
             break;
         }
-        let mut best: Option<(usize, (bool, f64, f64))> = None; // (pos, (gpu, prio, -recv))
-        for (pos, c) in remaining.iter().enumerate() {
-            let key = (c.gpu, c.base + adj[c.slot], c.neg_recv);
-            let better = match &best {
-                None => true,
-                Some((_, bk)) => {
-                    key.0
-                        .cmp(&bk.0)
-                        .then(key.1.partial_cmp(&bk.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .then(key.2.partial_cmp(&bk.2).unwrap_or(std::cmp::Ordering::Equal))
-                        == std::cmp::Ordering::Greater
+        let key = |c: &Cand| (slots[c.slot].key, c.recv);
+        let pos = if let Some((&first, rest)) = gpu_tier.split_first() {
+            // `gpu` leads the key, so while any GPU candidate remains the
+            // winner is one: scan the tier alone, ties to the lowest
+            // position as the full scan would.
+            let (mut best, mut best_key) = (first, key(&remaining[first]));
+            for &p in rest {
+                let k = key(&remaining[p]);
+                if k > best_key || (k == best_key && p < best) {
+                    (best, best_key) = (p, k);
                 }
-            };
-            if better {
-                best = Some((pos, key));
+            }
+            best
+        } else {
+            // CPU candidates only: first maximum in position order.
+            let (mut best, mut best_key) = (0, key(&remaining[0]));
+            for (p, c) in remaining.iter().enumerate().skip(1) {
+                let k = key(c);
+                if k > best_key {
+                    (best, best_key) = (p, k);
+                }
+            }
+            best
+        };
+        let c = remaining.swap_remove(pos);
+        // The last candidate moved into `pos`; keep the tier index exact.
+        if let Some(moved) = remaining.get(pos) {
+            if moved.tier != CPU_JOB {
+                gpu_tier[moved.tier] = pos;
             }
         }
-        let Some((pos, _)) = best else { break };
-        let c = remaining.swap_remove(pos);
-        if try_place(c.idx, &mut free, &mut mem_left, &mut plan) {
-            adj[c.slot] -= c.delta;
+        if c.tier != CPU_JOB {
+            gpu_tier.swap_remove(c.tier);
+            if let Some(&p) = gpu_tier.get(c.tier) {
+                remaining[p].tier = c.tier;
+            }
+        }
+        if try_place(c.idx, &mut free, &mut mem_left, plan) {
+            let s = &mut slots[c.slot];
+            s.adj -= c.delta;
+            s.key = ord(s.base + s.adj);
         }
     }
 
-    plan
+    &scratch.plan
 }
 
 #[cfg(test)]
@@ -670,6 +741,34 @@ mod tests {
         let p = run_plan(JobSchedPolicy::LOCAL, &tasks, &hw, &shares, &accounting(&shares));
         // Even though task 1 is deadline-endangered, task 0 keeps the CPU.
         assert_eq!(p.run, vec![0]);
+    }
+
+    #[test]
+    fn ord_agrees_with_partial_cmp() {
+        let subnormal = f64::from_bits(1);
+        let values = [
+            0.0,
+            -0.0,
+            subnormal,
+            -subnormal,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::MIN_POSITIVE,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            -3600.0,
+            2.5e-7,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(ord(a).cmp(&ord(b)), a.partial_cmp(&b).unwrap(), "{a:e} vs {b:e}");
+            }
+        }
+        assert_eq!(ord(-0.0), ord(0.0));
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Steady-state allocation check for the RR fast path.
+//! Steady-state allocation checks for the client's per-decision paths.
 //!
-//! `simulate_into` promises zero heap allocations once the scratch
-//! vectors have grown to the workload's size. This binary installs a
-//! counting global allocator and asserts the promise holds — the whole
-//! point of the scratch-based API is that the emulator's inner loop
-//! stops exercising the allocator.
+//! `simulate_into` and `plan_into` promise zero heap allocations once
+//! their scratch vectors have grown to the workload's size. This binary
+//! installs a counting global allocator and asserts the promises hold —
+//! the whole point of the scratch-based APIs is that the emulator's inner
+//! loop stops exercising the allocator.
 //!
-//! Kept as its own integration-test binary (single `#[test]`) because a
-//! `#[global_allocator]` is process-wide and concurrent tests would
-//! pollute the counters.
+//! The count is kept per thread, so the tests here can run concurrently
+//! without seeing each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bce_avail::HostRunState;
-use bce_client::{rr_simulate_into, Client, ClientConfig, RrJob, RrOutcome, RrPlatform, RrScratch};
+use bce_client::{
+    plan_into, rr_simulate_into, Accounting, AccountingKind, AccountingSnapshot, Client,
+    ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob, RrOutcome, RrPlatform, RrScratch,
+    Task,
+};
 use bce_types::{
     AppId, Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, ResourceUsage,
     SimDuration, SimTime,
@@ -22,18 +25,30 @@ use bce_types::{
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -75,11 +90,11 @@ fn simulate_into_is_allocation_free_in_steady_state() {
     rr_simulate_into(&platform, &js, window, &mut scratch, &mut out);
     rr_simulate_into(&platform, &js, window, &mut scratch, &mut out);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..50 {
         rr_simulate_into(&platform, &js, window, &mut scratch, &mut out);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -91,17 +106,15 @@ fn simulate_into_is_allocation_free_in_steady_state() {
     // retained, never released).
     let small = jobs(10);
     rr_simulate_into(&platform, &small, window, &mut scratch, &mut out);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..50 {
         rr_simulate_into(&platform, &small, window, &mut scratch, &mut out);
     }
-    assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0, "shrunk workload allocated");
+    assert_eq!(allocs() - before, 0, "shrunk workload allocated");
 
     // Partial refreshes through the client's frozen-progress ladder are
     // zero-alloc per query too: a frozen hit is a key compare and two
-    // counter bumps, never a re-simulation. (Same test body as above —
-    // the counting allocator is process-wide, so all sections share one
-    // serial #[test].)
+    // counter bumps, never a re-simulation.
     let mut c = Client::new(
         Hardware::cpu_only(4, 1e9),
         Preferences::default(),
@@ -135,12 +148,91 @@ fn simulate_into_is_allocation_free_in_steady_state() {
     c.rr_refresh(SimTime::ZERO, rs, 1.0);
     let runs_before = c.rr_stats().runs;
     let frozen_before = c.rr_stats().frozen;
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for t in 1..=100 {
         c.rr_refresh(SimTime::from_secs(t as f64), rs, 1.0);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "frozen refresh allocated {} times", after - before);
     assert_eq!(c.rr_stats().runs, runs_before, "sweep left the frozen window and re-simulated");
     assert_eq!(c.rr_stats().frozen, frozen_before + 100, "sweep was not served frozen");
+}
+
+#[test]
+fn plan_into_is_allocation_free_in_steady_state() {
+    // 4 CPUs and one GPU, held by a running class-0 job; 12 queued GPU
+    // and 22 CPU candidates over 20 projects, so most class-2 rounds are
+    // failed GPU placements.
+    let hw = Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10);
+    let spec = |id: u64, project: u32, usage: ResourceUsage| JobSpec {
+        id: JobId(id),
+        project: ProjectId(project),
+        app: AppId(0),
+        usage,
+        duration: SimDuration::from_secs(4_000.0),
+        duration_est: SimDuration::from_secs(4_000.0),
+        latency_bound: SimDuration::from_secs(1e6),
+        checkpoint_period: Some(SimDuration::from_secs(60.0)),
+        working_set_bytes: 1e8,
+        input_bytes: 0.0,
+        output_bytes: 0.0,
+        received: SimTime::from_secs((id / 4) as f64),
+    };
+    let gpu = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
+    let mut holder = Task::new(spec(0, 0, gpu));
+    holder.start();
+    holder.advance(SimDuration::from_secs(30.0), SimTime::from_secs(30.0));
+    let mut tasks = vec![holder];
+    tasks.extend((1..=12).map(|i| Task::new(spec(i, i as u32 % 20, gpu))));
+    tasks.extend((13..=34).map(|i| Task::new(spec(i, i as u32 % 20, ResourceUsage::one_cpu()))));
+
+    let ids = || (0..20).map(ProjectId);
+    let mut accounting = Accounting::new(
+        AccountingKind::Local,
+        ids().map(|p| (p, 1.0)),
+        SimDuration::from_days(10.0),
+    );
+    accounting
+        .restore_snapshot(&AccountingSnapshot {
+            debts: ids()
+                .map(|p| (p, ProcMap::from_fn(|t| (p.0 % 3) as f64 * 100.0 - t.index() as f64)))
+                .collect(),
+            lt_debts: ids().map(|p| (p, ProcMap::zero())).collect(),
+            rec: ids().map(|p| (p, 0.0)).collect(),
+            rec_updated: SimTime::ZERO,
+        })
+        .unwrap();
+    let rr = RrOutcome::default();
+    let input = PlanInput {
+        now: SimTime::from_secs(30.0),
+        tasks: &tasks,
+        rr: &rr,
+        accounting: &accounting,
+        hw: &hw,
+        prefs: &Preferences::default(),
+        run_state: HostRunState {
+            can_compute: true,
+            can_gpu: true,
+            net_up: true,
+            user_active: false,
+        },
+        mem_budget: 4e9,
+    };
+
+    let mut scratch = PlanScratch::new();
+    let first = plan_into(JobSchedPolicy::LOCAL, &input, &mut scratch).clone();
+    assert_eq!(first.run.len(), 5, "the GPU holder and four CPU jobs run: {first:?}");
+    assert_eq!(first.run[0], 0);
+
+    let before = allocs();
+    for _ in 0..50 {
+        assert_eq!(plan_into(JobSchedPolicy::LOCAL, &input, &mut scratch), &first);
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "plan_into allocated {} times over 50 warm calls",
+        after - before
+    );
 }
