@@ -4,9 +4,9 @@
 
 use bce_avail::HostRunState;
 use bce_client::{
-    plan_into, rr_simulate, rr_simulate_into, rr_simulate_reference, Accounting, AccountingKind,
-    AccountingSnapshot, Client, ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob,
-    RrOutcome, RrPlatform, RrScratch, Task,
+    plan_into, rr_simulate, rr_simulate_into, Accounting, AccountingKind, AccountingSnapshot,
+    Client, ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob, RrOutcome, RrPlatform,
+    RrScratch, Task,
 };
 use bce_sim::Rng;
 use bce_types::{
@@ -60,8 +60,8 @@ fn bench_rr(c: &mut Criterion) {
 }
 
 /// Scratch-vs-alloc: the same simulation through the per-call-allocating
-/// entry points (`simulate`, `simulate_reference`) and the reusable-scratch
-/// fast path (`simulate_into`), at queue depths bracketing real workloads.
+/// entry point (`simulate`) and the reusable-scratch fast path
+/// (`simulate_into`), at queue depths bracketing real workloads.
 fn bench_scratch_vs_alloc(c: &mut Criterion) {
     let mut g = c.benchmark_group("rr_sim_scratch_vs_alloc");
     for njobs in [10usize, 100, 1000] {
@@ -78,9 +78,6 @@ fn bench_scratch_vs_alloc(c: &mut Criterion) {
             shares: (0..nprojects).map(|p| (ProjectId(p as u32), 1.0)).collect(),
         };
         let window = SimDuration::from_hours(2.0);
-        g.bench_with_input(BenchmarkId::new("reference", njobs), &jobs, |b, jobs| {
-            b.iter(|| black_box(rr_simulate_reference(&platform, black_box(jobs), window)))
-        });
         g.bench_with_input(BenchmarkId::new("alloc", njobs), &jobs, |b, jobs| {
             b.iter(|| black_box(rr_simulate(&platform, black_box(jobs), window)))
         });
@@ -195,15 +192,14 @@ fn dirty_bench_client(ndirty: u32) -> Client {
     c
 }
 
-/// Incremental refresh vs. full re-simulation vs. the reference oracle,
-/// per decision point, with 1 / 4 / 16 groups dirtied between queries.
+/// Incremental refresh vs. full re-simulation, per decision point, with
+/// 1 / 4 / 16 groups dirtied between queries.
 /// Each "incremental"/"full_resim" iteration advances running tasks by a
 /// small step (progress dirt on every running group) and then asks for
 /// the snapshot: the ladder serves the retained outcome until the frozen
 /// window expires (then re-anchors with one real run), while "full_resim"
-/// re-simulates every query and "reference" pays the original allocating
-/// oracle on an equivalent queue. The incremental bars should be flat in
-/// the dirty-group count; the full/reference bars scale with queue size.
+/// re-simulates every query. The incremental bars should be flat in the
+/// dirty-group count; the full bars scale with queue size.
 fn bench_incremental_refresh(c: &mut Criterion) {
     let mut g = c.benchmark_group("rr_sim_incremental");
     let rs = HostRunState { can_compute: true, can_gpu: true, net_up: true, user_active: false };
@@ -233,21 +229,6 @@ fn bench_incremental_refresh(c: &mut Criterion) {
             })
         });
     }
-    // The pre-fast-path oracle on an equivalent 128-job queue: one bar,
-    // the dirty-group count is irrelevant to a from-scratch simulation.
-    let mut rng = Rng::from_seed(23);
-    let jobs = make_jobs(128, 16, &mut rng);
-    let mut ninstances = ProcMap::zero();
-    ninstances[ProcType::Cpu] = 4.0;
-    let platform = RrPlatform {
-        now: SimTime::ZERO,
-        ninstances,
-        on_frac: 1.0,
-        shares: (0..16).map(|p| (ProjectId(p as u32), 1.0)).collect(),
-    };
-    g.bench_function(BenchmarkId::new("reference", 128), |b| {
-        b.iter(|| black_box(rr_simulate_reference(&platform, &jobs, SimDuration::from_hours(2.0))))
-    });
     g.finish();
 }
 

@@ -83,7 +83,7 @@ impl Args {
         let seen = self.consumed.borrow();
         for f in &self.flags {
             if !seen.contains(f) {
-                return Err(ArgError(format!("unknown flag --{f}")));
+                return Err(ArgError(format!("unknown option --{f}")));
             }
         }
         for k in self.options.keys() {

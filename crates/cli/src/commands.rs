@@ -81,14 +81,13 @@ USAGE:
                       failures, in seconds
       --seed N        override the scenario seed
 
-  bce bench [--quick] [--out FILE] [--threads N] [--population N]
-      run the standard benchmark scenario set plus a population-executor
-      throughput section, and report wall time, event throughput,
-      RR-simulation cache statistics, runs/sec, executor overhead and
-      tracing overhead as JSON (--out writes the JSON and prints a
-      summary table instead; --population overrides the
-      population-study run count; --scenario REF benchmarks that
-      scenario alongside the standard set)
+  bce bench [--quick] [--out FILE] [--scenario REF]
+      run the standard benchmark scenario set and report, per scenario,
+      wall time, event throughput, RR-simulation counters and cache hit
+      rate, peak queue depth and jobs completed as JSON (the report CI's
+      bench gate compares against BENCH_7_quick.json; --out writes the
+      JSON and prints a summary table instead; --scenario REF benchmarks
+      that scenario alongside the standard set)
 
   bce fig <1-6> [--days N] [--quick] [--json FILE] [--checkpoint-every D]
       regenerate one of the paper's figures; --checkpoint-every D checkpoints
@@ -207,7 +206,6 @@ const VALUE_OPTS: &[&str] = &[
     "rates",
     "mtbf",
     "threads",
-    "population",
     "json",
     "kind",
     "component",
@@ -1054,13 +1052,7 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
 
 fn cmd_bench(args: &Args) -> Result<String, CliError> {
     let quick = args.flag("quick");
-    let threads: usize = args.opt_or("threads", 0usize)?;
-    let population: Option<usize> = match args.opt("population") {
-        Some(p) => Some(
-            p.parse().map_err(|_| CliError::msg(format!("--population: not a count: {p:?}")))?,
-        ),
-        None => None,
-    };
+    let out = args.opt("out");
     // `--scenario REF` benchmarks that scenario alongside the standard
     // set, through the same resolver as every other command.
     let extra = match args.opt("scenario") {
@@ -1071,6 +1063,8 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
         }
         None => None,
     };
+    // Refuse an unknown option before any emulation runs.
+    args.reject_unknown()?;
     // The bench scenario set is built-in, but it goes through the same
     // validation gate as user submissions before any emulation starts.
     validate_all(&[
@@ -1079,9 +1073,9 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
         scenario3(),
         scenario4(),
     ])?;
-    let report = crate::perf_report::run_bench(quick, threads, population, extra);
+    let report = crate::perf_report::run_bench(quick, extra);
     let json = crate::perf_report::to_json(&report);
-    match args.opt("out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &json)
                 .map_err(|e| CliError::msg(format!("cannot write {path}: {e}")))?;
@@ -1404,34 +1398,25 @@ mod tests {
 
     #[test]
     fn bench_quick_emits_json() {
-        // Tiny population so the test stays fast; --threads 2 pins the
-        // recorded worker count.
-        let out = run("bench --quick --threads 2 --population 4").unwrap();
-        assert!(out.contains("\"bench\": \"bce\""), "{out}");
+        use crate::perf_report::tests::assert_report_shape;
+        let out = run("bench --quick").unwrap();
         assert!(out.contains("scenario3_fig6_60d"), "{out}");
-        assert!(out.contains("\"cache_hit_rate\""), "{out}");
-        assert!(out.contains("\"available_parallelism\""), "{out}");
-        assert!(out.contains("\"threads_used\": 2"), "{out}");
-        assert!(out.contains("\"runs\": 4"), "{out}");
-        assert!(out.contains("\"streaming_runs\": 40"), "{out}");
-        assert!(out.contains("\"runs_per_sec\""), "{out}");
-        assert!(out.contains("\"speedup_vs_reference\""), "{out}");
+        assert_report_shape(&out);
         let dir = std::env::temp_dir().join("bce-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("bench.json");
-        let out =
-            run(&format!("bench --quick --threads 2 --population 4 --out {}", p.to_str().unwrap()))
-                .unwrap();
+        let out = run(&format!("bench --quick --out {}", p.to_str().unwrap())).unwrap();
         assert!(out.contains("wrote"), "{out}");
-        assert!(out.contains("population executor"), "{out}");
-        let json = std::fs::read_to_string(&p).unwrap();
-        assert!(json.contains("events_per_sec"));
-        assert!(json.contains("streaming_runs_per_sec"));
+        assert!(out.contains("events/s"), "{out}");
+        assert_report_shape(&std::fs::read_to_string(&p).unwrap());
     }
 
     #[test]
-    fn bench_rejects_bad_population() {
-        assert!(run("bench --quick --population nope").is_err());
+    fn bench_rejects_removed_options() {
+        for cmd in ["bench --population 4", "bench --threads 2"] {
+            let err = run(cmd).unwrap_err().to_string();
+            assert!(err.contains("unknown option"), "{cmd}: {err}");
+        }
     }
 
     #[test]

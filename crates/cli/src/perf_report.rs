@@ -1,23 +1,18 @@
-//! `bce bench` — the benchmark-trajectory harness.
+//! `bce bench` — the scenario benchmark CI's bench-smoke job gates on.
 //!
-//! Runs the standard scenario set through the emulator, measuring wall
-//! time and the engine's runtime counters (events processed, RR-simulation
-//! queries/runs, cache-hit rate, peak queue depth), then exercises the
-//! population executor (`run_all` / `run_streaming`) against the
-//! pre-executor baseline (`run_all_reference`) and reports population
-//! throughput, executor overhead and peak memory. The result is rendered
-//! as machine-readable JSON; successive reports are committed as
-//! `BENCH_<pr>.json` at the repo root so the performance trajectory of the
-//! codebase stays visible in review (see EXPERIMENTS.md).
+//! Runs the standard scenario set through the emulator and records, per
+//! scenario, wall time, event throughput and the engine's deterministic
+//! counters (events processed, RR-simulation queries/runs/frozen hits,
+//! peak queue depth, jobs completed). The result is rendered as JSON; CI
+//! compares a quick-mode report against the committed
+//! `BENCH_7_quick.json`. The repository's benchmark proper, with
+//! population, daemon and per-layer numbers, is `perfbench/`.
 
 use bce_client::{ClientConfig, JobSchedPolicy};
-use bce_controller::{resolve_threads, run_all, run_all_reference, run_streaming, RunSpec};
 use bce_core::{EmulationResult, Emulator, EmulatorConfig, Scenario};
-use bce_scenarios::{
-    scenario1, scenario2, scenario3, scenario4, PopulationModel, PopulationSampler,
-};
+use bce_scenarios::{scenario1, scenario2, scenario3, scenario4};
+use bce_statefile::JsonValue;
 use bce_types::SimDuration;
-use std::sync::Arc;
 
 /// One benchmark scenario's measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,91 +28,15 @@ pub struct BenchRecord {
     /// window (see the dirty-group refresh ladder in `bce-client`).
     pub rr_frozen: u64,
     pub cache_hit_rate: f64,
-    /// Availability transitions absorbed into an earlier same-window event.
-    pub flaps_coalesced: u64,
-    /// Availability events whose net run-state delta was zero, skipping the
-    /// reschedule pass entirely.
-    pub avail_resched_skipped: u64,
     pub peak_jobs: usize,
     pub jobs_completed: u64,
-}
-
-/// Where the benchmark ran: how much parallelism the machine offers and
-/// how much the population sections actually used.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostInfo {
-    pub available_parallelism: usize,
-    pub threads_used: usize,
-}
-
-/// Population-executor throughput measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PopulationBench {
-    /// Runs in the batch (`run_all`) section.
-    pub runs: usize,
-    pub threads: usize,
-    /// Wall time of the new executor over `runs` runs.
-    pub wall_ms: f64,
-    pub runs_per_sec: f64,
-    /// Sum of individual run wall times (serial pass, one arena).
-    pub sum_run_wall_ms: f64,
-    /// Executor wall minus perfectly-divided serial work: scheduling,
-    /// channel and reduction cost that is not emulation.
-    pub executor_overhead_ms: f64,
-    /// Wall time of the pre-executor baseline (`run_all_reference`:
-    /// per-run clones, fresh emulator, mutex funnel) at the same thread
-    /// count.
-    pub reference_wall_ms: f64,
-    pub speedup_vs_reference: f64,
-    /// Runs in the streaming (`run_streaming`) sweep section.
-    pub streaming_runs: usize,
-    pub streaming_wall_ms: f64,
-    pub streaming_runs_per_sec: f64,
-    /// Jobs completed across the streaming sweep (also keeps the work
-    /// observable so nothing is optimized away).
-    pub streaming_jobs_completed: u64,
-    /// Peak resident set (VmHWM) after the streaming sweep, if the
-    /// platform exposes it — a proxy for the O(workers) memory claim.
-    pub peak_rss_mb: Option<f64>,
-}
-
-/// Cost of the observability layer on the heaviest workload in the repo
-/// (scenario 3 over the fig6 horizon). Tracing and profiling are measured
-/// in *separate* passes: profiling spans wrap per-event hot code with two
-/// clock reads each, so folding them into the traced pass would bury the
-/// tracing cost (the number the ≤ 2% target is about) under clock calls.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstrumentationBench {
-    pub days: f64,
-    /// Wall time with tracing disabled (the production configuration).
-    pub untraced_wall_ms: f64,
-    /// Wall time with a 2M-event trace buffer (profiler off).
-    pub traced_wall_ms: f64,
-    /// `traced / untraced - 1`; the enabled-tracing cost. The disabled
-    /// cost is held at zero by construction (no-op sink, closure-based
-    /// emission) and enforced by the counting-allocator test.
-    pub tracing_overhead_frac: f64,
-    /// Wall time with profiling spans on (tracing off).
-    pub profiled_wall_ms: f64,
-    /// `profiled / untraced - 1`; the cost of timing every span.
-    pub profiling_overhead_frac: f64,
-    /// Events the traced run emitted (recorded + dropped at capacity).
-    pub trace_events: u64,
-    /// `bit_fingerprint()` of the traced and profiled runs both equal the
-    /// untraced run's — observation never changes a result.
-    pub fingerprint_match: bool,
-    /// Profiling spans of the profiled run: (name, wall_ms, count).
-    pub spans: Vec<(String, f64, u64)>,
 }
 
 /// Full `bce bench` report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     pub quick: bool,
-    pub host: HostInfo,
     pub scenarios: Vec<BenchRecord>,
-    pub instrumentation: InstrumentationBench,
-    pub population: PopulationBench,
 }
 
 /// The standard benchmark set: the four paper scenarios, with scenario 3
@@ -164,279 +83,54 @@ fn measure(name: &str, scenario: Scenario, days: f64, cfg: ClientConfig) -> Benc
         rr_runs: r.perf.rr_runs,
         rr_frozen: r.perf.rr_frozen,
         cache_hit_rate: r.perf.rr_hit_rate(),
-        flaps_coalesced: r.perf.flaps_coalesced,
-        avail_resched_skipped: r.perf.avail_resched_skipped,
         peak_jobs: r.perf.peak_jobs,
         jobs_completed: r.jobs_completed,
     }
 }
 
-/// Measure the observability layer on the fig6 workload: wall time of the
-/// untraced baseline vs. a traced pass (buffer only) vs. a profiled pass
-/// (spans only), each the fastest of five runs with the first doubling
-/// as warm-up, plus event volume and fingerprint identity.
-fn run_instrumentation_bench(quick: bool) -> InstrumentationBench {
-    let days = if quick { 2.0 } else { 60.0 };
-    let cfg = ClientConfig {
-        sched_policy: JobSchedPolicy::GLOBAL,
-        rec_half_life: SimDuration::from_secs(1e6),
-        ..Default::default()
-    };
-    let duration = SimDuration::from_days(days);
-    let timed = |emu: EmulatorConfig| {
-        let mut best = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            let r = Emulator::new(scenario3(), cfg, emu.clone()).run();
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            result = Some(r);
-        }
-        (best, result.expect("passes ran"))
-    };
-    let overhead =
-        |wall_ms: f64, base_ms: f64| if base_ms > 0.0 { wall_ms / base_ms - 1.0 } else { 0.0 };
-
-    let (untraced_wall_ms, base) = timed(EmulatorConfig { duration, ..Default::default() });
-    let (traced_wall_ms, traced) =
-        timed(EmulatorConfig { duration, trace_capacity: 2_000_000, ..Default::default() });
-    let (profiled_wall_ms, profiled) =
-        timed(EmulatorConfig { duration, profile: true, ..Default::default() });
-
-    let spans = profiled
-        .profile
-        .as_ref()
-        .map(|p| p.spans.iter().map(|s| (s.name.clone(), s.wall_ms, s.count)).collect())
-        .unwrap_or_default();
-    InstrumentationBench {
-        days,
-        untraced_wall_ms,
-        traced_wall_ms,
-        tracing_overhead_frac: overhead(traced_wall_ms, untraced_wall_ms),
-        profiled_wall_ms,
-        profiling_overhead_frac: overhead(profiled_wall_ms, untraced_wall_ms),
-        trace_events: traced.trace.emitted(),
-        fingerprint_match: base.bit_fingerprint() == traced.bit_fingerprint()
-            && base.bit_fingerprint() == profiled.bit_fingerprint(),
-        spans,
-    }
-}
-
-/// Peak resident set size in MB from `/proc/self/status` (VmHWM). Linux
-/// only; other platforms report `None`.
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
-}
-
-fn population_specs(
-    n_runs: usize,
-    distinct_scenarios: usize,
-    sim_hours: f64,
-    seed: u64,
-) -> Vec<RunSpec> {
-    let mut sampler = PopulationSampler::new(PopulationModel::default(), seed);
-    let scenarios: Vec<Arc<Scenario>> = sampler
-        .sample_many(distinct_scenarios.max(1).min(n_runs.max(1)))
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let emu = Arc::new(EmulatorConfig {
-        duration: SimDuration::from_hours(sim_hours),
-        ..Default::default()
-    });
-    (0..n_runs)
-        .map(|i| {
-            let s = &scenarios[i % scenarios.len()];
-            RunSpec::new(format!("pop{i}"), s.clone(), ClientConfig::default())
-                .with_emulator(emu.clone())
-        })
-        .collect()
-}
-
-/// Measure the population executor: batch throughput and speedup against
-/// the pre-executor baseline, plus a large streaming sweep whose result
-/// set is never materialized.
-fn run_population_bench(quick: bool, threads: usize, population: Option<usize>) -> PopulationBench {
-    let threads_used = resolve_threads(threads);
-    let runs = population.unwrap_or(if quick { 64 } else { 1000 });
-    let specs = population_specs(runs, 512, if quick { 1.0 } else { 6.0 }, 42);
-
-    // Sum of run wall times: serial passes over one arena with an empty
-    // reducer — pure emulation cost, the work the executor has to
-    // distribute. The first pass doubles as warm-up (allocator, page
-    // cache); taking the faster of two passes damps scheduler noise.
-    let sum_run_wall_ms = (0..2)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            run_streaming(&specs, 1, |_, _, _| {});
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min);
-
-    let start = std::time::Instant::now();
-    let results = run_all(specs.clone(), threads);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(results.len(), runs);
-    drop(results);
-
-    let start = std::time::Instant::now();
-    let reference = run_all_reference(&specs, threads);
-    let reference_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    drop(reference);
-
-    // Streaming sweep: many more runs than the batch section, aggregated
-    // on the fly so memory stays O(workers).
-    let streaming_runs = population.map(|p| p * 10).unwrap_or(if quick { 2000 } else { 100_000 });
-    let streaming_specs = population_specs(streaming_runs, 512, if quick { 0.5 } else { 1.0 }, 43);
-    let mut streaming_jobs_completed = 0u64;
-    let start = std::time::Instant::now();
-    run_streaming(&streaming_specs, threads, |_, _, r| {
-        streaming_jobs_completed += r.jobs_completed;
-    });
-    let streaming_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let per_sec = |n: usize, ms: f64| if ms > 0.0 { n as f64 / (ms / 1e3) } else { 0.0 };
-    PopulationBench {
-        runs,
-        threads: threads_used,
-        wall_ms,
-        runs_per_sec: per_sec(runs, wall_ms),
-        sum_run_wall_ms,
-        executor_overhead_ms: wall_ms - sum_run_wall_ms / threads_used as f64,
-        reference_wall_ms,
-        speedup_vs_reference: if wall_ms > 0.0 { reference_wall_ms / wall_ms } else { 0.0 },
-        streaming_runs,
-        streaming_wall_ms,
-        streaming_runs_per_sec: per_sec(streaming_runs, streaming_wall_ms),
-        streaming_jobs_completed,
-        peak_rss_mb: peak_rss_mb(),
-    }
-}
-
-/// Run the full benchmark suite: the standard scenarios plus the
-/// population-executor section. `threads` 0 means one worker per CPU;
-/// `population` overrides the batch run count (streaming uses 10×);
-/// `extra` appends one user-referenced scenario to the measured set.
-pub fn run_bench(
-    quick: bool,
-    threads: usize,
-    population: Option<usize>,
-    extra: Option<(String, Scenario)>,
-) -> BenchReport {
+/// Run the standard scenario set; `extra` appends one user-referenced
+/// scenario to the measured set.
+pub fn run_bench(quick: bool, extra: Option<(String, Scenario)>) -> BenchReport {
     let mut set = standard_set(quick);
     if let Some((name, s)) = extra {
         let days = if quick { 0.5 } else { 10.0 };
         set.push((name, s, days, ClientConfig::default()));
     }
     let scenarios = set.into_iter().map(|(n, s, d, c)| measure(&n, s, d, c)).collect();
-    let instrumentation = run_instrumentation_bench(quick);
-    let population = run_population_bench(quick, threads, population);
-    BenchReport {
-        quick,
-        host: HostInfo {
-            available_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(0),
-            threads_used: population.threads,
-        },
-        scenarios,
-        instrumentation,
-        population,
-    }
+    BenchReport { quick, scenarios }
 }
 
-/// JSON-escape + format helpers (the workspace is dependency-free, so the
-/// report is rendered by hand; every value here is a finite number or a
-/// controlled ASCII name, which keeps this trivial).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jopt(x: Option<f64>) -> String {
-    match x {
-        Some(v) => jnum(v),
-        None => "null".to_string(),
+impl BenchRecord {
+    /// Every value is finite: rates are guarded against a zero divisor.
+    fn to_json(&self) -> JsonValue {
+        let n = |x: u64| JsonValue::Num(x as f64);
+        JsonValue::Obj(vec![
+            ("name".into(), JsonValue::Str(self.name.clone())),
+            ("days".into(), JsonValue::Num(self.days)),
+            ("wall_ms".into(), JsonValue::Num(self.wall_ms)),
+            ("events".into(), n(self.events)),
+            ("events_per_sec".into(), JsonValue::Num(self.events_per_sec)),
+            ("rr_sim_queries".into(), n(self.rr_queries)),
+            ("rr_sim_runs".into(), n(self.rr_runs)),
+            ("rr_sim_frozen".into(), n(self.rr_frozen)),
+            ("cache_hit_rate".into(), JsonValue::Num(self.cache_hit_rate)),
+            ("peak_jobs".into(), n(self.peak_jobs as u64)),
+            ("jobs_completed".into(), n(self.jobs_completed)),
+        ])
     }
 }
 
 /// Render the benchmark report as JSON.
 pub fn to_json(report: &BenchReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"bce\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", report.quick));
-    out.push_str("  \"host\": {\n");
-    out.push_str(&format!(
-        "    \"available_parallelism\": {},\n",
-        report.host.available_parallelism
-    ));
-    out.push_str(&format!("    \"threads_used\": {}\n", report.host.threads_used));
-    out.push_str("  },\n");
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in report.scenarios.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        out.push_str(&format!("      \"days\": {},\n", jnum(r.days)));
-        out.push_str(&format!("      \"wall_ms\": {},\n", jnum(r.wall_ms)));
-        out.push_str(&format!("      \"events\": {},\n", r.events));
-        out.push_str(&format!("      \"events_per_sec\": {},\n", jnum(r.events_per_sec)));
-        out.push_str(&format!("      \"rr_sim_queries\": {},\n", r.rr_queries));
-        out.push_str(&format!("      \"rr_sim_runs\": {},\n", r.rr_runs));
-        out.push_str(&format!("      \"rr_sim_frozen\": {},\n", r.rr_frozen));
-        out.push_str(&format!("      \"cache_hit_rate\": {},\n", jnum(r.cache_hit_rate)));
-        out.push_str(&format!("      \"flaps_coalesced\": {},\n", r.flaps_coalesced));
-        out.push_str(&format!("      \"avail_resched_skipped\": {},\n", r.avail_resched_skipped));
-        out.push_str(&format!("      \"peak_jobs\": {},\n", r.peak_jobs));
-        out.push_str(&format!("      \"jobs_completed\": {}\n", r.jobs_completed));
-        out.push_str(if i + 1 < report.scenarios.len() { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  ],\n");
-    let ib = &report.instrumentation;
-    out.push_str("  \"instrumentation\": {\n");
-    out.push_str(&format!("    \"days\": {},\n", jnum(ib.days)));
-    out.push_str(&format!("    \"untraced_wall_ms\": {},\n", jnum(ib.untraced_wall_ms)));
-    out.push_str(&format!("    \"traced_wall_ms\": {},\n", jnum(ib.traced_wall_ms)));
-    out.push_str(&format!("    \"tracing_overhead_frac\": {},\n", jnum(ib.tracing_overhead_frac)));
-    out.push_str(&format!("    \"profiled_wall_ms\": {},\n", jnum(ib.profiled_wall_ms)));
-    out.push_str(&format!(
-        "    \"profiling_overhead_frac\": {},\n",
-        jnum(ib.profiling_overhead_frac)
-    ));
-    out.push_str(&format!("    \"trace_events\": {},\n", ib.trace_events));
-    out.push_str(&format!("    \"fingerprint_match\": {},\n", ib.fingerprint_match));
-    out.push_str("    \"spans\": [\n");
-    for (i, (name, wall_ms, count)) in ib.spans.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"name\": \"{name}\", \"wall_ms\": {}, \"count\": {count}}}{}\n",
-            jnum(*wall_ms),
-            if i + 1 < ib.spans.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ]\n");
-    out.push_str("  },\n");
-    let p = &report.population;
-    out.push_str("  \"population\": {\n");
-    out.push_str(&format!("    \"runs\": {},\n", p.runs));
-    out.push_str(&format!("    \"threads\": {},\n", p.threads));
-    out.push_str(&format!("    \"wall_ms\": {},\n", jnum(p.wall_ms)));
-    out.push_str(&format!("    \"runs_per_sec\": {},\n", jnum(p.runs_per_sec)));
-    out.push_str(&format!("    \"sum_run_wall_ms\": {},\n", jnum(p.sum_run_wall_ms)));
-    out.push_str(&format!("    \"executor_overhead_ms\": {},\n", jnum(p.executor_overhead_ms)));
-    out.push_str(&format!("    \"reference_wall_ms\": {},\n", jnum(p.reference_wall_ms)));
-    out.push_str(&format!("    \"speedup_vs_reference\": {},\n", jnum(p.speedup_vs_reference)));
-    out.push_str(&format!("    \"streaming_runs\": {},\n", p.streaming_runs));
-    out.push_str(&format!("    \"streaming_wall_ms\": {},\n", jnum(p.streaming_wall_ms)));
-    out.push_str(&format!("    \"streaming_runs_per_sec\": {},\n", jnum(p.streaming_runs_per_sec)));
-    out.push_str(&format!("    \"streaming_jobs_completed\": {},\n", p.streaming_jobs_completed));
-    out.push_str(&format!("    \"peak_rss_mb\": {}\n", jopt(p.peak_rss_mb)));
-    out.push_str("  }\n}\n");
-    out
+    JsonValue::Obj(vec![
+        ("bench".into(), JsonValue::Str("bce".into())),
+        ("quick".into(), JsonValue::Bool(report.quick)),
+        (
+            "scenarios".into(),
+            JsonValue::Arr(report.scenarios.iter().map(|r| r.to_json()).collect()),
+        ),
+    ])
+    .render()
 }
 
 /// Human-readable summary of a benchmark run.
@@ -450,7 +144,6 @@ pub fn summary(report: &BenchReport) -> String {
         "rr runs",
         "frozen",
         "hit rate",
-        "flaps",
         "peak jobs",
     ]);
     for r in &report.scenarios {
@@ -463,56 +156,52 @@ pub fn summary(report: &BenchReport) -> String {
             format!("{}/{}", r.rr_runs, r.rr_queries),
             r.rr_frozen.to_string(),
             format!("{:.3}", r.cache_hit_rate),
-            format!("{}+{}", r.flaps_coalesced, r.avail_resched_skipped),
             r.peak_jobs.to_string(),
         ]);
     }
-    let p = &report.population;
-    let mut out = t.render();
-    let ib = &report.instrumentation;
-    out.push_str(&format!(
-        "\ninstrumentation (scenario3, {:.0} days): untraced {:.1} ms, traced {:.1} ms \
-         ({:+.1}% overhead, {} events), profiled {:.1} ms ({:+.1}%), fingerprints {}\n",
-        ib.days,
-        ib.untraced_wall_ms,
-        ib.traced_wall_ms,
-        ib.tracing_overhead_frac * 100.0,
-        ib.trace_events,
-        ib.profiled_wall_ms,
-        ib.profiling_overhead_frac * 100.0,
-        if ib.fingerprint_match { "match" } else { "DIVERGE" },
-    ));
-    out.push_str(&format!(
-        "\npopulation executor ({} threads of {} available):\n",
-        p.threads, report.host.available_parallelism
-    ));
-    out.push_str(&format!(
-        "  batch     {} runs in {:.1} ms ({:.0} runs/s), overhead {:.1} ms, \
-         {:.2}x vs pre-executor baseline ({:.1} ms)\n",
-        p.runs,
-        p.wall_ms,
-        p.runs_per_sec,
-        p.executor_overhead_ms,
-        p.speedup_vs_reference,
-        p.reference_wall_ms
-    ));
-    out.push_str(&format!(
-        "  streaming {} runs in {:.1} ms ({:.0} runs/s), peak RSS {}\n",
-        p.streaming_runs,
-        p.streaming_wall_ms,
-        p.streaming_runs_per_sec,
-        p.peak_rss_mb.map(|m| format!("{m:.0} MB")).unwrap_or_else(|| "n/a".into()),
-    ));
-    out
+    t.render()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use bce_statefile::parse_json;
+
+    /// The keys of one scenario record, in order. CI's perf regression
+    /// gate reads `name`, `events`, `events_per_sec`, `rr_sim_queries`,
+    /// `rr_sim_runs`, `rr_sim_frozen`, `cache_hit_rate`, `peak_jobs` and
+    /// `jobs_completed`.
+    const RECORD_KEYS: [&str; 11] = [
+        "name",
+        "days",
+        "wall_ms",
+        "events",
+        "events_per_sec",
+        "rr_sim_queries",
+        "rr_sim_runs",
+        "rr_sim_frozen",
+        "cache_hit_rate",
+        "peak_jobs",
+        "jobs_completed",
+    ];
+
+    /// Assert a rendered report has exactly the top-level keys `bench`,
+    /// `quick` and `scenarios`, and every record exactly [`RECORD_KEYS`];
+    /// returns the parsed report.
+    pub(crate) fn assert_report_shape(json: &str) -> JsonValue {
+        let v = parse_json(json).expect("report is valid JSON");
+        let keys: Vec<&str> = v.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "quick", "scenarios"]);
+        for s in v.get("scenarios").and_then(JsonValue::as_arr).unwrap() {
+            let keys: Vec<&str> = s.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, RECORD_KEYS);
+        }
+        v
+    }
 
     #[test]
     fn quick_bench_produces_records() {
-        let report = run_bench(true, 2, Some(8), None);
+        let report = run_bench(true, None);
         assert_eq!(report.scenarios.len(), 4);
         for r in &report.scenarios {
             assert!(r.events > 0, "{}: no events", r.name);
@@ -532,32 +221,13 @@ mod tests {
         // The fetch loop re-queries the snapshot at every decision point,
         // so some hits must occur.
         assert!(report.scenarios.iter().any(|r| r.cache_hit_rate > 0.0), "no cache hits anywhere");
-        let ib = &report.instrumentation;
-        assert!(ib.trace_events > 0, "traced run emitted nothing");
-        assert!(ib.fingerprint_match, "tracing changed the result fingerprint");
-        assert!(ib.untraced_wall_ms > 0.0 && ib.traced_wall_ms > 0.0);
-        assert!(ib.profiled_wall_ms > 0.0);
-        assert!(
-            ib.spans.iter().any(|(name, _, _)| name == "emu.total"),
-            "profile must cover the whole run: {:?}",
-            ib.spans
-        );
-        let p = &report.population;
-        assert_eq!(p.runs, 8);
-        assert_eq!(p.threads, 2);
-        assert_eq!(p.streaming_runs, 80);
-        assert!(p.runs_per_sec > 0.0);
-        assert!(p.streaming_runs_per_sec > 0.0);
-        assert!(p.streaming_jobs_completed > 0);
-        assert!(p.reference_wall_ms > 0.0 && p.wall_ms > 0.0);
     }
 
-    fn fake_report() -> BenchReport {
+    fn fake_report(name: &str) -> BenchReport {
         BenchReport {
             quick: true,
-            host: HostInfo { available_parallelism: 8, threads_used: 4 },
             scenarios: vec![BenchRecord {
-                name: "x".into(),
+                name: name.into(),
                 days: 1.0,
                 wall_ms: 12.5,
                 events: 100,
@@ -566,80 +236,35 @@ mod tests {
                 rr_runs: 4,
                 rr_frozen: 3,
                 cache_hit_rate: 0.6,
-                flaps_coalesced: 5,
-                avail_resched_skipped: 2,
                 peak_jobs: 7,
                 jobs_completed: 3,
             }],
-            instrumentation: InstrumentationBench {
-                days: 2.0,
-                untraced_wall_ms: 100.0,
-                traced_wall_ms: 101.0,
-                tracing_overhead_frac: 0.01,
-                profiled_wall_ms: 103.0,
-                profiling_overhead_frac: 0.03,
-                trace_events: 500,
-                fingerprint_match: true,
-                spans: vec![("emu.total".into(), 103.0, 1)],
-            },
-            population: PopulationBench {
-                runs: 100,
-                threads: 4,
-                wall_ms: 50.0,
-                runs_per_sec: 2000.0,
-                sum_run_wall_ms: 180.0,
-                executor_overhead_ms: 5.0,
-                reference_wall_ms: 80.0,
-                speedup_vs_reference: 1.6,
-                streaming_runs: 1000,
-                streaming_wall_ms: 400.0,
-                streaming_runs_per_sec: 2500.0,
-                streaming_jobs_completed: 1234,
-                peak_rss_mb: None,
-            },
         }
     }
 
     #[test]
     fn json_is_well_formed() {
-        let j = to_json(&fake_report());
-        assert!(j.contains("\"quick\": true"));
-        assert!(j.contains("\"wall_ms\": 12.500"));
-        assert!(j.contains("\"cache_hit_rate\": 0.600"));
-        assert!(j.contains("\"rr_sim_frozen\": 3"));
-        assert!(j.contains("\"flaps_coalesced\": 5"));
-        assert!(j.contains("\"avail_resched_skipped\": 2"));
-        assert!(j.contains("\"available_parallelism\": 8"));
-        assert!(j.contains("\"threads_used\": 4"));
-        assert!(j.contains("\"runs_per_sec\": 2000.000"));
-        assert!(j.contains("\"streaming_runs_per_sec\": 2500.000"));
-        assert!(j.contains("\"speedup_vs_reference\": 1.600"));
-        assert!(j.contains("\"peak_rss_mb\": null"));
-        assert!(j.contains("\"tracing_overhead_frac\": 0.010"));
-        assert!(j.contains("\"profiling_overhead_frac\": 0.030"));
-        assert!(j.contains("\"fingerprint_match\": true"));
-        assert!(j.contains("{\"name\": \"emu.total\", \"wall_ms\": 103.000, \"count\": 1}"));
-        // Balanced braces/brackets.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let v = assert_report_shape(&to_json(&fake_report("x")));
+        assert_eq!(v.get("bench").and_then(JsonValue::as_str), Some("bce"));
+        assert_eq!(v.get("quick").and_then(JsonValue::as_bool), Some(true));
+        let r = &v.get("scenarios").and_then(JsonValue::as_arr).unwrap()[0];
+        let num = |k: &str| r.get(k).and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(num("wall_ms"), 12.5);
+        assert_eq!(num("events"), 100.0);
+        assert_eq!(num("events_per_sec"), 8000.0);
+        assert_eq!(num("rr_sim_queries"), 10.0);
+        assert_eq!(num("rr_sim_runs"), 4.0);
+        assert_eq!(num("rr_sim_frozen"), 3.0);
+        assert_eq!(num("cache_hit_rate"), 0.6);
+        assert_eq!(num("peak_jobs"), 7.0);
+        assert_eq!(num("jobs_completed"), 3.0);
     }
 
     #[test]
-    fn summary_mentions_population_executor() {
-        let s = summary(&fake_report());
-        assert!(s.contains("population executor (4 threads of 8 available)"));
-        assert!(s.contains("1.60x vs pre-executor baseline"));
-        assert!(s.contains("+1.0% overhead"), "{s}");
-        assert!(s.contains("profiled 103.0 ms (+3.0%)"), "{s}");
-        assert!(s.contains("fingerprints match"), "{s}");
-    }
-
-    #[test]
-    fn non_finite_becomes_null() {
-        assert_eq!(jnum(f64::NAN), "null");
-        assert_eq!(jnum(f64::INFINITY), "null");
-        assert_eq!(jnum(2.0), "2.000");
-        assert_eq!(jopt(None), "null");
-        assert_eq!(jopt(Some(1.0)), "1.000");
+    fn json_escapes_scenario_names() {
+        let name = r#"we"ird\dir/x.json"#;
+        let v = assert_report_shape(&to_json(&fake_report(name)));
+        let r = &v.get("scenarios").and_then(JsonValue::as_arr).unwrap()[0];
+        assert_eq!(r.get("name").and_then(JsonValue::as_str), Some(name));
     }
 }

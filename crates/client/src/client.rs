@@ -912,7 +912,7 @@ impl Client {
     ///    unchanged and `now` is still inside the frozen window — the
     ///    retained snapshot is served as-is. Running-task progress only
     ///    drifts job completion estimates by at most the window length τ,
-    ///    which [`Client::frozen_until`] bounds to a small fraction of the
+    ///    which `Client::frozen_until` bounds to a small fraction of the
     ///    tightest deadline slack and of the minimum work buffer, so
     ///    endangered-set and fetch-trigger decisions move by at most that
     ///    bounded amount.

@@ -25,8 +25,8 @@ pub use client::{
 };
 pub use fetch::{would_fetch, Backoff, FetchDecision, FetchPolicy, FetchProject, FetchRequest};
 pub use rr_sim::{
-    simulate as rr_simulate, simulate_into as rr_simulate_into,
-    simulate_reference as rr_simulate_reference, RrJob, RrOutcome, RrPlatform, RrScratch,
+    simulate as rr_simulate, simulate_into as rr_simulate_into, RrJob, RrOutcome, RrPlatform,
+    RrScratch,
 };
 pub use sched::{plan, plan_into, DeadlineOrder, JobSchedPolicy, PlanInput, PlanScratch, RunPlan};
 pub use task::{Task, TaskSnapshot, TaskState};

@@ -18,13 +18,12 @@
 //! entry points: [`simulate`], which allocates its working state per call,
 //! and [`simulate_into`], which reuses a caller-owned [`RrScratch`] and an
 //! existing [`RrOutcome`] so that steady-state calls perform no heap
-//! allocation at all. Both are bit-identical to [`simulate_reference`], the
-//! original straightforward implementation kept for differential testing:
-//! every floating-point accumulation happens in exactly the same order, so
-//! results match down to the last ulp.
+//! allocation at all. Both are bit-identical to the original
+//! straightforward implementation, which `tests/rr_differential.rs` keeps
+//! as its private oracle: every floating-point accumulation happens in
+//! exactly the same order, so results match down to the last ulp.
 
 use bce_types::{JobId, ProcMap, ProcType, ProjectId, SimDuration, SimTime};
-use std::collections::HashSet;
 
 /// One job as seen by the simulation.
 #[derive(Debug, Clone, Copy)]
@@ -210,9 +209,9 @@ pub fn simulate(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDuration) 
 /// result into `out`, clearing any previous contents. In steady state (same
 /// workload shape as a previous call) this performs zero heap allocations.
 ///
-/// Bit-identical to [`simulate_reference`]: the job-group index only changes
-/// *how* each floating-point sum is located, never the order its terms are
-/// added in.
+/// Bit-identical to the oracle in `tests/rr_differential.rs`: the
+/// job-group index only changes *how* each floating-point sum is located,
+/// never the order its terms are added in.
 pub fn simulate_into(
     platform: &RrPlatform,
     jobs: &[RrJob],
@@ -490,188 +489,4 @@ pub fn simulate_into(
     }
 
     out.missed.sort_unstable();
-}
-
-/// The original per-call-allocating implementation, kept verbatim as the
-/// differential-testing oracle for [`simulate`] / [`simulate_into`].
-pub fn simulate_reference(
-    platform: &RrPlatform,
-    jobs: &[RrJob],
-    buf_window: SimDuration,
-) -> RrOutcome {
-    // Mutable remaining work; simulation proceeds between job-completion
-    // events with piecewise-constant rates.
-    let mut remaining: Vec<f64> = jobs.iter().map(|j| j.remaining.secs().max(0.0)).collect();
-    let mut done: Vec<bool> = remaining.iter().map(|&r| r <= 0.0).collect();
-    let mut missed = HashSet::new();
-    let mut finish: Vec<(JobId, SimDuration)> = Vec::with_capacity(jobs.len());
-    let mut sat = ProcMap::from_fn(|_| SimDuration::ZERO);
-    let mut sat_open = ProcMap::from_fn(|t| platform.ninstances[t] > 0.0);
-    let mut shortfall = ProcMap::zero();
-    let mut busy_now = ProcMap::zero();
-
-    let on_frac = platform.on_frac.clamp(1e-6, 1.0);
-    let horizon = buf_window.secs().max(0.0);
-    let mut t = 0.0f64; // offset from now
-    let mut first_step = true;
-
-    loop {
-        // Per-type, per-project allocation under weighted round robin.
-        // rate[i] = fraction of dedicated speed job i runs at.
-        let mut rates: Vec<f64> = vec![0.0; jobs.len()];
-        let mut busy = ProcMap::zero();
-
-        for pt in ProcType::ALL {
-            let ninst = platform.ninstances[pt];
-            if ninst <= 0.0 {
-                continue;
-            }
-            // Projects with unfinished jobs of this type, with their total
-            // instance demand.
-            let mut proj: Vec<(ProjectId, f64, f64)> = Vec::new(); // (id, share, demand)
-            for (i, j) in jobs.iter().enumerate() {
-                if done[i] || j.proc_type != pt {
-                    continue;
-                }
-                let demand = j.instances.max(1e-9);
-                match proj.iter_mut().find(|(id, _, _)| *id == j.project) {
-                    Some(entry) => entry.2 += demand,
-                    None => proj.push((j.project, platform.share_of(j.project), demand)),
-                }
-            }
-            if proj.is_empty() {
-                continue;
-            }
-            // Share-weighted instance allocation with redistribution of
-            // surplus from projects whose demand is below their share.
-            let mut alloc: Vec<f64> = vec![0.0; proj.len()];
-            let mut capacity = ninst;
-            let mut active: Vec<usize> = (0..proj.len()).collect();
-            for _ in 0..proj.len() + 1 {
-                let wsum: f64 = active.iter().map(|&k| proj[k].1).sum();
-                if wsum <= 0.0 || capacity <= 1e-12 || active.is_empty() {
-                    break;
-                }
-                let mut next_active = Vec::new();
-                let mut used = 0.0;
-                for &k in &active {
-                    let fair = capacity * proj[k].1 / wsum;
-                    let need = proj[k].2 - alloc[k];
-                    if need <= fair + 1e-12 {
-                        alloc[k] += need.max(0.0);
-                        used += need.max(0.0);
-                    } else {
-                        alloc[k] += fair;
-                        used += fair;
-                        next_active.push(k);
-                    }
-                }
-                capacity -= used;
-                if next_active.len() == active.len() {
-                    break; // nobody saturated; no surplus to redistribute
-                }
-                active = next_active;
-            }
-            // Distribute each project's allocation over its jobs
-            // (proportional to per-job demand).
-            for (k, &(pid, _, demand)) in proj.iter().enumerate() {
-                let frac = (alloc[k] / demand).min(1.0);
-                for (i, j) in jobs.iter().enumerate() {
-                    if !done[i] && j.proc_type == pt && j.project == pid {
-                        rates[i] = frac * on_frac;
-                        busy[pt] += frac * j.instances;
-                    }
-                }
-            }
-        }
-
-        if first_step {
-            busy_now = busy;
-            first_step = false;
-        }
-
-        // Next completion event.
-        let mut dt = f64::INFINITY;
-        for i in 0..jobs.len() {
-            if !done[i] && rates[i] > 0.0 {
-                dt = dt.min(remaining[i] / rates[i]);
-            }
-        }
-
-        // Accrue saturation and shortfall over [t, t+dt).
-        let seg_end = if dt.is_finite() { t + dt } else { t };
-        for pt in ProcType::ALL {
-            let ninst = platform.ninstances[pt];
-            if ninst <= 0.0 {
-                continue;
-            }
-            if sat_open[pt] && busy[pt] < ninst - 1e-9 {
-                sat[pt] = SimDuration::from_secs(t);
-                sat_open[pt] = false;
-            }
-            // Idle instance-seconds within the buffer window.
-            let w_end = seg_end.min(horizon);
-            if w_end > t {
-                shortfall[pt] += (ninst - busy[pt]).max(0.0) * (w_end - t);
-            }
-        }
-
-        if !dt.is_finite() {
-            // Nothing runnable: remaining window is pure shortfall.
-            for pt in ProcType::ALL {
-                let ninst = platform.ninstances[pt];
-                if ninst > 0.0 {
-                    if sat_open[pt] {
-                        sat[pt] = SimDuration::from_secs(t);
-                        sat_open[pt] = false;
-                    }
-                    if horizon > t {
-                        shortfall[pt] += ninst * (horizon - t);
-                    }
-                }
-            }
-            break;
-        }
-
-        // Advance to the event.
-        t += dt;
-        for i in 0..jobs.len() {
-            if done[i] || rates[i] <= 0.0 {
-                continue;
-            }
-            remaining[i] -= rates[i] * dt;
-            if remaining[i] <= 1e-6 {
-                done[i] = true;
-                let fin = SimDuration::from_secs(t);
-                finish.push((jobs[i].id, fin));
-                if jobs[i].deadline < platform.now + fin {
-                    missed.insert(jobs[i].id);
-                }
-            }
-        }
-        if done.iter().all(|&d| d) {
-            for pt in ProcType::ALL {
-                let ninst = platform.ninstances[pt];
-                if ninst > 0.0 {
-                    if sat_open[pt] {
-                        sat[pt] = SimDuration::from_secs(t);
-                        sat_open[pt] = false;
-                    }
-                    if horizon > t {
-                        shortfall[pt] += ninst * (horizon - t);
-                    }
-                }
-            }
-            break;
-        }
-        if t > 3650.0 * 86_400.0 {
-            // Safety valve: pathological workloads (e.g. zero rates from
-            // extreme preference limits) must not hang the emulator.
-            break;
-        }
-    }
-
-    let mut missed: Vec<JobId> = missed.into_iter().collect();
-    missed.sort_unstable();
-    RrOutcome { missed, sat, shortfall, finish, busy_now }
 }

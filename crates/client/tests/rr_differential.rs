@@ -2,7 +2,7 @@
 //!
 //! `simulate` / `simulate_into` (grouped, allocation-free) must be
 //! *bit-identical* to `simulate_reference`, the original per-call-allocating
-//! implementation kept as the oracle. Three angles:
+//! implementation, kept below as a private oracle. Three angles:
 //!
 //! 1. One-shot equivalence over randomized multi-project, multi-proc-type
 //!    workloads (shares, on_frac, instance counts, fractional demands).
@@ -15,14 +15,202 @@
 
 use bce_avail::HostRunState;
 use bce_client::{
-    rr_simulate, rr_simulate_into, rr_simulate_reference, Client, ClientConfig, RrJob, RrOutcome,
-    RrPlatform, RrScratch,
+    rr_simulate, rr_simulate_into, Client, ClientConfig, RrJob, RrOutcome, RrPlatform, RrScratch,
 };
 use bce_types::{
     AppId, Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, ResourceUsage,
     SimDuration, SimTime,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
+
+/// The original per-call-allocating implementation of the round-robin
+/// simulation, kept verbatim as the differential-testing oracle for
+/// `rr_simulate` / `rr_simulate_into`.
+fn simulate_reference(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDuration) -> RrOutcome {
+    // Mutable remaining work; simulation proceeds between job-completion
+    // events with piecewise-constant rates.
+    let mut remaining: Vec<f64> = jobs.iter().map(|j| j.remaining.secs().max(0.0)).collect();
+    let mut done: Vec<bool> = remaining.iter().map(|&r| r <= 0.0).collect();
+    let mut missed = HashSet::new();
+    let mut finish: Vec<(JobId, SimDuration)> = Vec::with_capacity(jobs.len());
+    let mut sat = ProcMap::from_fn(|_| SimDuration::ZERO);
+    let mut sat_open = ProcMap::from_fn(|t| platform.ninstances[t] > 0.0);
+    let mut shortfall = ProcMap::zero();
+    let mut busy_now = ProcMap::zero();
+
+    let on_frac = platform.on_frac.clamp(1e-6, 1.0);
+    let horizon = buf_window.secs().max(0.0);
+    let mut t = 0.0f64; // offset from now
+    let mut first_step = true;
+
+    loop {
+        // Per-type, per-project allocation under weighted round robin.
+        // rate[i] = fraction of dedicated speed job i runs at.
+        let mut rates: Vec<f64> = vec![0.0; jobs.len()];
+        let mut busy = ProcMap::zero();
+
+        for pt in ProcType::ALL {
+            let ninst = platform.ninstances[pt];
+            if ninst <= 0.0 {
+                continue;
+            }
+            // Projects with unfinished jobs of this type, with their total
+            // instance demand.
+            let mut proj: Vec<(ProjectId, f64, f64)> = Vec::new(); // (id, share, demand)
+            for (i, j) in jobs.iter().enumerate() {
+                if done[i] || j.proc_type != pt {
+                    continue;
+                }
+                let demand = j.instances.max(1e-9);
+                match proj.iter_mut().find(|(id, _, _)| *id == j.project) {
+                    Some(entry) => entry.2 += demand,
+                    None => {
+                        let share = platform
+                            .shares
+                            .iter()
+                            .find(|(id, _)| *id == j.project)
+                            .map_or(0.0, |(_, s)| *s);
+                        proj.push((j.project, share, demand))
+                    }
+                }
+            }
+            if proj.is_empty() {
+                continue;
+            }
+            // Share-weighted instance allocation with redistribution of
+            // surplus from projects whose demand is below their share.
+            let mut alloc: Vec<f64> = vec![0.0; proj.len()];
+            let mut capacity = ninst;
+            let mut active: Vec<usize> = (0..proj.len()).collect();
+            for _ in 0..proj.len() + 1 {
+                let wsum: f64 = active.iter().map(|&k| proj[k].1).sum();
+                if wsum <= 0.0 || capacity <= 1e-12 || active.is_empty() {
+                    break;
+                }
+                let mut next_active = Vec::new();
+                let mut used = 0.0;
+                for &k in &active {
+                    let fair = capacity * proj[k].1 / wsum;
+                    let need = proj[k].2 - alloc[k];
+                    if need <= fair + 1e-12 {
+                        alloc[k] += need.max(0.0);
+                        used += need.max(0.0);
+                    } else {
+                        alloc[k] += fair;
+                        used += fair;
+                        next_active.push(k);
+                    }
+                }
+                capacity -= used;
+                if next_active.len() == active.len() {
+                    break; // nobody saturated; no surplus to redistribute
+                }
+                active = next_active;
+            }
+            // Distribute each project's allocation over its jobs
+            // (proportional to per-job demand).
+            for (k, &(pid, _, demand)) in proj.iter().enumerate() {
+                let frac = (alloc[k] / demand).min(1.0);
+                for (i, j) in jobs.iter().enumerate() {
+                    if !done[i] && j.proc_type == pt && j.project == pid {
+                        rates[i] = frac * on_frac;
+                        busy[pt] += frac * j.instances;
+                    }
+                }
+            }
+        }
+
+        if first_step {
+            busy_now = busy;
+            first_step = false;
+        }
+
+        // Next completion event.
+        let mut dt = f64::INFINITY;
+        for i in 0..jobs.len() {
+            if !done[i] && rates[i] > 0.0 {
+                dt = dt.min(remaining[i] / rates[i]);
+            }
+        }
+
+        // Accrue saturation and shortfall over [t, t+dt).
+        let seg_end = if dt.is_finite() { t + dt } else { t };
+        for pt in ProcType::ALL {
+            let ninst = platform.ninstances[pt];
+            if ninst <= 0.0 {
+                continue;
+            }
+            if sat_open[pt] && busy[pt] < ninst - 1e-9 {
+                sat[pt] = SimDuration::from_secs(t);
+                sat_open[pt] = false;
+            }
+            // Idle instance-seconds within the buffer window.
+            let w_end = seg_end.min(horizon);
+            if w_end > t {
+                shortfall[pt] += (ninst - busy[pt]).max(0.0) * (w_end - t);
+            }
+        }
+
+        if !dt.is_finite() {
+            // Nothing runnable: remaining window is pure shortfall.
+            for pt in ProcType::ALL {
+                let ninst = platform.ninstances[pt];
+                if ninst > 0.0 {
+                    if sat_open[pt] {
+                        sat[pt] = SimDuration::from_secs(t);
+                        sat_open[pt] = false;
+                    }
+                    if horizon > t {
+                        shortfall[pt] += ninst * (horizon - t);
+                    }
+                }
+            }
+            break;
+        }
+
+        // Advance to the event.
+        t += dt;
+        for i in 0..jobs.len() {
+            if done[i] || rates[i] <= 0.0 {
+                continue;
+            }
+            remaining[i] -= rates[i] * dt;
+            if remaining[i] <= 1e-6 {
+                done[i] = true;
+                let fin = SimDuration::from_secs(t);
+                finish.push((jobs[i].id, fin));
+                if jobs[i].deadline < platform.now + fin {
+                    missed.insert(jobs[i].id);
+                }
+            }
+        }
+        if done.iter().all(|&d| d) {
+            for pt in ProcType::ALL {
+                let ninst = platform.ninstances[pt];
+                if ninst > 0.0 {
+                    if sat_open[pt] {
+                        sat[pt] = SimDuration::from_secs(t);
+                        sat_open[pt] = false;
+                    }
+                    if horizon > t {
+                        shortfall[pt] += ninst * (horizon - t);
+                    }
+                }
+            }
+            break;
+        }
+        if t > 3650.0 * 86_400.0 {
+            // Safety valve: pathological workloads (e.g. zero rates from
+            // extreme preference limits) must not hang the emulator.
+            break;
+        }
+    }
+
+    let mut missed: Vec<JobId> = missed.into_iter().collect();
+    missed.sort_unstable();
+    RrOutcome { missed, sat, shortfall, finish, busy_now }
+}
 
 /// Randomized workload description: host shape plus a job list spanning
 /// several projects and processor types.
@@ -124,7 +312,7 @@ proptest! {
         let (platform, jobs) = build(&w);
         let window = SimDuration::from_secs(w.window);
         let fast = rr_simulate(&platform, &jobs, window);
-        let oracle = rr_simulate_reference(&platform, &jobs, window);
+        let oracle = simulate_reference(&platform, &jobs, window);
         assert_identical(&fast, &oracle);
     }
 
@@ -139,7 +327,7 @@ proptest! {
             let (platform, jobs) = build(w);
             let window = SimDuration::from_secs(w.window);
             rr_simulate_into(&platform, &jobs, window, &mut scratch, &mut out);
-            let oracle = rr_simulate_reference(&platform, &jobs, window);
+            let oracle = simulate_reference(&platform, &jobs, window);
             assert_identical(&out, &oracle);
         }
     }
@@ -199,7 +387,7 @@ proptest! {
             let (platform, jobs) = build(&w);
             let window = SimDuration::from_secs(w.window);
             rr_simulate_into(&platform, &jobs, window, &mut scratch, &mut out);
-            let oracle = rr_simulate_reference(&platform, &jobs, window);
+            let oracle = simulate_reference(&platform, &jobs, window);
             assert_identical(&out, &oracle);
         }
     }

@@ -161,8 +161,9 @@ impl CampaignOptions {
 /// What a (possibly resumed) campaign produced.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Per-policy aggregated outcomes, exactly as [`population_study`]
-    /// (crate::population_study) would report for the same inputs.
+    /// Per-policy aggregated outcomes, exactly as
+    /// [`population_study`](crate::population_study) would report for the
+    /// same inputs.
     pub outcomes: Vec<PopulationOutcome>,
     /// Runs quarantined by the supervised executor, in submission order.
     pub errors: Vec<RunError>,

@@ -25,8 +25,8 @@ pub use montecarlo::{
 };
 pub use plot::{bar_chart, line_chart, Series};
 pub use run::{
-    resolve_threads, run_all, run_all_reference, run_streaming, run_streaming_profiled,
-    run_supervised, run_supervised_profiled, RunError, RunOutcome, RunSpec,
+    resolve_threads, run_all, run_streaming, run_streaming_profiled, run_supervised,
+    run_supervised_profiled, RunError, RunOutcome, RunSpec,
 };
 pub use sweep::{sweep, Metric, SweepResult};
 pub use table::Table;

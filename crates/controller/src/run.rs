@@ -335,39 +335,6 @@ pub fn run_all(specs: Vec<RunSpec>, threads: usize) -> Vec<(String, EmulationRes
     specs.into_iter().zip(results).map(|(spec, r)| (spec.label, r)).collect()
 }
 
-/// The pre-population-executor implementation: per-run `Scenario` clone, a
-/// freshly allocated emulator per run, and a `Mutex<Vec<Option<_>>>`
-/// result funnel. Kept verbatim as the baseline oracle for the population
-/// benchmark (`bce bench` reports the speedup against it) and for
-/// differential tests; not intended for new callers.
-pub fn run_all_reference(specs: &[RunSpec], threads: usize) -> Vec<(String, EmulationResult)> {
-    let nthreads = resolve_threads(threads);
-    let n = specs.len();
-    let mut results: Vec<Option<(String, EmulationResult)>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(&mut results);
-
-    std::thread::scope(|scope| {
-        for _ in 0..nthreads.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let spec = &specs[i];
-                let result =
-                    Emulator::new((*spec.scenario).clone(), spec.client, (*spec.emulator).clone())
-                        .run();
-                let entry = (spec.label.clone(), result);
-                results_mx.lock().expect("results lock")[i] = Some(entry);
-            });
-        }
-    });
-
-    results.into_iter().map(|r| r.expect("all runs completed")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +349,41 @@ mod tests {
                 SimDuration::from_hours(4.0),
             )))
             .build_unchecked()
+    }
+
+    /// The pre-population-executor implementation: per-run `Scenario`
+    /// clone, a freshly allocated emulator per run, and a
+    /// `Mutex<Vec<Option<_>>>` result funnel. Kept verbatim as the
+    /// baseline oracle the new executor must match bit for bit.
+    fn run_all_reference(specs: &[RunSpec], threads: usize) -> Vec<(String, EmulationResult)> {
+        let nthreads = resolve_threads(threads);
+        let n = specs.len();
+        let mut results: Vec<Option<(String, EmulationResult)>> = Vec::with_capacity(n);
+        results.resize_with(n, || None);
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let results_mx = std::sync::Mutex::new(&mut results);
+
+        std::thread::scope(|scope| {
+            for _ in 0..nthreads.min(n.max(1)) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let spec = &specs[i];
+                    let result = Emulator::new(
+                        (*spec.scenario).clone(),
+                        spec.client,
+                        (*spec.emulator).clone(),
+                    )
+                    .run();
+                    let entry = (spec.label.clone(), result);
+                    results_mx.lock().expect("results lock")[i] = Some(entry);
+                });
+            }
+        });
+
+        results.into_iter().map(|r| r.expect("all runs completed")).collect()
     }
 
     fn short() -> EmulatorConfig {

@@ -326,7 +326,7 @@ impl MetricsAccum {
 
     /// Record a host crash and the FLOPS of progress it destroyed. The
     /// lost FLOPS are fault-attributed only: the generic wasted fraction
-    /// picks the same rollback up through [`record_rollback_waste`] when
+    /// picks the same rollback up through [`Self::record_rollback_waste`] when
     /// the task eventually retires.
     pub fn record_crash(&mut self, lost_flops: f64) {
         self.registry.inc(self.c_crashes);

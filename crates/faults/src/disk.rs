@@ -6,7 +6,7 @@
 //! (`bce-statefile`) is built to survive all of them; this module
 //! supplies the *seeded* fault schedule its chaos tests and the
 //! `bce chaos` CLI run under, following the same discipline as the
-//! emulation-level fault processes in [`crate::plan`]:
+//! emulation-level fault processes in the `plan` module:
 //!
 //! * **Determinism** — every decision draws from one named RNG stream
 //!   (`fault-disk`) derived from a chaos seed, so a failing schedule is

@@ -10,7 +10,7 @@
 //!   [`MetricsSnapshot`] schema read by the CLI, bench harness and fleet
 //!   study alike.
 //! * [`spans`] — a [`Profiler`] of wall-clock and deterministic sim-time
-//!   spans feeding `bce bench`'s perf report.
+//!   spans feeding perfbench's traced per-layer table.
 //! * [`export`] — JSONL serialization of traces and the matching parser
 //!   (`bce trace` and the CI schema smoke test are built on it).
 //!

@@ -5,9 +5,9 @@
 //!
 //! * **Wall-clock spans** ([`Profiler::time`]) measure how long the host
 //!   machine spent inside a region — RR simulation, event dispatch, the
-//!   streaming executor. They feed `bce bench`'s perf report and are
-//!   *never* stored in an [`EmulationResult`]-adjacent structure that a
-//!   determinism fingerprint could see.
+//!   streaming executor. They feed perfbench's traced per-layer table
+//!   and are *never* stored in an `EmulationResult`-adjacent structure
+//!   that a determinism fingerprint could see.
 //! * **Sim-time spans** ([`Profiler::record_sim`]) accumulate simulated
 //!   seconds attributed to a region (e.g. how much sim time the host
 //!   spent unavailable). They are pure functions of the run and safe to

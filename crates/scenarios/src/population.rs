@@ -4,7 +4,7 @@
 //! the entire population").
 //!
 //! The distributions below are synthetic but shaped by published
-//! characterizations of the SETI@home host population (Javadi et al. [5]:
+//! characterizations of the SETI@home host population (Javadi et al. \[5\]:
 //! availability well-modeled by exponential-family on/off processes;
 //! host speeds roughly log-normal; core counts concentrated on small
 //! powers of two). Every draw comes from the sampler's own RNG stream, so

@@ -124,7 +124,11 @@ fn traced_runs_match_untraced_at_every_thread_count() {
                 "{label} diverged under tracing at {threads} threads"
             );
             assert!(r.trace.emitted() > 0, "{label} traced nothing at {threads} threads");
-            assert!(r.profile.is_some(), "{label} lost its profile at {threads} threads");
+            let profile = r.profile.as_ref().expect("traced runs are profiled");
+            assert!(
+                profile.spans.iter().any(|s| s.name == "emu.total"),
+                "{label}: profile does not cover the whole run at {threads} threads"
+            );
         }
     }
 }
