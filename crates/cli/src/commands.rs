@@ -14,7 +14,7 @@ use bce_scenarios::{
     doc_from_scenario, scenario1, scenario2, scenario3, scenario4, LoadedScenario, ScenarioSource,
     ScenarioSpec, BUILTIN_NAMES,
 };
-use bce_sim::{fnv64, Level};
+use bce_sim::fnv64;
 use bce_types::{AppClass, Hardware, ProcType, ProjectSpec, SimDuration};
 
 pub const HELP: &str = "\
@@ -35,7 +35,6 @@ USAGE:
       --half-life S   REC half-life in seconds (global accounting)
       --deadline-check P   strict | grace:SECS | none (server-side, §4.3)
       --timeline      print the per-instance usage timeline
-      --log           print the scheduling message log
       --seed N        override the scenario seed
 
   bce compare <scenario-ref> [--days N] [--threads N]
@@ -135,13 +134,15 @@ USAGE:
       --dir D             scratch directory (default target/chaos)
 
   bce trace <scenario-ref> [options]
-      run with tracing enabled and pretty-print the typed decision log
+      run with tracing enabled and print the scheduling decision log
+      (the typed trace; `bce trace my_client_state.xml` replays a
+      volunteer's state file)
       --days N        emulated days (default 1)
       --sched P / --fetch P / --half-life S / --seed N   as for `run`
       --kind LIST     only these event kinds (comma-separated)
       --component LIST   only these components (sched,task,fetch,avail,xfer,fault)
       --since S       only events at sim time >= S seconds
-      --until S       only events at sim time <= S seconds
+      --until S       only events at sim time <= S seconds (not below --since)
       --limit N       print at most the first N matching events
       --capacity N    trace buffer capacity (default 1000000)
       --jsonl FILE    also write the matching events as JSON Lines
@@ -380,17 +381,29 @@ fn parse_deadline_check(v: &str) -> Result<bce_server::DeadlineCheckPolicy, CliE
     Err(CliError::msg(format!("unknown deadline-check policy {v:?}")))
 }
 
+/// `--days` as every emulating verb reads it: `default` when absent
+/// (figure 2's is 0: it emulates nothing), otherwise a finite, positive
+/// number of days. This is the rule the manifest parser and the daemon's
+/// `days` parameter apply; anything else is a validation failure (exit
+/// 2), not a run with a nonsense horizon (an infinite one never ends).
+fn days_opt(args: &Args, default: f64) -> Result<f64, CliError> {
+    match args.opt_parse::<f64>("days")? {
+        None => Ok(default),
+        Some(days) if days.is_finite() && days > 0.0 => Ok(days),
+        Some(days) => Err(CliError::validation(format!(
+            "--days must be a positive finite number, got {days}"
+        ))),
+    }
+}
+
 fn cmd_run(args: &Args) -> Result<String, CliError> {
     let LoadedScenario { scenario, faults, .. } = resolve_scenario(args)?;
     let client = client_config(args)?;
-    let days: f64 = args.opt_or("days", 10.0)?;
+    let days = days_opt(args, 10.0)?;
     let want_timeline = args.flag("timeline");
-    let want_log = args.flag("log");
     let mut emu = EmulatorConfig {
         duration: SimDuration::from_days(days),
         record_timeline: want_timeline,
-        log_capacity: if want_log { 200_000 } else { 0 },
-        log_level: Level::Info,
         faults: faults.unwrap_or(FaultConfig::OFF),
         ..Default::default()
     };
@@ -405,10 +418,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
             out.push('\n');
             out.push_str(&render_timeline(tl, width));
         }
-    }
-    if want_log {
-        out.push_str("\nscheduling log:\n");
-        out.push_str(&result.log.render());
     }
     Ok(out)
 }
@@ -428,7 +437,7 @@ fn all_policies() -> Vec<(String, ClientConfig)> {
 
 fn cmd_compare(args: &Args) -> Result<String, CliError> {
     let LoadedScenario { scenario, faults, .. } = resolve_scenario(args)?;
-    let days: f64 = args.opt_or("days", 10.0)?;
+    let days = days_opt(args, 10.0)?;
     let threads: usize = args.opt_or("threads", 0usize)?;
     let emu = EmulatorConfig {
         duration: SimDuration::from_days(days),
@@ -546,7 +555,7 @@ fn cmd_campaign(args: &Args) -> Result<String, CliError> {
 /// front end. All status lines start with "# " so scripts comparing
 /// tables can strip them.
 fn cmd_population(args: &Args) -> Result<String, CliError> {
-    let days: f64 = args.opt_or("days", 2.0)?;
+    let days = days_opt(args, 2.0)?;
     let threads: usize = args.opt_or("threads", 0usize)?;
     let resume_path = args.opt("resume").map(std::path::PathBuf::from);
     let checkpoint_path =
@@ -643,7 +652,7 @@ fn campaign_cli_error(e: CampaignError) -> CliError {
 /// is bit-identical to the reference — asserted by FNV fingerprint.
 fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     let hosts: usize = args.opt_or("hosts", 6usize)?;
-    let days: f64 = args.opt_or("days", 1.0)?;
+    let days = days_opt(args, 1.0)?;
     let seed: u64 = args.opt_or("seed", 1u64)?;
     let threads: usize = args.opt_or("threads", 0usize)?;
     let chaos_seed: u64 = args.opt_or("chaos-seed", 42u64)?;
@@ -891,7 +900,7 @@ fn demo_fleet() -> Fleet {
 }
 
 fn cmd_fleet(args: &Args) -> Result<String, CliError> {
-    let days: f64 = args.opt_or("days", 1.0)?;
+    let days = days_opt(args, 1.0)?;
     let threads: usize = args.opt_or("threads", 0usize)?;
     let mut fleet = demo_fleet();
     if args.opt("scenario").is_some() {
@@ -977,7 +986,7 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
     let loaded = resolve_scenario(args)?;
     reject_fault_overlay(&loaded, "the faults command sweeps its own fault rates")?;
     let scenario = loaded.scenario;
-    let days: f64 = args.opt_or("days", 2.0)?;
+    let days = days_opt(args, 2.0)?;
     let rates = parse_rates(args)?;
     let mtbf = match args.opt_parse::<f64>("mtbf")? {
         Some(m) if m <= 0.0 => return Err(CliError::msg("--mtbf must be positive".into())),
@@ -1097,7 +1106,7 @@ fn cmd_fig(args: &Args) -> Result<String, CliError> {
         .parse()
         .map_err(|_| CliError::msg("expected a figure number (1-6)".into()))?;
     let quick = args.flag("quick");
-    let mut days: f64 = args.opt_or("days", bce_bench::figs::default_days(n))?;
+    let mut days = days_opt(args, bce_bench::figs::default_days(n))?;
     if quick {
         // Same cap FigOpts::parse applies in the study binaries.
         days = days.min(1.0);
@@ -1169,9 +1178,11 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         .local_addr()
         .map_err(|e| CliError::msg(format!("cannot resolve the bound address: {e}")))?;
     // `run` blocks until drained; announce readiness first so wrappers
-    // (and the CI smoke job) can poll for this line.
-    println!("bce-serve listening on http://{addr} (SIGTERM or SIGINT drains)");
-    let _ = std::io::stdout().flush();
+    // (and the CI smoke job) can poll for this line. A closed stdout
+    // must not stop the daemon, so write errors are ignored.
+    let mut stdout = std::io::stdout();
+    let _ = writeln!(stdout, "bce-serve listening on http://{addr} (SIGTERM or SIGINT drains)")
+        .and_then(|()| stdout.flush());
     let summary = server.run();
     Ok(format!("{summary}\n"))
 }
@@ -1201,7 +1212,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
 
     let LoadedScenario { scenario, faults, .. } = resolve_scenario(args)?;
     let client = client_config(args)?;
-    let days: f64 = args.opt_or("days", 1.0)?;
+    let days = days_opt(args, 1.0)?;
     let capacity: usize = args.opt_or("capacity", 1_000_000usize)?;
     if capacity == 0 {
         return Err(CliError::msg("--capacity must be positive".into()));
@@ -1210,6 +1221,13 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
     let components = parse_name_filter(args, "component", TraceEvent::COMPONENTS)?;
     let since: Option<f64> = args.opt_parse("since")?;
     let until: Option<f64> = args.opt_parse("until")?;
+    if let (Some(s), Some(u)) = (since, until) {
+        if s > u {
+            return Err(CliError::validation(format!(
+                "--since {s} is after --until {u}: the window is empty"
+            )));
+        }
+    }
     let limit: Option<usize> = args.opt_parse("limit")?;
 
     let emu = EmulatorConfig {
@@ -1242,14 +1260,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
     }
     out.push_str(&format!(", {} matching\n\n", selected.len()));
     for r in &selected {
-        out.push_str(&format!(
-            "[{:>7} t={:>10.0}s {:>5}] {:>15}  {}\n",
-            r.seq,
-            r.t.secs(),
-            r.event.component(),
-            r.event.kind(),
-            r.event.describe()
-        ));
+        out.push_str(&format!("{r}\n"));
     }
     if let Some(path) = args.opt("jsonl") {
         out.push_str(&format!("\nwrote {} events to {path}\n", selected.len()));
@@ -1293,10 +1304,43 @@ mod tests {
     }
 
     #[test]
-    fn run_with_timeline_and_log() {
-        let out = run("run scenario2 --days 0.05 --timeline --log").unwrap();
+    fn run_with_timeline() {
+        let out = run("run scenario2 --days 0.05 --timeline").unwrap();
         assert!(out.contains("timeline:"), "{out}");
-        assert!(out.contains("scheduling log:"), "{out}");
+        // The decision log is `bce trace`'s; `run --log` is gone.
+        let e = run("run scenario2 --days 0.05 --log").unwrap_err();
+        assert!(e.to_string().contains("unknown option --log"), "{e}");
+    }
+
+    #[test]
+    fn days_opt_accepts_only_finite_positive_days() {
+        let parse = |v: &str| {
+            let args = Args::parse(["run", "--days", v].map(String::from), VALUE_OPTS).unwrap();
+            days_opt(&args, 10.0)
+        };
+        for bad in ["inf", "-inf", "nan", "0", "-1"] {
+            assert_eq!(parse(bad).unwrap_err().exit_code, 2, "--days {bad}");
+        }
+        assert_eq!(parse("0.5").unwrap(), 0.5);
+        let none = Args::parse(["run"].map(String::from), VALUE_OPTS).unwrap();
+        assert_eq!(days_opt(&none, 10.0).unwrap(), 10.0);
+    }
+
+    #[test]
+    fn every_days_verb_rejects_a_negative_horizon() {
+        for cmd in [
+            "run scenario1",
+            "compare scenario1",
+            "population --hosts 2",
+            "chaos --hosts 2",
+            "fleet",
+            "faults scenario1",
+            "fig 1",
+            "trace scenario1",
+        ] {
+            let e = run(&format!("{cmd} --days -1")).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{cmd}: {e}");
+        }
     }
 
     #[test]
@@ -1455,6 +1499,9 @@ mod tests {
         assert!(run("trace scenario1 --days 0.1 --component bogus").is_err());
         assert!(run("trace scenario1 --days 0.1 --capacity 0").is_err());
         assert!(run("trace").is_err());
+        let e = run("trace scenario1 --days 0.1 --since 200 --until 100").unwrap_err();
+        assert_eq!(e.exit_code, 2, "{e}");
+        assert!(run("trace scenario1 --days 0.1 --since 100 --until 100").is_ok());
     }
 
     #[test]

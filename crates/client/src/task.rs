@@ -10,7 +10,7 @@
 
 use bce_types::{JobSpec, SimDuration, SimTime};
 
-/// Why a task is not currently running (for the message log).
+/// Why a task is not currently running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// Waiting for input files.

@@ -8,23 +8,24 @@
 //! processes, server job factories and supply processes, fault plans),
 //! the client's tasks/transfers/debts/backoffs including the RR-sim
 //! cache, the metric accumulators, and the reproducible observation
-//! state (message log, timeline segments). Restoring it and running to
-//! the end produces a result whose
+//! state (the typed decision trace, timeline segments). Restoring it and
+//! running to the end produces a result whose
 //! [`crate::EmulationResult::bit_fingerprint`] equals the uninterrupted
-//! run's — that identity is the contract this module exists to keep, and
-//! the round-trip property tests enforce it.
+//! run's, and whose trace holds the same records, drop count and next
+//! sequence number — that identity is the contract this module exists
+//! to keep, and the round-trip property tests enforce it.
 //!
 //! **What is deliberately *not* captured:** wall-clock instruments. The
-//! profiler, the typed-trace buffer and the exported metrics snapshot
-//! are observation-only and excluded from the fingerprint, so a resumed
-//! run may report different span timings while remaining bit-identical
-//! where it matters.
+//! profiler and the exported metrics snapshot are observation-only and
+//! excluded from the fingerprint, so a resumed run may report different
+//! span timings while remaining bit-identical where it matters.
 //!
 //! The on-disk format reuses `bce-statefile`'s XML machinery through a
-//! `<bce_checkpoint version="1">` envelope; floats are stored as the hex
-//! of their IEEE-754 bit pattern so serialization is exact. Malformed,
-//! truncated or hostile input yields a [`CheckpointError`], never a
-//! panic.
+//! `<bce_checkpoint version="3">` envelope; floats are stored as the hex
+//! of their IEEE-754 bit pattern so serialization is exact. Trace records
+//! are stored as their JSONL lines (`bce_obs::export`), whose integers
+//! and shortest-round-trip floats are exact too. Malformed, truncated or
+//! hostile input yields a [`CheckpointError`], never a panic.
 
 use crate::emulator::Event;
 use crate::metrics::MetricsAccumSnapshot;
@@ -34,8 +35,9 @@ use bce_client::{
     RrStats, TaskSnapshot, TaskState, XferRetrySnapshot,
 };
 use bce_faults::RetryState;
+use bce_obs::{parse_record, record_to_json, TraceBuffer};
 use bce_server::{ServerSnapshot, ServerStats};
-use bce_sim::{Component, Level, LogEntry, Occupancy, Rng, Segment};
+use bce_sim::{Occupancy, Rng, Segment};
 use bce_statefile::{
     attr_f64_bits, attr_parse, envelope, fmt_f64_bits, fmt_u64_hex, frame, open_envelope,
     parse_u64_hex, req_attr, req_child, CodecError, IoOp, RealIo, StateIo, XmlNode,
@@ -49,8 +51,10 @@ use std::path::Path;
 /// Current version of the checkpoint document format. Bumped to 2 when
 /// the RR dirty-tracking state (`rr_dirty`, `frozen_until`, the `frozen`
 /// counter) and the availability coalescing counters joined the capture;
-/// v1 documents lack them and cannot resume bit-identically.
-const VERSION: u32 = 2;
+/// v1 documents lack them and cannot resume bit-identically. Bumped to 3
+/// when the typed trace (`<trace>`) replaced the message log (`<log>`);
+/// a v2 document cannot restore a traced run's decision record.
+const VERSION: u32 = 3;
 /// Root element name of the checkpoint document.
 const ROOT: &str = "bce_checkpoint";
 
@@ -147,7 +151,8 @@ pub struct CheckpointState {
     pub(crate) crash_rng: Option<Rng>,
     pub(crate) recoveries: Vec<(SimTime, Vec<(JobId, f64)>)>,
     pub(crate) metrics: MetricsAccumSnapshot,
-    pub(crate) log: Option<(Vec<LogEntry>, u64)>,
+    /// The recorded trace; `None` when tracing is off.
+    pub(crate) trace: Option<TraceBuffer>,
     pub(crate) timeline: Option<Vec<(InstanceId, Vec<Segment>)>>,
     pub(crate) assignment: Vec<(JobId, Vec<InstanceId>)>,
 }
@@ -196,12 +201,13 @@ impl CheckpointState {
     pub fn from_xml_str(src: &str) -> Result<Self, CheckpointError> {
         let (v, root) = open_envelope(src, ROOT, VERSION)?;
         if v < VERSION {
-            // Every field is required for a bit-identical resume; older
-            // documents are missing the RR dirty-tracking state, so they
-            // are rejected outright rather than resumed with silently
-            // reset cache state.
+            // Every field is required for a faithful resume; v1 documents
+            // lack the RR dirty-tracking state and v2 documents carry a
+            // message log instead of the trace, so they are rejected
+            // outright rather than resumed with silently reset state.
+            let missing = if v < 2 { "RR dirty-state tracking" } else { "the typed trace" };
             return Err(bce_statefile::CodecError::BadVersion(format!(
-                "v{v} checkpoint predates RR dirty-state tracking (need v{VERSION})"
+                "v{v} checkpoint predates {missing} (need v{VERSION})"
             ))
             .into());
         }
@@ -323,18 +329,15 @@ impl CheckpointState {
 
         root.push(metrics_node(&self.metrics));
 
-        if let Some((entries, dropped)) = &self.log {
-            let mut log = XmlNode::new("log");
-            log.attrs.push(("dropped".into(), dropped.to_string()));
-            for e in entries {
-                let mut entry = XmlNode::new("entry");
-                push_time(&mut entry, "time", e.time);
-                entry.attrs.push(("level".into(), e.level.name().into()));
-                entry.attrs.push(("component".into(), e.component.name().into()));
-                entry.attrs.push(("msg".into(), e.message.clone()));
-                log.push(entry);
+        if let Some(buf) = &self.trace {
+            let mut trace = XmlNode::new("trace");
+            trace.attrs.push(("capacity".into(), buf.capacity().to_string()));
+            trace.attrs.push(("dropped".into(), buf.dropped().to_string()));
+            trace.attrs.push(("next_seq".into(), buf.emitted().to_string()));
+            for r in buf.records() {
+                trace.push(XmlNode::with_text("rec", record_to_json(r)));
             }
-            root.push(log);
+            root.push(trace);
         }
 
         if let Some(tracks) = &self.timeline {
@@ -464,30 +467,8 @@ impl CheckpointState {
 
         let metrics = parse_metrics(req_child(root, "metrics")?)?;
 
-        let log = match root.child("log") {
-            Some(log_el) => {
-                let dropped: u64 = attr_parse(log_el, "dropped")?;
-                let mut entries = Vec::new();
-                for e in log_el.children_named("entry") {
-                    let level = Level::from_name(req_attr(e, "level")?).ok_or_else(|| {
-                        CodecError::Field(format!("unknown log level {:?}", e.attr("level")))
-                    })?;
-                    let component =
-                        Component::from_name(req_attr(e, "component")?).ok_or_else(|| {
-                            CodecError::Field(format!(
-                                "unknown log component {:?}",
-                                e.attr("component")
-                            ))
-                        })?;
-                    entries.push(LogEntry {
-                        time: time_attr(e, "time")?,
-                        level,
-                        component,
-                        message: req_attr(e, "msg")?.to_string(),
-                    });
-                }
-                Some((entries, dropped))
-            }
+        let trace = match root.child("trace") {
+            Some(el) => Some(parse_trace(el)?),
             None => None,
         };
 
@@ -555,7 +536,7 @@ impl CheckpointState {
             crash_rng,
             recoveries,
             metrics,
-            log,
+            trace,
             timeline,
             assignment,
         })
@@ -1218,6 +1199,41 @@ fn metrics_node(m: &MetricsAccumSnapshot) -> XmlNode {
         n.push(u);
     }
     n
+}
+
+/// Decode `<trace>`: one JSONL record per `<rec>`, in emission order. The
+/// counters must agree with the records (every emitted event is either
+/// kept, while there is room, or dropped), so a spliced or truncated
+/// history is refused instead of resumed.
+fn parse_trace(n: &XmlNode) -> Result<TraceBuffer, CodecError> {
+    let capacity: usize = attr_parse(n, "capacity")?;
+    let dropped: u64 = attr_parse(n, "dropped")?;
+    let next_seq: u64 = attr_parse(n, "next_seq")?;
+    let mut records = Vec::new();
+    for (i, rec) in n.children_named("rec").enumerate() {
+        let r = parse_record(&rec.text, i + 1)
+            .map_err(|e| CodecError::Field(format!("<trace> record {e}")))?;
+        if r.seq != i as u64 {
+            return Err(CodecError::Field(format!(
+                "<trace> record {} has seq {}, expected {i}",
+                i + 1,
+                r.seq
+            )));
+        }
+        records.push(r);
+    }
+    let kept = records.len() as u64;
+    if capacity == 0
+        || records.len() > capacity
+        || (dropped > 0 && records.len() < capacity)
+        || kept.checked_add(dropped) != Some(next_seq)
+    {
+        return Err(CodecError::Field(format!(
+            "<trace> counters are inconsistent: {kept} records, capacity {capacity}, \
+             {dropped} dropped, next seq {next_seq}"
+        )));
+    }
+    Ok(TraceBuffer::restore(capacity, records, dropped, next_seq))
 }
 
 fn parse_metrics(n: &XmlNode) -> Result<MetricsAccumSnapshot, CodecError> {

@@ -2,7 +2,8 @@
 //!
 //! Takes a [`Scenario`] plus policy flags, emulates the client over a
 //! period of simulated time, and reports the figures of merit, a
-//! per-instance usage timeline and a message log of scheduling decisions.
+//! per-instance usage timeline and a typed trace of its scheduling
+//! decisions (the paper's message log).
 //!
 //! Structure: a discrete-event loop with piecewise-constant allocation.
 //! Between events the running set is fixed, so task progress and metrics
@@ -12,16 +13,18 @@
 
 use crate::checkpoint::{CheckpointError, CheckpointState};
 use crate::metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
-use crate::observe::RunObserver;
 use crate::scenario::Scenario;
 use bce_avail::{AvailSource, Governor, HostRunState, OnOffProcess};
-use bce_client::{Client, ClientConfig, ClientProject, ClientScratch, FetchPolicy, JobSchedPolicy};
+use bce_client::{
+    Client, ClientConfig, ClientProject, ClientScratch, FetchPolicy, JobSchedPolicy, Reschedule,
+};
 use bce_faults::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
 use bce_obs::{
-    MetricsSnapshot, ProfileReport, Profiler, SpanId, TraceBuffer, TraceRecord, TraceSink,
+    MetricsSnapshot, ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord,
+    TraceSink, Tracer,
 };
 use bce_server::{ProjectServer, RpcOutcome, SchedulerRequest, ServerConfig, TypeRequest};
-use bce_sim::{EventQueue, Fnv64, Level, LogEntry, MsgLog, Occupancy, Rng, Timeline};
+use bce_sim::{EventQueue, Fnv64, Occupancy, Rng, Timeline};
 use bce_types::{Hardware, InstanceId, JobId, ProcType, ProjectId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,10 +41,6 @@ pub struct EmulatorConfig {
     pub monotony_window: SimDuration,
     /// Record the per-instance timeline? (costs memory on long runs)
     pub record_timeline: bool,
-    /// Message-log verbosity.
-    pub log_level: Level,
-    /// Message-log capacity (0 disables logging entirely).
-    pub log_capacity: usize,
     pub server: ServerConfig,
     /// Upper bound on scheduler RPCs issued per decision point.
     pub max_rpcs_per_point: usize,
@@ -49,8 +48,9 @@ pub struct EmulatorConfig {
     /// leaves the emulation bit-identical to one without fault plumbing.
     pub faults: FaultConfig,
     /// Typed-trace buffer capacity (0 = tracing off, the default; the
-    /// no-op sink is provably allocation-free). Tracing is observation
-    /// only: enabling it never changes a result bit.
+    /// no-op sink is provably allocation-free). The trace is the run's
+    /// decision log. Tracing is observation only: enabling it never
+    /// changes a result bit.
     pub trace_capacity: usize,
     /// Record wall-clock/sim-time profiling spans for this run. Off by
     /// default; span timings are reported out-of-band
@@ -81,8 +81,6 @@ impl Default for EmulatorConfig {
             sched_period: SimDuration::from_secs(60.0),
             monotony_window: SimDuration::from_hours(1.0),
             record_timeline: false,
-            log_level: Level::Info,
-            log_capacity: 0,
             server: ServerConfig::default(),
             max_rpcs_per_point: 4,
             faults: FaultConfig::OFF,
@@ -129,15 +127,15 @@ pub struct EmulationResult {
     /// Emulator runtime counters (event throughput, RR-sim cache hits).
     pub perf: PerfStats,
     pub timeline: Option<Timeline>,
-    pub log: MsgLog,
     /// The run's instruments frozen into the unified `scope.name` schema
     /// (counters, merit/fault gauges, perf counters). Derived from the
     /// same state as the fields above, so it is deliberately *not*
     /// fingerprinted.
     pub metrics: MetricsSnapshot,
-    /// Typed decision trace (empty unless `trace_capacity > 0`). Excluded
-    /// from [`EmulationResult::bit_fingerprint`] by design: enabling
-    /// tracing must leave the fingerprint unchanged.
+    /// Typed decision trace, the run's message log (empty unless
+    /// `trace_capacity > 0`). Excluded from
+    /// [`EmulationResult::bit_fingerprint`] by design: enabling tracing
+    /// must leave the fingerprint unchanged.
     pub trace: TraceBuffer,
     /// Profiling spans (present iff `EmulatorConfig::profile`). Contains
     /// wall-clock time and is never part of any determinism contract.
@@ -147,8 +145,8 @@ pub struct EmulationResult {
 impl EmulationResult {
     /// A deterministic FNV-1a digest over every reproducible field of the
     /// result — figures of merit, per-project reports, job counts, fault
-    /// and perf counters, the timeline segments and the message log — with
-    /// floats hashed by their exact bit patterns. Two runs are
+    /// and perf counters and the timeline segments — with floats hashed
+    /// by their exact bit patterns. Two runs are
     /// bit-identical iff their fingerprints match; the determinism matrix
     /// and the fresh-vs-reused arena tests compare these.
     pub fn bit_fingerprint(&self) -> u64 {
@@ -212,12 +210,10 @@ impl EmulationResult {
                 }
             }
         }
-        for e in self.log.entries() {
-            h.f64(e.time.secs());
-            h.str(e.component.name());
-            h.str(&e.message);
-        }
-        h.u64(self.log.dropped());
+        // The last word is the drop count of a message log that no longer
+        // exists; every fingerprinted run had it disabled, so it was 0.
+        // Hashing the constant keeps recorded fingerprints valid.
+        h.u64(0);
         h.finish()
     }
 }
@@ -257,7 +253,7 @@ pub struct Emulator {
 
 /// Reusable per-worker emulator state: the event queue, the client's
 /// internal buffers (task queue, RR-simulation scratch, accounting
-/// sample), the per-project metrics buffer and the message-log entry
+/// sample), the per-project metrics buffer and the trace's record
 /// buffer. One arena per worker thread amortises per-run allocations over
 /// a whole population study; [`Emulator::run_in`] clears everything before
 /// use, so results are bit-identical to a fresh [`Emulator::run`].
@@ -265,7 +261,6 @@ pub struct EmulatorArena {
     queue: EventQueue<Event>,
     client: Option<ClientScratch>,
     per_project: Vec<(ProjectId, f64)>,
-    log_entries: Vec<LogEntry>,
     trace_records: Vec<TraceRecord>,
 }
 
@@ -280,21 +275,15 @@ impl EmulatorArena {
             queue: EventQueue::with_capacity(Self::EVENT_CAPACITY),
             client: None,
             per_project: Vec::new(),
-            log_entries: Vec::new(),
             trace_records: Vec::new(),
         }
     }
 
-    /// Reclaim the buffers of a consumed result (the message log's entry
-    /// buffer and the trace buffer's record vector). Serial drivers that
-    /// enable logging or tracing can hand each result back after reading
-    /// it so even those allocations are reused across runs.
+    /// Reclaim the buffers of a consumed result (the trace buffer's
+    /// record vector). Serial drivers that enable tracing can hand each
+    /// result back after reading it so even that allocation is reused
+    /// across runs.
     pub fn reclaim(&mut self, result: EmulationResult) {
-        let mut entries = result.log.into_entries();
-        if entries.capacity() > self.log_entries.capacity() {
-            entries.clear();
-            self.log_entries = entries;
-        }
         let mut records = result.trace.into_records();
         if records.capacity() > self.trace_records.capacity() {
             records.clear();
@@ -338,8 +327,8 @@ impl Emulator {
     /// Run the emulation inside a reusable [`EmulatorArena`]. The arena's
     /// buffers are cleared before use, so the result is bit-identical to
     /// [`Emulator::run`]; population-scale drivers keep one arena per
-    /// worker so the event queue, RR scratch, task buffers and log buffer
-    /// are allocated once per worker rather than once per run.
+    /// worker so the event queue, RR scratch, task buffers and trace
+    /// buffer are allocated once per worker rather than once per run.
     ///
     /// Panics if the scenario fails [`Scenario::validate`].
     pub fn run_in(&self, arena: &mut EmulatorArena) -> EmulationResult {
@@ -366,7 +355,6 @@ impl Emulator {
         let mut queue = std::mem::replace(&mut arena.queue, EventQueue::with_capacity(0));
         let client_scratch = arena.client.take();
         let mut per_project = std::mem::take(&mut arena.per_project);
-        let log_entries = std::mem::take(&mut arena.log_entries);
         let trace_records = std::mem::take(&mut arena.trace_records);
         let hw = scenario.hardware.clone();
         let end = SimTime::ZERO + self.cfg.duration;
@@ -445,17 +433,11 @@ impl Emulator {
             SimTime::ZERO,
             self.cfg.monotony_window,
         );
-        let log = if self.cfg.log_capacity > 0 {
-            MsgLog::with_buffer(self.cfg.log_level, self.cfg.log_capacity, log_entries)
-        } else {
-            MsgLog::disabled()
-        };
         let trace = if self.cfg.trace_capacity > 0 {
             TraceSink::Buffer(TraceBuffer::with_buffer(self.cfg.trace_capacity, trace_records))
         } else {
             TraceSink::Noop
         };
-        let obs = RunObserver::new(log, trace);
         let mut prof = if self.cfg.profile { Profiler::enabled() } else { Profiler::disabled() };
         let sp_advance = prof.span("emu.client_advance");
         let sp_resched = prof.span("emu.reschedule");
@@ -503,7 +485,7 @@ impl Emulator {
             crash_proc,
             recoveries,
             metrics,
-            obs,
+            trace,
             prof,
             sp_advance,
             sp_resched,
@@ -556,8 +538,8 @@ impl Emulator {
         if ckpt.crash_rng.is_some() != faults.crash_mtbf.is_some() {
             return Err(CheckpointError::ConfigMismatch("crash injection".into()));
         }
-        if ckpt.log.is_some() != (self.cfg.log_capacity > 0) {
-            return Err(CheckpointError::ConfigMismatch("log capacity".into()));
+        if ckpt.trace.as_ref().map_or(0, TraceBuffer::capacity) != self.cfg.trace_capacity {
+            return Err(CheckpointError::ConfigMismatch("trace capacity".into()));
         }
         if ckpt.timeline.is_some() != self.cfg.record_timeline {
             return Err(CheckpointError::ConfigMismatch("record_timeline".into()));
@@ -597,8 +579,8 @@ impl Emulator {
             .map(|(start, targets)| RecoveryTracker { start: *start, targets: targets.clone() })
             .collect();
         st.metrics.restore_snapshot(&ckpt.metrics);
-        if let Some((entries, dropped)) = &ckpt.log {
-            st.obs.log.restore_history(entries.iter().cloned(), *dropped);
+        if let Some(trace) = &ckpt.trace {
+            st.trace = TraceSink::Buffer(trace.clone());
         }
         if let (Some(tl), Some(tracks)) = (&mut st.timeline, &ckpt.timeline) {
             for (inst, segs) in tracks {
@@ -706,7 +688,8 @@ struct RunState {
     crash_proc: Option<CrashProcess>,
     recoveries: Vec<RecoveryTracker>,
     metrics: MetricsAccum,
-    obs: RunObserver,
+    /// The run's decision log; every decision is emitted here.
+    trace: TraceSink,
     prof: Profiler,
     sp_advance: SpanId,
     sp_resched: SpanId,
@@ -758,7 +741,7 @@ impl RunState {
             crash_proc,
             recoveries,
             metrics,
-            obs,
+            trace,
             prof,
             sp_advance,
             sp_resched,
@@ -827,7 +810,11 @@ impl RunState {
                         task.rollback_waste * task.spec.usage.peak_flops_on(&*hw),
                     );
                 }
-                obs.job_finished(now, *id, project, met);
+                trace.emit(now, || TraceEvent::JobFinished {
+                    job: *id,
+                    project,
+                    met_deadline: met,
+                });
             }
             assignment.remove(id);
         }
@@ -836,7 +823,7 @@ impl RunState {
         // exhausted their retry budget, and crash-recovery progress.
         for &(job, upload) in &events.failed_transfers {
             metrics.record_transfer_failure();
-            obs.transfer_failed(now, job, upload);
+            trace.emit(now, || TraceEvent::TransferFailed { job, upload });
         }
         for id in &events.errored {
             let (project, flops_spent) = {
@@ -847,7 +834,7 @@ impl RunState {
                 server.report_errored(*id);
             }
             metrics.record_job_errored(flops_spent);
-            obs.job_errored(now, *id, project);
+            trace.emit(now, || TraceEvent::JobErrored { job: *id, project });
             client.retire(*id);
             assignment.remove(id);
         }
@@ -862,7 +849,7 @@ impl RunState {
                 if r.targets.is_empty() {
                     let secs = (now - r.start).secs();
                     metrics.record_recovery(secs);
-                    obs.recovered(now, secs);
+                    trace.emit(now, || TraceEvent::Recovered { secs });
                     false
                 } else {
                     true
@@ -914,12 +901,11 @@ impl RunState {
                 }
                 let new_state = governor.run_state(cursor, &scenario.prefs);
                 if new_state != *run_state {
-                    obs.avail_changed(
-                        now,
-                        new_state.can_compute,
-                        new_state.can_gpu,
-                        new_state.net_up,
-                    );
+                    trace.emit(now, || TraceEvent::AvailChanged {
+                        can_compute: new_state.can_compute,
+                        can_gpu: new_state.can_gpu,
+                        net_up: new_state.net_up,
+                    });
                     *run_state = new_state;
                     need_sched = true;
                 } else {
@@ -944,12 +930,11 @@ impl RunState {
                 let lost_flops: f64 =
                     outcome.lost.iter().map(|&(id, secs)| secs * client.peak_flops_of(id)).sum();
                 metrics.record_crash(lost_flops);
-                obs.crashed(
-                    now,
-                    outcome.lost.len(),
-                    outcome.lost.iter().map(|&(_, s)| s).sum::<f64>(),
-                    outcome.restarted_transfers,
-                );
+                trace.emit(now, || TraceEvent::Crashed {
+                    tasks_rolled_back: outcome.lost.len() as u64,
+                    exec_secs_lost: outcome.lost.iter().map(|&(_, s)| s).sum::<f64>(),
+                    transfers_restarted: outcome.restarted_transfers as u64,
+                });
                 if !outcome.lost.is_empty() {
                     // Recovery target: the progress each task had at
                     // the instant of the crash (post-rollback progress
@@ -985,7 +970,7 @@ impl RunState {
         //    which re-runs the simulation only after an RPC actually
         //    changed the queue.
         let resched = prof.time(sp_resched, || client.reschedule(now, *run_state, on_frac));
-        obs.scheduled(now, &resched);
+        emit_scheduled(trace, now, &resched);
         let mut fetched_any = false;
         let mut first_rpc = true;
         prof.time(sp_rpc, || {
@@ -996,15 +981,15 @@ impl RunState {
                 first_rpc = false;
                 let Some(decision) = client.fetch_decision(now, *run_state, client.rr_snapshot())
                 else {
-                    // Trace-only forensics: the queue wanted work (some
-                    // type shows a shortfall) but no project was
-                    // eligible. A disabled sink skips even the check.
-                    if obs.tracing() && run_state.net_up {
+                    // Forensics: the queue wanted work (some type shows
+                    // a shortfall) but no project was eligible. A
+                    // disabled sink skips even the check.
+                    if trace.is_enabled() && run_state.net_up {
                         let rr = client.rr_snapshot();
                         let wants = ProcType::ALL.iter().any(|&pt| rr.shortfall[pt] > 1.0);
                         if wants {
                             if let Some((p, until)) = client.next_fetch_unblock_detail(now) {
-                                obs.fetch_deferred(now, p, until);
+                                trace.emit(now, || TraceEvent::FetchDeferred { project: p, until });
                             }
                         }
                     }
@@ -1035,24 +1020,23 @@ impl RunState {
                 };
                 match outcome {
                     RpcOutcome::Reply(reply) => {
-                        obs.rpc_reply(
-                            now,
+                        trace.emit(now, || TraceEvent::RpcReply {
                             project,
-                            request.per_type[ProcType::Cpu].secs,
-                            request.per_type[ProcType::NvidiaGpu].secs
+                            cpu_secs: request.per_type[ProcType::Cpu].secs,
+                            gpu_secs: request.per_type[ProcType::NvidiaGpu].secs
                                 + request.per_type[ProcType::AtiGpu].secs,
-                            reply.jobs.len(),
-                        );
+                            jobs: reply.jobs.len() as u64,
+                        });
                         let got_jobs = !reply.jobs.is_empty();
                         client.record_reply(now, project, reply.jobs, reply.delay);
                         fetched_any |= got_jobs;
                     }
                     RpcOutcome::Down => {
-                        obs.rpc_down(now, project);
+                        trace.emit(now, || TraceEvent::RpcDown { project });
                         client.record_rpc_failure(now, project);
                     }
                     RpcOutcome::TransientFailure => {
-                        obs.rpc_lost(now, project);
+                        trace.emit(now, || TraceEvent::RpcLost { project });
                         let jitter_u = rpc_faults.as_mut().map_or(0.0, |inj| inj.jitter_u(project));
                         client.record_transient_rpc_failure(now, project, jitter_u);
                         metrics.record_transient_rpc_failure();
@@ -1062,7 +1046,7 @@ impl RunState {
         });
         if fetched_any {
             let r2 = prof.time(sp_resched, || client.reschedule(now, *run_state, on_frac));
-            obs.scheduled(now, &r2);
+            emit_scheduled(trace, now, &r2);
         }
         *peak_jobs = (*peak_jobs).max(client.tasks().len());
 
@@ -1139,7 +1123,7 @@ impl RunState {
             let sp_total = self.prof.span("emu.total");
             self.prof.add_wall_nanos(sp_total, start.elapsed().as_nanos());
         }
-        let (log, trace) = self.obs.finish();
+        let trace = self.trace.take_buffer();
 
         EmulationResult {
             scenario_name: scenario.name.clone(),
@@ -1154,7 +1138,6 @@ impl RunState {
             faults: fault_metrics,
             perf,
             timeline: self.timeline,
-            log,
             metrics: metrics_snapshot,
             trace,
             profile: emu.cfg.profile.then(|| self.prof.report()),
@@ -1162,8 +1145,8 @@ impl RunState {
     }
 
     /// Capture the complete deterministic state of the run at the current
-    /// event boundary. Wall-clock instruments (profiler, trace buffer)
-    /// are excluded: they are not part of the determinism contract.
+    /// event boundary, the recorded trace included. The profiler is
+    /// excluded: wall-clock time is not part of the determinism contract.
     fn capture(&self, emu: &Emulator) -> CheckpointState {
         let scenario = &*emu.scenario;
         let (host, user, net) = self.governor.sources();
@@ -1189,14 +1172,28 @@ impl RunState {
             crash_rng: self.crash_proc.as_ref().map(|cp| cp.rng().clone()),
             recoveries: self.recoveries.iter().map(|r| (r.start, r.targets.clone())).collect(),
             metrics: self.metrics.snapshot(),
-            log: (emu.cfg.log_capacity > 0)
-                .then(|| (self.obs.log.entries().to_vec(), self.obs.log.dropped())),
+            trace: match &self.trace {
+                TraceSink::Noop => None,
+                TraceSink::Buffer(b) => Some(b.clone()),
+            },
             timeline: self.timeline.as_ref().map(|tl| {
                 tl.tracks().iter().map(|tr| (tr.instance, tr.segments().to_vec())).collect()
             }),
             assignment: self.assignment.iter().map(|(j, v)| (*j, v.clone())).collect(),
         }
     }
+}
+
+/// Record a change of the running set. A reschedule that started and
+/// preempted nothing is not a decision and emits nothing.
+fn emit_scheduled(trace: &mut TraceSink, now: SimTime, r: &Reschedule) {
+    if r.started.is_empty() && r.preempted.is_empty() {
+        return;
+    }
+    trace.emit(now, || TraceEvent::Scheduled {
+        started: r.started.clone(),
+        preempted: r.preempted.clone(),
+    });
 }
 
 fn avail_source_state(src: &AvailSource) -> Option<(Rng, bool, SimTime)> {

@@ -8,14 +8,14 @@
 //! This crate binds the emulated client (`bce-client`), the simulated
 //! project servers (`bce-server`) and the availability model
 //! (`bce-avail`) into a deterministic discrete-event loop, accumulates the
-//! five figures of merit of §4.2, and renders the usage timeline and
-//! message log.
+//! five figures of merit of §4.2, renders the usage timeline, and
+//! records every scheduling decision as a typed trace ([`TraceRecord`]),
+//! the paper's message log.
 
 pub mod builder;
 pub mod checkpoint;
 pub mod emulator;
 pub mod metrics;
-pub mod observe;
 pub mod render;
 pub mod scenario;
 pub mod spec;
@@ -29,7 +29,6 @@ pub use builder::ScenarioBuilder;
 pub use checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState};
 pub use emulator::{EmulationResult, Emulator, EmulatorArena, EmulatorConfig};
 pub use metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
-pub use observe::RunObserver;
 pub use render::{render_report, render_timeline};
 pub use scenario::Scenario;
 pub use spec::{ScenarioSpec, SpecError};

@@ -9,7 +9,6 @@ use bce_core::{
     EmulationResult, Emulator, EmulatorArena, EmulatorConfig, FaultConfig, Scenario,
     ScenarioBuilder,
 };
-use bce_sim::Level;
 use bce_types::{AppClass, Hardware, Preferences, ProcType, ProjectSpec, SimDuration};
 
 fn cpu_scenario(seed: u64) -> Scenario {
@@ -53,14 +52,13 @@ fn gpu_scenario(seed: u64) -> Scenario {
 }
 
 fn observed_cfg() -> EmulatorConfig {
-    // Everything on: message log, timeline, faults — the arena must
-    // recycle cleanly even with every optional subsystem active.
+    // Everything on: trace, timeline, faults — the arena must recycle
+    // cleanly even with every optional subsystem active.
     let mut faults = FaultConfig::with_failure_rate(0.1);
     faults.crash_mtbf = Some(SimDuration::from_hours(9.0));
     EmulatorConfig {
         duration: SimDuration::from_hours(18.0),
-        log_capacity: 50_000,
-        log_level: Level::Debug,
+        trace_capacity: 50_000,
         record_timeline: true,
         faults,
         ..Default::default()
@@ -98,7 +96,7 @@ fn dirty_arena_does_not_leak_into_next_run() {
     // apps, preferences, policies) through one arena; each result must be
     // identical to a fresh-arena run of the same spec. This catches any
     // state the arena fails to clear: queue entries, task buffers, RR
-    // scratch, per-project accumulators, log entries.
+    // scratch, per-project accumulators, trace records.
     let specs: Vec<(Scenario, ClientConfig)> = vec![
         (cpu_scenario(1), ClientConfig::default()),
         (
@@ -124,9 +122,9 @@ fn dirty_arena_does_not_leak_into_next_run() {
 
 #[test]
 fn arena_reuse_with_log_timeline_and_faults() {
-    // The observability + fault paths allocate the most per run (log
-    // entries, timeline segments, fault RNG streams); they too must be
-    // bit-stable under reuse, including the rendered log text.
+    // The observability + fault paths allocate the most per run (trace
+    // records, timeline segments, fault RNG streams); they too must be
+    // bit-stable under reuse, including the recorded trace.
     let client = ClientConfig::default();
     let mut arena = EmulatorArena::new();
     for scenario_seed in [5u64, 6, 7] {
@@ -134,8 +132,9 @@ fn arena_reuse_with_log_timeline_and_faults() {
             Emulator::new(cpu_scenario(scenario_seed), client, observed_cfg()).run_in(&mut arena);
         let baseline = fresh(cpu_scenario(scenario_seed), client, observed_cfg());
         assert_eq!(reused.bit_fingerprint(), baseline.bit_fingerprint());
-        assert_eq!(reused.log.render(), baseline.log.render());
-        // Hand the log buffer back so the next pass actually recycles it.
+        assert!(!baseline.trace.is_empty());
+        assert_eq!(reused.trace, baseline.trace);
+        // Hand the trace buffer back so the next pass actually recycles it.
         arena.reclaim(reused);
     }
 }

@@ -1,8 +1,9 @@
 //! Checkpoint/restore differential tests: capturing a run mid-flight and
 //! resuming it — in-process or through the serialized XML document, even
 //! across a simulated process restart — must produce a result whose
-//! [`EmulationResult::bit_fingerprint`] equals the uninterrupted run's.
-//! This is the determinism contract the crash-safe executor builds on.
+//! [`EmulationResult::bit_fingerprint`] equals the uninterrupted run's,
+//! and whose decision trace is the uninterrupted run's trace. This is the
+//! determinism contract the crash-safe executor builds on.
 
 use bce_avail::{AvailSpec, OnOffSpec};
 use bce_client::{ClientConfig, JobSchedPolicy};
@@ -10,7 +11,6 @@ use bce_core::{
     CheckpointError, CheckpointState, EmulationResult, Emulator, EmulatorArena, EmulatorConfig,
     FaultConfig, Scenario, ScenarioBuilder,
 };
-use bce_sim::Level;
 use bce_types::{AppClass, Hardware, ProcType, ProjectSpec, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -98,14 +98,12 @@ fn bare_cfg() -> EmulatorConfig {
 }
 
 /// Every optional subsystem on: faults (RPC + transfer + crashes),
-/// message log, timeline, typed trace. Restore must reproduce all of it.
+/// timeline, typed trace. Restore must reproduce all of it.
 fn observed_cfg() -> EmulatorConfig {
     let mut faults = FaultConfig::with_failure_rate(0.1);
     faults.crash_mtbf = Some(SimDuration::from_hours(9.0));
     EmulatorConfig {
         duration: SimDuration::from_hours(18.0),
-        log_capacity: 50_000,
-        log_level: Level::Debug,
         record_timeline: true,
         trace_capacity: 50_000,
         faults,
@@ -118,6 +116,15 @@ fn assert_same(resumed: &EmulationResult, straight: &EmulationResult, what: &str
         resumed.bit_fingerprint(),
         straight.bit_fingerprint(),
         "{what}: resumed run diverged from the uninterrupted run"
+    );
+    // The fingerprint leaves the trace out; the decision record must
+    // survive the checkpoint on its own terms.
+    let (a, b) = (&resumed.trace, &straight.trace);
+    assert!(a.records() == b.records(), "{what}: resumed trace records differ");
+    assert_eq!(
+        (a.dropped(), a.emitted()),
+        (b.dropped(), b.emitted()),
+        "{what}: resumed trace counters differ"
     );
 }
 
@@ -312,6 +319,33 @@ fn mismatched_scenario_or_config_is_rejected() {
     };
     let other = Emulator::new(cpu_scenario(5), client, faulty);
     assert!(matches!(other.resume(&ckpt), Err(CheckpointError::ConfigMismatch(_))));
+
+    // A trace is present iff tracing is on, at the capacity it ran with.
+    let traced = |trace_capacity| EmulatorConfig { trace_capacity, ..bare_cfg() };
+    let other = Emulator::new(cpu_scenario(5), client, traced(100));
+    assert!(matches!(other.resume(&ckpt), Err(CheckpointError::ConfigMismatch(_))));
+    let traced_ckpt = other.checkpoint_at(SimTime::from_secs(3600.0));
+    for cfg in [bare_cfg(), traced(101)] {
+        let other = Emulator::new(cpu_scenario(5), client, cfg);
+        assert!(matches!(other.resume(&traced_ckpt), Err(CheckpointError::ConfigMismatch(_))));
+    }
+}
+
+#[test]
+fn overflowed_trace_resumes_with_its_drop_count() {
+    // A capacity far below the run's decision count: the checkpoint holds
+    // a full buffer plus a drop count, and the resumed run keeps dropping
+    // from there, exactly as the uninterrupted run did.
+    let cfg = EmulatorConfig { trace_capacity: 40, ..observed_cfg() };
+    let emu = Emulator::new(cpu_scenario(8), ClientConfig::default(), cfg);
+    let straight = emu.run();
+    assert!(straight.trace.dropped() > 0, "capacity 40 should overflow in 18 h");
+    for hours in [0.5, 9.0, 17.0] {
+        let ckpt = emu.checkpoint_at(SimTime::from_secs(hours * 3600.0));
+        let parsed = CheckpointState::from_xml_str(&ckpt.to_xml_string()).expect("parse");
+        let resumed = emu.resume(&parsed).expect("resume");
+        assert_same(&resumed, &straight, &format!("overflowed trace at {hours}h"));
+    }
 }
 
 #[test]
@@ -334,15 +368,28 @@ fn corrupt_checkpoint_documents_error_and_never_panic() {
     // Whole-document mutations: wrong root, bad version, mangled numbers.
     assert!(CheckpointState::from_xml_str("").is_err());
     assert!(CheckpointState::from_xml_str("<client_state version=\"1\"/>").is_err());
-    assert!(doc.contains("version=\"2\""), "format version changed; update this test");
+    assert!(doc.contains("version=\"3\""), "format version changed; update this test");
     assert!(
-        CheckpointState::from_xml_str(&doc.replacen("version=\"2\"", "version=\"99\"", 1)).is_err()
+        CheckpointState::from_xml_str(&doc.replacen("version=\"3\"", "version=\"99\"", 1)).is_err()
     );
-    // v1 documents predate the RR dirty-tracking state and must be
-    // rejected rather than resumed with silently-reset cache state.
-    assert!(
-        CheckpointState::from_xml_str(&doc.replacen("version=\"2\"", "version=\"1\"", 1)).is_err()
-    );
+    // v1 documents predate the RR dirty-tracking state, v2 documents the
+    // typed trace; both must be rejected rather than resumed with
+    // silently-reset state.
+    for old in ["1", "2"] {
+        let e = CheckpointState::from_xml_str(&doc.replacen(
+            "version=\"3\"",
+            &format!("version=\"{old}\""),
+            1,
+        ))
+        .unwrap_err();
+        assert!(e.to_string().contains("predates"), "v{old}: {e}");
+    }
+    // Trace counters that disagree with the stored records are refused.
+    assert!(doc.contains("<trace capacity=\"50000\" dropped=\"0\" next_seq=\""));
+    let mangled = doc.replacen("dropped=\"0\" next_seq=\"", "dropped=\"0\" next_seq=\"9", 1);
+    assert!(CheckpointState::from_xml_str(&mangled).is_err());
+    let mangled = doc.replacen("<rec>", "<rec>x", 1);
+    assert!(CheckpointState::from_xml_str(&mangled).is_err());
     let mangled = doc.replacen("seed=\"9\"", "seed=\"nine\"", 1);
     assert!(CheckpointState::from_xml_str(&mangled).is_err());
     let mangled = doc.replacen("<queue", "<kueue", 1);

@@ -3,7 +3,7 @@
 //! deterministic.
 
 use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy, NetworkModel};
-use bce_core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder};
+use bce_core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder, TraceEvent};
 use bce_types::{AppClass, Hardware, Preferences, ProjectSpec, SimDuration};
 
 fn one_project_scenario() -> Scenario {
@@ -239,14 +239,35 @@ fn timeline_recorded_when_enabled() {
 fn log_records_decisions() {
     let cfg = EmulatorConfig {
         duration: SimDuration::from_hours(2.0),
-        log_capacity: 10_000,
+        trace_capacity: 10_000,
         ..Default::default()
     };
     let r = Emulator::new(one_project_scenario(), ClientConfig::default(), cfg).run();
-    let text = r.log.render();
+    let text: String = r.trace.records().iter().map(|r| format!("{r}\n")).collect();
     assert!(text.contains("RPC to P0"), "log:\n{text}");
-    assert!(text.contains("schedule: start"), "log:\n{text}");
+    assert!(text.contains("scheduled  start"), "log:\n{text}");
     assert!(text.contains("finished"), "log:\n{text}");
+}
+
+#[test]
+fn empty_reschedule_is_silent() {
+    // A reschedule that starts and preempts nothing is not a decision:
+    // the trace must hold no `Scheduled` record with both lists empty.
+    let cfg = EmulatorConfig { trace_capacity: 100_000, ..short_cfg(1.0) };
+    let r = Emulator::new(two_project_scenario(), ClientConfig::default(), cfg).run();
+    let scheduled: Vec<_> = r
+        .trace
+        .records()
+        .iter()
+        .filter_map(|rec| match &rec.event {
+            TraceEvent::Scheduled { started, preempted } => Some((started, preempted)),
+            _ => None,
+        })
+        .collect();
+    assert!(scheduled.len() > 5, "a day should reschedule often, got {}", scheduled.len());
+    for (started, preempted) in scheduled {
+        assert!(!(started.is_empty() && preempted.is_empty()), "empty Scheduled record");
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! tools (jq, a spreadsheet, the CI smoke check) need no nested-path
 //! handling. The workspace has no serde; the writer and the parser here
 //! are hand-rolled against exactly this schema, and the round-trip is
-//! property-tested (`tests/roundtrip.rs`).
+//! property-tested (`tests/trace_roundtrip.rs`).
 
 use crate::trace::{TraceEvent, TraceRecord};
 use bce_types::{JobId, ProjectId, SimTime};
@@ -136,12 +136,15 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+/// A parsed value. Numbers keep their source text so integer fields
+/// (`seq`, job ids, which carry the project in bits above 2^40) parse
+/// exactly as `u64` instead of through a lossy `f64`.
 #[derive(Debug, Clone, PartialEq)]
 enum Val {
-    Num(f64),
+    Num(String),
     Bool(bool),
     Str(String),
-    Arr(Vec<f64>),
+    Arr(Vec<String>),
 }
 
 /// Minimal parser for the flat objects this module writes: string keys;
@@ -185,7 +188,7 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Val)>, String> {
         *i += 1;
         Ok(s)
     }
-    fn parse_number(bytes: &[u8], i: &mut usize) -> Result<f64, String> {
+    fn parse_number(bytes: &[u8], i: &mut usize) -> Result<String, String> {
         let start = *i;
         while *i < bytes.len()
             && matches!(bytes[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -194,7 +197,8 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Val)>, String> {
         }
         std::str::from_utf8(&bytes[start..*i])
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|s| s.parse::<f64>().is_ok())
+            .map(str::to_string)
             .ok_or_else(|| format!("invalid number at byte {start}"))
     }
 
@@ -222,7 +226,7 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Val)>, String> {
             }
             Some(b'n') if line[i..].starts_with("null") => {
                 i += 4;
-                Val::Num(0.0)
+                Val::Num("0".to_string())
             }
             Some(b'[') => {
                 i += 1;
@@ -267,22 +271,29 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Val)>, String> {
     Ok(out)
 }
 
+/// An exact `u64` from a JSON number token. Only the plain digits this
+/// module writes are accepted, so `1.5`, `-1` and `1e3` are refused.
+fn parse_u64(raw: &str) -> Option<u64> {
+    raw.bytes().all(|b| b.is_ascii_digit()).then(|| raw.parse().ok()).flatten()
+}
+
 struct Fields(Vec<(String, Val)>);
 
 impl Fields {
-    fn num(&self, key: &str) -> Result<f64, String> {
+    fn raw_num(&self, key: &str) -> Result<&str, String> {
         match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Val::Num(v))) => Ok(*v),
+            Some((_, Val::Num(v))) => Ok(v),
             Some(_) => Err(format!("field '{key}' is not a number")),
             None => Err(format!("missing field '{key}'")),
         }
     }
+    fn num(&self, key: &str) -> Result<f64, String> {
+        // `parse_number` only admits text that parses as f64.
+        Ok(self.raw_num(key)?.parse().expect("validated number"))
+    }
     fn u64(&self, key: &str) -> Result<u64, String> {
-        let v = self.num(key)?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("field '{key}' is not a non-negative integer"));
-        }
-        Ok(v as u64)
+        parse_u64(self.raw_num(key)?)
+            .ok_or_else(|| format!("field '{key}' is not a non-negative integer"))
     }
     fn boolean(&self, key: &str) -> Result<bool, String> {
         match self.0.iter().find(|(k, _)| k == key) {
@@ -300,7 +311,11 @@ impl Fields {
     }
     fn job_ids(&self, key: &str) -> Result<Vec<JobId>, String> {
         match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Val::Arr(v))) => Ok(v.iter().map(|n| JobId(*n as u64)).collect()),
+            Some((_, Val::Arr(v))) => v
+                .iter()
+                .map(|n| parse_u64(n).map(JobId))
+                .collect::<Option<_>>()
+                .ok_or_else(|| format!("field '{key}' holds a non-integer")),
             Some(_) => Err(format!("field '{key}' is not an array")),
             None => Err(format!("missing field '{key}'")),
         }
@@ -457,6 +472,21 @@ mod tests {
         let recs = parse_jsonl(doc).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].event, TraceEvent::Recovered { secs: 5.0 });
+    }
+
+    #[test]
+    fn integer_fields_round_trip_above_f64_precision() {
+        // Job ids carry the project id above bit 40; an f64 detour would
+        // round ids past 2^53.
+        let big = (43_981u64 << 40) | 12_345;
+        let r = TraceRecord {
+            seq: u64::MAX,
+            t: SimTime::from_secs(1.0),
+            event: TraceEvent::Scheduled { started: vec![JobId(big)], preempted: vec![JobId(1)] },
+        };
+        assert_eq!(parse_record(&record_to_json(&r), 1).unwrap(), r);
+        let fractional = r#"{"seq":1.5,"t":1,"component":"fault","kind":"recovered","secs":5}"#;
+        assert!(parse_record(fractional, 1).unwrap_err().message.contains("'seq'"));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! One instrumentation API for every crate in the workspace:
 //!
 //! * [`trace`] — typed [`TraceEvent`] decision records emitted through
-//!   the [`Tracer`] trait. The no-op sink compiles to a branch; string
-//!   formatting happens only at export time.
+//!   the [`Tracer`] trait: the emulator's one decision log. The no-op
+//!   sink compiles to a branch; string formatting happens only at export
+//!   or display time (`impl Display for TraceRecord`).
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
 //!   histograms with per-component scopes, frozen into one deterministic
 //!   [`MetricsSnapshot`] schema read by the CLI, bench harness and fleet

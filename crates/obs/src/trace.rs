@@ -4,7 +4,9 @@
 //! fault layer) made — which tasks were started or preempted, what an RPC
 //! returned, why work fetch stayed idle. Events are plain data: no string
 //! is formatted at emission time. Rendering happens only at export time
-//! ([`crate::export`]) or when a human asks for the decision log.
+//! ([`crate::export`]) or when a human reads the decision log (the
+//! `Display` impl of [`TraceRecord`]). The trace is the emulator's only
+//! record of its decisions, the paper's "message log" (§4.3).
 //!
 //! The emission API is designed so that a disabled tracer costs nothing on
 //! the hot path:
@@ -22,6 +24,7 @@
 //! emulator consults trace state only to decide whether to build an event.
 
 use bce_types::{JobId, ProjectId, SimTime};
+use std::fmt;
 
 /// One typed decision record. Field names double as the JSONL schema (see
 /// [`crate::export`]); variants carry ids and numbers, never strings.
@@ -103,50 +106,6 @@ impl TraceEvent {
     /// All components the schema defines, for CLI filter validation.
     pub const COMPONENTS: &'static [&'static str] =
         &["sched", "task", "fetch", "avail", "xfer", "fault"];
-
-    /// Human one-liner for `bce trace` pretty output.
-    pub fn describe(&self) -> String {
-        match self {
-            TraceEvent::Scheduled { started, preempted } => {
-                format!("start {started:?}, preempt {preempted:?}")
-            }
-            TraceEvent::JobFinished { job, project, met_deadline } => {
-                let ok = if *met_deadline { "met deadline" } else { "MISSED deadline" };
-                format!("{job} of {project} finished ({ok})")
-            }
-            TraceEvent::JobErrored { job, project } => {
-                format!("{job} of {project} errored: transfer retries exhausted")
-            }
-            TraceEvent::RpcReply { project, cpu_secs, gpu_secs, jobs } => {
-                format!("RPC to {project}: asked {cpu_secs:.0}s CPU / {gpu_secs:.0}s GPU, got {jobs} jobs")
-            }
-            TraceEvent::RpcDown { project } => format!("RPC to {project}: server down"),
-            TraceEvent::RpcLost { project } => {
-                format!("RPC to {project}: lost in transit (transient)")
-            }
-            TraceEvent::FetchDeferred { project, until } => {
-                format!(
-                    "fetch deferred: all projects backed off, {project} eligible at t={:.0}s",
-                    until.secs()
-                )
-            }
-            TraceEvent::AvailChanged { can_compute, can_gpu, net_up } => {
-                format!("availability: compute={can_compute} gpu={can_gpu} net={net_up}")
-            }
-            TraceEvent::TransferFailed { job, upload } => {
-                let dir = if *upload { "upload" } else { "download" };
-                format!("{dir} for {job} failed")
-            }
-            TraceEvent::Crashed { tasks_rolled_back, exec_secs_lost, transfers_restarted } => {
-                format!(
-                    "host crash: {tasks_rolled_back} task(s) rolled back ({exec_secs_lost:.0} exec-s lost), {transfers_restarted} transfer(s) restarted"
-                )
-            }
-            TraceEvent::Recovered { secs } => {
-                format!("recovered crash-lost work after {secs:.0}s")
-            }
-        }
-    }
 }
 
 /// A timestamped, sequence-numbered event as stored in a buffer or a
@@ -157,6 +116,63 @@ pub struct TraceRecord {
     pub seq: u64,
     pub t: SimTime,
     pub event: TraceEvent,
+}
+
+/// The one human rendering of a decision, used by `bce trace` and the
+/// examples: seq, sim time, component and kind in fixed-width columns,
+/// then the event's fields in words.
+impl fmt::Display for TraceRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let e = &self.event;
+        write!(
+            f,
+            "[{:>7} t={:>10.0}s {:>5}] {:>15}  ",
+            self.seq,
+            self.t.secs(),
+            e.component(),
+            e.kind()
+        )?;
+        match e {
+            TraceEvent::Scheduled { started, preempted } => {
+                write!(f, "start {started:?}, preempt {preempted:?}")
+            }
+            TraceEvent::JobFinished { job, project, met_deadline } => {
+                let ok = if *met_deadline { "met deadline" } else { "MISSED deadline" };
+                write!(f, "{job} of {project} finished ({ok})")
+            }
+            TraceEvent::JobErrored { job, project } => {
+                write!(f, "{job} of {project} errored: transfer retries exhausted")
+            }
+            TraceEvent::RpcReply { project, cpu_secs, gpu_secs, jobs } => {
+                write!(f, "RPC to {project}: asked {cpu_secs:.0}s CPU / {gpu_secs:.0}s GPU, got {jobs} jobs")
+            }
+            TraceEvent::RpcDown { project } => write!(f, "RPC to {project}: server down"),
+            TraceEvent::RpcLost { project } => {
+                write!(f, "RPC to {project}: lost in transit (transient)")
+            }
+            TraceEvent::FetchDeferred { project, until } => write!(
+                f,
+                "fetch deferred: all projects backed off, {project} eligible at t={:.0}s",
+                until.secs()
+            ),
+            TraceEvent::AvailChanged { can_compute, can_gpu, net_up } => {
+                write!(f, "availability: compute={can_compute} gpu={can_gpu} net={net_up}")
+            }
+            TraceEvent::TransferFailed { job, upload } => {
+                let dir = if *upload { "upload" } else { "download" };
+                write!(f, "{dir} for {job} failed")
+            }
+            TraceEvent::Crashed { tasks_rolled_back, exec_secs_lost, transfers_restarted } => {
+                write!(
+                    f,
+                    "host crash: {tasks_rolled_back} task(s) rolled back ({exec_secs_lost:.0} exec-s lost), {transfers_restarted} transfer(s) restarted"
+                )
+            }
+            TraceEvent::Recovered { secs } => {
+                write!(f, "recovered crash-lost work after {secs:.0}s")
+            }
+        }
+    }
 }
 
 /// Emission side of the API. Implemented by [`TraceSink`]; generic code
@@ -222,6 +238,23 @@ impl TraceBuffer {
         TraceBuffer { records, capacity, dropped: 0, next_seq: 0 }
     }
 
+    /// A buffer holding a recorded history, as a checkpoint captured it
+    /// ([`TraceBuffer::records`], [`TraceBuffer::dropped`],
+    /// [`TraceBuffer::emitted`]); recording resumes at seq `next_seq`.
+    pub fn restore(
+        capacity: usize,
+        records: Vec<TraceRecord>,
+        dropped: u64,
+        next_seq: u64,
+    ) -> Self {
+        TraceBuffer { records, capacity, dropped, next_seq }
+    }
+
+    /// Maximum number of records kept.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Recorded events in emission order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
@@ -245,10 +278,10 @@ impl TraceBuffer {
         self.records.is_empty()
     }
 
-    /// Surrender the backing vector for reuse. The contract mirrors
-    /// `MsgLog::into_entries`: the caller owns the records; handing the
-    /// (cleared) vector back through [`TraceBuffer::with_buffer`] recycles
-    /// the allocation for the next run.
+    /// Surrender the backing vector for reuse. The caller owns the
+    /// records; handing the vector back through
+    /// [`TraceBuffer::with_buffer`] (which clears it) recycles the
+    /// allocation for the next run.
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.records
     }
@@ -403,7 +436,81 @@ mod tests {
         for s in &samples {
             assert!(TraceEvent::KINDS.contains(&s.kind()), "{}", s.kind());
             assert!(TraceEvent::COMPONENTS.contains(&s.component()), "{}", s.component());
-            assert!(!s.describe().is_empty());
         }
+    }
+
+    #[test]
+    fn display_renders_one_line_per_kind() {
+        let p = ProjectId(1);
+        let cases = [
+            (
+                TraceEvent::Scheduled { started: vec![JobId(3), JobId(4)], preempted: vec![] },
+                "[      0 t=      3600s sched]       scheduled  start [JobId(3), JobId(4)], preempt []",
+            ),
+            (
+                TraceEvent::JobFinished { job: JobId(3), project: p, met_deadline: false },
+                "[      0 t=      3600s  task]    job_finished  J3 of P1 finished (MISSED deadline)",
+            ),
+            (
+                TraceEvent::JobErrored { job: JobId(3), project: p },
+                "[      0 t=      3600s  task]     job_errored  J3 of P1 errored: transfer retries exhausted",
+            ),
+            (
+                TraceEvent::RpcReply { project: p, cpu_secs: 8640.4, gpu_secs: 0.0, jobs: 3 },
+                "[      0 t=      3600s fetch]       rpc_reply  RPC to P1: asked 8640s CPU / 0s GPU, got 3 jobs",
+            ),
+            (
+                TraceEvent::RpcDown { project: p },
+                "[      0 t=      3600s fetch]        rpc_down  RPC to P1: server down",
+            ),
+            (
+                TraceEvent::RpcLost { project: p },
+                "[      0 t=      3600s fetch]        rpc_lost  RPC to P1: lost in transit (transient)",
+            ),
+            (
+                TraceEvent::FetchDeferred { project: p, until: SimTime::from_secs(7200.0) },
+                "[      0 t=      3600s fetch]  fetch_deferred  fetch deferred: all projects backed off, P1 eligible at t=7200s",
+            ),
+            (
+                TraceEvent::AvailChanged { can_compute: true, can_gpu: false, net_up: true },
+                "[      0 t=      3600s avail]   avail_changed  availability: compute=true gpu=false net=true",
+            ),
+            (
+                TraceEvent::TransferFailed { job: JobId(3), upload: false },
+                "[      0 t=      3600s  xfer] transfer_failed  download for J3 failed",
+            ),
+            (
+                TraceEvent::Crashed {
+                    tasks_rolled_back: 2,
+                    exec_secs_lost: 99.6,
+                    transfers_restarted: 1,
+                },
+                "[      0 t=      3600s fault]         crashed  host crash: 2 task(s) rolled back (100 exec-s lost), 1 transfer(s) restarted",
+            ),
+            (
+                TraceEvent::Recovered { secs: 12.0 },
+                "[      0 t=      3600s fault]       recovered  recovered crash-lost work after 12s",
+            ),
+        ];
+        assert_eq!(cases.len(), TraceEvent::KINDS.len());
+        for (event, line) in cases {
+            let r = TraceRecord { seq: 0, t: SimTime::from_secs(3600.0), event };
+            assert_eq!(r.to_string(), line);
+        }
+    }
+
+    #[test]
+    fn restore_resumes_seq_and_drop_count() {
+        let mut b = TraceBuffer::new(2);
+        for i in 0..3 {
+            b.record(SimTime::from_secs(0.0), ev(i));
+        }
+        let mut r =
+            TraceBuffer::restore(b.capacity(), b.records().to_vec(), b.dropped(), b.emitted());
+        assert_eq!(r, b);
+        r.record(SimTime::from_secs(1.0), ev(3));
+        b.record(SimTime::from_secs(1.0), ev(3));
+        assert_eq!(r, b);
+        assert_eq!((r.dropped(), r.emitted()), (2, 4));
     }
 }

@@ -3,8 +3,9 @@
 //! The infrastructure beneath the emulator: a deterministic event queue,
 //! named random-number streams with from-scratch distributions (the paper
 //! models job runtimes as normal and availability periods as exponential,
-//! §4.3), online statistics for the figures of merit, per-instance usage
-//! timelines for the visualization, and the levelled message log.
+//! §4.3), online statistics for the figures of merit and per-instance
+//! usage timelines for the visualization. The decision log is the typed
+//! trace in `bce-obs`.
 //!
 //! Everything here is deterministic given a seed — the emulator exists to
 //! reproduce field anomalies exactly (§4.3), so no wall-clock time, no
@@ -12,7 +13,6 @@
 
 pub mod dist;
 pub mod hash;
-pub mod log;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -20,7 +20,6 @@ pub mod timeline;
 
 pub use dist::{Constant, Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform};
 pub use hash::{fnv64, Fnv64};
-pub use log::{Component, Level, LogEntry, MsgLog};
 pub use queue::EventQueue;
 pub use rng::Rng;
 pub use stats::{rms, ExpAvg, Histogram, OnlineStats, TimeWeighted};

@@ -6,7 +6,7 @@
 //! one. A project with tight deadlines keeps missing them and the
 //! volunteer perceives "my machine works for nothing". The first guess
 //! (the WRR scheduler interleaving projects) turns out to be wrong: the
-//! message log shows the work-fetch policy pulling 15 tight-deadline jobs
+//! decision trace shows the work-fetch policy pulling 15 tight-deadline jobs
 //! in a single RPC to fill the volunteer's 4-hour buffer, and no
 //! scheduling policy can save a 1500-second-deadline job that is 14th in
 //! line. The fix is the buffer, not the scheduler — exactly the kind of
@@ -20,7 +20,6 @@ use boinc_policy_emu::client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use boinc_policy_emu::core::{
     render_timeline, Emulator, EmulatorConfig, Scenario, ScenarioBuilder,
 };
-use boinc_policy_emu::sim::Level;
 use boinc_policy_emu::types::{AppClass, Hardware, Preferences, ProjectSpec, SimDuration};
 
 fn volunteer_scenario(buf: SimDuration) -> Scenario {
@@ -49,8 +48,7 @@ fn run(policy: JobSchedPolicy, buf: SimDuration) -> boinc_policy_emu::core::Emul
     let cfg = EmulatorConfig {
         duration: SimDuration::from_days(1.0),
         record_timeline: true,
-        log_capacity: 50_000,
-        log_level: Level::Info,
+        trace_capacity: 50_000,
         ..Default::default()
     };
     let client = ClientConfig {
@@ -84,8 +82,8 @@ fn main() {
 
     // --- Step 3: read the log; the real culprit is work fetch. ---
     println!("scheduling log, first fetch (the smoking gun):");
-    for e in broken.log.entries().iter().take(2) {
-        println!("  {e}");
+    for r in broken.trace.records().iter().take(2) {
+        println!("  {r}");
     }
     println!("diagnosis: one RPC pulled ~15 tight-deadline jobs to fill the 4 h buffer.");
     println!("A 1500 s-deadline job that is 14th in a serial queue is dead on arrival —");

@@ -10,7 +10,6 @@
 use boinc_policy_emu::client::ClientConfig;
 use boinc_policy_emu::core::{Emulator, EmulatorConfig};
 use boinc_policy_emu::scenarios::scenario_from_state_file;
-use boinc_policy_emu::sim::Level;
 use boinc_policy_emu::types::SimDuration;
 
 /// What a volunteer's pasted state file looks like.
@@ -86,21 +85,20 @@ fn main() {
         scenario.seed
     );
 
-    // Replay with the scheduling message log enabled — the log is what a
+    // Replay with the decision trace enabled — the scheduling log a
     // developer reads when chasing a reported anomaly.
     let cfg = EmulatorConfig {
         duration: SimDuration::from_days(2.0),
-        log_capacity: 200_000,
-        log_level: Level::Info,
+        trace_capacity: 200_000,
         ..Default::default()
     };
     let result = Emulator::new(scenario, ClientConfig::default(), cfg).run();
     println!("{result}");
 
     println!("last scheduling decisions:");
-    let entries = result.log.entries();
-    for e in entries.iter().rev().take(12).rev() {
-        println!("  {e}");
+    let records = result.trace.records();
+    for r in &records[records.len().saturating_sub(12)..] {
+        println!("  {r}");
     }
     println!("(replaying with the same seed reproduces this log bit-for-bit)");
 }

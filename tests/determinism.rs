@@ -7,7 +7,6 @@ use boinc_policy_emu::scenarios::{
     doc_from_scenario, scenario2, scenario4_sized, scenario_from_state_file, PopulationModel,
     PopulationSampler,
 };
-use boinc_policy_emu::sim::Level;
 use boinc_policy_emu::types::SimDuration;
 
 fn fingerprint(r: &EmulationResult) -> (u64, u64, u64, u64, u64) {
@@ -60,33 +59,38 @@ fn statefile_roundtrip_preserves_behaviour() {
 
 #[test]
 fn message_log_is_reproducible() {
+    // The decision trace is the emulator's message log: the same run must
+    // record the same decisions, in the same order, at the same times.
     let run = || {
         let c = EmulatorConfig {
             duration: SimDuration::from_hours(8.0),
-            log_capacity: 100_000,
-            log_level: Level::Debug,
+            trace_capacity: 100_000,
             ..Default::default()
         };
-        Emulator::new(scenario2(), ClientConfig::default(), c).run().log.render()
+        Emulator::new(scenario2(), ClientConfig::default(), c).run().trace
     };
-    assert_eq!(run(), run());
+    let (a, b) = (run(), run());
+    assert!(a.len() > 10, "8 h of scenario 2 should record decisions, got {}", a.len());
+    assert_eq!(a.records(), b.records());
+    assert_eq!((a.dropped(), a.emitted()), (b.dropped(), b.emitted()));
 }
 
 #[test]
 fn log_and_timeline_do_not_perturb_results() {
-    // Observability must be free: enabling the log and timeline cannot
+    // Observability must be free: enabling the trace and timeline cannot
     // change a single scheduling decision.
     let bare = Emulator::new(scenario2(), ClientConfig::default(), cfg(1.0)).run();
     let observed = {
         let c = EmulatorConfig {
             duration: SimDuration::from_days(1.0),
-            log_capacity: 100_000,
+            trace_capacity: 100_000,
             record_timeline: true,
             ..Default::default()
         };
         Emulator::new(scenario2(), ClientConfig::default(), c).run()
     };
     assert_eq!(fingerprint(&bare), fingerprint(&observed));
+    assert!(!observed.trace.is_empty());
 }
 
 #[test]
