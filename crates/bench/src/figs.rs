@@ -61,9 +61,9 @@ fn base_scenario(
     opts.scenario.clone().unwrap_or_else(builtin)
 }
 
-/// As [`FigOpts::write_json`], but appending the confirmation line to
-/// `out` (so it lands in order, after the figure body) and reporting
-/// failure as an error instead of exiting the process.
+/// If `--json PATH` was given, write the figure's named tables there as
+/// one JSON object (`{"<name>": [rows...], ...}`) and append the
+/// confirmation line to `out`, so it lands after the figure body.
 fn write_json_into(
     out: &mut String,
     opts: &FigOpts,
@@ -482,7 +482,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_days_match_binaries() {
+    fn default_days_follow_the_paper() {
         assert_eq!(default_days(1), 10.0);
         assert_eq!(default_days(2), 0.0);
         assert_eq!(default_days(6), 60.0);

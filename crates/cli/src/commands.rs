@@ -8,14 +8,15 @@ use bce_controller::{
     CampaignError, CampaignManifest, CampaignOptions, ManifestError, Metric, Table,
 };
 use bce_core::{render_timeline, CheckpointError, Emulator, EmulatorConfig, FaultConfig, Scenario};
+use bce_emboinc::{run_campaign, HostSelection, PopulationSpec, ReplicationPolicy, Workload};
 use bce_fleet::{assign_shares, host_scenarios, run_fleet, Fleet, FleetHost, ShareStrategy};
 use bce_obs::TraceEvent;
 use bce_scenarios::{
     doc_from_scenario, scenario1, scenario2, scenario3, scenario4, LoadedScenario, ScenarioSource,
     ScenarioSpec, BUILTIN_NAMES,
 };
-use bce_sim::fnv64;
-use bce_types::{AppClass, Hardware, ProcType, ProjectSpec, SimDuration};
+use bce_sim::{fnv64, Rng};
+use bce_types::{AppClass, Hardware, ProcType, ProjectId, ProjectSpec, SimDuration};
 
 pub const HELP: &str = "\
 bce — BOINC client emulator (reproduction of Anderson, 'Emulating
@@ -67,13 +68,22 @@ USAGE:
       write the scenario as a client_state.xml template
 
   bce fleet [--days N] [--threads N] [--scenario REF]
-      cross-host share-enforcement study on a demo heterogeneous fleet;
-      --scenario replaces the demo projects and seed with the
-      referenced scenario's
+      cross-host share-enforcement study on a demo heterogeneous fleet:
+      each strategy's share assignment, then its fleet share violation,
+      throughput and per-project split; --scenario replaces the demo
+      projects and seed with the referenced scenario's
+
+  bce emboinc [--quick]
+      server-side campaign study (EmBOINC direction): replication policy
+      x host selection over a sampled volunteer population; --quick
+      shrinks the campaign to 100 workunits on 60 hosts
 
   bce faults <scenario-ref> [options]
       sweep transient failure rate x {JS, JF} policy and tabulate the
-      graceful degradation of the figures of merit
+      graceful degradation of the figures of merit; a rate-0 point must
+      be bit-identical to a fault-free run (exit 1 otherwise).
+      scenarios/scenario2_transfers.json has file transfers, so its
+      sweep also exercises transfer faults
       --days N        emulated days (default 2)
       --rates LIST    comma-separated failure rates (default 0,0.05,0.1,0.2)
       --mtbf S        also inject host crashes with this mean time between
@@ -254,6 +264,7 @@ pub fn dispatch<I: IntoIterator<Item = String>>(raw: I) -> Result<String, CliErr
         "export" => cmd_export(&args)?,
         "fleet" => cmd_fleet(&args)?,
         "faults" => cmd_faults(&args)?,
+        "emboinc" => cmd_emboinc(&args)?,
         "bench" => cmd_bench(&args)?,
         "fig" => cmd_fig(&args)?,
         "trace" => cmd_trace(&args)?,
@@ -912,34 +923,45 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
         fleet.seed = loaded.scenario.seed;
     }
     let emu = EmulatorConfig { duration: SimDuration::from_days(days), ..Default::default() };
+    let name_of = |p: ProjectId| &fleet.projects.iter().find(|q| q.id == p).unwrap().name;
     let mut out = format!(
         "cross-host share enforcement (§6.2): {} hosts, {} projects, {days} days/host\n\n",
         fleet.hosts.len(),
         fleet.projects.len()
     );
+    let mut table =
+        Table::new(&["strategy", "fleet share violation", "total TFLOP-days", "per-project split"]);
     for strategy in [ShareStrategy::PerHost, ShareStrategy::CrossHost] {
         let assignment = assign_shares(&fleet, strategy);
         validate_all(host_scenarios(&fleet, &assignment).iter())?;
-        let r = run_fleet(&fleet, strategy, ClientConfig::default(), &emu, threads);
-        out.push_str(&format!(
-            "{}: fleet share violation {:.4}, total {:.2} TFLOP-days\n",
-            strategy.name(),
-            r.fleet_share_violation,
-            r.total_flops / 1e12 / 86_400.0
-        ));
+        out.push_str(&format!("{} share assignment:\n", strategy.name()));
         for (host, shares) in fleet.hosts.iter().zip(&assignment) {
             let total: f64 = shares.iter().map(|(_, s)| s).sum();
             let detail: Vec<String> = shares
                 .iter()
-                .map(|(p, s)| {
-                    let name = &fleet.projects.iter().find(|q| q.id == *p).unwrap().name;
-                    format!("{name} {:.0}%", 100.0 * s / total.max(1e-9))
-                })
+                .map(|&(p, s)| format!("{} {:.0}%", name_of(p), 100.0 * s / total.max(1e-9)))
                 .collect();
             out.push_str(&format!("  {:<8} {}\n", host.name, detail.join(", ")));
         }
         out.push('\n');
+        let r = run_fleet(&fleet, strategy, ClientConfig::default(), &emu, threads);
+        let split: Vec<String> = r
+            .per_project_flops
+            .iter()
+            .map(|&(p, f)| format!("{} {:.1}%", name_of(p), 100.0 * f / r.total_flops.max(1e-9)))
+            .collect();
+        table.row(&[
+            strategy.name().to_string(),
+            format!("{:.4}", r.fleet_share_violation),
+            format!("{:.2}", r.total_flops / 1e12 / 86_400.0),
+            split.join(", "),
+        ]);
     }
+    out.push_str(&table.render());
+    out.push_str(
+        "\nexpected: cross-host violates the volunteer's 50/50 intent far less,\n\
+         at equal (or better) total throughput.\n",
+    );
     Ok(out)
 }
 
@@ -1003,8 +1025,10 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
         "RPC fail",
         "xfer fail",
         "crashes",
+        "recovery",
         "fault-waste",
         "wasted",
+        "idle",
     ]);
     let mut identity: Option<bool> = None;
     for (name, cfg) in fault_policies() {
@@ -1018,9 +1042,7 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
                 // bit-identical to a run that never mentions faults at all.
                 let plain = EmulatorConfig { duration, ..Default::default() };
                 let base = Emulator::new(scenario.clone(), cfg, plain).run();
-                let same = base.merit.rpcs_per_job.to_bits() == r.merit.rpcs_per_job.to_bits()
-                    && base.total_flops_used.to_bits() == r.total_flops_used.to_bits()
-                    && base.jobs_completed == r.jobs_completed;
+                let same = base.bit_fingerprint() == r.bit_fingerprint();
                 identity = Some(identity.unwrap_or(true) && same);
             }
             let fm = &r.faults;
@@ -1033,8 +1055,14 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
                 fm.transient_rpc_failures.to_string(),
                 fm.transfer_failures.to_string(),
                 fm.crashes.to_string(),
+                if fm.recoveries > 0 {
+                    format!("{:.0}s", fm.mean_recovery_secs)
+                } else {
+                    "-".to_string()
+                },
                 format!("{:.4}", fm.fault_wasted_fraction),
                 format!("{:.4}", r.merit.wasted_fraction),
+                format!("{:.4}", r.merit.idle_fraction),
             ]);
         }
     }
@@ -1052,11 +1080,62 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
         Some(true) => out.push_str(
             "\nzero-fault identity: OK (rate 0 reproduces the no-fault baseline bit-for-bit)\n",
         ),
-        Some(false) => out
-            .push_str("\nzero-fault identity: MISMATCH — fault plumbing perturbs the baseline!\n"),
+        Some(false) => {
+            return Err(CliError::msg(format!(
+                "zero-fault identity: MISMATCH — fault plumbing perturbs the baseline\n{out}"
+            )));
+        }
         None => {}
     }
     Ok(out)
+}
+
+/// The EmBOINC-direction campaign (§6.1): one project runs a workunit
+/// campaign against a sampled volunteer population under every
+/// replication policy x host-selection strategy.
+fn cmd_emboinc(args: &Args) -> Result<String, CliError> {
+    let (nhosts, nwus) = if args.flag("quick") { (60, 100) } else { (200, 500) };
+    let mut rng = Rng::stream(2011, "population");
+    let hosts = PopulationSpec { nhosts, ..Default::default() }.sample(&mut rng);
+    let workload = Workload { nworkunits: nwus, ..Default::default() };
+    let mut table = Table::new(&[
+        "replication",
+        "selection",
+        "validated",
+        "failed",
+        "mean makespan (d)",
+        "p95 (d)",
+        "replicas",
+        "waste frac",
+    ]);
+    for replication in
+        [ReplicationPolicy::SINGLE, ReplicationPolicy::REDUNDANT, ReplicationPolicy::EAGER]
+    {
+        for selection in
+            [HostSelection::Random, HostSelection::FastestFirst, HostSelection::ReliableFirst]
+        {
+            let r = run_campaign(&hosts, &workload, replication, selection, 7);
+            table.row(&[
+                replication.name(),
+                selection.name().to_string(),
+                r.completed.to_string(),
+                r.failed.to_string(),
+                format!("{:.2}", r.makespan.mean() / 86_400.0),
+                format!("{:.2}", r.makespan_p95 / 86_400.0),
+                r.replicas_issued.to_string(),
+                format!("{:.3}", r.waste_fraction()),
+            ]);
+        }
+    }
+    Ok(format!(
+        "EmBOINC-style server campaign: {nwus} workunits on {nhosts} hosts\n\
+         (log-normal speeds; error/vanish tails; 7-day replica deadline)\n\n\
+         {}\n\
+         expected shapes: R2/Q2 doubles replicas for validation; eager R3/Q1 cuts\n\
+         latency at a waste cost; reliable-first reduces waste, fastest-first\n\
+         reduces makespan while hosts outnumber outstanding replicas.\n",
+        table.render()
+    ))
 }
 
 fn cmd_bench(args: &Args) -> Result<String, CliError> {
@@ -1108,7 +1187,7 @@ fn cmd_fig(args: &Args) -> Result<String, CliError> {
     let quick = args.flag("quick");
     let mut days = days_opt(args, bce_bench::figs::default_days(n))?;
     if quick {
-        // Same cap FigOpts::parse applies in the study binaries.
+        // Quick mode is a smoke run: at most one emulated day.
         days = days.min(1.0);
     }
     let json = args.opt("json").map(std::path::PathBuf::from);
@@ -1400,6 +1479,20 @@ mod tests {
         assert!(out.contains("per-host"), "{out}");
         assert!(out.contains("cross-host"), "{out}");
         assert!(out.contains("gpu-box"), "{out}");
+        // The strategy table follows the assignment blocks.
+        let table = &out[out.find("fleet share violation").expect("strategy table")..];
+        assert!(table.contains("per-project split"), "{out}");
+        assert!(table.contains("mixed") && table.contains("cpu_only"), "{out}");
+    }
+
+    #[test]
+    fn emboinc_tabulates_replication_by_selection() {
+        let out = run("emboinc --quick").unwrap();
+        assert!(out.contains("100 workunits on 60 hosts"), "{out}");
+        for replication in ["R1/Q1", "R2/Q2", "R3/Q1"] {
+            assert_eq!(out.lines().filter(|l| l.starts_with(replication)).count(), 3, "{out}");
+        }
+        assert!(run("emboinc --days 3").is_err());
     }
 
     #[test]
@@ -1417,6 +1510,7 @@ mod tests {
         assert!(out.contains("JS-LOCAL+JF-ORIG"), "{out}");
         assert!(out.contains("JS-GLOBAL+JF-HYSTERESIS"), "{out}");
         assert!(out.contains("0.30"), "{out}");
+        assert!(out.contains("recovery") && out.contains("idle"), "{out}");
         assert!(
             out.contains("zero-fault identity: OK"),
             "rate-0 run must match the no-fault baseline: {out}"

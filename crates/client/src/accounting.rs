@@ -415,11 +415,6 @@ impl Accounting {
     pub fn debt_of(&self, p: ProjectId, t: ProcType) -> f64 {
         self.slot_of(p).map_or(0.0, |s| self.debts[s][t])
     }
-
-    /// Raw long-term (fetch) debt (local accounting).
-    pub fn lt_debt_of(&self, p: ProjectId, t: ProcType) -> f64 {
-        self.slot_of(p).map_or(0.0, |s| self.lt_debts[s][t])
-    }
 }
 
 #[cfg(test)]

@@ -128,21 +128,8 @@ pub struct RrStats {
     /// Times the simulation actually ran (cache misses).
     pub runs: u64,
     /// Queries served from the retained snapshot inside the frozen-progress
-    /// window (partial refreshes; a subset of [`RrStats::hits`]).
+    /// window (partial refreshes; a subset of the `queries - runs` hits).
     pub frozen: u64,
-}
-
-impl RrStats {
-    pub fn hits(&self) -> u64 {
-        self.queries - self.runs
-    }
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / self.queries as f64
-        }
-    }
 }
 
 /// Severity of the dirt accumulated since the last full RR simulation.
@@ -850,11 +837,6 @@ impl Client {
     pub fn invalidate_rr(&mut self) {
         self.state_gen += 1;
         self.rr_dirty.mark_global();
-    }
-
-    /// Current value of the RR-relevant state generation counter.
-    pub fn rr_generation(&self) -> u64 {
-        self.state_gen
     }
 
     /// Cache-hit counters for the RR simulation.

@@ -18,11 +18,6 @@ impl Table {
         self
     }
 
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     pub fn nrows(&self) -> usize {
         self.rows.len()
     }

@@ -20,8 +20,7 @@ use bce_client::{
 };
 use bce_faults::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
 use bce_obs::{
-    MetricsSnapshot, ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord,
-    TraceSink, Tracer,
+    ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
 use bce_server::{ProjectServer, RpcOutcome, SchedulerRequest, ServerConfig, TypeRequest};
 use bce_sim::{EventQueue, Fnv64, Occupancy, Rng, Timeline};
@@ -127,11 +126,6 @@ pub struct EmulationResult {
     /// Emulator runtime counters (event throughput, RR-sim cache hits).
     pub perf: PerfStats,
     pub timeline: Option<Timeline>,
-    /// The run's instruments frozen into the unified `scope.name` schema
-    /// (counters, merit/fault gauges, perf counters). Derived from the
-    /// same state as the fields above, so it is deliberately *not*
-    /// fingerprinted.
-    pub metrics: MetricsSnapshot,
     /// Typed decision trace, the run's message log (empty unless
     /// `trace_capacity > 0`). Excluded from
     /// [`EmulationResult::bit_fingerprint`] by design: enabling tracing
@@ -370,9 +364,10 @@ impl Emulator {
         let mut servers: Vec<ProjectServer> = scenario
             .projects
             .iter()
-            .map(|p| {
+            .enumerate()
+            .map(|(slot, p)| {
                 let mut rng = Rng::stream(scenario.seed, &format!("server-{}", p.id));
-                ProjectServer::new(p.clone(), self.cfg.server, &mut rng)
+                ProjectServer::new(p.clone(), slot, self.cfg.server, &mut rng)
             })
             .collect();
 
@@ -1118,7 +1113,6 @@ impl RunState {
         arena.queue = self.queue;
         arena.per_project = self.per_project;
         let fault_metrics = self.metrics.fault_metrics();
-        let metrics_snapshot = self.metrics.export_snapshot(&merit, &fault_metrics, &perf);
         if let Some(start) = self.run_start {
             let sp_total = self.prof.span("emu.total");
             self.prof.add_wall_nanos(sp_total, start.elapsed().as_nanos());
@@ -1138,7 +1132,6 @@ impl RunState {
             faults: fault_metrics,
             perf,
             timeline: self.timeline,
-            metrics: metrics_snapshot,
             trace,
             profile: emu.cfg.profile.then(|| self.prof.report()),
         }

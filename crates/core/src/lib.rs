@@ -22,8 +22,7 @@ pub mod spec;
 
 pub use bce_faults::{FaultConfig, RetryPolicy};
 pub use bce_obs::{
-    MetricsRegistry, MetricsSnapshot, ProfileReport, Profiler, TraceBuffer, TraceEvent,
-    TraceRecord, TraceSink, Tracer,
+    ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
 pub use builder::ScenarioBuilder;
 pub use checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState};

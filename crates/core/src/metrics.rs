@@ -19,7 +19,6 @@
 //! All but RPCs/job lie in `[0, 1]` with 0 good; `scaled()` maps RPCs/job
 //! through `x/(1+x)` when a bounded combination is wanted.
 
-use bce_obs::{CounterId, MetricsRegistry, MetricsSnapshot};
 use bce_types::{JobId, ProjectId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -140,10 +139,9 @@ pub struct ProjectReport {
 }
 
 /// The complete mutable state of a [`MetricsAccum`], captured by a run
-/// checkpoint. Counter values are stored positionally in registration
-/// order: `rpc.issued`, `rpc.transient_failures`, `jobs.completed`,
-/// `jobs.missed_deadline`, `jobs.errored`, `xfer.failures`,
-/// `fault.crashes`, `fault.recoveries`.
+/// checkpoint. Counter values are stored positionally: RPCs issued, RPCs
+/// lost in transit, jobs completed, jobs that missed their deadline, jobs
+/// errored, transfer failures, crashes, recoveries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsAccumSnapshot {
     pub capacity_secs: f64,
@@ -162,14 +160,9 @@ pub struct MetricsAccumSnapshot {
 
 /// Accumulates metrics during an emulation run.
 ///
-/// Since the observability redesign every discrete count lives in a
-/// [`bce_obs::MetricsRegistry`] slot (scoped names like `rpc.issued`,
-/// `jobs.completed`) addressed through pre-registered [`CounterId`]s, so
-/// recording stays an indexed add while the CLI, bench harness and fleet
-/// study all export the same `scope.name` schema via
-/// [`MetricsAccum::export_snapshot`]. The continuous integrals (capacity,
-/// usage, monotony windows) remain plain `f64` state: their accumulation
-/// order is part of the bit-for-bit determinism contract.
+/// The discrete counts are plain `u64` counters. The continuous
+/// integrals (capacity, usage, monotony windows) are `f64` state whose
+/// accumulation order is part of the bit-for-bit determinism contract.
 #[derive(Debug, Clone)]
 pub struct MetricsAccum {
     total_capacity_flops: f64, // peak FLOPS of the host
@@ -185,20 +178,19 @@ pub struct MetricsAccum {
     monotony_sum: f64,
     monotony_windows: u64,
     nprojects: usize,
-    // counters (registry slots)
-    registry: MetricsRegistry,
-    c_rpcs: CounterId,
-    c_jobs_completed: CounterId,
-    c_jobs_missed: CounterId,
+    // counters
+    rpcs: u64,
+    jobs_completed: u64,
+    jobs_missed: u64,
     missed_ids: Vec<JobId>,
     // fault accounting
     fault_wasted_flops: f64,
-    c_transient_rpc_failures: CounterId,
-    c_transfer_failures: CounterId,
-    c_crashes: CounterId,
-    c_jobs_errored: CounterId,
+    transient_rpc_failures: u64,
+    transfer_failures: u64,
+    crashes: u64,
+    jobs_errored: u64,
     recovery_secs_sum: f64,
-    c_recoveries: CounterId,
+    recoveries: u64,
 }
 
 impl MetricsAccum {
@@ -208,15 +200,6 @@ impl MetricsAccum {
         start: SimTime,
         monotony_window: SimDuration,
     ) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let c_rpcs = registry.counter("rpc", "issued");
-        let c_transient_rpc_failures = registry.counter("rpc", "transient_failures");
-        let c_jobs_completed = registry.counter("jobs", "completed");
-        let c_jobs_missed = registry.counter("jobs", "missed_deadline");
-        let c_jobs_errored = registry.counter("jobs", "errored");
-        let c_transfer_failures = registry.counter("xfer", "failures");
-        let c_crashes = registry.counter("fault", "crashes");
-        let c_recoveries = registry.counter("fault", "recoveries");
         MetricsAccum {
             total_capacity_flops,
             monotony_window,
@@ -229,18 +212,17 @@ impl MetricsAccum {
             monotony_sum: 0.0,
             monotony_windows: 0,
             nprojects,
-            registry,
-            c_rpcs,
-            c_jobs_completed,
-            c_jobs_missed,
+            rpcs: 0,
+            jobs_completed: 0,
+            jobs_missed: 0,
             missed_ids: Vec::new(),
             fault_wasted_flops: 0.0,
-            c_transient_rpc_failures,
-            c_transfer_failures,
-            c_crashes,
-            c_jobs_errored,
+            transient_rpc_failures: 0,
+            transfer_failures: 0,
+            crashes: 0,
+            jobs_errored: 0,
             recovery_secs_sum: 0.0,
-            c_recoveries,
+            recoveries: 0,
         }
     }
 
@@ -296,14 +278,14 @@ impl MetricsAccum {
     }
 
     pub fn record_rpc(&mut self) {
-        self.registry.inc(self.c_rpcs);
+        self.rpcs += 1;
     }
 
     /// Record a completed-and-reported job.
     pub fn record_job_done(&mut self, id: JobId, met_deadline: bool, flops_spent: f64) {
-        self.registry.inc(self.c_jobs_completed);
+        self.jobs_completed += 1;
         if !met_deadline {
-            self.registry.inc(self.c_jobs_missed);
+            self.jobs_missed += 1;
             self.wasted_flops += flops_spent;
             self.missed_ids.push(id);
         }
@@ -316,12 +298,12 @@ impl MetricsAccum {
 
     /// Record a scheduler RPC lost in transit.
     pub fn record_transient_rpc_failure(&mut self) {
-        self.registry.inc(self.c_transient_rpc_failures);
+        self.transient_rpc_failures += 1;
     }
 
     /// Record a mid-flight transfer failure.
     pub fn record_transfer_failure(&mut self) {
-        self.registry.inc(self.c_transfer_failures);
+        self.transfer_failures += 1;
     }
 
     /// Record a host crash and the FLOPS of progress it destroyed. The
@@ -329,14 +311,14 @@ impl MetricsAccum {
     /// picks the same rollback up through [`Self::record_rollback_waste`] when
     /// the task eventually retires.
     pub fn record_crash(&mut self, lost_flops: f64) {
-        self.registry.inc(self.c_crashes);
+        self.crashes += 1;
         self.fault_wasted_flops += lost_flops;
     }
 
     /// Record a permanently-failed job and the FLOPS already sunk into it
     /// (counted both as generic waste and fault-attributed waste).
     pub fn record_job_errored(&mut self, flops_spent: f64) {
-        self.registry.inc(self.c_jobs_errored);
+        self.jobs_errored += 1;
         self.wasted_flops += flops_spent;
         self.fault_wasted_flops += flops_spent;
     }
@@ -345,40 +327,36 @@ impl MetricsAccum {
     /// crash until pre-crash progress was regained).
     pub fn record_recovery(&mut self, secs: f64) {
         self.recovery_secs_sum += secs;
-        self.registry.inc(self.c_recoveries);
-    }
-
-    fn recoveries(&self) -> u64 {
-        self.registry.counter_value(self.c_recoveries)
+        self.recoveries += 1;
     }
 
     /// Snapshot the robustness figures of merit.
     pub fn fault_metrics(&self) -> FaultMetrics {
         FaultMetrics {
-            transient_rpc_failures: self.registry.counter_value(self.c_transient_rpc_failures),
-            transfer_failures: self.registry.counter_value(self.c_transfer_failures),
-            crashes: self.registry.counter_value(self.c_crashes),
-            jobs_errored: self.registry.counter_value(self.c_jobs_errored),
+            transient_rpc_failures: self.transient_rpc_failures,
+            transfer_failures: self.transfer_failures,
+            crashes: self.crashes,
+            jobs_errored: self.jobs_errored,
             fault_wasted_fraction: if self.available_secs > 0.0 {
                 (self.fault_wasted_flops / self.available_secs).clamp(0.0, 1.0)
             } else {
                 0.0
             },
-            mean_recovery_secs: if self.recoveries() > 0 {
-                self.recovery_secs_sum / self.recoveries() as f64
+            mean_recovery_secs: if self.recoveries > 0 {
+                self.recovery_secs_sum / self.recoveries as f64
             } else {
                 0.0
             },
-            recoveries: self.recoveries(),
+            recoveries: self.recoveries,
         }
     }
 
     pub fn jobs_completed(&self) -> u64 {
-        self.registry.counter_value(self.c_jobs_completed)
+        self.jobs_completed
     }
 
     pub fn jobs_missed(&self) -> u64 {
-        self.registry.counter_value(self.c_jobs_missed)
+        self.jobs_missed
     }
 
     pub fn missed_ids(&self) -> &[JobId] {
@@ -437,11 +415,10 @@ impl MetricsAccum {
         } else {
             0.0
         };
-        let rpcs = self.registry.counter_value(self.c_rpcs);
-        let rpcs_per_job = if self.jobs_completed() > 0 {
-            rpcs as f64 / self.jobs_completed() as f64
+        let rpcs_per_job = if self.jobs_completed > 0 {
+            self.rpcs as f64 / self.jobs_completed as f64
         } else {
-            rpcs as f64
+            self.rpcs as f64
         };
 
         FiguresOfMerit { idle_fraction, wasted_fraction, share_violation, monotony, rpcs_per_job }
@@ -465,21 +442,19 @@ impl MetricsAccum {
             fault_wasted_flops: self.fault_wasted_flops,
             recovery_secs_sum: self.recovery_secs_sum,
             counters: [
-                self.registry.counter_value(self.c_rpcs),
-                self.registry.counter_value(self.c_transient_rpc_failures),
-                self.registry.counter_value(self.c_jobs_completed),
-                self.registry.counter_value(self.c_jobs_missed),
-                self.registry.counter_value(self.c_jobs_errored),
-                self.registry.counter_value(self.c_transfer_failures),
-                self.registry.counter_value(self.c_crashes),
-                self.registry.counter_value(self.c_recoveries),
+                self.rpcs,
+                self.transient_rpc_failures,
+                self.jobs_completed,
+                self.jobs_missed,
+                self.jobs_errored,
+                self.transfer_failures,
+                self.crashes,
+                self.recoveries,
             ],
         }
     }
 
-    /// Overwrite the mutable state from a snapshot. Must be called on a
-    /// freshly-constructed accumulator (all counters zero) so the counter
-    /// replay lands on the captured values exactly.
+    /// Overwrite the mutable state from a snapshot.
     pub fn restore_snapshot(&mut self, snap: &MetricsAccumSnapshot) {
         self.capacity_secs = snap.capacity_secs;
         self.available_secs = snap.available_secs;
@@ -492,62 +467,16 @@ impl MetricsAccum {
         self.missed_ids = snap.missed_ids.clone();
         self.fault_wasted_flops = snap.fault_wasted_flops;
         self.recovery_secs_sum = snap.recovery_secs_sum;
-        let ids = [
-            self.c_rpcs,
-            self.c_transient_rpc_failures,
-            self.c_jobs_completed,
-            self.c_jobs_missed,
-            self.c_jobs_errored,
-            self.c_transfer_failures,
-            self.c_crashes,
-            self.c_recoveries,
-        ];
-        for (id, &v) in ids.into_iter().zip(&snap.counters) {
-            self.registry.add(id, v);
-        }
-    }
-
-    /// Freeze the run's instruments — the registry counters plus derived
-    /// gauges for the figures of merit, fault fractions and emulator perf
-    /// counters — into the one deterministic `scope.name` schema every
-    /// consumer (CLI, bench harness, fleet study) reads.
-    pub fn export_snapshot(
-        &mut self,
-        merit: &FiguresOfMerit,
-        faults: &FaultMetrics,
-        perf: &PerfStats,
-    ) -> MetricsSnapshot {
-        let g = self.registry.gauge("merit", "idle_fraction");
-        self.registry.set(g, merit.idle_fraction);
-        let g = self.registry.gauge("merit", "wasted_fraction");
-        self.registry.set(g, merit.wasted_fraction);
-        let g = self.registry.gauge("merit", "share_violation");
-        self.registry.set(g, merit.share_violation);
-        let g = self.registry.gauge("merit", "monotony");
-        self.registry.set(g, merit.monotony);
-        let g = self.registry.gauge("merit", "rpcs_per_job");
-        self.registry.set(g, merit.rpcs_per_job);
-        let g = self.registry.gauge("host", "available_fraction");
-        self.registry.set(g, self.available_fraction());
-        let g = self.registry.gauge("fault", "wasted_fraction");
-        self.registry.set(g, faults.fault_wasted_fraction);
-        let g = self.registry.gauge("fault", "mean_recovery_secs");
-        self.registry.set(g, faults.mean_recovery_secs);
-        let c = self.registry.counter("perf", "events_processed");
-        self.registry.add(c, perf.events_processed);
-        let c = self.registry.counter("perf", "peak_jobs");
-        self.registry.add(c, perf.peak_jobs as u64);
-        let c = self.registry.counter("perf", "rr_queries");
-        self.registry.add(c, perf.rr_queries);
-        let c = self.registry.counter("perf", "rr_runs");
-        self.registry.add(c, perf.rr_runs);
-        let c = self.registry.counter("perf", "rr_frozen");
-        self.registry.add(c, perf.rr_frozen);
-        let c = self.registry.counter("perf", "flaps_coalesced");
-        self.registry.add(c, perf.flaps_coalesced);
-        let c = self.registry.counter("perf", "avail_resched_skipped");
-        self.registry.add(c, perf.avail_resched_skipped);
-        self.registry.snapshot()
+        [
+            self.rpcs,
+            self.transient_rpc_failures,
+            self.jobs_completed,
+            self.jobs_missed,
+            self.jobs_errored,
+            self.transfer_failures,
+            self.crashes,
+            self.recoveries,
+        ] = snap.counters;
     }
 }
 

@@ -4,7 +4,8 @@
 
 use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy, NetworkModel};
 use bce_core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder, TraceEvent};
-use bce_types::{AppClass, Hardware, Preferences, ProjectSpec, SimDuration};
+use bce_types::{AppClass, Hardware, JobId, Preferences, ProjectSpec, SimDuration};
+use std::collections::BTreeSet;
 
 fn one_project_scenario() -> Scenario {
     ScenarioBuilder::new("smoke-1p", Hardware::cpu_only(1, 1e9))
@@ -268,6 +269,33 @@ fn empty_reschedule_is_silent() {
     for (started, preempted) in scheduled {
         assert!(!(started.is_empty() && preempted.is_empty()), "empty Scheduled record");
     }
+}
+
+#[test]
+fn job_ids_are_unique_whatever_the_project_ids() {
+    // The two ids agree modulo 2^24, so job ids built from the project id
+    // shifted into bits 40 and up would collide.
+    let app = || AppClass::cpu(0, SimDuration::from_secs(1000.0), SimDuration::from_hours(6.0));
+    let scenario = ScenarioBuilder::new("colliding-ids", Hardware::cpu_only(2, 1e9))
+        .seed(3)
+        .project(ProjectSpec::new(7_022_592, "a", 100.0).with_app(app()))
+        .project(ProjectSpec::new(4_000_000_000, "b", 100.0).with_app(app()))
+        .build_unchecked();
+    let cfg = EmulatorConfig { trace_capacity: 100_000, ..short_cfg(1.0) };
+    let r = Emulator::new(scenario, ClientConfig::default(), cfg).run();
+    assert_eq!(r.trace.dropped(), 0);
+    let finished: Vec<JobId> = r
+        .trace
+        .records()
+        .iter()
+        .filter_map(|rec| match rec.event {
+            TraceEvent::JobFinished { job, .. } => Some(job),
+            _ => None,
+        })
+        .collect();
+    assert!(finished.len() > 100, "a day on two CPUs finishes ~170 jobs, got {}", finished.len());
+    assert_eq!(finished.iter().collect::<BTreeSet<_>>().len(), finished.len(), "duplicate job id");
+    assert_eq!(finished.len() as u64, r.jobs_completed);
 }
 
 #[test]

@@ -137,7 +137,7 @@ impl std::fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 /// A parsed value. Numbers keep their source text so integer fields
-/// (`seq`, job ids, which carry the project in bits above 2^40) parse
+/// (`seq`, job ids, which carry the project's slot in bits above 2^40) parse
 /// exactly as `u64` instead of through a lossy `f64`.
 #[derive(Debug, Clone, PartialEq)]
 enum Val {
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn integer_fields_round_trip_above_f64_precision() {
-        // Job ids carry the project id above bit 40; an f64 detour would
+        // Job ids carry the project's slot above bit 40; an f64 detour would
         // round ids past 2^53.
         let big = (43_981u64 << 40) | 12_345;
         let r = TraceRecord {

@@ -8,8 +8,8 @@
 //!   or display time (`impl Display for TraceRecord`).
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
 //!   histograms with per-component scopes, frozen into one deterministic
-//!   [`MetricsSnapshot`] schema read by the CLI, bench harness and fleet
-//!   study alike.
+//!   [`MetricsSnapshot`] schema; the `bce serve` daemon's `/metrics`
+//!   endpoint is built on it.
 //! * [`spans`] — a [`Profiler`] of wall-clock and deterministic sim-time
 //!   spans feeding perfbench's traced per-layer table.
 //! * [`export`] — JSONL serialization of traces and the matching parser

@@ -8,8 +8,8 @@
 //! no hashing, no string comparison, no allocation.
 //!
 //! A [`MetricsSnapshot`] freezes the registry into a sorted,
-//! deterministic `scope.name → value` table that the CLI, the bench
-//! harness and the fleet study all render from the same schema.
+//! deterministic `scope.name → value` table; the `bce serve` daemon's
+//! `/metrics` endpoint renders it.
 
 use std::fmt::Write as _;
 
@@ -117,11 +117,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn set(&mut self, id: GaugeId, v: f64) {
         self.gauges[id.0].value = v;
-    }
-
-    #[inline]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].value
     }
 
     /// Record one observation into a histogram.

@@ -134,7 +134,10 @@ impl fmt::Display for TraceRecord {
         )?;
         match e {
             TraceEvent::Scheduled { started, preempted } => {
-                write!(f, "start {started:?}, preempt {preempted:?}")
+                f.write_str("start ")?;
+                write_job_list(f, started)?;
+                f.write_str(", preempt ")?;
+                write_job_list(f, preempted)
             }
             TraceEvent::JobFinished { job, project, met_deadline } => {
                 let ok = if *met_deadline { "met deadline" } else { "MISSED deadline" };
@@ -173,6 +176,18 @@ impl fmt::Display for TraceRecord {
             }
         }
     }
+}
+
+/// `[J0, J1]`: job ids as every other kind prints them.
+fn write_job_list(f: &mut fmt::Formatter<'_>, jobs: &[JobId]) -> fmt::Result {
+    f.write_str("[")?;
+    for (i, job) in jobs.iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        write!(f, "{job}")?;
+    }
+    f.write_str("]")
 }
 
 /// Emission side of the API. Implemented by [`TraceSink`]; generic code
@@ -444,8 +459,11 @@ mod tests {
         let p = ProjectId(1);
         let cases = [
             (
-                TraceEvent::Scheduled { started: vec![JobId(3), JobId(4)], preempted: vec![] },
-                "[      0 t=      3600s sched]       scheduled  start [JobId(3), JobId(4)], preempt []",
+                TraceEvent::Scheduled {
+                    started: vec![JobId(3), JobId(1 << 40)],
+                    preempted: vec![JobId(4)],
+                },
+                "[      0 t=      3600s sched]       scheduled  start [J3, J1099511627776], preempt [J4]",
             ),
             (
                 TraceEvent::JobFinished { job: JobId(3), project: p, met_deadline: false },

@@ -50,8 +50,3 @@ pub fn install_termination_handler() {
 pub fn termination_requested() -> bool {
     TERM_REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Test hook: simulate (or clear) a received signal in-process.
-pub fn set_termination_requested(v: bool) {
-    TERM_REQUESTED.store(v, Ordering::SeqCst);
-}

@@ -2,25 +2,30 @@
 //! normally-distributed runtimes (§4.3a) and modelled estimate errors.
 
 use bce_sim::{Distribution, Normal, Rng, TruncatedNormal};
-use bce_types::{AppClass, AppId, EstErrorModel, JobId, JobSpec, ProjectId, SimDuration, SimTime};
+use bce_types::{AppClass, EstErrorModel, JobId, JobSpec, ProjectId, SimDuration, SimTime};
 
 /// Stateful generator of jobs for one project.
 #[derive(Debug, Clone)]
 pub struct JobFactory {
     project: ProjectId,
+    /// The project's slot shifted into the job id's upper bits.
+    id_base: u64,
     next_seq: u64,
     rng: Rng,
 }
 
 impl JobFactory {
-    pub fn new(project: ProjectId, rng: Rng) -> Self {
-        JobFactory { project, next_seq: 0, rng }
+    /// A generator for `project`, the `slot`-th project of its scenario.
+    /// Job ids carry the slot in bits 40 and up and a per-project sequence
+    /// number below, so they are unique across the whole emulation
+    /// without central coordination, whatever the project ids are.
+    pub fn new(project: ProjectId, slot: usize, rng: Rng) -> Self {
+        assert!(slot < 1 << 24, "project slot {slot} does not fit in a job id");
+        JobFactory { project, id_base: (slot as u64) << 40, next_seq: 0, rng }
     }
 
-    /// Job ids carry the project in their upper bits so they are unique
-    /// across the whole emulation without central coordination.
     fn next_id(&mut self) -> JobId {
-        let id = ((self.project.0 as u64) << 40) | self.next_seq;
+        let id = self.id_base | self.next_seq;
         self.next_seq += 1;
         JobId(id)
     }
@@ -84,18 +89,13 @@ impl JobFactory {
     }
 }
 
-/// Convenience used across the workspace in tests: an `AppId`-indexed find.
-pub fn app_by_id(apps: &[AppClass], id: AppId) -> Option<&AppClass> {
-    apps.iter().find(|a| a.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bce_types::ProcType;
 
     fn factory() -> JobFactory {
-        JobFactory::new(ProjectId(3), Rng::from_seed(42))
+        JobFactory::new(ProjectId(3), 2, Rng::from_seed(42))
     }
 
     fn app() -> AppClass {
@@ -109,7 +109,7 @@ mod tests {
         let j1 = f.make_job(&a, SimTime::ZERO);
         let j2 = f.make_job(&a, SimTime::ZERO);
         assert_ne!(j1.id, j2.id);
-        assert_eq!(j1.id.0 >> 40, 3);
+        assert_eq!(j1.id.0 >> 40, 2);
         assert_eq!(j1.project, ProjectId(3));
     }
 

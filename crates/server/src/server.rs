@@ -111,7 +111,9 @@ pub struct ProjectServer {
 }
 
 impl ProjectServer {
-    pub fn new(spec: ProjectSpec, config: ServerConfig, rng: &mut Rng) -> Self {
+    /// The server of `spec`, the `slot`-th project of its scenario (the
+    /// slot keeps its job ids apart from every other project's).
+    pub fn new(spec: ProjectSpec, slot: usize, config: ServerConfig, rng: &mut Rng) -> Self {
         let uptime = match spec.uptime {
             ServerUptime::AlwaysUp => None,
             ServerUptime::Sporadic { up_mean, down_mean } => Some(
@@ -149,7 +151,7 @@ impl ProjectServer {
                 })
             })
             .collect();
-        let factory = JobFactory::new(spec.id, rng.fork("jobs"));
+        let factory = JobFactory::new(spec.id, slot, rng.fork("jobs"));
         ProjectServer {
             spec,
             config,
@@ -420,7 +422,7 @@ mod tests {
     }
 
     fn server(spec: ProjectSpec) -> ProjectServer {
-        ProjectServer::new(spec, ServerConfig::default(), &mut Rng::from_seed(9))
+        ProjectServer::new(spec, 0, ServerConfig::default(), &mut Rng::from_seed(9))
     }
 
     #[test]
@@ -457,7 +459,7 @@ mod tests {
     #[test]
     fn max_jobs_per_rpc_caps_reply() {
         let cfg = ServerConfig { max_jobs_per_rpc: 3, ..Default::default() };
-        let mut s = ProjectServer::new(spec(), cfg, &mut Rng::from_seed(1));
+        let mut s = ProjectServer::new(spec(), 0, cfg, &mut Rng::from_seed(1));
         let RpcOutcome::Reply(reply) = s.handle_rpc(SimTime::ZERO, &req_cpu(1e9, 0.0)) else {
             panic!()
         };

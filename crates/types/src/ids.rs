@@ -30,8 +30,10 @@ macro_rules! id_type {
 }
 
 id_type!(
-    /// Identifies an attached project within a scenario. Project ids are
-    /// dense: scenario builders assign `0..n`.
+    /// Identifies an attached project within a scenario. Scenario builders
+    /// assign `0..n`, but spec files and state files may use any distinct
+    /// ids, in any order; code that needs a dense index uses the
+    /// project's position in the scenario instead.
     ProjectId(u32),
     "P"
 );
