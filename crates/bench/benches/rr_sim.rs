@@ -4,9 +4,9 @@
 
 use bce_avail::HostRunState;
 use bce_client::{
-    plan_into, rr_simulate, rr_simulate_into, Accounting, AccountingKind, AccountingSnapshot,
-    Client, ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob, RrOutcome, RrPlatform,
-    RrScratch, Task,
+    plan_into, rr_simulate, rr_simulate_into, task_slots, Accounting, AccountingKind,
+    AccountingSnapshot, Client, ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob,
+    RrOutcome, RrPlatform, RrScratch, Task,
 };
 use bce_sim::Rng;
 use bce_types::{
@@ -356,6 +356,7 @@ fn bench_per_decision(c: &mut Criterion) {
     let input = PlanInput {
         now: SimTime::from_secs(60.0),
         tasks: &tasks,
+        slots: &task_slots(&accounting, &tasks),
         rr: &rr,
         accounting: &accounting,
         hw: &hw,

@@ -74,9 +74,10 @@ impl SlotSet {
 /// Per-interval usage report fed to [`Accounting::update`], keyed by
 /// project slot.
 ///
-/// Rebuilt once per client advance (the hot path), so the containers are
-/// cleared and refilled without reallocating. Membership lists keep
-/// first-appearance order: it fixes the summation order of the debt
+/// A pure function of the running and runnable task sets and the task
+/// order, so the client refills it only when its running-set generation
+/// moved, clearing the containers without reallocating. Membership lists
+/// keep first-appearance order: it fixes the summation order of the debt
 /// update.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UsageSample {
@@ -90,12 +91,6 @@ pub(crate) struct UsageSample {
     /// resource; §2.1 leaves this unspecified and we follow the BOINC
     /// client.
     runnable: ProcMap<SlotSet>,
-    /// Projects that *supply* jobs of each type, whether or not any are
-    /// queued right now. Long-term (fetch) debt accrues over these, so a
-    /// project the client never asked for work still builds its claim —
-    /// without this, whichever project wins the first tie monopolizes
-    /// fetch forever.
-    fetchable: ProcMap<SlotSet>,
 }
 
 impl UsageSample {
@@ -106,7 +101,6 @@ impl UsageSample {
         self.running.reset(nslots);
         for t in ProcType::ALL {
             self.runnable[t].reset(nslots);
-            self.fetchable[t].reset(nslots);
         }
     }
 
@@ -115,7 +109,6 @@ impl UsageSample {
         self.running.clear();
         for t in ProcType::ALL {
             self.runnable[t].clear();
-            self.fetchable[t].clear();
         }
     }
 
@@ -136,8 +129,15 @@ impl UsageSample {
         self.runnable[t].insert(slot);
     }
 
-    pub(crate) fn mark_fetchable(&mut self, t: ProcType, slot: usize) {
-        self.fetchable[t].insert(slot);
+    /// Would [`Accounting::update`] read the same thing from both samples:
+    /// the same membership orders and bit-equal usage of every running
+    /// slot?
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn same_as(&self, other: &UsageSample) -> bool {
+        let bits = |m: &ProcMap<f64>| ProcType::ALL.map(|t| m[t].to_bits());
+        self.running.slots() == other.running.slots()
+            && self.running.slots().iter().all(|&s| bits(&self.used[s]) == bits(&other.used[s]))
+            && ProcType::ALL.iter().all(|&t| self.runnable[t].slots() == other.runnable[t].slots())
     }
 }
 
@@ -172,6 +172,16 @@ pub struct Accounting {
     debts: Vec<ProcMap<f64>>,
     /// Local: per-project, per-type long-term debt (drives work fetch).
     lt_debts: Vec<ProcMap<f64>>,
+    /// Projects that *supply* jobs of each type this host has, whether or
+    /// not any are queued right now, in project listing order. Long-term
+    /// (fetch) debt accrues over these, so a project the client never
+    /// asked for work still builds its claim — without this, whichever
+    /// project wins the first tie monopolizes fetch forever. Fixed by
+    /// [`Accounting::set_fetchable`].
+    fetchable: ProcMap<SlotSet>,
+    /// `share[s] / share_sum * ninst` of each member of `fetchable[t]`, in
+    /// member order; empty when type `t` accrues no long-term debt.
+    lt_entitled: ProcMap<Vec<f64>>,
     /// Global: REC value and its last-update instant (decay is applied
     /// lazily).
     rec: Vec<f64>,
@@ -199,6 +209,10 @@ impl Accounting {
             .collect();
         let n = ids.len();
         let rec = vec![0.0; n];
+        let mut fetchable = ProcMap::<SlotSet>::default();
+        for t in ProcType::ALL {
+            fetchable[t].reset(n);
+        }
         Accounting {
             kind,
             ids,
@@ -206,6 +220,8 @@ impl Accounting {
             share_total,
             debts: vec![ProcMap::zero(); n],
             lt_debts: vec![ProcMap::zero(); n],
+            fetchable,
+            lt_entitled: ProcMap::default(),
             rec_total: Self::sum_rec(&rec),
             rec,
             rec_updated: SimTime::ZERO,
@@ -225,6 +241,46 @@ impl Accounting {
     /// Number of slots (distinct projects).
     pub(crate) fn num_slots(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Fix the long-term-debt membership: for each processor type the host
+    /// has, the projects that supply it, in `supplies` order, and each
+    /// one's entitlement. Both depend only on the attached projects and
+    /// the hardware, so the client sets them at construction and again
+    /// whenever the hardware may have changed.
+    ///
+    /// # Panics
+    /// If a supplying project holds no share here.
+    pub(crate) fn set_fetchable(
+        &mut self,
+        hw: &Hardware,
+        supplies: impl IntoIterator<Item = (ProjectId, ProcMap<bool>)>,
+    ) {
+        for t in ProcType::ALL {
+            self.fetchable[t].clear();
+            self.lt_entitled[t].clear();
+        }
+        for (p, supplied) in supplies {
+            let slot = self.slot_of(p).expect("supplying project holds a share");
+            for t in ProcType::ALL {
+                if supplied[t] && hw.ninstances(t) > 0 {
+                    self.fetchable[t].insert(slot);
+                }
+            }
+        }
+        for t in ProcType::ALL {
+            let members = self.fetchable[t].slots();
+            if let Some((ninst, share_sum)) = Self::accrual_base(&self.share, members, hw, t) {
+                let share = &self.share;
+                self.lt_entitled[t].extend(members.iter().map(|&s| share[s] / share_sum * ninst));
+            }
+        }
+    }
+
+    /// The long-term entitlements of type `t`, in membership order (tests).
+    #[cfg(test)]
+    pub(crate) fn lt_entitled(&self, t: ProcType) -> &[f64] {
+        &self.lt_entitled[t]
     }
 
     fn sum_rec(rec: &[f64]) -> f64 {
@@ -296,62 +352,74 @@ impl Accounting {
         }
         match self.kind {
             AccountingKind::Local => {
-                Self::update_debts(&mut self.debts, &self.share, dt, hw, sample, &sample.runnable);
-                Self::update_debts(
-                    &mut self.lt_debts,
-                    &self.share,
-                    dt,
-                    hw,
-                    sample,
-                    &sample.fetchable,
-                );
+                let share = &self.share;
+                for t in ProcType::ALL {
+                    let runnable = &sample.runnable[t];
+                    let order = runnable.slots();
+                    if let Some((ninst, share_sum)) = Self::accrual_base(share, order, hw, t) {
+                        let entitled = order.iter().map(|&s| share[s] / share_sum * ninst);
+                        Self::accrue(&mut self.debts, t, dt, sample, runnable, entitled);
+                    }
+                }
+                for t in ProcType::ALL {
+                    let entitled = &self.lt_entitled[t];
+                    if !entitled.is_empty() {
+                        let fetchable = &self.fetchable[t];
+                        let entitled = entitled.iter().copied();
+                        Self::accrue(&mut self.lt_debts, t, dt, sample, fetchable, entitled);
+                    }
+                }
             }
             AccountingKind::Global => self.update_global(now, hw, sample),
         }
     }
 
-    fn update_debts(
-        debts: &mut [ProcMap<f64>],
+    /// `(ninst, share_sum)` of a debt accrual of type `t` over `members`,
+    /// or `None` when the type accrues nothing: the host has none of it,
+    /// nobody is eligible, or the eligible shares sum to zero.
+    fn accrual_base(
         share: &[f64],
-        dt: f64,
+        members: &[usize],
         hw: &Hardware,
+        t: ProcType,
+    ) -> Option<(f64, f64)> {
+        let ninst = hw.ninstances(t) as f64;
+        if ninst <= 0.0 || members.is_empty() {
+            return None;
+        }
+        let share_sum: f64 = members.iter().map(|&s| share[s]).sum();
+        (share_sum > 0.0).then_some((ninst, share_sum))
+    }
+
+    /// Accrue one interval of type-`t` debt: each eligible project gains
+    /// its entitled instance-seconds (`entitled`, in membership order)
+    /// minus what it used.
+    fn accrue(
+        debts: &mut [ProcMap<f64>],
+        t: ProcType,
+        dt: f64,
         sample: &UsageSample,
-        membership: &ProcMap<SlotSet>,
+        eligible: &SlotSet,
+        entitled: impl Iterator<Item = f64>,
     ) {
-        for t in ProcType::ALL {
-            let ninst = hw.ninstances(t) as f64;
-            if ninst <= 0.0 {
-                continue;
+        let order = eligible.slots();
+        for (&s, entitled) in order.iter().zip(entitled) {
+            let u = sample.used_of(s).map_or(0.0, |m| m[t]);
+            debts[s][t] += dt * (entitled - u);
+        }
+        // Projects not eligible still pay for use (e.g. finishing a
+        // last job while out of further work).
+        for &s in sample.running.slots() {
+            let u = sample.used[s][t];
+            if !eligible.contains(s) && u > 0.0 {
+                debts[s][t] -= dt * u;
             }
-            let eligible = &membership[t];
-            let order = eligible.slots();
-            if order.is_empty() {
-                continue;
-            }
-            let share_sum: f64 = order.iter().map(|&s| share[s]).sum();
-            if share_sum <= 0.0 {
-                continue;
-            }
-            // Accrue: entitled instance-seconds minus used instance-seconds.
-            for &s in order {
-                let entitled = share[s] / share_sum * ninst;
-                let u = sample.used_of(s).map_or(0.0, |m| m[t]);
-                debts[s][t] += dt * (entitled - u);
-            }
-            // Projects not eligible still pay for use (e.g. finishing a
-            // last job while out of further work).
-            for &s in sample.running.slots() {
-                let u = sample.used[s][t];
-                if !eligible.contains(s) && u > 0.0 {
-                    debts[s][t] -= dt * u;
-                }
-            }
-            // Normalize to zero mean over eligible projects and clamp.
-            let mean: f64 = order.iter().map(|&s| debts[s][t]).sum::<f64>() / order.len() as f64;
-            for &s in order {
-                let d = &mut debts[s][t];
-                *d = (*d - mean).clamp(-MAX_DEBT, MAX_DEBT);
-            }
+        }
+        // Normalize to zero mean over eligible projects and clamp.
+        let mean: f64 = order.iter().map(|&s| debts[s][t]).sum::<f64>() / order.len() as f64;
+        for &s in order {
+            let d = &mut debts[s][t];
+            *d = (*d - mean).clamp(-MAX_DEBT, MAX_DEBT);
         }
     }
 
@@ -429,7 +497,10 @@ mod tests {
         vec![(ProjectId(0), 1.0), (ProjectId(1), 1.0)]
     }
 
+    /// A usage sample with the given slots running and runnable, and the
+    /// same runnable lists fixed as `a`'s long-term-debt membership.
     fn sample(
+        a: &mut Accounting,
         used: &[(u32, f64, f64)], // (project, cpus, gpus)
         runnable_cpu: &[u32],
         runnable_gpu: &[u32],
@@ -445,9 +516,17 @@ mod tests {
         for (t, list) in [(ProcType::Cpu, runnable_cpu), (ProcType::NvidiaGpu, runnable_gpu)] {
             for &p in list {
                 s.mark_runnable(t, p as usize);
-                s.mark_fetchable(t, p as usize);
             }
         }
+        a.set_fetchable(
+            &hw(),
+            (0..2).map(|p| {
+                let mut supplies = ProcMap::from_fn(|_| false);
+                supplies[ProcType::Cpu] = runnable_cpu.contains(&p);
+                supplies[ProcType::NvidiaGpu] = runnable_gpu.contains(&p);
+                (ProjectId(p), supplies)
+            }),
+        );
         s
     }
 
@@ -459,7 +538,7 @@ mod tests {
     fn local_debt_rises_for_starved_project() {
         let mut a = Accounting::new(AccountingKind::Local, shares2(), SimDuration::from_days(10.0));
         // P0 uses all 4 CPUs; both runnable; P1 starves.
-        let s = sample(&[(0, 4.0, 0.0)], &[0, 1], &[]);
+        let s = sample(&mut a, &[(0, 4.0, 0.0)], &[0, 1], &[]);
         a.update(t(0.0), t(100.0), &hw(), &s);
         assert!(a.prio_sched(ProjectId(1), ProcType::Cpu) > 0.0);
         assert!(a.prio_sched(ProjectId(0), ProcType::Cpu) < 0.0);
@@ -471,7 +550,7 @@ mod tests {
     #[test]
     fn local_debt_balanced_when_fairly_shared() {
         let mut a = Accounting::new(AccountingKind::Local, shares2(), SimDuration::from_days(10.0));
-        let s = sample(&[(0, 2.0, 0.0), (1, 2.0, 0.0)], &[0, 1], &[]);
+        let s = sample(&mut a, &[(0, 2.0, 0.0), (1, 2.0, 0.0)], &[0, 1], &[]);
         a.update(t(0.0), t(1000.0), &hw(), &s);
         assert!(a.prio_sched(ProjectId(0), ProcType::Cpu).abs() < 1e-6);
         assert!(a.prio_sched(ProjectId(1), ProcType::Cpu).abs() < 1e-6);
@@ -483,7 +562,7 @@ mod tests {
         // the GPU, so local accounting splits the CPU evenly even when one
         // project hogs a big GPU.
         let mut a = Accounting::new(AccountingKind::Local, shares2(), SimDuration::from_days(10.0));
-        let s = sample(&[(0, 2.0, 0.0), (1, 2.0, 1.0)], &[0, 1], &[1]);
+        let s = sample(&mut a, &[(0, 2.0, 0.0), (1, 2.0, 1.0)], &[0, 1], &[1]);
         a.update(t(0.0), t(1000.0), &hw(), &s);
         assert!(a.prio_sched(ProjectId(0), ProcType::Cpu).abs() < 1e-6);
         assert!(a.prio_sched(ProjectId(1), ProcType::Cpu).abs() < 1e-6);
@@ -495,7 +574,7 @@ mod tests {
         // P0's CPU share, so P0's priority is higher on every resource.
         let mut a =
             Accounting::new(AccountingKind::Global, shares2(), SimDuration::from_days(10.0));
-        let s = sample(&[(0, 2.0, 0.0), (1, 2.0, 1.0)], &[0, 1], &[1]);
+        let s = sample(&mut a, &[(0, 2.0, 0.0), (1, 2.0, 1.0)], &[0, 1], &[1]);
         a.update(t(0.0), t(10_000.0), &hw(), &s);
         assert!(
             a.prio_sched(ProjectId(0), ProcType::Cpu) > a.prio_sched(ProjectId(1), ProcType::Cpu)
@@ -507,12 +586,12 @@ mod tests {
     fn global_rec_decays_with_half_life() {
         let hl = SimDuration::from_secs(1000.0);
         let mut a = Accounting::new(AccountingKind::Global, shares2(), hl);
-        let s = sample(&[(0, 4.0, 0.0)], &[0, 1], &[]);
+        let s = sample(&mut a, &[(0, 4.0, 0.0)], &[0, 1], &[]);
         a.update(t(0.0), t(100.0), &hw(), &s);
         let r0 = a.rec_of(ProjectId(0));
         assert!(r0 > 0.0);
         // One half-life of idleness halves REC.
-        let idle = sample(&[], &[0, 1], &[]);
+        let idle = sample(&mut a, &[], &[0, 1], &[]);
         a.update(t(100.0), t(1100.0), &hw(), &idle);
         assert!((a.rec_of(ProjectId(0)) / r0 - 0.5).abs() < 1e-9);
     }
@@ -525,9 +604,9 @@ mod tests {
             let mut a =
                 Accounting::new(AccountingKind::Global, shares2(), SimDuration::from_secs(hl));
             // P0 monopolizes the host for a while, then P1 does.
-            let s0 = sample(&[(0, 4.0, 0.0)], &[0, 1], &[]);
+            let s0 = sample(&mut a, &[(0, 4.0, 0.0)], &[0, 1], &[]);
             a.update(t(0.0), t(1000.0), &hw(), &s0);
-            let s1 = sample(&[(1, 4.0, 0.0)], &[0, 1], &[]);
+            let s1 = sample(&mut a, &[(1, 4.0, 0.0)], &[0, 1], &[]);
             a.update(t(1000.0), t(11_000.0), &hw(), &s1);
             a.prio_sched(ProjectId(0), ProcType::Cpu)
         };
@@ -543,7 +622,7 @@ mod tests {
         let mut a = Accounting::new(AccountingKind::Local, shares2(), SimDuration::from_days(10.0));
         // P0 starved on GPU (10 GF) but even on CPU: GPU debt dominates
         // fetch priority.
-        let s = sample(&[(1, 0.0, 1.0)], &[], &[0, 1]);
+        let s = sample(&mut a, &[(1, 0.0, 1.0)], &[], &[0, 1]);
         a.update(t(0.0), t(100.0), &hw(), &s);
         assert!(a.prio_fetch(ProjectId(0), &hw()) > 0.0);
         assert!(a.prio_fetch(ProjectId(1), &hw()) < 0.0);
@@ -552,7 +631,7 @@ mod tests {
     #[test]
     fn debt_clamped() {
         let mut a = Accounting::new(AccountingKind::Local, shares2(), SimDuration::from_days(10.0));
-        let s = sample(&[(0, 4.0, 0.0)], &[0, 1], &[]);
+        let s = sample(&mut a, &[(0, 4.0, 0.0)], &[0, 1], &[]);
         // Enormous starvation interval: debt must clamp at MAX_DEBT.
         a.update(t(0.0), t(1e9), &hw(), &s);
         assert!(a.prio_sched(ProjectId(1), ProcType::Cpu) <= MAX_DEBT + 1e-9);
@@ -563,7 +642,7 @@ mod tests {
     fn non_eligible_user_still_pays() {
         let mut a = Accounting::new(AccountingKind::Local, shares2(), SimDuration::from_days(10.0));
         // P1 uses CPU while not eligible (no runnable work listed).
-        let s = sample(&[(1, 2.0, 0.0)], &[0], &[]);
+        let s = sample(&mut a, &[(1, 2.0, 0.0)], &[0], &[]);
         a.update(t(0.0), t(100.0), &hw(), &s);
         assert!(a.debt_of(ProjectId(1), ProcType::Cpu) < 0.0);
     }

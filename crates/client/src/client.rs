@@ -240,6 +240,7 @@ type RrKey = (SimTime, HostRunState, u64, u64);
 #[derive(Debug, Default)]
 pub struct ClientScratch {
     tasks: Vec<Task>,
+    task_slots: Vec<usize>,
     finished: Vec<Task>,
     xfer_retries: Vec<XferRetry>,
     rr_jobs: Vec<RrJob>,
@@ -247,6 +248,7 @@ pub struct ClientScratch {
     rr_cache: RrOutcome,
     usage_buf: UsageSample,
     plan_scratch: PlanScratch,
+    run_mask: Vec<bool>,
 }
 
 impl ClientScratch {
@@ -313,6 +315,10 @@ pub struct Client {
     pub prefs: Preferences,
     projects: Vec<ClientProject>,
     tasks: Vec<Task>,
+    /// The accounting slot of each task, parallel to `tasks`: resolved
+    /// once at admission (and on restore) for the usage sample and the
+    /// planner.
+    task_slots: Vec<usize>,
     finished: Vec<Task>,
     accounting: Accounting,
     transfers: Transfers,
@@ -346,10 +352,19 @@ pub struct Client {
     rr_frozen_until: SimTime,
     /// Which groups mutations dirtied since the last full simulation.
     rr_dirty: DirtyGroups,
-    /// Reusable accounting sample, refilled each advance.
+    /// Generation counter of the running set, the runnable set and the
+    /// task order; bumped by every mutation that can change any of them
+    /// (see the "Hot path & caching invariants" section of DESIGN.md).
+    /// Everything derived from those three alone is cached against it.
+    run_gen: u64,
+    /// Reusable accounting sample, refilled by an advance only when
+    /// `run_gen` moved since `usage_gen`.
     usage_buf: UsageSample,
+    usage_gen: Option<u64>,
     /// Reusable planner workspace ([`sched::plan_into`]).
     plan_scratch: PlanScratch,
+    /// Reusable "planned to run" flag per task, for applying a plan.
+    run_mask: Vec<bool>,
 }
 
 /// What a host crash destroyed (see [`Client::crash`]).
@@ -384,6 +399,7 @@ impl Client {
     ) -> Self {
         let ClientScratch {
             mut tasks,
+            mut task_slots,
             mut finished,
             mut xfer_retries,
             mut rr_jobs,
@@ -391,8 +407,10 @@ impl Client {
             rr_cache,
             mut usage_buf,
             plan_scratch,
+            run_mask,
         } = scratch;
         tasks.clear();
+        task_slots.clear();
         finished.clear();
         xfer_retries.clear();
         rr_jobs.clear();
@@ -400,11 +418,12 @@ impl Client {
         // simulation call, and `rr_key: None` below guarantees the first
         // snapshot query re-runs the simulation before anything reads the
         // recycled cache contents.
-        let accounting = Accounting::new(
+        let mut accounting = Accounting::new(
             cfg.sched_policy.accounting,
             projects.iter().map(|p| (p.id, p.share)),
             cfg.rec_half_life,
         );
+        accounting.set_fetchable(&hw, projects.iter().map(|p| (p.id, p.supplies)));
         usage_buf.reset(accounting.num_slots());
         let transfers = Transfers::new(cfg.network);
         let rr_platform = RrPlatform {
@@ -419,6 +438,7 @@ impl Client {
             prefs,
             projects,
             tasks,
+            task_slots,
             finished,
             accounting,
             transfers,
@@ -436,8 +456,11 @@ impl Client {
             rr_stats: RrStats::default(),
             rr_frozen_until: SimTime::ZERO,
             rr_dirty: DirtyGroups::default(),
+            run_gen: 0,
             usage_buf,
+            usage_gen: None,
             plan_scratch,
+            run_mask,
         }
     }
 
@@ -446,6 +469,7 @@ impl Client {
     pub fn into_scratch(self) -> ClientScratch {
         ClientScratch {
             tasks: self.tasks,
+            task_slots: self.task_slots,
             finished: self.finished,
             xfer_retries: self.xfer_retries,
             rr_jobs: self.rr_jobs,
@@ -453,6 +477,7 @@ impl Client {
             rr_cache: self.rr_cache,
             usage_buf: self.usage_buf,
             plan_scratch: self.plan_scratch,
+            run_mask: self.run_mask,
         }
     }
 
@@ -510,6 +535,15 @@ impl Client {
         self.rpcs_issued
     }
 
+    /// The running-set generation: it moves whenever the running set, the
+    /// runnable set or the task order may have changed, and also when the
+    /// hardware may have. Anything computed from those alone — say
+    /// [`Client::flops_in_use_by_slot_into`] — stays valid while it holds
+    /// still.
+    pub fn run_gen(&self) -> u64 {
+        self.run_gen
+    }
+
     /// Is this job's input download still in flight (or awaiting retry)?
     pub fn transfers_pending_download(&self, id: JobId) -> bool {
         self.transfers.downloads.contains(id)
@@ -546,14 +580,22 @@ impl Client {
     /// If the job's project is not attached (a validated scenario's
     /// initial queue names only its own projects).
     pub fn add_initial_task(&mut self, spec: JobSpec, progress: SimDuration) {
-        assert!(self.attached(spec.project), "initial task of unattached project {}", spec.project);
-        let task = Task::with_progress(spec, progress);
+        let Some(slot) = self.accounting.slot_of(spec.project) else {
+            panic!("initial task of unattached project {}", spec.project);
+        };
+        self.admit(Task::with_progress(spec, progress), slot);
+        self.state_gen += 1;
+        self.run_gen += 1;
+        self.rr_dirty.mark_global();
+    }
+
+    /// Queue an accepted task, starting its input download if it has one.
+    fn admit(&mut self, task: Task, slot: usize) {
         if task.state() == TaskState::Downloading {
             self.enqueue_transfer(task.spec.id, task.spec.input_bytes, XferDir::Download);
         }
         self.tasks.push(task);
-        self.state_gen += 1;
-        self.rr_dirty.mark_global();
+        self.task_slots.push(slot);
     }
 
     /// Queue a transfer attempt, consulting the fault plan (if any) for a
@@ -581,19 +623,17 @@ impl Client {
         let mut rejected = Vec::new();
         let mut accepted_any = false;
         for spec in jobs {
-            if !self.job_feasible(&spec) || !self.attached(spec.project) {
-                rejected.push(spec.id);
-                continue;
+            match self.accounting.slot_of(spec.project) {
+                Some(slot) if self.job_feasible(&spec) => {
+                    self.admit(Task::new(spec), slot);
+                    accepted_any = true;
+                }
+                _ => rejected.push(spec.id),
             }
-            let task = Task::new(spec);
-            if task.state() == TaskState::Downloading {
-                self.enqueue_transfer(task.spec.id, task.spec.input_bytes, XferDir::Download);
-            }
-            self.tasks.push(task);
-            accepted_any = true;
         }
         if accepted_any {
             self.state_gen += 1;
+            self.run_gen += 1;
             self.rr_dirty.mark_global();
         }
         rejected
@@ -611,13 +651,7 @@ impl Client {
         }
 
         // Accounting sees the interval's usage before tasks mutate.
-        Self::fill_usage_sample(
-            &self.accounting,
-            &self.projects,
-            &self.tasks,
-            &self.hw,
-            &mut self.usage_buf,
-        );
+        self.refresh_usage_sample();
         self.accounting.update(self.last_advance, now, &self.hw, &self.usage_buf);
 
         // Transfers progress first: uploads enqueued by completions later
@@ -675,6 +709,10 @@ impl Client {
         // activity does not (downloading tasks are simulated either way).
         if progressed || !ev.errored.is_empty() {
             self.state_gen += 1;
+        }
+        // Completed and errored tasks left the running or runnable set.
+        if !ev.computed.is_empty() || !ev.errored.is_empty() {
+            self.run_gen += 1;
         }
         if !ev.errored.is_empty() {
             self.rr_dirty.mark_global();
@@ -738,34 +776,31 @@ impl Client {
         }
     }
 
-    /// Usage/runnability snapshot for accounting, refilled into a reusable
-    /// buffer (this runs once per event interval).
-    fn fill_usage_sample(
-        accounting: &Accounting,
-        projects: &[ClientProject],
-        tasks: &[Task],
-        hw: &Hardware,
-        sample: &mut UsageSample,
-    ) {
-        // Every queued task's project is attached (`add_jobs`,
-        // `add_initial_task` and `restore_snapshot` check it), and every
-        // attached project has an accounting slot.
-        let slot_of = |p: ProjectId| accounting.slot_of(p).expect("attached project has a slot");
-        sample.clear();
-        for p in projects {
-            for t in ProcType::ALL {
-                if p.supplies[t] && hw.ninstances(t) > 0 {
-                    sample.mark_fetchable(t, slot_of(p.id));
-                }
-            }
+    /// Refill the accounting sample if the running set, the runnable set
+    /// or the task order may have changed since it was last filled: the
+    /// sample is a pure function of those three.
+    fn refresh_usage_sample(&mut self) {
+        if self.usage_gen != Some(self.run_gen) {
+            Self::fill_usage_sample(&self.tasks, &self.task_slots, &mut self.usage_buf);
+            self.usage_gen = Some(self.run_gen);
         }
-        for task in tasks {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.usage_sample_is_fresh(),
+            "stale usage sample: a running-set change did not bump run_gen"
+        );
+    }
+
+    /// Usage/runnability snapshot for accounting, refilled into a reusable
+    /// buffer; `slots` is the accounting slot of each task.
+    fn fill_usage_sample(tasks: &[Task], slots: &[usize], sample: &mut UsageSample) {
+        sample.clear();
+        for (task, &slot) in tasks.iter().zip(slots) {
             let running = task.is_running();
             let runnable = !task.is_complete() && !task.is_errored();
             if !running && !runnable {
                 continue;
             }
-            let slot = slot_of(task.spec.project);
             if running {
                 let entry = sample.used_entry(slot);
                 entry[ProcType::Cpu] += task.spec.usage.avg_cpus;
@@ -777,6 +812,23 @@ impl Client {
                 sample.mark_runnable(task.spec.usage.main_proc_type(), slot);
             }
         }
+    }
+
+    /// Do the cached task slots and usage sample equal a recomputation
+    /// from the live queue, slots resolved afresh?
+    #[cfg(any(test, debug_assertions))]
+    fn usage_sample_is_fresh(&self) -> bool {
+        // Every queued task's project is attached (`add_jobs`,
+        // `add_initial_task` and `restore_snapshot` check it).
+        let slots: Vec<usize> = self
+            .tasks
+            .iter()
+            .map(|t| self.accounting.slot_of(t.spec.project).expect("attached project"))
+            .collect();
+        let mut fresh = UsageSample::default();
+        fresh.reset(self.accounting.num_slots());
+        Self::fill_usage_sample(&self.tasks, &slots, &mut fresh);
+        slots == self.task_slots && fresh.same_as(&self.usage_buf)
     }
 
     /// Usable instances per type under the current run state and
@@ -836,7 +888,10 @@ impl Client {
     /// after mutating the public `hw`/`prefs` fields directly.
     pub fn invalidate_rr(&mut self) {
         self.state_gen += 1;
+        self.run_gen += 1;
         self.rr_dirty.mark_global();
+        let projects = &self.projects;
+        self.accounting.set_fetchable(&self.hw, projects.iter().map(|p| (p.id, p.supplies)));
     }
 
     /// Cache-hit counters for the RR simulation.
@@ -952,6 +1007,7 @@ impl Client {
             let input = PlanInput {
                 now,
                 tasks: &self.tasks,
+                slots: &self.task_slots,
                 rr: &self.rr_cache,
                 accounting: &self.accounting,
                 hw: &self.hw,
@@ -961,12 +1017,17 @@ impl Client {
             };
             sched::plan_into(self.cfg.sched_policy, &input, &mut self.plan_scratch)
         };
+        let run_mask = &mut self.run_mask;
+        run_mask.clear();
+        run_mask.resize(self.tasks.len(), false);
+        for &i in &plan.run {
+            run_mask[i] = true;
+        }
         let mut started = Vec::new();
         let mut preempted = Vec::new();
         let mut progress_changed = false;
         let keep_in_memory = self.prefs.leave_apps_in_memory;
-        for (i, task) in self.tasks.iter_mut().enumerate() {
-            let should_run = plan.contains(i);
+        for (task, &should_run) in self.tasks.iter_mut().zip(run_mask.iter()) {
             if task.is_running() && !should_run {
                 task.preempt(keep_in_memory);
                 preempted.push(task.spec.id);
@@ -985,6 +1046,9 @@ impl Client {
         }
         if progress_changed {
             self.state_gen += 1;
+        }
+        if !started.is_empty() || !preempted.is_empty() {
+            self.run_gen += 1;
         }
         Reschedule { started, preempted }
     }
@@ -1108,6 +1172,8 @@ impl Client {
         for (job, bytes) in dropped_ul {
             self.enqueue_transfer(job, bytes, XferDir::Upload);
         }
+        // Running tasks were stopped.
+        self.run_gen += 1;
         if !out.lost.is_empty() {
             self.state_gen += 1;
             // A crash can roll many tasks back at once across the whole
@@ -1177,6 +1243,12 @@ impl Client {
         }
         self.tasks.clear();
         self.tasks.extend(snap.tasks.iter().cloned().map(Task::from_snapshot));
+        self.task_slots.clear();
+        let accounting = &self.accounting;
+        self.task_slots.extend(
+            self.tasks.iter().map(|t| accounting.slot_of(t.spec.project).expect("checked above")),
+        );
+        self.run_gen += 1;
         self.finished.clear();
         self.finished.extend(snap.finished.iter().cloned().map(Task::from_snapshot));
         self.transfers.downloads.restore(&snap.downloads);
@@ -1220,6 +1292,10 @@ impl Client {
     pub fn retire(&mut self, id: JobId) -> Option<&Task> {
         let idx = self.tasks.iter().position(|t| t.spec.id == id)?;
         let task = self.tasks.swap_remove(idx);
+        self.task_slots.swap_remove(idx);
+        // The removal, and the last task moving into its place, change the
+        // task order the usage sample and the per-project FLOPS sum in.
+        self.run_gen += 1;
         self.finished.push(task);
         self.finished.last()
     }
@@ -1278,20 +1354,18 @@ impl Client {
         used
     }
 
-    /// Peak FLOPS in use per project right now (for metrics). GPU jobs'
+    /// Peak FLOPS in use per project right now (for metrics), as
+    /// `(accounting slot, FLOPS)` in order of each project's first running
+    /// task, refilling a caller-owned buffer. A project's slot is its
+    /// position in the ascending list of attached project ids. GPU jobs'
     /// CPU feeder fractions may overcommit the CPU (as in the real
     /// client); for accounting purposes the per-type usage is scaled back
     /// so delivered FLOPS never exceed the hardware's capacity.
-    pub fn flops_in_use_by_project(&self) -> Vec<(ProjectId, f64)> {
-        let mut by_project = Vec::new();
-        self.flops_in_use_by_project_into(&mut by_project);
-        by_project
-    }
-
-    /// As [`Self::flops_in_use_by_project`], refilling a caller-owned
-    /// buffer (the emulator calls this once per event).
-    pub fn flops_in_use_by_project_into(&self, by_project: &mut Vec<(ProjectId, f64)>) {
-        by_project.clear();
+    ///
+    /// The result depends only on the running set, the task order and the
+    /// hardware, so it stays valid while [`Client::run_gen`] holds still.
+    pub fn flops_in_use_by_slot_into(&self, by_slot: &mut Vec<(usize, f64)>) {
+        by_slot.clear();
         let used = self.instances_in_use();
         let scale = ProcMap::from_fn(|t| {
             let n = self.hw.ninstances(t) as f64;
@@ -1301,7 +1375,7 @@ impl Client {
                 1.0
             }
         });
-        for task in &self.tasks {
+        for (task, &slot) in self.tasks.iter().zip(&self.task_slots) {
             if task.is_running() {
                 let u = task.spec.usage;
                 let mut f =
@@ -1309,9 +1383,9 @@ impl Client {
                 if let Some((t, n)) = u.coproc {
                     f += n * scale[t] * self.hw.flops_per_inst(t);
                 }
-                match by_project.iter_mut().find(|(p, _)| *p == task.spec.project) {
+                match by_slot.iter_mut().find(|(s, _)| *s == slot) {
                     Some((_, acc)) => *acc += f,
-                    None => by_project.push((task.spec.project, f)),
+                    None => by_slot.push((slot, f)),
                 }
             }
         }
@@ -1598,6 +1672,120 @@ mod tests {
         assert_eq!(c.task(JobId(1)).unwrap().progress(), 0.0);
     }
 
+    /// The per-project FLOPS as the emulator keeps them: recomputed only
+    /// when the running-set generation moved.
+    #[derive(Default)]
+    struct FlopsCache {
+        by_slot: Vec<(usize, f64)>,
+        gen: Option<u64>,
+    }
+
+    /// Refresh the running-set caches the way their users do, then require
+    /// them to equal a recomputation from the live queue.
+    fn assert_caches_fresh(c: &mut Client, cache: &mut FlopsCache, at: &str) {
+        c.refresh_usage_sample();
+        assert!(c.usage_sample_is_fresh(), "{at}: stale usage sample");
+        if cache.gen != Some(c.run_gen()) {
+            c.flops_in_use_by_slot_into(&mut cache.by_slot);
+            cache.gen = Some(c.run_gen());
+        }
+        let mut fresh = Vec::new();
+        c.flops_in_use_by_slot_into(&mut fresh);
+        assert_eq!(cache.by_slot, fresh, "{at}: stale per-project FLOPS");
+    }
+
+    #[test]
+    fn running_set_caches_match_a_fresh_recomputation_at_every_bump_point() {
+        let projects = || {
+            vec![
+                Client::project(0, "alpha", 1.0, &[ProcType::Cpu]),
+                Client::project(1, "beta", 2.0, &[ProcType::Cpu, ProcType::NvidiaGpu]),
+            ]
+        };
+        let cfg = ClientConfig {
+            sched_policy: JobSchedPolicy::LOCAL,
+            network: Some(NetworkModel::symmetric(1000.0)),
+            ..Default::default()
+        };
+        let mut c =
+            Client::new(Hardware::cpu_only(2, 1e9), Preferences::default(), projects(), cfg);
+        // Every transfer attempt fails, and the first failure gives up.
+        let policy = RetryPolicy { jitter: 0.0, give_up_after: Some(1), ..RetryPolicy::TRANSFER };
+        c.set_transfer_faults(TransferFaultModel::new(7, 1.0, policy));
+        let rs = run_state();
+        let t = SimTime::from_secs;
+        let cache = &mut FlopsCache::default();
+        assert_caches_fresh(&mut c, cache, "construction");
+
+        c.add_jobs(vec![spec(1, 0, 100.0, 1e6), spec(2, 1, 5000.0, 1e6)]);
+        assert_caches_fresh(&mut c, cache, "admission");
+        let gen = c.run_gen();
+        assert_eq!(c.add_jobs(vec![spec(9, 7, 100.0, 1e6)]), vec![JobId(9)]);
+        assert_eq!(c.run_gen(), gen, "an all-rejected reply changes nothing");
+        assert_caches_fresh(&mut c, cache, "rejected admission");
+
+        let r = c.reschedule(t(0.0), rs, 1.0);
+        assert_eq!(r.started, vec![JobId(1), JobId(2)]);
+        assert_caches_fresh(&mut c, cache, "start");
+        let ev = c.advance(t(100.0), rs);
+        assert_eq!(ev.computed, vec![JobId(1)]);
+        assert_caches_fresh(&mut c, cache, "completion");
+
+        c.add_jobs(vec![spec(3, 0, 5000.0, 1e6)]);
+        let r = c.reschedule(t(100.0), rs, 1.0);
+        assert_eq!(r.started, vec![JobId(3)]);
+        assert_caches_fresh(&mut c, cache, "second start");
+        // Retiring the finished head moves the last task into its place:
+        // the running projects now appear in the other order.
+        c.retire(JobId(1));
+        let order: Vec<JobId> = c.tasks().iter().map(|t| t.spec.id).collect();
+        assert_eq!(order, [JobId(3), JobId(2)]);
+        assert_caches_fresh(&mut c, cache, "retire");
+
+        // A tight-deadline job of beta displaces one of the running jobs.
+        c.add_jobs(vec![spec(4, 1, 500.0, 600.0)]);
+        let r = c.reschedule(t(100.0), rs, 1.0);
+        assert_eq!(r.started, vec![JobId(4)]);
+        assert_eq!(r.preempted.len(), 1);
+        assert_caches_fresh(&mut c, cache, "preempt");
+        c.advance(t(160.0), rs);
+        assert_caches_fresh(&mut c, cache, "progress");
+
+        let snap = c.snapshot();
+        c.crash(t(160.0));
+        assert!(c.tasks().iter().all(|t| !t.is_running()));
+        assert_caches_fresh(&mut c, cache, "crash");
+        c.restore_snapshot(&snap).unwrap();
+        assert_caches_fresh(&mut c, cache, "restore");
+
+        let mut dl = spec(5, 0, 100.0, 1e6);
+        dl.input_bytes = 2000.0;
+        c.add_jobs(vec![dl]);
+        assert_caches_fresh(&mut c, cache, "downloading admission");
+        let ev = c.advance(t(162.0), rs);
+        assert_eq!(ev.errored, vec![JobId(5)]);
+        assert_caches_fresh(&mut c, cache, "transfer give-up");
+
+        // Faster CPUs and a GPU: the FLOPS change, and beta's GPU becomes
+        // fetchable.
+        let before = cache.by_slot.clone();
+        c.hw = Hardware::cpu_only(2, 2e9).with_group(ProcType::NvidiaGpu, 1, 1e10);
+        c.invalidate_rr();
+        assert_caches_fresh(&mut c, cache, "hw change");
+        assert_ne!(cache.by_slot, before);
+        let fresh = Client::new(c.hw.clone(), Preferences::default(), projects(), cfg);
+        for pt in ProcType::ALL {
+            assert_eq!(c.accounting().lt_entitled(pt), fresh.accounting().lt_entitled(pt));
+        }
+        assert_eq!(c.accounting().lt_entitled(ProcType::NvidiaGpu), [1.0]);
+
+        // The queue's first GPU job makes beta runnable on the GPU.
+        let mut gpu_job = spec(6, 1, 1000.0, 1e6);
+        gpu_job.usage = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
+        c.add_initial_task(gpu_job, SimDuration::from_secs(10.0));
+        assert_caches_fresh(&mut c, cache, "initial task");
+    }
+
     #[test]
     fn instances_in_use_tracks_running() {
         let mut c = client();
@@ -1605,8 +1793,9 @@ mod tests {
         c.reschedule(SimTime::ZERO, run_state(), 1.0);
         // One CPU: exactly one running.
         assert!((c.instances_in_use()[ProcType::Cpu] - 1.0).abs() < 1e-9);
-        let by_proj = c.flops_in_use_by_project();
-        assert_eq!(by_proj.len(), 1);
-        assert!((by_proj[0].1 - 1e9).abs() < 1.0);
+        let mut by_slot = Vec::new();
+        c.flops_in_use_by_slot_into(&mut by_slot);
+        assert_eq!(by_slot.len(), 1);
+        assert!((by_slot[0].1 - 1e9).abs() < 1.0);
     }
 }

@@ -329,8 +329,8 @@ mod tests {
         sample.used_entry(0)[ProcType::Cpu] = 4.0;
         for slot in [0, 1] {
             sample.mark_runnable(ProcType::Cpu, slot);
-            sample.mark_fetchable(ProcType::Cpu, slot);
         }
+        a.set_fetchable(&hw(), projects.iter().map(|p| (p.id, p.supplies)));
         a.update(SimTime::ZERO, SimTime::from_secs(100.0), &hw(), &sample);
         let d = decide(
             FetchPolicy::Hysteresis,

@@ -28,6 +28,8 @@ pub use rr_sim::{
     simulate as rr_simulate, simulate_into as rr_simulate_into, RrJob, RrOutcome, RrPlatform,
     RrScratch,
 };
-pub use sched::{plan, plan_into, DeadlineOrder, JobSchedPolicy, PlanInput, PlanScratch, RunPlan};
+pub use sched::{
+    plan, plan_into, task_slots, DeadlineOrder, JobSchedPolicy, PlanInput, PlanScratch, RunPlan,
+};
 pub use task::{Task, TaskSnapshot, TaskState};
 pub use xfer::{NetworkModel, TransferQueue, Transfers};

@@ -98,6 +98,9 @@ impl JobSchedPolicy {
 pub struct PlanInput<'a> {
     pub now: SimTime,
     pub tasks: &'a [Task],
+    /// The accounting slot of each task's project, parallel to `tasks`
+    /// (see [`task_slots`]).
+    pub slots: &'a [usize],
     pub rr: &'a RrOutcome,
     pub accounting: &'a Accounting,
     pub hw: &'a Hardware,
@@ -192,6 +195,19 @@ impl PlanScratch {
     }
 }
 
+/// The accounting slot of each task's project, for [`PlanInput::slots`].
+/// The client resolves a task's slot once, when it admits the task; this
+/// resolves them all at once for planner inputs built outside a client.
+///
+/// # Panics
+/// If a task's project holds no share in `accounting`.
+pub fn task_slots(accounting: &Accounting, tasks: &[Task]) -> Vec<usize> {
+    tasks
+        .iter()
+        .map(|t| accounting.slot_of(t.spec.project).expect("planned task's project holds a share"))
+        .collect()
+}
+
 /// Build the run plan. Deterministic: a class-2 tie (equal priority and
 /// receive time) goes to the candidate at the lowest current position in
 /// the candidate list, which starts in task order and is permuted by the
@@ -205,14 +221,12 @@ pub fn plan(policy: JobSchedPolicy, input: &PlanInput<'_>) -> RunPlan {
 
 /// [`plan`] with a caller-owned workspace; bit-identical output, held in
 /// `scratch` until the next call.
-///
-/// # Panics
-/// If a runnable task's project holds no share in `input.accounting`.
 pub fn plan_into<'s>(
     policy: JobSchedPolicy,
     input: &PlanInput<'_>,
     scratch: &'s mut PlanScratch,
 ) -> &'s RunPlan {
+    debug_assert_eq!(input.slots.len(), input.tasks.len(), "one slot per task");
     let hw = input.hw;
     let mut free = ProcMap::from_fn(|t| match t {
         ProcType::Cpu => {
@@ -355,10 +369,7 @@ pub fn plan_into<'s>(
         debug_assert!(!plan.contains(i));
         let task = &input.tasks[i];
         let pt = task.spec.usage.main_proc_type();
-        let acct_slot = input
-            .accounting
-            .slot_of(task.spec.project)
-            .expect("planned task's project holds a share");
+        let acct_slot = input.slots[i];
         let index = &mut slot_index[acct_slot * ProcType::COUNT + pt.index()];
         if *index == NO_SLOT {
             *index = slots.len();
@@ -530,6 +541,7 @@ mod tests {
         let input = PlanInput {
             now: SimTime::ZERO,
             tasks,
+            slots: &task_slots(acct, tasks),
             rr: &rr,
             accounting: acct,
             hw,
@@ -652,6 +664,7 @@ mod tests {
         let input = PlanInput {
             now: SimTime::ZERO,
             tasks: &tasks,
+            slots: &task_slots(&acct, &tasks),
             rr: &rr,
             accounting: &acct,
             hw: &hw,
@@ -689,6 +702,7 @@ mod tests {
         let input = PlanInput {
             now: SimTime::ZERO,
             tasks: &tasks,
+            slots: &task_slots(&acct, &tasks),
             rr: &rr,
             accounting: &acct,
             hw: &hw,
@@ -715,6 +729,7 @@ mod tests {
         let input = PlanInput {
             now: SimTime::ZERO,
             tasks: &tasks,
+            slots: &task_slots(&acct, &tasks),
             rr: &rr,
             accounting: &acct,
             hw: &hw,

@@ -12,8 +12,8 @@
 
 use bce_avail::HostRunState;
 use bce_client::{
-    plan_into, Accounting, AccountingKind, AccountingSnapshot, DeadlineOrder, JobSchedPolicy,
-    PlanInput, PlanScratch, RrOutcome, RunPlan, Task,
+    plan_into, task_slots, Accounting, AccountingKind, AccountingSnapshot, DeadlineOrder,
+    JobSchedPolicy, PlanInput, PlanScratch, RrOutcome, RunPlan, Task,
 };
 use bce_types::{
     AppId, Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, ResourceUsage,
@@ -318,6 +318,7 @@ fn check(host: HostDesc, jobs: Vec<JobDesc>, acct: AcctDesc) -> Result<(), Strin
     let input = PlanInput {
         now: SimTime::from_secs(200.0),
         tasks: &tasks,
+        slots: &task_slots(&accounting, &tasks),
         rr: &rr,
         accounting: &accounting,
         hw: &hw,

@@ -14,9 +14,9 @@ use std::cell::Cell;
 
 use bce_avail::HostRunState;
 use bce_client::{
-    plan_into, rr_simulate_into, Accounting, AccountingKind, AccountingSnapshot, Client,
-    ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob, RrOutcome, RrPlatform, RrScratch,
-    Task,
+    plan_into, rr_simulate_into, task_slots, Accounting, AccountingKind, AccountingSnapshot,
+    Client, ClientConfig, JobSchedPolicy, PlanInput, PlanScratch, RrJob, RrOutcome, RrPlatform,
+    RrScratch, Task,
 };
 use bce_types::{
     AppId, Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, ResourceUsage,
@@ -206,6 +206,7 @@ fn plan_into_is_allocation_free_in_steady_state() {
     let input = PlanInput {
         now: SimTime::from_secs(30.0),
         tasks: &tasks,
+        slots: &task_slots(&accounting, &tasks),
         rr: &rr,
         accounting: &accounting,
         hw: &hw,

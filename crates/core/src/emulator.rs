@@ -247,14 +247,14 @@ pub struct Emulator {
 
 /// Reusable per-worker emulator state: the event queue, the client's
 /// internal buffers (task queue, RR-simulation scratch, accounting
-/// sample), the per-project metrics buffer and the trace's record
+/// sample), the per-project FLOPS buffer and the trace's record
 /// buffer. One arena per worker thread amortises per-run allocations over
 /// a whole population study; [`Emulator::run_in`] clears everything before
 /// use, so results are bit-identical to a fresh [`Emulator::run`].
 pub struct EmulatorArena {
     queue: EventQueue<Event>,
     client: Option<ClientScratch>,
-    per_project: Vec<(ProjectId, f64)>,
+    per_project: Vec<(usize, f64)>,
     trace_records: Vec<TraceRecord>,
 }
 
@@ -422,9 +422,11 @@ impl Emulator {
 
         let shares: Vec<(ProjectId, f64)> =
             scenario.projects.iter().map(|p| (p.id, p.resource_share)).collect();
+        // Its slots are the client accounting's: both index the ascending
+        // list of the scenario's project ids.
         let metrics = MetricsAccum::new(
             hw.total_peak_flops(),
-            scenario.projects.len(),
+            &project_ids,
             SimTime::ZERO,
             self.cfg.monotony_window,
         );
@@ -491,6 +493,7 @@ impl Emulator {
             assignment,
             queue,
             per_project,
+            per_project_gen: None,
             generation: 0,
             now: SimTime::ZERO,
             run_state,
@@ -573,7 +576,7 @@ impl Emulator {
             .iter()
             .map(|(start, targets)| RecoveryTracker { start: *start, targets: targets.clone() })
             .collect();
-        st.metrics.restore_snapshot(&ckpt.metrics);
+        st.metrics.restore_snapshot(&ckpt.metrics).map_err(CheckpointError::ConfigMismatch)?;
         if let Some(trace) = &ckpt.trace {
             st.trace = TraceSink::Buffer(trace.clone());
         }
@@ -694,7 +697,10 @@ struct RunState {
     timeline: Option<Timeline>,
     assignment: BTreeMap<JobId, Vec<InstanceId>>,
     queue: EventQueue<Event>,
-    per_project: Vec<(ProjectId, f64)>,
+    /// Peak FLOPS in use per project slot, as of client running-set
+    /// generation `per_project_gen`.
+    per_project: Vec<(usize, f64)>,
+    per_project_gen: Option<u64>,
     // Loop scalars.
     generation: u64,
     now: SimTime,
@@ -746,6 +752,7 @@ impl RunState {
             assignment,
             queue,
             per_project,
+            per_project_gen,
             generation,
             now,
             run_state,
@@ -769,7 +776,24 @@ impl RunState {
         let t = t_ev.min(end);
         // 1. Account the elapsed interval under the constant allocation.
         if t > *now {
-            client.flops_in_use_by_project_into(per_project);
+            // Per-project FLOPS change only with the running set.
+            if *per_project_gen != Some(client.run_gen()) {
+                client.flops_in_use_by_slot_into(per_project);
+                *per_project_gen = Some(client.run_gen());
+            }
+            #[cfg(debug_assertions)]
+            {
+                let mut fresh = Vec::new();
+                client.flops_in_use_by_slot_into(&mut fresh);
+                let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    v.iter().map(|&(s, f)| (s, f.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(&fresh),
+                    bits(per_project),
+                    "stale per-project FLOPS: a running-set change did not bump run_gen"
+                );
+            }
             metrics.advance(*now, t, per_project, run_state.can_compute);
             if !run_state.can_compute {
                 prof.record_sim(sp_unavail, (t - *now).secs());

@@ -20,7 +20,6 @@
 //! through `x/(1+x)` when a bounded combination is wanted.
 
 use bce_types::{JobId, ProjectId, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// The paper's five figures of merit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,22 +157,78 @@ pub struct MetricsAccumSnapshot {
     pub counters: [u64; 8],
 }
 
+/// Per-project sums indexed by project slot, with a flag for each slot
+/// that has been added to since the last clear. Iterating the present
+/// slots in slot order visits projects in ascending id order, as a
+/// `BTreeMap<ProjectId, f64>` would.
+#[derive(Debug, Clone)]
+struct SlotSums {
+    value: Vec<f64>,
+    present: Vec<bool>,
+}
+
+impl SlotSums {
+    fn new(nslots: usize) -> Self {
+        SlotSums { value: vec![0.0; nslots], present: vec![false; nslots] }
+    }
+
+    fn add(&mut self, slot: usize, x: f64) {
+        if self.present[slot] {
+            self.value[slot] += x;
+        } else {
+            // `0.0 + x`, as a fresh map entry would have it.
+            self.set(slot, 0.0 + x);
+        }
+    }
+
+    fn set(&mut self, slot: usize, x: f64) {
+        self.value[slot] = x;
+        self.present[slot] = true;
+    }
+
+    fn clear(&mut self) {
+        self.present.fill(false);
+    }
+
+    /// Present `(slot, value)` pairs in slot order.
+    fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.value
+            .iter()
+            .zip(&self.present)
+            .enumerate()
+            .filter_map(|(s, (&v, &p))| p.then_some((s, v)))
+    }
+
+    fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.iter().map(|(_, v)| v)
+    }
+
+    fn get(&self, slot: usize) -> Option<f64> {
+        self.present[slot].then_some(self.value[slot])
+    }
+}
+
 /// Accumulates metrics during an emulation run.
 ///
 /// The discrete counts are plain `u64` counters. The continuous
 /// integrals (capacity, usage, monotony windows) are `f64` state whose
 /// accumulation order is part of the bit-for-bit determinism contract.
+/// Per-project integrals are indexed by *slot*: the project's position in
+/// the ascending list of project ids given at construction, the same
+/// slots the client's accounting uses.
 #[derive(Debug, Clone)]
 pub struct MetricsAccum {
     total_capacity_flops: f64, // peak FLOPS of the host
     monotony_window: SimDuration,
+    /// Project ids, ascending and distinct; the index is the slot.
+    ids: Vec<ProjectId>,
     // integrals
-    capacity_secs: f64,             // capacity × elapsed (FLOPS·s)
-    available_secs: f64,            // capacity × available time
-    used: BTreeMap<ProjectId, f64>, // FLOPS·s delivered per project
+    capacity_secs: f64,  // capacity × elapsed (FLOPS·s)
+    available_secs: f64, // capacity × available time
+    used: SlotSums,      // FLOPS·s delivered per project
     wasted_flops: f64,
     // monotony state
-    window_used: BTreeMap<ProjectId, f64>,
+    window_used: SlotSums,
     window_end: SimTime,
     monotony_sum: f64,
     monotony_windows: u64,
@@ -194,24 +249,31 @@ pub struct MetricsAccum {
 }
 
 impl MetricsAccum {
+    /// A fresh accumulator for a host attached to `projects`, listed in
+    /// any order.
     pub fn new(
         total_capacity_flops: f64,
-        nprojects: usize,
+        projects: &[ProjectId],
         start: SimTime,
         monotony_window: SimDuration,
     ) -> Self {
+        let mut ids = projects.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let n = ids.len();
         MetricsAccum {
             total_capacity_flops,
             monotony_window,
+            ids,
             capacity_secs: 0.0,
             available_secs: 0.0,
-            used: BTreeMap::new(),
+            used: SlotSums::new(n),
             wasted_flops: 0.0,
-            window_used: BTreeMap::new(),
+            window_used: SlotSums::new(n),
             window_end: start + monotony_window,
             monotony_sum: 0.0,
             monotony_windows: 0,
-            nprojects,
+            nprojects: projects.len(),
             rpcs: 0,
             jobs_completed: 0,
             jobs_missed: 0,
@@ -226,14 +288,14 @@ impl MetricsAccum {
         }
     }
 
-    /// Account an interval of constant allocation. `per_project` lists the
-    /// peak FLOPS each project is engaging; `available` is whether the
-    /// host could compute at all.
+    /// Account an interval of constant allocation. `per_slot` lists the
+    /// peak FLOPS each project is engaging, by project slot; `available`
+    /// is whether the host could compute at all.
     pub fn advance(
         &mut self,
         from: SimTime,
         to: SimTime,
-        per_project: &[(ProjectId, f64)],
+        per_slot: &[(usize, f64)],
         available: bool,
     ) {
         let dt = (to - from).secs();
@@ -244,9 +306,9 @@ impl MetricsAccum {
         if available {
             self.available_secs += self.total_capacity_flops * dt;
         }
-        for &(p, f) in per_project {
-            *self.used.entry(p).or_insert(0.0) += f * dt;
-            *self.window_used.entry(p).or_insert(0.0) += f * dt;
+        for &(slot, f) in per_slot {
+            self.used.add(slot, f * dt);
+            self.window_used.add(slot, f * dt);
         }
         // Close monotony windows crossed by this interval. (Allocation is
         // constant inside the interval, so splitting exactly at window
@@ -264,8 +326,8 @@ impl MetricsAccum {
             let h: f64 = self
                 .window_used
                 .values()
-                .filter(|&&v| v > 0.0)
-                .map(|&v| {
+                .filter(|&v| v > 0.0)
+                .map(|v| {
                     let p = v / total;
                     -p * p.ln()
                 })
@@ -364,11 +426,34 @@ impl MetricsAccum {
     }
 
     pub fn flops_used_by(&self, p: ProjectId) -> f64 {
-        self.used.get(&p).copied().unwrap_or(0.0)
+        self.ids.binary_search(&p).ok().and_then(|s| self.used.get(s)).unwrap_or(0.0)
     }
 
     pub fn total_flops_used(&self) -> f64 {
         self.used.values().sum()
+    }
+
+    /// `(id, value)` of every present slot, in ascending id order.
+    fn by_id(&self, sums: &SlotSums) -> Vec<(ProjectId, f64)> {
+        sums.iter().map(|(s, v)| (self.ids[s], v)).collect()
+    }
+
+    /// Refill `sums` from `(id, value)` pairs; an id this accumulator
+    /// was not built with is refused.
+    fn fill_by_id(
+        ids: &[ProjectId],
+        sums: &mut SlotSums,
+        pairs: &[(ProjectId, f64)],
+        table: &str,
+    ) -> Result<(), String> {
+        sums.clear();
+        for &(p, v) in pairs {
+            let slot = ids
+                .binary_search(&p)
+                .map_err(|_| format!("metrics {table} name project {p}, not in the scenario"))?;
+            sums.set(slot, v);
+        }
+        Ok(())
     }
 
     pub fn available_fraction(&self) -> f64 {
@@ -432,9 +517,9 @@ impl MetricsAccum {
         MetricsAccumSnapshot {
             capacity_secs: self.capacity_secs,
             available_secs: self.available_secs,
-            used: self.used.iter().map(|(&p, &v)| (p, v)).collect(),
+            used: self.by_id(&self.used),
             wasted_flops: self.wasted_flops,
-            window_used: self.window_used.iter().map(|(&p, &v)| (p, v)).collect(),
+            window_used: self.by_id(&self.window_used),
             window_end: self.window_end,
             monotony_sum: self.monotony_sum,
             monotony_windows: self.monotony_windows,
@@ -454,13 +539,15 @@ impl MetricsAccum {
         }
     }
 
-    /// Overwrite the mutable state from a snapshot.
-    pub fn restore_snapshot(&mut self, snap: &MetricsAccumSnapshot) {
+    /// Overwrite the mutable state from a snapshot. A snapshot naming a
+    /// project this accumulator was not built with is refused; the state
+    /// is then unspecified.
+    pub fn restore_snapshot(&mut self, snap: &MetricsAccumSnapshot) -> Result<(), String> {
+        Self::fill_by_id(&self.ids, &mut self.used, &snap.used, "used")?;
+        Self::fill_by_id(&self.ids, &mut self.window_used, &snap.window_used, "window_used")?;
         self.capacity_secs = snap.capacity_secs;
         self.available_secs = snap.available_secs;
-        self.used = snap.used.iter().copied().collect();
         self.wasted_flops = snap.wasted_flops;
-        self.window_used = snap.window_used.iter().copied().collect();
         self.window_end = snap.window_end;
         self.monotony_sum = snap.monotony_sum;
         self.monotony_windows = snap.monotony_windows;
@@ -477,6 +564,7 @@ impl MetricsAccum {
             self.crashes,
             self.recoveries,
         ] = snap.counters;
+        Ok(())
     }
 }
 
@@ -490,17 +578,18 @@ mod tests {
 
     #[test]
     fn idle_fraction_half() {
-        let mut m = MetricsAccum::new(10.0, 1, t(0.0), SimDuration::from_secs(100.0));
+        let mut m = MetricsAccum::new(10.0, &[ProjectId(0)], t(0.0), SimDuration::from_secs(100.0));
         // 100 s at 5 of 10 FLOPS used.
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 5.0)], true);
+        m.advance(t(0.0), t(100.0), &[(0, 5.0)], true);
         let f = m.finalize(&[(ProjectId(0), 1.0)]);
         assert!((f.idle_fraction - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn unavailable_time_not_counted_as_available_idle() {
-        let mut m = MetricsAccum::new(10.0, 1, t(0.0), SimDuration::from_secs(1000.0));
-        m.advance(t(0.0), t(50.0), &[(ProjectId(0), 10.0)], true);
+        let mut m =
+            MetricsAccum::new(10.0, &[ProjectId(0)], t(0.0), SimDuration::from_secs(1000.0));
+        m.advance(t(0.0), t(50.0), &[(0, 10.0)], true);
         m.advance(t(50.0), t(100.0), &[], false);
         let av = m.available_fraction();
         assert!((av - 0.5).abs() < 1e-12);
@@ -510,17 +599,27 @@ mod tests {
 
     #[test]
     fn share_violation_rms() {
-        let mut m = MetricsAccum::new(10.0, 2, t(0.0), SimDuration::from_secs(1000.0));
+        let mut m = MetricsAccum::new(
+            10.0,
+            &[ProjectId(0), ProjectId(1)],
+            t(0.0),
+            SimDuration::from_secs(1000.0),
+        );
         // P0 gets everything; shares equal: violation = RMS(0.5, -0.5) = 0.5.
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 10.0)], true);
+        m.advance(t(0.0), t(100.0), &[(0, 10.0)], true);
         let f = m.finalize(&[(ProjectId(0), 1.0), (ProjectId(1), 1.0)]);
         assert!((f.share_violation - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn share_violation_zero_when_fair() {
-        let mut m = MetricsAccum::new(10.0, 2, t(0.0), SimDuration::from_secs(1000.0));
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 7.5), (ProjectId(1), 2.5)], true);
+        let mut m = MetricsAccum::new(
+            10.0,
+            &[ProjectId(0), ProjectId(1)],
+            t(0.0),
+            SimDuration::from_secs(1000.0),
+        );
+        m.advance(t(0.0), t(100.0), &[(0, 7.5), (1, 2.5)], true);
         let f = m.finalize(&[(ProjectId(0), 3.0), (ProjectId(1), 1.0)]);
         assert!(f.share_violation < 1e-12);
     }
@@ -529,33 +628,44 @@ mod tests {
     fn monotony_extremes() {
         // Alternating exclusive windows: each window single-project =>
         // monotony 1.
-        let mut m = MetricsAccum::new(10.0, 2, t(0.0), SimDuration::from_secs(10.0));
+        let mut m = MetricsAccum::new(
+            10.0,
+            &[ProjectId(0), ProjectId(1)],
+            t(0.0),
+            SimDuration::from_secs(10.0),
+        );
         for i in 0..10 {
-            let p = ProjectId(i % 2);
-            m.advance(t(i as f64 * 10.0), t((i + 1) as f64 * 10.0), &[(p, 10.0)], true);
+            let slot = i % 2;
+            m.advance(t(i as f64 * 10.0), t((i + 1) as f64 * 10.0), &[(slot, 10.0)], true);
         }
         let f = m.finalize(&[(ProjectId(0), 1.0), (ProjectId(1), 1.0)]);
         assert!((f.monotony - 1.0).abs() < 1e-9);
 
         // Evenly mixed within every window => monotony 0.
-        let mut m = MetricsAccum::new(10.0, 2, t(0.0), SimDuration::from_secs(10.0));
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 5.0), (ProjectId(1), 5.0)], true);
+        let mut m = MetricsAccum::new(
+            10.0,
+            &[ProjectId(0), ProjectId(1)],
+            t(0.0),
+            SimDuration::from_secs(10.0),
+        );
+        m.advance(t(0.0), t(100.0), &[(0, 5.0), (1, 5.0)], true);
         let f = m.finalize(&[(ProjectId(0), 1.0), (ProjectId(1), 1.0)]);
         assert!(f.monotony < 1e-9);
     }
 
     #[test]
     fn monotony_single_project_is_zero_by_convention() {
-        let mut m = MetricsAccum::new(10.0, 1, t(0.0), SimDuration::from_secs(10.0));
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 10.0)], true);
+        let mut m = MetricsAccum::new(10.0, &[ProjectId(0)], t(0.0), SimDuration::from_secs(10.0));
+        m.advance(t(0.0), t(100.0), &[(0, 10.0)], true);
         let f = m.finalize(&[(ProjectId(0), 1.0)]);
         assert_eq!(f.monotony, 0.0);
     }
 
     #[test]
     fn wasted_and_rpcs() {
-        let mut m = MetricsAccum::new(10.0, 1, t(0.0), SimDuration::from_secs(1000.0));
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 10.0)], true);
+        let mut m =
+            MetricsAccum::new(10.0, &[ProjectId(0)], t(0.0), SimDuration::from_secs(1000.0));
+        m.advance(t(0.0), t(100.0), &[(0, 10.0)], true);
         m.record_rpc();
         m.record_rpc();
         m.record_job_done(JobId(1), true, 300.0);
@@ -572,8 +682,9 @@ mod tests {
 
     #[test]
     fn fault_metrics_accumulate_separately() {
-        let mut m = MetricsAccum::new(10.0, 1, t(0.0), SimDuration::from_secs(1000.0));
-        m.advance(t(0.0), t(100.0), &[(ProjectId(0), 10.0)], true);
+        let mut m =
+            MetricsAccum::new(10.0, &[ProjectId(0)], t(0.0), SimDuration::from_secs(1000.0));
+        m.advance(t(0.0), t(100.0), &[(0, 10.0)], true);
         assert!(!m.fault_metrics().any());
         m.record_transient_rpc_failure();
         m.record_transfer_failure();
@@ -594,6 +705,25 @@ mod tests {
         // Generic wasted fraction only sees the errored job's 200.
         let f = m.finalize(&[(ProjectId(0), 1.0)]);
         assert!((f.wasted_fraction - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn snapshot_lists_projects_by_id_and_refuses_strangers() {
+        // Listed out of order: id 2 is slot 0, id 9 is slot 1.
+        let ids = [ProjectId(9), ProjectId(2)];
+        let mut m = MetricsAccum::new(10.0, &ids, t(0.0), SimDuration::from_secs(1000.0));
+        m.advance(t(0.0), t(10.0), &[(1, 3.0)], true);
+        let snap = m.snapshot();
+        assert_eq!(snap.used, [(ProjectId(9), 30.0)]);
+        assert_eq!(m.flops_used_by(ProjectId(9)), 30.0);
+        assert_eq!(m.flops_used_by(ProjectId(2)), 0.0);
+
+        let mut r = MetricsAccum::new(10.0, &ids, t(0.0), SimDuration::from_secs(1000.0));
+        r.restore_snapshot(&snap).unwrap();
+        assert_eq!(r.snapshot(), snap);
+        let mut stranger = snap.clone();
+        stranger.window_used.push((ProjectId(5), 1.0));
+        assert!(r.restore_snapshot(&stranger).is_err());
     }
 
     #[test]
