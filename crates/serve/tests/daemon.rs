@@ -172,6 +172,36 @@ fn burst_is_shed_with_retry_after_and_admitted_work_is_uncorrupted() {
 }
 
 #[test]
+fn body_limit_sized_json_string_is_rejected_promptly_and_the_worker_serves_on() {
+    let dir = scratch_dir("hostile");
+    let cfg = ServeConfig { workers: 1, ..test_cfg(dir.clone()) };
+    let limit = cfg.max_body_bytes;
+    let (addr, handle, join) = start(cfg);
+
+    // One JSON string filling the whole body: parse time is the only cost,
+    // so it must be linear for the 422 to come back quickly.
+    let (open, close) = ("{\"name\": \"", "\"}");
+    let body = format!("{open}{}{close}", "a".repeat(limit - open.len() - close.len()));
+    assert_eq!(body.len(), limit);
+    let started = Instant::now();
+    let (status, _, reply) = send(
+        addr,
+        &format!("POST /run HTTP/1.1\r\nHost: t\r\nContent-Length: {limit}\r\n\r\n{body}"),
+    );
+    let took = started.elapsed();
+    assert_eq!(status, 422, "{reply}");
+    assert!(took < Duration::from_secs(5), "a {limit}-byte JSON body took {took:?}");
+
+    // The only worker is free again and serves a normal run.
+    let (status, _, reply) = post(addr, "/run?scenario=scenario2&days=0.5&seed=42");
+    assert_eq!(status, 200, "{reply}");
+
+    handle.drain();
+    join.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn campaign_parks_on_deadline_and_resumes_bit_identically_across_restart() {
     let dir = scratch_dir("campaign");
     let cfg = ServeConfig { campaign_chunk_runs: 2, ..test_cfg(dir.clone()) };

@@ -3,8 +3,10 @@
 //! Scenario specs and campaign manifests are JSON documents; like the XML
 //! side ([`crate::xml`]) this parser is written from scratch and hardened
 //! against hostile input: nesting depth is capped at
-//! [`MAX_JSON_DEPTH`], duplicate object keys are rejected, and every
-//! error carries a line/column position. The writer produces *canonical*
+//! [`MAX_JSON_DEPTH`], duplicate object keys are rejected, every error
+//! carries a line/column position, and parse time is linear in the
+//! document's size, so a body's byte limit also bounds the time spent
+//! parsing it. The writer produces *canonical*
 //! output — 2-space indent, insertion-ordered keys, shortest-round-trip
 //! number rendering — so a parse → write cycle is a usable golden file.
 //!
@@ -14,6 +16,7 @@
 //! layers above encode them as `"bits:<16 hex>"` strings (see
 //! [`crate::codec::fmt_f64_bits`]).
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Maximum array/object nesting depth, mirroring [`crate::xml::MAX_NESTING_DEPTH`].
@@ -195,7 +198,7 @@ impl std::error::Error for JsonError {}
 /// Parse a complete JSON document. Trailing non-whitespace, duplicate
 /// object keys, and nesting deeper than [`MAX_JSON_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser { src, bytes: src.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -205,7 +208,13 @@ pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     Ok(v)
 }
 
+/// Objects with more keys than this detect duplicates with a hash set
+/// instead of a scan of the keys so far, so that a many-key object
+/// parses in linear time.
+const KEY_SCAN_LIMIT: usize = 8;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -273,6 +282,8 @@ impl<'a> Parser<'a> {
     fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect(b'{')?;
         let mut entries: Vec<(String, JsonValue)> = Vec::new();
+        // Filled once the object outgrows `KEY_SCAN_LIMIT` keys.
+        let mut seen: HashSet<String> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -284,7 +295,15 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected string key"));
             }
             let key = self.string()?;
-            if entries.iter().any(|(k, _)| *k == key) {
+            let duplicate = if entries.len() < KEY_SCAN_LIMIT {
+                entries.iter().any(|(k, _)| *k == key)
+            } else {
+                if seen.is_empty() {
+                    seen.extend(entries.iter().map(|(k, _)| k.clone()));
+                }
+                !seen.insert(key.clone())
+            };
+            if duplicate {
                 return Err(self.err(format!("duplicate key {key:?}")));
             }
             self.skip_ws();
@@ -331,6 +350,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the longest run that needs no decoding in one step. The
+            // bytes that end a run (`"`, `\`, control) are ASCII, so the
+            // run ends on a char boundary of the (already valid) source.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -373,16 +401,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar; the source is a &str so the
-                    // bytes are valid UTF-8 already.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
