@@ -2,7 +2,7 @@
 //! study must scale to thousands of sampled scenarios.
 
 use bce_client::ClientConfig;
-use bce_controller::{run_all, RunSpec};
+use bce_controller::{run_streaming, RunSpec};
 use bce_core::EmulatorConfig;
 use bce_scenarios::{PopulationModel, PopulationSampler};
 use bce_types::SimDuration;
@@ -36,7 +36,9 @@ fn bench_montecarlo(c: &mut Criterion) {
                         .with_emulator(emu.clone())
                 })
                 .collect();
-            black_box(run_all(specs, 0))
+            let mut results = Vec::with_capacity(specs.len());
+            run_streaming(&specs, 0, |_, _, r| results.push(r));
+            black_box(results)
         })
     });
 

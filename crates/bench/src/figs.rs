@@ -6,7 +6,7 @@
 
 use crate::{fetch_policies, sched_policies, FigOpts};
 use bce_client::{rr_simulate, ClientConfig, FetchPolicy, JobSchedPolicy, RrJob, RrPlatform};
-use bce_controller::{compare_policies, line_chart, save_text, sweep, Metric, Table};
+use bce_controller::{line_chart, save_text, sweep, Metric, SweepResult, Table};
 use bce_core::{Emulator, ScenarioBuilder};
 use bce_scenarios::{scenario1, scenario2, scenario3, scenario4};
 use bce_types::{
@@ -59,6 +59,16 @@ fn base_scenario(
     builtin: impl FnOnce() -> bce_core::Scenario,
 ) -> bce_core::Scenario {
     opts.scenario.clone().unwrap_or_else(builtin)
+}
+
+/// Compare `policies` on one scenario: a sweep at a single point, which
+/// [`SweepResult::merit_table`] and [`SweepResult::bars`] render at index 0.
+fn compare(
+    opts: &FigOpts,
+    policies: &[(String, ClientConfig)],
+    builtin: impl Fn() -> bce_core::Scenario,
+) -> SweepResult {
+    sweep("scenario", &[0.0], policies, &opts.emulator(), 0, |_| base_scenario(opts, &builtin))
 }
 
 /// If `--json PATH` was given, write the figure's named tables there as
@@ -342,14 +352,15 @@ fn fig4(opts: &FigOpts) -> Result<String, String> {
     outln!(out, "Figure 4 — local vs. global resource-share accounting");
     outln!(out, "scenario 2: 4 CPUs + 1 GPU (10x); P0 CPU-only, P1 CPU+GPU, equal shares\n");
 
-    let cmp = compare_policies(&base_scenario(opts, scenario2), &policies, &opts.emulator(), 0);
-    outln!(out, "{}", cmp.table().render());
-    outln!(out, "{}", cmp.bars(Metric::ShareViolation, 40));
+    let cmp = compare(opts, &policies, scenario2);
+    let table = cmp.merit_table(0);
+    outln!(out, "{}", table.render());
+    outln!(out, "{}", cmp.bars(0, Metric::ShareViolation, 40));
 
     // Per-project usage detail: the mechanism behind the metric.
     let mut t = Table::new(&["policy", "project", "share", "used frac", "CPU-side story"]);
-    for (label, r) in &cmp.results {
-        for p in &r.projects {
+    for (label, results) in &cmp.by_policy {
+        for p in &results[0].projects {
             t.row(&[
                 label.clone(),
                 p.name.clone(),
@@ -364,10 +375,10 @@ fn fig4(opts: &FigOpts) -> Result<String, String> {
     outln!(out, "gives the CPU to P0, cutting share violation.");
 
     let path = crate::figures_dir().join("fig4.csv");
-    if save_text(&path, &cmp.table().to_csv()).is_ok() {
+    if save_text(&path, &table.to_csv()).is_ok() {
         outln!(out, "wrote {}", path.display());
     }
-    write_json_into(&mut out, opts, &[("fig4", &cmp.table())])?;
+    write_json_into(&mut out, opts, &[("fig4", &table)])?;
     Ok(out)
 }
 
@@ -377,14 +388,14 @@ fn fig5(opts: &FigOpts) -> Result<String, String> {
     outln!(out, "Figure 5 — job fetch with and without hysteresis");
     outln!(out, "scenario 4: 4 CPUs + 1 GPU, 20 projects with varying job types\n");
 
-    let cmp =
-        compare_policies(&base_scenario(opts, scenario4), &fetch_policies(), &opts.emulator(), 0);
-    outln!(out, "{}", cmp.table().render());
-    outln!(out, "{}", cmp.bars(Metric::RpcsPerJob, 40));
-    outln!(out, "{}", cmp.bars(Metric::Monotony, 40));
+    let cmp = compare(opts, &fetch_policies(), scenario4);
+    let table = cmp.merit_table(0);
+    outln!(out, "{}", table.render());
+    outln!(out, "{}", cmp.bars(0, Metric::RpcsPerJob, 40));
+    outln!(out, "{}", cmp.bars(0, Metric::Monotony, 40));
 
-    let orig = cmp.get("JF-ORIG").expect("orig run");
-    let hyst = cmp.get("JF-HYSTERESIS").expect("hysteresis run");
+    let orig = cmp.get("JF-ORIG", 0).expect("orig run");
+    let hyst = cmp.get("JF-HYSTERESIS", 0).expect("hysteresis run");
     outln!(
         out,
         "RPCs/job: ORIG {:.3} vs HYSTERESIS {:.3} ({:.1}x reduction)",
@@ -400,10 +411,10 @@ fn fig5(opts: &FigOpts) -> Result<String, String> {
     );
 
     let path = crate::figures_dir().join("fig5.csv");
-    if save_text(&path, &cmp.table().to_csv()).is_ok() {
+    if save_text(&path, &table.to_csv()).is_ok() {
         outln!(out, "wrote {}", path.display());
     }
-    write_json_into(&mut out, opts, &[("fig5", &cmp.table())])?;
+    write_json_into(&mut out, opts, &[("fig5", &table)])?;
     Ok(out)
 }
 
@@ -421,9 +432,8 @@ fn fig6(opts: &FigOpts) -> Result<String, String> {
     );
 
     // The swept parameter is the client's REC half-life, not a scenario
-    // field, so each "policy" is a distinct client configuration and the
-    // sweep parameter selects it: run one policy per half-life at a single
-    // scenario point instead.
+    // field, so each "policy" is a distinct client configuration: compare
+    // one policy per half-life at a single scenario point.
     let policies: Vec<(String, ClientConfig)> = half_lives
         .iter()
         .map(|&a| {
@@ -437,10 +447,7 @@ fn fig6(opts: &FigOpts) -> Result<String, String> {
             )
         })
         .collect();
-    let base = opts.scenario.clone();
-    let result = sweep("half_life_s", &[0.0], &policies, &opts.emulator(), 0, move |_| {
-        base.clone().unwrap_or_else(scenario3)
-    });
+    let result = compare(opts, &policies, scenario3);
 
     // Re-shape: one row per half-life.
     let mut rows: Vec<(f64, f64)> = Vec::new();

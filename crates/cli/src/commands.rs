@@ -4,8 +4,8 @@
 use crate::args::{ArgError, Args};
 use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_controller::{
-    compare_policies, population_header, population_study, population_table, run_manifest,
-    CampaignError, CampaignManifest, CampaignOptions, ManifestError, Metric, Table,
+    paper_policies, population_header, run_manifest, sweep, CampaignError, CampaignManifest,
+    CampaignOptions, ManifestError, Metric, Table,
 };
 use bce_core::{render_timeline, CheckpointError, Emulator, EmulatorConfig, FaultConfig, Scenario};
 use bce_emboinc::{run_campaign, HostSelection, PopulationSpec, ReplicationPolicy, Workload};
@@ -15,7 +15,7 @@ use bce_scenarios::{
     doc_from_scenario, scenario1, scenario2, scenario3, scenario4, LoadedScenario, ScenarioSource,
     ScenarioSpec, BUILTIN_NAMES,
 };
-use bce_sim::{fnv64, Rng};
+use bce_sim::Rng;
 use bce_types::{AppClass, Hardware, ProcType, ProjectId, ProjectSpec, SimDuration};
 
 pub const HELP: &str = "\
@@ -433,19 +433,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn all_policies() -> Vec<(String, ClientConfig)> {
-    let mut v = Vec::new();
-    for sched in [JobSchedPolicy::WRR, JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL] {
-        for fetch in [FetchPolicy::Orig, FetchPolicy::Hysteresis] {
-            v.push((
-                format!("{}+{}", sched.name(), fetch.name()),
-                ClientConfig { sched_policy: sched, fetch_policy: fetch, ..Default::default() },
-            ));
-        }
-    }
-    v
-}
-
 fn cmd_compare(args: &Args) -> Result<String, CliError> {
     let LoadedScenario { scenario, faults, .. } = resolve_scenario(args)?;
     let days = days_opt(args, 10.0)?;
@@ -455,12 +442,13 @@ fn cmd_compare(args: &Args) -> Result<String, CliError> {
         faults: faults.unwrap_or(FaultConfig::OFF),
         ..Default::default()
     };
-    let cmp = compare_policies(&scenario, &all_policies(), &emu, threads);
-    let mut out = format!("policy comparison on {} ({days} days):\n\n", cmp.scenario_name);
-    out.push_str(&cmp.table().render());
+    // A comparison is a sweep at one point.
+    let cmp = sweep("scenario", &[0.0], &paper_policies(), &emu, threads, |_| scenario.clone());
+    let mut out = format!("policy comparison on {} ({days} days):\n\n", scenario.name);
+    out.push_str(&cmp.merit_table(0).render());
     out.push('\n');
-    out.push_str(&cmp.bars(Metric::ShareViolation, 40));
-    out.push_str(&cmp.bars(Metric::RpcsPerJob, 40));
+    out.push_str(&cmp.bars(0, Metric::ShareViolation, 40));
+    out.push_str(&cmp.bars(0, Metric::RpcsPerJob, 40));
     Ok(out)
 }
 
@@ -655,9 +643,9 @@ fn campaign_cli_error(e: CampaignError) -> CliError {
 /// disk-fault schedule.
 ///
 /// The harness builds the standard sampled-population manifest and runs
-/// it twice: once fault-free and uninterrupted through
-/// `population_study` (the reference), then again in segments through
-/// [`run_manifest`] over a fault-injecting I/O backend, with deterministic
+/// it through [`run_manifest`] twice: once fault-free and uninterrupted,
+/// with no checkpoint store at all (the reference), then again in
+/// segments over a fault-injecting I/O backend, with deterministic
 /// corruption of the newest checkpoint generation between segments. If
 /// rotation + CRC fallback work, the recovered campaign's final table
 /// is bit-identical to the reference — asserted by FNV fingerprint.
@@ -693,7 +681,6 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         .join(format!("run-{chaos_seed}"));
 
     let manifest = CampaignManifest::sampled_population(hosts, seed, days);
-    let (scenarios, faults) = manifest.expand_scenarios().map_err(manifest_cli_error)?;
 
     let mut out = format!(
         "# chaos: {hosts} hosts x {} policies x {days} days (seed {seed}), \
@@ -708,11 +695,11 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         corrupt_prob,
     );
 
-    // Fault-free, uninterrupted reference, computed by the independent
-    // population_study path rather than the campaign runner under test.
-    let reference =
-        population_study(&scenarios, &manifest.policies, &manifest.emulator(faults), threads);
-    let ref_fp = fnv64(population_table(&reference).render().as_bytes());
+    // Fault-free, uninterrupted reference: the same manifest with no
+    // checkpoint store, so no disk I/O the faults could touch.
+    let reference = run_manifest(&manifest, threads, &CampaignOptions::default(), None)
+        .map_err(manifest_cli_error)?;
+    let ref_fp = reference.table_fingerprint;
     out.push_str(&format!("# reference fingerprint: {ref_fp:016x}\n"));
 
     // Fresh scratch store under the fault-injecting backend.
@@ -731,7 +718,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     let probe = bce_statefile::CheckpointStore::with_real_io(&base, keep);
     let mut corrupt_rng = bce_sim::Rng::stream(chaos_seed, "chaos-corrupt");
 
-    let total = scenarios.len() * manifest.policies.len();
+    let total = reference.report.total_runs;
     let per_segment = total.div_ceil(segments).max(1);
     let max_attempts = segments * 10 + 20;
     let mut attempts = 0usize;
@@ -965,20 +952,11 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The {JS} x {JF} grid swept by `bce faults`: LOCAL/GLOBAL scheduling
-/// crossed with ORIG/HYSTERESIS fetch (WRR is skipped — it shares the
-/// LOCAL fetch path and only pads the table).
+/// The {JS} x {JF} grid swept by `bce faults`: the `bce compare` grid
+/// without WRR, i.e. LOCAL/GLOBAL scheduling crossed with ORIG/HYSTERESIS
+/// fetch (WRR shares the LOCAL fetch path and only pads the table).
 fn fault_policies() -> Vec<(String, ClientConfig)> {
-    let mut v = Vec::new();
-    for sched in [JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL] {
-        for fetch in [FetchPolicy::Orig, FetchPolicy::Hysteresis] {
-            v.push((
-                format!("{}+{}", sched.name(), fetch.name()),
-                ClientConfig { sched_policy: sched, fetch_policy: fetch, ..Default::default() },
-            ));
-        }
-    }
-    v
+    paper_policies().into_iter().filter(|(_, c)| c.sched_policy != JobSchedPolicy::WRR).collect()
 }
 
 fn parse_rates(args: &Args) -> Result<Vec<f64>, CliError> {

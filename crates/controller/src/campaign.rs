@@ -9,8 +9,8 @@
 //! the full per-policy accumulator state: Welford moments *and* the
 //! retained per-metric sample (needed for the exact p95). Restoring it
 //! and finishing the remaining runs therefore produces outcomes
-//! bit-identical to an uninterrupted study — the same oracle discipline
-//! the run-level [`bce_core::CheckpointState`] keeps.
+//! bit-identical to an uninterrupted study — the same discipline the
+//! run-level [`bce_core::CheckpointState`] keeps.
 //!
 //! Checkpoints are stored through the generation-rotated
 //! [`bce_statefile::CheckpointStore`]: each write publishes a CRC-64
@@ -47,7 +47,7 @@ pub enum CampaignError {
     /// Reading, decoding or writing the checkpoint file failed.
     Checkpoint(CheckpointError),
     /// The checkpoint belongs to a different campaign (different
-    /// scenarios, policies or emulator horizon); resuming it here could
+    /// scenarios, policies or emulator settings); resuming it here could
     /// not reproduce the uninterrupted study.
     Mismatch(String),
 }
@@ -161,9 +161,8 @@ impl CampaignOptions {
 /// What a (possibly resumed) campaign produced.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Per-policy aggregated outcomes, exactly as
-    /// [`population_study`](crate::population_study) would report for the
-    /// same inputs.
+    /// Per-policy aggregated outcomes: Welford moments and the exact p95
+    /// of each figure of merit over the policy's successful runs.
     pub outcomes: Vec<PopulationOutcome>,
     /// Runs quarantined by the supervised executor, in submission order.
     pub errors: Vec<RunError>,
@@ -425,27 +424,35 @@ impl CampaignCheckpoint {
     }
 }
 
-/// Identity of a campaign: every input that determines its results.
-/// Thread count is deliberately excluded — results are bit-identical
-/// across thread counts, so a campaign may resume with a different `-j`.
+/// Identity of a campaign: every input that determines its results —
+/// each policy's label and [`ClientConfig`], each scenario's full
+/// content, and the emulator settings (horizon, fault overlay, server and
+/// scheduling parameters). Excluded are the thread count (results are
+/// bit-identical across thread counts, so a campaign may resume with a
+/// different `-j`), the observation-only settings (trace capacity,
+/// profiling) and the per-run checkpoint policy.
 fn campaign_fingerprint(
     scenarios: &[Arc<Scenario>],
     policies: &[(String, ClientConfig)],
     emulator: &EmulatorConfig,
 ) -> u64 {
+    use std::fmt::Write as _;
+    /// Feeds formatted text straight into the hash, without a buffer.
+    struct HashWriter<'a>(&'a mut Fnv64);
+    impl std::fmt::Write for HashWriter<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+    let decisive =
+        EmulatorConfig { trace_capacity: 0, profile: false, checkpoint: None, ..emulator.clone() };
     let mut h = Fnv64::new();
-    h.u64(policies.len() as u64);
-    for (label, _) in policies {
-        h.bytes(label.as_bytes());
-        h.bytes(&[0]);
-    }
-    h.u64(scenarios.len() as u64);
-    for s in scenarios {
-        h.bytes(s.name.as_bytes());
-        h.bytes(&[0]);
-        h.u64(s.seed);
-    }
-    h.f64(emulator.duration.secs());
+    // `Debug` renders every field, floats exactly (shortest round trip),
+    // and none of these types holds an unordered collection, so the text
+    // is a canonical form of the inputs.
+    write!(HashWriter(&mut h), "{policies:?}{scenarios:?}{decisive:?}")
+        .expect("hashing into memory cannot fail");
     h.finish()
 }
 
@@ -455,10 +462,10 @@ fn campaign_fingerprint(
 /// [`CampaignManifest`](crate::CampaignManifest) and go through
 /// [`run_manifest`](crate::run_manifest).
 ///
-/// Outcomes are bit-identical to [`crate::population_study`] over the
-/// same inputs when no run panics; panicking runs are quarantined into
-/// [`CampaignReport::errors`] and simply absent from the aggregates (each
-/// policy's `scenarios_run` counts its successful runs).
+/// Outcomes are bit-identical whatever the thread count and however
+/// often the campaign is stopped and resumed; panicking runs are
+/// quarantined into [`CampaignReport::errors`] and simply absent from the
+/// aggregates (each policy's `scenarios_run` counts its successful runs).
 pub fn population_campaign(
     scenarios: &[Arc<Scenario>],
     policies: &[(String, ClientConfig)],
@@ -487,7 +494,7 @@ pub fn population_campaign(
         recovery = Some(report);
         if ckpt.fingerprint != fingerprint {
             return Err(CampaignError::Mismatch(
-                "fingerprint differs (other scenarios, policies or horizon)".into(),
+                "fingerprint differs (other scenarios, policies or emulator settings)".into(),
             ));
         }
         if ckpt.total != total || ckpt.accums.len() != policies.len() {

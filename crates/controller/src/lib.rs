@@ -2,11 +2,11 @@
 //!
 //! The paper's "controller script that does multiple BCE runs and
 //! generates graphs summarizing the figures of merit" (§4.3): parallel
-//! run execution, parameter sweeps, policy comparisons, Monte-Carlo
-//! population studies, and terminal-friendly tables/plots plus CSV export.
+//! run execution, parameter sweeps (a policy comparison is a sweep at one
+//! point), Monte-Carlo population campaigns, and terminal-friendly
+//! tables/plots plus CSV export.
 
 pub mod campaign;
-pub mod compare;
 pub mod manifest;
 pub mod montecarlo;
 pub mod plot;
@@ -17,16 +17,15 @@ pub mod table;
 pub use campaign::{
     population_campaign, CampaignCheckpoint, CampaignError, CampaignOptions, CampaignReport,
 };
-pub use compare::{compare_policies, Comparison};
 pub use manifest::{run_manifest, summary_json, CampaignManifest, ManifestError, ManifestOutcome};
 pub use montecarlo::{
-    population_header, population_study, population_table, standard_policies, MetricStats,
+    paper_policies, population_header, population_table, standard_policies, MetricStats,
     PopulationOutcome,
 };
 pub use plot::{bar_chart, line_chart, Series};
 pub use run::{
-    resolve_threads, run_all, run_streaming, run_streaming_profiled, run_supervised,
-    run_supervised_profiled, RunError, RunOutcome, RunSpec,
+    resolve_threads, run_streaming, run_supervised, run_supervised_profiled, RunError, RunOutcome,
+    RunSpec,
 };
 pub use sweep::{sweep, Metric, SweepResult};
 pub use table::Table;

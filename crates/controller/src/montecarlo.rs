@@ -2,17 +2,18 @@
 //! over a whole sampled population of scenarios rather than hand-picked
 //! points, and aggregate the figures-of-merit distributions.
 //!
-//! The study streams: the policy × scenario matrix is distributed as
-//! `Arc`-shared specs (no scenario is ever cloned) and every
-//! `EmulationResult` is folded into the per-policy accumulators the
-//! moment it completes, so memory stays O(policies × metrics) plus one
-//! retained `f64` per run per metric for the exact p95 — not
-//! O(runs × results).
+//! A study runs as a campaign ([`population_campaign`](crate::population_campaign),
+//! reached through [`run_manifest`](crate::run_manifest)). It streams: the
+//! policy × scenario matrix is distributed as `Arc`-shared specs (no
+//! scenario is ever cloned) and every `EmulationResult` is folded into
+//! the per-policy accumulators here the moment it completes, so memory
+//! stays O(policies × metrics) plus one retained `f64` per run per
+//! metric for the exact p95 — not O(runs × results).
 
-use crate::run::{run_streaming, RunSpec};
+use crate::run::RunSpec;
 use crate::sweep::Metric;
 use crate::table::Table;
-use bce_client::ClientConfig;
+use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_core::{EmulatorConfig, Scenario};
 use bce_sim::OnlineStats;
 use std::sync::Arc;
@@ -84,32 +85,9 @@ impl PolicyAccum {
     }
 }
 
-/// Evaluate each policy over the given scenario population.
-///
-/// Scenarios are shared by reference-count across every policy, so the
-/// whole policy × scenario matrix is distributed without cloning a single
-/// scenario, and the full matrix runs as one parallel batch.
-pub fn population_study(
-    scenarios: &[Arc<Scenario>],
-    policies: &[(String, ClientConfig)],
-    emulator: &EmulatorConfig,
-    threads: usize,
-) -> Vec<PopulationOutcome> {
-    let n = scenarios.len();
-    let specs = population_specs(scenarios, policies, emulator);
-
-    let mut accums: Vec<PolicyAccum> = policies.iter().map(|_| PolicyAccum::new(n)).collect();
-    run_streaming(&specs, threads, |i, _, result| {
-        // `n == 0` means no specs, so the reducer is never called.
-        accums[i / n].push(&result.merit);
-    });
-
-    policies.iter().zip(accums).map(|((label, _), accum)| accum.finish(label, n)).collect()
-}
-
 /// The policy × scenario spec matrix of a population study, in the
-/// submission order both [`population_study`] and the resumable campaign
-/// runner rely on: all of policy 0's scenarios, then policy 1's, …
+/// submission order the resumable campaign runner relies on: all of
+/// policy 0's scenarios, then policy 1's, …
 pub(crate) fn population_specs(
     scenarios: &[Arc<Scenario>],
     policies: &[(String, ClientConfig)],
@@ -132,7 +110,6 @@ pub(crate) fn population_specs(
 /// recommended combination (GLOBAL scheduling + hysteresis fetch)
 /// against the original BOINC baseline (LOCAL + ORIG).
 pub fn standard_policies() -> Vec<(String, ClientConfig)> {
-    use bce_client::{FetchPolicy, JobSchedPolicy};
     vec![
         ("GLOBAL+HYST".to_string(), ClientConfig::default()),
         (
@@ -144,6 +121,22 @@ pub fn standard_policies() -> Vec<(String, ClientConfig)> {
             },
         ),
     ]
+}
+
+/// The six policies `bce compare` runs: the paper's job-scheduling
+/// policies {WRR, LOCAL, GLOBAL} × its work-fetch policies {ORIG,
+/// HYSTERESIS}, labelled `"<sched>+<fetch>"`.
+pub fn paper_policies() -> Vec<(String, ClientConfig)> {
+    let mut v = Vec::new();
+    for sched in [JobSchedPolicy::WRR, JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL] {
+        for fetch in [FetchPolicy::Orig, FetchPolicy::Hysteresis] {
+            v.push((
+                format!("{}+{}", sched.name(), fetch.name()),
+                ClientConfig { sched_policy: sched, fetch_policy: fetch, ..Default::default() },
+            ));
+        }
+    }
+    v
 }
 
 /// The one-line header every population report starts with. Shared so
@@ -174,8 +167,20 @@ pub fn population_table(outcomes: &[PopulationOutcome]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{population_campaign, CampaignOptions};
     use bce_scenarios::{PopulationModel, PopulationSampler};
     use bce_types::SimDuration;
+
+    fn study(
+        scenarios: &[Arc<Scenario>],
+        policies: &[(String, ClientConfig)],
+        emu: &EmulatorConfig,
+        threads: usize,
+    ) -> Vec<PopulationOutcome> {
+        population_campaign(scenarios, policies, emu, threads, &CampaignOptions::default())
+            .expect("no checkpoint, nothing to fail")
+            .outcomes
+    }
 
     fn small_population(n: usize) -> Vec<Arc<Scenario>> {
         let mut sampler = PopulationSampler::new(PopulationModel::default(), 3);
@@ -187,7 +192,7 @@ mod tests {
         let scenarios = small_population(4);
         let policies = vec![("default".to_string(), ClientConfig::default())];
         let emu = EmulatorConfig { duration: SimDuration::from_hours(2.0), ..Default::default() };
-        let outcomes = population_study(&scenarios, &policies, &emu, 0);
+        let outcomes = study(&scenarios, &policies, &emu, 0);
         assert_eq!(outcomes.len(), 1);
         let o = &outcomes[0];
         assert_eq!(o.scenarios_run, 4);
@@ -210,7 +215,7 @@ mod tests {
     fn empty_population_yields_empty_stats() {
         let policies = vec![("default".to_string(), ClientConfig::default())];
         let emu = EmulatorConfig { duration: SimDuration::from_hours(1.0), ..Default::default() };
-        let outcomes = population_study(&[], &policies, &emu, 2);
+        let outcomes = study(&[], &policies, &emu, 2);
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].scenarios_run, 0);
         assert_eq!(outcomes[0].metric(Metric::Idle).stats.count(), 0);

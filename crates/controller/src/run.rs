@@ -173,33 +173,11 @@ const WORKER_SLACK: usize = 4;
 ///
 /// With one thread this is a plain loop over one arena — no thread is
 /// spawned and no synchronization happens at all.
-pub fn run_streaming<F>(specs: &[RunSpec], threads: usize, consume: F)
+pub fn run_streaming<F>(specs: &[RunSpec], threads: usize, mut consume: F)
 where
     F: FnMut(usize, &RunSpec, EmulationResult),
 {
-    run_streaming_profiled(specs, threads, &mut Profiler::disabled(), consume)
-}
-
-/// As [`run_streaming`], but timing the executor's phases into `prof`:
-///
-/// * `exec.emulate` — serial path only: the emulations themselves.
-/// * `exec.recv_wait` — parallel path: consumer time blocked waiting for
-///   the run at the reduction front (how far the front trails the
-///   workers), one count per run.
-/// * `exec.reduce` — time inside the caller's reducer, which runs on the
-///   consuming thread and therefore bounds streaming throughput.
-///
-/// Profiling observes wall clock only; results (and reduction order) are
-/// identical to [`run_streaming`]. A disabled profiler skips all timing.
-pub fn run_streaming_profiled<F>(
-    specs: &[RunSpec],
-    threads: usize,
-    prof: &mut Profiler,
-    mut consume: F,
-) where
-    F: FnMut(usize, &RunSpec, EmulationResult),
-{
-    run_supervised_profiled(specs, threads, prof, |i, spec, outcome| match outcome {
+    run_supervised(specs, threads, |i, spec, outcome| match outcome {
         Ok(result) => consume(i, spec, result),
         // The unsupervised contract is all-or-abort: re-raise the
         // quarantined panic with its structured context instead of the
@@ -221,8 +199,17 @@ where
     run_supervised_profiled(specs, threads, &mut Profiler::disabled(), consume)
 }
 
-/// As [`run_supervised`], with executor-phase profiling (see
-/// [`run_streaming_profiled`] for the span vocabulary).
+/// As [`run_supervised`], timing the executor's phases into `prof`:
+///
+/// * `exec.emulate` — serial path only: the emulations themselves.
+/// * `exec.recv_wait` — parallel path: consumer time blocked waiting for
+///   the run at the reduction front (how far the front trails the
+///   workers), one count per run.
+/// * `exec.reduce` — time inside the caller's reducer, which runs on the
+///   consuming thread and therefore bounds streaming throughput.
+///
+/// Profiling observes wall clock only; results (and reduction order) are
+/// identical to [`run_supervised`]. A disabled profiler skips all timing.
 pub fn run_supervised_profiled<F>(
     specs: &[RunSpec],
     threads: usize,
@@ -326,15 +313,6 @@ fn supervised_emulate(
     }
 }
 
-/// Execute all runs and retain every result, in input order. Built on
-/// [`run_streaming`]; labels are moved out of the specs, so the only
-/// per-run cost beyond the emulation itself is the result push.
-pub fn run_all(specs: Vec<RunSpec>, threads: usize) -> Vec<(String, EmulationResult)> {
-    let mut results: Vec<EmulationResult> = Vec::with_capacity(specs.len());
-    run_streaming(&specs, threads, |_, _, r| results.push(r));
-    specs.into_iter().zip(results).map(|(spec, r)| (spec.label, r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,7 +333,7 @@ mod tests {
     /// clone, a freshly allocated emulator per run, and a
     /// `Mutex<Vec<Option<_>>>` result funnel. Kept verbatim as the
     /// baseline oracle the new executor must match bit for bit.
-    fn run_all_reference(specs: &[RunSpec], threads: usize) -> Vec<(String, EmulationResult)> {
+    fn reference_executor(specs: &[RunSpec], threads: usize) -> Vec<(String, EmulationResult)> {
         let nthreads = resolve_threads(threads);
         let n = specs.len();
         let mut results: Vec<Option<(String, EmulationResult)>> = Vec::with_capacity(n);
@@ -386,6 +364,14 @@ mod tests {
         results.into_iter().map(|r| r.expect("all runs completed")).collect()
     }
 
+    /// Every result of `specs` with its label, in submission order. Takes
+    /// the specs by value so they are dropped when it returns.
+    fn results_of(specs: Vec<RunSpec>, threads: usize) -> Vec<(String, EmulationResult)> {
+        let mut results = Vec::with_capacity(specs.len());
+        run_streaming(&specs, threads, |_, spec, r| results.push((spec.label.clone(), r)));
+        results
+    }
+
     fn short() -> EmulatorConfig {
         EmulatorConfig { duration: SimDuration::from_hours(3.0), ..Default::default() }
     }
@@ -402,7 +388,7 @@ mod tests {
 
     #[test]
     fn results_in_submission_order() {
-        let results = run_all(mk_specs(8), 4);
+        let results = results_of(mk_specs(8), 4);
         assert_eq!(results.len(), 8);
         for (i, (label, r)) in results.iter().enumerate() {
             assert_eq!(label, &format!("run{i}"));
@@ -429,7 +415,7 @@ mod tests {
     #[test]
     fn parallel_equals_serial_on_every_field() {
         for specs in [mk_specs(6), skewed_specs(24)] {
-            let ser = run_all(specs.clone(), 1);
+            let ser = results_of(specs.clone(), 1);
             for threads in [2, 3, 4, 8] {
                 let mut order = Vec::new();
                 let mut par = Vec::new();
@@ -454,19 +440,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_run_all_and_reference() {
+    fn streaming_matches_supervised_and_reference() {
         let specs = mk_specs(5);
-        let all = run_all(specs.clone(), 3);
-        let reference = run_all_reference(&specs, 3);
+        let mut supervised: Vec<(String, u64)> = Vec::new();
+        run_supervised(&specs, 3, |_, spec, outcome| {
+            supervised
+                .push((spec.label.clone(), outcome.expect("no run panics").bit_fingerprint()));
+        });
+        let reference = reference_executor(&specs, 3);
         let mut streamed: Vec<(usize, String, u64)> = Vec::new();
         run_streaming(&specs, 3, |i, spec, r| {
             streamed.push((i, spec.label.clone(), r.bit_fingerprint()));
         });
-        assert_eq!(streamed.len(), all.len());
+        assert_eq!(streamed.len(), supervised.len());
         for (k, (i, label, fp)) in streamed.iter().enumerate() {
             assert_eq!(*i, k, "submission order");
-            assert_eq!(label, &all[k].0);
-            assert_eq!(*fp, all[k].1.bit_fingerprint(), "new executor vs run_all");
+            assert_eq!(label, &supervised[k].0);
+            assert_eq!(*fp, supervised[k].1, "streaming vs supervised executor");
             assert_eq!(*fp, reference[k].1.bit_fingerprint(), "new executor vs seed oracle");
         }
     }
@@ -479,8 +469,8 @@ mod tests {
         for threads in [1, 3] {
             let mut prof = Profiler::enabled();
             let mut profiled: Vec<u64> = Vec::new();
-            run_streaming_profiled(&specs, threads, &mut prof, |_, _, r| {
-                profiled.push(r.bit_fingerprint());
+            run_supervised_profiled(&specs, threads, &mut prof, |_, _, outcome| {
+                profiled.push(outcome.expect("no run panics").bit_fingerprint());
             });
             assert_eq!(profiled, plain, "profiling must not change results (threads={threads})");
             let report = prof.report();
@@ -506,7 +496,7 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 7);
-        let serial: u64 = run_all(mk_specs(7), 1).iter().map(|(_, r)| r.jobs_completed).sum();
+        let serial: u64 = results_of(mk_specs(7), 1).iter().map(|(_, r)| r.jobs_completed).sum();
         assert_eq!(total_jobs, serial);
     }
 
@@ -521,7 +511,7 @@ mod tests {
             })
             .collect();
         assert_eq!(Arc::strong_count(&scenario), 5);
-        let results = run_all(specs, 2);
+        let results = results_of(specs, 2);
         assert_eq!(results.len(), 4);
         // All specs (and their temporary emulators) are gone again.
         assert_eq!(Arc::strong_count(&scenario), 1);
@@ -529,7 +519,7 @@ mod tests {
 
     #[test]
     fn empty_specs() {
-        assert!(run_all(vec![], 4).is_empty());
+        assert!(results_of(vec![], 4).is_empty());
         run_streaming(&[], 4, |_, _, _| panic!("no results expected"));
     }
 
@@ -581,7 +571,7 @@ mod tests {
         // The panicking run executes FIRST on its worker's arena; every
         // subsequent run on that arena must still be bit-identical to a
         // clean batch (the executor replaces the poisoned arena).
-        let clean = run_all(mk_specs(6), 1);
+        let clean = results_of(mk_specs(6), 1);
         for threads in [1, 2] {
             let mut specs = vec![poison_spec()];
             specs.extend(mk_specs(6));
@@ -640,7 +630,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bce-runckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let every = SimDuration::from_mins(20.0);
-        let plain = run_all(mk_specs(1), 1);
+        let plain = results_of(mk_specs(1), 1);
 
         // Simulate a crash: capture the first mid-run checkpoint and drop
         // it under the file name the executor derives for this label.
@@ -666,12 +656,12 @@ mod tests {
         };
         let specs = vec![RunSpec::new("run0", tiny_scenario(0), ClientConfig::default())
             .with_emulator(Arc::new(ckpt_emu))];
-        let resumed = run_all(specs.clone(), 1);
+        let resumed = results_of(specs.clone(), 1);
         assert_eq!(resumed[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
         assert!(!path.exists(), "checkpoint removed after completion");
 
         // A fresh checkpointed run (no file on disk) is also unchanged.
-        let fresh = run_all(specs, 1);
+        let fresh = results_of(specs, 1);
         assert_eq!(fresh[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);

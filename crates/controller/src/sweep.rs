@@ -2,10 +2,12 @@
 //! (§4.3). A sweep evaluates one or more policy configurations at each
 //! value of a scenario parameter and collects the figures of merit as
 //! series ready for plotting/tabulation — this is what regenerates
-//! Figures 3 and 6.
+//! Figures 3 and 6. A policy comparison ("compare scheduling policies
+//! across one or more scenarios") is a sweep at one point: `bce compare`
+//! and Figures 4–5 render its per-policy merit table and bars.
 
-use crate::plot::Series;
-use crate::run::{run_all, RunSpec};
+use crate::plot::{bar_chart, Series};
+use crate::run::{run_streaming, RunSpec};
 use crate::table::{f, Table};
 use bce_client::ClientConfig;
 use bce_core::{EmulationResult, EmulatorConfig, FiguresOfMerit, Scenario};
@@ -56,11 +58,59 @@ impl Metric {
 pub struct SweepResult {
     pub param_name: String,
     pub params: Vec<f64>,
+    /// Name of the scenario built for each parameter value.
+    pub scenario_names: Vec<String>,
     /// One row per policy: `(label, results by param index)`.
     pub by_policy: Vec<(String, Vec<EmulationResult>)>,
 }
 
 impl SweepResult {
+    /// The result of policy `label` at parameter index `point`.
+    pub fn get(&self, label: &str, point: usize) -> Option<&EmulationResult> {
+        self.by_policy.iter().find(|(l, _)| l == label).map(|(_, results)| &results[point])
+    }
+
+    /// Table with one row per policy and one column per figure of merit,
+    /// at parameter index `point`.
+    pub fn merit_table(&self, point: usize) -> Table {
+        let mut t = Table::new(&[
+            "policy",
+            "idle",
+            "wasted",
+            "share_viol",
+            "monotony",
+            "rpcs/job",
+            "jobs",
+            "missed",
+        ]);
+        for (label, results) in &self.by_policy {
+            let r = &results[point];
+            t.row(&[
+                label.clone(),
+                f(r.merit.idle_fraction),
+                f(r.merit.wasted_fraction),
+                f(r.merit.share_violation),
+                f(r.merit.monotony),
+                format!("{:.3}", r.merit.rpcs_per_job),
+                r.jobs_completed.to_string(),
+                r.jobs_missed_deadline.to_string(),
+            ]);
+        }
+        t
+    }
+
+    /// Bar chart of one metric across the policies at parameter index
+    /// `point`.
+    pub fn bars(&self, point: usize, metric: Metric, width: usize) -> String {
+        let bars: Vec<(String, f64)> = self
+            .by_policy
+            .iter()
+            .map(|(label, results)| (label.clone(), metric.extract(&results[point].merit)))
+            .collect();
+        let title = format!("{} — {}", self.scenario_names[point], metric.name());
+        bar_chart(&title, &bars, width)
+    }
+
     /// One plot series per policy for the given metric.
     pub fn series(&self, metric: Metric) -> Vec<Series> {
         self.by_policy
@@ -118,15 +168,19 @@ pub fn sweep(
             );
         }
     }
-    let results = run_all(specs, threads);
-    let mut by_policy = Vec::new();
-    let mut it = results.into_iter();
-    for (label, _) in policies {
-        let row: Vec<EmulationResult> =
-            (0..params.len()).map(|_| it.next().expect("result per spec").1).collect();
-        by_policy.push((label.clone(), row));
+    let mut results = Vec::with_capacity(specs.len());
+    run_streaming(&specs, threads, |_, _, r| results.push(r));
+    let mut results = results.into_iter();
+    let by_policy = policies
+        .iter()
+        .map(|(label, _)| (label.clone(), results.by_ref().take(params.len()).collect()))
+        .collect();
+    SweepResult {
+        param_name: param_name.to_string(),
+        params: params.to_vec(),
+        scenario_names: scenarios.iter().map(|s| s.name.clone()).collect(),
+        by_policy,
     }
-    SweepResult { param_name: param_name.to_string(), params: params.to_vec(), by_policy }
 }
 
 #[cfg(test)]
@@ -172,6 +226,29 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("GLOBAL"));
         assert!(rendered.contains("runtime"));
+    }
+
+    #[test]
+    fn comparison_runs_and_renders() {
+        let policies = vec![
+            (
+                "JS-LOCAL".to_string(),
+                ClientConfig { sched_policy: JobSchedPolicy::LOCAL, ..Default::default() },
+            ),
+            (
+                "JS-GLOBAL".to_string(),
+                ClientConfig { sched_policy: JobSchedPolicy::GLOBAL, ..Default::default() },
+            ),
+        ];
+        let emu = EmulatorConfig { duration: SimDuration::from_hours(3.0), ..Default::default() };
+        let c = sweep("scenario", &[0.0], &policies, &emu, 0, |_| scenario(600.0));
+        assert_eq!(c.by_policy.len(), 2);
+        assert!(c.get("JS-LOCAL", 0).is_some());
+        assert!(c.get("nope", 0).is_none());
+        let table = c.merit_table(0).render();
+        assert!(table.contains("JS-LOCAL") && table.contains("JS-GLOBAL"));
+        let bars = c.bars(0, Metric::Idle, 30);
+        assert!(bars.contains("sweep-test — idle"));
     }
 
     #[test]

@@ -7,17 +7,78 @@
 //! emulated deterministically with `CampaignOptions::stop_after_runs`,
 //! whose on-disk state is exactly what a SIGKILL at that point leaves
 //! (the real-signal variant lives in CI's resume-smoke job).
+//!
+//! The reference every campaign is held to is [`population_study`], an
+//! oracle private to these tests: the plain streaming executor over the
+//! same policy × scenario matrix, reduced here with `OnlineStats` and a
+//! p95 of its own rather than the campaign runner's accumulators.
 
 use bce_client::{ClientConfig, JobSchedPolicy};
 use bce_controller::{
-    population_campaign, population_study, CampaignCheckpoint, CampaignError, CampaignOptions,
-    Metric, PopulationOutcome,
+    population_campaign, population_table, run_manifest, run_streaming, standard_policies,
+    CampaignCheckpoint, CampaignError, CampaignManifest, CampaignOptions, Metric, MetricStats,
+    PopulationOutcome, RunSpec,
 };
-use bce_core::{EmulatorConfig, Scenario};
+use bce_core::{EmulatorConfig, FaultConfig, Scenario};
 use bce_scenarios::{PopulationModel, PopulationSampler};
+use bce_sim::{fnv64, OnlineStats};
 use bce_types::{Hardware, ProjectSpec, SimDuration};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The independent population-study reference: every policy over every
+/// scenario, in the campaign's submission order (all of policy 0's
+/// scenarios, then policy 1's, …), each figure of merit folded into an
+/// `OnlineStats` in that order, plus the exact p95 of its sample.
+fn population_study(
+    scenarios: &[Arc<Scenario>],
+    policies: &[(String, ClientConfig)],
+    emulator: &EmulatorConfig,
+    threads: usize,
+) -> Vec<PopulationOutcome> {
+    let emulator = Arc::new(emulator.clone());
+    let specs: Vec<RunSpec> = policies
+        .iter()
+        .flat_map(|(label, client)| {
+            let emulator = emulator.clone();
+            scenarios.iter().map(move |s| {
+                RunSpec::new(format!("{label}/{}", s.name), s.clone(), *client)
+                    .with_emulator(emulator.clone())
+            })
+        })
+        .collect();
+    let mut samples = vec![vec![Vec::new(); Metric::ALL.len()]; policies.len()];
+    run_streaming(&specs, threads, |i, _, result| {
+        for (k, metric) in Metric::ALL.iter().enumerate() {
+            samples[i / scenarios.len()][k].push(metric.extract(&result.merit));
+        }
+    });
+    policies
+        .iter()
+        .zip(samples)
+        .map(|((label, _), per_metric)| PopulationOutcome {
+            label: label.clone(),
+            scenarios_run: scenarios.len(),
+            per_metric: Metric::ALL
+                .iter()
+                .zip(per_metric)
+                .map(|(&metric, values)| {
+                    let mut stats = OnlineStats::new();
+                    values.iter().for_each(|&v| stats.push(v));
+                    MetricStats { metric, stats, p95: p95(values) }
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// The sample value at rank ⌊0.95 n⌋ (the largest for small samples);
+/// 0 for an empty sample.
+fn p95(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("figures of merit are never NaN"));
+    let rank = (values.len() as f64 * 0.95) as usize;
+    values.get(rank.min(values.len().saturating_sub(1))).copied().unwrap_or(0.0)
+}
 
 fn population(n: usize) -> Vec<Arc<Scenario>> {
     let mut sampler = PopulationSampler::new(PopulationModel::default(), 11);
@@ -339,6 +400,36 @@ fn mismatched_checkpoint_is_rejected_not_silently_restarted() {
     .unwrap_err();
     assert!(matches!(err, CampaignError::Mismatch(_)), "{err}");
 
+    // Inputs edited under unchanged names and seeds → Mismatch: a
+    // scenario's content, a policy's tuning, the fault overlay.
+    let mut edited = Scenario::clone(&scenarios[1]);
+    edited.projects[0].resource_share *= 9.0;
+    let mut edited_scenarios = scenarios.clone();
+    edited_scenarios[1] = Arc::new(edited);
+    let mut retuned = policies();
+    retuned[0].1.rec_half_life = SimDuration::from_days(1.0);
+    let faulty =
+        EmulatorConfig { faults: FaultConfig { rpc_fail_prob: 0.1, ..FaultConfig::OFF }, ..emu() };
+    let (same_policies, same_emu) = (policies(), emu());
+    for (scenarios, policies, emu) in [
+        (&edited_scenarios, &same_policies, &same_emu),
+        (&scenarios, &retuned, &same_emu),
+        (&scenarios, &same_policies, &faulty),
+    ] {
+        let err = population_campaign(
+            scenarios,
+            policies,
+            emu,
+            1,
+            &CampaignOptions { resume: true, ..opts.clone() },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::Mismatch(what) if what.contains("fingerprint")),
+            "{err}"
+        );
+    }
+
     // Fewer policies → shape mismatch even before any label check.
     let err = population_campaign(
         &scenarios,
@@ -367,6 +458,36 @@ fn mismatched_checkpoint_is_rejected_not_silently_restarted() {
     .unwrap_err();
     assert!(matches!(err, CampaignError::Mismatch(_)), "{err}");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn sampled_manifest_fingerprint_matches_population_reference() {
+    // The acceptance cross-check: a manifest over the standard sampled
+    // population must fingerprint to the same table as the independent
+    // population study over the same sampler draws and standard_policies.
+    let src = r#"{"format": "bce-campaign", "version": 1, "name": "t", "days": 0.05,
+        "scenarios": [{"sampled": {"hosts": 3, "seed": 1}}], "policies": "standard"}"#;
+    let m = CampaignManifest::parse(src, Path::new(".")).unwrap();
+    let out = run_manifest(&m, 0, &CampaignOptions::default(), None).unwrap();
+
+    let scenarios: Vec<Arc<Scenario>> = PopulationSampler::new(PopulationModel::default(), 1)
+        .sample_many(3)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let emulator = EmulatorConfig { duration: SimDuration::from_days(0.05), ..Default::default() };
+    let reference =
+        population_table(&population_study(&scenarios, &standard_policies(), &emulator, 0))
+            .render();
+    assert_eq!(out.table, reference);
+    assert_eq!(out.table_fingerprint, fnv64(reference.as_bytes()));
+    assert!(out.summary.contains(&format!("{:016x}", out.table_fingerprint)));
+    assert!(out.summary.contains("\"total_runs\": 6"));
+
+    // The typed constructor is the same campaign as the document.
+    let built = CampaignManifest::sampled_population(3, 1, 0.05);
+    let built = run_manifest(&built, 0, &CampaignOptions::default(), None).unwrap();
+    assert_eq!(built.table, out.table);
 }
 
 #[test]

@@ -4,10 +4,10 @@
 
 use bce_client::{ClientConfig, JobSchedPolicy};
 use bce_controller::{
-    compare_policies, line_chart, population_study, run_all, run_streaming, save_text, sweep,
-    Metric, RunSpec, Series,
+    line_chart, population_campaign, run_streaming, save_text, sweep, CampaignOptions, Metric,
+    RunSpec, Series, SweepResult,
 };
-use bce_core::{EmulatorConfig, Scenario, ScenarioBuilder};
+use bce_core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder};
 use bce_scenarios::{PopulationModel, PopulationSampler};
 use bce_types::{AppClass, Hardware, ProjectSpec, SimDuration};
 use std::sync::Arc;
@@ -25,6 +25,11 @@ fn scenario(runtime: f64) -> Scenario {
 
 fn emu() -> EmulatorConfig {
     EmulatorConfig { duration: SimDuration::from_hours(2.0), ..Default::default() }
+}
+
+/// A policy comparison: a sweep at one point.
+fn compare(policies: &[(String, ClientConfig)], threads: usize) -> SweepResult {
+    sweep("scenario", &[0.0], policies, &emu(), threads, |_| scenario(600.0))
 }
 
 #[test]
@@ -57,11 +62,11 @@ fn comparison_table_is_consistent_with_results() {
             ClientConfig { sched_policy: JobSchedPolicy::WRR, ..Default::default() },
         ),
     ];
-    let c = compare_policies(&scenario(600.0), &policies, &emu(), 0);
-    let rendered = c.table().render();
-    for (label, r) in &c.results {
+    let c = compare(&policies, 0);
+    let rendered = c.merit_table(0).render();
+    for (label, results) in &c.by_policy {
         assert!(rendered.contains(label.as_str()));
-        assert!(rendered.contains(&r.jobs_completed.to_string()));
+        assert!(rendered.contains(&results[0].jobs_completed.to_string()));
     }
 }
 
@@ -85,7 +90,7 @@ fn chart_handles_single_point_series() {
 // ---------------------------------------------------------------------------
 // Determinism matrix: every experiment driver must produce bit-identical
 // output at any thread count, and the streaming reducer must see exactly
-// what the batch API retains. This is the executor's core contract — the
+// what a straight emulation of each spec produces. This is the executor's core contract — the
 // figure pipeline may be sharded across any number of workers without
 // changing a single output bit.
 // ---------------------------------------------------------------------------
@@ -107,8 +112,16 @@ fn population_study_bit_identical_across_threads() {
     let mut sampler = PopulationSampler::new(PopulationModel::default(), 17);
     let scenarios: Vec<Arc<Scenario>> = sampler.sample_many(6).into_iter().map(Arc::new).collect();
     let fingerprint = |threads: usize| {
-        let outcomes = population_study(&scenarios, &two_policies(), &emu(), threads);
-        outcomes
+        let report = population_campaign(
+            &scenarios,
+            &two_policies(),
+            &emu(),
+            threads,
+            &CampaignOptions::default(),
+        )
+        .unwrap();
+        report
+            .outcomes
             .iter()
             .flat_map(|o| {
                 o.per_metric.iter().flat_map(|ms| {
@@ -149,10 +162,10 @@ fn sweep_bit_identical_across_threads() {
 #[test]
 fn compare_bit_identical_across_threads() {
     let fingerprint = |threads: usize| {
-        compare_policies(&scenario(600.0), &two_policies(), &emu(), threads)
-            .results
+        compare(&two_policies(), threads)
+            .by_policy
             .iter()
-            .map(|(l, r)| (l.clone(), r.bit_fingerprint()))
+            .map(|(l, results)| (l.clone(), results[0].bit_fingerprint()))
             .collect::<Vec<_>>()
     };
     let base = fingerprint(THREAD_MATRIX[0]);
@@ -173,11 +186,15 @@ fn streaming_reducer_bit_identical_across_threads() {
                 .with_emulator(emu_cfg.clone())
         })
         .collect();
-    let batch: Vec<u64> =
-        run_all(specs.clone(), 1).iter().map(|(_, r)| r.bit_fingerprint()).collect();
+    let straight: Vec<u64> = specs
+        .iter()
+        .map(|s| {
+            Emulator::new(s.scenario.clone(), s.client, s.emulator.clone()).run().bit_fingerprint()
+        })
+        .collect();
     for &threads in &THREAD_MATRIX {
         let mut streamed: Vec<u64> = Vec::new();
         run_streaming(&specs, threads, |_, _, r| streamed.push(r.bit_fingerprint()));
-        assert_eq!(batch, streamed, "streaming diverged at {threads} threads");
+        assert_eq!(straight, streamed, "streaming diverged at {threads} threads");
     }
 }

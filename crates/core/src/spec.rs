@@ -28,7 +28,7 @@ use bce_avail::{AvailSpec, AvailTrace, OnOffSpec};
 use bce_client::NetworkModel;
 use bce_faults::FaultConfig;
 use bce_statefile::json::{self, JsonValue};
-use bce_statefile::{fmt_f64_bits, parse_f64_bits, JsonError};
+use bce_statefile::{fmt_f64_bits, parse_f64_bits, Echo, JsonError};
 use bce_types::{
     AppClass, AppId, DailyWindow, EstErrorModel, Hardware, InitialJob, Preferences, ProcType,
     ProjectId, ProjectSpec, ResourceUsage, ScenarioErrors, ServerUptime, SimDuration, SimTime,
@@ -79,17 +79,17 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::Json(e) => write!(f, "{e}"),
             SpecError::WrongFormat { found } => {
-                write!(f, "not a scenario spec: format {found:?} (expected {FORMAT:?})")
+                write!(f, "not a scenario spec: format {} (expected {FORMAT:?})", Echo(found))
             }
             SpecError::BadVersion(found) => {
-                write!(f, "bad version {found:?} (expected a positive integer)")
+                write!(f, "bad version {} (expected a positive integer)", Echo(found))
             }
             SpecError::UnsupportedVersion { found, max } => {
                 write!(f, "unsupported spec version {found} (this build reads up to {max})")
             }
             SpecError::Missing { path, key } => write!(f, "{path}: missing required key {key:?}"),
             SpecError::UnknownKey { path, key } => {
-                write!(f, "{path}: unknown key {key:?} (unknown keys are errors)")
+                write!(f, "{path}: unknown key {} (unknown keys are errors)", Echo(key))
             }
             SpecError::WrongType { path, expected, found } => {
                 write!(f, "{path}: expected {expected}, found {found}")
@@ -599,7 +599,7 @@ fn read_f64(path: &str, v: &JsonValue) -> Result<f64, SpecError> {
         JsonValue::Str(s) => match s.strip_prefix("bits:") {
             Some(hex) => parse_f64_bits(hex).map_err(|_| SpecError::Invalid {
                 path: path.to_string(),
-                message: format!("bad f64 bit pattern {hex:?}"),
+                message: format!("bad f64 bit pattern {}", Echo(hex)),
             }),
             None => Err(SpecError::WrongType {
                 path: path.to_string(),
@@ -626,7 +626,7 @@ fn read_u64(path: &str, v: &JsonValue) -> Result<u64, SpecError> {
             }
         }
         JsonValue::Str(s) => {
-            s.parse::<u64>().map_err(|_| bad(format!("bad unsigned integer {s:?}")))
+            s.parse::<u64>().map_err(|_| bad(format!("bad unsigned integer {}", Echo(s))))
         }
         other => Err(SpecError::WrongType {
             path: path.to_string(),
@@ -651,7 +651,7 @@ fn read_proc(path: &str, v: &JsonValue) -> Result<ProcType, SpecError> {
         "ati_gpu" => Ok(ProcType::AtiGpu),
         other => Err(SpecError::Invalid {
             path: path.to_string(),
-            message: format!("unknown processor type {other:?} (cpu | nvidia_gpu | ati_gpu)"),
+            message: format!("unknown processor type {} (cpu | nvidia_gpu | ati_gpu)", Echo(other)),
         }),
     }
 }
@@ -720,7 +720,8 @@ fn read_est_error(path: &str, v: &JsonValue) -> Result<EstErrorModel, SpecError>
             return Err(SpecError::Invalid {
                 path: path.to_string(),
                 message: format!(
-                    "unknown est_error kind {other:?} (exact | systematic | log_normal)"
+                    "unknown est_error kind {} (exact | systematic | log_normal)",
+                    Echo(other)
                 ),
             })
         }
@@ -820,7 +821,8 @@ fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
                     return Err(SpecError::Invalid {
                         path: spath,
                         message: format!(
-                            "unknown supply kind {other:?} (unlimited | sporadic | batch)"
+                            "unknown supply kind {} (unlimited | sporadic | batch)",
+                            Echo(other)
                         ),
                     })
                 }
@@ -844,7 +846,10 @@ fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
                 other => {
                     return Err(SpecError::Invalid {
                         path: upath,
-                        message: format!("unknown uptime kind {other:?} (always_up | sporadic)"),
+                        message: format!(
+                            "unknown uptime kind {} (always_up | sporadic)",
+                            Echo(other)
+                        ),
                     })
                 }
             };
@@ -891,7 +896,8 @@ fn read_onoff(path: &str, v: &JsonValue) -> Result<OnOffSpec, SpecError> {
             return Err(SpecError::Invalid {
                 path: path.to_string(),
                 message: format!(
-                    "unknown kind {other:?} (always_on | always_off | exponential | duty_cycle)"
+                    "unknown kind {} (always_on | always_off | exponential | duty_cycle)",
+                    Echo(other)
                 ),
             })
         }

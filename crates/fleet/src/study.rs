@@ -4,7 +4,7 @@
 
 use crate::fleet::{assign_shares, host_scenarios, Fleet, ShareStrategy};
 use bce_client::ClientConfig;
-use bce_controller::{run_all, RunSpec};
+use bce_controller::{run_streaming, RunSpec};
 use bce_core::{EmulationResult, EmulatorConfig};
 use bce_sim::rms;
 use bce_types::ProjectId;
@@ -41,7 +41,8 @@ pub fn run_fleet(
         .filter(|s| !s.projects.is_empty())
         .map(|s| RunSpec::new(s.name.clone(), s, client).with_emulator(emulator.clone()))
         .collect();
-    let per_host = run_all(specs, threads);
+    let mut per_host = Vec::with_capacity(specs.len());
+    run_streaming(&specs, threads, |_, spec, r| per_host.push((spec.label.clone(), r)));
 
     // Aggregate FLOPS per project across hosts.
     let mut per_project_flops: Vec<(ProjectId, f64)> =

@@ -2,11 +2,8 @@
 //! load shedding under a concurrent burst, deadline parking, graceful
 //! drain, and bit-identical resume across a daemon restart.
 
-use bce_controller::{population_header, population_study, population_table, standard_policies};
-use bce_core::EmulatorConfig;
-use bce_scenarios::{PopulationModel, PopulationSampler};
+use bce_controller::{population_header, run_manifest, CampaignManifest, CampaignOptions};
 use bce_serve::{ServeConfig, ServeSummary, Server, ServerHandle};
-use bce_types::SimDuration;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -192,6 +189,18 @@ fn body_limit_sized_json_string_is_rejected_promptly_and_the_worker_serves_on() 
     assert_eq!(status, 422, "{reply}");
     assert!(took < Duration::from_secs(5), "a {limit}-byte JSON body took {took:?}");
 
+    // A value the error echoes (the wrong `format`) is echoed as a short
+    // prefix plus its length, not whole: the 422 stays small.
+    let open = "{\"format\": \"";
+    let body = format!("{open}{}{close}", "a".repeat(limit - open.len() - close.len()));
+    let (status, _, reply) = send(
+        addr,
+        &format!("POST /run HTTP/1.1\r\nHost: t\r\nContent-Length: {limit}\r\n\r\n{body}"),
+    );
+    assert_eq!(status, 422, "{reply}");
+    assert!(reply.len() < 1024, "a {}-byte 422 body", reply.len());
+    assert!(reply.contains(&format!("({} bytes)", limit - open.len() - close.len())), "{reply}");
+
     // The only worker is free again and serves a normal run.
     let (status, _, reply) = post(addr, "/run?scenario=scenario2&days=0.5&seed=42");
     assert_eq!(status, 200, "{reply}");
@@ -226,13 +235,11 @@ fn campaign_parks_on_deadline_and_resumes_bit_identically_across_restart() {
     assert!(body.contains("# resumed: 2/8"), "{body}");
     assert!(body.contains("campaign study-a: complete (8 runs)"), "{body}");
 
-    // Bit-identical to the uninterrupted study computed in-process.
-    let emu = EmulatorConfig { duration: SimDuration::from_days(0.1), ..EmulatorConfig::default() };
-    let population = PopulationSampler::new(PopulationModel::default(), 7).sample_many(4);
-    let population: Vec<_> = population.into_iter().map(std::sync::Arc::new).collect();
-    let outcomes = population_study(&population, &standard_policies(), &emu, 1);
-    let reference =
-        format!("{}{}", population_header(4, 0.1, 7), population_table(&outcomes).render());
+    // Bit-identical to the uninterrupted, checkpoint-free campaign run
+    // in-process.
+    let manifest = CampaignManifest::sampled_population(4, 7, 0.1);
+    let outcome = run_manifest(&manifest, 1, &CampaignOptions::default(), None).unwrap();
+    let reference = format!("{}{}", population_header(4, 0.1, 7), outcome.table);
     assert_eq!(table_of(&body), table_of(&reference));
 
     // Re-POSTing a finished campaign is idempotent (everything resumes).

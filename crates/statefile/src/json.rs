@@ -195,6 +195,28 @@ impl std::fmt::Display for JsonError {
 }
 impl std::error::Error for JsonError {}
 
+/// Longest user-supplied string, in bytes, that an error message echoes
+/// whole.
+pub const ECHO_LIMIT: usize = 64;
+
+/// A user-supplied string as an error message echoes it: quoted like
+/// `{:?}` when at most [`ECHO_LIMIT`] bytes long, otherwise a quoted
+/// prefix of at most that many bytes, an ellipsis and the full byte
+/// length. One hostile value therefore cannot make an error (or the HTTP
+/// body carrying it) as large as the value itself.
+pub struct Echo<'a>(pub &'a str);
+
+impl std::fmt::Display for Echo<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.0;
+        if s.len() <= ECHO_LIMIT {
+            return write!(f, "{s:?}");
+        }
+        let end = (0..=ECHO_LIMIT).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0);
+        write!(f, "{:?}… ({} bytes)", &s[..end], s.len())
+    }
+}
+
 /// Parse a complete JSON document. Trailing non-whitespace, duplicate
 /// object keys, and nesting deeper than [`MAX_JSON_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
@@ -304,7 +326,7 @@ impl<'a> Parser<'a> {
                 !seen.insert(key.clone())
             };
             if duplicate {
-                return Err(self.err(format!("duplicate key {key:?}")));
+                return Err(self.err(format!("duplicate key {}", Echo(&key))));
             }
             self.skip_ws();
             self.expect(b':')?;
@@ -495,6 +517,27 @@ mod tests {
     fn duplicate_keys_rejected() {
         let e = parse(r#"{"a": 1, "a": 2}"#).unwrap_err();
         assert!(e.message.contains("duplicate"), "{e}");
+        assert_eq!(e.message, r#"duplicate key "a""#);
+    }
+
+    #[test]
+    fn echo_bounds_long_values() {
+        // Short values echo exactly as `{:?}` does.
+        for s in ["", "a", "tab\there", &"x".repeat(ECHO_LIMIT)] {
+            assert_eq!(Echo(s).to_string(), format!("{s:?}"));
+        }
+        // Long ones: a prefix, an ellipsis and the byte length.
+        let long = "a".repeat(50_000);
+        assert_eq!(Echo(&long).to_string(), format!("{:?}… (50000 bytes)", &long[..ECHO_LIMIT]));
+        // The cut never splits a character.
+        let wide = "é".repeat(ECHO_LIMIT);
+        let echoed = Echo(&wide).to_string();
+        assert!(echoed.starts_with(&format!("{:?}", "é".repeat(ECHO_LIMIT / 2))), "{echoed}");
+        assert!(echoed.ends_with(&format!("… ({} bytes)", wide.len())), "{echoed}");
+        // A duplicate 50 KB key yields a short error.
+        let doc = format!(r#"{{"{long}": 1, "{long}": 2}}"#);
+        let e = parse(&doc).unwrap_err();
+        assert!(e.to_string().len() < 200, "{} bytes", e.to_string().len());
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub use codec::{
 pub use doc::{ClientStateDoc, StateFileError};
 pub use frame::{crc64, FrameError, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};
 pub use io::{FaultyIo, IoOp, RealIo, SharedIo, StateIo};
-pub use json::{parse as parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
+pub use json::{parse as parse_json, Echo, JsonError, JsonValue, ECHO_LIMIT, MAX_JSON_DEPTH};
 pub use store::{
     CheckpointStore, RecoveryReport, RejectedGeneration, StoreError, WriteReceipt,
     DEFAULT_KEEP_GENERATIONS,

@@ -6,20 +6,17 @@
 //! cargo run --release --example population_study
 //! ```
 
-use boinc_policy_emu::client::{ClientConfig, FetchPolicy, JobSchedPolicy};
-use boinc_policy_emu::controller::{population_study, population_table, Metric};
-use boinc_policy_emu::core::EmulatorConfig;
-use boinc_policy_emu::scenarios::{PopulationModel, PopulationSampler};
-use boinc_policy_emu::types::SimDuration;
-use std::sync::Arc;
+use boinc_policy_emu::controller::{run_manifest, CampaignManifest, CampaignOptions, Metric};
 
 fn main() {
     // 24 hosts drawn from the default population model (log-normal core
     // speeds, 1-8 cores, 20% GPUs, realistic availability duty cycles,
-    // 1-6 attached projects). The study shares each scenario by Arc, so
-    // evaluating P policies over it clones nothing.
-    let mut sampler = PopulationSampler::new(PopulationModel::default(), 2026);
-    let scenarios: Vec<Arc<_>> = sampler.sample_many(24).into_iter().map(Arc::new).collect();
+    // 1-6 attached projects), under the standard policy pair: the paper's
+    // GLOBAL+HYST against the original LOCAL+ORIG. The campaign shares
+    // each scenario by Arc, so evaluating P policies over it clones
+    // nothing.
+    let manifest = CampaignManifest::sampled_population(24, 2026, 2.0);
+    let (scenarios, _) = manifest.expand_scenarios().expect("a sampled population expands");
     println!(
         "sampled {} hosts: {} with GPUs, {:.1} projects on average\n",
         scenarios.len(),
@@ -27,32 +24,14 @@ fn main() {
         scenarios.iter().map(|s| s.projects.len()).sum::<usize>() as f64 / scenarios.len() as f64,
     );
 
-    let policies = vec![
-        (
-            "GLOBAL+HYST".to_string(),
-            ClientConfig {
-                sched_policy: JobSchedPolicy::GLOBAL,
-                fetch_policy: FetchPolicy::Hysteresis,
-                ..Default::default()
-            },
-        ),
-        (
-            "LOCAL+ORIG".to_string(),
-            ClientConfig {
-                sched_policy: JobSchedPolicy::LOCAL,
-                fetch_policy: FetchPolicy::Orig,
-                ..Default::default()
-            },
-        ),
-    ];
-
-    let emulator = EmulatorConfig { duration: SimDuration::from_days(2.0), ..Default::default() };
-    let outcomes = population_study(&scenarios, &policies, &emulator, 0);
-    println!("{}", population_table(&outcomes).render());
+    // No checkpoint store: the campaign runs straight through.
+    let outcome = run_manifest(&manifest, 0, &CampaignOptions::default(), None)
+        .expect("a campaign without a checkpoint store cannot fail");
+    println!("{}", outcome.table);
 
     // Policies should perform well across the *population*, not just on
     // average (§4.1): compare the 95th percentiles.
-    for o in &outcomes {
+    for o in &outcome.report.outcomes {
         let rpcs = o.metric(Metric::RpcsPerJob);
         println!(
             "{}: rpcs/job mean {:.3}, p95 {:.3} over {} hosts",

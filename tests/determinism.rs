@@ -100,7 +100,7 @@ fn traced_runs_match_untraced_at_every_thread_count() {
     // run's outcome, serial or parallel. Fingerprints here use the full
     // `bit_fingerprint` (which deliberately excludes the observability
     // fields) so a traced run and an untraced run can be compared at all.
-    use boinc_policy_emu::controller::{run_all, RunSpec};
+    use boinc_policy_emu::controller::{run_streaming, RunSpec};
 
     let specs = |traced: bool| -> Vec<RunSpec> {
         let emu = EmulatorConfig {
@@ -117,10 +117,15 @@ fn traced_runs_match_untraced_at_every_thread_count() {
             .collect()
     };
 
+    let results = |specs: Vec<RunSpec>, threads: usize| -> Vec<(String, EmulationResult)> {
+        let mut out = Vec::with_capacity(specs.len());
+        run_streaming(&specs, threads, |_, spec, r| out.push((spec.label.clone(), r)));
+        out
+    };
     let baseline: Vec<u64> =
-        run_all(specs(false), 1).into_iter().map(|(_, r)| r.bit_fingerprint()).collect();
+        results(specs(false), 1).into_iter().map(|(_, r)| r.bit_fingerprint()).collect();
     for threads in [1, 2, 8] {
-        let traced = run_all(specs(true), threads);
+        let traced = results(specs(true), threads);
         for (i, (label, r)) in traced.iter().enumerate() {
             assert_eq!(
                 r.bit_fingerprint(),

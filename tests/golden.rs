@@ -4,7 +4,7 @@
 //! `tests/golden/fingerprints.json` pins
 //!
 //! * the `bit_fingerprint` of each paper scenario under each of the six
-//!   `bce compare` policies;
+//!   `bce compare` policies (`paper_policies`);
 //! * the `bit_fingerprint` of every committed `scenarios/*.json` family
 //!   (fault overlay applied) under the default policy;
 //!
@@ -17,8 +17,10 @@
 //! deliberate change to decision logic rewrites it in the same change:
 //! on a mismatch the test prints the full replacement document.
 
-use boinc_policy_emu::client::{ClientConfig, FetchPolicy, JobSchedPolicy};
-use boinc_policy_emu::controller::{run_manifest, run_streaming, CampaignManifest, RunSpec};
+use boinc_policy_emu::client::ClientConfig;
+use boinc_policy_emu::controller::{
+    paper_policies, run_manifest, run_streaming, CampaignManifest, RunSpec,
+};
 use boinc_policy_emu::core::{EmulatorConfig, FaultConfig};
 use boinc_policy_emu::scenarios::ScenarioSource;
 use boinc_policy_emu::statefile::JsonValue;
@@ -31,20 +33,6 @@ const HOURS: f64 = 12.0;
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// The six `bce compare` policies: {WRR, LOCAL, GLOBAL} × {ORIG, HYST}.
-fn compare_policies() -> Vec<(String, ClientConfig)> {
-    let mut v = Vec::new();
-    for sched in [JobSchedPolicy::WRR, JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL] {
-        for fetch in [FetchPolicy::Orig, FetchPolicy::Hysteresis] {
-            v.push((
-                format!("{}+{}", sched.name(), fetch.name()),
-                ClientConfig { sched_policy: sched, fetch_policy: fetch, ..Default::default() },
-            ));
-        }
-    }
-    v
 }
 
 /// Sorted `*.json` file names in `dir` under the repository root.
@@ -82,7 +70,7 @@ fn paper_matrix() -> JsonValue {
     for n in 1..=4 {
         let name = format!("scenario{n}");
         let scenario = Arc::new(ScenarioSource::parse(&name).load().unwrap().scenario);
-        for (label, client) in compare_policies() {
+        for (label, client) in paper_policies() {
             specs.push(
                 RunSpec::new(format!("{name}/{label}"), scenario.clone(), client)
                     .with_emulator(emulator(FaultConfig::OFF)),
