@@ -241,7 +241,6 @@ type RrKey = (SimTime, HostRunState, u64, u64);
 pub struct ClientScratch {
     tasks: Vec<Task>,
     task_slots: Vec<usize>,
-    finished: Vec<Task>,
     xfer_retries: Vec<XferRetry>,
     rr_jobs: Vec<RrJob>,
     rr_scratch: RrScratch,
@@ -289,12 +288,10 @@ pub struct XferRetrySnapshot {
 pub struct ClientSnapshot {
     pub projects: Vec<ProjectClientSnapshot>,
     pub tasks: Vec<TaskSnapshot>,
-    pub finished: Vec<TaskSnapshot>,
     pub accounting: AccountingSnapshot,
     pub downloads: Vec<(JobId, f64, f64, Option<f64>)>,
     pub uploads: Vec<(JobId, f64, f64, Option<f64>)>,
     pub last_advance: SimTime,
-    pub rpcs_issued: u64,
     /// Transfer-fault stream position; `None` when faults are disabled.
     pub xfer_faults_rng: Option<Rng>,
     pub xfer_retries: Vec<XferRetrySnapshot>,
@@ -319,11 +316,9 @@ pub struct Client {
     /// once at admission (and on restore) for the usage sample and the
     /// planner.
     task_slots: Vec<usize>,
-    finished: Vec<Task>,
     accounting: Accounting,
     transfers: Transfers,
     last_advance: SimTime,
-    rpcs_issued: u64,
     /// Backoff policy for transient RPC failures (shared across projects).
     rpc_retry_policy: RetryPolicy,
     /// Transfer fault plan source; `None` = transfers never fail.
@@ -400,7 +395,6 @@ impl Client {
         let ClientScratch {
             mut tasks,
             mut task_slots,
-            mut finished,
             mut xfer_retries,
             mut rr_jobs,
             rr_scratch,
@@ -411,7 +405,6 @@ impl Client {
         } = scratch;
         tasks.clear();
         task_slots.clear();
-        finished.clear();
         xfer_retries.clear();
         rr_jobs.clear();
         // `rr_scratch` and `rr_cache` are fully overwritten by every
@@ -439,11 +432,9 @@ impl Client {
             projects,
             tasks,
             task_slots,
-            finished,
             accounting,
             transfers,
             last_advance: SimTime::ZERO,
-            rpcs_issued: 0,
             rpc_retry_policy: RetryPolicy::SCHEDULER_RPC,
             xfer_faults: None,
             xfer_retries,
@@ -470,7 +461,6 @@ impl Client {
         ClientScratch {
             tasks: self.tasks,
             task_slots: self.task_slots,
-            finished: self.finished,
             xfer_retries: self.xfer_retries,
             rr_jobs: self.rr_jobs,
             rr_scratch: self.rr_scratch,
@@ -519,20 +509,12 @@ impl Client {
         &self.tasks
     }
 
-    pub fn finished(&self) -> &[Task] {
-        &self.finished
-    }
-
     pub fn accounting(&self) -> &Accounting {
         &self.accounting
     }
 
     pub fn projects(&self) -> &[ClientProject] {
         &self.projects
-    }
-
-    pub fn rpcs_issued(&self) -> u64 {
-        self.rpcs_issued
     }
 
     /// The running-set generation: it moves whenever the running set, the
@@ -1100,7 +1082,6 @@ impl Client {
         jobs: Vec<JobSpec>,
         delay: SimDuration,
     ) {
-        self.rpcs_issued += 1;
         let njobs = jobs.len();
         let rejected = self.add_jobs(jobs);
         let accepted_any = rejected.len() < njobs;
@@ -1122,7 +1103,6 @@ impl Client {
     /// Record an RPC that failed to reach the server (scheduled downtime:
     /// escalates the project's ordinary backoff).
     pub fn record_rpc_failure(&mut self, now: SimTime, project: ProjectId) {
-        self.rpcs_issued += 1;
         if let Some(p) = self.projects.iter_mut().find(|p| p.id == project) {
             p.backoff.fail(now);
         }
@@ -1139,7 +1119,6 @@ impl Client {
         project: ProjectId,
         jitter_u: f64,
     ) {
-        self.rpcs_issued += 1;
         let policy = self.rpc_retry_policy;
         if let Some(p) = self.projects.iter_mut().find(|p| p.id == project) {
             // Scheduler RPCs are never abandoned: a GiveUp verdict still
@@ -1197,12 +1176,10 @@ impl Client {
                 })
                 .collect(),
             tasks: self.tasks.iter().map(Task::snapshot).collect(),
-            finished: self.finished.iter().map(Task::snapshot).collect(),
             accounting: self.accounting.snapshot(),
             downloads: self.transfers.downloads.snapshot(),
             uploads: self.transfers.uploads.snapshot(),
             last_advance: self.last_advance,
-            rpcs_issued: self.rpcs_issued,
             xfer_faults_rng: self.xfer_faults.as_ref().map(|m| m.rng().clone()),
             xfer_retries: self
                 .xfer_retries
@@ -1249,12 +1226,9 @@ impl Client {
             self.tasks.iter().map(|t| accounting.slot_of(t.spec.project).expect("checked above")),
         );
         self.run_gen += 1;
-        self.finished.clear();
-        self.finished.extend(snap.finished.iter().cloned().map(Task::from_snapshot));
         self.transfers.downloads.restore(&snap.downloads);
         self.transfers.uploads.restore(&snap.uploads);
         self.last_advance = snap.last_advance;
-        self.rpcs_issued = snap.rpcs_issued;
         if let (Some(m), Some(rng)) = (self.xfer_faults.as_mut(), snap.xfer_faults_rng.as_ref()) {
             m.restore_rng(rng.clone());
         }
@@ -1287,17 +1261,16 @@ impl Client {
         })
     }
 
-    /// Remove a reported task from the live set (kept in `finished` for
-    /// statistics).
-    pub fn retire(&mut self, id: JobId) -> Option<&Task> {
+    /// Remove a reported task from the live set, handing it back. Retired
+    /// tasks are not kept: per-run state is bounded by the live queue.
+    pub fn retire(&mut self, id: JobId) -> Option<Task> {
         let idx = self.tasks.iter().position(|t| t.spec.id == id)?;
         let task = self.tasks.swap_remove(idx);
         self.task_slots.swap_remove(idx);
         // The removal, and the last task moving into its place, change the
         // task order the usage sample and the per-project FLOPS sum in.
         self.run_gen += 1;
-        self.finished.push(task);
-        self.finished.last()
+        Some(task)
     }
 
     /// The earliest future instant at which something happens without
@@ -1447,9 +1420,10 @@ mod tests {
         assert_eq!(ev.computed, vec![JobId(1)]);
         assert_eq!(ev.uploaded, vec![JobId(1)]); // no output file: instant
         assert!(c.task(JobId(1)).unwrap().met_deadline());
-        c.retire(JobId(1));
+        let retired = c.retire(JobId(1)).expect("JobId(1) is live");
+        assert_eq!(retired.spec.id, JobId(1));
+        assert!(retired.met_deadline());
         assert!(c.tasks().is_empty());
-        assert_eq!(c.finished().len(), 1);
     }
 
     #[test]
@@ -1492,7 +1466,6 @@ mod tests {
     fn reply_backoff_and_delay() {
         let mut c = client();
         c.record_reply(SimTime::ZERO, ProjectId(0), vec![], SimDuration::from_secs(60.0));
-        assert_eq!(c.rpcs_issued(), 1);
         // Empty reply → backoff; next fetch can't pick P0 immediately.
         let rr = c.rr_simulate(SimTime::ZERO, run_state(), 1.0);
         let d = c.fetch_decision(SimTime::from_secs(1.0), run_state(), &rr).unwrap();
@@ -1603,7 +1576,6 @@ mod tests {
     fn transient_rpc_failure_backs_off_separately() {
         let mut c = client();
         c.record_transient_rpc_failure(SimTime::ZERO, ProjectId(0), 0.0);
-        assert_eq!(c.rpcs_issued(), 1);
         assert_eq!(c.projects()[0].comm_failures(), 1);
         // Comm backoff gates the fetch decision away from P0.
         let rr = c.rr_simulate(SimTime::ZERO, run_state(), 1.0);

@@ -146,18 +146,22 @@ pub fn population_header(hosts: usize, days: f64, seed: u64) -> String {
 }
 
 /// Summary table: one row per (policy, metric) with mean/sd/min/max/p95.
+/// A policy with no completed run (a budget-stopped campaign) has no
+/// moments: its cells read `-`, as `summary_json` writes `null`.
 pub fn population_table(outcomes: &[PopulationOutcome]) -> Table {
     let mut t = Table::new(&["policy", "metric", "mean", "sd", "min", "max", "p95"]);
     for o in outcomes {
         for ms in &o.per_metric {
+            let s = &ms.stats;
+            let cell = |x: f64| if s.count() == 0 { "-".to_string() } else { format!("{x:.4}") };
             t.row(&[
                 o.label.clone(),
                 ms.metric.name().to_string(),
-                format!("{:.4}", ms.stats.mean()),
-                format!("{:.4}", ms.stats.std_dev()),
-                format!("{:.4}", ms.stats.min()),
-                format!("{:.4}", ms.stats.max()),
-                format!("{:.4}", ms.p95),
+                cell(s.mean()),
+                cell(s.std_dev()),
+                cell(s.min()),
+                cell(s.max()),
+                cell(ms.p95),
             ]);
         }
     }
@@ -219,5 +223,28 @@ mod tests {
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].scenarios_run, 0);
         assert_eq!(outcomes[0].metric(Metric::Idle).stats.count(), 0);
+    }
+
+    #[test]
+    fn budget_stopped_policy_renders_dashes_not_infinities() {
+        // One run of a two-policy campaign: the second policy has no
+        // completed run, so it has no moments to show.
+        let scenarios = small_population(2);
+        let emu = EmulatorConfig { duration: SimDuration::from_hours(1.0), ..Default::default() };
+        let opts = CampaignOptions { stop_after_runs: Some(1), ..Default::default() };
+        let outcomes = population_campaign(&scenarios, &standard_policies(), &emu, 1, &opts)
+            .expect("no checkpoint, nothing to fail")
+            .outcomes;
+        assert_eq!(outcomes[1].metric(Metric::Idle).stats.count(), 0);
+        let table = population_table(&outcomes).render();
+        assert!(!table.contains("inf"), "non-finite moment rendered:\n{table}");
+        let empty_rows: Vec<&str> = table.lines().filter(|l| l.starts_with("LOCAL+ORIG")).collect();
+        assert_eq!(empty_rows.len(), Metric::ALL.len(), "{table}");
+        for row in empty_rows {
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cells[2..], ["-"; 5], "{row}");
+        }
+        let ran = table.lines().find(|l| l.starts_with("GLOBAL+HYST")).expect("ran policy row");
+        assert!(!ran.contains(" - "), "a policy that ran shows its moments: {ran}");
     }
 }

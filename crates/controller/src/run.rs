@@ -661,8 +661,17 @@ mod tests {
         assert!(!path.exists(), "checkpoint removed after completion");
 
         // A fresh checkpointed run (no file on disk) is also unchanged.
-        let fresh = results_of(specs, 1);
+        let fresh = results_of(specs.clone(), 1);
         assert_eq!(fresh[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
+        assert!(!path.exists());
+
+        // A checkpoint in an older format is refused and the run starts
+        // over, still bit-identical.
+        let old = mid.to_xml_string().replacen("version=\"4\"", "version=\"3\"", 1);
+        bce_core::checkpoint::write_atomic(&path, old.as_bytes()).unwrap();
+        assert!(CheckpointState::read_from(&path).is_err(), "a v3 document must be refused");
+        let restarted = results_of(specs, 1);
+        assert_eq!(restarted[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

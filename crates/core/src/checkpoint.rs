@@ -21,7 +21,7 @@
 //! span timings while remaining bit-identical where it matters.
 //!
 //! The on-disk format reuses `bce-statefile`'s XML machinery through a
-//! `<bce_checkpoint version="3">` envelope; floats are stored as the hex
+//! `<bce_checkpoint version="4">` envelope; floats are stored as the hex
 //! of their IEEE-754 bit pattern so serialization is exact. Trace records
 //! are stored as their JSONL lines (`bce_obs::export`), whose integers
 //! and shortest-round-trip floats are exact too. Malformed, truncated or
@@ -53,8 +53,11 @@ use std::path::Path;
 /// counter) and the availability coalescing counters joined the capture;
 /// v1 documents lack them and cannot resume bit-identically. Bumped to 3
 /// when the typed trace (`<trace>`) replaced the message log (`<log>`);
-/// a v2 document cannot restore a traced run's decision record.
-const VERSION: u32 = 3;
+/// a v2 document cannot restore a traced run's decision record. Bumped to
+/// 4 when the retired-task history, the missed-deadline id list and the
+/// client's RPC count left the capture: per-run state is bounded by the
+/// live queue, and a v3 document's layout is not this one.
+const VERSION: u32 = 4;
 /// Root element name of the checkpoint document.
 const ROOT: &str = "bce_checkpoint";
 
@@ -202,10 +205,15 @@ impl CheckpointState {
         let (v, root) = open_envelope(src, ROOT, VERSION)?;
         if v < VERSION {
             // Every field is required for a faithful resume; v1 documents
-            // lack the RR dirty-tracking state and v2 documents carry a
-            // message log instead of the trace, so they are rejected
+            // lack the RR dirty-tracking state, v2 documents carry a
+            // message log instead of the trace and v3 documents carry the
+            // run's unbounded retired-task history, so they are rejected
             // outright rather than resumed with silently reset state.
-            let missing = if v < 2 { "RR dirty-state tracking" } else { "the typed trace" };
+            let missing = match v {
+                0 | 1 => "RR dirty-state tracking",
+                2 => "the typed trace",
+                _ => "the bounded run state",
+            };
             return Err(bce_statefile::CodecError::BadVersion(format!(
                 "v{v} checkpoint predates {missing} (need v{VERSION})"
             ))
@@ -938,7 +946,6 @@ fn parse_xfers(n: &XmlNode) -> Result<Vec<XferParts>, CodecError> {
 fn client_node(c: &ClientSnapshot) -> XmlNode {
     let mut n = XmlNode::new("client");
     push_time(&mut n, "last_advance", c.last_advance);
-    n.attrs.push(("rpcs_issued".into(), c.rpcs_issued.to_string()));
     n.attrs.push(("state_gen".into(), c.state_gen.to_string()));
 
     let mut projects = XmlNode::new("projects");
@@ -957,11 +964,6 @@ fn client_node(c: &ClientSnapshot) -> XmlNode {
         tasks.push(task_node("task", t));
     }
     n.push(tasks);
-    let mut finished = XmlNode::new("finished");
-    for t in &c.finished {
-        finished.push(task_node("task", t));
-    }
-    n.push(finished);
 
     let mut acc = XmlNode::new("accounting");
     push_time(&mut acc, "rec_updated", c.accounting.rec_updated);
@@ -1067,10 +1069,6 @@ fn parse_client(n: &XmlNode) -> Result<ClientSnapshot, CodecError> {
     for t in req_child(n, "tasks")?.children_named("task") {
         tasks.push(parse_task(t)?);
     }
-    let mut finished = Vec::new();
-    for t in req_child(n, "finished")?.children_named("task") {
-        finished.push(parse_task(t)?);
-    }
 
     let acc = req_child(n, "accounting")?;
     let mut debts = Vec::new();
@@ -1149,12 +1147,10 @@ fn parse_client(n: &XmlNode) -> Result<ClientSnapshot, CodecError> {
     Ok(ClientSnapshot {
         projects,
         tasks,
-        finished,
         accounting,
         downloads: parse_xfers(req_child(n, "downloads")?)?,
         uploads: parse_xfers(req_child(n, "uploads")?)?,
         last_advance: time_attr(n, "last_advance")?,
-        rpcs_issued: attr_parse(n, "rpcs_issued")?,
         xfer_faults_rng: n.child("xfer_faults").map(|x| rng_attr(x, "rng")).transpose()?,
         xfer_retries,
         state_gen: attr_parse(n, "state_gen")?,
@@ -1191,11 +1187,6 @@ fn metrics_node(m: &MetricsAccumSnapshot) -> XmlNode {
         let mut u = XmlNode::new("window_used");
         u.attrs.push(("id".into(), id.0.to_string()));
         push_f64(&mut u, "v", *v);
-        n.push(u);
-    }
-    for id in &m.missed_ids {
-        let mut u = XmlNode::new("missed");
-        u.attrs.push(("job".into(), id.0.to_string()));
         n.push(u);
     }
     n
@@ -1249,10 +1240,6 @@ fn parse_metrics(n: &XmlNode) -> Result<MetricsAccumSnapshot, CodecError> {
     for u in n.children_named("window_used") {
         window_used.push((ProjectId(attr_parse(u, "id")?), attr_f64_bits(u, "v")?));
     }
-    let mut missed_ids = Vec::new();
-    for u in n.children_named("missed") {
-        missed_ids.push(JobId(attr_parse(u, "job")?));
-    }
     Ok(MetricsAccumSnapshot {
         capacity_secs: attr_f64_bits(n, "capacity_secs")?,
         available_secs: attr_f64_bits(n, "available_secs")?,
@@ -1262,7 +1249,6 @@ fn parse_metrics(n: &XmlNode) -> Result<MetricsAccumSnapshot, CodecError> {
         window_end: time_attr(n, "window_end")?,
         monotony_sum: attr_f64_bits(n, "monotony_sum")?,
         monotony_windows: attr_parse(n, "monotony_windows")?,
-        missed_ids,
         fault_wasted_flops: attr_f64_bits(n, "fault_wasted_flops")?,
         recovery_secs_sum: attr_f64_bits(n, "recovery_secs_sum")?,
         counters,

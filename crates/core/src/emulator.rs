@@ -811,10 +811,8 @@ impl RunState {
         // default strict deadline check this equals the client-side
         // deadline test; grace/none policies are more forgiving.
         for id in &events.uploaded {
-            let (project, flops_spent) = {
-                let task = client.task(*id).expect("uploaded task exists");
-                (task.spec.project, task.spec.duration.secs() * task.spec.usage.peak_flops_on(&*hw))
-            };
+            let task = client.retire(*id).expect("uploaded task exists");
+            let project = task.spec.project;
             let met = match servers.iter_mut().find(|s| s.id() == project) {
                 Some(server) => {
                     server.check_deadlines(now);
@@ -822,19 +820,15 @@ impl RunState {
                 }
                 None => false,
             };
-            metrics.record_job_done(*id, met, if met { 0.0 } else { flops_spent });
-            if let Some(task) = client.retire(*id) {
-                if task.rollback_waste > 0.0 {
-                    metrics.record_rollback_waste(
-                        task.rollback_waste * task.spec.usage.peak_flops_on(&*hw),
-                    );
-                }
-                trace.emit(now, || TraceEvent::JobFinished {
-                    job: *id,
-                    project,
-                    met_deadline: met,
-                });
+            let peak_flops = task.spec.usage.peak_flops_on(&*hw);
+            metrics.record_job_done(
+                met,
+                if met { 0.0 } else { task.spec.duration.secs() * peak_flops },
+            );
+            if task.rollback_waste > 0.0 {
+                metrics.record_rollback_waste(task.rollback_waste * peak_flops);
             }
+            trace.emit(now, || TraceEvent::JobFinished { job: *id, project, met_deadline: met });
             assignment.remove(id);
         }
 
@@ -845,16 +839,13 @@ impl RunState {
             trace.emit(now, || TraceEvent::TransferFailed { job, upload });
         }
         for id in &events.errored {
-            let (project, flops_spent) = {
-                let task = client.task(*id).expect("errored task exists");
-                (task.spec.project, task.progress() * task.spec.usage.peak_flops_on(&*hw))
-            };
+            let task = client.retire(*id).expect("errored task exists");
+            let project = task.spec.project;
             if let Some(server) = servers.iter_mut().find(|s| s.id() == project) {
                 server.report_errored(*id);
             }
-            metrics.record_job_errored(flops_spent);
+            metrics.record_job_errored(task.progress() * task.spec.usage.peak_flops_on(&*hw));
             trace.emit(now, || TraceEvent::JobErrored { job: *id, project });
-            client.retire(*id);
             assignment.remove(id);
         }
         if !recoveries.is_empty() {

@@ -19,7 +19,7 @@
 //! All but RPCs/job lie in `[0, 1]` with 0 good; `scaled()` maps RPCs/job
 //! through `x/(1+x)` when a bounded combination is wanted.
 
-use bce_types::{JobId, ProjectId, SimDuration, SimTime};
+use bce_types::{ProjectId, SimDuration, SimTime};
 
 /// The paper's five figures of merit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,7 +151,6 @@ pub struct MetricsAccumSnapshot {
     pub window_end: SimTime,
     pub monotony_sum: f64,
     pub monotony_windows: u64,
-    pub missed_ids: Vec<JobId>,
     pub fault_wasted_flops: f64,
     pub recovery_secs_sum: f64,
     pub counters: [u64; 8],
@@ -237,7 +236,6 @@ pub struct MetricsAccum {
     rpcs: u64,
     jobs_completed: u64,
     jobs_missed: u64,
-    missed_ids: Vec<JobId>,
     // fault accounting
     fault_wasted_flops: f64,
     transient_rpc_failures: u64,
@@ -277,7 +275,6 @@ impl MetricsAccum {
             rpcs: 0,
             jobs_completed: 0,
             jobs_missed: 0,
-            missed_ids: Vec::new(),
             fault_wasted_flops: 0.0,
             transient_rpc_failures: 0,
             transfer_failures: 0,
@@ -344,12 +341,11 @@ impl MetricsAccum {
     }
 
     /// Record a completed-and-reported job.
-    pub fn record_job_done(&mut self, id: JobId, met_deadline: bool, flops_spent: f64) {
+    pub fn record_job_done(&mut self, met_deadline: bool, flops_spent: f64) {
         self.jobs_completed += 1;
         if !met_deadline {
             self.jobs_missed += 1;
             self.wasted_flops += flops_spent;
-            self.missed_ids.push(id);
         }
     }
 
@@ -419,10 +415,6 @@ impl MetricsAccum {
 
     pub fn jobs_missed(&self) -> u64 {
         self.jobs_missed
-    }
-
-    pub fn missed_ids(&self) -> &[JobId] {
-        &self.missed_ids
     }
 
     pub fn flops_used_by(&self, p: ProjectId) -> f64 {
@@ -523,7 +515,6 @@ impl MetricsAccum {
             window_end: self.window_end,
             monotony_sum: self.monotony_sum,
             monotony_windows: self.monotony_windows,
-            missed_ids: self.missed_ids.clone(),
             fault_wasted_flops: self.fault_wasted_flops,
             recovery_secs_sum: self.recovery_secs_sum,
             counters: [
@@ -551,7 +542,6 @@ impl MetricsAccum {
         self.window_end = snap.window_end;
         self.monotony_sum = snap.monotony_sum;
         self.monotony_windows = snap.monotony_windows;
-        self.missed_ids = snap.missed_ids.clone();
         self.fault_wasted_flops = snap.fault_wasted_flops;
         self.recovery_secs_sum = snap.recovery_secs_sum;
         [
@@ -668,13 +658,12 @@ mod tests {
         m.advance(t(0.0), t(100.0), &[(0, 10.0)], true);
         m.record_rpc();
         m.record_rpc();
-        m.record_job_done(JobId(1), true, 300.0);
-        m.record_job_done(JobId(2), false, 200.0);
+        m.record_job_done(true, 300.0);
+        m.record_job_done(false, 200.0);
         m.record_rollback_waste(100.0);
         let f = m.finalize(&[(ProjectId(0), 1.0)]);
         assert_eq!(m.jobs_completed(), 2);
         assert_eq!(m.jobs_missed(), 1);
-        assert_eq!(m.missed_ids(), &[JobId(2)]);
         // wasted = (200 + 100) / (10 * 100)
         assert!((f.wasted_fraction - 0.3).abs() < 1e-12);
         assert!((f.rpcs_per_job - 1.0).abs() < 1e-12);

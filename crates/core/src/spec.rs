@@ -142,7 +142,7 @@ impl ScenarioSpec {
     /// [`ScenarioSpec::build`] (or [`Scenario::from_spec`]) to validate.
     pub fn parse(src: &str) -> Result<ScenarioSpec, SpecError> {
         let doc = json::parse(src)?;
-        let mut root = Obj::new("scenario", &doc)?;
+        let mut root = Obj::new(Path::Root("scenario"), &doc)?;
 
         match root.take("format") {
             Some(JsonValue::Str(s)) if s == FORMAT => {}
@@ -163,44 +163,45 @@ impl ScenarioSpec {
 
         let name = root.req_str("name")?.to_string();
         let seed = match root.take("seed") {
-            Some(v) => read_u64(&root.sub("seed"), v)?,
+            Some(v) => read_u64(root.sub("seed"), v)?,
             None => 0,
         };
-        let hardware = read_hardware(&root.sub("hardware"), root.req("hardware")?)?;
+        let hardware_v = root.req("hardware")?;
+        let hardware = read_hardware(root.sub("hardware"), hardware_v)?;
         let prefs = match root.take("prefs") {
-            Some(v) => read_prefs(&root.sub("prefs"), v)?,
+            Some(v) => read_prefs(root.sub("prefs"), v)?,
             None => Preferences::default(),
         };
         let projects_v = root.req("projects")?;
         let projects_path = root.sub("projects");
-        let projects_arr = as_arr(&projects_path, projects_v)?;
+        let projects_arr = as_arr(projects_path, projects_v)?;
         let mut projects = Vec::with_capacity(projects_arr.len());
         for (i, pv) in projects_arr.iter().enumerate() {
-            projects.push(read_project(&format!("{projects_path}[{i}]"), pv)?);
+            projects.push(read_project(projects_path.index(i), pv)?);
         }
         let avail = match root.take("availability") {
-            Some(v) => read_avail(&root.sub("availability"), v)?,
+            Some(v) => read_avail(root.sub("availability"), v)?,
             None => AvailSpec::always_on(),
         };
         let host_trace = match root.take("host_trace") {
-            Some(v) => Some(read_trace(&root.sub("host_trace"), v)?),
+            Some(v) => Some(read_trace(root.sub("host_trace"), v)?),
             None => None,
         };
         let network = match root.take("network") {
-            Some(v) => Some(read_network(&root.sub("network"), v)?),
+            Some(v) => Some(read_network(root.sub("network"), v)?),
             None => None,
         };
         let faults = match root.take("faults") {
-            Some(v) => Some(read_faults(&root.sub("faults"), v)?),
+            Some(v) => Some(read_faults(root.sub("faults"), v)?),
             None => None,
         };
         let initial_queue = match root.take("initial_queue") {
             Some(v) => {
                 let path = root.sub("initial_queue");
-                let arr = as_arr(&path, v)?;
+                let arr = as_arr(path, v)?;
                 let mut q = Vec::with_capacity(arr.len());
                 for (i, jv) in arr.iter().enumerate() {
-                    q.push(read_initial_job(&format!("{path}[{i}]"), jv)?);
+                    q.push(read_initial_job(path.index(i), jv)?);
                 }
                 q
             }
@@ -484,27 +485,54 @@ fn write_trace(t: &AvailTrace) -> JsonValue {
 // Decoding helpers
 // ---------------------------------------------------------------------------
 
+/// Where a value sits in the document: a chain of borrowed segments that
+/// renders as `scenario.projects[2].apps[0]`. Reading a valid document
+/// builds no path text; a [`SpecError`] renders it once, when it is made.
+#[derive(Clone, Copy)]
+enum Path<'p> {
+    Root(&'static str),
+    Key(&'p Path<'p>, &'p str),
+    Index(&'p Path<'p>, usize),
+}
+
+impl Path<'_> {
+    fn index(&self, i: usize) -> Path<'_> {
+        Path::Index(self, i)
+    }
+}
+
+impl std::fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Path::Root(name) => f.write_str(name),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
+}
+
 /// An object reader that tracks which keys were consumed, so anything left
 /// over is reported as an [`SpecError::UnknownKey`].
-struct Obj<'a> {
-    path: String,
+struct Obj<'a, 'p> {
+    path: Path<'p>,
     entries: &'a [(String, JsonValue)],
     taken: Vec<bool>,
 }
 
-impl<'a> Obj<'a> {
-    fn new(path: impl Into<String>, v: &'a JsonValue) -> Result<Self, SpecError> {
-        let path = path.into();
+impl<'a, 'p> Obj<'a, 'p> {
+    fn new(path: Path<'p>, v: &'a JsonValue) -> Result<Self, SpecError> {
         match v {
             JsonValue::Obj(entries) => Ok(Obj { path, taken: vec![false; entries.len()], entries }),
-            other => {
-                Err(SpecError::WrongType { path, expected: "object", found: other.type_name() })
-            }
+            other => Err(SpecError::WrongType {
+                path: path.to_string(),
+                expected: "object",
+                found: other.type_name(),
+            }),
         }
     }
 
-    fn sub(&self, key: &str) -> String {
-        format!("{}.{key}", self.path)
+    fn sub<'s>(&'s self, key: &'s str) -> Path<'s> {
+        Path::Key(&self.path, key)
     }
 
     fn take(&mut self, key: &str) -> Option<&'a JsonValue> {
@@ -518,17 +546,17 @@ impl<'a> Obj<'a> {
     }
 
     fn req(&mut self, key: &'static str) -> Result<&'a JsonValue, SpecError> {
-        self.take(key).ok_or_else(|| SpecError::Missing { path: self.path.clone(), key })
+        self.take(key).ok_or_else(|| SpecError::Missing { path: self.path.to_string(), key })
     }
 
     fn req_str(&mut self, key: &'static str) -> Result<&'a str, SpecError> {
-        let path = self.sub(key);
-        as_str(&path, self.req(key)?)
+        let v = self.req(key)?;
+        as_str(self.sub(key), v)
     }
 
     fn f64_or(&mut self, key: &str, default: f64) -> Result<f64, SpecError> {
         match self.take(key) {
-            Some(v) => read_f64(&self.sub(key), v),
+            Some(v) => read_f64(self.sub(key), v),
             None => Ok(default),
         }
     }
@@ -538,8 +566,8 @@ impl<'a> Obj<'a> {
     }
 
     fn req_f64(&mut self, key: &'static str) -> Result<f64, SpecError> {
-        let path = self.sub(key);
-        read_f64(&path, self.req(key)?)
+        let v = self.req(key)?;
+        read_f64(self.sub(key), v)
     }
 
     fn req_dur(&mut self, key: &'static str) -> Result<SimDuration, SpecError> {
@@ -548,27 +576,27 @@ impl<'a> Obj<'a> {
 
     fn bool_or(&mut self, key: &str, default: bool) -> Result<bool, SpecError> {
         match self.take(key) {
-            Some(v) => as_bool(&self.sub(key), v),
+            Some(v) => as_bool(self.sub(key), v),
             None => Ok(default),
         }
     }
 
     fn req_u32(&mut self, key: &'static str) -> Result<u32, SpecError> {
-        let path = self.sub(key);
-        read_u32(&path, self.req(key)?)
+        let v = self.req(key)?;
+        read_u32(self.sub(key), v)
     }
 
     fn reject_unknown(&self) -> Result<(), SpecError> {
         for (i, (k, _)) in self.entries.iter().enumerate() {
             if !self.taken[i] {
-                return Err(SpecError::UnknownKey { path: self.path.clone(), key: k.clone() });
+                return Err(SpecError::UnknownKey { path: self.path.to_string(), key: k.clone() });
             }
         }
         Ok(())
     }
 }
 
-fn as_str<'a>(path: &str, v: &'a JsonValue) -> Result<&'a str, SpecError> {
+fn as_str<'a>(path: Path<'_>, v: &'a JsonValue) -> Result<&'a str, SpecError> {
     v.as_str().ok_or_else(|| SpecError::WrongType {
         path: path.to_string(),
         expected: "string",
@@ -576,7 +604,7 @@ fn as_str<'a>(path: &str, v: &'a JsonValue) -> Result<&'a str, SpecError> {
     })
 }
 
-fn as_bool(path: &str, v: &JsonValue) -> Result<bool, SpecError> {
+fn as_bool(path: Path<'_>, v: &JsonValue) -> Result<bool, SpecError> {
     v.as_bool().ok_or_else(|| SpecError::WrongType {
         path: path.to_string(),
         expected: "bool",
@@ -584,7 +612,7 @@ fn as_bool(path: &str, v: &JsonValue) -> Result<bool, SpecError> {
     })
 }
 
-fn as_arr<'a>(path: &str, v: &'a JsonValue) -> Result<&'a [JsonValue], SpecError> {
+fn as_arr<'a>(path: Path<'_>, v: &'a JsonValue) -> Result<&'a [JsonValue], SpecError> {
     v.as_arr().ok_or_else(|| SpecError::WrongType {
         path: path.to_string(),
         expected: "array",
@@ -593,7 +621,7 @@ fn as_arr<'a>(path: &str, v: &'a JsonValue) -> Result<&'a [JsonValue], SpecError
 }
 
 /// Read an f64 as either a JSON number or a `"bits:<16 hex>"` string.
-fn read_f64(path: &str, v: &JsonValue) -> Result<f64, SpecError> {
+fn read_f64(path: Path<'_>, v: &JsonValue) -> Result<f64, SpecError> {
     match v {
         JsonValue::Num(n) => Ok(*n),
         JsonValue::Str(s) => match s.strip_prefix("bits:") {
@@ -615,7 +643,7 @@ fn read_f64(path: &str, v: &JsonValue) -> Result<f64, SpecError> {
     }
 }
 
-fn read_u64(path: &str, v: &JsonValue) -> Result<u64, SpecError> {
+fn read_u64(path: Path<'_>, v: &JsonValue) -> Result<u64, SpecError> {
     let bad = |message: String| SpecError::Invalid { path: path.to_string(), message };
     match v {
         JsonValue::Num(n) => {
@@ -636,7 +664,7 @@ fn read_u64(path: &str, v: &JsonValue) -> Result<u64, SpecError> {
     }
 }
 
-fn read_u32(path: &str, v: &JsonValue) -> Result<u32, SpecError> {
+fn read_u32(path: Path<'_>, v: &JsonValue) -> Result<u32, SpecError> {
     let x = read_u64(path, v)?;
     u32::try_from(x).map_err(|_| SpecError::Invalid {
         path: path.to_string(),
@@ -644,7 +672,7 @@ fn read_u32(path: &str, v: &JsonValue) -> Result<u32, SpecError> {
     })
 }
 
-fn read_proc(path: &str, v: &JsonValue) -> Result<ProcType, SpecError> {
+fn read_proc(path: Path<'_>, v: &JsonValue) -> Result<ProcType, SpecError> {
     match as_str(path, v)? {
         "cpu" => Ok(ProcType::Cpu),
         "nvidia_gpu" => Ok(ProcType::NvidiaGpu),
@@ -656,7 +684,7 @@ fn read_proc(path: &str, v: &JsonValue) -> Result<ProcType, SpecError> {
     }
 }
 
-fn read_hardware(path: &str, v: &JsonValue) -> Result<Hardware, SpecError> {
+fn read_hardware(path: Path<'_>, v: &JsonValue) -> Result<Hardware, SpecError> {
     let mut o = Obj::new(path, v)?;
     let mut hw = Hardware::cpu_only(0, 0.0);
     for t in ProcType::ALL {
@@ -677,14 +705,14 @@ fn read_hardware(path: &str, v: &JsonValue) -> Result<Hardware, SpecError> {
     Ok(hw)
 }
 
-fn read_window(path: &str, v: &JsonValue) -> Result<DailyWindow, SpecError> {
+fn read_window(path: Path<'_>, v: &JsonValue) -> Result<DailyWindow, SpecError> {
     let mut o = Obj::new(path, v)?;
     let w = DailyWindow { start_sec: o.req_f64("start_sec")?, end_sec: o.req_f64("end_sec")? };
     o.reject_unknown()?;
     Ok(w)
 }
 
-fn read_prefs(path: &str, v: &JsonValue) -> Result<Preferences, SpecError> {
+fn read_prefs(path: Path<'_>, v: &JsonValue) -> Result<Preferences, SpecError> {
     let mut o = Obj::new(path, v)?;
     let d = Preferences::default();
     let p = Preferences {
@@ -696,11 +724,11 @@ fn read_prefs(path: &str, v: &JsonValue) -> Result<Preferences, SpecError> {
         ram_max_frac_busy: o.f64_or("ram_max_frac_busy", d.ram_max_frac_busy)?,
         ram_max_frac_idle: o.f64_or("ram_max_frac_idle", d.ram_max_frac_idle)?,
         compute_window: match o.take("compute_window") {
-            Some(wv) => Some(read_window(&o.sub("compute_window"), wv)?),
+            Some(wv) => Some(read_window(o.sub("compute_window"), wv)?),
             None => None,
         },
         gpu_window: match o.take("gpu_window") {
-            Some(wv) => Some(read_window(&o.sub("gpu_window"), wv)?),
+            Some(wv) => Some(read_window(o.sub("gpu_window"), wv)?),
             None => None,
         },
         leave_apps_in_memory: o.bool_or("leave_apps_in_memory", d.leave_apps_in_memory)?,
@@ -709,7 +737,7 @@ fn read_prefs(path: &str, v: &JsonValue) -> Result<Preferences, SpecError> {
     Ok(p)
 }
 
-fn read_est_error(path: &str, v: &JsonValue) -> Result<EstErrorModel, SpecError> {
+fn read_est_error(path: Path<'_>, v: &JsonValue) -> Result<EstErrorModel, SpecError> {
     let mut o = Obj::new(path, v)?;
     let kind = o.req_str("kind")?.to_string();
     let e = match kind.as_str() {
@@ -730,22 +758,22 @@ fn read_est_error(path: &str, v: &JsonValue) -> Result<EstErrorModel, SpecError>
     Ok(e)
 }
 
-fn read_app(path: &str, v: &JsonValue) -> Result<AppClass, SpecError> {
+fn read_app(path: Path<'_>, v: &JsonValue) -> Result<AppClass, SpecError> {
     let mut o = Obj::new(path, v)?;
     let id = o.req_u32("id")?;
     let proc = match o.take("proc") {
-        Some(pv) => read_proc(&o.sub("proc"), pv)?,
+        Some(pv) => read_proc(o.sub("proc"), pv)?,
         None => ProcType::Cpu,
     };
     let default_name = if proc.is_gpu() { format!("gpu_app{id}") } else { format!("app{id}") };
     let name = match o.take("name") {
-        Some(nv) => as_str(&o.sub("name"), nv)?.to_string(),
+        Some(nv) => as_str(o.sub("name"), nv)?.to_string(),
         None => default_name,
     };
     let gpu_instances = o.take("gpu_instances");
     let usage = if proc.is_gpu() {
         let ninst = match gpu_instances {
-            Some(gv) => read_f64(&o.sub("gpu_instances"), gv)?,
+            Some(gv) => read_f64(o.sub("gpu_instances"), gv)?,
             None => 1.0,
         };
         ResourceUsage { avg_cpus: o.f64_or("avg_cpus", 0.05)?, coproc: Some((proc, ninst)) }
@@ -765,13 +793,13 @@ fn read_app(path: &str, v: &JsonValue) -> Result<AppClass, SpecError> {
         runtime_mean: o.req_dur("runtime_mean_s")?,
         runtime_cv: o.f64_or("runtime_cv", 0.05)?,
         est_error: match o.take("est_error") {
-            Some(ev) => read_est_error(&o.sub("est_error"), ev)?,
+            Some(ev) => read_est_error(o.sub("est_error"), ev)?,
             None => EstErrorModel::Exact,
         },
         latency_bound: o.req_dur("latency_bound_s")?,
         checkpoint_period: match o.take("checkpoint_s") {
             Some(JsonValue::Null) => None,
-            Some(cv) => Some(SimDuration::from_secs(read_f64(&o.sub("checkpoint_s"), cv)?)),
+            Some(cv) => Some(SimDuration::from_secs(read_f64(o.sub("checkpoint_s"), cv)?)),
             None => Some(SimDuration::from_secs(60.0)),
         },
         working_set_bytes: o.f64_or("working_set_bytes", 1e8)?,
@@ -795,18 +823,18 @@ fn read_app(path: &str, v: &JsonValue) -> Result<AppClass, SpecError> {
     Ok(app)
 }
 
-fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
+fn read_project(path: Path<'_>, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
     let mut o = Obj::new(path, v)?;
     let id = o.req_u32("id")?;
     let name = match o.take("name") {
-        Some(nv) => as_str(&o.sub("name"), nv)?.to_string(),
+        Some(nv) => as_str(o.sub("name"), nv)?.to_string(),
         None => format!("project{id}"),
     };
     let resource_share = o.req_f64("resource_share")?;
     let supply = match o.take("supply") {
         Some(sv) => {
             let spath = o.sub("supply");
-            let mut so = Obj::new(spath.clone(), sv)?;
+            let mut so = Obj::new(spath, sv)?;
             let kind = so.req_str("kind")?.to_string();
             let s = match kind.as_str() {
                 "unlimited" => WorkSupply::Unlimited,
@@ -815,11 +843,12 @@ fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
                     dry_mean: so.req_dur("dry_mean_s")?,
                 },
                 "batch" => {
-                    WorkSupply::Batch { njobs: read_u64(&so.sub("njobs"), so.req("njobs")?)? }
+                    let njobs = so.req("njobs")?;
+                    WorkSupply::Batch { njobs: read_u64(so.sub("njobs"), njobs)? }
                 }
                 other => {
                     return Err(SpecError::Invalid {
-                        path: spath,
+                        path: spath.to_string(),
                         message: format!(
                             "unknown supply kind {} (unlimited | sporadic | batch)",
                             Echo(other)
@@ -835,7 +864,7 @@ fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
     let uptime = match o.take("uptime") {
         Some(uv) => {
             let upath = o.sub("uptime");
-            let mut uo = Obj::new(upath.clone(), uv)?;
+            let mut uo = Obj::new(upath, uv)?;
             let kind = uo.req_str("kind")?.to_string();
             let u = match kind.as_str() {
                 "always_up" => ServerUptime::AlwaysUp,
@@ -845,7 +874,7 @@ fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
                 },
                 other => {
                     return Err(SpecError::Invalid {
-                        path: upath,
+                        path: upath.to_string(),
                         message: format!(
                             "unknown uptime kind {} (always_up | sporadic)",
                             Echo(other)
@@ -860,16 +889,16 @@ fn read_project(path: &str, v: &JsonValue) -> Result<ProjectSpec, SpecError> {
     };
     let apps_v = o.req("apps")?;
     let apps_path = o.sub("apps");
-    let apps_arr = as_arr(&apps_path, apps_v)?;
+    let apps_arr = as_arr(apps_path, apps_v)?;
     let mut apps = Vec::with_capacity(apps_arr.len());
     for (i, av) in apps_arr.iter().enumerate() {
-        apps.push(read_app(&format!("{apps_path}[{i}]"), av)?);
+        apps.push(read_app(apps_path.index(i), av)?);
     }
     o.reject_unknown()?;
     Ok(ProjectSpec { id: ProjectId(id), name, resource_share, apps, supply, uptime })
 }
 
-fn read_onoff(path: &str, v: &JsonValue) -> Result<OnOffSpec, SpecError> {
+fn read_onoff(path: Path<'_>, v: &JsonValue) -> Result<OnOffSpec, SpecError> {
     let mut o = Obj::new(path, v)?;
     let kind = o.req_str("kind")?.to_string();
     let s = match kind.as_str() {
@@ -906,20 +935,20 @@ fn read_onoff(path: &str, v: &JsonValue) -> Result<OnOffSpec, SpecError> {
     Ok(s)
 }
 
-fn read_avail(path: &str, v: &JsonValue) -> Result<AvailSpec, SpecError> {
+fn read_avail(path: Path<'_>, v: &JsonValue) -> Result<AvailSpec, SpecError> {
     let mut o = Obj::new(path, v)?;
     let d = AvailSpec::always_on();
     let a = AvailSpec {
         host: match o.take("host") {
-            Some(hv) => read_onoff(&o.sub("host"), hv)?,
+            Some(hv) => read_onoff(o.sub("host"), hv)?,
             None => d.host,
         },
         user_active: match o.take("user_active") {
-            Some(uv) => read_onoff(&o.sub("user_active"), uv)?,
+            Some(uv) => read_onoff(o.sub("user_active"), uv)?,
             None => d.user_active,
         },
         network: match o.take("network") {
-            Some(nv) => read_onoff(&o.sub("network"), nv)?,
+            Some(nv) => read_onoff(o.sub("network"), nv)?,
             None => d.network,
         },
     };
@@ -927,28 +956,28 @@ fn read_avail(path: &str, v: &JsonValue) -> Result<AvailSpec, SpecError> {
     Ok(a)
 }
 
-fn read_trace(path: &str, v: &JsonValue) -> Result<AvailTrace, SpecError> {
+fn read_trace(path: Path<'_>, v: &JsonValue) -> Result<AvailTrace, SpecError> {
     let mut o = Obj::new(path, v)?;
     let initial = o.bool_or("initial", true)?;
     let trans_v = o.req("transitions")?;
     let tpath = o.sub("transitions");
-    let arr = as_arr(&tpath, trans_v)?;
+    let arr = as_arr(tpath, trans_v)?;
     let mut transitions = Vec::with_capacity(arr.len());
     let mut last = f64::NEG_INFINITY;
     for (i, tv) in arr.iter().enumerate() {
-        let ipath = format!("{tpath}[{i}]");
-        let pair = as_arr(&ipath, tv)?;
+        let ipath = tpath.index(i);
+        let pair = as_arr(ipath, tv)?;
         if pair.len() != 2 {
             return Err(SpecError::Invalid {
-                path: ipath,
+                path: ipath.to_string(),
                 message: format!("expected [time_s, state] pair, found {} items", pair.len()),
             });
         }
-        let t = read_f64(&format!("{ipath}[0]"), &pair[0])?;
-        let s = as_bool(&format!("{ipath}[1]"), &pair[1])?;
+        let t = read_f64(ipath.index(0), &pair[0])?;
+        let s = as_bool(ipath.index(1), &pair[1])?;
         if t < last {
             return Err(SpecError::Invalid {
-                path: ipath,
+                path: ipath.to_string(),
                 message: "transition times must be non-decreasing".to_string(),
             });
         }
@@ -959,21 +988,21 @@ fn read_trace(path: &str, v: &JsonValue) -> Result<AvailTrace, SpecError> {
     Ok(AvailTrace::new(initial, transitions))
 }
 
-fn read_network(path: &str, v: &JsonValue) -> Result<NetworkModel, SpecError> {
+fn read_network(path: Path<'_>, v: &JsonValue) -> Result<NetworkModel, SpecError> {
     let mut o = Obj::new(path, v)?;
     let n = NetworkModel { down_bps: o.req_f64("down_bps")?, up_bps: o.req_f64("up_bps")? };
     o.reject_unknown()?;
     Ok(n)
 }
 
-fn read_faults(path: &str, v: &JsonValue) -> Result<FaultConfig, SpecError> {
+fn read_faults(path: Path<'_>, v: &JsonValue) -> Result<FaultConfig, SpecError> {
     let mut o = Obj::new(path, v)?;
     let fc = FaultConfig {
         rpc_fail_prob: o.f64_or("rpc_fail_prob", 0.0)?,
         transfer_fail_prob: o.f64_or("transfer_fail_prob", 0.0)?,
         crash_mtbf: match o.take("crash_mtbf_s") {
             Some(JsonValue::Null) | None => None,
-            Some(cv) => Some(SimDuration::from_secs(read_f64(&o.sub("crash_mtbf_s"), cv)?)),
+            Some(cv) => Some(SimDuration::from_secs(read_f64(o.sub("crash_mtbf_s"), cv)?)),
         },
         ..FaultConfig::OFF
     };
@@ -982,7 +1011,7 @@ fn read_faults(path: &str, v: &JsonValue) -> Result<FaultConfig, SpecError> {
     {
         if !(0.0..=1.0).contains(&prob) {
             return Err(SpecError::Invalid {
-                path: o.sub(key),
+                path: o.sub(key).to_string(),
                 message: format!("probability {prob} outside [0, 1]"),
             });
         }
@@ -991,7 +1020,7 @@ fn read_faults(path: &str, v: &JsonValue) -> Result<FaultConfig, SpecError> {
     Ok(fc)
 }
 
-fn read_initial_job(path: &str, v: &JsonValue) -> Result<InitialJob, SpecError> {
+fn read_initial_job(path: Path<'_>, v: &JsonValue) -> Result<InitialJob, SpecError> {
     let mut o = Obj::new(path, v)?;
     let ij = InitialJob {
         project: ProjectId(o.req_u32("project")?),
@@ -1192,6 +1221,43 @@ mod tests {
                 assert_eq!(key, "nope");
             }
             other => panic!("expected UnknownKey, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn error_texts_name_nested_keys_and_indices() {
+        // Three good projects ahead of a bad one, so it sits at index 3.
+        let good = r#"{"id": 9, "resource_share": 1, "apps": []}, "#;
+        let doc = minimal_doc()
+            .replace("\"runtime_mean_s\": 1000", "\"runtime_mean_s\": [1]")
+            .replace("\"projects\": [", &format!("\"projects\": [{}", good.repeat(3)));
+        for (doc, want) in [
+            (
+                doc,
+                "scenario.projects[3].apps[0].runtime_mean_s: expected number or \"bits:<16 hex>\", \
+                 found array",
+            ),
+            (
+                minimal_doc().replace(
+                    "\"projects\":",
+                    "\"host_trace\": {\"transitions\": [[0, true], [5, \"off\"]]},\n  \"projects\":",
+                ),
+                "scenario.host_trace.transitions[1][1]: expected bool, found string",
+            ),
+            (
+                minimal_doc().replace(
+                    "\"resource_share\": 100,",
+                    "\"resource_share\": 100, \"supply\": {\"kind\": \"batch\", \"njobs\": 5, \"x\": 1},",
+                ),
+                "scenario.projects[0].supply: unknown key \"x\" (unknown keys are errors)",
+            ),
+            (
+                minimal_doc().replace("\"count\": 1,", "\"count\": -1,"),
+                "scenario.hardware.cpu.count: -1 is not an unsigned integer ≤ 2^53 \
+                 (use a decimal string)",
+            ),
+        ] {
+            assert_eq!(ScenarioSpec::parse(&doc).unwrap_err().to_string(), want);
         }
     }
 

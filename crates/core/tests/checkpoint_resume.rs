@@ -368,16 +368,17 @@ fn corrupt_checkpoint_documents_error_and_never_panic() {
     // Whole-document mutations: wrong root, bad version, mangled numbers.
     assert!(CheckpointState::from_xml_str("").is_err());
     assert!(CheckpointState::from_xml_str("<client_state version=\"1\"/>").is_err());
-    assert!(doc.contains("version=\"3\""), "format version changed; update this test");
+    assert!(doc.contains("version=\"4\""), "format version changed; update this test");
     assert!(
-        CheckpointState::from_xml_str(&doc.replacen("version=\"3\"", "version=\"99\"", 1)).is_err()
+        CheckpointState::from_xml_str(&doc.replacen("version=\"4\"", "version=\"99\"", 1)).is_err()
     );
     // v1 documents predate the RR dirty-tracking state, v2 documents the
-    // typed trace; both must be rejected rather than resumed with
-    // silently-reset state.
-    for old in ["1", "2"] {
+    // typed trace, v3 documents the bounded run state (they carry the
+    // retired-task history); all must be rejected rather than resumed
+    // with silently-reset state.
+    for old in ["1", "2", "3"] {
         let e = CheckpointState::from_xml_str(&doc.replacen(
-            "version=\"3\"",
+            "version=\"4\"",
             &format!("version=\"{old}\""),
             1,
         ))
