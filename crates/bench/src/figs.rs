@@ -497,8 +497,7 @@ mod tests {
 
     #[test]
     fn unknown_figure_is_an_error() {
-        let opts =
-            FigOpts { days: 0.0, quick: true, json: None, checkpoint_every: None, scenario: None };
+        let opts = FigOpts { days: 0.0, quick: true, json: None, scenario: None };
         assert!(run_fig(0, &opts).unwrap_err().contains("unknown figure"));
         assert!(run_fig(7, &opts).unwrap_err().contains("unknown figure"));
     }
@@ -507,8 +506,7 @@ mod tests {
     fn fig2_snapshot_renders() {
         // Figure 2 is pure computation (no emulation), so it is cheap
         // enough to run in a unit test and pins the runner wiring.
-        let opts =
-            FigOpts { days: 0.0, quick: false, json: None, checkpoint_every: None, scenario: None };
+        let opts = FigOpts { days: 0.0, quick: false, json: None, scenario: None };
         let out = run_fig(2, &opts).unwrap();
         assert!(out.contains("Figure 2 — round-robin simulation"));
         assert!(out.contains("SHORTFALL(T)"));
@@ -521,7 +519,6 @@ mod tests {
             days: 0.0,
             quick: true,
             json: None,
-            checkpoint_every: None,
             scenario: Some(bce_scenarios::scenario2()),
         };
         for n in [1, 2] {

@@ -8,7 +8,7 @@
 //! DESIGN.md.
 
 use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
-use bce_core::{CheckpointPolicy, EmulatorConfig};
+use bce_core::EmulatorConfig;
 use bce_types::SimDuration;
 
 pub mod figs;
@@ -37,9 +37,6 @@ pub struct FigOpts {
     pub quick: bool,
     /// Also write the figure's tables as JSON to this path.
     pub json: Option<std::path::PathBuf>,
-    /// Crash-safety: checkpoint every run this often (simulated days)
-    /// under `target/checkpoints`, resuming automatically on restart.
-    pub checkpoint_every: Option<f64>,
     /// Replace the figure's base scenario (figures 3-6; loaded through
     /// the unified `--scenario` resolver). A scenario spec that lowers to
     /// the figure's builtin reproduces its output byte-for-byte.
@@ -48,14 +45,7 @@ pub struct FigOpts {
 
 impl FigOpts {
     pub fn emulator(&self) -> EmulatorConfig {
-        let checkpoint = self
-            .checkpoint_every
-            .map(|d| CheckpointPolicy { dir: checkpoints_dir(), every: SimDuration::from_days(d) });
-        EmulatorConfig {
-            duration: SimDuration::from_days(self.days),
-            checkpoint,
-            ..Default::default()
-        }
+        EmulatorConfig { duration: SimDuration::from_days(self.days), ..Default::default() }
     }
 
     /// Serialize a figure's named tables as one JSON object.
@@ -75,11 +65,6 @@ pub fn figures_dir() -> std::path::PathBuf {
     std::path::PathBuf::from("target/figures")
 }
 
-/// Where `--checkpoint-every` run checkpoints land.
-pub fn checkpoints_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from("target/checkpoints")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,31 +81,8 @@ mod tests {
 
     #[test]
     fn opts_default() {
-        let o = FigOpts {
-            days: 10.0,
-            quick: false,
-            json: None,
-            checkpoint_every: None,
-            scenario: None,
-        };
+        let o = FigOpts { days: 10.0, quick: false, json: None, scenario: None };
         assert_eq!(o.emulator().duration, SimDuration::from_days(10.0));
-    }
-
-    #[test]
-    fn checkpoint_every_configures_the_emulator() {
-        let mut o = FigOpts {
-            days: 10.0,
-            quick: false,
-            json: None,
-            checkpoint_every: None,
-            scenario: None,
-        };
-        // Unset leaves checkpointing off.
-        assert!(o.emulator().checkpoint.is_none());
-        o.checkpoint_every = Some(0.5);
-        let policy = o.emulator().checkpoint.expect("checkpoint policy set");
-        assert_eq!(policy.every, SimDuration::from_days(0.5));
-        assert_eq!(policy.dir, checkpoints_dir());
     }
 
     #[test]

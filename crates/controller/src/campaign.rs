@@ -6,9 +6,9 @@
 //! The campaign checkpoint holds the completed-run bitmap (which, because
 //! reduction happens in submission order, is always a prefix — the
 //! parser enforces that invariant), every quarantined [`RunError`], and
-//! the full per-policy accumulator state: Welford moments *and* the
-//! retained per-metric sample (needed for the exact p95). Restoring it
-//! and finishing the remaining runs therefore produces outcomes
+//! each policy's per-metric sample in submission order. The moments and
+//! the exact p95 are functions of that sample, computed once at the end,
+//! so restoring it and finishing the remaining runs produces outcomes
 //! bit-identical to an uninterrupted study — the same discipline the
 //! run-level [`bce_core::CheckpointState`] keeps.
 //!
@@ -27,17 +27,19 @@ use crate::run::{run_supervised, RunError};
 use crate::sweep::Metric;
 use bce_client::ClientConfig;
 use bce_core::{CheckpointError, EmulatorConfig, Scenario};
-use bce_sim::{Fnv64, OnlineStats};
+use bce_sim::Fnv64;
 use bce_statefile::{
-    attr_f64_bits, attr_parse, envelope, fmt_f64_bits, open_envelope, parse_u64_hex, req_attr,
-    req_child, CheckpointStore, CodecError, IoOp, RecoveryReport, SharedIo, StoreError,
-    WriteReceipt, XmlNode, DEFAULT_KEEP_GENERATIONS,
+    attr_parse, envelope, fmt_f64_bits, open_envelope, parse_u64_hex, req_attr, req_child,
+    CheckpointStore, CodecError, IoOp, RecoveryReport, SharedIo, StoreError, WriteReceipt, XmlNode,
+    DEFAULT_KEEP_GENERATIONS,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Campaign checkpoint document version.
-const VERSION: u32 = 1;
+/// Campaign checkpoint document version. Bumped to 2 when the Welford
+/// moments (`n`, `mean`, `m2`, `min`, `max`) left each metric: they are
+/// recomputed from the retained sample, which is all v2 stores.
+const VERSION: u32 = 2;
 /// Campaign checkpoint document root element.
 const ROOT: &str = "bce_campaign";
 
@@ -187,14 +189,6 @@ pub struct CampaignReport {
     pub generations_pruned: u64,
 }
 
-/// One metric's accumulator state: Welford parts plus the retained
-/// sample.
-#[derive(Debug, Clone)]
-struct MetricAccumState {
-    parts: (u64, f64, f64, f64, f64),
-    values: Vec<f64>,
-}
-
 /// A serializable snapshot of a campaign in flight. Opaque outside this
 /// module; produced and consumed by [`population_campaign`].
 #[derive(Debug, Clone)]
@@ -203,8 +197,8 @@ pub struct CampaignCheckpoint {
     total: usize,
     completed: usize,
     errors: Vec<RunError>,
-    /// `[policy][metric]` accumulator states.
-    accums: Vec<Vec<MetricAccumState>>,
+    /// `[policy][metric]` samples, in submission order.
+    accums: Vec<Vec<Vec<f64>>>,
 }
 
 impl CampaignCheckpoint {
@@ -258,18 +252,11 @@ impl CampaignCheckpoint {
         let mut accums = XmlNode::new("accums");
         for policy in &self.accums {
             let mut p = XmlNode::new("policy");
-            for m in policy {
-                let (n, mean, m2, min, max) = m.parts;
-                let mut node = XmlNode::with_text(
+            for values in policy {
+                p.push(XmlNode::with_text(
                     "metric",
-                    m.values.iter().map(|&v| fmt_f64_bits(v)).collect::<Vec<_>>().join(" "),
-                );
-                node.attrs.push(("n".into(), n.to_string()));
-                node.attrs.push(("mean".into(), fmt_f64_bits(mean)));
-                node.attrs.push(("m2".into(), fmt_f64_bits(m2)));
-                node.attrs.push(("min".into(), fmt_f64_bits(min)));
-                node.attrs.push(("max".into(), fmt_f64_bits(max)));
-                p.push(node);
+                    values.iter().map(|&v| fmt_f64_bits(v)).collect::<Vec<_>>().join(" "),
+                ));
             }
             accums.push(p);
         }
@@ -279,10 +266,16 @@ impl CampaignCheckpoint {
 
     /// Parse a serialized campaign checkpoint. Malformed input returns
     /// an error, never panics; internal inconsistencies (bitmap not a
-    /// prefix, sample length disagreeing with the Welford count) are
-    /// rejected too.
+    /// prefix, metric samples of different lengths) are rejected too,
+    /// and so is a v1 document.
     pub fn from_xml_str(src: &str) -> Result<Self, CampaignError> {
-        let (_v, root) = open_envelope(src, ROOT, VERSION)?;
+        let (v, root) = open_envelope(src, ROOT, VERSION)?;
+        if v < VERSION {
+            return Err(CodecError::BadVersion(format!(
+                "v{v} campaign checkpoint predates sample-only accumulators (need v{VERSION})"
+            ))
+            .into());
+        }
 
         let c = req_child(&root, "campaign")?;
         let fingerprint = parse_u64_hex(req_attr(c, "fingerprint")?)?;
@@ -325,28 +318,12 @@ impl CampaignCheckpoint {
         for p in &req_child(&root, "accums")?.children {
             let mut policy = Vec::new();
             for m in &p.children {
-                let n: u64 = attr_parse(m, "n")?;
                 let values: Vec<f64> = m
                     .text
                     .split_whitespace()
                     .map(|w| parse_u64_hex(w).map(f64::from_bits))
                     .collect::<Result<_, _>>()?;
-                if values.len() as u64 != n {
-                    return Err(CampaignError::Mismatch(format!(
-                        "metric sample holds {} values but Welford n is {n}",
-                        values.len()
-                    )));
-                }
-                policy.push(MetricAccumState {
-                    parts: (
-                        n,
-                        attr_f64_bits(m, "mean")?,
-                        attr_f64_bits(m, "m2")?,
-                        attr_f64_bits(m, "min")?,
-                        attr_f64_bits(m, "max")?,
-                    ),
-                    values,
-                });
+                policy.push(values);
             }
             if policy.len() != Metric::ALL.len() {
                 return Err(CampaignError::Mismatch(format!(
@@ -354,6 +331,12 @@ impl CampaignCheckpoint {
                     policy.len(),
                     Metric::ALL.len()
                 )));
+            }
+            // One value per successful run in every metric.
+            if policy.iter().any(|values| values.len() != policy[0].len()) {
+                return Err(CampaignError::Mismatch(
+                    "policy metrics hold samples of different lengths".into(),
+                ));
             }
             accums.push(policy);
         }
@@ -394,33 +377,12 @@ impl CampaignCheckpoint {
             total,
             completed,
             errors: errors.to_vec(),
-            accums: accums
-                .iter()
-                .map(|a| {
-                    a.stats
-                        .iter()
-                        .zip(&a.values)
-                        .map(|(s, v)| MetricAccumState { parts: s.parts(), values: v.clone() })
-                        .collect()
-                })
-                .collect(),
+            accums: accums.iter().map(|a| a.values.clone()).collect(),
         }
     }
 
     fn restore_accums(&self) -> Vec<PolicyAccum> {
-        self.accums
-            .iter()
-            .map(|policy| PolicyAccum {
-                stats: policy
-                    .iter()
-                    .map(|m| {
-                        let (n, mean, m2, min, max) = m.parts;
-                        OnlineStats::from_parts(n, mean, m2, min, max)
-                    })
-                    .collect(),
-                values: policy.iter().map(|m| m.values.clone()).collect(),
-            })
-            .collect()
+        self.accums.iter().map(|values| PolicyAccum { values: values.clone() }).collect()
     }
 }
 
@@ -429,8 +391,8 @@ impl CampaignCheckpoint {
 /// content, and the emulator settings (horizon, fault overlay, server and
 /// scheduling parameters). Excluded are the thread count (results are
 /// bit-identical across thread counts, so a campaign may resume with a
-/// different `-j`), the observation-only settings (trace capacity,
-/// profiling) and the per-run checkpoint policy.
+/// different `-j`) and the observation-only settings (trace capacity,
+/// profiling).
 fn campaign_fingerprint(
     scenarios: &[Arc<Scenario>],
     policies: &[(String, ClientConfig)],
@@ -445,8 +407,7 @@ fn campaign_fingerprint(
             Ok(())
         }
     }
-    let decisive =
-        EmulatorConfig { trace_capacity: 0, profile: false, checkpoint: None, ..emulator.clone() };
+    let decisive = EmulatorConfig { trace_capacity: 0, profile: false, ..emulator.clone() };
     let mut h = Fnv64::new();
     // `Debug` renders every field, floats exactly (shortest round trip),
     // and none of these types holds an unordered collection, so the text
@@ -549,7 +510,7 @@ pub fn population_campaign(
         .iter()
         .zip(accums)
         .map(|((label, _), accum)| {
-            let ok_runs = accum.stats.first().map_or(0, |s| s.count() as usize);
+            let ok_runs = accum.values.first().map_or(0, Vec::len);
             accum.finish(label, ok_runs)
         })
         .collect();

@@ -41,28 +41,23 @@ impl PopulationOutcome {
     }
 }
 
-/// Streaming accumulator for one policy: running moments plus the raw
-/// sample of each metric (needed only for the exact p95). `pub(crate)`
-/// so the campaign module can checkpoint and restore it.
+/// Streaming accumulator for one policy: the sample of each metric in
+/// submission order. The moments and the exact p95 are computed from it
+/// in [`PolicyAccum::finish`]. `pub(crate)` so the campaign module can
+/// checkpoint and restore it.
 pub(crate) struct PolicyAccum {
-    pub(crate) stats: Vec<OnlineStats>,
     pub(crate) values: Vec<Vec<f64>>,
 }
 
 impl PolicyAccum {
     pub(crate) fn new(expected_runs: usize) -> Self {
-        PolicyAccum {
-            stats: vec![OnlineStats::new(); Metric::ALL.len()],
-            values: vec![Vec::with_capacity(expected_runs); Metric::ALL.len()],
-        }
+        PolicyAccum { values: vec![Vec::with_capacity(expected_runs); Metric::ALL.len()] }
     }
 
     /// Fold one run's figures of merit into every metric's accumulator.
     pub(crate) fn push(&mut self, merit: &bce_core::FiguresOfMerit) {
         for (k, metric) in Metric::ALL.iter().enumerate() {
-            let v = metric.extract(merit);
-            self.stats[k].push(v);
-            self.values[k].push(v);
+            self.values[k].push(metric.extract(merit));
         }
     }
 
@@ -72,13 +67,18 @@ impl PolicyAccum {
             .enumerate()
             .map(|(k, &metric)| {
                 let values = &mut self.values[k];
+                // Moments fold in submission order, before the sort.
+                let mut stats = OnlineStats::new();
+                for &v in values.iter() {
+                    stats.push(v);
+                }
                 values.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 let p95 = if values.is_empty() {
                     0.0
                 } else {
                     values[((values.len() as f64 * 0.95) as usize).min(values.len() - 1)]
                 };
-                MetricStats { metric, stats: self.stats[k].clone(), p95 }
+                MetricStats { metric, stats, p95 }
             })
             .collect();
         PopulationOutcome { label: label.to_string(), per_metric, scenarios_run }

@@ -29,10 +29,7 @@
 //! and reused arenas.
 
 use bce_client::ClientConfig;
-use bce_core::{
-    CheckpointPolicy, CheckpointState, EmulationResult, Emulator, EmulatorArena, EmulatorConfig,
-    Scenario,
-};
+use bce_core::{EmulationResult, Emulator, EmulatorArena, EmulatorConfig, Scenario};
 use bce_obs::Profiler;
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -101,54 +98,8 @@ impl RunSpec {
     }
 
     fn emulate(&self, arena: &mut EmulatorArena) -> EmulationResult {
-        let emu = Emulator::new(self.scenario.clone(), self.client, self.emulator.clone());
-        let Some(policy) = &self.emulator.checkpoint else {
-            return emu.run_in(arena);
-        };
-        self.emulate_checkpointed(emu, arena, policy)
+        Emulator::new(self.scenario.clone(), self.client, self.emulator.clone()).run_in(arena)
     }
-
-    /// Crash-safe run path: resume from this spec's checkpoint file if a
-    /// valid one exists, otherwise run while writing a checkpoint every
-    /// `policy.every` of simulated time. The file is removed once the run
-    /// completes, and the result is bit-identical to a straight run.
-    fn emulate_checkpointed(
-        &self,
-        emu: Emulator,
-        arena: &mut EmulatorArena,
-        policy: &CheckpointPolicy,
-    ) -> EmulationResult {
-        let path = policy.dir.join(checkpoint_file_name(&self.label));
-        if let Ok(ckpt) = CheckpointState::read_from(&path) {
-            // A stale or foreign checkpoint (different scenario/config)
-            // fails the resume guards; fall through to a fresh run then.
-            if let Ok(result) = emu.resume_in(&ckpt, arena) {
-                let _ = std::fs::remove_file(&path);
-                return result;
-            }
-        }
-        let _ = std::fs::create_dir_all(&policy.dir);
-        let result = emu.run_with_checkpoints_in(arena, policy.every, |ckpt| {
-            // Best-effort: a failed write degrades crash-safety, not the
-            // run itself.
-            let _ = ckpt.write_atomic(&path);
-        });
-        let _ = std::fs::remove_file(&path);
-        result
-    }
-}
-
-/// Stable, filesystem-safe checkpoint file name for a run label: a
-/// sanitized prefix for the human, an FNV-1a hash of the full label for
-/// uniqueness (labels may differ only in characters the sanitizer folds).
-fn checkpoint_file_name(label: &str) -> String {
-    let hash = bce_sim::fnv64(label.as_bytes());
-    let prefix: String = label
-        .chars()
-        .take(40)
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
-        .collect();
-    format!("{prefix}-{hash:016x}.ckpt")
 }
 
 /// Resolve a thread-count argument (0 = one per available CPU).
@@ -623,64 +574,5 @@ mod tests {
             .expect("executor hung after the consumer unwound");
         let msg = outcome.expect_err("poison run must abort the unsupervised executor");
         assert!(msg.contains("run 1 (poison) panicked"), "{msg}");
-    }
-
-    #[test]
-    fn checkpointed_run_resumes_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("bce-runckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let every = SimDuration::from_mins(20.0);
-        let plain = results_of(mk_specs(1), 1);
-
-        // Simulate a crash: capture the first mid-run checkpoint and drop
-        // it under the file name the executor derives for this label.
-        let spec = &mk_specs(1)[0];
-        let emu = Emulator::new(spec.scenario.clone(), spec.client, spec.emulator.clone());
-        let mut captured: Option<CheckpointState> = None;
-        emu.run_with_checkpoints_in(&mut EmulatorArena::new(), every, |ckpt| {
-            if captured.is_none() {
-                captured = Some(ckpt.clone());
-            }
-        });
-        let mid = captured.expect("a mid-run checkpoint");
-        assert!(!mid.finished(), "checkpoint must be mid-run for this test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(checkpoint_file_name(&spec.label));
-        mid.write_atomic(&path).unwrap();
-
-        // Re-running the same spec with a checkpoint policy must resume
-        // from the dropped file, finish bit-identical, and remove it.
-        let ckpt_emu = EmulatorConfig {
-            checkpoint: Some(CheckpointPolicy { dir: dir.clone(), every }),
-            ..short()
-        };
-        let specs = vec![RunSpec::new("run0", tiny_scenario(0), ClientConfig::default())
-            .with_emulator(Arc::new(ckpt_emu))];
-        let resumed = results_of(specs.clone(), 1);
-        assert_eq!(resumed[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
-        assert!(!path.exists(), "checkpoint removed after completion");
-
-        // A fresh checkpointed run (no file on disk) is also unchanged.
-        let fresh = results_of(specs.clone(), 1);
-        assert_eq!(fresh[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
-        assert!(!path.exists());
-
-        // A checkpoint in an older format is refused and the run starts
-        // over, still bit-identical.
-        let old = mid.to_xml_string().replacen("version=\"4\"", "version=\"3\"", 1);
-        bce_core::checkpoint::write_atomic(&path, old.as_bytes()).unwrap();
-        assert!(CheckpointState::read_from(&path).is_err(), "a v3 document must be refused");
-        let restarted = results_of(specs, 1);
-        assert_eq!(restarted[0].1.bit_fingerprint(), plain[0].1.bit_fingerprint());
-        assert!(!path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_file_names_are_safe_and_distinct() {
-        let a = checkpoint_file_name("default/host 17: weird*chars");
-        assert!(a.ends_with(".ckpt"));
-        assert!(a.chars().all(|c| c.is_ascii_alphanumeric() || "-._".contains(c)));
-        assert_ne!(checkpoint_file_name("a/b"), checkpoint_file_name("a_b"));
     }
 }

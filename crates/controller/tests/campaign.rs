@@ -529,5 +529,36 @@ fn corrupt_campaign_checkpoint_errors_cleanly() {
     let tampered = good.replacen("completed=\"3\"", "completed=\"2\"", 1);
     assert_ne!(tampered, good, "fixture assumes completed=\"3\" appears");
     assert!(matches!(CampaignCheckpoint::from_xml_str(&tampered), Err(CampaignError::Mismatch(_))));
+
+    // Drop one value from the first metric's sample: the metrics of a
+    // policy must agree on how many runs succeeded.
+    let at = good.find("<metric>").expect("a metric sample") + "<metric>".len();
+    let first_value_len = good[at..].find(' ').expect("three values") + 1;
+    let short = format!("{}{}", &good[..at], &good[at + first_value_len..]);
+    assert!(matches!(
+        CampaignCheckpoint::from_xml_str(&short),
+        Err(CampaignError::Mismatch(m)) if m.contains("different lengths")
+    ));
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn v1_campaign_checkpoint_is_refused_as_predating() {
+    let scenarios = population(2);
+    let policies = &policies()[..1];
+    let path = tmp("v1");
+    let opts = CampaignOptions { checkpoint_path: Some(path.clone()), ..Default::default() };
+    let _ = population_campaign(&scenarios, policies, &emu(), 1, &opts).unwrap();
+    let v2 = CampaignCheckpoint::read_from(&path).unwrap().to_xml_string();
+    assert!(v2.contains("<bce_campaign version=\"2\""), "format version changed; update this test");
+    // v2 metrics hold the sample only; v1 also carried Welford parts.
+    assert!(!v2.contains(" m2="), "{v2}");
+    let v1 = v2.replacen("version=\"2\"", "version=\"1\"", 1);
+    let err = CampaignCheckpoint::from_xml_str(&v1).unwrap_err();
+    assert!(err.to_string().contains("predates"), "{err}");
+    let store = bce_statefile::CheckpointStore::with_real_io(&path, 3);
+    for gen in store.generations_on_disk().unwrap_or_default() {
+        let _ = std::fs::remove_file(store.generation_path(gen));
+    }
+    let _ = std::fs::remove_file(path.with_extension("ckpt.manifest"));
 }

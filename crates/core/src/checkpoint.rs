@@ -20,12 +20,16 @@
 //! excluded from the fingerprint, so a resumed run may report different
 //! span timings while remaining bit-identical where it matters.
 //!
-//! The on-disk format reuses `bce-statefile`'s XML machinery through a
+//! The document format reuses `bce-statefile`'s XML machinery through a
 //! `<bce_checkpoint version="4">` envelope; floats are stored as the hex
 //! of their IEEE-754 bit pattern so serialization is exact. Trace records
 //! are stored as their JSONL lines (`bce_obs::export`), whose integers
 //! and shortest-round-trip floats are exact too. Malformed, truncated or
 //! hostile input yields a [`CheckpointError`], never a panic.
+//!
+//! This module is a pure codec: it neither reads nor writes files.
+//! Durable storage — CRC framing, fsync, atomic rename, generation
+//! rotation — is [`bce_statefile::CheckpointStore`]'s alone.
 
 use crate::emulator::Event;
 use crate::metrics::MetricsAccumSnapshot;
@@ -39,14 +43,13 @@ use bce_obs::{parse_record, record_to_json, TraceBuffer};
 use bce_server::{ServerSnapshot, ServerStats};
 use bce_sim::{Occupancy, Rng, Segment};
 use bce_statefile::{
-    attr_f64_bits, attr_parse, envelope, fmt_f64_bits, fmt_u64_hex, frame, open_envelope,
-    parse_u64_hex, req_attr, req_child, CodecError, IoOp, RealIo, StateIo, XmlNode,
+    attr_f64_bits, attr_parse, envelope, fmt_f64_bits, fmt_u64_hex, open_envelope, parse_u64_hex,
+    req_attr, req_child, CodecError, IoOp, XmlNode,
 };
 use bce_types::{
     AppId, InstanceId, JobId, JobSpec, ProcMap, ProcType, ProjectId, ResourceUsage, SimDuration,
     SimTime,
 };
-use std::path::Path;
 
 /// Current version of the checkpoint document format. Bumped to 2 when
 /// the RR dirty-tracking state (`rr_dirty`, `frozen_until`, the `frozen`
@@ -80,12 +83,6 @@ pub enum CheckpointError {
     /// The emulator configuration is incompatible with the checkpoint
     /// (e.g. fault injection on in one and off in the other).
     ConfigMismatch(String),
-}
-
-impl CheckpointError {
-    fn io(op: IoOp, path: &Path, source: std::io::Error) -> Self {
-        CheckpointError::Io { op, path: path.to_path_buf(), source }
-    }
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -123,8 +120,7 @@ impl From<CodecError> for CheckpointError {
 }
 
 /// The complete deterministic state of one emulation run at an event
-/// boundary. Opaque: produced by [`crate::Emulator::checkpoint_at`] (or
-/// the periodic sink of [`crate::Emulator::run_with_checkpoints_in`]),
+/// boundary. Opaque: produced by [`crate::Emulator::checkpoint_at`],
 /// consumed by [`crate::Emulator::resume`], and round-tripped through
 /// [`CheckpointState::to_xml_string`] / [`CheckpointState::from_xml_str`]
 /// for crash-safe persistence.
@@ -220,22 +216,6 @@ impl CheckpointState {
             .into());
         }
         Ok(Self::from_xml(&root)?)
-    }
-
-    /// Write the checkpoint to `path` atomically and durably: the
-    /// serialized document is wrapped in a CRC-64 frame, fsynced in a
-    /// same-directory temp file, renamed over the target, and the parent
-    /// directory fsynced — a crash at any point leaves either the old
-    /// checkpoint or the new one, never a truncated file, and later
-    /// corruption is detectable on read.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_atomic(path, self.to_xml_string().as_bytes())
-    }
-
-    /// Read and parse a framed checkpoint file (see
-    /// [`read_checkpoint_text`]).
-    pub fn read_from(path: &Path) -> Result<Self, CheckpointError> {
-        Self::from_xml_str(&read_checkpoint_text(path)?)
     }
 
     fn to_xml(&self) -> XmlNode {
@@ -549,77 +529,6 @@ impl CheckpointState {
             assignment,
         })
     }
-}
-
-/// Policy for writing periodic run checkpoints from an executor: every
-/// `every` of simulated time, the run's [`CheckpointState`] is written
-/// atomically under `dir` (one file per run, named after the run label).
-/// An executor finding a checkpoint file for a run resumes from it
-/// instead of starting over — the result is bit-identical either way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointPolicy {
-    /// Directory the per-run `.ckpt` files live in (created on demand).
-    pub dir: std::path::PathBuf,
-    /// Simulated time between checkpoints.
-    pub every: SimDuration,
-}
-
-/// Write `payload` to `path` atomically and durably. Shared by run
-/// checkpoints and campaign checkpoints. The payload is wrapped in a
-/// CRC-64 frame ([`bce_statefile::frame`]), then published with the full
-/// durability discipline the temp+rename contract actually requires:
-/// fsync the temp file *before* the rename (otherwise the rename can
-/// publish a name whose data never hit the platter) and fsync the parent
-/// directory *after* (otherwise the new name itself can vanish in a
-/// crash).
-pub fn write_atomic(path: &Path, payload: &[u8]) -> Result<(), CheckpointError> {
-    write_atomic_io(path, payload, &RealIo)
-}
-
-/// [`write_atomic`] over an injectable I/O backend (chaos tests).
-pub fn write_atomic_io(
-    path: &Path,
-    payload: &[u8],
-    io: &dyn StateIo,
-) -> Result<(), CheckpointError> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        CheckpointError::io(IoOp::Open, path, std::io::Error::other("path has no file name"))
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    let framed = frame::encode(payload);
-    if let Err(e) = io.write_durable(&tmp, &framed) {
-        let _ = io.remove_file(&tmp);
-        return Err(CheckpointError::io(IoOp::Write, &tmp, e));
-    }
-    if let Err(e) = io.rename(&tmp, path) {
-        let _ = io.remove_file(&tmp);
-        return Err(CheckpointError::io(IoOp::Rename, path, e));
-    }
-    let dir = dir.map(Path::to_path_buf).unwrap_or_else(|| std::path::PathBuf::from("."));
-    io.sync_dir(&dir).map_err(|e| CheckpointError::io(IoOp::Fsync, &dir, e))
-}
-
-/// Read a checkpoint file's text payload, verifying the CRC-64 frame.
-/// An unframed file (no `BCEFRAME` magic, e.g. one written before
-/// framing) is rejected as [`CheckpointError::Corrupt`].
-pub fn read_checkpoint_text(path: &Path) -> Result<String, CheckpointError> {
-    read_checkpoint_text_io(path, &RealIo)
-}
-
-/// [`read_checkpoint_text`] over an injectable I/O backend.
-pub fn read_checkpoint_text_io(path: &Path, io: &dyn StateIo) -> Result<String, CheckpointError> {
-    let bytes = io.read(path).map_err(|e| CheckpointError::io(IoOp::Read, path, e))?;
-    let corrupt = |reason: String| CheckpointError::Corrupt { path: path.to_path_buf(), reason };
-    let payload = frame::decode(&bytes).map_err(|e| corrupt(e.to_string()))?;
-    std::str::from_utf8(payload)
-        .map(str::to_string)
-        .map_err(|_| corrupt("framed payload is not valid UTF-8".into()))
 }
 
 // --- Attribute helpers -------------------------------------------------

@@ -29,6 +29,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Monotony averaging window: one hour.
+const MONOTONY_WINDOW: SimDuration = SimDuration::from_secs(3_600.0);
+/// Upper bound on scheduler RPCs issued per decision point.
+const MAX_RPCS_PER_POINT: usize = 4;
+
 /// Emulator tuning knobs (separate from the client's policy config).
 #[derive(Debug, Clone)]
 pub struct EmulatorConfig {
@@ -36,13 +41,9 @@ pub struct EmulatorConfig {
     pub duration: SimDuration,
     /// Upper bound between scheduling decisions; events also trigger them.
     pub sched_period: SimDuration,
-    /// Monotony averaging window.
-    pub monotony_window: SimDuration,
     /// Record the per-instance timeline? (costs memory on long runs)
     pub record_timeline: bool,
     pub server: ServerConfig,
-    /// Upper bound on scheduler RPCs issued per decision point.
-    pub max_rpcs_per_point: usize,
     /// Deterministic fault injection; [`FaultConfig::OFF`] (the default)
     /// leaves the emulation bit-identical to one without fault plumbing.
     pub faults: FaultConfig,
@@ -55,12 +56,6 @@ pub struct EmulatorConfig {
     /// default; span timings are reported out-of-band
     /// ([`EmulationResult::profile`]) and never fingerprinted.
     pub profile: bool,
-    /// Crash-safety for executor-driven runs: write a periodic
-    /// [`crate::CheckpointState`] per run and auto-resume from it (see
-    /// [`crate::CheckpointPolicy`]). `None` (the default) runs straight
-    /// through. Honored by the `bce-controller` executor, not by a bare
-    /// [`Emulator::run`]; checkpointing never changes a result bit.
-    pub checkpoint: Option<crate::CheckpointPolicy>,
     /// Availability-flap coalescing window: when an availability event
     /// fires, any further on/off transitions within this window are
     /// absorbed into it and the run state is evaluated once, after all of
@@ -78,14 +73,11 @@ impl Default for EmulatorConfig {
         EmulatorConfig {
             duration: SimDuration::from_days(10.0),
             sched_period: SimDuration::from_secs(60.0),
-            monotony_window: SimDuration::from_hours(1.0),
             record_timeline: false,
             server: ServerConfig::default(),
-            max_rpcs_per_point: 4,
             faults: FaultConfig::OFF,
             trace_capacity: 0,
             profile: false,
-            checkpoint: None,
             avail_coalesce_window: SimDuration::from_secs(0.25),
         }
     }
@@ -424,12 +416,8 @@ impl Emulator {
             scenario.projects.iter().map(|p| (p.id, p.resource_share)).collect();
         // Its slots are the client accounting's: both index the ascending
         // list of the scenario's project ids.
-        let metrics = MetricsAccum::new(
-            hw.total_peak_flops(),
-            &project_ids,
-            SimTime::ZERO,
-            self.cfg.monotony_window,
-        );
+        let metrics =
+            MetricsAccum::new(hw.total_peak_flops(), &project_ids, SimTime::ZERO, MONOTONY_WINDOW);
         let trace = if self.cfg.trace_capacity > 0 {
             TraceSink::Buffer(TraceBuffer::with_buffer(self.cfg.trace_capacity, trace_records))
         } else {
@@ -636,31 +624,6 @@ impl Emulator {
         let mut st = self.restore_in(ckpt, arena)?;
         while st.step(self) {}
         Ok(st.finalize(self, arena))
-    }
-
-    /// Run to completion, handing `sink` a checkpoint at the first event
-    /// boundary at or after each multiple of `every` (the crash-safe
-    /// executor writes these to disk so a killed process can resume).
-    pub fn run_with_checkpoints_in(
-        &self,
-        arena: &mut EmulatorArena,
-        every: SimDuration,
-        mut sink: impl FnMut(&CheckpointState),
-    ) -> EmulationResult {
-        let mut st = self.start_in(arena);
-        let mut next = SimTime::ZERO + every;
-        loop {
-            if st.now >= next {
-                sink(&st.capture(self));
-                while st.now >= next {
-                    next += every;
-                }
-            }
-            if !st.step(self) {
-                break;
-            }
-        }
-        st.finalize(self, arena)
     }
 }
 
@@ -984,7 +947,7 @@ impl RunState {
         let mut fetched_any = false;
         let mut first_rpc = true;
         prof.time(sp_rpc, || {
-            for _ in 0..cfg.max_rpcs_per_point {
+            for _ in 0..MAX_RPCS_PER_POINT {
                 if !first_rpc {
                     client.rr_refresh(now, *run_state, on_frac);
                 }

@@ -25,7 +25,7 @@ pub use bce_obs::{
     ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
 pub use builder::ScenarioBuilder;
-pub use checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState};
+pub use checkpoint::{CheckpointError, CheckpointState};
 pub use emulator::{EmulationResult, Emulator, EmulatorArena, EmulatorConfig};
 pub use metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
 pub use render::{render_report, render_timeline};

@@ -53,17 +53,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Raw Welford state `(n, mean, m2, min, max)` for checkpointing.
-    pub fn parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.n, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuild from [`OnlineStats::parts`]. Restoring and continuing to
-    /// `push` is bit-identical to never having paused.
-    pub fn from_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        OnlineStats { n, mean, m2, min, max }
-    }
 }
 
 impl Default for OnlineStats {

@@ -20,7 +20,7 @@
 //!   the store returns [`StoreError::NoValidGeneration`] — it never
 //!   silently restarts from scratch.
 //! * **Only framed files load.** A bare `<base>` file is tried last,
-//!   and only if it is framed (as `write_atomic` writes it); an
+//!   and only if it is framed (earlier builds wrote one there); an
 //!   unframed file is rejected like any corrupt generation.
 
 use std::path::{Path, PathBuf};
@@ -133,7 +133,7 @@ pub struct WriteReceipt {
 /// dir/pop.ckpt.2
 /// dir/pop.ckpt.3          newest generation (framed)
 /// dir/pop.ckpt.manifest   hint: latest generation + keep count
-/// dir/pop.ckpt            only if written by `write_atomic` (framed)
+/// dir/pop.ckpt            read last, only if framed (earlier builds)
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
