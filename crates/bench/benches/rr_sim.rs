@@ -133,15 +133,19 @@ fn bench_client(njobs: usize) -> Client {
 
 /// Cached-vs-uncached: repeated same-instant queries through the client's
 /// generation-keyed snapshot cache (`rr_refresh`, hits after the first)
-/// against a fresh full simulation per query (`rr_simulate`) — the
+/// against a full simulation per query (`invalidate_rr` first) — the
 /// before/after of the decision-point hot path.
 fn bench_cached_vs_uncached(c: &mut Criterion) {
     let mut g = c.benchmark_group("rr_sim_cached_vs_uncached");
     let rs = HostRunState { can_compute: true, can_gpu: true, net_up: true, user_active: false };
     for njobs in [10usize, 100, 1000] {
-        let client = bench_client(njobs);
-        g.bench_with_input(BenchmarkId::new("uncached", njobs), &client, |b, client| {
-            b.iter(|| black_box(client.rr_simulate(SimTime::ZERO, rs, 1.0)))
+        let mut client = bench_client(njobs);
+        g.bench_function(BenchmarkId::new("uncached", njobs), |b| {
+            b.iter(|| {
+                client.invalidate_rr();
+                client.rr_refresh(SimTime::ZERO, rs, 1.0);
+                black_box(client.rr_snapshot().finish.len())
+            })
         });
         let mut client = bench_client(njobs);
         client.rr_refresh(SimTime::ZERO, rs, 1.0); // prime: every iter is a hit
@@ -155,15 +159,14 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
     g.finish();
 }
 
-/// A client sized for the dirty-group bench: `ndirty` CPU instances over
-/// 16 projects and 128 very long jobs, so `reschedule` keeps `ndirty`
-/// tasks (and therefore `ndirty` distinct `(proc type, project)` groups)
-/// running, and neither completions nor deadline misses perturb the
-/// queue over millions of bench iterations.
-fn dirty_bench_client(ndirty: u32) -> Client {
+/// A client for the progress bench: `nrunning` CPU instances over 16
+/// projects and 128 very long jobs, so `reschedule` keeps `nrunning`
+/// tasks running, and neither completions nor deadline misses perturb
+/// the queue over millions of bench iterations.
+fn progress_bench_client(nrunning: u32) -> Client {
     let nprojects = 16u32;
     let mut c = Client::new(
-        Hardware::cpu_only(ndirty, 1e9),
+        Hardware::cpu_only(nrunning, 1e9),
         Preferences::default(),
         (0..nprojects)
             .map(|p| Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu]))
@@ -192,42 +195,35 @@ fn dirty_bench_client(ndirty: u32) -> Client {
     c
 }
 
-/// Incremental refresh vs. full re-simulation, per decision point, with
-/// 1 / 4 / 16 groups dirtied between queries.
-/// Each "incremental"/"full_resim" iteration advances running tasks by a
-/// small step (progress dirt on every running group) and then asks for
-/// the snapshot: the ladder serves the retained outcome until the frozen
-/// window expires (then re-anchors with one real run), while "full_resim"
-/// re-simulates every query. The incremental bars should be flat in the
-/// dirty-group count; the full bars scale with queue size.
+/// Frozen-window refresh vs. full re-simulation, per decision point, with
+/// 1 / 4 / 16 tasks running. Each "incremental"/"full_resim" iteration
+/// advances the running tasks by a small step and then asks for the
+/// snapshot: the ladder serves the retained outcome until the frozen
+/// window expires (then re-anchors with one real run), while
+/// "full_resim" invalidates first, so every query re-simulates. The
+/// incremental bars should be flat in the running count; the full bars
+/// scale with queue size.
 fn bench_incremental_refresh(c: &mut Criterion) {
     let mut g = c.benchmark_group("rr_sim_incremental");
     let rs = HostRunState { can_compute: true, can_gpu: true, net_up: true, user_active: false };
     let step = SimDuration::from_secs(0.05);
-    for ndirty in [1u32, 4, 16] {
-        let mut client = dirty_bench_client(ndirty);
-        client.reschedule(SimTime::ZERO, rs, 1.0);
-        client.rr_refresh(SimTime::ZERO, rs, 1.0);
-        let mut now = SimTime::ZERO;
-        g.bench_function(BenchmarkId::new("incremental", ndirty), |b| {
-            b.iter(|| {
-                now += step;
-                client.advance(now, rs);
-                client.rr_refresh(now, rs, 1.0);
-                black_box(client.rr_snapshot().finish.len())
-            })
-        });
-
-        let mut client = dirty_bench_client(ndirty);
-        client.reschedule(SimTime::ZERO, rs, 1.0);
-        let mut now = SimTime::ZERO;
-        g.bench_function(BenchmarkId::new("full_resim", ndirty), |b| {
-            b.iter(|| {
-                now += step;
-                client.advance(now, rs);
-                black_box(client.rr_simulate(now, rs, 1.0))
-            })
-        });
+    for nrunning in [1u32, 4, 16] {
+        for (name, invalidate) in [("incremental", false), ("full_resim", true)] {
+            let mut client = progress_bench_client(nrunning);
+            client.reschedule(SimTime::ZERO, rs, 1.0);
+            let mut now = SimTime::ZERO;
+            g.bench_function(BenchmarkId::new(name, nrunning), |b| {
+                b.iter(|| {
+                    now += step;
+                    client.advance(now, rs);
+                    if invalidate {
+                        client.invalidate_rr();
+                    }
+                    client.rr_refresh(now, rs, 1.0);
+                    black_box(client.rr_snapshot().finish.len())
+                })
+            });
+        }
     }
     g.finish();
 }
@@ -298,7 +294,7 @@ fn gpu_saturated_queue() -> (Hardware, Vec<Task>, Accounting) {
     let gpu = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
     let mut holder = Task::new(spec(0, gpu));
     holder.start();
-    holder.advance(SimDuration::from_secs(60.0), SimTime::from_secs(60.0));
+    holder.advance(SimDuration::from_secs(60.0));
     let mut tasks = vec![holder];
     // GPU and CPU jobs interleave in the queue, as successive RPCs do.
     for i in 1..=34u64 {

@@ -772,10 +772,9 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
                     out.push_str(
                         "# every generation corrupt: clearing store, restarting campaign\n",
                     );
-                    for gen in probe.generations_on_disk().unwrap_or_default() {
-                        let _ = std::fs::remove_file(probe.generation_path(gen));
-                    }
-                    let _ = std::fs::remove_file(&base);
+                    probe
+                        .clear()
+                        .map_err(|e| CliError::io(format!("cannot clear the store: {e}")))?;
                 }
             }
             Err(e) => return Err(CliError::msg(format!("chaos campaign failed: {e}"))),
@@ -1343,6 +1342,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bce_statefile::{CheckpointStore, DEFAULT_KEEP_GENERATIONS};
 
     fn run(cmd: &str) -> Result<String, CliError> {
         dispatch(cmd.split_whitespace().map(String::from))
@@ -1604,7 +1604,8 @@ mod tests {
         let dir = std::env::temp_dir().join("bce-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let ck = dir.join(format!("pop-{}.ckpt", std::process::id()));
-        let _ = std::fs::remove_file(&ck);
+        let store = CheckpointStore::with_real_io(&ck, DEFAULT_KEEP_GENERATIONS);
+        store.clear().unwrap();
         let ck_s = ck.to_str().unwrap();
 
         let reference = run("population --hosts 3 --days 0.2").unwrap();
@@ -1623,7 +1624,7 @@ mod tests {
         let table: String =
             resumed.lines().filter(|l| !l.starts_with("# ")).collect::<Vec<_>>().join("\n");
         assert_eq!(table.trim_end(), reference.trim_end());
-        let _ = std::fs::remove_file(&ck);
+        store.clear().unwrap();
     }
 
     #[test]
@@ -1638,7 +1639,7 @@ mod tests {
         run(&format!("population --hosts 3 --days 0.2 --checkpoint {ck_s}")).unwrap();
         let err = run(&format!("population --hosts 4 --days 0.2 --resume {ck_s}")).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
-        let _ = std::fs::remove_file(&ck);
+        CheckpointStore::with_real_io(&ck, DEFAULT_KEEP_GENERATIONS).clear().unwrap();
     }
 
     #[test]

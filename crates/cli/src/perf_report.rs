@@ -25,7 +25,7 @@ pub struct BenchRecord {
     pub rr_queries: u64,
     pub rr_runs: u64,
     /// Queries served from the retained snapshot inside the frozen-progress
-    /// window (see the dirty-group refresh ladder in `bce-client`).
+    /// window (see the frozen-progress refresh ladder in `bce-client`).
     pub rr_frozen: u64,
     pub cache_hit_rate: f64,
     pub peak_jobs: usize,

@@ -132,103 +132,9 @@ pub struct RrStats {
     pub frozen: u64,
 }
 
-/// Severity of the dirt accumulated since the last full RR simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DirtClass {
-    /// Nothing relevant changed.
-    #[default]
-    Clean,
-    /// Only running-task progress drifted (monotone remaining-estimate
-    /// decay, or a start-rollback to the last task checkpoint). The group
-    /// structure of the queue is unchanged.
-    Progress,
-    /// Structural change: job arrival/removal, task error, crash loss,
-    /// share/preference change, or an explicit invalidation. The retained
-    /// snapshot may be arbitrarily wrong.
-    Global,
-}
-
-impl DirtClass {
-    pub fn name(&self) -> &'static str {
-        match self {
-            DirtClass::Clean => "clean",
-            DirtClass::Progress => "progress",
-            DirtClass::Global => "global",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "clean" => Some(DirtClass::Clean),
-            "progress" => Some(DirtClass::Progress),
-            "global" => Some(DirtClass::Global),
-            _ => None,
-        }
-    }
-}
-
-/// Tracks which `(proc type, project)` groups client mutations touched
-/// since the last full RR simulation, and how severe the dirt is. Drives
-/// the refresh ladder in [`Client::rr_refresh`]: progress-only dirt inside
-/// the frozen window keeps the retained snapshot; global dirt always forces
-/// a full re-simulation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DirtyGroups {
-    class: DirtClass,
-    /// Dirtied groups, deduped, in first-touch order. Bounded: once more
-    /// than [`DirtyGroups::MAX_GROUPS`] distinct groups are touched the
-    /// tracker escalates to [`DirtClass::Global`] (a mutation storm that
-    /// wide will be re-simulated anyway).
-    groups: Vec<(ProcType, ProjectId)>,
-}
-
-impl DirtyGroups {
-    const MAX_GROUPS: usize = 32;
-
-    /// Record progress-class dirt against one group.
-    fn mark_progress(&mut self, pt: ProcType, project: ProjectId) {
-        if self.class == DirtClass::Global {
-            return;
-        }
-        if self.class == DirtClass::Clean {
-            self.class = DirtClass::Progress;
-        }
-        if !self.groups.contains(&(pt, project)) {
-            if self.groups.len() >= Self::MAX_GROUPS {
-                self.class = DirtClass::Global;
-                return;
-            }
-            self.groups.push((pt, project));
-        }
-    }
-
-    /// Record a structural (cross-group) mutation.
-    fn mark_global(&mut self) {
-        self.class = DirtClass::Global;
-    }
-
-    fn clear(&mut self) {
-        self.class = DirtClass::Clean;
-        self.groups.clear();
-    }
-
-    pub fn class(&self) -> DirtClass {
-        self.class
-    }
-
-    /// The dirtied groups (meaningful for [`DirtClass::Progress`]).
-    pub fn groups(&self) -> &[(ProcType, ProjectId)] {
-        &self.groups
-    }
-
-    /// Rebuild from captured parts (checkpoint restore).
-    pub fn from_parts(class: DirtClass, groups: Vec<(ProcType, ProjectId)>) -> Self {
-        DirtyGroups { class, groups }
-    }
-}
-
-/// Cache key for the RR snapshot: everything `rr_simulate`'s inputs depend
-/// on besides client state, plus the client-state generation counter.
+/// Cache key for the RR snapshot: everything the simulation's inputs
+/// depend on besides client state, plus the client-state generation
+/// counter.
 type RrKey = (SimTime, HostRunState, u64, u64);
 
 /// The client's reusable heap buffers, extractable after a run and fed
@@ -301,8 +207,9 @@ pub struct ClientSnapshot {
     pub rr_stats: RrStats,
     /// End of the retained snapshot's frozen-progress validity window.
     pub rr_frozen_until: SimTime,
-    /// Dirt accumulated since the snapshot's last full simulation.
-    pub rr_dirty: DirtyGroups,
+    /// A structural change happened since the snapshot's last full
+    /// simulation.
+    pub rr_dirty: bool,
 }
 
 /// The emulated client.
@@ -335,8 +242,8 @@ pub struct Client {
     /// Reusable job-list buffer for the simulation.
     rr_jobs: Vec<RrJob>,
     rr_scratch: RrScratch,
-    /// The cached simulation outcome; valid for `rr_key`, or — when only
-    /// progress-class dirt accumulated — until `rr_frozen_until`.
+    /// The cached simulation outcome; valid for `rr_key`, or — when
+    /// nothing structural changed — until `rr_frozen_until`.
     rr_cache: RrOutcome,
     rr_key: Option<RrKey>,
     rr_stats: RrStats,
@@ -345,8 +252,10 @@ pub struct Client {
     /// when the simulated queue was empty (the outcome is then
     /// `now`-independent).
     rr_frozen_until: SimTime,
-    /// Which groups mutations dirtied since the last full simulation.
-    rr_dirty: DirtyGroups,
+    /// A structural change (arrival, error, crash loss, invalidation)
+    /// happened since the last full simulation, so the retained snapshot
+    /// may be arbitrarily wrong and the next query must re-simulate.
+    rr_dirty: bool,
     /// Generation counter of the running set, the runnable set and the
     /// task order; bumped by every mutation that can change any of them
     /// (see the "Hot path & caching invariants" section of DESIGN.md).
@@ -446,7 +355,7 @@ impl Client {
             rr_key: None,
             rr_stats: RrStats::default(),
             rr_frozen_until: SimTime::ZERO,
-            rr_dirty: DirtyGroups::default(),
+            rr_dirty: false,
             run_gen: 0,
             usage_buf,
             usage_gen: None,
@@ -568,7 +477,7 @@ impl Client {
         self.admit(Task::with_progress(spec, progress), slot);
         self.state_gen += 1;
         self.run_gen += 1;
-        self.rr_dirty.mark_global();
+        self.rr_dirty = true;
     }
 
     /// Queue an accepted task, starting its input download if it has one.
@@ -616,7 +525,7 @@ impl Client {
         if accepted_any {
             self.state_gen += 1;
             self.run_gen += 1;
-            self.rr_dirty.mark_global();
+            self.rr_dirty = true;
         }
         rejected
     }
@@ -665,8 +574,7 @@ impl Client {
         for task in &mut self.tasks {
             if task.is_running() {
                 progressed = true;
-                self.rr_dirty.mark_progress(task.spec.usage.main_proc_type(), task.spec.project);
-                if task.advance(dt, now) {
+                if task.advance(dt) {
                     ev.computed.push(task.spec.id);
                 }
             }
@@ -697,7 +605,7 @@ impl Client {
             self.run_gen += 1;
         }
         if !ev.errored.is_empty() {
-            self.rr_dirty.mark_global();
+            self.rr_dirty = true;
         }
         self.last_advance = now;
         ev
@@ -849,29 +757,13 @@ impl Client {
         }));
     }
 
-    /// Run the round-robin simulation over the current queue (§3.2), with
-    /// the shortfall horizon at `max_queue`. Uncached: allocates fresh
-    /// working state per call. Decision paths use [`Client::rr_refresh`] /
-    /// [`Client::rr_snapshot`] instead.
-    pub fn rr_simulate(&self, now: SimTime, run_state: HostRunState, on_frac: f64) -> RrOutcome {
-        let platform = RrPlatform {
-            now,
-            ninstances: self.rr_ninstances(run_state),
-            on_frac,
-            shares: self.projects.iter().map(|p| (p.id, p.share)).collect(),
-        };
-        let mut jobs = Vec::new();
-        Self::collect_rr_jobs(&self.tasks, &mut jobs);
-        rr_sim::simulate(&platform, &jobs, self.prefs.work_buf_max())
-    }
-
     /// Mark the cached RR snapshot stale. Called internally by every
     /// mutation that changes the simulation's inputs; call it manually
     /// after mutating the public `hw`/`prefs` fields directly.
     pub fn invalidate_rr(&mut self) {
         self.state_gen += 1;
         self.run_gen += 1;
-        self.rr_dirty.mark_global();
+        self.rr_dirty = true;
         let projects = &self.projects;
         self.accounting.set_fetchable(&self.hw, projects.iter().map(|p| (p.id, p.supplies)));
     }
@@ -926,24 +818,24 @@ impl Client {
     /// Refresh ladder:
     /// 1. *Pure hit*: the key (including the state generation) matches —
     ///    the snapshot is exact.
-    /// 2. *Frozen hit*: only progress-class dirt accumulated since the
-    ///    last full simulation, the platform (run state, `on_frac`) is
-    ///    unchanged and `now` is still inside the frozen window — the
-    ///    retained snapshot is served as-is. Running-task progress only
-    ///    drifts job completion estimates by at most the window length τ,
-    ///    which `Client::frozen_until` bounds to a small fraction of the
-    ///    tightest deadline slack and of the minimum work buffer, so
-    ///    endangered-set and fetch-trigger decisions move by at most that
-    ///    bounded amount.
-    /// 3. *Full run*: anything else (global dirt, platform change, window
-    ///    expired) re-simulates from the live queue.
+    /// 2. *Frozen hit*: nothing structural changed since the last full
+    ///    simulation (only running tasks progressed), the platform (run
+    ///    state, `on_frac`) is unchanged and `now` is still inside the
+    ///    frozen window — the retained snapshot is served as-is.
+    ///    Running-task progress only drifts job completion estimates by
+    ///    at most the window length τ, which `Client::frozen_until`
+    ///    bounds to a small fraction of the tightest deadline slack and
+    ///    of the minimum work buffer, so endangered-set and fetch-trigger
+    ///    decisions move by at most that bounded amount.
+    /// 3. *Full run*: anything else (a structural change, a platform
+    ///    change, an expired window) re-simulates from the live queue.
     pub fn rr_refresh(&mut self, now: SimTime, run_state: HostRunState, on_frac: f64) {
         self.rr_stats.queries += 1;
         let key: RrKey = (now, run_state, on_frac.to_bits(), self.state_gen);
         if self.rr_key == Some(key) {
             return;
         }
-        if self.rr_dirty.class() != DirtClass::Global
+        if !self.rr_dirty
             && now <= self.rr_frozen_until
             && matches!(self.rr_key, Some((k_now, k_rs, k_of, _))
                 if k_rs == run_state && k_of == on_frac.to_bits() && k_now <= now)
@@ -966,14 +858,9 @@ impl Client {
             &mut self.rr_scratch,
             &mut self.rr_cache,
         );
-        self.rr_dirty.clear();
+        self.rr_dirty = false;
         self.rr_frozen_until = Self::frozen_until(now, &self.rr_jobs, &self.prefs);
         self.rr_key = Some(key);
-    }
-
-    /// The dirt tracker's current view (observability/tests).
-    pub fn rr_dirty(&self) -> &DirtyGroups {
-        &self.rr_dirty
     }
 
     /// Apply the job-scheduling policy (§3.3): start/preempt tasks so the
@@ -1020,8 +907,6 @@ impl Client {
                 task.start();
                 if task.progress() != before {
                     progress_changed = true;
-                    self.rr_dirty
-                        .mark_progress(task.spec.usage.main_proc_type(), task.spec.project);
                 }
                 started.push(task.spec.id);
             }
@@ -1157,7 +1042,7 @@ impl Client {
             self.state_gen += 1;
             // A crash can roll many tasks back at once across the whole
             // queue; treat it as structural rather than bounding the drift.
-            self.rr_dirty.mark_global();
+            self.rr_dirty = true;
         }
         out
     }
@@ -1196,7 +1081,7 @@ impl Client {
             rr_key: self.rr_key,
             rr_stats: self.rr_stats,
             rr_frozen_until: self.rr_frozen_until,
-            rr_dirty: self.rr_dirty.clone(),
+            rr_dirty: self.rr_dirty,
         }
     }
 
@@ -1244,7 +1129,7 @@ impl Client {
         self.rr_key = snap.rr_key;
         self.rr_stats = snap.rr_stats;
         self.rr_frozen_until = snap.rr_frozen_until;
-        self.rr_dirty = snap.rr_dirty.clone();
+        self.rr_dirty = snap.rr_dirty;
         Ok(())
     }
 
@@ -1407,6 +1292,14 @@ mod tests {
         )
     }
 
+    /// The RR outcome of a full simulation of `c`'s live queue at `now`.
+    fn fresh_rr(c: &mut Client, now: SimTime, rs: HostRunState) -> RrOutcome {
+        let runs = c.rr_stats().runs;
+        c.rr_refresh(now, rs, 1.0);
+        assert_eq!(c.rr_stats().runs, runs + 1, "the query must run the simulation");
+        c.rr_snapshot().clone()
+    }
+
     #[test]
     fn lifecycle_run_to_completion() {
         let mut c = client();
@@ -1419,10 +1312,9 @@ mod tests {
         let ev = c.advance(next, rs);
         assert_eq!(ev.computed, vec![JobId(1)]);
         assert_eq!(ev.uploaded, vec![JobId(1)]); // no output file: instant
-        assert!(c.task(JobId(1)).unwrap().met_deadline());
+        assert!(c.task(JobId(1)).unwrap().is_complete());
         let retired = c.retire(JobId(1)).expect("JobId(1) is live");
         assert_eq!(retired.spec.id, JobId(1));
-        assert!(retired.met_deadline());
         assert!(c.tasks().is_empty());
     }
 
@@ -1444,8 +1336,8 @@ mod tests {
 
     #[test]
     fn fetch_blocked_without_network() {
-        let c = client();
-        let rr = c.rr_simulate(SimTime::ZERO, run_state(), 1.0);
+        let mut c = client();
+        let rr = fresh_rr(&mut c, SimTime::ZERO, run_state());
         let mut rs = run_state();
         rs.net_up = false;
         assert!(c.fetch_decision(SimTime::ZERO, rs, &rr).is_none());
@@ -1453,9 +1345,9 @@ mod tests {
 
     #[test]
     fn fetch_on_empty_queue() {
-        let c = client();
+        let mut c = client();
         let rs = run_state();
-        let rr = c.rr_simulate(SimTime::ZERO, rs, 1.0);
+        let rr = fresh_rr(&mut c, SimTime::ZERO, rs);
         let d = c.fetch_decision(SimTime::ZERO, rs, &rr).expect("empty queue must fetch");
         // Entire shortfall = max_queue × 1 instance.
         let expected = c.prefs.work_buf_max().secs();
@@ -1467,7 +1359,7 @@ mod tests {
         let mut c = client();
         c.record_reply(SimTime::ZERO, ProjectId(0), vec![], SimDuration::from_secs(60.0));
         // Empty reply → backoff; next fetch can't pick P0 immediately.
-        let rr = c.rr_simulate(SimTime::ZERO, run_state(), 1.0);
+        let rr = fresh_rr(&mut c, SimTime::ZERO, run_state());
         let d = c.fetch_decision(SimTime::from_secs(1.0), run_state(), &rr).unwrap();
         assert_eq!(d.project, ProjectId(1));
         // Unblock time reported.
@@ -1578,7 +1470,7 @@ mod tests {
         c.record_transient_rpc_failure(SimTime::ZERO, ProjectId(0), 0.0);
         assert_eq!(c.projects()[0].comm_failures(), 1);
         // Comm backoff gates the fetch decision away from P0.
-        let rr = c.rr_simulate(SimTime::ZERO, run_state(), 1.0);
+        let rr = fresh_rr(&mut c, SimTime::ZERO, run_state());
         let d = c.fetch_decision(SimTime::from_secs(1.0), run_state(), &rr).unwrap();
         assert_eq!(d.project, ProjectId(1));
         // A successful reply clears the comm backoff (but the empty reply
@@ -1756,6 +1648,42 @@ mod tests {
         gpu_job.usage = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
         c.add_initial_task(gpu_job, SimDuration::from_secs(10.0));
         assert_caches_fresh(&mut c, cache, "initial task");
+    }
+
+    /// Progress is never a structural change, however many `(proc type,
+    /// project)` groups it touches: a query inside the frozen window after
+    /// 40 groups progressed is a frozen hit.
+    #[test]
+    fn progress_across_many_groups_stays_a_frozen_hit() {
+        let n = 40u32;
+        let mut c = Client::new(
+            Hardware::cpu_only(n, 1e9),
+            Preferences::default(),
+            (0..n).map(|p| Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu])).collect(),
+            ClientConfig::default(),
+        );
+        c.add_jobs(
+            (0..n)
+                .map(|p| {
+                    let mut s = spec(p as u64, p, 1e5, 1e7);
+                    s.working_set_bytes = 1e6;
+                    s
+                })
+                .collect(),
+        );
+        let rs = run_state();
+        let r = c.reschedule(SimTime::ZERO, rs, 1.0);
+        assert_eq!(r.started.len(), n as usize, "every project's job runs");
+        let before = c.rr_stats();
+        assert_eq!(before.runs, 1);
+        // 10 s is well inside the window (τ is capped at 0.125 ·
+        // work_buf_min = 225 s by the defaults).
+        let now = SimTime::from_secs(10.0);
+        c.advance(now, rs);
+        c.rr_refresh(now, rs, 1.0);
+        let after = c.rr_stats();
+        assert_eq!(after.runs, before.runs, "progress alone must not force a full run");
+        assert_eq!(after.frozen, before.frozen + 1);
     }
 
     #[test]

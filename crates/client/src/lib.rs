@@ -20,8 +20,8 @@ pub mod xfer;
 
 pub use accounting::{Accounting, AccountingKind, AccountingSnapshot};
 pub use client::{
-    AdvanceEvents, Client, ClientConfig, ClientProject, ClientScratch, ClientSnapshot, DirtClass,
-    DirtyGroups, ProjectClientSnapshot, Reschedule, RrStats, XferRetrySnapshot,
+    AdvanceEvents, Client, ClientConfig, ClientProject, ClientScratch, ClientSnapshot,
+    ProjectClientSnapshot, Reschedule, RrStats, XferRetrySnapshot,
 };
 pub use fetch::{would_fetch, Backoff, FetchDecision, FetchPolicy, FetchProject, FetchRequest};
 pub use rr_sim::{

@@ -751,7 +751,7 @@ mod tests {
         // Task 0 is running and has progressed past no checkpoint (30 s in,
         // checkpoints every 60 s).
         tasks[0].start();
-        tasks[0].advance(SimDuration::from_secs(30.0), SimTime::from_secs(30.0));
+        tasks[0].advance(SimDuration::from_secs(30.0));
         assert!(!tasks[0].checkpointed_since_start());
         let p = run_plan(JobSchedPolicy::LOCAL, &tasks, &hw, &shares, &accounting(&shares));
         // Even though task 1 is deadline-endangered, task 0 keeps the CPU.

@@ -8,7 +8,7 @@
 //! preempting a task that is not kept in memory rolls it back to its last
 //! checkpoint, and the lost progress is counted as wasted processing.
 
-use bce_types::{JobSpec, SimDuration, SimTime};
+use bce_types::{JobSpec, SimDuration};
 
 /// Why a task is not currently running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,6 @@ pub struct TaskSnapshot {
     pub run_start_progress: f64,
     pub in_memory: bool,
     pub rollback_waste: f64,
-    pub completed_at: Option<SimTime>,
 }
 
 /// A job on the client, with its execution progress.
@@ -85,7 +84,6 @@ pub struct Task {
     in_memory: bool,
     /// Total execution seconds lost to checkpoint rollbacks.
     pub rollback_waste: f64,
-    pub completed_at: Option<SimTime>,
 }
 
 impl Task {
@@ -99,7 +97,6 @@ impl Task {
             run_start_progress: 0.0,
             in_memory: false,
             rollback_waste: 0.0,
-            completed_at: None,
         }
     }
 
@@ -126,7 +123,6 @@ impl Task {
             run_start_progress: self.run_start_progress,
             in_memory: self.in_memory,
             rollback_waste: self.rollback_waste,
-            completed_at: self.completed_at,
         }
     }
 
@@ -140,7 +136,6 @@ impl Task {
             run_start_progress: snap.run_start_progress,
             in_memory: snap.in_memory,
             rollback_waste: snap.rollback_waste,
-            completed_at: snap.completed_at,
         }
     }
 
@@ -208,7 +203,7 @@ impl Task {
 
     /// Advance execution by `dt` dedicated seconds; returns `true` on
     /// completion. Checkpoints occur at multiples of the period.
-    pub fn advance(&mut self, dt: SimDuration, now: SimTime) -> bool {
+    pub fn advance(&mut self, dt: SimDuration) -> bool {
         debug_assert!(self.is_running());
         self.progress += dt.secs();
         if let Some(cp) = self.spec.checkpoint_period {
@@ -221,7 +216,6 @@ impl Task {
             self.progress = self.spec.duration.secs();
             self.checkpointed = self.progress;
             self.state = TaskState::Completed;
-            self.completed_at = Some(now);
             true
         } else {
             false
@@ -254,11 +248,6 @@ impl Task {
         } else {
             self.remaining() / rate
         }
-    }
-
-    /// Did the task finish by its deadline? Meaningful once completed.
-    pub fn met_deadline(&self) -> bool {
-        self.completed_at.is_some_and(|t| t <= self.spec.deadline())
     }
 
     /// Mark the task permanently failed (retry budget exhausted).
@@ -295,7 +284,7 @@ impl Task {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bce_types::{AppId, JobId, ProjectId, ResourceUsage};
+    use bce_types::{AppId, JobId, ProjectId, ResourceUsage, SimTime};
 
     fn spec(duration: f64, checkpoint: Option<f64>) -> JobSpec {
         JobSpec {
@@ -314,9 +303,6 @@ mod tests {
         }
     }
 
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs(s)
-    }
     fn d(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
     }
@@ -326,13 +312,11 @@ mod tests {
         let mut task = Task::new(spec(100.0, Some(10.0)));
         assert_eq!(task.state(), TaskState::Queued);
         task.start();
-        assert!(!task.advance(d(50.0), t(50.0)));
+        assert!(!task.advance(d(50.0)));
         assert_eq!(task.progress(), 50.0);
         assert!((task.fraction_done() - 0.5).abs() < 1e-12);
-        assert!(task.advance(d(50.0), t(100.0)));
+        assert!(task.advance(d(50.0)));
         assert!(task.is_complete());
-        assert_eq!(task.completed_at, Some(t(100.0)));
-        assert!(task.met_deadline());
         assert_eq!(task.remaining(), SimDuration::ZERO);
     }
 
@@ -340,7 +324,7 @@ mod tests {
     fn preempt_in_memory_preserves_progress() {
         let mut task = Task::new(spec(100.0, Some(10.0)));
         task.start();
-        task.advance(d(15.0), t(15.0));
+        task.advance(d(15.0));
         task.preempt(true);
         task.start();
         assert_eq!(task.progress(), 15.0);
@@ -351,7 +335,7 @@ mod tests {
     fn preempt_out_of_memory_rolls_back_to_checkpoint() {
         let mut task = Task::new(spec(100.0, Some(10.0)));
         task.start();
-        task.advance(d(17.0), t(17.0));
+        task.advance(d(17.0));
         task.preempt(false);
         task.start();
         assert_eq!(task.progress(), 10.0); // checkpoint at 10 s
@@ -362,7 +346,7 @@ mod tests {
     fn non_checkpointing_app_loses_everything() {
         let mut task = Task::new(spec(100.0, None));
         task.start();
-        task.advance(d(60.0), t(60.0));
+        task.advance(d(60.0));
         task.preempt(false);
         task.start();
         assert_eq!(task.progress(), 0.0);
@@ -374,14 +358,14 @@ mod tests {
         let mut task = Task::new(spec(100.0, Some(10.0)));
         task.start();
         assert!(task.checkpointed_since_start()); // hasn't run yet
-        task.advance(d(5.0), t(5.0));
+        task.advance(d(5.0));
         assert!(!task.checkpointed_since_start());
-        task.advance(d(6.0), t(11.0)); // crosses the 10 s checkpoint
+        task.advance(d(6.0)); // crosses the 10 s checkpoint
         assert!(task.checkpointed_since_start());
         // Resume after checkpoint: flag resets.
         task.preempt(true);
         task.start();
-        task.advance(d(5.0), t(16.0));
+        task.advance(d(5.0));
         assert!(!task.checkpointed_since_start());
     }
 
@@ -403,7 +387,7 @@ mod tests {
         s.duration_est = d(80.0); // underestimate
         let mut task = Task::new(s);
         task.start();
-        task.advance(d(90.0), t(90.0));
+        task.advance(d(90.0));
         // True remaining: 10 s; estimated remaining floors at 1 s.
         assert_eq!(task.remaining(), d(10.0));
         assert_eq!(task.remaining_est(), d(1.0));
@@ -415,7 +399,7 @@ mod tests {
     fn crash_rolls_back_to_checkpoint_eagerly() {
         let mut task = Task::new(spec(100.0, Some(10.0)));
         task.start();
-        task.advance(d(27.0), t(27.0));
+        task.advance(d(27.0));
         let lost = task.crash();
         assert!((lost - 7.0).abs() < 1e-9);
         assert_eq!(task.state(), TaskState::Preempted);
@@ -442,16 +426,5 @@ mod tests {
         assert!(task.is_errored());
         assert!(!task.is_runnable());
         assert!(!task.is_complete());
-    }
-
-    #[test]
-    fn missed_deadline_detected() {
-        let mut s = spec(100.0, Some(10.0));
-        s.latency_bound = d(50.0);
-        let mut task = Task::new(s);
-        task.start();
-        task.advance(d(100.0), t(100.0));
-        assert!(task.is_complete());
-        assert!(!task.met_deadline());
     }
 }

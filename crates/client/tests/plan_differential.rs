@@ -243,16 +243,16 @@ fn task(id: u64, project: usize, usage: ResourceUsage, received: f64, ws: f64, s
         // Running, not checkpointed since it started: class 0.
         3 => {
             t.start();
-            t.advance(SimDuration::from_secs(30.0), SimTime::from_secs(30.0));
+            t.advance(SimDuration::from_secs(30.0));
         }
         // Running past a checkpoint: an ordinary candidate.
         4 => {
             t.start();
-            t.advance(SimDuration::from_secs(90.0), SimTime::from_secs(90.0));
+            t.advance(SimDuration::from_secs(90.0));
         }
         5 => {
             t.start();
-            t.advance(SimDuration::from_secs(30.0), SimTime::from_secs(30.0));
+            t.advance(SimDuration::from_secs(30.0));
             t.preempt(false);
         }
         _ => {}

@@ -124,7 +124,6 @@ proptest! {
             received: SimTime::ZERO,
         };
         let mut task = Task::new(spec);
-        let mut now = 0.0;
         let mut executed = 0.0; // seconds actually spent executing
         for (dt, keep_mem) in slices {
             if task.is_complete() {
@@ -132,8 +131,7 @@ proptest! {
             }
             task.start();
             let before = task.progress();
-            now += dt;
-            task.advance(SimDuration::from_secs(dt), SimTime::from_secs(now));
+            task.advance(SimDuration::from_secs(dt));
             executed += task.progress() - before;
             if !task.is_complete() {
                 task.preempt(keep_mem);

@@ -181,7 +181,7 @@ fn plan_into_is_allocation_free_in_steady_state() {
     let gpu = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
     let mut holder = Task::new(spec(0, 0, gpu));
     holder.start();
-    holder.advance(SimDuration::from_secs(30.0), SimTime::from_secs(30.0));
+    holder.advance(SimDuration::from_secs(30.0));
     let mut tasks = vec![holder];
     tasks.extend((1..=12).map(|i| Task::new(spec(i, i as u32 % 20, gpu))));
     tasks.extend((13..=34).map(|i| Task::new(spec(i, i as u32 % 20, ResourceUsage::one_cpu()))));

@@ -11,7 +11,8 @@
 //!    produce the same results as fresh per-call state.
 //! 3. Client-level cache coherence: `rr_refresh`/`rr_snapshot` through
 //!    repeated hit/miss sequences must always agree with an uncached
-//!    `rr_simulate` of the same state.
+//!    `rr_simulate` of the same state, built here from the client's
+//!    public queue.
 
 use bce_avail::HostRunState;
 use bce_client::{
@@ -433,6 +434,40 @@ fn spec(id: u64, project: u32, dur: f64, latency: f64, gpu: bool) -> JobSpec {
     }
 }
 
+/// An uncached simulation of `c`'s live queue, derived from its public
+/// state alone: every task neither completed nor errored, at its
+/// estimated remaining time, on the instances `rs` lets compute.
+fn uncached(c: &Client, now: SimTime, rs: HostRunState, on_frac: f64) -> RrOutcome {
+    let platform = RrPlatform {
+        now,
+        ninstances: ProcMap::from_fn(|t| match t {
+            ProcType::Cpu if rs.can_compute => c.prefs.usable_cpus(c.hw.ninstances(t)) as f64,
+            ProcType::Cpu => 0.0,
+            _ if rs.can_gpu => c.hw.ninstances(t) as f64,
+            _ => 0.0,
+        }),
+        on_frac,
+        shares: c.projects().iter().map(|p| (p.id, p.share)).collect(),
+    };
+    let jobs: Vec<RrJob> = c
+        .tasks()
+        .iter()
+        .filter(|t| !t.is_complete() && !t.is_errored())
+        .map(|t| {
+            let pt = t.spec.usage.main_proc_type();
+            RrJob {
+                id: t.spec.id,
+                project: t.spec.project,
+                proc_type: pt,
+                instances: t.spec.usage.instances_of(pt),
+                remaining: t.remaining_est(),
+                deadline: t.spec.deadline(),
+            }
+        })
+        .collect();
+    rr_simulate(&platform, &jobs, c.prefs.work_buf_max())
+}
+
 fn cache_client() -> Client {
     Client::new(
         Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(2e9),
@@ -455,7 +490,7 @@ fn cached_snapshot_matches_uncached_through_mutations() {
     let rs = run_state();
     let check = |c: &mut Client, now: SimTime, rs: HostRunState, on_frac: f64| {
         c.rr_refresh(now, rs, on_frac);
-        let fresh = c.rr_simulate(now, rs, on_frac);
+        let fresh = uncached(c, now, rs, on_frac);
         assert_identical(c.rr_snapshot(), &fresh);
     };
 
@@ -490,9 +525,9 @@ fn cached_snapshot_matches_uncached_through_mutations() {
 /// One step of [`client_ladder_serves_exact_or_retained_snapshots`].
 #[derive(Debug, Clone)]
 enum ClientOp {
-    /// New arrivals: global dirt, must force a full rerun.
+    /// New arrivals: a structural change, must force a full rerun.
     Add(u8),
-    /// Advance time (progress dirt if anything is running).
+    /// Advance time (progress if anything is running).
     Advance(f64),
     /// Apply the scheduling policy (starts/preempts tasks).
     Reschedule,
@@ -572,7 +607,7 @@ proptest! {
                 // A full run: must be bit-identical to an uncached
                 // simulation of the same live state.
                 last_runs = c.rr_stats().runs;
-                let fresh = c.rr_simulate(now, rs, on_frac);
+                let fresh = uncached(&c, now, rs, on_frac);
                 assert_identical(c.rr_snapshot(), &fresh);
                 last_full = c.rr_snapshot().clone();
             } else {
@@ -585,8 +620,8 @@ proptest! {
 }
 
 /// Hit/miss accounting under the refresh ladder: same-key refreshes are
-/// pure hits; clean/progress drift inside the frozen window is a frozen
-/// hit (no rerun); structural mutations, platform changes and window
+/// pure hits; progress drift inside the frozen window is a frozen hit
+/// (no rerun); structural mutations, platform changes and window
 /// expiry each force exactly one rerun.
 #[test]
 fn refresh_hit_miss_accounting() {
@@ -626,7 +661,7 @@ fn refresh_hit_miss_accounting() {
     c.rr_refresh(SimTime::from_secs(1000.0), rs, 0.5);
     assert_eq!(c.rr_stats().runs, 3);
 
-    // Queue mutation is global dirt: rerun even at the same instant.
+    // Queue mutation is structural: rerun even at the same instant.
     c.add_jobs(vec![spec(2, 1, 100.0, 2_500.0, false)]);
     c.rr_refresh(SimTime::from_secs(1000.0), rs, 0.5);
     assert_eq!(c.rr_stats().runs, 4);
@@ -637,6 +672,6 @@ fn refresh_hit_miss_accounting() {
     assert_eq!(c.rr_stats().runs, 5);
 
     // And the snapshot still matches an uncached run.
-    let fresh = c.rr_simulate(SimTime::from_secs(1000.0), rs, 0.5);
+    let fresh = uncached(&c, SimTime::from_secs(1000.0), rs, 0.5);
     assert_identical(c.rr_snapshot(), &fresh);
 }

@@ -352,10 +352,41 @@ impl CampaignCheckpoint {
     /// Open the newest generation of `store` that both passes CRC
     /// validation and parses as a campaign checkpoint, falling back past
     /// corrupt ones; the [`RecoveryReport`] says what was skipped.
+    ///
+    /// A store whose every generation is intact but refused for its
+    /// format version is a [`CampaignError::Mismatch`], not corruption:
+    /// the disk is fine, and no generation can ever parse in this build.
     pub fn read_store(store: &CheckpointStore) -> Result<(Self, RecoveryReport), CampaignError> {
-        store
-            .open_latest_with(|text| Self::from_xml_str(text).map_err(|e| e.to_string()))
-            .map_err(|e| store_error(store.base(), e))
+        let mut refused_versions = Vec::new();
+        let opened = store.open_latest_with(|text| {
+            Self::from_xml_str(text).map_err(|e| {
+                if let CampaignError::Checkpoint(CheckpointError::Codec(
+                    c @ (CodecError::BadVersion(_) | CodecError::UnsupportedVersion { .. }),
+                )) = &e
+                {
+                    refused_versions.push(c.to_string());
+                }
+                e.to_string()
+            })
+        });
+        match opened {
+            Err(StoreError::NoValidGeneration { rejected })
+                if rejected.len() == refused_versions.len() =>
+            {
+                let detail = rejected
+                    .iter()
+                    .zip(&refused_versions)
+                    .map(|(r, why)| format!("gen {}: {why}", r.generation))
+                    .collect::<Vec<_>>()
+                    .join("; ");
+                Err(CampaignError::Mismatch(format!(
+                    "{}: no generation is in this build's format v{VERSION} ({detail}); \
+                     rerun without --resume to start the campaign afresh",
+                    store.base().display()
+                )))
+            }
+            opened => opened.map_err(|e| store_error(store.base(), e)),
+        }
     }
 
     /// Read and parse a campaign checkpoint from the store rooted at

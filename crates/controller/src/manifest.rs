@@ -598,6 +598,7 @@ mod tests {
         let (scenarios, _) = m.expand_scenarios().unwrap();
         assert_eq!(scenarios.len(), 1);
         assert_eq!(scenarios[0].projects, bce_scenarios::scenario2().projects);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -103,6 +103,11 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bce-campaign-{}-{name}.ckpt", std::process::id()))
 }
 
+/// Remove every generation and the manifest of the store at `path`.
+fn clear(path: &Path) {
+    bce_statefile::CheckpointStore::with_real_io(path, 3).clear().expect("clear the store");
+}
+
 fn assert_outcomes_identical(a: &[PopulationOutcome], b: &[PopulationOutcome]) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
@@ -138,7 +143,7 @@ fn campaign_without_checkpointing_matches_population_study() {
 fn killed_and_resumed_campaign_is_bit_identical() {
     let scenarios = population(8);
     let path = tmp("kill-resume");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
     let opts = CampaignOptions {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_runs: 1,
@@ -190,7 +195,7 @@ fn killed_and_resumed_campaign_is_bit_identical() {
     .unwrap();
     assert_eq!(again.resumed_runs, 16);
     assert_outcomes_identical(&again.outcomes, &reference);
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
 }
 
 #[test]
@@ -203,10 +208,7 @@ fn resume_after_newest_generation_corruption_is_bit_identical() {
     let scenarios = population(6);
     let path = tmp("gen-fallback");
     let store = bce_statefile::CheckpointStore::with_real_io(&path, 3);
-    for gen in store.generations_on_disk().unwrap_or_default() {
-        let _ = std::fs::remove_file(store.generation_path(gen));
-    }
-    let _ = std::fs::remove_file(&path);
+    store.clear().unwrap();
     let opts = CampaignOptions {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_runs: 1,
@@ -249,9 +251,7 @@ fn resume_after_newest_generation_corruption_is_bit_identical() {
     assert_eq!(resumed.completed_runs, 12);
     assert!(resumed.errors.is_empty());
     assert_outcomes_identical(&resumed.outcomes, &reference);
-    for gen in store.generations_on_disk().unwrap_or_default() {
-        let _ = std::fs::remove_file(store.generation_path(gen));
-    }
+    store.clear().unwrap();
 }
 
 #[test]
@@ -261,7 +261,7 @@ fn repeated_kill_resume_cycles_converge_to_the_reference() {
     let scenarios = population(5);
     let policies = &policies()[..1];
     let path = tmp("crashloop");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
     let reference = population_study(&scenarios, policies, &emu(), 1);
 
     let mut resume = false;
@@ -286,7 +286,7 @@ fn repeated_kill_resume_cycles_converge_to_the_reference() {
         }
     };
     assert_outcomes_identical(&final_report.outcomes, &reference);
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
 }
 
 #[test]
@@ -302,7 +302,7 @@ fn poison_run_in_campaign_is_quarantined_and_checkpoint_stays_resumable() {
     );
     let policies = &policies()[..1];
     let path = tmp("poison");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
     let opts = CampaignOptions {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_runs: 10,
@@ -337,14 +337,14 @@ fn poison_run_in_campaign_is_quarantined_and_checkpoint_stays_resumable() {
     assert_eq!(resumed.errors.len(), 1);
     assert_eq!(resumed.errors[0].index, 42);
     assert_outcomes_identical(&resumed.outcomes, &report.outcomes);
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
 }
 
 #[test]
 fn campaign_checkpoint_xml_round_trips() {
     let scenarios = population(5);
     let path = tmp("roundtrip");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
     let opts = CampaignOptions {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_runs: 0,
@@ -359,14 +359,14 @@ fn campaign_checkpoint_xml_round_trips() {
     assert_eq!(again.completed(), ckpt.completed());
     assert_eq!(again.total(), ckpt.total());
     assert_eq!(again.to_xml_string(), ckpt.to_xml_string(), "stable serialization");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
 }
 
 #[test]
 fn mismatched_checkpoint_is_rejected_not_silently_restarted() {
     let scenarios = population(4);
     let path = tmp("mismatch");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
     let opts = CampaignOptions {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_runs: 0,
@@ -457,7 +457,7 @@ fn mismatched_checkpoint_is_rejected_not_silently_restarted() {
     )
     .unwrap_err();
     assert!(matches!(err, CampaignError::Mismatch(_)), "{err}");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
 }
 
 #[test]
@@ -505,7 +505,7 @@ fn corrupt_campaign_checkpoint_errors_cleanly() {
     let scenarios = population(3);
     let policies = &policies()[..1];
     let path = tmp("corrupt");
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
     let opts = CampaignOptions {
         checkpoint_path: Some(path.clone()),
         checkpoint_every_runs: 0,
@@ -539,7 +539,7 @@ fn corrupt_campaign_checkpoint_errors_cleanly() {
         CampaignCheckpoint::from_xml_str(&short),
         Err(CampaignError::Mismatch(m)) if m.contains("different lengths")
     ));
-    let _ = std::fs::remove_file(&path);
+    clear(&path);
 }
 
 #[test]
@@ -556,9 +556,19 @@ fn v1_campaign_checkpoint_is_refused_as_predating() {
     let v1 = v2.replacen("version=\"2\"", "version=\"1\"", 1);
     let err = CampaignCheckpoint::from_xml_str(&v1).unwrap_err();
     assert!(err.to_string().contains("predates"), "{err}");
+    // A store holding only v1 generations is intact but unusable: a
+    // mismatch that says what to do, not a corruption report.
     let store = bce_statefile::CheckpointStore::with_real_io(&path, 3);
-    for gen in store.generations_on_disk().unwrap_or_default() {
-        let _ = std::fs::remove_file(store.generation_path(gen));
+    store.clear().unwrap();
+    store.write(v1.as_bytes()).unwrap();
+    store.write(v1.as_bytes()).unwrap();
+    match CampaignCheckpoint::read_from(&path) {
+        Err(CampaignError::Mismatch(m)) => {
+            assert!(m.contains("gen 2: ") && m.contains("gen 1: "), "{m}");
+            assert!(m.contains("v1 campaign checkpoint predates"), "{m}");
+            assert!(m.contains("rerun without --resume"), "{m}");
+        }
+        other => panic!("expected a format mismatch, got {other:?}"),
     }
-    let _ = std::fs::remove_file(path.with_extension("ckpt.manifest"));
+    store.clear().unwrap();
 }

@@ -21,7 +21,7 @@
 //! span timings while remaining bit-identical where it matters.
 //!
 //! The document format reuses `bce-statefile`'s XML machinery through a
-//! `<bce_checkpoint version="4">` envelope; floats are stored as the hex
+//! `<bce_checkpoint version="5">` envelope; floats are stored as the hex
 //! of their IEEE-754 bit pattern so serialization is exact. Trace records
 //! are stored as their JSONL lines (`bce_obs::export`), whose integers
 //! and shortest-round-trip floats are exact too. Malformed, truncated or
@@ -35,8 +35,8 @@ use crate::emulator::Event;
 use crate::metrics::MetricsAccumSnapshot;
 use bce_avail::HostRunState;
 use bce_client::{
-    AccountingSnapshot, ClientSnapshot, DirtClass, DirtyGroups, ProjectClientSnapshot, RrOutcome,
-    RrStats, TaskSnapshot, TaskState, XferRetrySnapshot,
+    AccountingSnapshot, ClientSnapshot, ProjectClientSnapshot, RrOutcome, RrStats, TaskSnapshot,
+    TaskState, XferRetrySnapshot,
 };
 use bce_faults::RetryState;
 use bce_obs::{parse_record, record_to_json, TraceBuffer};
@@ -59,8 +59,11 @@ use bce_types::{
 /// a v2 document cannot restore a traced run's decision record. Bumped to
 /// 4 when the retired-task history, the missed-deadline id list and the
 /// client's RPC count left the capture: per-run state is bounded by the
-/// live queue, and a v3 document's layout is not this one.
-const VERSION: u32 = 4;
+/// live queue, and a v3 document's layout is not this one. Bumped to 5
+/// when the RR dirt became one structural-change flag (`<rr_dirty
+/// dirty=..>`, no `<group>` list) and tasks lost `completed_at`: a v4
+/// document's dirt class and group list have no reading here.
+const VERSION: u32 = 5;
 /// Root element name of the checkpoint document.
 const ROOT: &str = "bce_checkpoint";
 
@@ -178,10 +181,11 @@ impl CheckpointState {
         self.finished
     }
 
-    /// Dirt class of the captured client's RR tracker (tests use this to
-    /// witness that a checkpoint really was taken mid-dirty).
-    pub fn rr_dirt_class(&self) -> bce_client::DirtClass {
-        self.client.rr_dirty.class()
+    /// Whether the captured client had a structural change pending since
+    /// its last full RR simulation (tests use this to witness that a
+    /// checkpoint was taken where the next query may be a frozen hit).
+    pub fn rr_dirty(&self) -> bool {
+        self.client.rr_dirty
     }
 
     /// End of the captured client's frozen-progress window.
@@ -202,13 +206,15 @@ impl CheckpointState {
         if v < VERSION {
             // Every field is required for a faithful resume; v1 documents
             // lack the RR dirty-tracking state, v2 documents carry a
-            // message log instead of the trace and v3 documents carry the
-            // run's unbounded retired-task history, so they are rejected
+            // message log instead of the trace, v3 documents carry the
+            // run's unbounded retired-task history and v4 documents carry
+            // a dirt class with a group list, so they are rejected
             // outright rather than resumed with silently reset state.
             let missing = match v {
                 0 | 1 => "RR dirty-state tracking",
                 2 => "the typed trace",
-                _ => "the bounded run state",
+                3 => "the bounded run state",
+                _ => "the one-flag RR dirt",
             };
             return Err(bce_statefile::CodecError::BadVersion(format!(
                 "v{v} checkpoint predates {missing} (need v{VERSION})"
@@ -799,9 +805,6 @@ fn task_node(name: &str, task: &TaskSnapshot) -> XmlNode {
     push_f64(&mut n, "run_start_progress", task.run_start_progress);
     push_bool(&mut n, "in_memory", task.in_memory);
     push_f64(&mut n, "rollback_waste", task.rollback_waste);
-    if let Some(t) = task.completed_at {
-        push_time(&mut n, "completed_at", t);
-    }
     n.push(spec_node(&task.spec));
     n
 }
@@ -817,7 +820,6 @@ fn parse_task(n: &XmlNode) -> Result<TaskSnapshot, CodecError> {
         run_start_progress: attr_f64_bits(n, "run_start_progress")?,
         in_memory: bool_attr(n, "in_memory")?,
         rollback_waste: attr_f64_bits(n, "rollback_waste")?,
-        completed_at: n.attr("completed_at").map(|_| time_attr(n, "completed_at")).transpose()?,
     })
 }
 
@@ -951,14 +953,8 @@ fn client_node(c: &ClientSnapshot) -> XmlNode {
     // run would full-resimulate where the uninterrupted run served a
     // frozen hit, skewing the rr_runs counter out of bit-identity.
     let mut dirty = XmlNode::new("rr_dirty");
-    dirty.attrs.push(("class".into(), c.rr_dirty.class().name().into()));
+    push_bool(&mut dirty, "dirty", c.rr_dirty);
     push_time(&mut dirty, "frozen_until", c.rr_frozen_until);
-    for (pt, id) in c.rr_dirty.groups() {
-        let mut g = XmlNode::new("group");
-        g.attrs.push(("pt".into(), pt.index().to_string()));
-        g.attrs.push(("project".into(), id.0.to_string()));
-        dirty.push(g);
-    }
     n.push(dirty);
 
     n
@@ -1040,18 +1036,7 @@ fn parse_client(n: &XmlNode) -> Result<ClientSnapshot, CodecError> {
 
     let dirty = req_child(n, "rr_dirty")?;
     let rr_frozen_until = time_attr(dirty, "frozen_until")?;
-    let class_name = req_attr(dirty, "class")?;
-    let class = DirtClass::from_name(class_name)
-        .ok_or_else(|| CodecError::Field(format!("unknown dirt class {class_name:?}")))?;
-    let mut dirty_groups = Vec::new();
-    for g in dirty.children_named("group") {
-        let pti: usize = attr_parse(g, "pt")?;
-        let pt = *ProcType::ALL
-            .get(pti)
-            .ok_or_else(|| CodecError::Field(format!("bad proc type index {pti}")))?;
-        dirty_groups.push((pt, ProjectId(attr_parse(g, "project")?)));
-    }
-    let rr_dirty = DirtyGroups::from_parts(class, dirty_groups);
+    let rr_dirty = bool_attr(dirty, "dirty")?;
 
     Ok(ClientSnapshot {
         projects,

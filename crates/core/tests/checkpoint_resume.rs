@@ -247,13 +247,13 @@ fn resume_mid_dirty_window_is_bit_identical() {
     let mut saw_mid_dirty = 0u32;
     // Every ~13 min across the first 6 hours: jobs run 900–1400 s, so
     // many instants fall between a task start and its completion, where
-    // progress dirt is pending and the frozen window is open.
+    // running tasks have progressed since the last full simulation but
+    // nothing structural has changed, and the frozen window is open: the
+    // next query may be a frozen hit, and a resume must serve it too.
     for minutes in (0..360).step_by(13) {
         let at = SimTime::from_secs(minutes as f64 * 60.0);
         let ckpt = emu.checkpoint_at(at);
-        if ckpt.rr_dirt_class() == bce_client::DirtClass::Progress
-            && ckpt.rr_frozen_until() > ckpt.now()
-        {
+        if !ckpt.rr_dirty() && ckpt.rr_frozen_until() > ckpt.now() {
             saw_mid_dirty += 1;
         }
         let doc = ckpt.to_xml_string();
@@ -263,8 +263,8 @@ fn resume_mid_dirty_window_is_bit_identical() {
     }
     assert!(
         saw_mid_dirty >= 3,
-        "sweep never landed inside a dirty frozen window ({saw_mid_dirty}); \
-         the test is not exercising the mid-dirty path"
+        "sweep never landed inside an open frozen window without structural \
+         dirt ({saw_mid_dirty}); the test is not exercising the frozen-hit path"
     );
 }
 
@@ -337,17 +337,18 @@ fn corrupt_checkpoint_documents_error_and_never_panic() {
     // Whole-document mutations: wrong root, bad version, mangled numbers.
     assert!(CheckpointState::from_xml_str("").is_err());
     assert!(CheckpointState::from_xml_str("<client_state version=\"1\"/>").is_err());
-    assert!(doc.contains("version=\"4\""), "format version changed; update this test");
+    assert!(doc.contains("version=\"5\""), "format version changed; update this test");
     assert!(
-        CheckpointState::from_xml_str(&doc.replacen("version=\"4\"", "version=\"99\"", 1)).is_err()
+        CheckpointState::from_xml_str(&doc.replacen("version=\"5\"", "version=\"99\"", 1)).is_err()
     );
     // v1 documents predate the RR dirty-tracking state, v2 documents the
     // typed trace, v3 documents the bounded run state (they carry the
-    // retired-task history); all must be rejected rather than resumed
-    // with silently-reset state.
-    for old in ["1", "2", "3"] {
+    // retired-task history), v4 documents the one-flag RR dirt (they
+    // carry a dirt class and a group list); all must be rejected rather
+    // than resumed with silently-reset state.
+    for old in ["1", "2", "3", "4"] {
         let e = CheckpointState::from_xml_str(&doc.replacen(
-            "version=\"4\"",
+            "version=\"5\"",
             &format!("version=\"{old}\""),
             1,
         ))

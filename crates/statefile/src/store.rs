@@ -224,6 +224,22 @@ impl CheckpointStore {
         Ok(gens)
     }
 
+    /// Remove every generation on disk and the manifest hint, so the
+    /// store holds nothing to resume from. Files already gone are fine;
+    /// the first other failure is returned.
+    pub fn clear(&self) -> Result<(), StoreError> {
+        let paths = self.generations_on_disk()?.into_iter().map(|g| self.generation_path(g));
+        for path in paths.chain([self.manifest_path()]) {
+            match self.io.remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(StoreError::Io { op: IoOp::Remove, path, source: e });
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Frame `payload`, publish it as the next generation, update the
     /// manifest hint, and prune generations beyond the keep limit.
     ///
@@ -373,6 +389,21 @@ mod tests {
         assert_eq!(bytes, b"payload-5");
         assert_eq!(report.opened_generation, Some(5));
         assert!(!report.recovered());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clear_leaves_nothing_to_resume() {
+        let dir = scratch("clear");
+        let s = store(&dir, 3);
+        for payload in [b"a", b"b"] {
+            s.write(payload).unwrap();
+        }
+        s.clear().unwrap();
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "files left behind");
+        assert!(!s.any_checkpoint_present());
+        assert!(matches!(s.read_latest(), Err(StoreError::NoCheckpoint)));
+        s.clear().unwrap(); // clearing an empty store is fine
         let _ = fs::remove_dir_all(&dir);
     }
 
