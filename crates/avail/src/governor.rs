@@ -107,17 +107,6 @@ impl Governor {
         self
     }
 
-    /// The three availability signals `(host, user, net)`, exposed so a
-    /// checkpoint can capture each process's mid-run state.
-    pub fn sources(&self) -> (&AvailSource, &AvailSource, &AvailSource) {
-        (&self.host, &self.user, &self.net)
-    }
-
-    /// Mutable access to the signals, for checkpoint restore.
-    pub fn sources_mut(&mut self) -> (&mut AvailSource, &mut AvailSource, &mut AvailSource) {
-        (&mut self.host, &mut self.user, &mut self.net)
-    }
-
     /// Apply transitions at or before `now`.
     pub fn advance(&mut self, now: SimTime) {
         self.host.advance(now);

@@ -121,18 +121,6 @@ impl OnOffProcess {
     pub fn spec(&self) -> &OnOffSpec {
         &self.spec
     }
-
-    /// Raw mid-run state `(rng, state, next_transition)` for checkpointing.
-    pub fn snapshot(&self) -> (Rng, bool, SimTime) {
-        (self.rng.clone(), self.state, self.next_transition)
-    }
-
-    /// Rebuild a process at an exact position captured by
-    /// [`OnOffProcess::snapshot`]. `spec` must be the spec the process was
-    /// originally built from, or future transition draws will diverge.
-    pub fn from_parts(spec: OnOffSpec, rng: Rng, state: bool, next_transition: SimTime) -> Self {
-        OnOffProcess { spec, rng, state, next_transition }
-    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@ use crate::args::{ArgError, Args};
 use bce_client::{ClientConfig, FetchPolicy, JobSchedPolicy};
 use bce_controller::{
     paper_policies, population_header, run_manifest, sweep, CampaignError, CampaignManifest,
-    CampaignOptions, ManifestError, Metric, Table,
+    CampaignOptions, CheckpointError, ManifestError, Metric, Table,
 };
-use bce_core::{render_timeline, CheckpointError, Emulator, EmulatorConfig, FaultConfig, Scenario};
+use bce_core::{render_timeline, Emulator, EmulatorConfig, FaultConfig, Scenario};
 use bce_emboinc::{run_campaign, HostSelection, PopulationSpec, ReplicationPolicy, Workload};
 use bce_fleet::{assign_shares, host_scenarios, run_fleet, Fleet, FleetHost, ShareStrategy};
 use bce_obs::TraceEvent;
@@ -1342,10 +1342,32 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bce_statefile::{CheckpointStore, DEFAULT_KEEP_GENERATIONS};
+    use std::path::PathBuf;
 
     fn run(cmd: &str) -> Result<String, CliError> {
         dispatch(cmd.split_whitespace().map(String::from))
+    }
+
+    /// A directory of one test's own, `bce-cli-<test>-<pid>` in the temp
+    /// directory, removed when the test ends (pass or panic).
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("bce-cli-{test}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+
+        fn join(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -1424,8 +1446,7 @@ mod tests {
 
     #[test]
     fn export_validate_run_cycle() {
-        let dir = std::env::temp_dir().join("bce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new("export-validate-run");
         let path = dir.join("s2.xml");
         let p = path.to_str().unwrap();
         let out = run(&format!("export scenario2 --out {p}")).unwrap();
@@ -1438,8 +1459,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_garbage() {
-        let dir = std::env::temp_dir().join("bce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new("validate-garbage");
         let path = dir.join("bad.xml");
         std::fs::write(&path, "<client_state><project/></client_state>").unwrap();
         assert!(run(&format!("scenario validate {}", path.to_str().unwrap())).is_err());
@@ -1520,8 +1540,7 @@ mod tests {
         let out = run("bench --quick").unwrap();
         assert!(out.contains("scenario3_fig6_60d"), "{out}");
         assert_report_shape(&out);
-        let dir = std::env::temp_dir().join("bce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new("bench-quick");
         let p = dir.join("bench.json");
         let out = run(&format!("bench --quick --out {}", p.to_str().unwrap())).unwrap();
         assert!(out.contains("wrote"), "{out}");
@@ -1580,8 +1599,7 @@ mod tests {
 
     #[test]
     fn trace_jsonl_round_trips() {
-        let dir = std::env::temp_dir().join("bce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new("trace-jsonl");
         let p = dir.join("trace.jsonl");
         let out =
             run(&format!("trace scenario1 --days 0.1 --jsonl {}", p.to_str().unwrap())).unwrap();
@@ -1601,11 +1619,8 @@ mod tests {
 
     #[test]
     fn population_kill_and_resume_matches_straight_run() {
-        let dir = std::env::temp_dir().join("bce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ck = dir.join(format!("pop-{}.ckpt", std::process::id()));
-        let store = CheckpointStore::with_real_io(&ck, DEFAULT_KEEP_GENERATIONS);
-        store.clear().unwrap();
+        let dir = TmpDir::new("population-resume");
+        let ck = dir.join("pop.ckpt");
         let ck_s = ck.to_str().unwrap();
 
         let reference = run("population --hosts 3 --days 0.2").unwrap();
@@ -1624,7 +1639,6 @@ mod tests {
         let table: String =
             resumed.lines().filter(|l| !l.starts_with("# ")).collect::<Vec<_>>().join("\n");
         assert_eq!(table.trim_end(), reference.trim_end());
-        store.clear().unwrap();
     }
 
     #[test]
@@ -1632,14 +1646,12 @@ mod tests {
         // Missing file: error, not a silent fresh start.
         assert!(run("population --hosts 3 --days 0.2 --resume /nonexistent/x.ckpt").is_err());
         // Mismatched campaign (different hosts): rejected.
-        let dir = std::env::temp_dir().join("bce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ck = dir.join(format!("pop-mismatch-{}.ckpt", std::process::id()));
-        let ck_s = ck.to_str().unwrap().to_string();
+        let dir = TmpDir::new("population-mismatch");
+        let ck = dir.join("pop.ckpt");
+        let ck_s = ck.to_str().unwrap();
         run(&format!("population --hosts 3 --days 0.2 --checkpoint {ck_s}")).unwrap();
         let err = run(&format!("population --hosts 4 --days 0.2 --resume {ck_s}")).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
-        CheckpointStore::with_real_io(&ck, DEFAULT_KEEP_GENERATIONS).clear().unwrap();
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn population_scenario_flag_conflicts_with_hosts() {
 
 #[test]
 fn campaign_runs_a_manifest_and_writes_summary() {
-    let dir = std::env::temp_dir().join("bce-cli-campaign-test");
+    let dir = std::env::temp_dir().join(format!("bce-cli-campaign-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let manifest = dir.join("tiny.json");
@@ -125,7 +125,7 @@ fn campaign_runs_a_manifest_and_writes_summary() {
 
 #[test]
 fn campaign_rejects_a_bad_manifest() {
-    let dir = std::env::temp_dir().join("bce-cli-campaign-bad");
+    let dir = std::env::temp_dir().join(format!("bce-cli-campaign-bad-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let manifest = dir.join("bad.json");

@@ -1,7 +1,7 @@
 //! `bce population --resume` sorts a store it cannot resume by cause: a
 //! store whose generations are intact but in an older format is a
 //! mismatch (exit 1) that says to start afresh, while damaged
-//! generations are an I/O failure (exit 3).
+//! generations, or no store at all, are an I/O failure (exit 3).
 
 use bce_statefile::{CheckpointStore, DEFAULT_KEEP_GENERATIONS};
 use std::path::{Path, PathBuf};
@@ -77,5 +77,15 @@ fn damaged_store_is_an_io_failure() {
     let (code, stderr) = resume(&dir);
     assert_eq!(code, Some(3), "{stderr}");
     assert!(stderr.contains("every checkpoint generation is corrupt"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn missing_store_is_an_io_failure() {
+    let dir = scratch_dir("resume-missing");
+    let (code, stderr) = resume(&dir);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("no checkpoint found"), "{stderr}");
+    assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "resume wrote a file");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -141,9 +141,10 @@ impl UsageSample {
     }
 }
 
-/// Complete mutable accounting state, for checkpointing, in ascending
-/// project-id order. Shares, kind and half-life are scenario constants
-/// reconstructed from the scenario itself.
+/// Complete mutable accounting state, in ascending project-id order, for
+/// setting arbitrary debts from tests and benches
+/// ([`Accounting::restore_snapshot`]). Shares, kind and half-life are
+/// scenario constants and are not part of it.
 #[derive(Debug, Clone, Default)]
 pub struct AccountingSnapshot {
     pub debts: Vec<(ProjectId, ProcMap<f64>)>,
@@ -157,7 +158,7 @@ pub struct AccountingSnapshot {
 /// Every per-project table is indexed by *slot*: a project's position in
 /// the ascending list of project ids, resolved once. Slot order is id
 /// order on purpose: it fixes the summation order of the REC total and
-/// the order of the snapshot, and so the checkpoint bytes.
+/// the order of the snapshot.
 #[derive(Debug, Clone)]
 pub struct Accounting {
     kind: AccountingKind,
@@ -287,8 +288,9 @@ impl Accounting {
         rec.iter().sum()
     }
 
-    /// Capture all mutable state (debts, REC averages, decay clock).
-    pub fn snapshot(&self) -> AccountingSnapshot {
+    /// Capture all mutable state (debts, REC averages, decay clock; tests).
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> AccountingSnapshot {
         let ids = self.ids.iter().copied();
         AccountingSnapshot {
             debts: ids.clone().zip(self.debts.iter().copied()).collect(),
@@ -298,9 +300,8 @@ impl Accounting {
         }
     }
 
-    /// Overwrite all mutable state from a capture (checkpoint restore).
-    /// Each table must list exactly this accounting's projects in
-    /// ascending id order, as [`Accounting::snapshot`] writes them;
+    /// Overwrite all mutable state from a capture. Each table must list
+    /// exactly this accounting's projects in ascending id order;
     /// otherwise nothing changes and the error names the table.
     pub fn restore_snapshot(&mut self, snap: &AccountingSnapshot) -> Result<(), String> {
         let ids = || self.ids.iter().copied();

@@ -7,15 +7,14 @@
 //! fetch and preference enforcement behave as the real client; job
 //! execution, servers and availability are simulated around it.
 
-use crate::accounting::{Accounting, AccountingSnapshot, UsageSample};
+use crate::accounting::{Accounting, UsageSample};
 use crate::fetch::{self, Backoff, FetchDecision, FetchPolicy, FetchProject};
 use crate::rr_sim::{self, RrJob, RrOutcome, RrPlatform, RrScratch};
 use crate::sched::{self, JobSchedPolicy, PlanInput, PlanScratch};
-use crate::task::{Task, TaskSnapshot, TaskState};
+use crate::task::{Task, TaskState};
 use crate::xfer::{NetworkModel, Transfers};
 use bce_avail::HostRunState;
 use bce_faults::{RetryPolicy, RetryState, RetryVerdict, TransferFaultModel};
-use bce_sim::Rng;
 use bce_types::{
     Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, SimDuration, SimTime,
 };
@@ -160,56 +159,6 @@ impl ClientScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Captured per-project client state (checkpointing).
-#[derive(Debug, Clone)]
-pub struct ProjectClientSnapshot {
-    pub id: ProjectId,
-    pub backoff: RetryState,
-    pub comm_retry: RetryState,
-    pub next_rpc_allowed: SimTime,
-}
-
-/// Captured backoff entry for one failed transfer awaiting retry.
-#[derive(Debug, Clone)]
-pub struct XferRetrySnapshot {
-    pub job: JobId,
-    /// `true` = upload queue, `false` = download queue.
-    pub upload: bool,
-    pub bytes: f64,
-    pub state: RetryState,
-}
-
-/// Complete mutable state of the emulated client, for checkpointing.
-///
-/// Scenario constants (hardware, preferences, shares, policies, fault
-/// models) are *not* captured: restore rebuilds the client through the
-/// normal construction path and then overwrites the mutable state from
-/// this snapshot. The RR cache (`rr_cache`/`rr_key`/`rr_stats`) is part of
-/// the capture so the restored run reproduces the exact cache hit/miss
-/// sequence — and therefore the `rr_runs` perf counter — of the
-/// uninterrupted run.
-#[derive(Debug, Clone)]
-pub struct ClientSnapshot {
-    pub projects: Vec<ProjectClientSnapshot>,
-    pub tasks: Vec<TaskSnapshot>,
-    pub accounting: AccountingSnapshot,
-    pub downloads: Vec<(JobId, f64, f64, Option<f64>)>,
-    pub uploads: Vec<(JobId, f64, f64, Option<f64>)>,
-    pub last_advance: SimTime,
-    /// Transfer-fault stream position; `None` when faults are disabled.
-    pub xfer_faults_rng: Option<Rng>,
-    pub xfer_retries: Vec<XferRetrySnapshot>,
-    pub state_gen: u64,
-    pub rr_cache: RrOutcome,
-    pub rr_key: Option<(SimTime, HostRunState, u64, u64)>,
-    pub rr_stats: RrStats,
-    /// End of the retained snapshot's frozen-progress validity window.
-    pub rr_frozen_until: SimTime,
-    /// A structural change happened since the snapshot's last full
-    /// simulation.
-    pub rr_dirty: bool,
 }
 
 /// The emulated client.
@@ -459,11 +408,6 @@ impl Client {
         self.hw.mem_bytes * frac
     }
 
-    /// Is `p` one of the projects this client is attached to?
-    fn attached(&self, p: ProjectId) -> bool {
-        self.accounting.slot_of(p).is_some()
-    }
-
     /// Restore an in-flight job from an imported state file, with its
     /// recorded execution progress.
     ///
@@ -708,8 +652,8 @@ impl Client {
     /// from the live queue, slots resolved afresh?
     #[cfg(any(test, debug_assertions))]
     fn usage_sample_is_fresh(&self) -> bool {
-        // Every queued task's project is attached (`add_jobs`,
-        // `add_initial_task` and `restore_snapshot` check it).
+        // Every queued task's project is attached (`add_jobs` and
+        // `add_initial_task` check it).
         let slots: Vec<usize> = self
             .tasks
             .iter()
@@ -1045,92 +989,6 @@ impl Client {
             self.rr_dirty = true;
         }
         out
-    }
-
-    /// Capture the client's complete mutable state (checkpointing).
-    pub fn snapshot(&self) -> ClientSnapshot {
-        ClientSnapshot {
-            projects: self
-                .projects
-                .iter()
-                .map(|p| ProjectClientSnapshot {
-                    id: p.id,
-                    backoff: p.backoff.retry_state(),
-                    comm_retry: p.comm_retry,
-                    next_rpc_allowed: p.next_rpc_allowed,
-                })
-                .collect(),
-            tasks: self.tasks.iter().map(Task::snapshot).collect(),
-            accounting: self.accounting.snapshot(),
-            downloads: self.transfers.downloads.snapshot(),
-            uploads: self.transfers.uploads.snapshot(),
-            last_advance: self.last_advance,
-            xfer_faults_rng: self.xfer_faults.as_ref().map(|m| m.rng().clone()),
-            xfer_retries: self
-                .xfer_retries
-                .iter()
-                .map(|r| XferRetrySnapshot {
-                    job: r.job,
-                    upload: r.dir == XferDir::Upload,
-                    bytes: r.bytes,
-                    state: r.state,
-                })
-                .collect(),
-            state_gen: self.state_gen,
-            rr_cache: self.rr_cache.clone(),
-            rr_key: self.rr_key,
-            rr_stats: self.rr_stats,
-            rr_frozen_until: self.rr_frozen_until,
-            rr_dirty: self.rr_dirty,
-        }
-    }
-
-    /// Overwrite the client's mutable state from a capture (checkpoint
-    /// restore). The client must have been constructed from the same
-    /// scenario through the normal path first (same projects, config and
-    /// fault models); scenario constants are not restored. A capture whose
-    /// tasks or accounting name other projects is refused before anything
-    /// changes.
-    pub fn restore_snapshot(&mut self, snap: &ClientSnapshot) -> Result<(), String> {
-        if let Some(t) = snap.tasks.iter().find(|t| !self.attached(t.spec.project)) {
-            return Err(format!("task {} of unattached project {}", t.spec.id, t.spec.project));
-        }
-        self.accounting.restore_snapshot(&snap.accounting)?;
-        for ps in &snap.projects {
-            if let Some(p) = self.projects.iter_mut().find(|p| p.id == ps.id) {
-                p.backoff = Backoff::from_state(ps.backoff);
-                p.comm_retry = ps.comm_retry;
-                p.next_rpc_allowed = ps.next_rpc_allowed;
-            }
-        }
-        self.tasks.clear();
-        self.tasks.extend(snap.tasks.iter().cloned().map(Task::from_snapshot));
-        self.task_slots.clear();
-        let accounting = &self.accounting;
-        self.task_slots.extend(
-            self.tasks.iter().map(|t| accounting.slot_of(t.spec.project).expect("checked above")),
-        );
-        self.run_gen += 1;
-        self.transfers.downloads.restore(&snap.downloads);
-        self.transfers.uploads.restore(&snap.uploads);
-        self.last_advance = snap.last_advance;
-        if let (Some(m), Some(rng)) = (self.xfer_faults.as_mut(), snap.xfer_faults_rng.as_ref()) {
-            m.restore_rng(rng.clone());
-        }
-        self.xfer_retries.clear();
-        self.xfer_retries.extend(snap.xfer_retries.iter().map(|r| XferRetry {
-            job: r.job,
-            dir: if r.upload { XferDir::Upload } else { XferDir::Download },
-            bytes: r.bytes,
-            state: r.state,
-        }));
-        self.state_gen = snap.state_gen;
-        self.rr_cache = snap.rr_cache.clone();
-        self.rr_key = snap.rr_key;
-        self.rr_stats = snap.rr_stats;
-        self.rr_frozen_until = snap.rr_frozen_until;
-        self.rr_dirty = snap.rr_dirty;
-        Ok(())
     }
 
     /// Peak FLOPS this job consumes while running (for converting lost
@@ -1615,12 +1473,13 @@ mod tests {
         c.advance(t(160.0), rs);
         assert_caches_fresh(&mut c, cache, "progress");
 
-        let snap = c.snapshot();
         c.crash(t(160.0));
         assert!(c.tasks().iter().all(|t| !t.is_running()));
         assert_caches_fresh(&mut c, cache, "crash");
-        c.restore_snapshot(&snap).unwrap();
-        assert_caches_fresh(&mut c, cache, "restore");
+        // Restart after the crash, so the hardware change below has a
+        // running set whose FLOPS it changes.
+        assert!(!c.reschedule(t(160.0), rs, 1.0).started.is_empty());
+        assert_caches_fresh(&mut c, cache, "restart");
 
         let mut dl = spec(5, 0, 100.0, 1e6);
         dl.input_bytes = 2000.0;

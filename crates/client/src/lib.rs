@@ -20,8 +20,7 @@ pub mod xfer;
 
 pub use accounting::{Accounting, AccountingKind, AccountingSnapshot};
 pub use client::{
-    AdvanceEvents, Client, ClientConfig, ClientProject, ClientScratch, ClientSnapshot,
-    ProjectClientSnapshot, Reschedule, RrStats, XferRetrySnapshot,
+    AdvanceEvents, Client, ClientConfig, ClientProject, ClientScratch, Reschedule, RrStats,
 };
 pub use fetch::{would_fetch, Backoff, FetchDecision, FetchPolicy, FetchProject, FetchRequest};
 pub use rr_sim::{
@@ -31,5 +30,5 @@ pub use rr_sim::{
 pub use sched::{
     plan, plan_into, task_slots, DeadlineOrder, JobSchedPolicy, PlanInput, PlanScratch, RunPlan,
 };
-pub use task::{Task, TaskSnapshot, TaskState};
+pub use task::{Task, TaskState};
 pub use xfer::{NetworkModel, TransferQueue, Transfers};

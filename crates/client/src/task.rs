@@ -27,47 +27,6 @@ pub enum TaskState {
     Error,
 }
 
-impl TaskState {
-    /// Stable textual name, for checkpoint serialization.
-    pub fn name(self) -> &'static str {
-        match self {
-            TaskState::Downloading => "downloading",
-            TaskState::Queued => "queued",
-            TaskState::Running => "running",
-            TaskState::Preempted => "preempted",
-            TaskState::Completed => "completed",
-            TaskState::Error => "error",
-        }
-    }
-
-    /// Inverse of [`TaskState::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "downloading" => TaskState::Downloading,
-            "queued" => TaskState::Queued,
-            "running" => TaskState::Running,
-            "preempted" => TaskState::Preempted,
-            "completed" => TaskState::Completed,
-            "error" => TaskState::Error,
-            _ => return None,
-        })
-    }
-}
-
-/// Complete raw state of one [`Task`], for checkpointing. Every field is
-/// public so the checkpoint codec can serialize it without `Task` exposing
-/// mutable access in normal operation.
-#[derive(Debug, Clone)]
-pub struct TaskSnapshot {
-    pub spec: JobSpec,
-    pub state: TaskState,
-    pub progress: f64,
-    pub checkpointed: f64,
-    pub run_start_progress: f64,
-    pub in_memory: bool,
-    pub rollback_waste: f64,
-}
-
 /// A job on the client, with its execution progress.
 #[derive(Debug, Clone)]
 pub struct Task {
@@ -111,32 +70,6 @@ impl Task {
         task.checkpointed = p;
         task.run_start_progress = p;
         task
-    }
-
-    /// Full raw state, for checkpointing.
-    pub fn snapshot(&self) -> TaskSnapshot {
-        TaskSnapshot {
-            spec: self.spec.clone(),
-            state: self.state,
-            progress: self.progress,
-            checkpointed: self.checkpointed,
-            run_start_progress: self.run_start_progress,
-            in_memory: self.in_memory,
-            rollback_waste: self.rollback_waste,
-        }
-    }
-
-    /// Rebuild a task from captured raw state (checkpoint restore).
-    pub fn from_snapshot(snap: TaskSnapshot) -> Self {
-        Task {
-            spec: snap.spec,
-            state: snap.state,
-            progress: snap.progress,
-            checkpointed: snap.checkpointed,
-            run_start_progress: snap.run_start_progress,
-            in_memory: snap.in_memory,
-            rollback_waste: snap.rollback_waste,
-        }
     }
 
     pub fn state(&self) -> TaskState {

@@ -169,24 +169,6 @@ impl TransferQueue {
         Some(SimDuration::from_secs((min_bytes / share).max(1e-3)))
     }
 
-    /// Every active transfer as `(job, bytes_remaining, total_bytes,
-    /// fail_at_remaining)`, in queue order, for checkpointing.
-    pub fn snapshot(&self) -> Vec<(JobId, f64, f64, Option<f64>)> {
-        self.active
-            .iter()
-            .map(|t| (t.job, t.bytes_remaining, t.total_bytes, t.fail_at_remaining))
-            .collect()
-    }
-
-    /// Overwrite the active set from captured state (checkpoint restore).
-    /// Order matters only for reporting; bandwidth sharing is symmetric.
-    pub fn restore(&mut self, entries: &[(JobId, f64, f64, Option<f64>)]) {
-        self.active.clear();
-        for &(job, bytes_remaining, total_bytes, fail_at_remaining) in entries {
-            self.active.push(Transfer { job, bytes_remaining, total_bytes, fail_at_remaining });
-        }
-    }
-
     /// Drop every in-flight transfer (host crash): returns `(job,
     /// total_bytes)` for each so the owner can re-enqueue from byte zero.
     pub fn restart_all(&mut self) -> Vec<(JobId, f64)> {

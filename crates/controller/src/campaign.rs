@@ -9,8 +9,7 @@
 //! each policy's per-metric sample in submission order. The moments and
 //! the exact p95 are functions of that sample, computed once at the end,
 //! so restoring it and finishing the remaining runs produces outcomes
-//! bit-identical to an uninterrupted study — the same discipline the
-//! run-level [`bce_core::CheckpointState`] keeps.
+//! bit-identical to an uninterrupted study.
 //!
 //! Checkpoints are stored through the generation-rotated
 //! [`bce_statefile::CheckpointStore`]: each write publishes a CRC-64
@@ -26,12 +25,12 @@ use crate::montecarlo::{population_specs, PolicyAccum, PopulationOutcome};
 use crate::run::{run_supervised, RunError};
 use crate::sweep::Metric;
 use bce_client::ClientConfig;
-use bce_core::{CheckpointError, EmulatorConfig, Scenario};
+use bce_core::{EmulatorConfig, Scenario};
 use bce_sim::Fnv64;
 use bce_statefile::{
-    attr_parse, envelope, fmt_f64_bits, open_envelope, parse_u64_hex, req_attr, req_child,
-    CheckpointStore, CodecError, IoOp, RecoveryReport, SharedIo, StoreError, WriteReceipt, XmlNode,
-    DEFAULT_KEEP_GENERATIONS,
+    attr_parse, envelope, fmt_f64_bits, fmt_u64_hex, open_envelope, parse_u64_hex, req_attr,
+    req_child, CheckpointStore, CodecError, IoOp, RecoveryReport, SharedIo, StoreError,
+    WriteReceipt, XmlNode, DEFAULT_KEEP_GENERATIONS,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,6 +41,43 @@ use std::sync::Arc;
 const VERSION: u32 = 2;
 /// Campaign checkpoint document root element.
 const ROOT: &str = "bce_campaign";
+
+/// Reading, decoding or writing a campaign checkpoint failed.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// The document failed to decode (malformed XML, wrong root, newer
+    /// version, missing or malformed field).
+    Codec(CodecError),
+    /// A filesystem operation failed. Carries which operation and which
+    /// path, so a daemon log line is actionable without strace.
+    Io { op: IoOp, path: PathBuf, source: std::io::Error },
+    /// No generation passed its checksummed frame — truncation, bit rot,
+    /// or a torn rename. Distinct from [`CheckpointError::Codec`]: the
+    /// *storage* is damaged, not the document schema.
+    Corrupt { path: PathBuf, reason: String },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Codec(e) => write!(f, "checkpoint decode error: {e}"),
+            CheckpointError::Io { op, path, source } => {
+                write!(f, "checkpoint i/o error: {op} {}: {source}", path.display())
+            }
+            CheckpointError::Corrupt { path, reason } => {
+                write!(f, "checkpoint corrupt: {}: {reason}", path.display())
+            }
+        }
+    }
+}
+impl std::error::Error for CheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointError::Io { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
 
 /// Error starting, checkpointing or resuming a campaign.
 #[derive(Debug)]
@@ -66,11 +102,6 @@ impl std::fmt::Display for CampaignError {
 }
 impl std::error::Error for CampaignError {}
 
-impl From<CheckpointError> for CampaignError {
-    fn from(e: CheckpointError) -> Self {
-        CampaignError::Checkpoint(e)
-    }
-}
 impl From<CodecError> for CampaignError {
     fn from(e: CodecError) -> Self {
         CampaignError::Checkpoint(CheckpointError::Codec(e))
@@ -223,7 +254,7 @@ impl CampaignCheckpoint {
         let mut root = envelope(ROOT, VERSION);
 
         let mut c = XmlNode::new("campaign");
-        c.attrs.push(("fingerprint".into(), format!("{:016x}", self.fingerprint)));
+        c.attrs.push(("fingerprint".into(), fmt_u64_hex(self.fingerprint)));
         c.attrs.push(("total".into(), self.total.to_string()));
         c.attrs.push(("completed".into(), self.completed.to_string()));
         root.push(c);
@@ -236,7 +267,7 @@ impl CampaignCheckpoint {
         for i in 0..self.completed {
             words[i / 64] |= 1u64 << (i % 64);
         }
-        let text = words.iter().map(|w| format!("{w:016x}")).collect::<Vec<_>>().join(" ");
+        let text = words.iter().map(|&w| fmt_u64_hex(w)).collect::<Vec<_>>().join(" ");
         root.push(XmlNode::with_text("bitmap", text));
 
         let mut errs = XmlNode::new("errors");

@@ -16,6 +16,7 @@ pub mod table;
 
 pub use campaign::{
     population_campaign, CampaignCheckpoint, CampaignError, CampaignOptions, CampaignReport,
+    CheckpointError,
 };
 pub use manifest::{run_manifest, summary_json, CampaignManifest, ManifestError, ManifestOutcome};
 pub use montecarlo::{

@@ -72,12 +72,15 @@ fn comparison_table_is_consistent_with_results() {
 
 #[test]
 fn save_text_creates_directories() {
-    let dir = std::env::temp_dir().join("bce-controller-test").join("nested");
-    let path = dir.join("out.csv");
-    let _ = std::fs::remove_file(&path);
+    // A root of this test's own, removed before the assert so a failure
+    // leaves nothing behind either.
+    let root =
+        std::env::temp_dir().join(format!("bce-controller-save-text-{}", std::process::id()));
+    let path = root.join("nested").join("out.csv");
     save_text(&path, "a,b\n1,2\n").unwrap();
-    let content = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(content, "a,b\n1,2\n");
+    let content = std::fs::read_to_string(&path);
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(content.unwrap(), "a,b\n1,2\n");
 }
 
 #[test]

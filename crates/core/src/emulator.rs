@@ -11,10 +11,9 @@
 //! transitions, predicted task/transfer completions (generation-stamped so
 //! stale predictions are ignored), and fetch-retry wakeups.
 
-use crate::checkpoint::{CheckpointError, CheckpointState};
 use crate::metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
 use crate::scenario::Scenario;
-use bce_avail::{AvailSource, Governor, HostRunState, OnOffProcess};
+use bce_avail::{Governor, HostRunState};
 use bce_client::{
     Client, ClientConfig, ClientProject, ClientScratch, FetchPolicy, JobSchedPolicy, Reschedule,
 };
@@ -83,10 +82,9 @@ impl Default for EmulatorConfig {
     }
 }
 
-/// Events driving the loop. `pub(crate)` so the checkpoint codec can
-/// serialize the pending queue.
+/// Events driving the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Event {
+enum Event {
     /// Periodic scheduling point.
     SchedPoint,
     /// Predicted client event (task or transfer completion); stale when
@@ -324,10 +322,9 @@ impl Emulator {
     }
 
     /// Construct the live [`RunState`] of a fresh run: every component is
-    /// built on its own named RNG stream in a fixed order (checkpoint
-    /// restore replays exactly this path before overwriting mutable
-    /// state), the event queue is seeded, and the reusable buffers are
-    /// taken out of the arena ([`RunState::finalize`] hands them back).
+    /// built on its own named RNG stream in a fixed order, the event
+    /// queue is seeded, and the reusable buffers are taken out of the
+    /// arena ([`RunState::finalize`] hands them back).
     ///
     /// The validation runs in every build profile: the emulator has no
     /// defined behaviour for an invalid scenario, and a run that silently
@@ -489,141 +486,7 @@ impl Emulator {
             peak_jobs,
             flaps_coalesced: 0,
             avail_resched_skipped: 0,
-            done: false,
         }
-    }
-
-    /// Rebuild a [`RunState`] from a checkpoint: run the normal
-    /// construction path (which draws every RNG stream and fork in the
-    /// same order as the original run), then overwrite each component's
-    /// mutable state — RNG positions, queues, tasks, debts, counters —
-    /// from the capture. Fails when the checkpoint was taken from a
-    /// different scenario or under an incompatible configuration.
-    fn restore_in(
-        &self,
-        ckpt: &CheckpointState,
-        arena: &mut EmulatorArena,
-    ) -> Result<RunState, CheckpointError> {
-        let scenario = &*self.scenario;
-        if ckpt.scenario_name != scenario.name || ckpt.seed != scenario.seed {
-            return Err(CheckpointError::ScenarioMismatch {
-                expected: format!("{} (seed {})", scenario.name, scenario.seed),
-                found: format!("{} (seed {})", ckpt.scenario_name, ckpt.seed),
-            });
-        }
-        if ckpt.duration != self.cfg.duration {
-            return Err(CheckpointError::ConfigMismatch("duration".into()));
-        }
-        let faults = &self.cfg.faults;
-        if ckpt.rpc_fault_streams.is_some() != (faults.rpc_fail_prob > 0.0) {
-            return Err(CheckpointError::ConfigMismatch("rpc fault injection".into()));
-        }
-        if ckpt.client.xfer_faults_rng.is_some() != (faults.transfer_fail_prob > 0.0) {
-            return Err(CheckpointError::ConfigMismatch("transfer fault injection".into()));
-        }
-        if ckpt.crash_rng.is_some() != faults.crash_mtbf.is_some() {
-            return Err(CheckpointError::ConfigMismatch("crash injection".into()));
-        }
-        if ckpt.trace.as_ref().map_or(0, TraceBuffer::capacity) != self.cfg.trace_capacity {
-            return Err(CheckpointError::ConfigMismatch("trace capacity".into()));
-        }
-        if ckpt.timeline.is_some() != self.cfg.record_timeline {
-            return Err(CheckpointError::ConfigMismatch("record_timeline".into()));
-        }
-
-        let mut st = self.start_in(arena);
-        st.queue.restore(&ckpt.queue, ckpt.queue_next_seq);
-        {
-            let (host, user, net) = st.governor.sources_mut();
-            for (src, saved) in
-                [(host, &ckpt.avail[0]), (user, &ckpt.avail[1]), (net, &ckpt.avail[2])]
-            {
-                restore_avail_source(src, saved)?;
-            }
-        }
-        if ckpt.servers.len() != st.servers.len() {
-            return Err(CheckpointError::ConfigMismatch("project set".into()));
-        }
-        for (id, snap) in &ckpt.servers {
-            let server = st
-                .servers
-                .iter_mut()
-                .find(|s| s.id() == *id)
-                .ok_or_else(|| CheckpointError::ConfigMismatch(format!("project {id}")))?;
-            server.restore_snapshot(snap);
-        }
-        st.client.restore_snapshot(&ckpt.client).map_err(CheckpointError::ConfigMismatch)?;
-        if let (Some(inj), Some(streams)) = (&mut st.rpc_faults, &ckpt.rpc_fault_streams) {
-            inj.restore_streams(streams);
-        }
-        if let (Some(cp), Some(rng)) = (&mut st.crash_proc, &ckpt.crash_rng) {
-            cp.restore_rng(rng.clone());
-        }
-        st.recoveries = ckpt
-            .recoveries
-            .iter()
-            .map(|(start, targets)| RecoveryTracker { start: *start, targets: targets.clone() })
-            .collect();
-        st.metrics.restore_snapshot(&ckpt.metrics).map_err(CheckpointError::ConfigMismatch)?;
-        if let Some(trace) = &ckpt.trace {
-            st.trace = TraceSink::Buffer(trace.clone());
-        }
-        if let (Some(tl), Some(tracks)) = (&mut st.timeline, &ckpt.timeline) {
-            for (inst, segs) in tracks {
-                let track = tl
-                    .track_mut(*inst)
-                    .ok_or_else(|| CheckpointError::ConfigMismatch(format!("instance {inst}")))?;
-                track.restore_segments(segs.iter().copied());
-            }
-        }
-        st.assignment = ckpt.assignment.iter().cloned().collect();
-        st.generation = ckpt.generation;
-        st.now = ckpt.now;
-        st.run_state = ckpt.run_state;
-        st.events_processed = ckpt.events_processed;
-        st.peak_jobs = ckpt.peak_jobs as usize;
-        st.flaps_coalesced = ckpt.flaps_coalesced;
-        st.avail_resched_skipped = ckpt.avail_resched_skipped;
-        st.done = ckpt.finished;
-        Ok(st)
-    }
-
-    /// Run until the first event boundary at or after `at` and capture a
-    /// checkpoint there (fresh working state). If the run finishes before
-    /// `at`, the capture is of the completed run and resuming it just
-    /// finalizes.
-    pub fn checkpoint_at(&self, at: SimTime) -> CheckpointState {
-        self.checkpoint_at_in(at, &mut EmulatorArena::new())
-    }
-
-    /// [`Emulator::checkpoint_at`] inside a reusable [`EmulatorArena`].
-    pub fn checkpoint_at_in(&self, at: SimTime, arena: &mut EmulatorArena) -> CheckpointState {
-        let mut st = self.start_in(arena);
-        while st.now < at && st.step(self) {}
-        let ckpt = st.capture(self);
-        // Finish the run only to hand the working buffers back to the
-        // arena; the result itself is discarded.
-        let _ = st.finalize(self, arena);
-        ckpt
-    }
-
-    /// Resume a checkpointed run to completion (fresh working state). The
-    /// result is bit-identical to the uninterrupted run: restoring
-    /// rebuilds every component through the original construction path
-    /// and overwrites all mutable state, RNG stream positions included.
-    pub fn resume(&self, ckpt: &CheckpointState) -> Result<EmulationResult, CheckpointError> {
-        self.resume_in(ckpt, &mut EmulatorArena::new())
-    }
-
-    /// [`Emulator::resume`] inside a reusable [`EmulatorArena`].
-    pub fn resume_in(
-        &self,
-        ckpt: &CheckpointState,
-        arena: &mut EmulatorArena,
-    ) -> Result<EmulationResult, CheckpointError> {
-        let mut st = self.restore_in(ckpt, arena)?;
-        while st.step(self) {}
-        Ok(st.finalize(self, arena))
     }
 }
 
@@ -631,11 +494,9 @@ impl Emulator {
 /// every component, RNG stream, buffer and counter the loop mutates.
 /// [`Emulator::start_in`] builds one, [`RunState::step`] executes one
 /// queue pop (one full loop iteration), [`RunState::finalize`] produces
-/// the result and returns the reusable buffers to the arena. A checkpoint
-/// is a [`RunState::capture`] between two `step` calls.
+/// the result and returns the reusable buffers to the arena.
 struct RunState {
-    // Constants resolved at construction; not checkpointed — they are
-    // re-derived from the scenario and config on restore.
+    // Constants resolved at construction.
     hw: Hardware,
     end: SimTime,
     on_frac: f64,
@@ -676,11 +537,6 @@ struct RunState {
     /// Availability events whose net run-state delta was zero, so the
     /// reschedule/fetch pass was skipped entirely.
     avail_resched_skipped: u64,
-    /// Set once `step` has returned `false`: the run reached its horizon
-    /// (or drained its queue) and must not be stepped further. Carried
-    /// through checkpoints so resuming a completed capture only
-    /// finalizes.
-    done: bool,
 }
 
 impl RunState {
@@ -688,9 +544,6 @@ impl RunState {
     /// when the run is over — queue drained or the horizon reached — and
     /// must not be called again after that.
     fn step(&mut self, emu: &Emulator) -> bool {
-        if self.done {
-            return false;
-        }
         let scenario = &*emu.scenario;
         let cfg = &*emu.cfg;
         let RunState {
@@ -723,7 +576,6 @@ impl RunState {
             peak_jobs,
             flaps_coalesced,
             avail_resched_skipped,
-            done,
             ..
         } = self;
         let end = *end;
@@ -732,7 +584,6 @@ impl RunState {
             (*sp_advance, *sp_resched, *sp_rpc, *sp_unavail);
 
         let Some((t_ev, event)) = queue.pop() else {
-            *done = true;
             return false;
         };
         *events_processed += 1;
@@ -831,7 +682,6 @@ impl RunState {
         }
 
         if now >= end {
-            *done = true;
             return false;
         }
 
@@ -1114,45 +964,6 @@ impl RunState {
             profile: emu.cfg.profile.then(|| self.prof.report()),
         }
     }
-
-    /// Capture the complete deterministic state of the run at the current
-    /// event boundary, the recorded trace included. The profiler is
-    /// excluded: wall-clock time is not part of the determinism contract.
-    fn capture(&self, emu: &Emulator) -> CheckpointState {
-        let scenario = &*emu.scenario;
-        let (host, user, net) = self.governor.sources();
-        let (queue, queue_next_seq) = self.queue.snapshot();
-        CheckpointState {
-            scenario_name: scenario.name.clone(),
-            seed: scenario.seed,
-            duration: emu.cfg.duration,
-            now: self.now,
-            generation: self.generation,
-            events_processed: self.events_processed,
-            peak_jobs: self.peak_jobs as u64,
-            flaps_coalesced: self.flaps_coalesced,
-            avail_resched_skipped: self.avail_resched_skipped,
-            finished: self.done,
-            run_state: self.run_state,
-            queue,
-            queue_next_seq,
-            avail: [avail_source_state(host), avail_source_state(user), avail_source_state(net)],
-            servers: self.servers.iter().map(|s| (s.id(), s.snapshot())).collect(),
-            client: self.client.snapshot(),
-            rpc_fault_streams: self.rpc_faults.as_ref().map(|inj| inj.streams().to_vec()),
-            crash_rng: self.crash_proc.as_ref().map(|cp| cp.rng().clone()),
-            recoveries: self.recoveries.iter().map(|r| (r.start, r.targets.clone())).collect(),
-            metrics: self.metrics.snapshot(),
-            trace: match &self.trace {
-                TraceSink::Noop => None,
-                TraceSink::Buffer(b) => Some(b.clone()),
-            },
-            timeline: self.timeline.as_ref().map(|tl| {
-                tl.tracks().iter().map(|tr| (tr.instance, tr.segments().to_vec())).collect()
-            }),
-            assignment: self.assignment.iter().map(|(j, v)| (*j, v.clone())).collect(),
-        }
-    }
 }
 
 /// Record a change of the running set. A reschedule that started and
@@ -1165,27 +976,6 @@ fn emit_scheduled(trace: &mut TraceSink, now: SimTime, r: &Reschedule) {
         started: r.started.clone(),
         preempted: r.preempted.clone(),
     });
-}
-
-fn avail_source_state(src: &AvailSource) -> Option<(Rng, bool, SimTime)> {
-    match src {
-        AvailSource::Process(p) => Some(p.snapshot()),
-        AvailSource::Trace(_) => None,
-    }
-}
-
-fn restore_avail_source(
-    src: &mut AvailSource,
-    saved: &Option<(Rng, bool, SimTime)>,
-) -> Result<(), CheckpointError> {
-    match (src, saved) {
-        (AvailSource::Process(p), Some((rng, state, next))) => {
-            *p = OnOffProcess::from_parts(*p.spec(), rng.clone(), *state, *next);
-            Ok(())
-        }
-        (AvailSource::Trace(_), None) => Ok(()),
-        _ => Err(CheckpointError::ConfigMismatch("availability source kind".into())),
-    }
 }
 
 /// Greedy stable instance assignment for the timeline: running jobs keep

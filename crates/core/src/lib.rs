@@ -13,7 +13,6 @@
 //! the paper's message log.
 
 pub mod builder;
-pub mod checkpoint;
 pub mod emulator;
 pub mod metrics;
 pub mod render;
@@ -25,7 +24,6 @@ pub use bce_obs::{
     ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
 pub use builder::ScenarioBuilder;
-pub use checkpoint::{CheckpointError, CheckpointState};
 pub use emulator::{EmulationResult, Emulator, EmulatorArena, EmulatorConfig};
 pub use metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
 pub use render::{render_report, render_timeline};

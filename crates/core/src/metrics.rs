@@ -137,25 +137,6 @@ pub struct ProjectReport {
     pub rpcs: u64,
 }
 
-/// The complete mutable state of a [`MetricsAccum`], captured by a run
-/// checkpoint. Counter values are stored positionally: RPCs issued, RPCs
-/// lost in transit, jobs completed, jobs that missed their deadline, jobs
-/// errored, transfer failures, crashes, recoveries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsAccumSnapshot {
-    pub capacity_secs: f64,
-    pub available_secs: f64,
-    pub used: Vec<(ProjectId, f64)>,
-    pub wasted_flops: f64,
-    pub window_used: Vec<(ProjectId, f64)>,
-    pub window_end: SimTime,
-    pub monotony_sum: f64,
-    pub monotony_windows: u64,
-    pub fault_wasted_flops: f64,
-    pub recovery_secs_sum: f64,
-    pub counters: [u64; 8],
-}
-
 /// Per-project sums indexed by project slot, with a flag for each slot
 /// that has been added to since the last clear. Iterating the present
 /// slots in slot order visits projects in ascending id order, as a
@@ -425,29 +406,6 @@ impl MetricsAccum {
         self.used.values().sum()
     }
 
-    /// `(id, value)` of every present slot, in ascending id order.
-    fn by_id(&self, sums: &SlotSums) -> Vec<(ProjectId, f64)> {
-        sums.iter().map(|(s, v)| (self.ids[s], v)).collect()
-    }
-
-    /// Refill `sums` from `(id, value)` pairs; an id this accumulator
-    /// was not built with is refused.
-    fn fill_by_id(
-        ids: &[ProjectId],
-        sums: &mut SlotSums,
-        pairs: &[(ProjectId, f64)],
-        table: &str,
-    ) -> Result<(), String> {
-        sums.clear();
-        for &(p, v) in pairs {
-            let slot = ids
-                .binary_search(&p)
-                .map_err(|_| format!("metrics {table} name project {p}, not in the scenario"))?;
-            sums.set(slot, v);
-        }
-        Ok(())
-    }
-
     pub fn available_fraction(&self) -> f64 {
         if self.capacity_secs > 0.0 {
             self.available_secs / self.capacity_secs
@@ -500,62 +458,6 @@ impl MetricsAccum {
 
         FiguresOfMerit { idle_fraction, wasted_fraction, share_violation, monotony, rpcs_per_job }
     }
-
-    /// Capture every mutable accumulator field for a checkpoint. The
-    /// construction-time constants (capacity, window length, project
-    /// count) are not captured: a restore target is always built through
-    /// the same scenario and therefore already agrees on them.
-    pub fn snapshot(&self) -> MetricsAccumSnapshot {
-        MetricsAccumSnapshot {
-            capacity_secs: self.capacity_secs,
-            available_secs: self.available_secs,
-            used: self.by_id(&self.used),
-            wasted_flops: self.wasted_flops,
-            window_used: self.by_id(&self.window_used),
-            window_end: self.window_end,
-            monotony_sum: self.monotony_sum,
-            monotony_windows: self.monotony_windows,
-            fault_wasted_flops: self.fault_wasted_flops,
-            recovery_secs_sum: self.recovery_secs_sum,
-            counters: [
-                self.rpcs,
-                self.transient_rpc_failures,
-                self.jobs_completed,
-                self.jobs_missed,
-                self.jobs_errored,
-                self.transfer_failures,
-                self.crashes,
-                self.recoveries,
-            ],
-        }
-    }
-
-    /// Overwrite the mutable state from a snapshot. A snapshot naming a
-    /// project this accumulator was not built with is refused; the state
-    /// is then unspecified.
-    pub fn restore_snapshot(&mut self, snap: &MetricsAccumSnapshot) -> Result<(), String> {
-        Self::fill_by_id(&self.ids, &mut self.used, &snap.used, "used")?;
-        Self::fill_by_id(&self.ids, &mut self.window_used, &snap.window_used, "window_used")?;
-        self.capacity_secs = snap.capacity_secs;
-        self.available_secs = snap.available_secs;
-        self.wasted_flops = snap.wasted_flops;
-        self.window_end = snap.window_end;
-        self.monotony_sum = snap.monotony_sum;
-        self.monotony_windows = snap.monotony_windows;
-        self.fault_wasted_flops = snap.fault_wasted_flops;
-        self.recovery_secs_sum = snap.recovery_secs_sum;
-        [
-            self.rpcs,
-            self.transient_rpc_failures,
-            self.jobs_completed,
-            self.jobs_missed,
-            self.jobs_errored,
-            self.transfer_failures,
-            self.crashes,
-            self.recoveries,
-        ] = snap.counters;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -585,6 +487,17 @@ mod tests {
         assert!((av - 0.5).abs() < 1e-12);
         let f = m.finalize(&[(ProjectId(0), 1.0)]);
         assert!((f.idle_fraction - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn flops_used_by_resolves_ids_listed_out_of_order() {
+        // Listed out of order: id 2 is slot 0, id 9 is slot 1.
+        let ids = [ProjectId(9), ProjectId(2)];
+        let mut m = MetricsAccum::new(10.0, &ids, t(0.0), SimDuration::from_secs(1000.0));
+        m.advance(t(0.0), t(10.0), &[(1, 3.0)], true);
+        assert_eq!(m.flops_used_by(ProjectId(9)), 30.0);
+        assert_eq!(m.flops_used_by(ProjectId(2)), 0.0);
+        assert_eq!(m.flops_used_by(ProjectId(5)), 0.0);
     }
 
     #[test]
@@ -694,25 +607,6 @@ mod tests {
         // Generic wasted fraction only sees the errored job's 200.
         let f = m.finalize(&[(ProjectId(0), 1.0)]);
         assert!((f.wasted_fraction - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_lists_projects_by_id_and_refuses_strangers() {
-        // Listed out of order: id 2 is slot 0, id 9 is slot 1.
-        let ids = [ProjectId(9), ProjectId(2)];
-        let mut m = MetricsAccum::new(10.0, &ids, t(0.0), SimDuration::from_secs(1000.0));
-        m.advance(t(0.0), t(10.0), &[(1, 3.0)], true);
-        let snap = m.snapshot();
-        assert_eq!(snap.used, [(ProjectId(9), 30.0)]);
-        assert_eq!(m.flops_used_by(ProjectId(9)), 30.0);
-        assert_eq!(m.flops_used_by(ProjectId(2)), 0.0);
-
-        let mut r = MetricsAccum::new(10.0, &ids, t(0.0), SimDuration::from_secs(1000.0));
-        r.restore_snapshot(&snap).unwrap();
-        assert_eq!(r.snapshot(), snap);
-        let mut stranger = snap.clone();
-        stranger.window_used.push((ProjectId(5), 1.0));
-        assert!(r.restore_snapshot(&stranger).is_err());
     }
 
     #[test]

@@ -109,21 +109,6 @@ impl RpcFaultInjector {
             .expect("project not registered with RpcFaultInjector");
         rng.uniform()
     }
-
-    /// Per-project stream positions, for checkpointing.
-    pub fn streams(&self) -> &[(ProjectId, Rng)] {
-        &self.streams
-    }
-
-    /// Overwrite every stream position (checkpoint restore). Entries must
-    /// cover exactly the projects the injector was built with.
-    pub fn restore_streams(&mut self, streams: &[(ProjectId, Rng)]) {
-        for (p, rng) in streams {
-            if let Some((_, slot)) = self.streams.iter_mut().find(|(id, _)| id == p) {
-                *slot = rng.clone();
-            }
-        }
-    }
 }
 
 /// Mid-flight transfer failure process, shared by the download and upload
@@ -162,16 +147,6 @@ impl TransferFaultModel {
     pub fn jitter_u(&mut self) -> f64 {
         self.rng.uniform()
     }
-
-    /// The fault stream's current position, for checkpointing.
-    pub fn rng(&self) -> &Rng {
-        &self.rng
-    }
-
-    /// Overwrite the stream position (checkpoint restore).
-    pub fn restore_rng(&mut self, rng: Rng) {
-        self.rng = rng;
-    }
 }
 
 /// Host-crash arrival process: exponential inter-arrival times.
@@ -196,16 +171,6 @@ impl CrashProcess {
         // Guard against a zero draw so crash events always advance time.
         let gap = self.dist.sample(&mut self.rng).max(1e-3);
         now + SimDuration::from_secs(gap)
-    }
-
-    /// The crash stream's current position, for checkpointing.
-    pub fn rng(&self) -> &Rng {
-        &self.rng
-    }
-
-    /// Overwrite the stream position (checkpoint restore).
-    pub fn restore_rng(&mut self, rng: Rng) {
-        self.rng = rng;
     }
 }
 

@@ -122,11 +122,6 @@ impl RetryState {
     pub fn consecutive_failures(&self) -> u32 {
         self.failures
     }
-
-    /// Rebuild a backoff state from its raw parts (checkpoint restore).
-    pub fn from_parts(failures: u32, until: SimTime) -> Self {
-        RetryState { failures, until }
-    }
 }
 
 /// Compatibility wrapper preserving the original `Backoff` API from
@@ -163,16 +158,6 @@ impl Backoff {
     /// Earliest time the next attempt is allowed.
     pub fn until(&self) -> SimTime {
         self.state.until
-    }
-
-    /// The wrapped retry state, for checkpointing.
-    pub fn retry_state(&self) -> RetryState {
-        self.state
-    }
-
-    /// Rebuild from a captured [`RetryState`] (checkpoint restore).
-    pub fn from_state(state: RetryState) -> Self {
-        Backoff { state }
     }
 }
 

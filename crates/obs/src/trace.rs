@@ -253,23 +253,6 @@ impl TraceBuffer {
         TraceBuffer { records, capacity, dropped: 0, next_seq: 0 }
     }
 
-    /// A buffer holding a recorded history, as a checkpoint captured it
-    /// ([`TraceBuffer::records`], [`TraceBuffer::dropped`],
-    /// [`TraceBuffer::emitted`]); recording resumes at seq `next_seq`.
-    pub fn restore(
-        capacity: usize,
-        records: Vec<TraceRecord>,
-        dropped: u64,
-        next_seq: u64,
-    ) -> Self {
-        TraceBuffer { records, capacity, dropped, next_seq }
-    }
-
-    /// Maximum number of records kept.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Recorded events in emission order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
@@ -515,20 +498,5 @@ mod tests {
             let r = TraceRecord { seq: 0, t: SimTime::from_secs(3600.0), event };
             assert_eq!(r.to_string(), line);
         }
-    }
-
-    #[test]
-    fn restore_resumes_seq_and_drop_count() {
-        let mut b = TraceBuffer::new(2);
-        for i in 0..3 {
-            b.record(SimTime::from_secs(0.0), ev(i));
-        }
-        let mut r =
-            TraceBuffer::restore(b.capacity(), b.records().to_vec(), b.dropped(), b.emitted());
-        assert_eq!(r, b);
-        r.record(SimTime::from_secs(1.0), ev(3));
-        b.record(SimTime::from_secs(1.0), ev(3));
-        assert_eq!(r, b);
-        assert_eq!((r.dropped(), r.emitted()), (2, 4));
     }
 }

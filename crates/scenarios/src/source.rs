@@ -177,12 +177,29 @@ pub fn load_scenario_text(text: &str, path: &Path) -> Result<LoadedScenario, Sou
 mod tests {
     use super::*;
 
-    fn tmp(name: &str, contents: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("bce-source-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-{name}", std::process::id()));
-        std::fs::write(&path, contents).unwrap();
-        path
+    /// A directory of one test's own, `bce-source-<test>-<pid>` in the
+    /// temp directory, removed when the test ends (pass or panic).
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("bce-source-{test}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+
+        fn file(&self, name: &str, contents: &str) -> PathBuf {
+            let path = self.0.join(name);
+            std::fs::write(&path, contents).unwrap();
+            path
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -203,7 +220,8 @@ mod tests {
     fn json_spec_files_load_with_fault_overlay() {
         let spec = ScenarioSpec::from_scenario(&scenario3())
             .with_faults(FaultConfig::with_failure_rate(0.1));
-        let path = tmp("s3.json", &spec.to_canonical_json());
+        let dir = TmpDir::new("fault-overlay");
+        let path = dir.file("s3.json", &spec.to_canonical_json());
         let loaded = ScenarioSource::parse(path.to_str().unwrap()).load().unwrap();
         assert_eq!(loaded.scenario.name, "scenario3");
         assert_eq!(loaded.faults, Some(FaultConfig::with_failure_rate(0.1)));
@@ -213,7 +231,8 @@ mod tests {
     #[test]
     fn xml_state_files_still_load() {
         let xml = crate::doc_from_scenario(&scenario2()).render();
-        let path = tmp("s2.xml", &xml);
+        let dir = TmpDir::new("xml-state");
+        let path = dir.file("s2.xml", &xml);
         let loaded = ScenarioSource::parse(path.to_str().unwrap()).load().unwrap();
         assert_eq!(loaded.scenario.projects, scenario2().projects);
         assert!(loaded.faults.is_none());
@@ -225,17 +244,18 @@ mod tests {
             ScenarioSource::parse("/nonexistent/никогда.json").load().unwrap_err(),
             SourceError::Io { .. }
         ));
-        let path = tmp("garbage.txt", "plain text");
+        let dir = TmpDir::new("error-paths");
+        let path = dir.file("garbage.txt", "plain text");
         assert!(matches!(
             ScenarioSource::parse(path.to_str().unwrap()).load().unwrap_err(),
             SourceError::Unrecognized { .. }
         ));
-        let path = tmp("bad.json", "{\"format\": \"bce-scenario\"");
+        let path = dir.file("bad.json", "{\"format\": \"bce-scenario\"");
         assert!(matches!(
             ScenarioSource::parse(path.to_str().unwrap()).load().unwrap_err(),
             SourceError::Spec { error: SpecError::Json(_), .. }
         ));
-        let path = tmp("badxml.xml", "<client_state");
+        let path = dir.file("badxml.xml", "<client_state");
         assert!(matches!(
             ScenarioSource::parse(path.to_str().unwrap()).load().unwrap_err(),
             SourceError::StateFile { .. }
@@ -246,7 +266,8 @@ mod tests {
     fn invalid_spec_scenarios_fail_validation_at_load() {
         let mut s = scenario3();
         s.projects.clear();
-        let path = tmp("empty.json", &ScenarioSpec::from_scenario(&s).to_canonical_json());
+        let dir = TmpDir::new("invalid-spec");
+        let path = dir.file("empty.json", &ScenarioSpec::from_scenario(&s).to_canonical_json());
         let err = ScenarioSource::parse(path.to_str().unwrap()).load().unwrap_err();
         assert!(
             matches!(&err, SourceError::Spec { error: SpecError::Validation(_), .. }),

@@ -61,17 +61,6 @@ impl JobFactory {
         }
     }
 
-    /// Raw generator state `(next_seq, rng)`, for checkpointing.
-    pub fn snapshot(&self) -> (u64, Rng) {
-        (self.next_seq, self.rng.clone())
-    }
-
-    /// Overwrite the generator state (checkpoint restore).
-    pub fn restore_parts(&mut self, next_seq: u64, rng: Rng) {
-        self.next_seq = next_seq;
-        self.rng = rng;
-    }
-
     /// Pick an app class by weight among those matching a predicate.
     /// Returns the index into `apps`.
     pub fn pick_app(

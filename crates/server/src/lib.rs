@@ -12,4 +12,4 @@ pub mod server;
 
 pub use factory::JobFactory;
 pub use rpc::{RpcOutcome, SchedulerReply, SchedulerRequest, TypeRequest};
-pub use server::{DeadlineCheckPolicy, ProjectServer, ServerConfig, ServerSnapshot, ServerStats};
+pub use server::{DeadlineCheckPolicy, ProjectServer, ServerConfig, ServerStats};

@@ -348,58 +348,6 @@ impl ProjectServer {
     pub fn in_progress_count(&self) -> usize {
         self.in_progress.len()
     }
-
-    /// Capture the server's complete mutable state, for checkpointing.
-    pub fn snapshot(&self) -> ServerSnapshot {
-        let (factory_next_seq, factory_rng) = self.factory.snapshot();
-        ServerSnapshot {
-            factory_next_seq,
-            factory_rng,
-            uptime: self.uptime.as_ref().map(|p| p.snapshot()),
-            supply: self.supply.as_ref().map(|p| p.snapshot()),
-            app_supply: self.app_supply.iter().map(|(id, p)| (*id, p.snapshot())).collect(),
-            batch_remaining: self.batch_remaining,
-            in_progress: self.in_progress.iter().map(|(&id, &dl)| (id, dl)).collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrite the mutable state of a freshly constructed server with a
-    /// captured snapshot. The server must have been built from the same
-    /// `ProjectSpec`/`ServerConfig` (so the process specs match); every RNG
-    /// position and counter is replaced wholesale.
-    pub fn restore_snapshot(&mut self, snap: &ServerSnapshot) {
-        self.factory.restore_parts(snap.factory_next_seq, snap.factory_rng.clone());
-        if let (Some(p), Some((rng, state, next))) = (self.uptime.as_mut(), snap.uptime.as_ref()) {
-            *p = OnOffProcess::from_parts(*p.spec(), rng.clone(), *state, *next);
-        }
-        if let (Some(p), Some((rng, state, next))) = (self.supply.as_mut(), snap.supply.as_ref()) {
-            *p = OnOffProcess::from_parts(*p.spec(), rng.clone(), *state, *next);
-        }
-        for (id, (rng, state, next)) in &snap.app_supply {
-            if let Some((_, p)) = self.app_supply.iter_mut().find(|(a, _)| a == id) {
-                *p = OnOffProcess::from_parts(*p.spec(), rng.clone(), *state, *next);
-            }
-        }
-        self.batch_remaining = snap.batch_remaining;
-        self.in_progress = snap.in_progress.iter().copied().collect();
-        self.stats = snap.stats;
-    }
-}
-
-/// Complete mutable state of one [`ProjectServer`], as captured by
-/// [`ProjectServer::snapshot`]. On/off processes are `(rng, state,
-/// next_transition)` triples.
-#[derive(Debug, Clone)]
-pub struct ServerSnapshot {
-    pub factory_next_seq: u64,
-    pub factory_rng: Rng,
-    pub uptime: Option<(Rng, bool, SimTime)>,
-    pub supply: Option<(Rng, bool, SimTime)>,
-    pub app_supply: Vec<(AppId, (Rng, bool, SimTime))>,
-    pub batch_remaining: Option<u64>,
-    pub in_progress: Vec<(JobId, SimTime)>,
-    pub stats: ServerStats,
 }
 
 #[cfg(test)]

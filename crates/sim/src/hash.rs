@@ -1,8 +1,7 @@
 //! FNV-1a (64-bit), the one hash behind every determinism fingerprint:
-//! emulation results, campaign identities, rendered tables and
-//! checkpoint file names. Stored fingerprints (campaign checkpoints, the
-//! golden corpus) depend on its exact output, so the constants and byte
-//! order here are frozen.
+//! emulation results, campaign identities and rendered tables. Stored
+//! fingerprints (campaign checkpoints, the golden corpus) depend on its
+//! exact output, so the constants and byte order here are frozen.
 
 /// Incremental FNV-1a hasher. Integers and floats are fed as their
 /// little-endian bytes (floats by bit pattern), so equal values hash

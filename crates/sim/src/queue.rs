@@ -90,36 +90,6 @@ impl<E> EventQueue<E> {
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
     }
-
-    /// The next tie-break sequence number that [`EventQueue::push`] would
-    /// assign (part of the queue's deterministic state).
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-impl<E: Clone> EventQueue<E> {
-    /// Snapshot every pending entry as `(time, seq, payload)`, sorted by
-    /// `(time, seq)` — i.e. in pop order — plus the next sequence number.
-    /// Restoring this snapshot reproduces pops (including FIFO tie-breaks
-    /// among equal times) bit-identically.
-    pub fn snapshot(&self) -> (Vec<(SimTime, u64, E)>, u64) {
-        let mut entries: Vec<(SimTime, u64, E)> =
-            self.heap.iter().map(|e| (e.time, e.seq, e.payload.clone())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        (entries, self.seq)
-    }
-
-    /// Rebuild the queue from a [`EventQueue::snapshot`]: every entry keeps
-    /// its original tie-break sequence number, and future pushes continue
-    /// from `next_seq`.
-    pub fn restore(&mut self, entries: &[(SimTime, u64, E)], next_seq: u64) {
-        self.heap.clear();
-        for (time, seq, payload) in entries {
-            self.heap.push(Entry { time: *time, seq: *seq, payload: payload.clone() });
-        }
-        self.seq = next_seq;
-    }
 }
 
 impl<E> Default for EventQueue<E> {

@@ -75,22 +75,10 @@ impl Rng {
         Rng::from_seed(salt ^ fnv1a(name.as_bytes()))
     }
 
-    /// The raw xoshiro256++ state, for checkpointing a stream position.
+    /// The raw xoshiro256++ state: two generators with equal states draw
+    /// equal streams.
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuild a generator at an exact stream position previously captured
-    /// with [`Rng::state`]. The all-zero state (degenerate for xoshiro) is
-    /// unreachable from any constructor here, so a captured state is always
-    /// valid; it is still mapped to the same fallback `from_seed` uses,
-    /// defensively, so a hand-forged zero state cannot wedge the generator.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        if s == [0, 0, 0, 0] {
-            Rng { s: [1, 2, 3, 4] }
-        } else {
-            Rng { s }
-        }
     }
 
     #[inline]

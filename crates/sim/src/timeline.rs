@@ -60,12 +60,6 @@ impl InstanceTrack {
         &self.segments
     }
 
-    /// Replace this track's history wholesale (checkpoint restore).
-    pub fn restore_segments(&mut self, segments: impl IntoIterator<Item = Segment>) {
-        self.segments.clear();
-        self.segments.extend(segments);
-    }
-
     /// Occupancy at time `t` (None before the first / after the last record).
     pub fn occupancy_at(&self, t: SimTime) -> Option<Occupancy> {
         let idx = self.segments.partition_point(|s| s.end <= t);

@@ -1,7 +1,7 @@
 //! Shared helpers for BCE's versioned XML state formats.
 //!
-//! Both the client-state document ([`crate::doc`]) and the emulator's
-//! run-checkpoint format (`bce-core`) are XML documents built on the
+//! Both the client-state document ([`crate::doc`]) and the campaign
+//! checkpoint format (`bce-controller`) are XML documents built on the
 //! subset parser in [`crate::xml`]. This module factors out what every
 //! such format needs:
 //!
@@ -123,11 +123,6 @@ pub fn attr_parse<T: std::str::FromStr>(n: &XmlNode, name: &str) -> Result<T, Co
     })
 }
 
-/// Required attribute holding an [`fmt_f64_bits`] value.
-pub fn attr_f64_bits(n: &XmlNode, name: &str) -> Result<f64, CodecError> {
-    parse_f64_bits(req_attr(n, name)?)
-}
-
 /// Required child element.
 pub fn req_child<'a>(n: &'a XmlNode, name: &str) -> Result<&'a XmlNode, CodecError> {
     n.child(name).ok_or_else(|| CodecError::Field(format!("<{}> missing child <{name}>", n.name)))
@@ -200,7 +195,6 @@ mod tests {
         assert!(req_attr(&n, "a").is_err());
         assert!(req_child(&n, "c").is_err());
         assert!(attr_parse::<u64>(&n, "a").is_err());
-        assert!(attr_f64_bits(&n, "a").is_err());
     }
 
     proptest! {

@@ -14,8 +14,8 @@ pub mod store;
 pub mod xml;
 
 pub use codec::{
-    attr_f64_bits, attr_parse, envelope, fmt_f64_bits, fmt_u64_hex, open_envelope, parse_f64_bits,
-    parse_u64_hex, req_attr, req_child, CodecError,
+    attr_parse, envelope, fmt_f64_bits, fmt_u64_hex, open_envelope, parse_f64_bits, parse_u64_hex,
+    req_attr, req_child, CodecError,
 };
 pub use doc::{ClientStateDoc, StateFileError};
 pub use frame::{crc64, FrameError, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};

@@ -1,13 +1,10 @@
 //! Checkpoint and memory-residence semantics end-to-end (§2.3, §3.3):
 //! rollback waste must respond to checkpoint frequency and the
-//! leave-apps-in-memory preference exactly as the model says. Also: a
-//! run checkpoint holds live work only, so its size does not grow with
-//! the emulated horizon.
+//! leave-apps-in-memory preference exactly as the model says.
 
 use boinc_policy_emu::client::{ClientConfig, JobSchedPolicy};
 use boinc_policy_emu::core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder};
-use boinc_policy_emu::scenarios::scenario2;
-use boinc_policy_emu::types::{AppClass, Hardware, Preferences, ProjectSpec, SimDuration, SimTime};
+use boinc_policy_emu::types::{AppClass, Hardware, Preferences, ProjectSpec, SimDuration};
 
 /// A preemption-heavy scenario: tight-deadline jobs keep displacing a
 /// long-running job, forcing rollbacks when it is not kept in memory.
@@ -107,21 +104,5 @@ fn uncheckpointed_running_job_keeps_the_cpu() {
         "protected {} vs preemptible {}",
         protected.jobs_missed_deadline,
         preemptible.jobs_missed_deadline
-    );
-}
-
-#[test]
-fn run_checkpoint_size_does_not_grow_with_the_horizon() {
-    // Retired tasks and missed-deadline ids are not run state: a
-    // checkpoint taken after nine days of reported work must be about
-    // the size of one taken after the first day.
-    let cfg = EmulatorConfig { duration: SimDuration::from_days(10.0), ..Default::default() };
-    let emu = Emulator::new(scenario2(), ClientConfig::default(), cfg);
-    let bytes_at =
-        |days: f64| emu.checkpoint_at(SimTime::from_secs(days * 86_400.0)).to_xml_string().len();
-    let (day1, day9) = (bytes_at(1.0), bytes_at(9.0));
-    assert!(
-        day9 <= 2 * day1,
-        "checkpoint grew with the horizon: {day1} B at day 1, {day9} B at day 9"
     );
 }
