@@ -93,6 +93,86 @@ fn bench_scratch_vs_alloc(c: &mut Criterion) {
     g.finish();
 }
 
+/// `njobs` jobs of one project on one processor type: `(project,
+/// proc_type, njobs)`.
+type Block = (u32, ProcType, usize);
+
+/// Jobs laid out in blocks, interleaved round-robin across blocks the way
+/// successive RPCs fill a queue.
+fn shape_jobs(blocks: &[Block], rng: &mut Rng) -> Vec<RrJob> {
+    let mut left: Vec<usize> = blocks.iter().map(|b| b.2).collect();
+    let mut jobs = Vec::new();
+    while left.iter().any(|&n| n > 0) {
+        for (b, &(project, proc_type, _)) in blocks.iter().enumerate() {
+            if left[b] == 0 {
+                continue;
+            }
+            left[b] -= 1;
+            jobs.push(RrJob {
+                id: JobId(jobs.len() as u64),
+                project: ProjectId(project),
+                proc_type,
+                instances: 1.0,
+                remaining: SimDuration::from_secs(rng.range(100.0, 20_000.0)),
+                deadline: SimTime::from_secs(rng.range(5_000.0, 400_000.0)),
+            });
+        }
+    }
+    jobs
+}
+
+/// Per-shape kernel cost: `simulate_into` with a reused scratch on the
+/// three queue shapes the emulator meets. Scenarios 1–3 queue ~3 jobs
+/// over 1–2 projects (fixed per-call set-up dominates); scenario 4 spreads
+/// 1–3 jobs over each of 20 projects (many small groups); population hosts
+/// sampled from `boinc2019` hold a few (type, project) groups of tens of
+/// jobs each (per-step work over long groups dominates).
+fn bench_shape(c: &mut Criterion) {
+    use ProcType::{Cpu, NvidiaGpu};
+    let mut g = c.benchmark_group("rr_sim_shape");
+    let scen4: Vec<Block> = (0..20u32)
+        .flat_map(|p| {
+            let cpu = (p, Cpu, 1 + p as usize % 3);
+            let gpu = (p % 4 == 0).then_some((p, NvidiaGpu, 1));
+            std::iter::once(cpu).chain(gpu)
+        })
+        .collect();
+    let shapes: [(&str, f64, f64, usize, Vec<Block>); 3] = [
+        ("scen1_3", 1.0, 0.0, 2, vec![(0, Cpu, 2), (1, Cpu, 1)]),
+        ("scen4", 4.0, 1.0, 20, scen4),
+        (
+            "population",
+            8.0,
+            1.0,
+            4,
+            vec![(0, Cpu, 40), (1, Cpu, 25), (2, Cpu, 10), (3, Cpu, 18), (1, NvidiaGpu, 12)],
+        ),
+    ];
+    for (name, ncpus, ngpus, nprojects, blocks) in shapes {
+        let mut rng = Rng::from_seed(31);
+        let jobs = shape_jobs(&blocks, &mut rng);
+        let mut ninstances = ProcMap::zero();
+        ninstances[ProcType::Cpu] = ncpus;
+        ninstances[ProcType::NvidiaGpu] = ngpus;
+        let platform = RrPlatform {
+            now: SimTime::ZERO,
+            ninstances,
+            on_frac: 0.9,
+            shares: (0..nprojects).map(|p| (ProjectId(p as u32), 1.0 + (p % 3) as f64)).collect(),
+        };
+        let window = SimDuration::from_secs(1800.0);
+        let mut scratch = RrScratch::new();
+        let mut out = RrOutcome::default();
+        g.bench_function(BenchmarkId::new("simulate_into", name), |b| {
+            b.iter(|| {
+                rr_simulate_into(&platform, black_box(&jobs), window, &mut scratch, &mut out);
+                black_box(out.finish.len())
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_client(njobs: usize) -> Client {
     let nprojects = (njobs / 8).clamp(2, 40) as u32;
     let mut c = Client::new(
@@ -371,6 +451,7 @@ criterion_group!(
     benches,
     bench_rr,
     bench_scratch_vs_alloc,
+    bench_shape,
     bench_cached_vs_uncached,
     bench_incremental_refresh,
     bench_per_decision

@@ -22,6 +22,14 @@
 //! straightforward implementation, which `tests/rr_differential.rs` keeps
 //! as its private oracle: every floating-point accumulation happens in
 //! exactly the same order, so results match down to the last ulp.
+//!
+//! The kernel steps per `(proc_type, project)` group rather than per job.
+//! All alive jobs of a group run at one rate, so each subtracts the same
+//! `rate × dt` and the order of their remaining work never changes; and
+//! division by a common positive rate is monotone, so a group's next
+//! completion is its least-remaining job's. A step therefore costs one
+//! division per group and one branch-free subtract per job, and only a
+//! group whose least job finishes is scanned for finishers.
 
 use bce_types::{JobId, ProcMap, ProcType, ProjectId, SimDuration, SimTime};
 
@@ -95,53 +103,59 @@ impl RrOutcome {
 }
 
 /// A `(proc_type, project)` job group; built once per simulation call.
+/// Its alive jobs occupy slots `start..start + len` of the scratch's
+/// group-major arrays, in ascending job order.
 #[derive(Debug, Clone, Copy)]
 struct Group {
     project: ProjectId,
+    proc_type: ProcType,
     /// The project's resource share (resolved once, not per step).
     share: f64,
+    start: u32,
+    len: u32,
+    /// The rate every alive job of the group runs at (`frac × on_frac`);
+    /// 0 until the group's type is allocated, and again once it is empty.
+    rate: f64,
+    /// Instance demand of the alive jobs, summed in job order; re-summed
+    /// only when the group loses a job.
+    demand: f64,
+    /// Slot of the group's least-remaining alive job.
+    min: u32,
 }
+
+/// `job_group` entry of a job with no remaining work.
+const NO_GROUP: u32 = u32::MAX;
 
 /// Reusable workspace for [`simulate_into`]. All vectors retain their
 /// capacity across calls, so repeated simulations over similarly-sized
 /// workloads perform zero heap allocations.
 #[derive(Debug, Default)]
 pub struct RrScratch {
-    // Per-job state.
-    remaining: Vec<f64>,
-    done: Vec<bool>,
-    rates: Vec<f64>,
-    /// Unfinished job indices, ascending. The event loop's per-step scans
-    /// (next completion, work advance) walk this instead of every job;
-    /// ascending order keeps completion discovery — and therefore the
-    /// `finish`/`missed` output order — identical to the full scan.
-    alive_idx: Vec<u32>,
-    /// Group index of each job.
-    job_group: Vec<u32>,
-    // Per-group index, built once per call.
     groups: Vec<Group>,
     /// Group ids per processor type, in order of first appearance.
     pt_groups: [Vec<u32>; ProcType::COUNT],
-    /// Job indices, counting-sorted by group (original order within each
-    /// group).
-    group_jobs: Vec<u32>,
-    /// Start offset of each group's slice in `group_jobs` (len = groups+1).
-    group_start: Vec<u32>,
-    /// First possibly-alive offset within each group's slice. Monotonic:
-    /// only ever advances past finished jobs.
-    group_cursor: Vec<u32>,
+    /// Group of each job, [`NO_GROUP`] for a job that starts finished.
+    job_group: Vec<u32>,
+    // Group-major slots: each group's alive jobs, compacted in place as
+    // they finish, so a group's remaining work is one contiguous run.
+    /// Job index per slot.
+    slot_job: Vec<u32>,
+    /// Remaining dedicated-execution seconds per slot.
+    slot_rem: Vec<f64>,
+    /// Instances the slot's job occupies.
+    slot_inst: Vec<f64>,
     // Per-step state.
-    /// Active groups of the current type, ordered by first unfinished job
-    /// index — the same order the reference implementation discovers
+    /// Alive groups of the type being allocated, ordered by first alive
+    /// job index — the same order the reference implementation discovers
     /// projects in, which fixes the floating-point summation order.
     order: Vec<u32>,
-    /// Instance demand per group in `order` (parallel to `order`).
-    demand: Vec<f64>,
     /// Allocated instances per group in `order`.
     alloc: Vec<f64>,
     /// Positions into `order` still competing for instances.
     active: Vec<u32>,
     next_active: Vec<u32>,
+    /// Job indices that finished in the current step.
+    finished: Vec<u32>,
 }
 
 impl RrScratch {
@@ -149,25 +163,15 @@ impl RrScratch {
         Self::default()
     }
 
-    fn reset(&mut self, njobs: usize) {
-        self.remaining.clear();
-        self.done.clear();
-        self.rates.clear();
-        self.rates.resize(njobs, 0.0);
-        self.alive_idx.clear();
-        self.job_group.clear();
+    fn reset(&mut self) {
         self.groups.clear();
         for list in &mut self.pt_groups {
             list.clear();
         }
-        self.group_jobs.clear();
-        self.group_start.clear();
-        self.group_cursor.clear();
-        self.order.clear();
-        self.demand.clear();
-        self.alloc.clear();
-        self.active.clear();
-        self.next_active.clear();
+        self.job_group.clear();
+        self.slot_job.clear();
+        self.slot_rem.clear();
+        self.slot_inst.clear();
     }
 }
 
@@ -210,8 +214,8 @@ pub fn simulate(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDuration) 
 /// workload shape as a previous call) this performs zero heap allocations.
 ///
 /// Bit-identical to the oracle in `tests/rr_differential.rs`: the
-/// job-group index only changes *how* each floating-point sum is located,
-/// never the order its terms are added in.
+/// group-major layout only changes *where* each floating-point operand is
+/// found, never an operand or the order a sum's terms are added in.
 pub fn simulate_into(
     platform: &RrPlatform,
     jobs: &[RrJob],
@@ -220,56 +224,70 @@ pub fn simulate_into(
     out: &mut RrOutcome,
 ) {
     let s = scratch;
-    s.reset(jobs.len());
+    s.reset();
     out.missed.clear();
     out.finish.clear();
     out.sat = ProcMap::from_fn(|_| SimDuration::ZERO);
     out.shortfall = ProcMap::zero();
     out.busy_now = ProcMap::zero();
 
-    // Build the (proc_type, project) group index: group ids in order of
-    // first appearance, per-type group lists, and jobs counting-sorted by
-    // group while preserving original job order within each group.
-    let mut alive = 0usize;
-    for (i, j) in jobs.iter().enumerate() {
-        let r = j.remaining.secs().max(0.0);
-        s.remaining.push(r);
-        let done = r <= 0.0;
-        s.done.push(done);
-        if !done {
-            alive += 1;
-            s.alive_idx.push(i as u32);
+    // Build the (proc_type, project) group index over jobs with work
+    // left: group ids in order of first appearance, per-type group lists,
+    // and each group's size.
+    for j in jobs {
+        if j.remaining.secs().max(0.0) <= 0.0 {
+            s.job_group.push(NO_GROUP);
+            continue;
         }
         let pt_list = &mut s.pt_groups[j.proc_type.index()];
         let gid = match pt_list.iter().find(|&&g| s.groups[g as usize].project == j.project) {
             Some(&g) => g,
             None => {
                 let g = s.groups.len() as u32;
-                s.groups.push(Group { project: j.project, share: platform.share_of(j.project) });
+                s.groups.push(Group {
+                    project: j.project,
+                    proc_type: j.proc_type,
+                    share: platform.share_of(j.project),
+                    start: 0,
+                    len: 0,
+                    rate: 0.0,
+                    demand: 0.0,
+                    min: 0,
+                });
                 pt_list.push(g);
                 g
             }
         };
+        s.groups[gid as usize].len += 1;
         s.job_group.push(gid);
     }
-    let ngroups = s.groups.len();
-    s.group_start.resize(ngroups + 1, 0);
-    for &g in &s.job_group {
-        s.group_start[g as usize + 1] += 1;
+    let mut alive = 0u32;
+    for g in &mut s.groups {
+        g.start = alive;
+        alive += g.len;
+        g.len = 0;
     }
-    for g in 0..ngroups {
-        s.group_start[g + 1] += s.group_start[g];
+    // Counting-sort the jobs into their group's slots. Each group fills in
+    // job order, so its demand is summed in the reference's order.
+    s.slot_job.resize(alive as usize, 0);
+    s.slot_rem.resize(alive as usize, 0.0);
+    s.slot_inst.resize(alive as usize, 0.0);
+    for (i, &gid) in s.job_group.iter().enumerate() {
+        if gid == NO_GROUP {
+            continue;
+        }
+        let g = &mut s.groups[gid as usize];
+        let k = (g.start + g.len) as usize;
+        let rem = jobs[i].remaining.secs();
+        s.slot_job[k] = i as u32;
+        s.slot_rem[k] = rem;
+        s.slot_inst[k] = jobs[i].instances;
+        g.demand += jobs[i].instances.max(1e-9);
+        if g.len == 0 || rem < s.slot_rem[g.min as usize] {
+            g.min = k as u32;
+        }
+        g.len += 1;
     }
-    s.group_cursor.resize(ngroups, 0);
-    s.group_jobs.resize(jobs.len(), 0);
-    // Fill group slices using the cursor vector as a temporary fill pointer,
-    // then zero it back for its real role (skipping finished jobs).
-    for (i, &g) in s.job_group.iter().enumerate() {
-        let slot = s.group_start[g as usize] + s.group_cursor[g as usize];
-        s.group_jobs[slot as usize] = i as u32;
-        s.group_cursor[g as usize] += 1;
-    }
-    s.group_cursor.fill(0);
 
     let on_frac = platform.on_frac.clamp(1e-6, 1.0);
     let horizon = buf_window.secs().max(0.0);
@@ -277,8 +295,8 @@ pub fn simulate_into(
     let mut t = 0.0f64; // offset from now
     let mut first_step = true;
 
-    // Per-type step cache: a type's allocation (and therefore every job
-    // rate and the busy total) only changes when one of *its* jobs
+    // Per-type step cache: a type's allocation (and therefore its group
+    // rates and busy total) only changes when one of *its* jobs
     // completes, so between completions the previous step's values are
     // reused verbatim. Reusing a value is trivially bit-identical to
     // recomputing it from unchanged inputs.
@@ -287,53 +305,22 @@ pub fn simulate_into(
 
     loop {
         // Per-type, per-project allocation under weighted round robin.
-        // rate[i] = fraction of dedicated speed job i runs at.
+        // A group's rate is the fraction of dedicated speed each of its
+        // jobs runs at.
         for pt in ProcType::ALL {
             let ninst = platform.ninstances[pt];
-            if ninst <= 0.0 {
-                continue;
-            }
-            if !type_dirty[pt.index()] {
+            if ninst <= 0.0 || !type_dirty[pt.index()] {
                 continue;
             }
             type_dirty[pt.index()] = false;
-            // Every alive job of this type gets its rate reassigned below
-            // (all alive groups enter `order`); finished jobs' stale rates
-            // are never read thanks to the `done` guards.
             busy[pt] = 0.0;
-            // Groups of this type with unfinished jobs, ordered by first
-            // unfinished job index (the discovery order of the reference
-            // scan), with their total instance demand summed in job order.
             s.order.clear();
-            for gi in 0..s.pt_groups[pt.index()].len() {
-                let g = s.pt_groups[pt.index()][gi];
-                let (start, end) = (s.group_start[g as usize], s.group_start[g as usize + 1]);
-                let mut cur = s.group_cursor[g as usize];
-                while start + cur < end && s.done[s.group_jobs[(start + cur) as usize] as usize] {
-                    cur += 1;
-                }
-                s.group_cursor[g as usize] = cur;
-                if start + cur < end {
-                    s.order.push(g);
-                }
-            }
-            s.order.sort_unstable_by_key(|&g| {
-                s.group_jobs[(s.group_start[g as usize] + s.group_cursor[g as usize]) as usize]
-            });
+            s.order.extend(
+                s.pt_groups[pt.index()].iter().copied().filter(|&g| s.groups[g as usize].len > 0),
+            );
+            s.order.sort_unstable_by_key(|&g| s.slot_job[s.groups[g as usize].start as usize]);
             if s.order.is_empty() {
                 continue;
-            }
-            s.demand.clear();
-            for &g in &s.order {
-                let (start, end) = (s.group_start[g as usize], s.group_start[g as usize + 1]);
-                let mut demand = 0.0;
-                for &i in &s.group_jobs[(start + s.group_cursor[g as usize]) as usize..end as usize]
-                {
-                    if !s.done[i as usize] {
-                        demand += jobs[i as usize].instances.max(1e-9);
-                    }
-                }
-                s.demand.push(demand);
             }
             // Share-weighted instance allocation with redistribution of
             // surplus from projects whose demand is below their share.
@@ -351,8 +338,9 @@ pub fn simulate_into(
                 s.next_active.clear();
                 let mut used = 0.0;
                 for &k in &s.active {
-                    let fair = capacity * s.groups[s.order[k as usize] as usize].share / wsum;
-                    let need = s.demand[k as usize] - s.alloc[k as usize];
+                    let g = &s.groups[s.order[k as usize] as usize];
+                    let fair = capacity * g.share / wsum;
+                    let need = g.demand - s.alloc[k as usize];
                     if need <= fair + 1e-12 {
                         s.alloc[k as usize] += need.max(0.0);
                         used += need.max(0.0);
@@ -368,17 +356,18 @@ pub fn simulate_into(
                 }
                 std::mem::swap(&mut s.active, &mut s.next_active);
             }
-            // Distribute each group's allocation over its jobs
-            // (proportional to per-job demand).
-            for k in 0..s.order.len() {
-                let g = s.order[k] as usize;
-                let frac = (s.alloc[k] / s.demand[k]).min(1.0);
-                let (start, end) = (s.group_start[g], s.group_start[g + 1]);
-                for &i in &s.group_jobs[(start + s.group_cursor[g]) as usize..end as usize] {
-                    let i = i as usize;
-                    if !s.done[i] {
-                        s.rates[i] = frac * on_frac;
-                        busy[pt] += frac * jobs[i].instances;
+            // Each group's allocation is spread over its jobs in proportion
+            // to their demand. The busy total is read only while `sat` is
+            // open or the step starts inside the buffer window; `t` never
+            // decreases, so once both fail it is never read again.
+            let need_busy = sat_open[pt] || t < horizon;
+            for (k, &g) in s.order.iter().enumerate() {
+                let g = &mut s.groups[g as usize];
+                let frac = (s.alloc[k] / g.demand).min(1.0);
+                g.rate = frac * on_frac;
+                if need_busy {
+                    for &inst in &s.slot_inst[g.start as usize..(g.start + g.len) as usize] {
+                        busy[pt] += frac * inst;
                     }
                 }
             }
@@ -389,14 +378,13 @@ pub fn simulate_into(
             first_step = false;
         }
 
-        // Next completion event. Only unfinished jobs are scanned; the
-        // division sequence is the one the reference performs on the
-        // same operands (done jobs contribute nothing to the min).
+        // Next completion event. Every job of a group runs at the group's
+        // rate, and division by a common positive rate is monotone, so the
+        // group's earliest completion is its least-remaining job's.
         let mut dt = f64::INFINITY;
-        for &i in &s.alive_idx {
-            let i = i as usize;
-            if s.rates[i] > 0.0 {
-                dt = dt.min(s.remaining[i] / s.rates[i]);
+        for g in &s.groups {
+            if g.rate > 0.0 {
+                dt = dt.min(s.slot_rem[g.min as usize] / g.rate);
             }
         }
 
@@ -435,37 +423,67 @@ pub fn simulate_into(
             break;
         }
 
-        // Advance to the event, compacting completed jobs out of the
-        // alive list in place (ascending order is preserved, so
-        // same-step completions are discovered in job order exactly as
-        // the reference's full scan does).
+        // Advance to the event. Every job of a group subtracts the same
+        // `rate × dt`, which keeps the group's order of remaining work, so
+        // only a group whose least-remaining job is done holds finishers.
+        // Such a group is compacted in place, its demand re-summed in job
+        // order and its minimum found again.
         t += dt;
-        let mut w = 0usize;
-        for r in 0..s.alive_idx.len() {
-            let iu = s.alive_idx[r];
-            let i = iu as usize;
-            if s.rates[i] <= 0.0 {
-                s.alive_idx[w] = iu;
-                w += 1;
+        s.finished.clear();
+        let mut finishing_groups = 0;
+        for g in &mut s.groups {
+            if g.rate <= 0.0 {
                 continue;
             }
-            s.remaining[i] -= s.rates[i] * dt;
-            if s.remaining[i] <= 1e-6 {
-                let job = &jobs[i];
-                s.done[i] = true;
-                alive -= 1;
-                type_dirty[job.proc_type.index()] = true;
-                let fin = SimDuration::from_secs(t);
-                out.finish.push((job.id, fin));
-                if job.deadline < platform.now + fin {
-                    out.missed.push(job.id);
+            let (a, b) = (g.start as usize, (g.start + g.len) as usize);
+            let step = g.rate * dt;
+            for rem in &mut s.slot_rem[a..b] {
+                *rem -= step;
+            }
+            if s.slot_rem[g.min as usize] > 1e-6 {
+                continue;
+            }
+            finishing_groups += 1;
+            let mut w = a;
+            let mut demand = 0.0;
+            let mut min_rem = f64::INFINITY;
+            for k in a..b {
+                let rem = s.slot_rem[k];
+                if rem <= 1e-6 {
+                    s.finished.push(s.slot_job[k]);
+                    continue;
                 }
-            } else {
-                s.alive_idx[w] = iu;
+                s.slot_job[w] = s.slot_job[k];
+                s.slot_rem[w] = rem;
+                s.slot_inst[w] = s.slot_inst[k];
+                demand += s.slot_inst[w].max(1e-9);
+                if rem < min_rem {
+                    min_rem = rem;
+                    g.min = w as u32;
+                }
                 w += 1;
             }
+            g.len = (w - a) as u32;
+            g.demand = demand;
+            if g.len == 0 {
+                g.rate = 0.0;
+            }
+            type_dirty[g.proc_type.index()] = true;
         }
-        s.alive_idx.truncate(w);
+        // Same-step completions are reported in job order, as the
+        // reference's full scan discovers them.
+        if finishing_groups > 1 {
+            s.finished.sort_unstable();
+        }
+        alive -= s.finished.len() as u32;
+        let fin = SimDuration::from_secs(t);
+        for &i in &s.finished {
+            let job = &jobs[i as usize];
+            out.finish.push((job.id, fin));
+            if job.deadline < platform.now + fin {
+                out.missed.push(job.id);
+            }
+        }
         if alive == 0 {
             for pt in ProcType::ALL {
                 let ninst = platform.ninstances[pt];

@@ -5,7 +5,11 @@
 //! implementation, kept below as a private oracle. Three angles:
 //!
 //! 1. One-shot equivalence over randomized multi-project, multi-proc-type
-//!    workloads (shares, on_frac, instance counts, fractional demands).
+//!    workloads (shares, on_frac, instance counts, fractional demands),
+//!    from two strategies: a wide one (up to 32 jobs over 6 projects,
+//!    continuous values) and a deep, tie-heavy one (up to 96 jobs over
+//!    1–3 projects, values from small sets, so several jobs and several
+//!    groups finish in one step).
 //! 2. Scratch-reuse equivalence: a single `RrScratch`/`RrOutcome` pair
 //!    driven through a *sequence* of differently-shaped workloads must
 //!    produce the same results as fresh per-call state.
@@ -223,7 +227,7 @@ struct Workload {
     window: f64,
     /// `(project, gpu?, remaining, deadline, instances)` per job.
     jobs: Vec<(u32, bool, f64, f64, f64)>,
-    /// Per-project resource shares (projects 0..6).
+    /// Per-project resource shares (projects 0..6 wide, 0..3 deep).
     shares: Vec<f64>,
 }
 
@@ -252,6 +256,47 @@ fn workload() -> impl Strategy<Value = Workload> {
             window,
             jobs,
             shares,
+        })
+}
+
+/// One of a handful of values: ties in remaining work, demands and shares
+/// make several jobs (and several groups) finish in the same step.
+fn pick(values: &'static [f64]) -> impl Strategy<Value = f64> {
+    (0..values.len()).prop_map(move |i| values[i])
+}
+
+/// A GPU job one time in five.
+fn gpu_job() -> impl Strategy<Value = bool> {
+    (0u32..5).prop_map(|x| x == 0)
+}
+
+const DEEP_REMAINING: &[f64] = &[60.0, 300.0, 1000.0, 3600.0, 7200.0];
+const DEEP_DEADLINE: &[f64] = &[2_000.0, 10_000.0, 50_000.0, 200_000.0];
+const DEEP_INSTANCES: &[f64] = &[1.0, 0.5, 0.05];
+const DEEP_SHARES: &[f64] = &[0.0, 1.0, 2.0];
+
+/// Deep, tie-heavy workloads: the population-host shape of a few
+/// (type, project) groups holding tens of jobs each, on a host where a
+/// processor type sometimes has no instances.
+fn deep_workload() -> impl Strategy<Value = Workload> {
+    (
+        pick(&[0.0, 1.0, 2.0, 4.0, 8.0, 16.0]),
+        pick(&[0.0, 0.0, 1.0, 2.0]),
+        pick(&[1.0, 0.5, 0.3]),
+        pick(&[0.0, 1800.0, 20_000.0, 200_000.0]),
+        1u32..4,
+        proptest::collection::vec(
+            (0u32..3, gpu_job(), pick(DEEP_REMAINING), pick(DEEP_DEADLINE), pick(DEEP_INSTANCES)),
+            0..96,
+        ),
+        proptest::collection::vec(pick(DEEP_SHARES), 3),
+    )
+        .prop_map(|(ncpus, ngpus, on_frac, window, nprojects, mut jobs, mut shares)| {
+            for job in &mut jobs {
+                job.0 %= nprojects;
+            }
+            shares.truncate(nprojects as usize);
+            Workload { ncpus, ngpus, on_frac, window, jobs, shares }
         })
 }
 
@@ -303,6 +348,98 @@ fn assert_identical(fast: &RrOutcome, oracle: &RrOutcome) {
     }
 }
 
+/// `simulate` over `w` is bit-identical to the reference implementation.
+fn check_one_shot(w: &Workload) {
+    let (platform, jobs) = build(w);
+    let window = SimDuration::from_secs(w.window);
+    let fast = rr_simulate(&platform, &jobs, window);
+    let oracle = simulate_reference(&platform, &jobs, window);
+    assert_identical(&fast, &oracle);
+}
+
+/// One `RrScratch`/`RrOutcome` pair fed a sequence of differently-shaped
+/// workloads (stale capacities, stale group tables) matches fresh
+/// reference runs at every step.
+fn check_scratch_reuse(ws: &[Workload]) {
+    let mut scratch = RrScratch::new();
+    let mut out = RrOutcome::default();
+    for w in ws {
+        let (platform, jobs) = build(w);
+        let window = SimDuration::from_secs(w.window);
+        rr_simulate_into(&platform, &jobs, window, &mut scratch, &mut out);
+        let oracle = simulate_reference(&platform, &jobs, window);
+        assert_identical(&out, &oracle);
+    }
+}
+
+/// `w0` evolved in place by `ops`, with one scratch carried across every
+/// step, matches a fresh reference run after each step.
+fn check_evolving(w0: Workload, ops: Vec<Mutation>) {
+    let mut w = w0;
+    let mut scratch = RrScratch::new();
+    let mut out = RrOutcome::default();
+    for op in ops {
+        match op {
+            Mutation::Decay(i, frac) => {
+                if !w.jobs.is_empty() {
+                    let i = i % w.jobs.len();
+                    w.jobs[i].2 *= frac;
+                }
+            }
+            Mutation::Remove(i) => {
+                if !w.jobs.is_empty() {
+                    let i = i % w.jobs.len();
+                    w.jobs.remove(i);
+                }
+            }
+            Mutation::Add(p, gpu, rem, dl, inst) => w.jobs.push((p, gpu, rem, dl, inst)),
+            Mutation::OnFrac(f) => w.on_frac = f,
+            Mutation::Gpus(n) => w.ngpus = n,
+            Mutation::Share(p, s) => {
+                let n = w.shares.len();
+                w.shares[p % n] = s;
+            }
+        }
+        let (platform, jobs) = build(&w);
+        let window = SimDuration::from_secs(w.window);
+        rr_simulate_into(&platform, &jobs, window, &mut scratch, &mut out);
+        let oracle = simulate_reference(&platform, &jobs, window);
+        assert_identical(&out, &oracle);
+    }
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        // Decay one job's remaining time (running-task progress).
+        (0usize..64, 0.01f64..0.99).prop_map(|(i, f)| Mutation::Decay(i, f)),
+        // Remove one job (completion).
+        (0usize..64).prop_map(Mutation::Remove),
+        // A new arrival.
+        (0u32..6, any::<bool>(), 1.0f64..50_000.0, 50.0f64..500_000.0, 0.25f64..3.0)
+            .prop_map(|(p, g, r, d, i)| Mutation::Add(p, g, r, d, i)),
+        // Host availability / duty-cycle drift.
+        (0.1f64..1.0).prop_map(Mutation::OnFrac),
+        // GPU appears or disappears (run-state flip).
+        prop_oneof![Just(0.0f64), 1.0f64..4.0].prop_map(Mutation::Gpus),
+        // A project's resource share changes.
+        (0usize..6, 0.0f64..10.0).prop_map(|(p, s)| Mutation::Share(p, s)),
+    ]
+}
+
+/// [`mutation`] with every value drawn from the deep strategy's small
+/// sets, so evolved queues keep their ties.
+fn deep_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (0usize..96, pick(&[0.5, 0.25])).prop_map(|(i, f)| Mutation::Decay(i, f)),
+        (0usize..96).prop_map(Mutation::Remove),
+        (0u32..3, gpu_job(), pick(DEEP_REMAINING), pick(DEEP_DEADLINE), pick(DEEP_INSTANCES))
+            .prop_map(|(p, g, r, d, i)| Mutation::Add(p, g, r, d, i)),
+        pick(&[1.0, 0.5, 0.3]).prop_map(Mutation::OnFrac),
+        pick(&[0.0, 1.0, 2.0]).prop_map(Mutation::Gpus),
+        (0usize..3, pick(DEEP_SHARES)).prop_map(|(p, s)| Mutation::Share(p, s)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192 })]
 
@@ -310,11 +447,13 @@ proptest! {
     /// reference implementation.
     #[test]
     fn simulate_matches_reference(w in workload()) {
-        let (platform, jobs) = build(&w);
-        let window = SimDuration::from_secs(w.window);
-        let fast = rr_simulate(&platform, &jobs, window);
-        let oracle = simulate_reference(&platform, &jobs, window);
-        assert_identical(&fast, &oracle);
+        check_one_shot(&w);
+    }
+
+    /// The one-shot check on deep, tie-heavy workloads.
+    #[test]
+    fn deep_simulate_matches_reference(w in deep_workload()) {
+        check_one_shot(&w);
     }
 
     /// Scratch reuse: one `RrScratch`/`RrOutcome` pair fed a sequence of
@@ -322,76 +461,69 @@ proptest! {
     /// must match fresh reference runs at every step.
     #[test]
     fn scratch_reuse_matches_reference(ws in proptest::collection::vec(workload(), 1..6)) {
-        let mut scratch = RrScratch::new();
-        let mut out = RrOutcome::default();
-        for w in &ws {
-            let (platform, jobs) = build(w);
-            let window = SimDuration::from_secs(w.window);
-            rr_simulate_into(&platform, &jobs, window, &mut scratch, &mut out);
-            let oracle = simulate_reference(&platform, &jobs, window);
-            assert_identical(&out, &oracle);
-        }
+        check_scratch_reuse(&ws);
+    }
+
+    /// Scratch reuse across deep, tie-heavy workloads, mixed with wide ones
+    /// so group tables shrink and grow between calls.
+    #[test]
+    fn deep_scratch_reuse_matches_reference(
+        ws in proptest::collection::vec(prop_oneof![deep_workload(), workload()], 1..6),
+    ) {
+        check_scratch_reuse(&ws);
     }
 
     /// Adversarial dirty sequences: one workload *evolved in place* by
     /// small deltas — progress decay, single-job removal and arrival,
-    /// platform flips — with the scratch (and its per-type step cache,
-    /// persistent busy table and alive-index list) carried across every
-    /// step. Small deltas are the dangerous case for incremental caches:
-    /// most of the scratch's previous contents stay plausible, so stale
-    /// entries are reachable in a way that fresh random workloads never
-    /// exercise.
+    /// platform flips — with the scratch carried across every step. Small
+    /// deltas are the dangerous case for reused state: most of the
+    /// scratch's previous contents stay plausible, so stale entries are
+    /// reachable in a way that fresh random workloads never exercise.
     #[test]
     fn evolving_workload_matches_reference(
         w0 in workload(),
-        ops in proptest::collection::vec(
-            prop_oneof![
-                // Decay one job's remaining time (running-task progress).
-                (0usize..64, 0.01f64..0.99).prop_map(|(i, f)| Mutation::Decay(i, f)),
-                // Remove one job (completion).
-                (0usize..64).prop_map(Mutation::Remove),
-                // A new arrival.
-                (0u32..6, any::<bool>(), 1.0f64..50_000.0, 50.0f64..500_000.0, 0.25f64..3.0)
-                    .prop_map(|(p, g, r, d, i)| Mutation::Add(p, g, r, d, i)),
-                // Host availability / duty-cycle drift.
-                (0.1f64..1.0).prop_map(Mutation::OnFrac),
-                // GPU appears or disappears (run-state flip).
-                prop_oneof![Just(0.0f64), 1.0f64..4.0].prop_map(Mutation::Gpus),
-                // A project's resource share changes.
-                (0usize..6, 0.0f64..10.0).prop_map(|(p, s)| Mutation::Share(p, s)),
-            ],
-            1..24,
-        ),
+        ops in proptest::collection::vec(mutation(), 1..24),
     ) {
-        let mut w = w0;
-        let mut scratch = RrScratch::new();
-        let mut out = RrOutcome::default();
-        for op in ops {
-            match op {
-                Mutation::Decay(i, frac) => {
-                    if !w.jobs.is_empty() {
-                        let i = i % w.jobs.len();
-                        w.jobs[i].2 *= frac;
-                    }
-                }
-                Mutation::Remove(i) => {
-                    if !w.jobs.is_empty() {
-                        let i = i % w.jobs.len();
-                        w.jobs.remove(i);
-                    }
-                }
-                Mutation::Add(p, gpu, rem, dl, inst) => w.jobs.push((p, gpu, rem, dl, inst)),
-                Mutation::OnFrac(f) => w.on_frac = f,
-                Mutation::Gpus(n) => w.ngpus = n,
-                Mutation::Share(p, s) => w.shares[p] = s,
-            }
-            let (platform, jobs) = build(&w);
-            let window = SimDuration::from_secs(w.window);
-            rr_simulate_into(&platform, &jobs, window, &mut scratch, &mut out);
-            let oracle = simulate_reference(&platform, &jobs, window);
-            assert_identical(&out, &oracle);
-        }
+        check_evolving(w0, ops);
     }
+
+    /// The evolving check on deep, tie-heavy workloads.
+    #[test]
+    fn deep_evolving_workload_matches_reference(
+        w0 in deep_workload(),
+        ops in proptest::collection::vec(deep_mutation(), 1..24),
+    ) {
+        check_evolving(w0, ops);
+    }
+}
+
+/// Jobs of two groups on eight CPUs that finish in the same step, several
+/// per group, are reported in job order, interleaved across the groups
+/// as the reference's full scan finds them.
+#[test]
+fn same_step_finishers_across_groups_are_reported_in_job_order() {
+    let w = Workload {
+        ncpus: 8.0,
+        ngpus: 0.0,
+        on_frac: 1.0,
+        window: 1800.0,
+        jobs: vec![
+            (0, false, 300.0, 10_000.0, 1.0),
+            (1, false, 300.0, 10_000.0, 1.0),
+            (0, false, 1000.0, 10_000.0, 1.0),
+            (1, false, 300.0, 200.0, 1.0),
+            (0, false, 300.0, 10_000.0, 1.0),
+            (1, false, 1000.0, 10_000.0, 1.0),
+        ],
+        shares: vec![1.0, 1.0],
+    };
+    check_one_shot(&w);
+    let (platform, jobs) = build(&w);
+    let out = rr_simulate(&platform, &jobs, SimDuration::from_secs(w.window));
+    let first: Vec<u64> = out.finish[..4].iter().map(|(id, _)| id.0).collect();
+    assert_eq!(first, [0, 1, 3, 4]);
+    assert!(out.finish[..4].iter().all(|&(_, t)| t == out.finish[0].1));
+    assert_eq!(out.missed, [JobId(3)]);
 }
 
 /// One evolution step of [`evolving_workload_matches_reference`].

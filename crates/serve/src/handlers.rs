@@ -181,8 +181,11 @@ fn run(req: &Request, shared: &Shared) -> Response {
     let mut outcome = None;
     run_supervised(std::slice::from_ref(&spec), 1, |_, _, o| outcome = Some(o));
     match outcome {
-        Some(Ok(result)) => {
-            *shared.last_trace.lock().expect("trace poisoned") = result.trace.records().to_vec();
+        Some(Ok(mut result)) => {
+            // The response renders `result` without its trace, so the
+            // buffer moves into the store instead of being copied.
+            *shared.last_trace.lock().expect("trace poisoned") =
+                std::mem::take(&mut result.trace).into_records();
             shared.inc(shared.ids.runs_completed);
             shared.add(shared.ids.emu_rr_runs, result.perf.rr_runs);
             shared.add(shared.ids.emu_rr_frozen, result.perf.rr_frozen);

@@ -2,7 +2,9 @@
 //! load shedding under a concurrent burst, deadline parking, graceful
 //! drain, and bit-identical resume across a daemon restart.
 
-use bce_controller::{population_header, run_manifest, CampaignManifest, CampaignOptions};
+use bce_controller::{
+    population_header, run_manifest, run_streaming, CampaignManifest, CampaignOptions, RunSpec,
+};
 use bce_serve::{ServeConfig, ServeSummary, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -76,10 +78,29 @@ fn table_of(body: &str) -> String {
     body.lines().filter(|l| !l.starts_with("# ")).collect::<Vec<_>>().join("\n")
 }
 
+/// The JSONL trace of `/run?scenario={name}&days={days}&seed={seed}`,
+/// emulated in-process with the daemon's trace capacity.
+fn in_process_trace(name: &str, days: f64, seed: u64, trace_capacity: usize) -> String {
+    let mut scenario = bce_scenarios::builtin(name).expect("builtin scenario");
+    scenario.seed = seed;
+    let emu = bce_core::EmulatorConfig {
+        duration: bce_types::SimDuration::from_days(days),
+        trace_capacity,
+        ..Default::default()
+    };
+    let spec = RunSpec::new(name, scenario, bce_client::ClientConfig::default())
+        .with_emulator(std::sync::Arc::new(emu));
+    let mut trace = None;
+    run_streaming(std::slice::from_ref(&spec), 1, |_, _, r| trace = Some(r.trace));
+    bce_obs::to_jsonl(trace.expect("one result").records())
+}
+
 #[test]
 fn observability_run_and_drain_end_to_end() {
     let dir = scratch_dir("obs");
-    let (addr, handle, join) = start(test_cfg(dir.clone()));
+    let cfg = test_cfg(dir.clone());
+    let trace_capacity = cfg.trace_capacity;
+    let (addr, handle, join) = start(cfg);
 
     let (status, _, body) = get(addr, "/healthz");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -99,10 +120,12 @@ fn observability_run_and_drain_end_to_end() {
     let (_, _, again) = post(addr, "/run?scenario=scenario2&days=0.5&seed=42");
     assert_eq!(body, again);
 
-    // The run populated /trace and the counters.
+    // The run populated /trace and the counters. The trace is the whole
+    // recorded trace of an in-process run of the same request.
     let (status, _, trace) = get(addr, "/trace");
     assert_eq!(status, 200);
     assert!(trace.lines().count() > 0);
+    assert_eq!(trace, in_process_trace("scenario2", 0.5, 42, trace_capacity));
     let (status, _, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(metrics.contains("serve.runs_completed"), "{metrics}");
