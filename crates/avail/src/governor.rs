@@ -12,27 +12,27 @@ use bce_types::{Preferences, SimDuration, SimTime, DAY};
 /// One availability signal: either a stochastic process or a replayed
 /// trace.
 #[derive(Debug, Clone)]
-pub enum AvailSource {
+pub(crate) enum AvailSource {
     Process(OnOffProcess),
     Trace(AvailTrace),
 }
 
 impl AvailSource {
-    pub fn state_at(&self, now: SimTime) -> bool {
+    pub(crate) fn state_at(&self, now: SimTime) -> bool {
         match self {
             AvailSource::Process(p) => p.state(),
             AvailSource::Trace(t) => t.state_at(now),
         }
     }
 
-    pub fn next_transition_after(&self, now: SimTime) -> SimTime {
+    pub(crate) fn next_transition_after(&self, now: SimTime) -> SimTime {
         match self {
             AvailSource::Process(p) => p.next_transition(),
             AvailSource::Trace(t) => t.next_transition_after(now).unwrap_or(SimTime::FAR_FUTURE),
         }
     }
 
-    pub fn advance(&mut self, now: SimTime) {
+    pub(crate) fn advance(&mut self, now: SimTime) {
         if let AvailSource::Process(p) = self {
             p.advance(now);
         }
@@ -84,7 +84,7 @@ pub struct HostRunState {
 }
 
 impl HostRunState {
-    pub const OFF: HostRunState =
+    pub(crate) const OFF: HostRunState =
         HostRunState { can_compute: false, can_gpu: false, net_up: false, user_active: false };
 }
 
@@ -97,7 +97,7 @@ pub struct Governor {
 }
 
 impl Governor {
-    pub fn new(host: AvailSource, user: AvailSource, net: AvailSource) -> Self {
+    pub(crate) fn new(host: AvailSource, user: AvailSource, net: AvailSource) -> Self {
         Governor { host, user, net }
     }
 
@@ -218,7 +218,14 @@ mod tests {
 
     #[test]
     fn trace_host_signal() {
-        let trace = AvailTrace::parse("0 1\n100 0\n200 1\n").unwrap();
+        let trace = AvailTrace::new(
+            true,
+            vec![
+                (SimTime::ZERO, true),
+                (SimTime::from_secs(100.0), false),
+                (SimTime::from_secs(200.0), true),
+            ],
+        );
         let g = governor(OnOffSpec::AlwaysOn, OnOffSpec::AlwaysOff, OnOffSpec::AlwaysOn)
             .with_host_trace(trace);
         let prefs = Preferences::default();

@@ -6,10 +6,10 @@
 //! replay, and the governor that combines power, user activity, network
 //! connectivity and preferences into the client's effective run state.
 
-pub mod governor;
-pub mod process;
-pub mod trace;
+pub(crate) mod governor;
+pub(crate) mod process;
+pub(crate) mod trace;
 
-pub use governor::{AvailSource, AvailSpec, Governor, HostRunState};
+pub use governor::{AvailSpec, Governor, HostRunState};
 pub use process::{OnOffProcess, OnOffSpec};
-pub use trace::{AvailTrace, TraceParseError};
+pub use trace::AvailTrace;

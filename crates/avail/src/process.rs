@@ -45,7 +45,7 @@ impl OnOffSpec {
     }
 
     /// Long-run fraction of time in the on state.
-    pub fn on_fraction(&self) -> f64 {
+    pub(crate) fn on_fraction(&self) -> f64 {
         match *self {
             OnOffSpec::AlwaysOn => 1.0,
             OnOffSpec::AlwaysOff => 0.0,
@@ -72,7 +72,7 @@ pub struct OnOffProcess {
 }
 
 impl OnOffProcess {
-    pub fn new(spec: OnOffSpec, mut rng: Rng) -> Self {
+    pub(crate) fn new(spec: OnOffSpec, mut rng: Rng) -> Self {
         let (state, next) = match spec {
             OnOffSpec::AlwaysOn => (true, SimTime::FAR_FUTURE),
             OnOffSpec::AlwaysOff => (false, SimTime::FAR_FUTURE),
@@ -91,7 +91,7 @@ impl OnOffProcess {
     }
 
     /// When the state will next flip.
-    pub fn next_transition(&self) -> SimTime {
+    pub(crate) fn next_transition(&self) -> SimTime {
         self.next_transition
     }
 
@@ -118,7 +118,7 @@ impl OnOffProcess {
         self.state != before
     }
 
-    pub fn spec(&self) -> &OnOffSpec {
+    pub(crate) fn spec(&self) -> &OnOffSpec {
         &self.spec
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! §3.4 notes that queue parameters "could be derived from availability
 //! traces"; traces also let BCE replay a specific volunteer's observed
-//! availability pattern instead of a random process. The format is one
-//! transition per line: `<time-secs> <0|1>`, sorted by time, giving the
-//! state *from* that instant onward.
+//! availability pattern instead of a random process. A trace is a sorted
+//! list of transitions, each giving the state *from* that instant onward;
+//! scenario files carry it as JSON (see `bce_core::spec`).
 
 use bce_types::SimTime;
-use std::fmt::Write as _;
 
 /// A deterministic availability history.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,76 +17,14 @@ pub struct AvailTrace {
     transitions: Vec<(SimTime, bool)>,
 }
 
-/// Error from [`AvailTrace::parse`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParseError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.message)
-    }
-}
-impl std::error::Error for TraceParseError {}
-
 impl AvailTrace {
     pub fn new(initial: bool, transitions: Vec<(SimTime, bool)>) -> Self {
         debug_assert!(transitions.windows(2).all(|w| w[0].0 <= w[1].0), "trace must be sorted");
         AvailTrace { initial, transitions }
     }
 
-    /// Parse the `t state` line format. Blank lines and `#` comments are
-    /// ignored. The initial state defaults to on unless the first
-    /// transition is at t=0.
-    pub fn parse(text: &str) -> Result<Self, TraceParseError> {
-        let mut transitions = Vec::new();
-        let mut last_t = f64::NEG_INFINITY;
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let err = |m: &str| TraceParseError { line: i + 1, message: m.to_string() };
-            let t: f64 = parts
-                .next()
-                .ok_or_else(|| err("missing time"))?
-                .parse()
-                .map_err(|_| err("bad time"))?;
-            let s = match parts.next().ok_or_else(|| err("missing state"))? {
-                "0" => false,
-                "1" => true,
-                other => return Err(err(&format!("bad state {other:?} (want 0 or 1)"))),
-            };
-            if parts.next().is_some() {
-                return Err(err("trailing fields"));
-            }
-            if t < last_t {
-                return Err(err("times must be non-decreasing"));
-            }
-            last_t = t;
-            transitions.push((SimTime::from_secs(t), s));
-        }
-        let initial = match transitions.first() {
-            Some(&(t, s)) if t == SimTime::ZERO => s,
-            _ => true,
-        };
-        Ok(AvailTrace::new(initial, transitions))
-    }
-
-    /// Serialize back to the line format.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (t, s) in &self.transitions {
-            let _ = writeln!(out, "{} {}", t.secs(), if *s { 1 } else { 0 });
-        }
-        out
-    }
-
     /// State at time `t`.
-    pub fn state_at(&self, t: SimTime) -> bool {
+    pub(crate) fn state_at(&self, t: SimTime) -> bool {
         let idx = self.transitions.partition_point(|&(tt, _)| tt <= t);
         if idx == 0 {
             self.initial
@@ -97,13 +34,13 @@ impl AvailTrace {
     }
 
     /// The next transition strictly after `t`, if any.
-    pub fn next_transition_after(&self, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_transition_after(&self, t: SimTime) -> Option<SimTime> {
         let idx = self.transitions.partition_point(|&(tt, _)| tt <= t);
         self.transitions.get(idx).map(|&(tt, _)| tt)
     }
 
     /// Fraction of `[start, end)` in the on state.
-    pub fn on_fraction(&self, start: SimTime, end: SimTime) -> f64 {
+    pub(crate) fn on_fraction(&self, start: SimTime, end: SimTime) -> f64 {
         if end <= start {
             return 0.0;
         }
@@ -137,9 +74,13 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn trace(initial: bool, points: &[(f64, bool)]) -> AvailTrace {
+        AvailTrace::new(initial, points.iter().map(|&(s, on)| (t(s), on)).collect())
+    }
+
     #[test]
     fn parse_and_lookup() {
-        let tr = AvailTrace::parse("# host 17\n0 1\n100 0\n250 1\n").unwrap();
+        let tr = trace(true, &[(0.0, true), (100.0, false), (250.0, true)]);
         assert!(tr.state_at(t(0.0)));
         assert!(tr.state_at(t(99.9)));
         assert!(!tr.state_at(t(100.0)));
@@ -151,43 +92,23 @@ mod tests {
 
     #[test]
     fn initial_state_defaults_on() {
-        let tr = AvailTrace::parse("50 0\n").unwrap();
+        let tr = trace(true, &[(50.0, false)]);
         assert!(tr.state_at(t(10.0)));
         assert!(!tr.state_at(t(60.0)));
     }
 
     #[test]
-    fn parse_errors() {
-        assert!(AvailTrace::parse("abc 1").is_err());
-        assert!(AvailTrace::parse("10 2").is_err());
-        assert!(AvailTrace::parse("10 1 extra").is_err());
-        assert!(AvailTrace::parse("10 1\n5 0").is_err());
-        assert!(AvailTrace::parse("10").is_err());
-        let e = AvailTrace::parse("10 1\n5 0").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.to_string().contains("line 2"));
-    }
-
-    #[test]
     fn empty_trace_is_always_on() {
-        let tr = AvailTrace::parse("").unwrap();
+        let tr = trace(true, &[]);
         assert!(tr.state_at(t(1e9)));
         assert_eq!(tr.next_transition_after(t(0.0)), None);
     }
 
     #[test]
     fn on_fraction() {
-        let tr = AvailTrace::parse("0 1\n100 0\n200 1\n").unwrap();
+        let tr = trace(true, &[(0.0, true), (100.0, false), (200.0, true)]);
         assert!((tr.on_fraction(t(0.0), t(200.0)) - 0.5).abs() < 1e-12);
         assert!((tr.on_fraction(t(0.0), t(400.0)) - 0.75).abs() < 1e-12);
         assert_eq!(tr.on_fraction(t(10.0), t(10.0)), 0.0);
-    }
-
-    #[test]
-    fn render_roundtrip() {
-        let src = "0 1\n100 0\n250 1\n";
-        let tr = AvailTrace::parse(src).unwrap();
-        let tr2 = AvailTrace::parse(&tr.render()).unwrap();
-        assert_eq!(tr, tr2);
     }
 }

@@ -1,33 +1,18 @@
 //! Property tests for availability modelling.
 
-use bce_avail::{AvailTrace, OnOffSpec};
+use bce_avail::{AvailSpec, Governor, OnOffSpec};
 use bce_sim::Rng;
-use bce_types::{SimDuration, SimTime};
+use bce_types::{Preferences, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// A governor whose host power follows `host`; the user is never active
+/// and the network always up, so `can_compute` is exactly the host state.
+fn host_governor(host: OnOffSpec, seed: u64) -> Governor {
+    AvailSpec { host, ..AvailSpec::always_on() }.instantiate(&mut Rng::from_seed(seed))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128 })]
-
-    /// Traces round-trip through the text format.
-    #[test]
-    fn trace_roundtrip(transitions in proptest::collection::vec((0.0f64..1e6, any::<bool>()), 0..50)) {
-        let mut ts: Vec<(f64, bool)> = transitions;
-        ts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let trace = AvailTrace::new(
-            true,
-            ts.iter().map(|&(t, s)| (SimTime::from_secs(t), s)).collect(),
-        );
-        let rendered = trace.render();
-        let parsed = AvailTrace::parse(&rendered).unwrap();
-        // State agrees everywhere after the first transition (the initial
-        // state is only recoverable when a t=0 transition pins it).
-        for &(t, _) in &ts {
-            prop_assert_eq!(
-                parsed.state_at(SimTime::from_secs(t + 0.25)),
-                trace.state_at(SimTime::from_secs(t + 0.25))
-            );
-        }
-    }
 
     /// On/off processes alternate strictly and times are monotone.
     #[test]
@@ -37,16 +22,18 @@ proptest! {
             down_mean: SimDuration::from_secs(down),
             start_on: true,
         };
-        let mut p = spec.instantiate(Rng::from_seed(seed));
+        let prefs = Preferences::default();
+        let mut g = host_governor(spec, seed);
         let mut prev_t = SimTime::ZERO;
-        let mut prev_state = p.state();
+        let mut prev_state = g.run_state(prev_t, &prefs).can_compute;
         for _ in 0..50 {
-            let t = p.next_transition();
+            let t = g.next_change_after(prev_t, &prefs);
             prop_assert!(t > prev_t);
-            p.advance(t);
-            prop_assert_ne!(p.state(), prev_state);
+            g.advance(t);
+            let state = g.run_state(t, &prefs).can_compute;
+            prop_assert_ne!(state, prev_state);
             prev_t = t;
-            prev_state = p.state();
+            prev_state = state;
         }
     }
 
@@ -54,17 +41,18 @@ proptest! {
     #[test]
     fn duty_cycle_converges(seed in any::<u64>(), frac in 0.1f64..0.9) {
         let spec = OnOffSpec::duty_cycle(frac, SimDuration::from_secs(1000.0));
-        let mut p = spec.instantiate(Rng::from_seed(seed));
+        let prefs = Preferences::default();
+        let mut g = host_governor(spec, seed);
         let horizon = 2e6;
         let mut on = 0.0;
         let mut now = SimTime::ZERO;
         while now.secs() < horizon {
-            let next = p.next_transition().min(SimTime::from_secs(horizon));
-            if p.state() {
+            let next = g.next_change_after(now, &prefs).min(SimTime::from_secs(horizon));
+            if g.run_state(now, &prefs).can_compute {
                 on += (next - now).secs();
             }
             now = next;
-            p.advance(now);
+            g.advance(now);
         }
         let measured = on / horizon;
         // 2000 expected cycles: generous tolerance.

@@ -179,9 +179,7 @@ fn bench_client(njobs: usize) -> Client {
         Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(4e9),
         Preferences::default(),
         (0..nprojects)
-            .map(|p| {
-                Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu])
-            })
+            .map(|p| Client::project(p, 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu]))
             .collect(),
         ClientConfig::default(),
     );
@@ -248,9 +246,7 @@ fn progress_bench_client(nrunning: u32) -> Client {
     let mut c = Client::new(
         Hardware::cpu_only(nrunning, 1e9),
         Preferences::default(),
-        (0..nprojects)
-            .map(|p| Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu]))
-            .collect(),
+        (0..nprojects).map(|p| Client::project(p, 1.0, &[ProcType::Cpu])).collect(),
         ClientConfig::default(),
     );
     let mut rng = Rng::from_seed(23);
@@ -318,9 +314,7 @@ fn per_decision_client(sched_policy: JobSchedPolicy) -> Client {
         Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(4e9),
         Preferences::default(),
         (0..nprojects)
-            .map(|p| {
-                Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu])
-            })
+            .map(|p| Client::project(p, 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu]))
             .collect(),
         ClientConfig { sched_policy, ..ClientConfig::default() },
     );

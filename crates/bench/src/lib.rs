@@ -14,14 +14,14 @@ use bce_types::SimDuration;
 pub mod figs;
 
 /// Standard labelled policy sets used across the figures.
-pub fn sched_policies() -> Vec<(String, ClientConfig)> {
+pub(crate) fn sched_policies() -> Vec<(String, ClientConfig)> {
     [JobSchedPolicy::WRR, JobSchedPolicy::LOCAL, JobSchedPolicy::GLOBAL]
         .into_iter()
         .map(|p| (p.name(), ClientConfig { sched_policy: p, ..Default::default() }))
         .collect()
 }
 
-pub fn fetch_policies() -> Vec<(String, ClientConfig)> {
+pub(crate) fn fetch_policies() -> Vec<(String, ClientConfig)> {
     [FetchPolicy::Orig, FetchPolicy::Hysteresis]
         .into_iter()
         .map(|p| (p.name().to_string(), ClientConfig { fetch_policy: p, ..Default::default() }))
@@ -44,7 +44,7 @@ pub struct FigOpts {
 }
 
 impl FigOpts {
-    pub fn emulator(&self) -> EmulatorConfig {
+    pub(crate) fn emulator(&self) -> EmulatorConfig {
         EmulatorConfig { duration: SimDuration::from_days(self.days), ..Default::default() }
     }
 
@@ -61,7 +61,7 @@ impl FigOpts {
 }
 
 /// Where figure CSVs land.
-pub fn figures_dir() -> std::path::PathBuf {
+pub(crate) fn figures_dir() -> std::path::PathBuf {
     std::path::PathBuf::from("target/figures")
 }
 

@@ -1,22 +1,23 @@
 //! Minimal command-line argument handling for the `bce` tool: positional
 //! arguments plus `--flag` and `--key value` options, with typed accessors
-//! and unknown-option detection. Hand-rolled to keep the workspace
+//! and unknown-option detection. A value option given twice is an error,
+//! not a silent override. Hand-rolled to keep the workspace
 //! dependency-free.
 
 use std::collections::BTreeMap;
 
 /// Parsed command line.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
-    pub positional: Vec<String>,
-    options: BTreeMap<String, Vec<String>>,
+pub(crate) struct Args {
+    pub(crate) positional: Vec<String>,
+    options: BTreeMap<String, String>,
     flags: Vec<String>,
     consumed: std::cell::RefCell<Vec<String>>,
 }
 
 /// An argument-level error with a user-facing message.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub(crate) String);
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -28,7 +29,7 @@ impl std::error::Error for ArgError {}
 impl Args {
     /// Parse raw arguments. `value_opts` lists options that take a value;
     /// everything else starting with `--` is a boolean flag.
-    pub fn parse<I: IntoIterator<Item = String>>(
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(
         raw: I,
         value_opts: &[&str],
     ) -> Result<Args, ArgError> {
@@ -39,7 +40,9 @@ impl Args {
                 if value_opts.contains(&name) {
                     let v =
                         it.next().ok_or_else(|| ArgError(format!("--{name} requires a value")))?;
-                    args.options.entry(name.to_string()).or_default().push(v);
+                    if args.options.insert(name.to_string(), v).is_some() {
+                        return Err(ArgError(format!("--{name} given more than once")));
+                    }
                 } else {
                     args.flags.push(name.to_string());
                 }
@@ -50,22 +53,20 @@ impl Args {
         Ok(args)
     }
 
-    pub fn flag(&self, name: &str) -> bool {
+    pub(crate) fn flag(&self, name: &str) -> bool {
         self.consumed.borrow_mut().push(name.to_string());
         self.flags.iter().any(|f| f == name)
     }
 
-    pub fn opt(&self, name: &str) -> Option<&str> {
+    pub(crate) fn opt(&self, name: &str) -> Option<&str> {
         self.consumed.borrow_mut().push(name.to_string());
-        self.options.get(name).and_then(|v| v.last()).map(|s| s.as_str())
+        self.options.get(name).map(String::as_str)
     }
 
-    pub fn opt_all(&self, name: &str) -> Vec<&str> {
-        self.consumed.borrow_mut().push(name.to_string());
-        self.options.get(name).map_or_else(Vec::new, |v| v.iter().map(|s| s.as_str()).collect())
-    }
-
-    pub fn opt_parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+    pub(crate) fn opt_parse<T: std::str::FromStr>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, ArgError> {
         match self.opt(name) {
             None => Ok(None),
             Some(v) => {
@@ -74,12 +75,16 @@ impl Args {
         }
     }
 
-    pub fn opt_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn opt_or<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         Ok(self.opt_parse(name)?.unwrap_or(default))
     }
 
     /// Error out on options/flags no accessor asked about (catches typos).
-    pub fn reject_unknown(&self) -> Result<(), ArgError> {
+    pub(crate) fn reject_unknown(&self) -> Result<(), ArgError> {
         let seen = self.consumed.borrow();
         for f in &self.flags {
             if !seen.contains(f) {
@@ -137,11 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_options_collect() {
-        let a =
+    fn repeated_option_is_error() {
+        let e =
             Args::parse(["--sched", "a", "--sched", "b"].iter().map(|s| s.to_string()), &["sched"])
-                .unwrap();
-        assert_eq!(a.opt_all("sched"), vec!["a", "b"]);
-        assert_eq!(a.opt("sched"), Some("b")); // last wins for single access
+                .unwrap_err();
+        assert_eq!(e, ArgError("--sched given more than once".into()));
     }
 }

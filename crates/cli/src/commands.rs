@@ -18,7 +18,7 @@ use bce_scenarios::{
 use bce_sim::Rng;
 use bce_types::{AppClass, Hardware, ProcType, ProjectId, ProjectSpec, SimDuration};
 
-pub const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 bce — BOINC client emulator (reproduction of Anderson, 'Emulating
 Volunteer Computing Scheduling Policies', 2011)
 
@@ -167,23 +167,23 @@ USAGE:
 /// * `3` — I/O failure (the input may be fine; the filesystem is not)
 #[derive(Debug)]
 pub struct CliError {
-    pub message: String,
+    pub(crate) message: String,
     pub exit_code: i32,
 }
 
 impl CliError {
     /// Generic failure (exit code 1).
-    pub fn msg(message: String) -> Self {
+    pub(crate) fn msg(message: String) -> Self {
         CliError { message, exit_code: 1 }
     }
 
     /// Validation failure (exit code 2): the input itself is wrong.
-    pub fn validation(message: String) -> Self {
+    pub(crate) fn validation(message: String) -> Self {
         CliError { message, exit_code: 2 }
     }
 
     /// I/O failure (exit code 3): the filesystem failed, not the input.
-    pub fn io(message: String) -> Self {
+    pub(crate) fn io(message: String) -> Self {
         CliError { message, exit_code: 3 }
     }
 }

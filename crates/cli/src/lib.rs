@@ -8,10 +8,8 @@
 //! The command implementations live here (library) so they are testable;
 //! `src/bin/bce.rs` is a thin wrapper.
 
-pub mod args;
-pub mod commands;
-pub mod perf_report;
+pub(crate) mod args;
+pub(crate) mod commands;
+pub(crate) mod perf_report;
 
-pub use args::{ArgError, Args};
-pub use commands::{dispatch, CliError, HELP};
-pub use perf_report::{run_bench, BenchRecord};
+pub use commands::{dispatch, CliError};

@@ -16,27 +16,27 @@ use bce_types::SimDuration;
 
 /// One benchmark scenario's measurements.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    pub name: String,
-    pub days: f64,
-    pub wall_ms: f64,
-    pub events: u64,
-    pub events_per_sec: f64,
-    pub rr_queries: u64,
-    pub rr_runs: u64,
+pub(crate) struct BenchRecord {
+    pub(crate) name: String,
+    pub(crate) days: f64,
+    pub(crate) wall_ms: f64,
+    pub(crate) events: u64,
+    pub(crate) events_per_sec: f64,
+    pub(crate) rr_queries: u64,
+    pub(crate) rr_runs: u64,
     /// Queries served from the retained snapshot inside the frozen-progress
     /// window (see the frozen-progress refresh ladder in `bce-client`).
-    pub rr_frozen: u64,
-    pub cache_hit_rate: f64,
-    pub peak_jobs: usize,
-    pub jobs_completed: u64,
+    pub(crate) rr_frozen: u64,
+    pub(crate) cache_hit_rate: f64,
+    pub(crate) peak_jobs: usize,
+    pub(crate) jobs_completed: u64,
 }
 
 /// Full `bce bench` report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
-    pub quick: bool,
-    pub scenarios: Vec<BenchRecord>,
+pub(crate) struct BenchReport {
+    pub(crate) quick: bool,
+    pub(crate) scenarios: Vec<BenchRecord>,
 }
 
 /// The standard benchmark set: the four paper scenarios, with scenario 3
@@ -90,7 +90,7 @@ fn measure(name: &str, scenario: Scenario, days: f64, cfg: ClientConfig) -> Benc
 
 /// Run the standard scenario set; `extra` appends one user-referenced
 /// scenario to the measured set.
-pub fn run_bench(quick: bool, extra: Option<(String, Scenario)>) -> BenchReport {
+pub(crate) fn run_bench(quick: bool, extra: Option<(String, Scenario)>) -> BenchReport {
     let mut set = standard_set(quick);
     if let Some((name, s)) = extra {
         let days = if quick { 0.5 } else { 10.0 };
@@ -121,7 +121,7 @@ impl BenchRecord {
 }
 
 /// Render the benchmark report as JSON.
-pub fn to_json(report: &BenchReport) -> String {
+pub(crate) fn to_json(report: &BenchReport) -> String {
     JsonValue::Obj(vec![
         ("bench".into(), JsonValue::Str("bce".into())),
         ("quick".into(), JsonValue::Bool(report.quick)),
@@ -134,7 +134,7 @@ pub fn to_json(report: &BenchReport) -> String {
 }
 
 /// Human-readable summary of a benchmark run.
-pub fn summary(report: &BenchReport) -> String {
+pub(crate) fn summary(report: &BenchReport) -> String {
     let mut t = bce_controller::Table::new(&[
         "scenario",
         "days",

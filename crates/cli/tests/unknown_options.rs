@@ -1,6 +1,6 @@
-//! An unknown option is refused before the verb emulates or writes
-//! anything: the binary exits 1 and leaves its working directory as it
-//! found it.
+//! An unknown or repeated option is refused before the verb emulates or
+//! writes anything: the binary exits 1 and leaves its working directory as
+//! it found it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -58,5 +58,16 @@ fn population_typo_publishes_no_checkpoint() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown option --typo"), "{stderr}");
     assert_eq!(files_under(&dir), Vec::<PathBuf>::new(), "a checkpoint was published");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repeated_value_option_is_rejected_before_writing() {
+    let dir = scratch_dir("compare-repeated-opt");
+    let (code, stderr) =
+        bce_in(&dir, &["compare", "scenario1", "--days", "0.01", "--days", "0.02"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--days given more than once"), "{stderr}");
+    assert_eq!(files_under(&dir), Vec::<PathBuf>::new());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -230,10 +230,6 @@ impl Accounting {
         }
     }
 
-    pub fn kind(&self) -> AccountingKind {
-        self.kind
-    }
-
     /// The slot of project `p`, or `None` if it holds no share here.
     pub(crate) fn slot_of(&self, p: ProjectId) -> Option<usize> {
         self.ids.binary_search(&p).ok()
@@ -322,12 +318,9 @@ impl Accounting {
         Ok(())
     }
 
-    pub fn half_life(&self) -> SimDuration {
-        self.half_life
-    }
-
     /// `P`'s fraction of the total resource share.
-    pub fn share_frac(&self, p: ProjectId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn share_frac(&self, p: ProjectId) -> f64 {
         self.slot_of(p).map_or(0.0, |s| self.share_frac_at(s))
     }
 
@@ -446,7 +439,8 @@ impl Accounting {
 
     /// `PRIO_sched(P, T)`: higher means the project deserves the processor
     /// more.
-    pub fn prio_sched(&self, p: ProjectId, t: ProcType) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn prio_sched(&self, p: ProjectId, t: ProcType) -> f64 {
         self.slot_of(p).map_or(0.0, |s| self.prio_sched_at(s, t))
     }
 
@@ -459,7 +453,7 @@ impl Accounting {
 
     /// `PRIO_fetch(P)`: higher means new work should come from this
     /// project.
-    pub fn prio_fetch(&self, p: ProjectId, hw: &Hardware) -> f64 {
+    pub(crate) fn prio_fetch(&self, p: ProjectId, hw: &Hardware) -> f64 {
         let Some(s) = self.slot_of(p) else { return 0.0 };
         match self.kind {
             AccountingKind::Local => {
@@ -476,12 +470,14 @@ impl Accounting {
     }
 
     /// Raw REC value (global accounting), for inspection/plots.
-    pub fn rec_of(&self, p: ProjectId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn rec_of(&self, p: ProjectId) -> f64 {
         self.slot_of(p).map_or(0.0, |s| self.rec[s])
     }
 
     /// Raw short-term debt (local accounting).
-    pub fn debt_of(&self, p: ProjectId, t: ProcType) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn debt_of(&self, p: ProjectId, t: ProcType) -> f64 {
         self.slot_of(p).map_or(0.0, |s| self.debts[s][t])
     }
 }

@@ -8,13 +8,13 @@
 //! execution, servers and availability are simulated around it.
 
 use crate::accounting::{Accounting, UsageSample};
-use crate::fetch::{self, Backoff, FetchDecision, FetchPolicy, FetchProject};
+use crate::fetch::{self, FetchDecision, FetchPolicy, FetchProject};
 use crate::rr_sim::{self, RrJob, RrOutcome, RrPlatform, RrScratch};
 use crate::sched::{self, JobSchedPolicy, PlanInput, PlanScratch};
 use crate::task::{Task, TaskState};
 use crate::xfer::{NetworkModel, Transfers};
 use bce_avail::HostRunState;
-use bce_faults::{RetryPolicy, RetryState, RetryVerdict, TransferFaultModel};
+use bce_faults::{Backoff, RetryPolicy, RetryState, RetryVerdict, TransferFaultModel};
 use bce_types::{
     Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, SimDuration, SimTime,
 };
@@ -46,11 +46,10 @@ impl Default for ClientConfig {
 /// Client-side per-project state.
 #[derive(Debug, Clone)]
 pub struct ClientProject {
-    pub id: ProjectId,
-    pub name: String,
-    pub share: f64,
+    pub(crate) id: ProjectId,
+    pub(crate) share: f64,
     /// Which processor types the project supplies jobs for.
-    pub supplies: ProcMap<bool>,
+    pub(crate) supplies: ProcMap<bool>,
     backoff: Backoff,
     /// Backoff for *transient* communication failures (injected faults),
     /// kept separate from `backoff` so scheduled downtime and transient
@@ -58,18 +57,6 @@ pub struct ClientProject {
     comm_retry: RetryState,
     /// Server-imposed minimum delay until the next RPC.
     next_rpc_allowed: SimTime,
-}
-
-impl ClientProject {
-    /// Consecutive transient communication failures (for logs/tests).
-    pub fn comm_failures(&self) -> u32 {
-        self.comm_retry.consecutive_failures()
-    }
-
-    /// Earliest time the scheduled-downtime backoff allows another RPC.
-    pub fn backoff_until(&self) -> SimTime {
-        self.backoff.until()
-    }
 }
 
 /// Which transfer queue a retry belongs to.
@@ -103,7 +90,7 @@ pub struct AdvanceEvents {
     pub errored: Vec<JobId>,
     /// Transfer attempts that failed mid-flight in the interval (each will
     /// retry unless its job appears in `errored`).
-    pub transfer_failures: u64,
+    pub(crate) transfer_failures: u64,
     /// Per-attempt detail behind `transfer_failures`: `(job, upload)` for
     /// each failed attempt, in failure order (`upload == false` means a
     /// download). Only populated on fault paths, so the vector never
@@ -155,17 +142,11 @@ pub struct ClientScratch {
     run_mask: Vec<bool>,
 }
 
-impl ClientScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The emulated client.
 pub struct Client {
-    pub cfg: ClientConfig,
-    pub hw: Hardware,
-    pub prefs: Preferences,
+    pub(crate) cfg: ClientConfig,
+    hw: Hardware,
+    prefs: Preferences,
     projects: Vec<ClientProject>,
     tasks: Vec<Task>,
     /// The accounting slot of each task, parallel to `tasks`: resolved
@@ -341,20 +322,14 @@ impl Client {
         self.xfer_faults = Some(model);
     }
 
-    /// Build per-project state from `(id, name, share, supplied types)`.
-    pub fn project(
-        id: u32,
-        name: impl Into<String>,
-        share: f64,
-        supplies: &[ProcType],
-    ) -> ClientProject {
+    /// Build per-project state from `(id, share, supplied types)`.
+    pub fn project(id: u32, share: f64, supplies: &[ProcType]) -> ClientProject {
         let mut s = ProcMap::from_fn(|_| false);
         for &t in supplies {
             s[t] = true;
         }
         ClientProject {
             id: ProjectId(id),
-            name: name.into(),
             share,
             supplies: s,
             backoff: Backoff::new(),
@@ -367,14 +342,6 @@ impl Client {
         &self.tasks
     }
 
-    pub fn accounting(&self) -> &Accounting {
-        &self.accounting
-    }
-
-    pub fn projects(&self) -> &[ClientProject] {
-        &self.projects
-    }
-
     /// The running-set generation: it moves whenever the running set, the
     /// runnable set or the task order may have changed, and also when the
     /// hardware may have. Anything computed from those alone — say
@@ -382,12 +349,6 @@ impl Client {
     /// still.
     pub fn run_gen(&self) -> u64 {
         self.run_gen
-    }
-
-    /// Is this job's input download still in flight (or awaiting retry)?
-    pub fn transfers_pending_download(&self, id: JobId) -> bool {
-        self.transfers.downloads.contains(id)
-            || self.xfer_retries.iter().any(|r| r.job == id && r.dir == XferDir::Download)
     }
 
     fn task_mut(&mut self, id: JobId) -> Option<&mut Task> {
@@ -399,7 +360,7 @@ impl Client {
     }
 
     /// RAM budget under the busy/idle preference pair.
-    pub fn mem_budget(&self, run_state: HostRunState) -> f64 {
+    pub(crate) fn mem_budget(&self, run_state: HostRunState) -> f64 {
         let frac = if run_state.user_active {
             self.prefs.ram_max_frac_busy
         } else {
@@ -445,7 +406,7 @@ impl Client {
 
     /// Can this job ever run on this host? (The real client errors out
     /// tasks that need more instances than the host has.)
-    pub fn job_feasible(&self, spec: &JobSpec) -> bool {
+    pub(crate) fn job_feasible(&self, spec: &JobSpec) -> bool {
         ProcType::ALL
             .iter()
             .all(|&t| spec.usage.instances_of(t) <= self.hw.ninstances(t) as f64 + 1e-9)
@@ -701,9 +662,12 @@ impl Client {
         }));
     }
 
-    /// Mark the cached RR snapshot stale. Called internally by every
-    /// mutation that changes the simulation's inputs; call it manually
-    /// after mutating the public `hw`/`prefs` fields directly.
+    /// Mark the cached RR snapshot stale and rebuild the per-run caches
+    /// (fetchable sets, long-term-debt entitlements), so the next
+    /// [`Client::rr_refresh`] runs a full simulation. Every mutation that
+    /// changes the simulation's inputs does this internally; callers use it
+    /// to force a full RR run (`crates/bench/benches/rr_sim.rs`,
+    /// `crates/client/tests/rr_differential.rs`).
     pub fn invalidate_rr(&mut self) {
         self.state_gen += 1;
         self.run_gen += 1;
@@ -1057,7 +1021,7 @@ impl Client {
     }
 
     /// Instances of each type currently in use (for metrics/timeline).
-    pub fn instances_in_use(&self) -> ProcMap<f64> {
+    pub(crate) fn instances_in_use(&self) -> ProcMap<f64> {
         let mut used = ProcMap::zero();
         for task in &self.tasks {
             if task.is_running() {
@@ -1139,8 +1103,8 @@ mod tests {
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
             vec![
-                Client::project(0, "alpha", 1.0, &[ProcType::Cpu]),
-                Client::project(1, "beta", 1.0, &[ProcType::Cpu]),
+                Client::project(0, 1.0, &[ProcType::Cpu]),
+                Client::project(1, 1.0, &[ProcType::Cpu]),
             ],
             ClientConfig {
                 sched_policy: JobSchedPolicy::LOCAL,
@@ -1232,8 +1196,8 @@ mod tests {
         c.reschedule(SimTime::ZERO, rs, 1.0);
         c.advance(SimTime::from_secs(1000.0), rs);
         // One CPU, both runnable: whoever ran owes debt to the other.
-        let d0 = c.accounting().debt_of(ProjectId(0), ProcType::Cpu);
-        let d1 = c.accounting().debt_of(ProjectId(1), ProcType::Cpu);
+        let d0 = c.accounting.debt_of(ProjectId(0), ProcType::Cpu);
+        let d1 = c.accounting.debt_of(ProjectId(1), ProcType::Cpu);
         assert!((d0 + d1).abs() < 1e-6);
         assert!(d0.abs() > 100.0, "imbalance should accrue, d0={d0}");
     }
@@ -1251,7 +1215,7 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
-            vec![Client::project(0, "alpha", 1.0, &[ProcType::Cpu])],
+            vec![Client::project(0, 1.0, &[ProcType::Cpu])],
             ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
         );
         let mut s = spec(1, 0, 100.0, 1e6);
@@ -1271,7 +1235,7 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
-            vec![Client::project(0, "alpha", 1.0, &[ProcType::Cpu])],
+            vec![Client::project(0, 1.0, &[ProcType::Cpu])],
             ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
         );
         let mut s = spec(1, 0, 10.0, 1e6);
@@ -1293,16 +1257,18 @@ mod tests {
     fn flapping_server_gaps_double_and_cap_at_max() {
         // Regression (fault-injection PR): a server that is down at every
         // retry must escalate the per-project backoff — doubling gaps from
-        // Backoff::MIN up to the Backoff::MAX cap — and a later successful
-        // reply must reset the ladder to the bottom.
-        use crate::fetch::Backoff;
+        // the scheduler-RPC policy's `min_delay` up to its `max_delay` cap —
+        // and a later successful reply must reset the ladder to the bottom.
+        use bce_faults::RetryPolicy;
+        let (min, max) =
+            (RetryPolicy::SCHEDULER_RPC.min_delay, RetryPolicy::SCHEDULER_RPC.max_delay);
         let mut c = client();
         let p = ProjectId(0);
         let mut now = SimTime::ZERO;
-        let mut expected = Backoff::MIN.secs();
+        let mut expected = min.secs();
         for attempt in 0..12 {
             c.record_rpc_failure(now, p);
-            let until = c.projects()[0].backoff_until();
+            let until = c.projects[0].backoff.until();
             let gap = (until - now).secs();
             assert_eq!(
                 gap.to_bits(),
@@ -1311,22 +1277,22 @@ mod tests {
             );
             // Retry the instant the backoff expires; the server is still down.
             now = until;
-            expected = (expected * 2.0).min(Backoff::MAX.secs());
+            expected = (expected * 2.0).min(max.secs());
         }
-        assert_eq!(expected, Backoff::MAX.secs(), "ladder must have reached the cap");
+        assert_eq!(expected, max.secs(), "ladder must have reached the cap");
         // The server comes back and hands over a job: full reset.
         c.record_reply(now, p, vec![spec(50, 0, 100.0, 1e6)], SimDuration::ZERO);
-        assert_eq!(c.projects()[0].backoff_until(), SimTime::ZERO);
+        assert_eq!(c.projects[0].backoff.until(), SimTime::ZERO);
         c.record_rpc_failure(now, p);
-        let gap = (c.projects()[0].backoff_until() - now).secs();
-        assert_eq!(gap.to_bits(), Backoff::MIN.secs().to_bits(), "reset ladder restarts at MIN");
+        let gap = (c.projects[0].backoff.until() - now).secs();
+        assert_eq!(gap.to_bits(), min.secs().to_bits(), "reset ladder restarts at MIN");
     }
 
     #[test]
     fn transient_rpc_failure_backs_off_separately() {
         let mut c = client();
         c.record_transient_rpc_failure(SimTime::ZERO, ProjectId(0), 0.0);
-        assert_eq!(c.projects()[0].comm_failures(), 1);
+        assert!(c.projects[0].comm_retry.until > SimTime::ZERO);
         // Comm backoff gates the fetch decision away from P0.
         let rr = fresh_rr(&mut c, SimTime::ZERO, run_state());
         let d = c.fetch_decision(SimTime::from_secs(1.0), run_state(), &rr).unwrap();
@@ -1334,7 +1300,7 @@ mod tests {
         // A successful reply clears the comm backoff (but the empty reply
         // sets the ordinary work-fetch backoff — that path is separate).
         c.record_reply(SimTime::from_secs(61.0), ProjectId(0), vec![], SimDuration::ZERO);
-        assert_eq!(c.projects()[0].comm_failures(), 0);
+        assert_eq!(c.projects[0].comm_retry, RetryState::new());
     }
 
     #[test]
@@ -1343,7 +1309,7 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
-            vec![Client::project(0, "alpha", 1.0, &[ProcType::Cpu])],
+            vec![Client::project(0, 1.0, &[ProcType::Cpu])],
             ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
         );
         // Every attempt fails; give up after 2 consecutive failures.
@@ -1371,7 +1337,7 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
-            vec![Client::project(0, "alpha", 1.0, &[ProcType::Cpu])],
+            vec![Client::project(0, 1.0, &[ProcType::Cpu])],
             ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
         );
         let mut dl = spec(2, 0, 100.0, 1e6);
@@ -1385,7 +1351,7 @@ mod tests {
         assert_eq!(out.restarted_transfers, 1);
         assert!(out.lost.iter().any(|&(id, lost)| id == JobId(1) && (lost - 9.0).abs() < 1e-6));
         // The download restarts from byte zero: full 10 s again.
-        assert!(c.transfers_pending_download(JobId(2)));
+        assert!(c.transfers.downloads.contains(JobId(2)));
         let ev = c.advance(SimTime::from_secs(18.0), rs);
         assert!(ev.ready.is_empty(), "restarted download must not finish early");
         let ev = c.advance(SimTime::from_secs(19.0), rs);
@@ -1420,8 +1386,8 @@ mod tests {
     fn running_set_caches_match_a_fresh_recomputation_at_every_bump_point() {
         let projects = || {
             vec![
-                Client::project(0, "alpha", 1.0, &[ProcType::Cpu]),
-                Client::project(1, "beta", 2.0, &[ProcType::Cpu, ProcType::NvidiaGpu]),
+                Client::project(0, 1.0, &[ProcType::Cpu]),
+                Client::project(1, 2.0, &[ProcType::Cpu, ProcType::NvidiaGpu]),
             ]
         };
         let cfg = ClientConfig {
@@ -1498,9 +1464,9 @@ mod tests {
         assert_ne!(cache.by_slot, before);
         let fresh = Client::new(c.hw.clone(), Preferences::default(), projects(), cfg);
         for pt in ProcType::ALL {
-            assert_eq!(c.accounting().lt_entitled(pt), fresh.accounting().lt_entitled(pt));
+            assert_eq!(c.accounting.lt_entitled(pt), fresh.accounting.lt_entitled(pt));
         }
-        assert_eq!(c.accounting().lt_entitled(ProcType::NvidiaGpu), [1.0]);
+        assert_eq!(c.accounting.lt_entitled(ProcType::NvidiaGpu), [1.0]);
 
         // The queue's first GPU job makes beta runnable on the GPU.
         let mut gpu_job = spec(6, 1, 1000.0, 1e6);
@@ -1518,7 +1484,7 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(n, 1e9),
             Preferences::default(),
-            (0..n).map(|p| Client::project(p, format!("p{p}"), 1.0, &[ProcType::Cpu])).collect(),
+            (0..n).map(|p| Client::project(p, 1.0, &[ProcType::Cpu])).collect(),
             ClientConfig::default(),
         );
         c.add_jobs(

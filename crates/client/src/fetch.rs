@@ -47,13 +47,13 @@ impl FetchPolicy {
 
 /// Per-project fetch eligibility snapshot, assembled by the client.
 #[derive(Debug, Clone)]
-pub struct FetchProject {
-    pub id: ProjectId,
-    pub share: f64,
+pub(crate) struct FetchProject {
+    pub(crate) id: ProjectId,
+    pub(crate) share: f64,
     /// Which processor types this project supplies jobs for.
-    pub supplies: ProcMap<bool>,
+    pub(crate) supplies: ProcMap<bool>,
     /// Project is backed off / unreachable until this time.
-    pub backoff_until: SimTime,
+    pub(crate) backoff_until: SimTime,
 }
 
 /// What to request from one project.
@@ -63,12 +63,6 @@ pub struct FetchRequest {
     pub secs: ProcMap<f64>,
     /// Idle instances per type right now.
     pub instances: ProcMap<f64>,
-}
-
-impl FetchRequest {
-    pub fn is_empty(&self) -> bool {
-        ProcType::ALL.iter().all(|&t| self.secs[t] <= 0.0 && self.instances[t] <= 0.0)
-    }
 }
 
 /// The fetch decision: at most one project per decision point (the real
@@ -88,7 +82,7 @@ const MIN_REQUEST_SECS: f64 = 1.0;
 /// per-type trigger tests, so callers can skip assembling the per-project
 /// eligibility list when no fetch can happen — the common case at most
 /// decision points.
-pub fn would_fetch(
+pub(crate) fn would_fetch(
     policy: FetchPolicy,
     rr: &RrOutcome,
     hw: &Hardware,
@@ -112,7 +106,7 @@ pub fn would_fetch(
 /// `rr` must have been computed with the `max_queue` buffer window (its
 /// `shortfall` is the amount needed to fill the queue to `max_queue`).
 #[allow(clippy::too_many_arguments)]
-pub fn decide(
+pub(crate) fn decide(
     policy: FetchPolicy,
     now: SimTime,
     rr: &RrOutcome,
@@ -195,16 +189,11 @@ pub fn decide(
     chosen.map(|(project, request, _)| FetchDecision { project, request })
 }
 
-/// Per-project RPC backoff state (exponential, reset on success), used when
-/// a server is down or has no work. The implementation lives in
-/// `bce-faults` as the shared [`bce_faults::RetryPolicy`] machinery; this
-/// re-export preserves the original API.
-pub use bce_faults::Backoff;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accounting::AccountingKind;
+    use bce_faults::Backoff;
     use bce_types::SimDuration;
 
     fn hw() -> Hardware {
@@ -436,7 +425,7 @@ mod tests {
     #[test]
     fn backoff_doubles_and_resets() {
         let mut b = Backoff::new();
-        assert!(!b.blocked(SimTime::ZERO));
+        assert_eq!(b.until(), SimTime::ZERO);
         b.fail(SimTime::ZERO);
         let first = b.until();
         assert!((first.secs() - 60.0).abs() < 1e-9);
@@ -445,10 +434,10 @@ mod tests {
         for _ in 0..20 {
             let now = b.until();
             b.fail(now);
-            assert!((b.until() - now).secs() <= Backoff::MAX.secs() + 1e-9);
+            assert!((b.until() - now).secs() <= 4.0 * 3600.0 + 1e-9);
         }
         b.succeed();
-        assert!(!b.blocked(SimTime::from_secs(1e9)));
+        assert_eq!(b.until(), SimTime::ZERO);
     }
 
     #[test]

@@ -10,25 +10,28 @@
 //! code; here they are re-implemented faithfully from the paper's
 //! specification.
 
-pub mod accounting;
-pub mod client;
-pub mod fetch;
-pub mod rr_sim;
-pub mod sched;
-pub mod task;
-pub mod xfer;
+pub(crate) mod accounting;
+pub(crate) mod client;
+pub(crate) mod fetch;
+pub(crate) mod rr_sim;
+pub(crate) mod sched;
+pub(crate) mod task;
+pub(crate) mod xfer;
+
+#[cfg(test)]
+mod plan_differential;
 
 pub use accounting::{Accounting, AccountingKind, AccountingSnapshot};
 pub use client::{
     AdvanceEvents, Client, ClientConfig, ClientProject, ClientScratch, Reschedule, RrStats,
 };
-pub use fetch::{would_fetch, Backoff, FetchDecision, FetchPolicy, FetchProject, FetchRequest};
+pub use fetch::{FetchDecision, FetchPolicy, FetchRequest};
 pub use rr_sim::{
     simulate as rr_simulate, simulate_into as rr_simulate_into, RrJob, RrOutcome, RrPlatform,
     RrScratch,
 };
 pub use sched::{
-    plan, plan_into, task_slots, DeadlineOrder, JobSchedPolicy, PlanInput, PlanScratch, RunPlan,
+    plan_into, task_slots, DeadlineOrder, JobSchedPolicy, PlanInput, PlanScratch, RunPlan,
 };
-pub use task::{Task, TaskState};
-pub use xfer::{NetworkModel, TransferQueue, Transfers};
+pub use task::Task;
+pub use xfer::NetworkModel;

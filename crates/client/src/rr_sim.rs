@@ -73,7 +73,7 @@ impl RrPlatform {
 pub struct RrOutcome {
     /// Jobs projected to miss their deadline under WRR, sorted by id
     /// (binary-searched by [`RrOutcome::is_endangered`]).
-    pub missed: Vec<JobId>,
+    pub(crate) missed: Vec<JobId>,
     /// For each type, how long all its instances stay busy from now.
     pub sat: ProcMap<SimDuration>,
     /// For each type, idle instance-seconds within the buffer window.

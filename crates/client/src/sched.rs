@@ -115,11 +115,11 @@ pub struct PlanInput<'a> {
 pub struct RunPlan {
     pub run: Vec<usize>,
     /// Runnable jobs skipped because memory would be exceeded (§3.3).
-    pub skipped_mem: usize,
+    pub(crate) skipped_mem: usize,
 }
 
 impl RunPlan {
-    pub fn contains(&self, idx: usize) -> bool {
+    pub(crate) fn contains(&self, idx: usize) -> bool {
         self.run.contains(&idx)
     }
 }
@@ -171,9 +171,8 @@ fn ord(x: f64) -> u64 {
 
 /// Reusable workspace for [`plan_into`], which also holds the plan it
 /// returns. All vectors retain their capacity across calls, so
-/// steady-state planning performs no heap allocation. [`plan`] allocates
-/// one per call; the client owns one and reuses it at every scheduling
-/// point.
+/// steady-state planning performs no heap allocation. The client owns
+/// one and reuses it at every scheduling point.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     classes: [Vec<usize>; 3],
@@ -208,19 +207,11 @@ pub fn task_slots(accounting: &Accounting, tasks: &[Task]) -> Vec<usize> {
         .collect()
 }
 
-/// Build the run plan. Deterministic: a class-2 tie (equal priority and
-/// receive time) goes to the candidate at the lowest current position in
-/// the candidate list, which starts in task order and is permuted by the
-/// `swap_remove` of every pick. Allocating convenience wrapper around
-/// [`plan_into`].
-pub fn plan(policy: JobSchedPolicy, input: &PlanInput<'_>) -> RunPlan {
-    let mut scratch = PlanScratch::new();
-    plan_into(policy, input, &mut scratch);
-    scratch.plan
-}
-
-/// [`plan`] with a caller-owned workspace; bit-identical output, held in
-/// `scratch` until the next call.
+/// Build the run plan in a caller-owned workspace; the plan is held in
+/// `scratch` until the next call. Deterministic: a class-2 tie (equal
+/// priority and receive time) goes to the candidate at the lowest current
+/// position in the candidate list, which starts in task order and is
+/// permuted by the `swap_remove` of every pick.
 pub fn plan_into<'s>(
     policy: JobSchedPolicy,
     input: &PlanInput<'_>,
@@ -464,6 +455,12 @@ mod tests {
     use super::*;
     use crate::rr_sim::{simulate, RrJob, RrPlatform};
     use bce_types::{AppId, JobId, JobSpec, ProjectId, ResourceUsage, SimDuration};
+
+    fn plan(policy: JobSchedPolicy, input: &PlanInput<'_>) -> RunPlan {
+        let mut scratch = PlanScratch::new();
+        plan_into(policy, input, &mut scratch);
+        scratch.plan
+    }
 
     #[test]
     fn flag_names_parse_to_the_paper_variants() {
@@ -734,7 +731,12 @@ mod tests {
             accounting: &acct,
             hw: &hw,
             prefs: &Preferences::default(),
-            run_state: HostRunState::OFF,
+            run_state: HostRunState {
+                can_compute: false,
+                can_gpu: false,
+                net_up: false,
+                user_active: false,
+            },
             mem_budget: 4e9,
         };
         assert!(plan(JobSchedPolicy::LOCAL, &input).run.is_empty());

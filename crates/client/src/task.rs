@@ -12,7 +12,7 @@ use bce_types::{JobSpec, SimDuration};
 
 /// Why a task is not currently running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskState {
+pub(crate) enum TaskState {
     /// Waiting for input files.
     Downloading,
     /// Ready to run.
@@ -63,7 +63,7 @@ impl Task {
     /// imported state file). Progress is clamped to the job length and
     /// treated as checkpointed (the real client checkpoints before
     /// writing its state file).
-    pub fn with_progress(spec: JobSpec, progress: SimDuration) -> Self {
+    pub(crate) fn with_progress(spec: JobSpec, progress: SimDuration) -> Self {
         let mut task = Task::new(spec);
         let p = progress.secs().clamp(0.0, task.spec.duration.secs());
         task.progress = p;
@@ -72,7 +72,7 @@ impl Task {
         task
     }
 
-    pub fn state(&self) -> TaskState {
+    pub(crate) fn state(&self) -> TaskState {
         self.state
     }
 
@@ -80,7 +80,7 @@ impl Task {
         self.state == TaskState::Running
     }
 
-    pub fn is_runnable(&self) -> bool {
+    pub(crate) fn is_runnable(&self) -> bool {
         matches!(self.state, TaskState::Queued | TaskState::Running | TaskState::Preempted)
     }
 
@@ -92,25 +92,21 @@ impl Task {
         self.progress
     }
 
-    pub fn fraction_done(&self) -> f64 {
-        (self.progress / self.spec.duration.secs()).min(1.0)
-    }
-
     /// Remaining dedicated-execution time (true value).
-    pub fn remaining(&self) -> SimDuration {
+    pub(crate) fn remaining(&self) -> SimDuration {
         (self.spec.duration - SimDuration::from_secs(self.progress)).clamp_non_negative()
     }
 
     /// Remaining time as the client estimates it (it only knows
     /// `duration_est`). Never less than zero; an over-run task is assumed
     /// nearly done.
-    pub fn remaining_est(&self) -> SimDuration {
+    pub(crate) fn remaining_est(&self) -> SimDuration {
         let est = self.spec.duration_est.secs() - self.progress;
         SimDuration::from_secs(est.max(1.0))
     }
 
     /// Mark the download finished.
-    pub fn download_done(&mut self) {
+    pub(crate) fn download_done(&mut self) {
         if self.state == TaskState::Downloading {
             self.state = TaskState::Queued;
         }
@@ -157,7 +153,7 @@ impl Task {
 
     /// Stop execution. If `keep_in_memory` is false the task will resume
     /// from its last checkpoint (rollback applied lazily at [`Task::start`]).
-    pub fn preempt(&mut self, keep_in_memory: bool) {
+    pub(crate) fn preempt(&mut self, keep_in_memory: bool) {
         debug_assert!(self.is_running());
         self.state = TaskState::Preempted;
         self.in_memory = keep_in_memory;
@@ -166,25 +162,15 @@ impl Task {
     /// Has this running task checkpointed since it last started? The
     /// scheduler gives uncheckpointed running jobs precedence over all
     /// others (§3.3) to avoid losing their progress.
-    pub fn checkpointed_since_start(&self) -> bool {
+    pub(crate) fn checkpointed_since_start(&self) -> bool {
         // True when a checkpoint boundary has been crossed since the task
         // (re)started, or it simply hasn't run yet.
         self.progress <= self.run_start_progress
             || self.checkpointed > self.run_start_progress + 1e-9
     }
 
-    /// Wall time to completion at allocation fraction `rate` (1.0 =
-    /// dedicated).
-    pub fn eta(&self, rate: f64) -> SimDuration {
-        if rate <= 0.0 {
-            SimDuration::INFINITE
-        } else {
-            self.remaining() / rate
-        }
-    }
-
     /// Mark the task permanently failed (retry budget exhausted).
-    pub fn error(&mut self) {
+    pub(crate) fn error(&mut self) {
         self.state = TaskState::Error;
         self.in_memory = false;
     }
@@ -197,7 +183,7 @@ impl Task {
     /// is applied eagerly, unlike [`Task::preempt`], because the in-memory
     /// image is gone). Running or preempted tasks drop to their last
     /// checkpoint; returns the execution seconds lost.
-    pub fn crash(&mut self) -> f64 {
+    pub(crate) fn crash(&mut self) -> f64 {
         if self.state == TaskState::Running {
             self.state = TaskState::Preempted;
         }
@@ -218,6 +204,7 @@ impl Task {
 mod tests {
     use super::*;
     use bce_types::{AppId, JobId, ProjectId, ResourceUsage, SimTime};
+    use proptest::prelude::*;
 
     fn spec(duration: f64, checkpoint: Option<f64>) -> JobSpec {
         JobSpec {
@@ -247,7 +234,6 @@ mod tests {
         task.start();
         assert!(!task.advance(d(50.0)));
         assert_eq!(task.progress(), 50.0);
-        assert!((task.fraction_done() - 0.5).abs() < 1e-12);
         assert!(task.advance(d(50.0)));
         assert!(task.is_complete());
         assert_eq!(task.remaining(), SimDuration::ZERO);
@@ -324,8 +310,6 @@ mod tests {
         // True remaining: 10 s; estimated remaining floors at 1 s.
         assert_eq!(task.remaining(), d(10.0));
         assert_eq!(task.remaining_est(), d(1.0));
-        assert_eq!(task.eta(0.5), d(20.0));
-        assert_eq!(task.eta(0.0), SimDuration::INFINITE);
     }
 
     #[test]
@@ -359,5 +343,61 @@ mod tests {
         assert!(task.is_errored());
         assert!(!task.is_runnable());
         assert!(!task.is_complete());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        /// Task execution: progress is conserved across preemption cycles and
+        /// rollback waste accounts exactly for lost progress.
+        #[test]
+        fn task_progress_conservation(
+            duration in 100.0f64..10_000.0,
+            checkpoint in proptest::option::of(10.0f64..1000.0),
+            slices in proptest::collection::vec((1.0f64..500.0, any::<bool>()), 1..20),
+        ) {
+            let spec = JobSpec {
+                id: JobId(1),
+                project: ProjectId(0),
+                app: AppId(0),
+                usage: ResourceUsage::one_cpu(),
+                duration: SimDuration::from_secs(duration),
+                duration_est: SimDuration::from_secs(duration),
+                latency_bound: SimDuration::from_secs(duration * 10.0),
+                checkpoint_period: checkpoint.map(SimDuration::from_secs),
+                working_set_bytes: 1e8,
+                input_bytes: 0.0,
+                output_bytes: 0.0,
+                received: SimTime::ZERO,
+            };
+            let mut task = Task::new(spec);
+            let mut executed = 0.0; // seconds actually spent executing
+            for (dt, keep_mem) in slices {
+                if task.is_complete() {
+                    break;
+                }
+                task.start();
+                let before = task.progress();
+                task.advance(SimDuration::from_secs(dt));
+                executed += task.progress() - before;
+                if !task.is_complete() {
+                    task.preempt(keep_mem);
+                }
+            }
+            if !task.is_complete() {
+                task.start(); // apply any pending rollback
+            }
+            // Conservation: execution time = surviving progress + rollbacks.
+            let accounted = task.progress() + task.rollback_waste;
+            prop_assert!((accounted - executed).abs() < 1e-6,
+                "executed {executed} != progress {} + waste {}",
+                task.progress(), task.rollback_waste);
+            // Progress never exceeds the job length.
+            prop_assert!(task.progress() <= duration + 1e-9);
+            // Without checkpoints, progress after an out-of-memory preemption
+            // resets entirely (verified by the conservation equation plus the
+            // fact that checkpointed == 0 implies progress == executed only
+            // when nothing was dropped — covered above).
+        }
     }
 }

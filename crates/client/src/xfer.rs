@@ -29,7 +29,7 @@ impl NetworkModel {
 
     /// Both directions must have positive, finite bandwidth. Returns the
     /// offending field name on failure.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
         if !(self.down_bps.is_finite() && self.down_bps > 0.0) {
             return Err("down_bps");
         }
@@ -62,17 +62,17 @@ impl Transfer {
 
 /// What happened during one [`TransferQueue::advance`] interval.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct XferEvents {
+pub(crate) struct XferEvents {
     /// Jobs whose transfer finished.
-    pub completed: Vec<JobId>,
+    pub(crate) completed: Vec<JobId>,
     /// Jobs whose transfer attempt failed mid-flight (removed from the
     /// queue; the owner decides whether to retry).
-    pub failed: Vec<JobId>,
+    pub(crate) failed: Vec<JobId>,
 }
 
 /// A single-direction transfer queue with equal bandwidth sharing.
 #[derive(Debug, Clone)]
-pub struct TransferQueue {
+pub(crate) struct TransferQueue {
     rate_bps: f64,
     active: Vec<Transfer>,
 }
@@ -81,7 +81,7 @@ impl TransferQueue {
     /// `rate_bps` must be positive and finite — enforced in release builds
     /// too, because a zero/NaN rate silently wedges the event loop (the
     /// next-completion estimate becomes infinite or NaN).
-    pub fn new(rate_bps: f64) -> Self {
+    pub(crate) fn new(rate_bps: f64) -> Self {
         assert!(
             rate_bps.is_finite() && rate_bps > 0.0,
             "TransferQueue rate must be positive and finite, got {rate_bps}"
@@ -89,16 +89,15 @@ impl TransferQueue {
         TransferQueue { rate_bps, active: Vec::new() }
     }
 
-    /// Add a transfer. Zero-byte transfers complete immediately (returned
-    /// as `false` = nothing queued).
-    pub fn enqueue(&mut self, job: JobId, bytes: f64) -> bool {
-        self.enqueue_faulty(job, bytes, None)
-    }
-
     /// Add a transfer that will fail once `fail_after` bytes have moved
     /// (`None` = runs to completion). `fail_after` is clamped below the
     /// transfer size so a planned failure always fires before completion.
-    pub fn enqueue_faulty(&mut self, job: JobId, bytes: f64, fail_after: Option<f64>) -> bool {
+    pub(crate) fn enqueue_faulty(
+        &mut self,
+        job: JobId,
+        bytes: f64,
+        fail_after: Option<f64>,
+    ) -> bool {
         if bytes <= 0.0 {
             return false;
         }
@@ -115,7 +114,7 @@ impl TransferQueue {
     /// Progress transfers over `dt` (only while the network is up);
     /// returns jobs whose transfer finished or failed. Failed transfers
     /// are removed — re-enqueue to retry.
-    pub fn advance(&mut self, dt: SimDuration, net_up: bool) -> XferEvents {
+    pub(crate) fn advance(&mut self, dt: SimDuration, net_up: bool) -> XferEvents {
         let mut ev = XferEvents::default();
         if !net_up || self.active.is_empty() || !dt.is_positive() {
             return ev;
@@ -156,7 +155,7 @@ impl TransferQueue {
     /// the network stays up and the active set is fixed (events only speed
     /// things up, so this is an upper bound — the emulator reschedules
     /// after each event).
-    pub fn next_completion_in(&self) -> Option<SimDuration> {
+    pub(crate) fn next_completion_in(&self) -> Option<SimDuration> {
         if self.active.is_empty() {
             return None;
         }
@@ -171,34 +170,26 @@ impl TransferQueue {
 
     /// Drop every in-flight transfer (host crash): returns `(job,
     /// total_bytes)` for each so the owner can re-enqueue from byte zero.
-    pub fn restart_all(&mut self) -> Vec<(JobId, f64)> {
+    pub(crate) fn restart_all(&mut self) -> Vec<(JobId, f64)> {
         let dropped = self.active.iter().map(|t| (t.job, t.total_bytes)).collect();
         self.active.clear();
         dropped
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.active.len()
-    }
-
-    pub fn contains(&self, job: JobId) -> bool {
+    pub(crate) fn contains(&self, job: JobId) -> bool {
         self.active.iter().any(|t| t.job == job)
     }
 }
 
 /// Both directions plus the completion-time helper the emulator polls.
 #[derive(Debug, Clone)]
-pub struct Transfers {
-    pub downloads: TransferQueue,
-    pub uploads: TransferQueue,
+pub(crate) struct Transfers {
+    pub(crate) downloads: TransferQueue,
+    pub(crate) uploads: TransferQueue,
 }
 
 impl Transfers {
-    pub fn new(model: Option<NetworkModel>) -> Self {
+    pub(crate) fn new(model: Option<NetworkModel>) -> Self {
         // "Instant" = effectively infinite bandwidth.
         let m = model.unwrap_or(NetworkModel::symmetric(1e18));
         if let Err(field) = m.validate() {
@@ -210,7 +201,7 @@ impl Transfers {
         }
     }
 
-    pub fn next_event_after(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_event_after(&self, now: SimTime) -> Option<SimTime> {
         let d = self.downloads.next_completion_in();
         let u = self.uploads.next_completion_in();
         match (d, u) {
@@ -225,6 +216,7 @@ impl Transfers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
@@ -233,20 +225,20 @@ mod tests {
     #[test]
     fn single_transfer_timing() {
         let mut q = TransferQueue::new(1000.0); // 1000 B/s
-        assert!(q.enqueue(JobId(1), 5000.0));
+        assert!(q.enqueue_faulty(JobId(1), 5000.0, None));
         assert_eq!(q.next_completion_in(), Some(d(5.0)));
         assert!(q.advance(d(4.0), true).completed.is_empty());
         let ev = q.advance(d(1.0), true);
         assert_eq!(ev.completed, vec![JobId(1)]);
         assert!(ev.failed.is_empty());
-        assert!(q.is_empty());
+        assert!(q.active.is_empty());
     }
 
     #[test]
     fn equal_sharing_halves_rate() {
         let mut q = TransferQueue::new(1000.0);
-        q.enqueue(JobId(1), 1000.0);
-        q.enqueue(JobId(2), 1000.0);
+        q.enqueue_faulty(JobId(1), 1000.0, None);
+        q.enqueue_faulty(JobId(2), 1000.0, None);
         // Each gets 500 B/s: 2 s to finish both.
         assert_eq!(q.next_completion_in(), Some(d(2.0)));
         let ev = q.advance(d(2.0), true);
@@ -256,8 +248,8 @@ mod tests {
     #[test]
     fn completion_cascade_within_interval() {
         let mut q = TransferQueue::new(1000.0);
-        q.enqueue(JobId(1), 500.0);
-        q.enqueue(JobId(2), 2000.0);
+        q.enqueue_faulty(JobId(1), 500.0, None);
+        q.enqueue_faulty(JobId(2), 2000.0, None);
         // First second: 500 B/s each; J1 done at t=1. Then J2 gets full
         // 1000 B/s: 1500 B remaining → done at t=2.5.
         let ev = q.advance(d(2.5), true);
@@ -267,7 +259,7 @@ mod tests {
     #[test]
     fn network_down_stalls() {
         let mut q = TransferQueue::new(1000.0);
-        q.enqueue(JobId(1), 100.0);
+        q.enqueue_faulty(JobId(1), 100.0, None);
         assert!(q.advance(d(100.0), false).completed.is_empty());
         assert!(q.contains(JobId(1)));
     }
@@ -275,16 +267,16 @@ mod tests {
     #[test]
     fn zero_bytes_never_queued() {
         let mut q = TransferQueue::new(1000.0);
-        assert!(!q.enqueue(JobId(1), 0.0));
-        assert!(q.is_empty());
+        assert!(!q.enqueue_faulty(JobId(1), 0.0, None));
+        assert!(q.active.is_empty());
         assert_eq!(q.next_completion_in(), None);
     }
 
     #[test]
     fn transfers_facade() {
         let mut t = Transfers::new(Some(NetworkModel { down_bps: 100.0, up_bps: 50.0 }));
-        t.downloads.enqueue(JobId(1), 200.0);
-        t.uploads.enqueue(JobId(2), 200.0);
+        t.downloads.enqueue_faulty(JobId(1), 200.0, None);
+        t.uploads.enqueue_faulty(JobId(2), 200.0, None);
         let now = SimTime::from_secs(10.0);
         // Download in 2 s, upload in 4 s: next event at 12 s.
         assert_eq!(t.next_event_after(now), Some(SimTime::from_secs(12.0)));
@@ -302,14 +294,14 @@ mod tests {
         let ev = q.advance(d(0.5), true);
         assert_eq!(ev.failed, vec![JobId(1)]);
         assert!(ev.completed.is_empty());
-        assert!(q.is_empty(), "failed transfer leaves the queue");
+        assert!(q.active.is_empty(), "failed transfer leaves the queue");
     }
 
     #[test]
     fn failure_frees_bandwidth_for_survivors() {
         let mut q = TransferQueue::new(1000.0);
         q.enqueue_faulty(JobId(1), 4000.0, Some(500.0)); // dies at 500 B sent
-        q.enqueue(JobId(2), 2000.0);
+        q.enqueue_faulty(JobId(2), 2000.0, None);
         // 500 B/s each: J1 fails at t=1 (500 B). J2 then gets 1000 B/s:
         // 1500 B remaining → done at t=2.5.
         let ev = q.advance(d(2.5), true);
@@ -320,12 +312,12 @@ mod tests {
     #[test]
     fn restart_all_reports_totals() {
         let mut q = TransferQueue::new(1000.0);
-        q.enqueue(JobId(1), 4000.0);
-        q.enqueue(JobId(2), 1000.0);
+        q.enqueue_faulty(JobId(1), 4000.0, None);
+        q.enqueue_faulty(JobId(2), 1000.0, None);
         q.advance(d(1.0), true); // 500 B each moved
         let dropped = q.restart_all();
         assert_eq!(dropped, vec![(JobId(1), 4000.0), (JobId(2), 1000.0)]);
-        assert!(q.is_empty());
+        assert!(q.active.is_empty());
     }
 
     #[test]
@@ -347,5 +339,36 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn nan_rate_rejected() {
         let _ = TransferQueue::new(f64::NAN);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        /// Transfer queue conserves bytes: total time to drain n transfers at
+        /// rate r equals total bytes / r regardless of interleaving.
+        #[test]
+        fn transfer_queue_conservation(
+            rate in 1.0f64..1e6,
+            sizes in proptest::collection::vec(1.0f64..1e6, 1..10),
+            step in 0.5f64..100.0,
+        ) {
+            let mut q = TransferQueue::new(rate);
+            for (i, &b) in sizes.iter().enumerate() {
+                q.enqueue_faulty(JobId(i as u64), b, None);
+            }
+            let total_bytes: f64 = sizes.iter().sum();
+            let expected_drain = total_bytes / rate;
+            let mut t = 0.0;
+            let mut done = 0;
+            while !q.active.is_empty() {
+                done += q.advance(SimDuration::from_secs(step), true).completed.len();
+                t += step;
+                prop_assert!(t < expected_drain + 2.0 * step + 1.0, "queue never drains");
+            }
+            prop_assert_eq!(done, sizes.len());
+            // Drain time within one step of the analytic value.
+            prop_assert!(t >= expected_drain - 1e-6);
+            prop_assert!(t <= expected_drain + 2.0 * step);
+        }
     }
 }

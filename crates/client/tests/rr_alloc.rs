@@ -118,10 +118,7 @@ fn simulate_into_is_allocation_free_in_steady_state() {
     let mut c = Client::new(
         Hardware::cpu_only(4, 1e9),
         Preferences::default(),
-        vec![
-            Client::project(0, "alpha", 2.0, &[ProcType::Cpu]),
-            Client::project(1, "beta", 1.0, &[ProcType::Cpu]),
-        ],
+        vec![Client::project(0, 2.0, &[ProcType::Cpu]), Client::project(1, 1.0, &[ProcType::Cpu])],
         ClientConfig::default(),
     );
     let rs = HostRunState { can_compute: true, can_gpu: true, net_up: true, user_active: false };

@@ -29,10 +29,37 @@ use bce_types::{
 use proptest::prelude::*;
 use std::collections::HashSet;
 
+/// An `RrOutcome` with its missed set spelled out: `RrOutcome` exposes it
+/// only through `is_endangered`, and every missed job also has a finish
+/// time, so the set is recovered from the finish list.
+#[derive(Debug, Clone)]
+struct Outcome {
+    missed: Vec<JobId>,
+    sat: ProcMap<SimDuration>,
+    shortfall: ProcMap<f64>,
+    finish: Vec<(JobId, SimDuration)>,
+    busy_now: ProcMap<f64>,
+}
+
+impl From<&RrOutcome> for Outcome {
+    fn from(o: &RrOutcome) -> Self {
+        let mut missed: Vec<JobId> =
+            o.finish.iter().map(|&(id, _)| id).filter(|&id| o.is_endangered(id)).collect();
+        missed.sort_unstable();
+        Outcome {
+            missed,
+            sat: o.sat,
+            shortfall: o.shortfall,
+            finish: o.finish.clone(),
+            busy_now: o.busy_now,
+        }
+    }
+}
+
 /// The original per-call-allocating implementation of the round-robin
-/// simulation, kept verbatim as the differential-testing oracle for
-/// `rr_simulate` / `rr_simulate_into`.
-fn simulate_reference(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDuration) -> RrOutcome {
+/// simulation, kept verbatim (apart from its result type) as the
+/// differential-testing oracle for `rr_simulate` / `rr_simulate_into`.
+fn simulate_reference(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDuration) -> Outcome {
     // Mutable remaining work; simulation proceeds between job-completion
     // events with piecewise-constant rates.
     let mut remaining: Vec<f64> = jobs.iter().map(|j| j.remaining.secs().max(0.0)).collect();
@@ -214,7 +241,7 @@ fn simulate_reference(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDura
 
     let mut missed: Vec<JobId> = missed.into_iter().collect();
     missed.sort_unstable();
-    RrOutcome { missed, sat, shortfall, finish, busy_now }
+    Outcome { missed, sat, shortfall, finish, busy_now }
 }
 
 /// Randomized workload description: host shape plus a job list spanning
@@ -328,7 +355,8 @@ fn build(w: &Workload) -> (RrPlatform, Vec<RrJob>) {
 
 /// Bit-exact comparison: `PartialEq` on f64 is exactly what we want here —
 /// the fast path must not change results even in the last ulp.
-fn assert_identical(fast: &RrOutcome, oracle: &RrOutcome) {
+fn assert_identical(fast: &RrOutcome, oracle: &Outcome) {
+    let fast = Outcome::from(fast);
     assert_eq!(fast.missed, oracle.missed, "missed sets differ");
     assert_eq!(fast.finish, oracle.finish, "finish times differ");
     for t in ProcType::ALL {
@@ -523,7 +551,9 @@ fn same_step_finishers_across_groups_are_reported_in_job_order() {
     let first: Vec<u64> = out.finish[..4].iter().map(|(id, _)| id.0).collect();
     assert_eq!(first, [0, 1, 3, 4]);
     assert!(out.finish[..4].iter().all(|&(_, t)| t == out.finish[0].1));
-    assert_eq!(out.missed, [JobId(3)]);
+    let missed: Vec<JobId> =
+        out.finish.iter().map(|&(id, _)| id).filter(|&id| out.is_endangered(id)).collect();
+    assert_eq!(missed, [JobId(3)]);
 }
 
 /// One evolution step of [`evolving_workload_matches_reference`].
@@ -567,19 +597,22 @@ fn spec(id: u64, project: u32, dur: f64, latency: f64, gpu: bool) -> JobSpec {
 }
 
 /// An uncached simulation of `c`'s live queue, derived from its public
-/// state alone: every task neither completed nor errored, at its
-/// estimated remaining time, on the instances `rs` lets compute.
+/// state and the [`cache_client`] set-up alone: every task neither
+/// completed nor errored, at its estimated remaining time (the client only
+/// knows `duration_est`; an over-run task is assumed nearly done), on the
+/// instances `rs` lets compute.
 fn uncached(c: &Client, now: SimTime, rs: HostRunState, on_frac: f64) -> RrOutcome {
+    let (hw, prefs) = (cache_hardware(), Preferences::default());
     let platform = RrPlatform {
         now,
         ninstances: ProcMap::from_fn(|t| match t {
-            ProcType::Cpu if rs.can_compute => c.prefs.usable_cpus(c.hw.ninstances(t)) as f64,
+            ProcType::Cpu if rs.can_compute => prefs.usable_cpus(hw.ninstances(t)) as f64,
             ProcType::Cpu => 0.0,
-            _ if rs.can_gpu => c.hw.ninstances(t) as f64,
+            _ if rs.can_gpu => hw.ninstances(t) as f64,
             _ => 0.0,
         }),
         on_frac,
-        shares: c.projects().iter().map(|p| (p.id, p.share)).collect(),
+        shares: CACHE_SHARES.iter().map(|&(id, share)| (ProjectId(id), share)).collect(),
     };
     let jobs: Vec<RrJob> = c
         .tasks()
@@ -592,22 +625,31 @@ fn uncached(c: &Client, now: SimTime, rs: HostRunState, on_frac: f64) -> RrOutco
                 project: t.spec.project,
                 proc_type: pt,
                 instances: t.spec.usage.instances_of(pt),
-                remaining: t.remaining_est(),
+                remaining: SimDuration::from_secs(
+                    (t.spec.duration_est.secs() - t.progress()).max(1.0),
+                ),
                 deadline: t.spec.deadline(),
             }
         })
         .collect();
-    rr_simulate(&platform, &jobs, c.prefs.work_buf_max())
+    rr_simulate(&platform, &jobs, prefs.work_buf_max())
+}
+
+/// `(project id, resource share)` of [`cache_client`]'s projects.
+const CACHE_SHARES: [(u32, f64); 3] = [(0, 2.0), (1, 1.0), (2, 0.5)];
+
+fn cache_hardware() -> Hardware {
+    Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(2e9)
 }
 
 fn cache_client() -> Client {
     Client::new(
-        Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(2e9),
+        cache_hardware(),
         Preferences::default(),
         vec![
-            Client::project(0, "alpha", 2.0, &[ProcType::Cpu, ProcType::NvidiaGpu]),
-            Client::project(1, "beta", 1.0, &[ProcType::Cpu]),
-            Client::project(2, "gamma", 0.5, &[ProcType::Cpu]),
+            Client::project(0, CACHE_SHARES[0].1, &[ProcType::Cpu, ProcType::NvidiaGpu]),
+            Client::project(1, CACHE_SHARES[1].1, &[ProcType::Cpu]),
+            Client::project(2, CACHE_SHARES[2].1, &[ProcType::Cpu]),
         ],
         ClientConfig::default(),
     )
@@ -623,7 +665,7 @@ fn cached_snapshot_matches_uncached_through_mutations() {
     let check = |c: &mut Client, now: SimTime, rs: HostRunState, on_frac: f64| {
         c.rr_refresh(now, rs, on_frac);
         let fresh = uncached(c, now, rs, on_frac);
-        assert_identical(c.rr_snapshot(), &fresh);
+        assert_identical(c.rr_snapshot(), &Outcome::from(&fresh));
     };
 
     check(&mut c, SimTime::ZERO, rs, 1.0);
@@ -740,12 +782,12 @@ proptest! {
                 // simulation of the same live state.
                 last_runs = c.rr_stats().runs;
                 let fresh = uncached(&c, now, rs, on_frac);
-                assert_identical(c.rr_snapshot(), &fresh);
+                assert_identical(c.rr_snapshot(), &Outcome::from(&fresh));
                 last_full = c.rr_snapshot().clone();
             } else {
                 // A pure or frozen hit: must be the retained outcome,
                 // untouched by any mutation since.
-                assert_identical(c.rr_snapshot(), &last_full);
+                assert_identical(c.rr_snapshot(), &Outcome::from(&last_full));
             }
         }
     }
@@ -805,5 +847,5 @@ fn refresh_hit_miss_accounting() {
 
     // And the snapshot still matches an uncached run.
     let fresh = uncached(&c, SimTime::from_secs(1000.0), rs, 0.5);
-    assert_identical(c.rr_snapshot(), &fresh);
+    assert_identical(c.rr_snapshot(), &Outcome::from(&fresh));
 }

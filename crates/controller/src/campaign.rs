@@ -137,7 +137,7 @@ fn store_error(base: &Path, e: StoreError) -> CampaignError {
     }
 }
 
-/// Checkpointing/resume options for [`population_campaign`].
+/// Checkpointing/resume options for `population_campaign`.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Base path of the campaign checkpoint store; generations live
@@ -221,7 +221,7 @@ pub struct CampaignReport {
 }
 
 /// A serializable snapshot of a campaign in flight. Opaque outside this
-/// module; produced and consumed by [`population_campaign`].
+/// module; produced and consumed by `population_campaign`.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
     fingerprint: u64,
@@ -233,22 +233,6 @@ pub struct CampaignCheckpoint {
 }
 
 impl CampaignCheckpoint {
-    /// Runs already completed (always a submission-order prefix).
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// Total runs in the campaign.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// `true` once every run has completed; resuming a complete
-    /// checkpoint reproduces the outcomes without emulating anything.
-    pub fn is_complete(&self) -> bool {
-        self.completed >= self.total
-    }
-
     /// Serialize to the versioned XML document format.
     pub fn to_xml_string(&self) -> String {
         let mut root = envelope(ROOT, VERSION);
@@ -299,7 +283,7 @@ impl CampaignCheckpoint {
     /// an error, never panics; internal inconsistencies (bitmap not a
     /// prefix, metric samples of different lengths) are rejected too,
     /// and so is a v1 document.
-    pub fn from_xml_str(src: &str) -> Result<Self, CampaignError> {
+    pub(crate) fn from_xml_str(src: &str) -> Result<Self, CampaignError> {
         let (v, root) = open_envelope(src, ROOT, VERSION)?;
         if v < VERSION {
             return Err(CodecError::BadVersion(format!(
@@ -376,7 +360,10 @@ impl CampaignCheckpoint {
     }
 
     /// Publish this checkpoint as the next generation of `store`.
-    pub fn write_store(&self, store: &CheckpointStore) -> Result<WriteReceipt, CampaignError> {
+    pub(crate) fn write_store(
+        &self,
+        store: &CheckpointStore,
+    ) -> Result<WriteReceipt, CampaignError> {
         store.write(self.to_xml_string().as_bytes()).map_err(|e| store_error(store.base(), e))
     }
 
@@ -387,7 +374,9 @@ impl CampaignCheckpoint {
     /// A store whose every generation is intact but refused for its
     /// format version is a [`CampaignError::Mismatch`], not corruption:
     /// the disk is fine, and no generation can ever parse in this build.
-    pub fn read_store(store: &CheckpointStore) -> Result<(Self, RecoveryReport), CampaignError> {
+    pub(crate) fn read_store(
+        store: &CheckpointStore,
+    ) -> Result<(Self, RecoveryReport), CampaignError> {
         let mut refused_versions = Vec::new();
         let opened = store.open_latest_with(|text| {
             Self::from_xml_str(text).map_err(|e| {
@@ -489,7 +478,7 @@ fn campaign_fingerprint(
 /// often the campaign is stopped and resumed; panicking runs are
 /// quarantined into [`CampaignReport::errors`] and simply absent from the
 /// aggregates (each policy's `scenarios_run` counts its successful runs).
-pub fn population_campaign(
+pub(crate) fn population_campaign(
     scenarios: &[Arc<Scenario>],
     policies: &[(String, ClientConfig)],
     emulator: &EmulatorConfig,
@@ -587,3 +576,6 @@ pub fn population_campaign(
         generations_pruned: pruned,
     })
 }
+
+#[cfg(test)]
+mod resume_tests;

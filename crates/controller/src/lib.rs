@@ -6,27 +6,22 @@
 //! point), Monte-Carlo population campaigns, and terminal-friendly
 //! tables/plots plus CSV export.
 
-pub mod campaign;
-pub mod manifest;
-pub mod montecarlo;
-pub mod plot;
-pub mod run;
+pub(crate) mod campaign;
+pub(crate) mod manifest;
+pub(crate) mod montecarlo;
+pub(crate) mod plot;
+pub(crate) mod run;
 pub mod sweep;
-pub mod table;
+pub(crate) mod table;
 
 pub use campaign::{
-    population_campaign, CampaignCheckpoint, CampaignError, CampaignOptions, CampaignReport,
-    CheckpointError,
+    CampaignCheckpoint, CampaignError, CampaignOptions, CampaignReport, CheckpointError,
 };
-pub use manifest::{run_manifest, summary_json, CampaignManifest, ManifestError, ManifestOutcome};
-pub use montecarlo::{
-    paper_policies, population_header, population_table, standard_policies, MetricStats,
-    PopulationOutcome,
-};
-pub use plot::{bar_chart, line_chart, Series};
+pub use manifest::{run_manifest, CampaignManifest, ManifestError, ManifestOutcome};
+pub use montecarlo::{paper_policies, population_header, MetricStats, PopulationOutcome};
+pub use plot::{line_chart, Series};
 pub use run::{
-    resolve_threads, run_streaming, run_supervised, run_supervised_profiled, RunError, RunOutcome,
-    RunSpec,
+    resolve_threads, run_streaming, run_supervised, run_supervised_profiled, RunError, RunSpec,
 };
 pub use sweep::{sweep, Metric, SweepResult};
 pub use table::Table;

@@ -30,9 +30,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Manifest document `format` tag.
-pub const MANIFEST_FORMAT: &str = "bce-campaign";
+pub(crate) const MANIFEST_FORMAT: &str = "bce-campaign";
 /// Highest manifest `version` this build understands.
-pub const MANIFEST_VERSION: u32 = 1;
+pub(crate) const MANIFEST_VERSION: u32 = 1;
 
 /// Error parsing or expanding a campaign manifest.
 #[derive(Debug)]
@@ -113,7 +113,7 @@ pub struct CampaignManifest {
     pub policies: Vec<(String, ClientConfig)>,
     /// Seed overrides: each scenario ref is instantiated once per seed.
     /// Empty = one instance per ref with its own seed.
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     refs: Vec<ScenarioRef>,
     /// Directory scenario paths resolve against.
     base_dir: PathBuf,
@@ -240,7 +240,7 @@ fn parse_ref(v: &JsonValue, path: &str) -> Result<ScenarioRef, ManifestError> {
 
 impl CampaignManifest {
     /// The standard sampled population: `hosts` hosts drawn from the
-    /// default model with `seed`, under [`standard_policies`] — the same
+    /// default model with `seed`, under `standard_policies` — the same
     /// campaign as a parsed manifest with `"scenarios": [{"sampled":
     /// {"model": "default", "hosts": hosts, "seed": seed}}]` and
     /// `"policies": "standard"`.
@@ -256,7 +256,7 @@ impl CampaignManifest {
     }
 
     /// One already-resolved scenario (its fault overlay included) under
-    /// [`standard_policies`].
+    /// `standard_policies`.
     pub fn single_scenario(loaded: LoadedScenario, days: f64) -> Self {
         CampaignManifest {
             name: loaded.scenario.name.clone(),
@@ -417,7 +417,7 @@ impl CampaignManifest {
 
     /// The emulator configuration every run of this campaign shares:
     /// the manifest's horizon under the expanded fault overlay.
-    pub fn emulator(&self, faults: FaultConfig) -> EmulatorConfig {
+    pub(crate) fn emulator(&self, faults: FaultConfig) -> EmulatorConfig {
         EmulatorConfig { duration: SimDuration::from_days(self.days), faults, ..Default::default() }
     }
 }
@@ -431,11 +431,9 @@ pub struct ManifestOutcome {
     pub table: String,
     /// FNV-1a of `table`.
     pub table_fingerprint: u64,
-    /// The `summary.json` document.
-    pub summary: String,
 }
 
-/// Execute a manifest through [`population_campaign`] and assemble the
+/// Execute a manifest through `population_campaign` and assemble the
 /// summary document. If `out_dir` is given, writes `summary.json` there
 /// (creating the directory) and defaults the campaign checkpoint into it
 /// when `opts` names none.
@@ -459,18 +457,17 @@ pub fn run_manifest(
     let report = population_campaign(&scenarios, &manifest.policies, &emulator, threads, &opts)?;
     let table = population_table(&report.outcomes).render();
     let table_fingerprint = fnv64(table.as_bytes());
-    let summary = summary_json(manifest, scenarios.len(), &report, table_fingerprint);
-
     if let Some(dir) = out_dir {
-        std::fs::write(dir.join("summary.json"), &summary)?;
+        let summary = summary_json(manifest, scenarios.len(), &report, table_fingerprint);
+        std::fs::write(dir.join("summary.json"), summary)?;
         std::fs::write(dir.join("table.txt"), &table)?;
     }
-    Ok(ManifestOutcome { report, table, table_fingerprint, summary })
+    Ok(ManifestOutcome { report, table, table_fingerprint })
 }
 
 /// Render the `summary.json` document for a completed (or budget-stopped)
 /// campaign.
-pub fn summary_json(
+pub(crate) fn summary_json(
     manifest: &CampaignManifest,
     nscenarios: usize,
     report: &CampaignReport,
@@ -592,7 +589,7 @@ mod tests {
     fn relative_paths_resolve_against_the_manifest_dir() {
         let dir = std::env::temp_dir().join(format!("bce-manifest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = bce_core::ScenarioSpec::from_scenario(&bce_scenarios::scenario2());
+        let spec = bce_scenarios::ScenarioSpec::from_scenario(&bce_scenarios::scenario2());
         std::fs::write(dir.join("s2.json"), spec.to_canonical_json()).unwrap();
         let m = CampaignManifest::parse(&minimal("[\"s2.json\"]", ""), &dir).unwrap();
         let (scenarios, _) = m.expand_scenarios().unwrap();
@@ -627,7 +624,6 @@ mod tests {
         assert_eq!(out.report.total_runs, 4);
         assert_eq!(out.report.completed_runs, 4);
         let summary = std::fs::read_to_string(dir.join("summary.json")).unwrap();
-        assert_eq!(summary, out.summary);
         let parsed = parse_json(&summary).unwrap();
         assert_eq!(parsed.get("format").and_then(|v| v.as_str()), Some("bce-campaign-summary"));
         // Rotation writes generation files, not the bare base path.

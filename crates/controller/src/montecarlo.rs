@@ -2,7 +2,7 @@
 //! over a whole sampled population of scenarios rather than hand-picked
 //! points, and aggregate the figures-of-merit distributions.
 //!
-//! A study runs as a campaign ([`population_campaign`](crate::population_campaign),
+//! A study runs as a campaign ([`population_campaign`](crate::campaign::population_campaign),
 //! reached through [`run_manifest`](crate::run_manifest)). It streams: the
 //! policy × scenario matrix is distributed as `Arc`-shared specs (no
 //! scenario is ever cloned) and every `EmulationResult` is folded into
@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// Aggregated distribution of one metric over the population.
 #[derive(Debug, Clone)]
 pub struct MetricStats {
-    pub metric: Metric,
+    pub(crate) metric: Metric,
     pub stats: OnlineStats,
     /// 95th percentile (exact, from the retained sample).
     pub p95: f64,
@@ -31,7 +31,7 @@ pub struct MetricStats {
 #[derive(Debug, Clone)]
 pub struct PopulationOutcome {
     pub label: String,
-    pub per_metric: Vec<MetricStats>,
+    pub(crate) per_metric: Vec<MetricStats>,
     pub scenarios_run: usize,
 }
 
@@ -109,7 +109,7 @@ pub(crate) fn population_specs(
 /// The standard policy pair of the population study: the paper's
 /// recommended combination (GLOBAL scheduling + hysteresis fetch)
 /// against the original BOINC baseline (LOCAL + ORIG).
-pub fn standard_policies() -> Vec<(String, ClientConfig)> {
+pub(crate) fn standard_policies() -> Vec<(String, ClientConfig)> {
     vec![
         ("GLOBAL+HYST".to_string(), ClientConfig::default()),
         (
@@ -148,7 +148,7 @@ pub fn population_header(hosts: usize, days: f64, seed: u64) -> String {
 /// Summary table: one row per (policy, metric) with mean/sd/min/max/p95.
 /// A policy with no completed run (a budget-stopped campaign) has no
 /// moments: its cells read `-`, as `summary_json` writes `null`.
-pub fn population_table(outcomes: &[PopulationOutcome]) -> Table {
+pub(crate) fn population_table(outcomes: &[PopulationOutcome]) -> Table {
     let mut t = Table::new(&["policy", "metric", "mean", "sd", "min", "max", "p95"]);
     for o in outcomes {
         for ms in &o.per_metric {

@@ -6,8 +6,8 @@ use std::fmt::Write as _;
 /// A named series of `(x, y)` points.
 #[derive(Debug, Clone)]
 pub struct Series {
-    pub name: String,
-    pub points: Vec<(f64, f64)>,
+    pub(crate) name: String,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Series {
@@ -72,7 +72,7 @@ pub fn line_chart(title: &str, series: &[Series], width: usize, height: usize) -
 }
 
 /// Render labelled values as a horizontal bar chart (values >= 0).
-pub fn bar_chart(title: &str, bars: &[(String, f64)], width: usize) -> String {
+pub(crate) fn bar_chart(title: &str, bars: &[(String, f64)], width: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     if bars.is_empty() {

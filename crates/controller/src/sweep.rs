@@ -24,7 +24,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    pub fn extract(&self, m: &FiguresOfMerit) -> f64 {
+    pub(crate) fn extract(&self, m: &FiguresOfMerit) -> f64 {
         match self {
             Metric::Idle => m.idle_fraction,
             Metric::Wasted => m.wasted_fraction,
@@ -34,7 +34,7 @@ impl Metric {
         }
     }
 
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Metric::Idle => "idle",
             Metric::Wasted => "wasted",
@@ -44,7 +44,7 @@ impl Metric {
         }
     }
 
-    pub const ALL: [Metric; 5] = [
+    pub(crate) const ALL: [Metric; 5] = [
         Metric::Idle,
         Metric::Wasted,
         Metric::ShareViolation,
@@ -56,10 +56,10 @@ impl Metric {
 /// Results of a sweep: for each policy, for each parameter value, the full
 /// emulation result.
 pub struct SweepResult {
-    pub param_name: String,
-    pub params: Vec<f64>,
+    pub(crate) param_name: String,
+    pub(crate) params: Vec<f64>,
     /// Name of the scenario built for each parameter value.
-    pub scenario_names: Vec<String>,
+    pub(crate) scenario_names: Vec<String>,
     /// One row per policy: `(label, results by param index)`.
     pub by_policy: Vec<(String, Vec<EmulationResult>)>,
 }
@@ -221,9 +221,9 @@ mod tests {
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].points.len(), 2);
         assert_eq!(series[0].points[0].0, 500.0);
-        let t = r.table(Metric::RpcsPerJob);
-        assert_eq!(t.nrows(), 2);
-        let rendered = t.render();
+        let rendered = r.table(Metric::RpcsPerJob).render();
+        // Header, rule, and one row per parameter value.
+        assert_eq!(rendered.lines().count(), 4, "{rendered}");
         assert!(rendered.contains("GLOBAL"));
         assert!(rendered.contains("runtime"));
     }

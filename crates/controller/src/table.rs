@@ -18,10 +18,6 @@ impl Table {
         self
     }
 
-    pub fn nrows(&self) -> usize {
-        self.rows.len()
-    }
-
     pub fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -125,13 +121,8 @@ impl Table {
 }
 
 /// Format a float with 4 significant decimals, trimming noise.
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     format!("{v:.4}")
-}
-
-/// Format a float with 2 decimals.
-pub fn f2(v: f64) -> String {
-    format!("{v:.2}")
 }
 
 #[cfg(test)]
@@ -149,7 +140,7 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         // Right-aligned value column: both rows end at the same column.
         assert_eq!(lines[2].len(), lines[3].len());
-        assert_eq!(t.nrows(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -179,6 +170,5 @@ mod tests {
     #[test]
     fn float_helpers() {
         assert_eq!(f(0.12345), "0.1235");
-        assert_eq!(f2(3.17159), "3.17");
     }
 }

@@ -4,8 +4,8 @@
 
 use bce_client::{ClientConfig, JobSchedPolicy};
 use bce_controller::{
-    line_chart, population_campaign, run_streaming, save_text, sweep, CampaignOptions, Metric,
-    RunSpec, Series, SweepResult,
+    line_chart, run_manifest, run_streaming, save_text, sweep, CampaignManifest, CampaignOptions,
+    Metric, RunSpec, Series, SweepResult,
 };
 use bce_core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder};
 use bce_scenarios::{PopulationModel, PopulationSampler};
@@ -112,32 +112,12 @@ fn two_policies() -> Vec<(String, ClientConfig)> {
 
 #[test]
 fn population_study_bit_identical_across_threads() {
-    let mut sampler = PopulationSampler::new(PopulationModel::default(), 17);
-    let scenarios: Vec<Arc<Scenario>> = sampler.sample_many(6).into_iter().map(Arc::new).collect();
+    let manifest = CampaignManifest::sampled_population(6, 17, 2.0 / 24.0);
+    // `Debug` prints every f64 in its shortest round-tripping form, so equal
+    // text means bit-identical moments and p95s.
     let fingerprint = |threads: usize| {
-        let report = population_campaign(
-            &scenarios,
-            &two_policies(),
-            &emu(),
-            threads,
-            &CampaignOptions::default(),
-        )
-        .unwrap();
-        report
-            .outcomes
-            .iter()
-            .flat_map(|o| {
-                o.per_metric.iter().flat_map(|ms| {
-                    [
-                        ms.stats.mean().to_bits(),
-                        ms.stats.std_dev().to_bits(),
-                        ms.stats.min().to_bits(),
-                        ms.stats.max().to_bits(),
-                        ms.p95.to_bits(),
-                    ]
-                })
-            })
-            .collect::<Vec<u64>>()
+        let out = run_manifest(&manifest, threads, &CampaignOptions::default(), None).unwrap();
+        format!("{:?}", out.report.outcomes)
     };
     let base = fingerprint(THREAD_MATRIX[0]);
     for &threads in &THREAD_MATRIX[1..] {

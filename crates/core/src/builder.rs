@@ -22,9 +22,10 @@
 //! assert_eq!(scenario.seed, 7);
 //! ```
 //!
-//! Every in-tree scenario is built here (or by [`Scenario::from_spec`]
-//! for JSON scenario files). `build_unchecked` exists for tests that
-//! construct deliberately-invalid scenarios.
+//! Every in-tree scenario is built here (JSON scenario files too:
+//! [`ScenarioSpec::build`](crate::ScenarioSpec::build) lowers onto it).
+//! `build_unchecked` exists for tests that construct deliberately-invalid
+//! scenarios.
 
 use crate::scenario::Scenario;
 use bce_avail::{AvailSpec, AvailTrace};
@@ -40,7 +41,7 @@ pub struct ScenarioBuilder {
 impl ScenarioBuilder {
     /// Start from the two things every scenario needs: a name and host
     /// hardware. Everything else has the same defaults as
-    /// [`Scenario::new`]: seed 0, default preferences, always-on
+    /// `Scenario::new`: seed 0, default preferences, always-on
     /// availability, instant network, no projects.
     pub fn new(name: impl Into<String>, hardware: Hardware) -> Self {
         ScenarioBuilder { scenario: Scenario::new(name, hardware) }
@@ -49,12 +50,6 @@ impl ScenarioBuilder {
     /// Root seed for every stochastic element of the run.
     pub fn seed(mut self, seed: u64) -> Self {
         self.scenario.seed = seed;
-        self
-    }
-
-    /// Replace the host hardware.
-    pub fn hardware(mut self, hardware: Hardware) -> Self {
-        self.scenario.hardware = hardware;
         self
     }
 
@@ -84,20 +79,14 @@ impl ScenarioBuilder {
     }
 
     /// Override host power with a recorded trace.
-    pub fn host_trace(mut self, trace: AvailTrace) -> Self {
+    pub(crate) fn host_trace(mut self, trace: AvailTrace) -> Self {
         self.scenario.host_trace = Some(trace);
         self
     }
 
     /// Model a finite network link (None/default = instant transfers).
-    pub fn network(mut self, network: NetworkModel) -> Self {
+    pub(crate) fn network(mut self, network: NetworkModel) -> Self {
         self.scenario.network = Some(network);
-        self
-    }
-
-    /// Import one in-flight job into the client's starting queue.
-    pub fn initial_job(mut self, job: InitialJob) -> Self {
-        self.scenario.initial_queue.push(job);
         self
     }
 

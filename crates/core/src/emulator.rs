@@ -14,9 +14,7 @@
 use crate::metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
 use crate::scenario::Scenario;
 use bce_avail::{Governor, HostRunState};
-use bce_client::{
-    Client, ClientConfig, ClientProject, ClientScratch, FetchPolicy, JobSchedPolicy, Reschedule,
-};
+use bce_client::{Client, ClientConfig, ClientProject, ClientScratch, Reschedule};
 use bce_faults::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
 use bce_obs::{
     ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
@@ -102,15 +100,15 @@ enum Event {
 /// The complete result of one emulation run.
 #[derive(Debug, Clone)]
 pub struct EmulationResult {
-    pub scenario_name: String,
+    pub(crate) scenario_name: String,
     pub merit: FiguresOfMerit,
     pub projects: Vec<ProjectReport>,
     pub jobs_completed: u64,
     pub jobs_missed_deadline: u64,
-    pub jobs_unfinished: u64,
+    pub(crate) jobs_unfinished: u64,
     pub available_fraction: f64,
     pub total_flops_used: f64,
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Robustness figures of merit (all zero when faults are off).
     pub faults: FaultMetrics,
     /// Emulator runtime counters (event throughput, RR-sim cache hits).
@@ -291,18 +289,6 @@ impl Emulator {
         Emulator { scenario: scenario.into(), client_cfg, cfg: cfg.into() }
     }
 
-    /// Convenience: emulate `scenario` under (`sched`, `fetch`) with
-    /// defaults otherwise.
-    pub fn run_policies(
-        scenario: Scenario,
-        sched: JobSchedPolicy,
-        fetch: FetchPolicy,
-    ) -> EmulationResult {
-        let client_cfg =
-            ClientConfig { sched_policy: sched, fetch_policy: fetch, ..Default::default() };
-        Emulator::new(scenario, client_cfg, EmulatorConfig::default()).run()
-    }
-
     /// Run the emulation with freshly allocated working state.
     pub fn run(&self) -> EmulationResult {
         self.run_in(&mut EmulatorArena::new())
@@ -365,7 +351,7 @@ impl Emulator {
             .iter()
             .map(|p| {
                 let types: Vec<ProcType> = p.proc_types().collect();
-                Client::project(p.id.0, p.name.clone(), p.resource_share, &types)
+                Client::project(p.id.0, p.resource_share, &types)
             })
             .collect();
         let mut client_cfg = self.client_cfg;

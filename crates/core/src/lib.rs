@@ -12,20 +12,20 @@
 //! records every scheduling decision as a typed trace ([`TraceRecord`]),
 //! the paper's message log.
 
-pub mod builder;
-pub mod emulator;
-pub mod metrics;
-pub mod render;
-pub mod scenario;
+pub(crate) mod builder;
+pub(crate) mod emulator;
+pub(crate) mod metrics;
+pub(crate) mod render;
+pub(crate) mod scenario;
 pub mod spec;
 
-pub use bce_faults::{FaultConfig, RetryPolicy};
+pub use bce_faults::FaultConfig;
 pub use bce_obs::{
     ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
 pub use builder::ScenarioBuilder;
 pub use emulator::{EmulationResult, Emulator, EmulatorArena, EmulatorConfig};
-pub use metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
-pub use render::{render_report, render_timeline};
+pub use metrics::{FaultMetrics, FiguresOfMerit, PerfStats, ProjectReport};
+pub use render::render_timeline;
 pub use scenario::Scenario;
 pub use spec::{ScenarioSpec, SpecError};

@@ -33,7 +33,7 @@ pub struct FiguresOfMerit {
 
 impl FiguresOfMerit {
     /// All five mapped into `[0, 1]` (0 good), RPCs/job via `x/(1+x)`.
-    pub fn scaled(&self) -> [f64; 5] {
+    pub(crate) fn scaled(&self) -> [f64; 5] {
         [
             self.idle_fraction,
             self.wasted_fraction,
@@ -110,7 +110,7 @@ pub struct PerfStats {
 }
 
 impl PerfStats {
-    pub fn rr_hits(&self) -> u64 {
+    pub(crate) fn rr_hits(&self) -> u64 {
         self.rr_queries - self.rr_runs
     }
     /// Fraction of RR-simulation queries served from the cache.
@@ -197,7 +197,7 @@ impl SlotSums {
 /// the ascending list of project ids given at construction, the same
 /// slots the client's accounting uses.
 #[derive(Debug, Clone)]
-pub struct MetricsAccum {
+pub(crate) struct MetricsAccum {
     total_capacity_flops: f64, // peak FLOPS of the host
     monotony_window: SimDuration,
     /// Project ids, ascending and distinct; the index is the slot.
@@ -230,7 +230,7 @@ pub struct MetricsAccum {
 impl MetricsAccum {
     /// A fresh accumulator for a host attached to `projects`, listed in
     /// any order.
-    pub fn new(
+    pub(crate) fn new(
         total_capacity_flops: f64,
         projects: &[ProjectId],
         start: SimTime,
@@ -269,7 +269,7 @@ impl MetricsAccum {
     /// Account an interval of constant allocation. `per_slot` lists the
     /// peak FLOPS each project is engaging, by project slot; `available`
     /// is whether the host could compute at all.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         from: SimTime,
         to: SimTime,
@@ -317,12 +317,12 @@ impl MetricsAccum {
         self.window_end += self.monotony_window;
     }
 
-    pub fn record_rpc(&mut self) {
+    pub(crate) fn record_rpc(&mut self) {
         self.rpcs += 1;
     }
 
     /// Record a completed-and-reported job.
-    pub fn record_job_done(&mut self, met_deadline: bool, flops_spent: f64) {
+    pub(crate) fn record_job_done(&mut self, met_deadline: bool, flops_spent: f64) {
         self.jobs_completed += 1;
         if !met_deadline {
             self.jobs_missed += 1;
@@ -331,17 +331,17 @@ impl MetricsAccum {
     }
 
     /// Record execution seconds lost to a checkpoint rollback.
-    pub fn record_rollback_waste(&mut self, flops: f64) {
+    pub(crate) fn record_rollback_waste(&mut self, flops: f64) {
         self.wasted_flops += flops;
     }
 
     /// Record a scheduler RPC lost in transit.
-    pub fn record_transient_rpc_failure(&mut self) {
+    pub(crate) fn record_transient_rpc_failure(&mut self) {
         self.transient_rpc_failures += 1;
     }
 
     /// Record a mid-flight transfer failure.
-    pub fn record_transfer_failure(&mut self) {
+    pub(crate) fn record_transfer_failure(&mut self) {
         self.transfer_failures += 1;
     }
 
@@ -349,14 +349,14 @@ impl MetricsAccum {
     /// lost FLOPS are fault-attributed only: the generic wasted fraction
     /// picks the same rollback up through [`Self::record_rollback_waste`] when
     /// the task eventually retires.
-    pub fn record_crash(&mut self, lost_flops: f64) {
+    pub(crate) fn record_crash(&mut self, lost_flops: f64) {
         self.crashes += 1;
         self.fault_wasted_flops += lost_flops;
     }
 
     /// Record a permanently-failed job and the FLOPS already sunk into it
     /// (counted both as generic waste and fault-attributed waste).
-    pub fn record_job_errored(&mut self, flops_spent: f64) {
+    pub(crate) fn record_job_errored(&mut self, flops_spent: f64) {
         self.jobs_errored += 1;
         self.wasted_flops += flops_spent;
         self.fault_wasted_flops += flops_spent;
@@ -364,13 +364,13 @@ impl MetricsAccum {
 
     /// Record a completed crash recovery (wall-clock seconds from the
     /// crash until pre-crash progress was regained).
-    pub fn record_recovery(&mut self, secs: f64) {
+    pub(crate) fn record_recovery(&mut self, secs: f64) {
         self.recovery_secs_sum += secs;
         self.recoveries += 1;
     }
 
     /// Snapshot the robustness figures of merit.
-    pub fn fault_metrics(&self) -> FaultMetrics {
+    pub(crate) fn fault_metrics(&self) -> FaultMetrics {
         FaultMetrics {
             transient_rpc_failures: self.transient_rpc_failures,
             transfer_failures: self.transfer_failures,
@@ -390,23 +390,23 @@ impl MetricsAccum {
         }
     }
 
-    pub fn jobs_completed(&self) -> u64 {
+    pub(crate) fn jobs_completed(&self) -> u64 {
         self.jobs_completed
     }
 
-    pub fn jobs_missed(&self) -> u64 {
+    pub(crate) fn jobs_missed(&self) -> u64 {
         self.jobs_missed
     }
 
-    pub fn flops_used_by(&self, p: ProjectId) -> f64 {
+    pub(crate) fn flops_used_by(&self, p: ProjectId) -> f64 {
         self.ids.binary_search(&p).ok().and_then(|s| self.used.get(s)).unwrap_or(0.0)
     }
 
-    pub fn total_flops_used(&self) -> f64 {
+    pub(crate) fn total_flops_used(&self) -> f64 {
         self.used.values().sum()
     }
 
-    pub fn available_fraction(&self) -> f64 {
+    pub(crate) fn available_fraction(&self) -> f64 {
         if self.capacity_secs > 0.0 {
             self.available_secs / self.capacity_secs
         } else {
@@ -416,7 +416,7 @@ impl MetricsAccum {
 
     /// Finalize into the five figures of merit. `shares` supplies each
     /// project's configured share fraction.
-    pub fn finalize(&mut self, shares: &[(ProjectId, f64)]) -> FiguresOfMerit {
+    pub(crate) fn finalize(&mut self, shares: &[(ProjectId, f64)]) -> FiguresOfMerit {
         // Close the trailing partial window.
         let total_in_window: f64 = self.window_used.values().sum();
         if total_in_window > 0.0 {

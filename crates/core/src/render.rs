@@ -78,7 +78,7 @@ pub fn render_timeline(tl: &Timeline, width: usize) -> String {
 
 /// Render the figures of merit and per-project outcomes as an aligned
 /// report.
-pub fn render_report(r: &EmulationResult) -> String {
+pub(crate) fn render_report(r: &EmulationResult) -> String {
     let mut out = String::new();
     let m = &r.merit;
     let _ = writeln!(out, "=== emulation report: {} ({}) ===", r.scenario_name, r.duration);
@@ -142,7 +142,6 @@ impl std::fmt::Display for EmulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bce_sim::InstanceTrack;
     use bce_types::{InstanceId, JobId, ProcType, ProjectId};
 
     fn t(s: f64) -> SimTime {
@@ -153,7 +152,7 @@ mod tests {
     fn timeline_renders_letters() {
         let inst = InstanceId { proc_type: ProcType::Cpu, index: 0 };
         let mut tl = Timeline::new([inst]);
-        let tr: &mut InstanceTrack = tl.track_mut(inst).unwrap();
+        let tr = tl.track_mut(inst).unwrap();
         tr.record(t(0.0), t(50.0), Occupancy::Busy { project: ProjectId(0), job: JobId(1) });
         tr.record(t(50.0), t(75.0), Occupancy::Idle);
         tr.record(t(75.0), t(100.0), Occupancy::Unavailable);

@@ -30,7 +30,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    pub fn new(name: impl Into<String>, hardware: Hardware) -> Self {
+    pub(crate) fn new(name: impl Into<String>, hardware: Hardware) -> Self {
         Scenario {
             name: name.into(),
             seed: 0,

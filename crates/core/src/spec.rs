@@ -4,7 +4,7 @@
 //! Design rules (see `docs/SCENARIO_FORMAT.md`):
 //!
 //! - **Strict**: unknown keys, duplicate keys, wrong types, and documents
-//!   nested deeper than [`bce_statefile::MAX_JSON_DEPTH`] are hard typed
+//!   nested deeper than the JSON reader's 128 levels are hard typed
 //!   errors, never warnings. A file that parses means every byte of it was
 //!   understood.
 //! - **Deterministic**: canonical output renders finite `f64`s with Rust's
@@ -36,9 +36,9 @@ use bce_types::{
 };
 
 /// Value of the required top-level `"format"` key.
-pub const FORMAT: &str = "bce-scenario";
+pub(crate) const FORMAT: &str = "bce-scenario";
 /// Newest scenario-spec version this build reads and writes.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// A scenario as described by a spec document: the assembled (but not yet
 /// validated) [`Scenario`] plus the optional fault overlay.
@@ -46,7 +46,7 @@ pub const VERSION: u32 = 1;
 pub struct ScenarioSpec {
     scenario: Scenario,
     /// Fault overlay to apply to the run's `EmulatorConfig`.
-    pub faults: Option<FaultConfig>,
+    pub(crate) faults: Option<FaultConfig>,
 }
 
 /// Error from [`ScenarioSpec::parse`]. Every variant names the JSON path
@@ -124,11 +124,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// The described scenario, *before* validation.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
     /// Validate via the one true path and return the scenario plus the
     /// fault overlay.
     pub fn build(self) -> Result<(Scenario, Option<FaultConfig>), SpecError> {
@@ -139,7 +134,7 @@ impl ScenarioSpec {
     }
 
     /// Parse a spec document. Structural errors only; call
-    /// [`ScenarioSpec::build`] (or [`Scenario::from_spec`]) to validate.
+    /// [`ScenarioSpec::build`] to validate.
     pub fn parse(src: &str) -> Result<ScenarioSpec, SpecError> {
         let doc = json::parse(src)?;
         let mut root = Obj::new(Path::Root("scenario"), &doc)?;
@@ -277,14 +272,6 @@ impl ScenarioSpec {
             ));
         }
         JsonValue::Obj(root).render()
-    }
-}
-
-impl Scenario {
-    /// Validate a parsed spec and return the scenario, discarding any fault
-    /// overlay. The declarative counterpart of [`ScenarioBuilder::build`].
-    pub fn from_spec(spec: ScenarioSpec) -> Result<Scenario, ScenarioErrors> {
-        ScenarioBuilder::from(spec.scenario).build()
     }
 }
 
@@ -1054,39 +1041,41 @@ mod tests {
             leave_apps_in_memory: true,
             ..Preferences::default()
         })
-        .project(
-            ProjectSpec::new(0, "alpha", 100.0)
-                .with_app(
-                    AppClass::cpu(0, SimDuration::from_secs(900.0), SimDuration::from_hours(6.0))
-                        .with_cv(0.1)
-                        .with_est_error(EstErrorModel::LogNormal { sigma: 0.3 })
-                        .with_files(1e6, 2e6)
-                        .with_supply(SimDuration::from_hours(4.0), SimDuration::from_hours(1.0)),
-                )
-                .with_supply(WorkSupply::Sporadic {
-                    work_mean: SimDuration::from_hours(20.0),
-                    dry_mean: SimDuration::from_hours(4.0),
-                })
-                .with_uptime(ServerUptime::Sporadic {
-                    up_mean: SimDuration::from_hours(100.0),
-                    down_mean: SimDuration::from_hours(2.0),
+        .project(ProjectSpec {
+            supply: WorkSupply::Sporadic {
+                work_mean: SimDuration::from_hours(20.0),
+                dry_mean: SimDuration::from_hours(4.0),
+            },
+            uptime: ServerUptime::Sporadic {
+                up_mean: SimDuration::from_hours(100.0),
+                down_mean: SimDuration::from_hours(2.0),
+            },
+            ..ProjectSpec::new(0, "alpha", 100.0).with_app(AppClass {
+                input_bytes: 1e6,
+                output_bytes: 2e6,
+                supply: Some(SporadicSupply {
+                    work_mean: SimDuration::from_hours(4.0),
+                    dry_mean: SimDuration::from_hours(1.0),
                 }),
-        )
-        .project(
-            ProjectSpec::new(1, "beta", 300.0)
-                .with_app(
-                    AppClass::gpu(
-                        1,
-                        ProcType::NvidiaGpu,
-                        SimDuration::from_secs(300.0),
-                        SimDuration::from_hours(12.0),
-                    )
-                    .with_checkpoint(None)
-                    .with_weight(2.0)
-                    .with_est_error(EstErrorModel::Systematic { factor: 1.5 }),
+                ..AppClass::cpu(0, SimDuration::from_secs(900.0), SimDuration::from_hours(6.0))
+                    .with_cv(0.1)
+                    .with_est_error(EstErrorModel::LogNormal { sigma: 0.3 })
+            })
+        })
+        .project(ProjectSpec {
+            supply: WorkSupply::Batch { njobs: 500 },
+            ..ProjectSpec::new(1, "beta", 300.0).with_app(AppClass {
+                weight: 2.0,
+                ..AppClass::gpu(
+                    1,
+                    ProcType::NvidiaGpu,
+                    SimDuration::from_secs(300.0),
+                    SimDuration::from_hours(12.0),
                 )
-                .with_supply(WorkSupply::Batch { njobs: 500 }),
-        )
+                .with_checkpoint(None)
+                .with_est_error(EstErrorModel::Systematic { factor: 1.5 })
+            })
+        })
         .avail(AvailSpec {
             host: OnOffSpec::duty_cycle(0.8, SimDuration::from_hours(8.0)),
             user_active: OnOffSpec::Exponential {
@@ -1101,12 +1090,12 @@ mod tests {
             vec![(SimTime::from_secs(100.0), false), (SimTime::from_secs(350.5), true)],
         ))
         .network(NetworkModel { down_bps: 1e7, up_bps: 1e6 })
-        .initial_job(InitialJob {
+        .initial_jobs([InitialJob {
             project: ProjectId(0),
             app: AppId(0),
             received_ago: SimDuration::from_secs(120.0),
             progress: SimDuration::from_secs(30.0),
-        })
+        }])
         .build()
         .expect("kitchen sink is valid")
     }
@@ -1127,7 +1116,7 @@ mod tests {
         // Canonical form is a fixed point...
         assert_eq!(back.to_canonical_json(), spec.to_canonical_json());
         // ...and every component is value-identical.
-        let (a, b) = (spec.scenario(), back.scenario());
+        let (a, b) = (spec.scenario, back.scenario);
         assert_eq!(a.name, b.name);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.hardware, b.hardware);
@@ -1149,9 +1138,9 @@ mod tests {
         let text = spec.to_canonical_json();
         assert!(text.contains("\"bits:7ff0000000000000\""), "{text}");
         let back = ScenarioSpec::parse(&text).unwrap();
-        assert_eq!(back.scenario().projects[0].resource_share, f64::INFINITY);
-        assert!(back.scenario().hardware.mem_bytes.is_nan());
-        assert_eq!(back.scenario().hardware.mem_bytes.to_bits(), s.hardware.mem_bytes.to_bits());
+        assert_eq!(back.scenario.projects[0].resource_share, f64::INFINITY);
+        assert!(back.scenario.hardware.mem_bytes.is_nan());
+        assert_eq!(back.scenario.hardware.mem_bytes.to_bits(), s.hardware.mem_bytes.to_bits());
     }
 
     #[test]
@@ -1160,7 +1149,7 @@ mod tests {
         s.seed = u64::MAX - 7;
         let spec = ScenarioSpec::from_scenario(&s);
         let back = roundtrip(&spec);
-        assert_eq!(back.scenario().seed, u64::MAX - 7);
+        assert_eq!(back.scenario.seed, u64::MAX - 7);
     }
 
     fn minimal_doc() -> String {
@@ -1312,7 +1301,7 @@ mod tests {
         );
         let spec = ScenarioSpec::parse(&doc).unwrap();
         assert_eq!(
-            spec.scenario().avail.host,
+            spec.scenario.avail.host,
             OnOffSpec::duty_cycle(0.25, SimDuration::from_hours(4.0))
         );
         // Canonical output writes the lowered exponential form.
@@ -1331,7 +1320,7 @@ mod tests {
     #[test]
     fn from_spec_matches_builder() {
         let s = kitchen_sink();
-        let got = Scenario::from_spec(ScenarioSpec::from_scenario(&s)).unwrap();
+        let (got, _) = ScenarioSpec::from_scenario(&s).build().unwrap();
         assert_eq!(got.projects, s.projects);
         assert_eq!(got.seed, s.seed);
     }

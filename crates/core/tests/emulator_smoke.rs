@@ -122,8 +122,16 @@ fn wrr_vs_edf_on_tight_deadlines() {
             )
             .build_unchecked()
     };
-    let edf = Emulator::run_policies(mk(), JobSchedPolicy::LOCAL, FetchPolicy::Hysteresis);
-    let wrr = Emulator::run_policies(mk(), JobSchedPolicy::WRR, FetchPolicy::Hysteresis);
+    let run = |sched_policy| {
+        let client_cfg = ClientConfig {
+            sched_policy,
+            fetch_policy: FetchPolicy::Hysteresis,
+            ..Default::default()
+        };
+        Emulator::new(mk(), client_cfg, EmulatorConfig::default()).run()
+    };
+    let edf = run(JobSchedPolicy::LOCAL);
+    let wrr = run(JobSchedPolicy::WRR);
     assert!(
         edf.merit.wasted_fraction < wrr.merit.wasted_fraction,
         "EDF {:.4} should waste less than WRR {:.4}",
@@ -231,7 +239,10 @@ fn timeline_recorded_when_enabled() {
     let r = Emulator::new(one_project_scenario(), ClientConfig::default(), cfg).run();
     let tl = r.timeline.expect("timeline enabled");
     assert_eq!(tl.tracks().len(), 1);
-    assert!(tl.tracks()[0].busy_secs() > 0.0);
+    assert!(tl.tracks()[0]
+        .segments()
+        .iter()
+        .any(|s| matches!(s.occ, bce_sim::Occupancy::Busy { .. }) && s.end > s.start));
     let rendered = bce_core::render_timeline(&tl, 60);
     assert!(rendered.contains('A'), "{rendered}");
 }

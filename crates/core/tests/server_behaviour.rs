@@ -3,7 +3,9 @@
 
 use bce_client::ClientConfig;
 use bce_core::{Emulator, EmulatorConfig, Scenario, ScenarioBuilder};
-use bce_types::{AppClass, Hardware, ProjectSpec, ServerUptime, SimDuration, WorkSupply};
+use bce_types::{
+    AppClass, Hardware, ProjectSpec, ServerUptime, SimDuration, SporadicSupply, WorkSupply,
+};
 
 fn project(id: u32, name: &str) -> ProjectSpec {
     ProjectSpec::new(id, name, 100.0).with_app(
@@ -25,7 +27,7 @@ fn cfg(days: f64) -> EmulatorConfig {
 
 #[test]
 fn batch_project_runs_dry_and_other_takes_over() {
-    let batch = project(0, "batch").with_supply(WorkSupply::Batch { njobs: 10 });
+    let batch = ProjectSpec { supply: WorkSupply::Batch { njobs: 10 }, ..project(0, "batch") };
     let steady = project(1, "steady");
     let r = Emulator::new(scenario(vec![batch, steady]), ClientConfig::default(), cfg(2.0)).run();
     let batch_report = &r.projects[0];
@@ -39,10 +41,13 @@ fn batch_project_runs_dry_and_other_takes_over() {
 
 #[test]
 fn fully_down_server_yields_nothing_but_client_survives() {
-    let down = project(0, "down").with_uptime(ServerUptime::Sporadic {
-        up_mean: SimDuration::from_secs(1.0),
-        down_mean: SimDuration::from_secs(1e12),
-    });
+    let down = ProjectSpec {
+        uptime: ServerUptime::Sporadic {
+            up_mean: SimDuration::from_secs(1.0),
+            down_mean: SimDuration::from_secs(1e12),
+        },
+        ..project(0, "down")
+    };
     let steady = project(1, "steady");
     let r = Emulator::new(scenario(vec![down, steady]), ClientConfig::default(), cfg(1.0)).run();
     // The down project provides at most the first RPC's batch (the server
@@ -60,10 +65,13 @@ fn fully_down_server_yields_nothing_but_client_survives() {
 
 #[test]
 fn sporadic_supply_reduces_but_does_not_kill_throughput() {
-    let sporadic = project(0, "sporadic").with_supply(WorkSupply::Sporadic {
-        work_mean: SimDuration::from_hours(2.0),
-        dry_mean: SimDuration::from_hours(2.0),
-    });
+    let sporadic = ProjectSpec {
+        supply: WorkSupply::Sporadic {
+            work_mean: SimDuration::from_hours(2.0),
+            dry_mean: SimDuration::from_hours(2.0),
+        },
+        ..project(0, "sporadic")
+    };
     let r_sporadic =
         Emulator::new(scenario(vec![sporadic]), ClientConfig::default(), cfg(2.0)).run();
     let r_steady =
@@ -88,10 +96,13 @@ fn sporadic_supply_reduces_but_does_not_kill_throughput() {
 
 #[test]
 fn flaky_server_recovers_between_outages() {
-    let flaky = project(0, "flaky").with_uptime(ServerUptime::Sporadic {
-        up_mean: SimDuration::from_hours(4.0),
-        down_mean: SimDuration::from_hours(1.0),
-    });
+    let flaky = ProjectSpec {
+        uptime: ServerUptime::Sporadic {
+            up_mean: SimDuration::from_hours(4.0),
+            down_mean: SimDuration::from_hours(1.0),
+        },
+        ..project(0, "flaky")
+    };
     let r = Emulator::new(scenario(vec![flaky]), ClientConfig::default(), cfg(2.0)).run();
     // Still does most of the steady-state work (queue + backoff recovery).
     assert!(r.jobs_completed > 100, "{}", r.jobs_completed);
@@ -113,8 +124,10 @@ fn sporadic_gpu_job_supply_falls_back_to_cpu() {
             SimDuration::from_hours(8.0),
         );
         if sporadic {
-            gpu_app =
-                gpu_app.with_supply(SimDuration::from_hours(1.0), SimDuration::from_hours(1.0));
+            gpu_app.supply = Some(SporadicSupply {
+                work_mean: SimDuration::from_hours(1.0),
+                dry_mean: SimDuration::from_hours(1.0),
+            });
         }
         ScenarioBuilder::new("gpu-supply", hw.clone())
             .seed(31)

@@ -111,20 +111,21 @@ fn build(p: &SpecParams) -> Scenario {
                 .with_cv(0.1),
             );
         if p.batch_supply && i == 0 {
-            spec = spec.with_supply(WorkSupply::Batch { njobs: 50 });
+            spec.supply = WorkSupply::Batch { njobs: 50 };
         }
         b = b.project(spec);
     }
+    let mut s = b.build().expect("generated scenario is valid");
     if p.traced {
-        b = b.host_trace(AvailTrace::new(
+        s.host_trace = Some(AvailTrace::new(
             true,
             vec![(SimTime::from_secs(3600.0), false), (SimTime::from_secs(7200.0), true)],
         ));
     }
     if p.networked {
-        b = b.network(NetworkModel::symmetric(1e6));
+        s.network = Some(NetworkModel::symmetric(1e6));
     }
-    b.build().expect("generated scenario is valid")
+    s
 }
 
 fn fingerprint(s: Scenario) -> u64 {

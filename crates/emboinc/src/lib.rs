@@ -8,8 +8,8 @@
 //! and quorum validation, deadline-timeout reissue, and host-selection
 //! policies, with campaign latency and replica-waste as the outputs.
 
-pub mod model;
-pub mod sim;
+pub(crate) mod model;
+pub(crate) mod sim;
 
 pub use model::{HostModel, HostSelection, PopulationSpec, ReplicationPolicy, Workload};
 pub use sim::{run_campaign, CampaignResult};

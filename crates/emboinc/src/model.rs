@@ -16,15 +16,15 @@ use bce_types::SimDuration;
 #[derive(Debug, Clone)]
 pub struct HostModel {
     /// Effective speed in FLOPS (already discounted by availability).
-    pub flops: f64,
+    pub(crate) flops: f64,
     /// Probability a replica errors out (crash, bad result).
-    pub error_prob: f64,
+    pub(crate) error_prob: f64,
     /// Probability a replica is simply never returned (host vanished) —
     /// the server only learns via the deadline.
-    pub vanish_prob: f64,
+    pub(crate) vanish_prob: f64,
     /// Extra turnaround beyond execution: the client-side queue wait,
     /// in seconds (mean of an exponential).
-    pub queue_delay_mean: f64,
+    pub(crate) queue_delay_mean: f64,
 }
 
 /// Knobs of the synthetic host population, shaped like published
@@ -72,9 +72,9 @@ impl PopulationSpec {
 /// failures/timeouts trigger reissue until `max_total` is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationPolicy {
-    pub initial: u32,
-    pub quorum: u32,
-    pub max_total: u32,
+    pub(crate) initial: u32,
+    pub(crate) quorum: u32,
+    pub(crate) max_total: u32,
 }
 
 impl ReplicationPolicy {

@@ -19,12 +19,12 @@ pub struct CampaignResult {
     pub makespan: OnlineStats,
     pub makespan_p95: f64,
     /// Wall time until the last workunit validated.
-    pub campaign_secs: f64,
+    pub(crate) campaign_secs: f64,
     /// Replicas dispatched in total.
     pub replicas_issued: u64,
     /// Replicas that produced no credit toward a quorum (errors, timeouts,
     /// and successes beyond the quorum).
-    pub replicas_wasted: u64,
+    pub(crate) replicas_wasted: u64,
 }
 
 impl CampaignResult {

@@ -16,7 +16,7 @@
 //!   created or sampled and no behaviour changes: metrics match an emulator
 //!   without fault plumbing exactly.
 
-pub mod disk;
+pub(crate) mod disk;
 mod plan;
 mod retry;
 
@@ -25,59 +25,3 @@ pub use disk::{
 };
 pub use plan::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
 pub use retry::{Backoff, RetryPolicy, RetryState, RetryVerdict};
-
-/// The three injected fault classes, in the stable order observability
-/// consumers (trace filters, metric scopes, study tables) enumerate them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultKind {
-    /// A scheduler RPC lost in transit.
-    TransientRpc,
-    /// A file-transfer attempt failed mid-flight.
-    Transfer,
-    /// A host crash rolling back progress to the last checkpoint.
-    Crash,
-}
-
-impl FaultKind {
-    pub const ALL: [FaultKind; 3] =
-        [FaultKind::TransientRpc, FaultKind::Transfer, FaultKind::Crash];
-
-    /// Stable machine name, matching trace-event kinds and metric scopes.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::TransientRpc => "rpc_transient",
-            FaultKind::Transfer => "transfer",
-            FaultKind::Crash => "crash",
-        }
-    }
-
-    /// Is this fault class enabled in `cfg`?
-    pub fn enabled_in(self, cfg: &FaultConfig) -> bool {
-        match self {
-            FaultKind::TransientRpc => cfg.rpc_fail_prob > 0.0,
-            FaultKind::Transfer => cfg.transfer_fail_prob > 0.0,
-            FaultKind::Crash => cfg.crash_mtbf.is_some(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod kind_tests {
-    use super::*;
-    use bce_types::SimDuration;
-
-    #[test]
-    fn names_are_unique_and_stable() {
-        let names: Vec<_> = FaultKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names, ["rpc_transient", "transfer", "crash"]);
-    }
-
-    #[test]
-    fn enabled_in_reflects_config() {
-        assert!(FaultKind::ALL.iter().all(|k| !k.enabled_in(&FaultConfig::OFF)));
-        let cfg =
-            FaultConfig { crash_mtbf: Some(SimDuration::from_hours(1.0)), ..FaultConfig::OFF };
-        assert!(FaultKind::Crash.enabled_in(&cfg));
-        assert!(!FaultKind::Transfer.enabled_in(&cfg));
-    }
-}

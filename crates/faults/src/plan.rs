@@ -50,10 +50,6 @@ impl FaultConfig {
         assert!((0.0..=1.0).contains(&rate), "failure rate must be in [0, 1], got {rate}");
         FaultConfig { rpc_fail_prob: rate, transfer_fail_prob: rate, ..FaultConfig::OFF }
     }
-
-    pub fn enabled(&self) -> bool {
-        self.rpc_fail_prob > 0.0 || self.transfer_fail_prob > 0.0 || self.crash_mtbf.is_some()
-    }
 }
 
 impl Default for FaultConfig {
@@ -181,7 +177,6 @@ mod tests {
     #[test]
     fn off_config_is_inert() {
         let cfg = FaultConfig::default();
-        assert!(!cfg.enabled());
         assert_eq!(cfg, FaultConfig::OFF);
         assert_eq!(cfg, FaultConfig::with_failure_rate(0.0));
     }

@@ -114,14 +114,6 @@ impl RetryState {
         self.failures = 0;
         self.until = SimTime::ZERO;
     }
-
-    pub fn blocked(&self, now: SimTime) -> bool {
-        self.until > now
-    }
-
-    pub fn consecutive_failures(&self) -> u32 {
-        self.failures
-    }
 }
 
 /// Compatibility wrapper preserving the original `Backoff` API from
@@ -133,9 +125,6 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    pub const MIN: SimDuration = RetryPolicy::SCHEDULER_RPC.min_delay;
-    pub const MAX: SimDuration = RetryPolicy::SCHEDULER_RPC.max_delay;
-
     pub fn new() -> Self {
         Backoff::default()
     }
@@ -149,10 +138,6 @@ impl Backoff {
     /// Record a success: clears the backoff.
     pub fn succeed(&mut self) {
         self.state.succeed();
-    }
-
-    pub fn blocked(&self, now: SimTime) -> bool {
-        self.state.blocked(now)
     }
 
     /// Earliest time the next attempt is allowed.
@@ -175,7 +160,7 @@ mod tests {
         for _ in 0..24 {
             let legacy_delay = (60.0 * 2f64.powi(legacy_level as i32)).min(4.0 * 3600.0);
             legacy_level = (legacy_level + 1).min(16);
-            let before = state.consecutive_failures();
+            let before = state.failures;
             state.fail(now, &policy, 0.0);
             let got = state.until.secs() - now.secs();
             assert_eq!(
@@ -226,7 +211,7 @@ mod tests {
         assert_eq!(state.fail(now, &policy, 0.5), RetryVerdict::GiveUp);
         // Success resets, so the next failure retries again.
         state.succeed();
-        assert_eq!(state.consecutive_failures(), 0);
+        assert_eq!(state.failures, 0);
         assert!(matches!(state.fail(now, &policy, 0.5), RetryVerdict::RetryAt(_)));
     }
 
@@ -240,9 +225,7 @@ mod tests {
         assert_eq!(b.until().secs(), 120.0);
         b.fail(now);
         assert_eq!(b.until().secs(), 240.0);
-        assert!(b.blocked(now));
         b.succeed();
-        assert!(!b.blocked(now));
         assert_eq!(b.until(), SimTime::ZERO);
     }
 }

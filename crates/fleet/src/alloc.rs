@@ -24,20 +24,16 @@ pub struct Consumer {
     pub share: f64,
 }
 
-/// Result: `alloc[consumer][device]` plus capacity nobody could use.
+/// Result: `alloc[consumer][device]`; capacity nobody can use stays
+/// unallocated.
 #[derive(Debug, Clone)]
 pub struct FairAlloc {
-    pub alloc: Vec<Vec<f64>>,
-    pub unusable: f64,
+    pub(crate) alloc: Vec<Vec<f64>>,
 }
 
 impl FairAlloc {
     pub fn total_for(&self, consumer: usize) -> f64 {
         self.alloc[consumer].iter().sum()
-    }
-
-    pub fn device_total(&self, device: usize) -> f64 {
-        self.alloc.iter().map(|row| row[device]).sum()
     }
 }
 
@@ -116,10 +112,9 @@ pub fn fair_alloc(devices: &[Device], consumers: &[Consumer], rounds: usize) -> 
         for &c in &dev.usable_by {
             alloc[c][d] += cap * consumers[c].share.max(0.0) / wsum;
         }
-        remaining[d] = 0.0;
     }
 
-    FairAlloc { alloc, unusable: remaining.iter().sum() }
+    FairAlloc { alloc }
 }
 
 #[cfg(test)]
@@ -133,7 +128,7 @@ mod tests {
         let a = fair_alloc(&devices, &consumers, 16);
         assert!((a.total_for(0) - 75.0).abs() < 1e-6);
         assert!((a.total_for(1) - 25.0).abs() < 1e-6);
-        assert!(a.unusable < 1e-9);
+        assert!((a.total_for(0) + a.total_for(1) - 100.0).abs() < 1e-6);
     }
 
     #[test]
@@ -172,7 +167,7 @@ mod tests {
         let consumers = [Consumer { share: 1.0 }];
         let a = fair_alloc(&devices, &consumers, 16);
         assert!((a.total_for(0) - 50.0).abs() < 1e-6);
-        assert!((a.unusable - 30.0).abs() < 1e-6);
+        assert_eq!(a.alloc[0][1], 0.0);
     }
 
     #[test]
@@ -185,9 +180,9 @@ mod tests {
         let consumers = [Consumer { share: 2.0 }, Consumer { share: 5.0 }, Consumer { share: 1.0 }];
         let a = fair_alloc(&devices, &consumers, 16);
         let total: f64 = (0..3).map(|c| a.total_for(c)).sum();
-        assert!((total + a.unusable - 45.0).abs() < 1e-6);
+        assert!((total - 45.0).abs() < 1e-6);
         for (d, dev) in devices.iter().enumerate() {
-            assert!(a.device_total(d) <= dev.capacity + 1e-9);
+            assert!(a.alloc.iter().map(|row| row[d]).sum::<f64>() <= dev.capacity + 1e-9);
         }
     }
 

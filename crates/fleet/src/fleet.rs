@@ -15,9 +15,9 @@ use bce_types::{Hardware, Preferences, ProcType, ProjectId, ProjectSpec};
 #[derive(Debug, Clone)]
 pub struct FleetHost {
     pub name: String,
-    pub hardware: Hardware,
-    pub prefs: Preferences,
-    pub avail: AvailSpec,
+    pub(crate) hardware: Hardware,
+    pub(crate) prefs: Preferences,
+    pub(crate) avail: AvailSpec,
 }
 
 impl FleetHost {
@@ -63,7 +63,7 @@ impl ShareStrategy {
 
 /// Per-host share vectors: `assignment[host]` lists `(project, share)`;
 /// projects absent from a host's vector are detached there.
-pub type ShareAssignment = Vec<Vec<(ProjectId, f64)>>;
+pub(crate) type ShareAssignment = Vec<Vec<(ProjectId, f64)>>;
 
 /// Whether `project` can use any processor of `hw`.
 fn project_fits(project: &ProjectSpec, hw: &Hardware) -> bool {

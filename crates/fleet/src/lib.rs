@@ -9,10 +9,10 @@
 //! are compared between the per-host baseline and the cross-host
 //! assignment.
 
-pub mod alloc;
-pub mod fleet;
-pub mod study;
+pub(crate) mod alloc;
+pub(crate) mod fleet;
+pub(crate) mod study;
 
 pub use alloc::{fair_alloc, Consumer, Device, FairAlloc};
-pub use fleet::{assign_shares, host_scenarios, Fleet, FleetHost, ShareAssignment, ShareStrategy};
+pub use fleet::{assign_shares, host_scenarios, Fleet, FleetHost, ShareStrategy};
 pub use study::{run_fleet, FleetResult};

@@ -5,15 +5,13 @@
 use crate::fleet::{assign_shares, host_scenarios, Fleet, ShareStrategy};
 use bce_client::ClientConfig;
 use bce_controller::{run_streaming, RunSpec};
-use bce_core::{EmulationResult, EmulatorConfig};
+use bce_core::EmulatorConfig;
 use bce_sim::rms;
 use bce_types::ProjectId;
 
 /// Fleet-level outcome of one strategy.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
-    pub strategy: ShareStrategy,
-    pub per_host: Vec<(String, EmulationResult)>,
     /// FLOPS delivered to each project across the whole fleet.
     pub per_project_flops: Vec<(ProjectId, f64)>,
     /// RMS deviation between volunteer share fractions and delivered
@@ -41,19 +39,16 @@ pub fn run_fleet(
         .filter(|s| !s.projects.is_empty())
         .map(|s| RunSpec::new(s.name.clone(), s, client).with_emulator(emulator.clone()))
         .collect();
-    let mut per_host = Vec::with_capacity(specs.len());
-    run_streaming(&specs, threads, |_, spec, r| per_host.push((spec.label.clone(), r)));
-
-    // Aggregate FLOPS per project across hosts.
+    // Aggregate FLOPS per project across hosts, as each host finishes.
     let mut per_project_flops: Vec<(ProjectId, f64)> =
         fleet.projects.iter().map(|p| (p.id, 0.0)).collect();
-    for (_, result) in &per_host {
+    run_streaming(&specs, threads, |_, _, result| {
         for pr in &result.projects {
             if let Some((_, acc)) = per_project_flops.iter_mut().find(|(id, _)| *id == pr.id) {
                 *acc += pr.flops_used;
             }
         }
-    }
+    });
     let total_flops: f64 = per_project_flops.iter().map(|(_, f)| f).sum();
 
     let share_sum: f64 = fleet.projects.iter().map(|p| p.resource_share).sum();
@@ -72,13 +67,7 @@ pub fn run_fleet(
         })
         .collect();
 
-    FleetResult {
-        strategy,
-        per_host,
-        per_project_flops,
-        fleet_share_violation: rms(&deviations),
-        total_flops,
-    }
+    FleetResult { per_project_flops, fleet_share_violation: rms(&deviations), total_flops }
 }
 
 #[cfg(test)]
@@ -134,8 +123,6 @@ mod tests {
         let per = run_fleet(&f, ShareStrategy::PerHost, ClientConfig::default(), &emu(), 0);
         let cross = run_fleet(&f, ShareStrategy::CrossHost, ClientConfig::default(), &emu(), 0);
         // Both run all hosts and deliver work.
-        assert_eq!(per.per_host.len(), 2);
-        assert_eq!(cross.per_host.len(), 2);
         assert!(per.total_flops > 0.0 && cross.total_flops > 0.0);
         // The headline §6.2 claim: cross-host assignment tracks the
         // volunteer's shares better without losing throughput.
@@ -171,14 +158,14 @@ mod tests {
                 run_fleet(&f, ShareStrategy::PerHost, ClientConfig::default(), &emu(), threads);
             assert_eq!(base.total_flops.to_bits(), other.total_flops.to_bits());
             assert_eq!(base.fleet_share_violation.to_bits(), other.fleet_share_violation.to_bits());
-            for ((na, ra), (nb, rb)) in base.per_host.iter().zip(&other.per_host) {
-                assert_eq!(na, nb);
-                assert_eq!(
-                    ra.bit_fingerprint(),
-                    rb.bit_fingerprint(),
-                    "host {na} diverged at {threads} threads"
-                );
-            }
+            let bits = |r: &FleetResult| {
+                r.per_project_flops.iter().map(|&(id, f)| (id, f.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(&base),
+                bits(&other),
+                "per-project FLOPS diverged at {threads} threads"
+            );
         }
     }
 }

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 /// the shortest representation that round-trips, which is what we want
 /// for byte-stable output; non-finite values (never produced by the
 /// emulator) degrade to `null`.
-pub fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -120,12 +120,12 @@ pub fn to_jsonl<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Strin
     out
 }
 
-/// Error from [`parse_record`] / [`parse_jsonl`], with enough context to
+/// Error from `parse_record` / [`parse_jsonl`], with enough context to
 /// point at the offending line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceParseError {
-    pub line: usize,
-    pub message: String,
+    pub(crate) line: usize,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for TraceParseError {
@@ -330,7 +330,7 @@ impl Fields {
 
 /// Parse one JSONL line back into a [`TraceRecord`]. `line_no` is used
 /// only for error reporting.
-pub fn parse_record(line: &str, line_no: usize) -> Result<TraceRecord, TraceParseError> {
+pub(crate) fn parse_record(line: &str, line_no: usize) -> Result<TraceRecord, TraceParseError> {
     let err = |message: String| TraceParseError { line: line_no, message };
     let f = Fields(parse_flat_object(line).map_err(&err)?);
     let kind = f.str("kind").map_err(&err)?.to_string();

@@ -2,15 +2,15 @@
 //!
 //! One instrumentation API for every crate in the workspace:
 //!
-//! * [`trace`] — typed [`TraceEvent`] decision records emitted through
+//! * `trace` — typed [`TraceEvent`] decision records emitted through
 //!   the [`Tracer`] trait: the emulator's one decision log. The no-op
 //!   sink compiles to a branch; string formatting happens only at export
 //!   or display time (`impl Display for TraceRecord`).
-//! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
+//! * `metrics` — a [`MetricsRegistry`] of named counters, gauges and
 //!   histograms with per-component scopes, frozen into one deterministic
 //!   [`MetricsSnapshot`] schema; the `bce serve` daemon's `/metrics`
 //!   endpoint is built on it.
-//! * [`spans`] — a [`Profiler`] of wall-clock and deterministic sim-time
+//! * `spans` — a [`Profiler`] of wall-clock and deterministic sim-time
 //!   spans feeding perfbench's traced per-layer table.
 //! * [`export`] — JSONL serialization of traces and the matching parser
 //!   (`bce trace` and the CI schema smoke test are built on it).
@@ -26,13 +26,11 @@
 //!    only in profiler spans, which are reported out-of-band.
 
 pub mod export;
-pub mod metrics;
-pub mod spans;
-pub mod trace;
+pub(crate) mod metrics;
+pub(crate) mod spans;
+pub(crate) mod trace;
 
-pub use export::{parse_jsonl, parse_record, record_to_json, to_jsonl, TraceParseError};
-pub use metrics::{
-    CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use export::{parse_jsonl, record_to_json, to_jsonl, TraceParseError};
+pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use spans::{ProfileReport, Profiler, SpanId, SpanReport};
-pub use trace::{NoopTracer, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer};
+pub use trace::{TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer};

@@ -110,11 +110,6 @@ impl MetricsRegistry {
     }
 
     #[inline]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
-    #[inline]
     pub fn set(&mut self, id: GaugeId, v: f64) {
         self.gauges[id.0].value = v;
     }
@@ -159,15 +154,15 @@ impl MetricsRegistry {
 
 /// Frozen histogram state.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistogramSnapshot {
-    pub bounds: Vec<f64>,
-    pub counts: Vec<u64>,
-    pub count: u64,
-    pub sum: f64,
+pub(crate) struct HistogramSnapshot {
+    pub(crate) bounds: Vec<f64>,
+    pub(crate) counts: Vec<u64>,
+    pub(crate) count: u64,
+    pub(crate) sum: f64,
 }
 
 impl HistogramSnapshot {
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -180,9 +175,9 @@ impl HistogramSnapshot {
 /// CLI, bench harness and fleet study read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    pub(crate) counters: Vec<(String, u64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
+    pub(crate) histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
@@ -192,15 +187,6 @@ impl MetricsSnapshot {
             .binary_search_by(|(k, _)| k.as_str().cmp(key))
             .ok()
             .map(|i| self.counters[i].1)
-    }
-
-    /// Look up a gauge by full `scope.name`.
-    pub fn gauge(&self, key: &str) -> Option<f64> {
-        self.gauges.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok().map(|i| self.gauges[i].1)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Render as an aligned `key  value` table.
@@ -285,7 +271,6 @@ mod tests {
         assert_eq!(a, b);
         r.inc(a);
         r.add(b, 4);
-        assert_eq!(r.counter_value(a), 5);
         let snap = r.snapshot();
         assert_eq!(snap.counter("client.rpcs"), Some(5));
         assert_eq!(snap.counter("client.nope"), None);
@@ -309,7 +294,7 @@ mod tests {
         let g = r.gauge("merit", "idle_fraction");
         r.set(g, 0.5);
         r.set(g, 0.25);
-        assert_eq!(r.snapshot().gauge("merit.idle_fraction"), Some(0.25));
+        assert_eq!(r.snapshot().gauges, [("merit.idle_fraction".to_string(), 0.25)]);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! runs the closure straight through, so the only residual cost is one
 //! branch.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Handle to a registered span.
@@ -48,11 +47,6 @@ impl Profiler {
 
     pub fn enabled() -> Self {
         Profiler { enabled: true, spans: Vec::new() }
-    }
-
-    #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Register (or re-find) a span by name.
@@ -118,9 +112,9 @@ impl Profiler {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanReport {
     pub name: String,
-    pub count: u64,
+    pub(crate) count: u64,
     pub wall_ms: f64,
-    pub sim_secs: f64,
+    pub(crate) sim_secs: f64,
 }
 
 /// All spans, sorted by name.
@@ -130,51 +124,8 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     pub fn span(&self, name: &str) -> Option<&SpanReport> {
         self.spans.iter().find(|s| s.name == name)
-    }
-
-    /// Aligned human-readable table.
-    pub fn render(&self) -> String {
-        let width = self.spans.iter().map(|s| s.name.len()).max().unwrap_or(4).max(4);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:width$}  {:>10}  {:>12}  {:>14}",
-            "span", "count", "wall ms", "sim secs"
-        );
-        for s in &self.spans {
-            let _ = writeln!(
-                out,
-                "{:width$}  {:>10}  {:>12.3}  {:>14.1}",
-                s.name, s.count, s.wall_ms, s.sim_secs
-            );
-        }
-        out
-    }
-
-    /// Hand-rolled JSON array of span objects.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, sp) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"count\":{},\"wall_ms\":{},\"sim_secs\":{}}}",
-                sp.name,
-                sp.count,
-                crate::export::json_f64(sp.wall_ms),
-                crate::export::json_f64(sp.sim_secs)
-            );
-        }
-        s.push(']');
-        s
     }
 }
 
@@ -216,7 +167,5 @@ mod tests {
         let rep = p.report();
         assert_eq!(rep.spans[0].name, "a");
         assert_eq!(rep.spans[1].name, "b");
-        assert!(rep.to_json().starts_with("[{\"name\":\"a\""));
-        assert!(rep.render().contains("span"));
     }
 }

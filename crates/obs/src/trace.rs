@@ -213,20 +213,6 @@ pub trait Tracer {
     }
 }
 
-/// A tracer that records nothing. Exists for generic contexts; the
-/// emulator itself uses [`TraceSink::Noop`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn record(&mut self, _t: SimTime, _event: TraceEvent) {}
-}
-
 /// Bounded in-memory recorder. When full, further events are counted in
 /// `dropped` rather than grown into — population runs must not let a noisy
 /// host balloon memory.
@@ -239,15 +225,11 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// A buffer that keeps at most `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        TraceBuffer { records: Vec::new(), capacity, dropped: 0, next_seq: 0 }
-    }
-
-    /// Like [`TraceBuffer::new`], but recycling a previously drained
-    /// record vector (see [`TraceBuffer::into_records`]). The buffer is
-    /// cleared and `dropped`/`seq` restart at zero — reuse only recycles
-    /// the allocation, never prior state.
+    /// A buffer that keeps at most `capacity` records, recycling a
+    /// previously drained record vector (see
+    /// [`TraceBuffer::into_records`]; pass `Vec::new()` for a fresh
+    /// buffer). The buffer is cleared and `dropped`/`seq` restart at
+    /// zero — reuse only recycles the allocation, never prior state.
     pub fn with_buffer(capacity: usize, mut records: Vec<TraceRecord>) -> Self {
         records.clear();
         TraceBuffer { records, capacity, dropped: 0, next_seq: 0 }
@@ -312,15 +294,6 @@ pub enum TraceSink {
 }
 
 impl TraceSink {
-    /// A recording sink with the given capacity (0 yields `Noop`).
-    pub fn buffered(capacity: usize) -> Self {
-        if capacity == 0 {
-            TraceSink::Noop
-        } else {
-            TraceSink::Buffer(TraceBuffer::new(capacity))
-        }
-    }
-
     /// Extract the buffer, leaving `Noop` behind. Empty buffer if the
     /// sink never recorded.
     pub fn take_buffer(&mut self) -> TraceBuffer {
@@ -355,7 +328,7 @@ mod tests {
 
     #[test]
     fn buffer_records_in_order_with_seq() {
-        let mut b = TraceBuffer::new(8);
+        let mut b = TraceBuffer::with_buffer(8, Vec::new());
         for i in 0..3 {
             b.emit(SimTime::from_secs(i as f64), || ev(i));
         }
@@ -368,7 +341,7 @@ mod tests {
 
     #[test]
     fn buffer_bounds_and_counts_drops() {
-        let mut b = TraceBuffer::new(2);
+        let mut b = TraceBuffer::with_buffer(2, Vec::new());
         for i in 0..5 {
             b.record(SimTime::from_secs(0.0), ev(i));
         }
@@ -379,7 +352,7 @@ mod tests {
 
     #[test]
     fn with_buffer_resets_state_and_reuses_allocation() {
-        let mut b = TraceBuffer::new(4);
+        let mut b = TraceBuffer::with_buffer(4, Vec::new());
         for i in 0..9 {
             b.record(SimTime::from_secs(0.0), ev(i));
         }
@@ -403,12 +376,6 @@ mod tests {
         });
         assert!(!built);
         assert!(sink.take_buffer().is_empty());
-    }
-
-    #[test]
-    fn sink_buffered_zero_capacity_is_noop() {
-        assert!(!TraceSink::buffered(0).is_enabled());
-        assert!(TraceSink::buffered(1).is_enabled());
     }
 
     #[test]

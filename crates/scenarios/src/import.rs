@@ -10,7 +10,7 @@ use bce_statefile::{ClientStateDoc, StateFileError};
 /// Convert a parsed state document into a scenario. Availability hints
 /// (`on_frac`, `active_frac`, `cycle_mean`) become exponential on/off
 /// processes with the recorded duty cycles.
-pub fn scenario_from_doc(doc: &ClientStateDoc, name: impl Into<String>) -> Scenario {
+pub(crate) fn scenario_from_doc(doc: &ClientStateDoc, name: impl Into<String>) -> Scenario {
     let avail = AvailSpec {
         host: OnOffSpec::duty_cycle(doc.on_frac, doc.cycle_mean),
         user_active: OnOffSpec::duty_cycle(doc.active_frac, doc.cycle_mean / 4.0),

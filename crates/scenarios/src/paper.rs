@@ -17,7 +17,7 @@ use bce_types::{AppClass, Hardware, Preferences, ProcType, ProjectSpec, SimDurat
 /// Preferences used across the paper scenarios: a small work buffer
 /// (min 15 minutes + 15 extra) and always-available computing, so policy
 /// differences — not buffering artifacts — dominate the figures.
-pub fn paper_prefs() -> Preferences {
+pub(crate) fn paper_prefs() -> Preferences {
     Preferences {
         work_buf_min: SimDuration::from_secs(900.0),
         work_buf_extra: SimDuration::from_secs(900.0),
@@ -164,19 +164,14 @@ pub fn scenario4_sized(nprojects: u32) -> Scenario {
     b.build_unchecked()
 }
 
-/// All four scenarios with their default parameters, for sweeps and
-/// regression tests.
-pub fn all_scenarios() -> Vec<Scenario> {
-    vec![scenario1(SimDuration::from_secs(1500.0)), scenario2(), scenario3(), scenario4()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_paper_scenarios_validate() {
-        for s in all_scenarios() {
+        for s in [scenario1(SimDuration::from_secs(1500.0)), scenario2(), scenario3(), scenario4()]
+        {
             assert!(s.validate().is_ok(), "{} invalid: {:?}", s.name, s.validate());
         }
     }

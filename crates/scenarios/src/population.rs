@@ -19,25 +19,25 @@ use bce_types::{AppClass, Hardware, Preferences, ProcType, ProjectSpec, SimDurat
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationModel {
     /// Median per-core speed (FLOPS) and log-sigma.
-    pub core_flops_median: f64,
-    pub core_flops_sigma: f64,
+    pub(crate) core_flops_median: f64,
+    pub(crate) core_flops_sigma: f64,
     /// Probability weights for 1, 2, 4, 8 cores.
-    pub core_count_weights: [f64; 4],
+    pub(crate) core_count_weights: [f64; 4],
     /// Probability the host has a GPU.
-    pub gpu_probability: f64,
+    pub(crate) gpu_probability: f64,
     /// GPU/CPU speed ratio range.
-    pub gpu_ratio: Uniform,
+    pub(crate) gpu_ratio: Uniform,
     /// Probability weights for 1..=max attached projects.
-    pub max_projects: u32,
+    pub(crate) max_projects: u32,
     /// Host availability fraction range.
-    pub host_on_frac: Uniform,
+    pub(crate) host_on_frac: Uniform,
     /// Mean availability cycle length range (seconds).
-    pub cycle_mean: Uniform,
+    pub(crate) cycle_mean: Uniform,
     /// Job runtime median (seconds) and log-sigma across projects.
-    pub runtime_median: f64,
-    pub runtime_sigma: f64,
+    pub(crate) runtime_median: f64,
+    pub(crate) runtime_sigma: f64,
     /// Latency-bound/runtime slack factor range.
-    pub slack_factor: Uniform,
+    pub(crate) slack_factor: Uniform,
 }
 
 impl Default for PopulationModel {
@@ -64,7 +64,7 @@ impl PopulationModel {
     /// wider spread than the 2011 defaults, many-core hosts common, a
     /// third of hosts with (much faster) GPUs, longer jobs, and tighter
     /// deadlines.
-    pub fn boinc2019() -> Self {
+    pub(crate) fn boinc2019() -> Self {
         PopulationModel {
             core_flops_median: 3.3e9,
             core_flops_sigma: 0.5,
@@ -103,12 +103,8 @@ impl PopulationSampler {
         PopulationSampler { model, rng: Rng::stream(seed, "population"), next_index: 0 }
     }
 
-    pub fn model(&self) -> &PopulationModel {
-        &self.model
-    }
-
     /// Draw the next scenario.
-    pub fn sample(&mut self) -> Scenario {
+    pub(crate) fn sample(&mut self) -> Scenario {
         let m = &self.model;
         let idx = self.next_index;
         self.next_index += 1;

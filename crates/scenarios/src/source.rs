@@ -124,7 +124,7 @@ impl ScenarioSource {
     }
 
     /// The origin string used in headers and error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ScenarioSource::Builtin(name) => format!("builtin:{name}"),
             ScenarioSource::File(path) => path.display().to_string(),

@@ -21,16 +21,16 @@
 use std::io::Read;
 
 /// Upper bound on the request line (`GET /path?query HTTP/1.1`).
-pub const MAX_REQUEST_LINE: usize = 4096;
+pub(crate) const MAX_REQUEST_LINE: usize = 4096;
 /// Upper bound on the whole header block.
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Upper bound on the number of header fields.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 
 /// Typed request-side failure, each mapping to one status code. The
 /// daemon turns these into responses; nothing here can panic a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Malformed request line, header syntax, or body framing (`400`).
     Malformed(String),
     /// The client stopped sending before the message was complete (`400`).
@@ -44,22 +44,19 @@ pub enum HttpError {
     /// `Transfer-Encoding` or another framing we deliberately do not
     /// implement (`501`).
     Unsupported(String),
-    /// Method not in the route table (`405`).
-    MethodNotAllowed,
     /// Any other socket-level failure; the connection is just dropped.
     Io(String),
 }
 
 impl HttpError {
     /// The status code this error is reported as.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             HttpError::Malformed(_) | HttpError::Truncated(_) => 400,
             HttpError::Timeout => 408,
             HttpError::HeadersTooLarge => 431,
             HttpError::BodyTooLarge { .. } => 413,
             HttpError::Unsupported(_) => 501,
-            HttpError::MethodNotAllowed => 405,
             HttpError::Io(_) => 400,
         }
     }
@@ -76,7 +73,6 @@ impl std::fmt::Display for HttpError {
                 write!(f, "request body exceeds the {limit}-byte limit")
             }
             HttpError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            HttpError::MethodNotAllowed => write!(f, "method not allowed"),
             HttpError::Io(m) => write!(f, "i/o error: {m}"),
         }
     }
@@ -93,17 +89,17 @@ fn io_err(e: std::io::Error) -> HttpError {
 /// A parsed request. Header names are folded to lowercase; the target is
 /// split into path and query at the first `?`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    pub method: String,
-    pub path: String,
+pub(crate) struct Request {
+    pub(crate) method: String,
+    pub(crate) path: String,
     /// Raw query string (without the `?`), empty if absent.
-    pub query: String,
-    pub headers: Vec<(String, String)>,
-    pub body: Vec<u8>,
+    pub(crate) query: String,
+    pub(crate) headers: Vec<(String, String)>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let lower = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == lower).map(|(_, v)| v.as_str())
     }
@@ -111,20 +107,23 @@ impl Request {
     /// Iterate `key=value` pairs of the query string (no percent-decoding
     /// beyond `%20`/`+` for spaces — the daemon's parameters are all
     /// alphanumeric tokens and numbers).
-    pub fn query_params(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn query_params(&self) -> impl Iterator<Item = (&str, &str)> {
         self.query
             .split('&')
             .filter(|kv| !kv.is_empty())
             .map(|kv| kv.split_once('=').unwrap_or((kv, "")))
     }
 
-    pub fn param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn param(&self, name: &str) -> Option<&str> {
         self.query_params().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 
     /// Parse a typed query parameter; `None` when absent, `Err` with a
     /// user-facing message when present but malformed.
-    pub fn param_parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+    pub(crate) fn param_parse<T: std::str::FromStr>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
         match self.param(name) {
             None => Ok(None),
             Some(v) => v
@@ -165,7 +164,7 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
 
 /// Parse one request from the stream. `max_body` caps the body size; the
 /// caller is responsible for having set a read timeout on the socket.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
+pub(crate) fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
     let (head, body_prefix) = read_head(stream)?;
     let head = std::str::from_utf8(&head)
         .map_err(|_| HttpError::Malformed("header block is not valid UTF-8".into()))?;
@@ -250,16 +249,16 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
 
 /// A response under construction.
 #[derive(Debug, Clone)]
-pub struct Response {
-    pub status: u16,
-    pub content_type: &'static str,
-    pub body: Vec<u8>,
+pub(crate) struct Response {
+    pub(crate) status: u16,
+    pub(crate) content_type: &'static str,
+    pub(crate) body: Vec<u8>,
     /// Extra headers (e.g. `Retry-After`).
-    pub extra: Vec<(&'static str, String)>,
+    pub(crate) extra: Vec<(&'static str, String)>,
 }
 
 impl Response {
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -268,7 +267,7 @@ impl Response {
         }
     }
 
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn json(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
             content_type: "application/json",
@@ -278,18 +277,18 @@ impl Response {
     }
 
     /// A `503` shed/drain response carrying `Retry-After`.
-    pub fn unavailable(reason: &str, retry_after_secs: u32) -> Self {
+    pub(crate) fn unavailable(reason: &str, retry_after_secs: u32) -> Self {
         let mut r = Response::text(503, format!("unavailable: {reason}\n"));
         r.extra.push(("Retry-After", retry_after_secs.to_string()));
         r
     }
 
-    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
         self.extra.push((name, value.into()));
         self
     }
 
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
             202 => "Accepted",
@@ -310,7 +309,7 @@ impl Response {
 
     /// Serialize head + body. `Connection: close` is always sent — the
     /// daemon handles exactly one request per connection.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         use std::fmt::Write as _;
         let mut head = String::with_capacity(128);
         let _ = write!(head, "HTTP/1.1 {} {}\r\n", self.status, self.reason());
@@ -327,7 +326,7 @@ impl Response {
 }
 
 /// Build the response for a request-side error.
-pub fn error_response(e: &HttpError, retry_after_secs: u32) -> Response {
+pub(crate) fn error_response(e: &HttpError, retry_after_secs: u32) -> Response {
     let r = Response::text(e.status(), format!("{e}\n"));
     match e {
         // 408/413 clients may retry with a fixed body or slower link.
@@ -445,7 +444,9 @@ mod tests {
     #[test]
     fn error_responses_map_statuses() {
         assert_eq!(error_response(&HttpError::Timeout, 1).status, 408);
-        assert_eq!(error_response(&HttpError::MethodNotAllowed, 1).status, 405);
         assert_eq!(error_response(&HttpError::BodyTooLarge { limit: 9 }, 1).status, 413);
     }
 }
+
+#[cfg(test)]
+mod fuzz_tests;

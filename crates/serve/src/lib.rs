@@ -6,7 +6,7 @@
 //! robustness contract:
 //!
 //! - **Bounded everything.** A fixed worker pool behind an explicit
-//!   [`AdmissionQueue`]; when the queue is full the connection is shed
+//!   `AdmissionQueue`; when the queue is full the connection is shed
 //!   immediately with `503 + Retry-After`. Header, body, and header-count
 //!   caps reject oversized requests before buffering them.
 //! - **Budgeted requests.** Each `/campaign` carries a wall-clock
@@ -25,15 +25,13 @@
 //! - **Observable.** `/healthz`, `/readyz`, `/metrics` (the `bce-obs`
 //!   registry), and `/trace` (the last run's typed trace as JSONL).
 
-pub mod http;
-pub mod queue;
-pub mod signal;
-pub mod wall;
+pub(crate) mod http;
+pub(crate) mod queue;
+pub(crate) mod signal;
+pub(crate) mod wall;
 
 mod handlers;
 mod server;
 
-pub use http::{error_response, read_request, HttpError, Request, Response};
-pub use queue::{AdmissionQueue, Rejection};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
-pub use wall::{retry_io, retry_io_with, WallRetry, ACCEPT_RETRY, CHECKPOINT_RETRY};
+pub use wall::{ACCEPT_RETRY, CHECKPOINT_RETRY};

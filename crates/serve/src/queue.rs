@@ -18,7 +18,7 @@ use std::time::Instant;
 
 /// Why `try_push` refused a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rejection {
+pub(crate) enum Rejection {
     /// At capacity: the client should retry after backing off.
     Full,
     /// Draining: the daemon is shutting down and admits nothing.
@@ -31,14 +31,14 @@ struct Inner<T> {
 }
 
 /// A bounded MPMC queue of admitted connections.
-pub struct AdmissionQueue<T> {
+pub(crate) struct AdmissionQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
 }
 
 impl<T> AdmissionQueue<T> {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         AdmissionQueue {
             inner: Mutex::new(Inner { items: VecDeque::with_capacity(capacity), closed: false }),
             ready: Condvar::new(),
@@ -48,7 +48,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Admit `item`, or reject it without blocking. On rejection the item
     /// is returned so the caller can still write a shed response on it.
-    pub fn try_push(&self, item: T) -> Result<(), (T, Rejection)> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), (T, Rejection)> {
         let mut inner = self.inner.lock().expect("admission queue poisoned");
         if inner.closed {
             return Err((item, Rejection::Draining));
@@ -65,7 +65,7 @@ impl<T> AdmissionQueue<T> {
     /// Block until an item is available (returning it with the instant it
     /// was admitted) or the queue is closed *and* empty (returning
     /// `None`, the worker-exit signal).
-    pub fn pop(&self) -> Option<(T, Instant)> {
+    pub(crate) fn pop(&self) -> Option<(T, Instant)> {
         let mut inner = self.inner.lock().expect("admission queue poisoned");
         loop {
             if let Some(entry) = inner.items.pop_front() {
@@ -79,17 +79,13 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Current backlog length (for the queue-depth gauge).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("admission queue poisoned").items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Stop admitting; wake every blocked worker. Already-admitted items
     /// still drain through `pop`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().expect("admission queue poisoned").closed = true;
         self.ready.notify_all();
     }

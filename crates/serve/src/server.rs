@@ -105,40 +105,40 @@ impl Default for ServeConfig {
 /// allocates a key.
 #[derive(Clone, Copy)]
 pub(crate) struct Ids {
-    pub accepted: CounterId,
-    pub responses_2xx: CounterId,
-    pub responses_4xx: CounterId,
-    pub responses_5xx: CounterId,
-    pub shed_full: CounterId,
-    pub shed_draining: CounterId,
-    pub read_timeouts: CounterId,
-    pub parse_errors: CounterId,
-    pub panics_quarantined: CounterId,
-    pub accept_retries: CounterId,
-    pub runs_completed: CounterId,
+    pub(crate) accepted: CounterId,
+    pub(crate) responses_2xx: CounterId,
+    pub(crate) responses_4xx: CounterId,
+    pub(crate) responses_5xx: CounterId,
+    pub(crate) shed_full: CounterId,
+    pub(crate) shed_draining: CounterId,
+    pub(crate) read_timeouts: CounterId,
+    pub(crate) parse_errors: CounterId,
+    pub(crate) panics_quarantined: CounterId,
+    pub(crate) accept_retries: CounterId,
+    pub(crate) runs_completed: CounterId,
     /// Cumulative RR-simulation reruns across all served emulations.
-    pub emu_rr_runs: CounterId,
+    pub(crate) emu_rr_runs: CounterId,
     /// Cumulative frozen-window partial refreshes across served emulations.
-    pub emu_rr_frozen: CounterId,
+    pub(crate) emu_rr_frozen: CounterId,
     /// Cumulative availability flaps coalesced across served emulations.
-    pub emu_flaps_coalesced: CounterId,
+    pub(crate) emu_flaps_coalesced: CounterId,
     /// Cumulative zero-delta availability events that skipped a reschedule.
-    pub emu_avail_resched_skipped: CounterId,
-    pub campaign_chunks: CounterId,
-    pub campaigns_completed: CounterId,
-    pub campaigns_parked: CounterId,
+    pub(crate) emu_avail_resched_skipped: CounterId,
+    pub(crate) campaign_chunks: CounterId,
+    pub(crate) campaigns_completed: CounterId,
+    pub(crate) campaigns_parked: CounterId,
     /// Mid-flight campaign checkpoint writes that failed (best-effort
     /// writes; crash-safety degraded, study unaffected).
-    pub ckpt_write_failures: CounterId,
+    pub(crate) ckpt_write_failures: CounterId,
     /// Resumes that had to fall back past a corrupt checkpoint
     /// generation.
-    pub ckpt_recoveries: CounterId,
+    pub(crate) ckpt_recoveries: CounterId,
     /// Old checkpoint generations removed by rotation.
-    pub ckpt_generations_pruned: CounterId,
-    pub queue_depth: GaugeId,
-    pub draining: GaugeId,
-    pub uptime_seconds: GaugeId,
-    pub request_ms: HistogramId,
+    pub(crate) ckpt_generations_pruned: CounterId,
+    pub(crate) queue_depth: GaugeId,
+    pub(crate) draining: GaugeId,
+    pub(crate) uptime_seconds: GaugeId,
+    pub(crate) request_ms: HistogramId,
 }
 
 impl Ids {
@@ -179,35 +179,35 @@ impl Ids {
 
 /// State shared by the acceptor, the workers, and [`ServerHandle`]s.
 pub(crate) struct Shared {
-    pub cfg: ServeConfig,
-    pub draining: AtomicBool,
+    pub(crate) cfg: ServeConfig,
+    pub(crate) draining: AtomicBool,
     metrics: Mutex<MetricsRegistry>,
-    pub ids: Ids,
+    pub(crate) ids: Ids,
     /// Trace records of the most recent completed `/run`, for `/trace`.
-    pub last_trace: Mutex<Vec<TraceRecord>>,
+    pub(crate) last_trace: Mutex<Vec<TraceRecord>>,
     /// Campaign ids currently executing, so two concurrent POSTs cannot
     /// race the same checkpoint file.
-    pub campaigns_in_flight: Mutex<HashSet<String>>,
-    pub started: Instant,
+    pub(crate) campaigns_in_flight: Mutex<HashSet<String>>,
+    pub(crate) started: Instant,
 }
 
 impl Shared {
-    pub fn inc(&self, id: CounterId) {
+    pub(crate) fn inc(&self, id: CounterId) {
         self.metrics.lock().expect("metrics poisoned").inc(id);
     }
-    pub fn add(&self, id: CounterId, n: u64) {
+    pub(crate) fn add(&self, id: CounterId, n: u64) {
         self.metrics.lock().expect("metrics poisoned").add(id, n);
     }
-    pub fn set_gauge(&self, id: GaugeId, v: f64) {
+    pub(crate) fn set_gauge(&self, id: GaugeId, v: f64) {
         self.metrics.lock().expect("metrics poisoned").set(id, v);
     }
-    pub fn observe(&self, id: HistogramId, v: f64) {
+    pub(crate) fn observe(&self, id: HistogramId, v: f64) {
         self.metrics.lock().expect("metrics poisoned").observe(id, v);
     }
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.lock().expect("metrics poisoned").snapshot()
     }
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
     fn begin_drain(&self) {
@@ -220,10 +220,10 @@ impl Shared {
 /// returns after a drain.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeSummary {
-    pub accepted: u64,
-    pub shed: u64,
-    pub panics_quarantined: u64,
-    pub campaigns_parked: u64,
+    pub(crate) accepted: u64,
+    pub(crate) shed: u64,
+    pub(crate) panics_quarantined: u64,
+    pub(crate) campaigns_parked: u64,
     /// Workers that had not finished when the drain grace expired.
     pub workers_abandoned: usize,
 }
@@ -263,14 +263,6 @@ impl ServerHandle {
     pub fn drain(&self) {
         self.shared.begin_drain();
         self.queue.close();
-    }
-
-    pub fn is_draining(&self) -> bool {
-        self.shared.is_draining()
-    }
-
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.metrics_snapshot()
     }
 }
 

@@ -41,12 +41,12 @@ mod unix {
 
 /// Install the SIGTERM/SIGINT handler (idempotent; no-op off Unix, where
 /// only the in-process [`crate::ServerHandle::drain`] path exists).
-pub fn install_termination_handler() {
+pub(crate) fn install_termination_handler() {
     #[cfg(unix)]
     unix::install();
 }
 
 /// Has SIGTERM/SIGINT been received?
-pub fn termination_requested() -> bool {
+pub(crate) fn termination_requested() -> bool {
     TERM_REQUESTED.load(Ordering::SeqCst)
 }

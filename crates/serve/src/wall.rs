@@ -36,14 +36,14 @@ pub const CHECKPOINT_RETRY: RetryPolicy = RetryPolicy {
 };
 
 /// A [`RetryState`] driven by wall-clock time.
-pub struct WallRetry {
+pub(crate) struct WallRetry {
     policy: RetryPolicy,
     state: RetryState,
     origin: Instant,
 }
 
 impl WallRetry {
-    pub fn new(policy: RetryPolicy) -> Self {
+    pub(crate) fn new(policy: RetryPolicy) -> Self {
         WallRetry { policy, state: RetryState::new(), origin: Instant::now() }
     }
 
@@ -53,7 +53,7 @@ impl WallRetry {
 
     /// Record a failure. Returns the backoff to sleep before the next
     /// attempt, or `None` once the policy's give-up limit is reached.
-    pub fn fail(&mut self) -> Option<Duration> {
+    pub(crate) fn fail(&mut self) -> Option<Duration> {
         let now = self.now();
         match self.state.fail(now, &self.policy, 0.0) {
             RetryVerdict::RetryAt(until) => {
@@ -64,12 +64,8 @@ impl WallRetry {
     }
 
     /// Record a success: resets the backoff curve.
-    pub fn succeed(&mut self) {
+    pub(crate) fn succeed(&mut self) {
         self.state.succeed();
-    }
-
-    pub fn consecutive_failures(&self) -> u32 {
-        self.state.consecutive_failures()
     }
 }
 
@@ -77,13 +73,16 @@ impl WallRetry {
 /// attempts, until it succeeds or the policy gives up (returning the
 /// last error). Used for checkpoint writes; the accept loop drives
 /// [`WallRetry`] directly because it must interleave with drain checks.
-pub fn retry_io<T, E>(policy: RetryPolicy, mut op: impl FnMut() -> Result<T, E>) -> Result<T, E> {
+pub(crate) fn retry_io<T, E>(
+    policy: RetryPolicy,
+    mut op: impl FnMut() -> Result<T, E>,
+) -> Result<T, E> {
     retry_io_with(policy, &mut op, std::thread::sleep)
 }
 
 /// [`retry_io`] with an injectable sleeper, so tests can capture the
 /// exact backoff schedule instead of actually sleeping.
-pub fn retry_io_with<T, E>(
+pub(crate) fn retry_io_with<T, E>(
     policy: RetryPolicy,
     op: &mut impl FnMut() -> Result<T, E>,
     mut sleep: impl FnMut(Duration),
@@ -159,7 +158,7 @@ mod tests {
         }
         assert!(last >= Duration::from_millis(490), "delay should reach the cap, got {last:?}");
         retry.succeed();
-        assert_eq!(retry.consecutive_failures(), 0);
+        assert_eq!(retry.state, RetryState::new());
         let d = retry.fail().unwrap();
         assert!(d <= Duration::from_millis(11), "reset curve restarts at min_delay, got {d:?}");
     }

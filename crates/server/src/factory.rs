@@ -6,7 +6,7 @@ use bce_types::{AppClass, EstErrorModel, JobId, JobSpec, ProjectId, SimDuration,
 
 /// Stateful generator of jobs for one project.
 #[derive(Debug, Clone)]
-pub struct JobFactory {
+pub(crate) struct JobFactory {
     project: ProjectId,
     /// The project's slot shifted into the job id's upper bits.
     id_base: u64,
@@ -19,7 +19,7 @@ impl JobFactory {
     /// Job ids carry the slot in bits 40 and up and a per-project sequence
     /// number below, so they are unique across the whole emulation
     /// without central coordination, whatever the project ids are.
-    pub fn new(project: ProjectId, slot: usize, rng: Rng) -> Self {
+    pub(crate) fn new(project: ProjectId, slot: usize, rng: Rng) -> Self {
         assert!(slot < 1 << 24, "project slot {slot} does not fit in a job id");
         JobFactory { project, id_base: (slot as u64) << 40, next_seq: 0, rng }
     }
@@ -31,7 +31,7 @@ impl JobFactory {
     }
 
     /// Draw one job from `app`, received by the client at `now`.
-    pub fn make_job(&mut self, app: &AppClass, now: SimTime) -> JobSpec {
+    pub(crate) fn make_job(&mut self, app: &AppClass, now: SimTime) -> JobSpec {
         let mean = app.runtime_mean.secs();
         let actual = if app.runtime_cv > 0.0 {
             TruncatedNormal::positive(mean, app.runtime_cv * mean).sample(&mut self.rng)
@@ -63,7 +63,7 @@ impl JobFactory {
 
     /// Pick an app class by weight among those matching a predicate.
     /// Returns the index into `apps`.
-    pub fn pick_app(
+    pub(crate) fn pick_app(
         &mut self,
         apps: &[AppClass],
         pred: impl Fn(&AppClass) -> bool,
@@ -158,14 +158,16 @@ mod tests {
     fn weighted_app_pick() {
         let mut f = factory();
         let apps = vec![
-            app().with_weight(1.0),
-            AppClass::gpu(
-                1,
-                ProcType::NvidiaGpu,
-                SimDuration::from_secs(10.0),
-                SimDuration::from_secs(100.0),
-            )
-            .with_weight(3.0),
+            app(),
+            AppClass {
+                weight: 3.0,
+                ..AppClass::gpu(
+                    1,
+                    ProcType::NvidiaGpu,
+                    SimDuration::from_secs(10.0),
+                    SimDuration::from_secs(100.0),
+                )
+            },
         ];
         let mut gpu_picks = 0;
         for _ in 0..1000 {

@@ -6,10 +6,9 @@
 //! enforces the server-side deadline check (re-issue on miss), and models
 //! maintenance downtime and no-work periods.
 
-pub mod factory;
-pub mod rpc;
-pub mod server;
+pub(crate) mod factory;
+pub(crate) mod rpc;
+pub(crate) mod server;
 
-pub use factory::JobFactory;
 pub use rpc::{RpcOutcome, SchedulerReply, SchedulerRequest, TypeRequest};
 pub use server::{DeadlineCheckPolicy, ProjectServer, ServerConfig, ServerStats};

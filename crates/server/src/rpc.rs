@@ -17,7 +17,7 @@ pub struct TypeRequest {
 }
 
 impl TypeRequest {
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.secs <= 0.0 && self.instances <= 0.0
     }
 }
@@ -29,7 +29,7 @@ pub struct SchedulerRequest {
 }
 
 impl SchedulerRequest {
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.per_type.iter().all(|(_, r)| r.is_empty())
     }
 }

@@ -36,19 +36,11 @@ pub enum DeadlineCheckPolicy {
 impl DeadlineCheckPolicy {
     /// The instant after which a result with `deadline` is considered
     /// dead by the server.
-    pub fn expiry(&self, deadline: SimTime) -> SimTime {
+    pub(crate) fn expiry(&self, deadline: SimTime) -> SimTime {
         match self {
             DeadlineCheckPolicy::Strict => deadline,
             DeadlineCheckPolicy::Grace(g) => deadline + *g,
             DeadlineCheckPolicy::None => SimTime::FAR_FUTURE,
-        }
-    }
-
-    pub fn name(&self) -> String {
-        match self {
-            DeadlineCheckPolicy::Strict => "DC-STRICT".into(),
-            DeadlineCheckPolicy::Grace(g) => format!("DC-GRACE({g})"),
-            DeadlineCheckPolicy::None => "DC-NONE".into(),
         }
     }
 }
@@ -58,11 +50,11 @@ impl DeadlineCheckPolicy {
 pub struct ServerConfig {
     /// Upper bound on jobs handed out per RPC (the real scheduler's reply
     /// is bounded by its shared-memory job cache).
-    pub max_jobs_per_rpc: usize,
+    pub(crate) max_jobs_per_rpc: usize,
     /// Minimum delay the reply imposes before the next RPC.
-    pub min_rpc_delay: SimDuration,
+    pub(crate) min_rpc_delay: SimDuration,
     /// Delay imposed when the server has no work.
-    pub no_work_delay: SimDuration,
+    pub(crate) no_work_delay: SimDuration,
     /// How lateness is judged at report time (§4.3's third policy axis).
     pub deadline_check: DeadlineCheckPolicy,
 }
@@ -86,14 +78,14 @@ pub struct ServerStats {
     pub rpcs: u64,
     /// RPCs that found the server down.
     pub failed_rpcs: u64,
-    pub jobs_dispatched: u64,
+    pub(crate) jobs_dispatched: u64,
     pub reported_in_time: u64,
     pub reported_late: u64,
     /// Results whose deadline passed server-side (re-issued elsewhere).
-    pub timed_out: u64,
+    pub(crate) timed_out: u64,
     /// Results the client reported as permanently failed (e.g. transfer
     /// retries exhausted); re-issued elsewhere in a real deployment.
-    pub errored: u64,
+    pub(crate) errored: u64,
 }
 
 /// One project's simulated server.
@@ -169,15 +161,11 @@ impl ProjectServer {
         self.spec.id
     }
 
-    pub fn spec(&self) -> &ProjectSpec {
-        &self.spec
-    }
-
     pub fn stats(&self) -> &ServerStats {
         &self.stats
     }
 
-    pub fn is_up(&mut self, now: SimTime) -> bool {
+    pub(crate) fn is_up(&mut self, now: SimTime) -> bool {
         match &mut self.uptime {
             None => true,
             Some(p) => {
@@ -339,15 +327,6 @@ impl ProjectServer {
         self.stats.timed_out += expired.len() as u64;
         expired
     }
-
-    /// Earliest deadline among in-progress results (for event scheduling).
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.in_progress.values().copied().min()
-    }
-
-    pub fn in_progress_count(&self) -> usize {
-        self.in_progress.len()
-    }
 }
 
 #[cfg(test)]
@@ -381,7 +360,7 @@ mod tests {
         // ~1000 s jobs: needs 4 to cover 3500 instance-seconds.
         assert_eq!(reply.jobs.len(), 4);
         assert_eq!(s.stats().jobs_dispatched, 4);
-        assert_eq!(s.in_progress_count(), 4);
+        assert_eq!(s.in_progress.len(), 4);
     }
 
     #[test]
@@ -427,7 +406,7 @@ mod tests {
 
     #[test]
     fn batch_supply_runs_dry() {
-        let mut s = server(spec().with_supply(WorkSupply::Batch { njobs: 2 }));
+        let mut s = server(ProjectSpec { supply: WorkSupply::Batch { njobs: 2 }, ..spec() });
         let RpcOutcome::Reply(r1) = s.handle_rpc(SimTime::ZERO, &req_cpu(1e5, 0.0)) else {
             panic!()
         };
@@ -440,10 +419,13 @@ mod tests {
 
     #[test]
     fn downtime_fails_rpcs() {
-        let s = spec().with_uptime(ServerUptime::Sporadic {
-            up_mean: SimDuration::from_secs(1.0),
-            down_mean: SimDuration::from_secs(1e9),
-        });
+        let s = ProjectSpec {
+            uptime: ServerUptime::Sporadic {
+                up_mean: SimDuration::from_secs(1.0),
+                down_mean: SimDuration::from_secs(1e9),
+            },
+            ..spec()
+        };
         let mut srv = server(s);
         // Advance far: with up_mean 1 s and down_mean 1e9 s the server is
         // almost surely down at t = 1e6.
@@ -460,7 +442,7 @@ mod tests {
         };
         let id = reply.jobs[0].id;
         let dl = reply.jobs[0].deadline();
-        assert_eq!(s.next_deadline(), Some(dl));
+        assert_eq!(s.in_progress.values().copied().min(), Some(dl));
         let expired = s.check_deadlines(dl + SimDuration::from_secs(1.0));
         assert!(expired.contains(&id));
         assert_eq!(s.stats().timed_out as usize, expired.len());
@@ -478,7 +460,7 @@ mod tests {
         let id = reply.jobs[0].id;
         s.report_errored(id);
         assert_eq!(s.stats().errored, 1);
-        assert_eq!(s.in_progress_count(), reply.jobs.len() - 1);
+        assert_eq!(s.in_progress.len(), reply.jobs.len() - 1);
         // Double-report is a no-op.
         s.report_errored(id);
         assert_eq!(s.stats().errored, 1);
@@ -493,6 +475,6 @@ mod tests {
         let id = reply.jobs[0].id;
         assert!(s.report_completed(SimTime::from_secs(100.0), id));
         assert_eq!(s.stats().reported_in_time, 1);
-        assert_eq!(s.in_progress_count(), reply.jobs.len() - 1);
+        assert_eq!(s.in_progress.len(), reply.jobs.len() - 1);
     }
 }

@@ -17,12 +17,12 @@ pub trait Distribution {
 /// so sampling stays stateless and reproducible per call site.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
-    pub mean: f64,
-    pub sd: f64,
+    pub(crate) mean: f64,
+    pub(crate) sd: f64,
 }
 
 impl Normal {
-    pub fn new(mean: f64, sd: f64) -> Self {
+    pub(crate) fn new(mean: f64, sd: f64) -> Self {
         debug_assert!(sd >= 0.0);
         Normal { mean, sd }
     }
@@ -55,8 +55,8 @@ impl Distribution for Normal {
 /// distributed" but must be positive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruncatedNormal {
-    pub normal: Normal,
-    pub floor: f64,
+    pub(crate) normal: Normal,
+    pub(crate) floor: f64,
 }
 
 impl TruncatedNormal {
@@ -84,7 +84,7 @@ impl Distribution for TruncatedNormal {
 /// Exponential with the given mean (inverse-CDF method).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
-    pub mean: f64,
+    pub(crate) mean: f64,
 }
 
 impl Exponential {
@@ -107,15 +107,11 @@ impl Distribution for Exponential {
 /// Log-normal parameterized by the underlying normal's `mu`/`sigma`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
-    pub mu: f64,
-    pub sigma: f64,
+    pub(crate) mu: f64,
+    pub(crate) sigma: f64,
 }
 
 impl LogNormal {
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        LogNormal { mu, sigma }
-    }
-
     /// Construct from the distribution's own median and a multiplicative
     /// spread factor (sigma in log-space).
     pub fn from_median(median: f64, sigma: f64) -> Self {
@@ -145,20 +141,6 @@ impl Distribution for Uniform {
     }
     fn mean(&self) -> f64 {
         0.5 * (self.lo + self.hi)
-    }
-}
-
-/// A point mass (deterministic value); handy for turning stochastic knobs
-/// off in tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut Rng) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> f64 {
-        self.0
     }
 }
 
@@ -228,7 +210,5 @@ mod tests {
             assert!((2.0..4.0).contains(&x));
         }
         assert_eq!(u.mean(), 3.0);
-        assert_eq!(Constant(7.0).sample(&mut rng), 7.0);
-        assert_eq!(Constant(7.0).mean(), 7.0);
     }
 }

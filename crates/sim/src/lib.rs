@@ -11,16 +11,16 @@
 //! reproduce field anomalies exactly (§4.3), so no wall-clock time, no
 //! global RNG, no hash-order dependence.
 
-pub mod dist;
-pub mod hash;
-pub mod queue;
-pub mod rng;
-pub mod stats;
-pub mod timeline;
+pub(crate) mod dist;
+pub(crate) mod hash;
+pub(crate) mod queue;
+pub(crate) mod rng;
+pub(crate) mod stats;
+pub(crate) mod timeline;
 
-pub use dist::{Constant, Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform};
+pub use dist::{Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform};
 pub use hash::{fnv64, Fnv64};
 pub use queue::EventQueue;
 pub use rng::Rng;
-pub use stats::{rms, ExpAvg, Histogram, OnlineStats, TimeWeighted};
+pub use stats::{rms, OnlineStats};
 pub use timeline::{InstanceTrack, Occupancy, Segment, Timeline};

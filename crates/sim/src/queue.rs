@@ -60,23 +60,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// Empty the queue *and* restart the FIFO tie-break sequence, keeping
     /// the heap's allocation. This is the arena-reuse entry point: a queue
     /// recycled across emulation runs behaves bit-identically to a freshly
@@ -84,11 +67,6 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.heap.clear();
         self.seq = 0;
-    }
-
-    /// Allocated capacity of the underlying heap (for reuse diagnostics).
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
     }
 }
 
@@ -112,7 +90,6 @@ mod tests {
         q.push(t(5.0), "b");
         q.push(t(1.0), "a");
         q.push(t(9.0), "c");
-        assert_eq!(q.peek_time(), Some(t(1.0)));
         assert_eq!(q.pop(), Some((t(1.0), "a")));
         assert_eq!(q.pop(), Some((t(5.0), "b")));
         assert_eq!(q.pop(), Some((t(9.0), "c")));
@@ -139,7 +116,7 @@ mod tests {
         q.push(t(2.0), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
-        assert!(q.is_empty());
+        assert_eq!(q.heap.len(), 0);
     }
 
     #[test]
@@ -147,23 +124,22 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(t(1.0), ());
         q.push(t(2.0), ());
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.heap.len(), 2);
+        q.reset();
+        assert_eq!(q.heap.len(), 0);
     }
 
     #[test]
     fn reset_keeps_allocation_and_restarts_sequence() {
         let mut q = EventQueue::with_capacity(128);
-        let cap = q.capacity();
+        let cap = q.heap.capacity();
         assert!(cap >= 128);
         for i in 0..100 {
             q.push(t(1.0), i);
         }
         q.reset();
-        assert!(q.is_empty());
-        assert!(q.capacity() >= cap, "reset must keep the allocation");
+        assert_eq!(q.heap.len(), 0);
+        assert!(q.heap.capacity() >= cap, "reset must keep the allocation");
         // After reset, FIFO tie-breaking restarts exactly as in a fresh
         // queue: pushes at an equal time pop in insertion order.
         for i in 0..50 {

@@ -75,12 +75,6 @@ impl Rng {
         Rng::from_seed(salt ^ fnv1a(name.as_bytes()))
     }
 
-    /// The raw xoshiro256++ state: two generators with equal states draw
-    /// equal streams.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;

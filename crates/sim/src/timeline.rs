@@ -36,7 +36,7 @@ pub struct InstanceTrack {
 }
 
 impl InstanceTrack {
-    pub fn new(instance: InstanceId) -> Self {
+    pub(crate) fn new(instance: InstanceId) -> Self {
         InstanceTrack { instance, segments: Vec::new() }
     }
 
@@ -58,21 +58,6 @@ impl InstanceTrack {
 
     pub fn segments(&self) -> &[Segment] {
         &self.segments
-    }
-
-    /// Occupancy at time `t` (None before the first / after the last record).
-    pub fn occupancy_at(&self, t: SimTime) -> Option<Occupancy> {
-        let idx = self.segments.partition_point(|s| s.end <= t);
-        self.segments.get(idx).and_then(|s| (s.start <= t).then_some(s.occ))
-    }
-
-    /// Total busy seconds in the track.
-    pub fn busy_secs(&self) -> f64 {
-        self.segments
-            .iter()
-            .filter(|s| matches!(s.occ, Occupancy::Busy { .. }))
-            .map(|s| (s.end - s.start).secs())
-            .sum()
     }
 }
 
@@ -129,7 +114,7 @@ mod tests {
         tr.record(t(20.0), t(30.0), busy(1, 2));
         assert_eq!(tr.segments().len(), 2);
         assert_eq!(tr.segments()[0].end, t(20.0));
-        assert_eq!(tr.busy_secs(), 30.0);
+        assert_eq!(tr.segments()[1].end, t(30.0));
     }
 
     #[test]
@@ -137,16 +122,6 @@ mod tests {
         let mut tr = InstanceTrack::new(inst(0));
         tr.record(t(5.0), t(5.0), Occupancy::Idle);
         assert!(tr.segments().is_empty());
-    }
-
-    #[test]
-    fn occupancy_lookup() {
-        let mut tr = InstanceTrack::new(inst(0));
-        tr.record(t(0.0), t(10.0), busy(0, 1));
-        tr.record(t(10.0), t(20.0), Occupancy::Idle);
-        assert_eq!(tr.occupancy_at(t(5.0)), Some(busy(0, 1)));
-        assert_eq!(tr.occupancy_at(t(10.0)), Some(Occupancy::Idle));
-        assert_eq!(tr.occupancy_at(t(25.0)), None);
     }
 
     #[test]

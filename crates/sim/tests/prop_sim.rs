@@ -1,7 +1,7 @@
 //! Property tests for the simulation substrate.
 
-use bce_sim::{Distribution, EventQueue, ExpAvg, Exponential, Normal, Rng, TruncatedNormal};
-use bce_types::{SimDuration, SimTime};
+use bce_sim::{Distribution, EventQueue, Exponential, Normal, Rng, TruncatedNormal};
+use bce_types::SimTime;
 use proptest::prelude::*;
 
 proptest! {
@@ -23,28 +23,6 @@ proptest! {
             popped.push((t.secs(), i));
         }
         prop_assert_eq!(popped, expected);
-    }
-
-    /// ExpAvg is independent of update granularity: many small steps with
-    /// the same rate equal one big step.
-    #[test]
-    fn expavg_step_merging(
-        half_life in 10.0f64..1e5,
-        rate in 0.0f64..1e3,
-        splits in proptest::collection::vec(1.0f64..1e4, 1..20),
-    ) {
-        let total: f64 = splits.iter().sum();
-        let mut one = ExpAvg::new(SimDuration::from_secs(half_life));
-        one.update(SimTime::from_secs(total), rate);
-        let mut many = ExpAvg::new(SimDuration::from_secs(half_life));
-        let mut t = 0.0;
-        for s in &splits {
-            t += s;
-            many.update(SimTime::from_secs(t), rate);
-        }
-        let scale = one.value().abs().max(1.0);
-        prop_assert!((one.value() - many.value()).abs() < 1e-9 * scale,
-            "one={} many={}", one.value(), many.value());
     }
 
     /// Distribution outputs respect their support.
@@ -94,9 +72,9 @@ proptest! {
     #[test]
     fn normal_centering(seed in any::<u64>(), mean in -100.0f64..100.0, sd in 0.1f64..10.0) {
         let mut rng = Rng::from_seed(seed);
-        let d = Normal::new(mean, sd);
         let n = 2000;
-        let avg: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
+        let avg: f64 =
+            (0..n).map(|_| mean + sd * Normal::std_sample(&mut rng)).sum::<f64>() / n as f64;
         prop_assert!((avg - mean).abs() < 5.0 * sd / (n as f64).sqrt() + 1e-9,
             "avg {avg} vs mean {mean}");
     }

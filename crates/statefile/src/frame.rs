@@ -30,17 +30,17 @@
 
 /// Frame magic. Eight bytes so the version/length fields stay aligned
 /// and an accidental XML payload (`<bce_...`) can never collide.
-pub const FRAME_MAGIC: [u8; 8] = *b"BCEFRAME";
+pub(crate) const FRAME_MAGIC: [u8; 8] = *b"BCEFRAME";
 
 /// Current frame version.
-pub const FRAME_VERSION: u32 = 1;
+pub(crate) const FRAME_VERSION: u32 = 1;
 
 /// Fixed header size in bytes.
-pub const FRAME_HEADER_LEN: usize = 28;
+pub(crate) const FRAME_HEADER_LEN: usize = 28;
 
 /// Why a buffer failed to decode as a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
+pub(crate) enum FrameError {
     /// The buffer does not begin with [`FRAME_MAGIC`] — an unframed
     /// pre-framing checkpoint or not a checkpoint at all.
     NotFramed,
@@ -81,7 +81,7 @@ impl std::error::Error for FrameError {}
 
 /// CRC-64/XZ (reflected, poly 0xC96C5795D7870F42, init/xorout all-ones),
 /// the variant used by xz-utils — table-driven, one byte per step.
-pub fn crc64(bytes: &[u8]) -> u64 {
+pub(crate) fn crc64(bytes: &[u8]) -> u64 {
     const TABLE: [u64; 256] = crc64_table();
     let mut crc = !0u64;
     for &b in bytes {
@@ -109,7 +109,7 @@ const fn crc64_table() -> [u64; 256] {
 }
 
 /// Wrap `payload` in a checksummed frame.
-pub fn encode(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&FRAME_MAGIC);
     out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
@@ -125,7 +125,7 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 /// ([`FrameError::NotFramed`]) from "corrupt generation" (everything
 /// else), because the first is loadable and the second triggers
 /// fallback to an older generation.
-pub fn decode(buf: &[u8]) -> Result<&[u8], FrameError> {
+pub(crate) fn decode(buf: &[u8]) -> Result<&[u8], FrameError> {
     if buf.len() < FRAME_MAGIC.len() || buf[..FRAME_MAGIC.len()] != FRAME_MAGIC {
         // A truncated prefix of the magic itself is indistinguishable
         // from "some other file"; NotFramed is the safe answer for both

@@ -1,9 +1,9 @@
 //! A strict, dependency-free JSON subset parser and canonical writer.
 //!
 //! Scenario specs and campaign manifests are JSON documents; like the XML
-//! side ([`crate::xml`]) this parser is written from scratch and hardened
+//! side (`crate::xml`) this parser is written from scratch and hardened
 //! against hostile input: nesting depth is capped at
-//! [`MAX_JSON_DEPTH`], duplicate object keys are rejected, every error
+//! `MAX_JSON_DEPTH`, duplicate object keys are rejected, every error
 //! carries a line/column position, and parse time is linear in the
 //! document's size, so a body's byte limit also bounds the time spent
 //! parsing it. The writer produces *canonical*
@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Maximum array/object nesting depth, mirroring [`crate::xml::MAX_NESTING_DEPTH`].
-pub const MAX_JSON_DEPTH: usize = 128;
+pub(crate) const MAX_JSON_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object entries preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,9 +183,9 @@ fn render_string(s: &str, out: &mut String) {
 /// Error from [`parse`], with a 1-based source position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
-    pub line: usize,
-    pub col: usize,
-    pub message: String,
+    pub(crate) line: usize,
+    pub(crate) col: usize,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for JsonError {
@@ -197,10 +197,10 @@ impl std::error::Error for JsonError {}
 
 /// Longest user-supplied string, in bytes, that an error message echoes
 /// whole.
-pub const ECHO_LIMIT: usize = 64;
+pub(crate) const ECHO_LIMIT: usize = 64;
 
 /// A user-supplied string as an error message echoes it: quoted like
-/// `{:?}` when at most [`ECHO_LIMIT`] bytes long, otherwise a quoted
+/// `{:?}` when at most `ECHO_LIMIT` bytes long, otherwise a quoted
 /// prefix of at most that many bytes, an ellipsis and the full byte
 /// length. One hostile value therefore cannot make an error (or the HTTP
 /// body carrying it) as large as the value itself.
@@ -218,7 +218,7 @@ impl std::fmt::Display for Echo<'_> {
 }
 
 /// Parse a complete JSON document. Trailing non-whitespace, duplicate
-/// object keys, and nesting deeper than [`MAX_JSON_DEPTH`] are errors.
+/// object keys, and nesting deeper than `MAX_JSON_DEPTH` are errors.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser { src, bytes: src.as_bytes(), pos: 0 };
     p.skip_ws();

@@ -76,7 +76,7 @@ impl std::error::Error for StoreError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RejectedGeneration {
     pub generation: u64,
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     pub reason: String,
 }
 
@@ -86,9 +86,9 @@ pub struct RejectedGeneration {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Generation opened; `None` when the bare `<base>` file was loaded.
-    pub opened_generation: Option<u64>,
+    pub(crate) opened_generation: Option<u64>,
     /// Newer generations rejected before one validated, newest first.
-    pub rejected: Vec<RejectedGeneration>,
+    pub(crate) rejected: Vec<RejectedGeneration>,
 }
 
 impl RecoveryReport {
@@ -120,7 +120,7 @@ impl RecoveryReport {
 /// old generations rotation pruned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteReceipt {
-    pub generation: u64,
+    pub(crate) generation: u64,
     pub pruned: u64,
 }
 
@@ -162,10 +162,6 @@ impl CheckpointStore {
 
     pub fn base(&self) -> &Path {
         &self.base
-    }
-
-    pub fn keep_generations(&self) -> usize {
-        self.keep
     }
 
     fn dir(&self) -> PathBuf {
@@ -304,13 +300,6 @@ impl CheckpointStore {
         self.io.rename(&tmp, &self.manifest_path())
     }
 
-    /// The `latest` hint from the manifest, if present and well-formed.
-    pub fn manifest_latest(&self) -> Option<u64> {
-        let bytes = self.io.read(&self.manifest_path()).ok()?;
-        let text = String::from_utf8(bytes).ok()?;
-        text.lines().find_map(|l| l.strip_prefix("latest ")?.trim().parse().ok())
-    }
-
     /// Open the newest generation whose frame validates **and** whose
     /// payload `parse` accepts, falling back past corrupt ones; the bare
     /// `<base>` file is the last candidate. Returns the parsed value plus
@@ -384,7 +373,7 @@ mod tests {
             assert_eq!(receipt.generation, i);
         }
         assert_eq!(s.generations_on_disk().unwrap(), vec![3, 4, 5]);
-        assert_eq!(s.manifest_latest(), Some(5));
+        assert!(fs::read_to_string(s.manifest_path()).unwrap().contains("\nlatest 5\n"));
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"payload-5");
         assert_eq!(report.opened_generation, Some(5));

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 /// A parsed element.
 #[derive(Debug, Clone, PartialEq)]
 pub struct XmlNode {
-    pub name: String,
+    pub(crate) name: String,
     pub attrs: Vec<(String, String)>,
     pub children: Vec<XmlNode>,
     /// Concatenated text content directly inside this element (trimmed).
@@ -36,26 +36,26 @@ impl XmlNode {
     }
 
     /// First child element with the given name.
-    pub fn child(&self, name: &str) -> Option<&XmlNode> {
+    pub(crate) fn child(&self, name: &str) -> Option<&XmlNode> {
         self.children.iter().find(|c| c.name == name)
     }
 
     /// All child elements with the given name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a XmlNode> {
+    pub(crate) fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a XmlNode> {
         self.children.iter().filter(move |c| c.name == name)
     }
 
     /// Text of the named child, if present.
-    pub fn child_text(&self, name: &str) -> Option<&str> {
+    pub(crate) fn child_text(&self, name: &str) -> Option<&str> {
         self.child(name).map(|c| c.text.as_str())
     }
 
     /// Parse the named child's text as `T`.
-    pub fn child_parse<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+    pub(crate) fn child_parse<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         self.child_text(name).and_then(|t| t.parse().ok())
     }
 
-    pub fn attr(&self, name: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, name: &str) -> Option<&str> {
         self.attrs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
     }
 
@@ -111,13 +111,13 @@ fn escape(s: &str) -> String {
 /// overflow aborts the process and cannot be caught, so on an untrusted
 /// ingest path (the daemon's POST bodies) it would be a one-request
 /// denial of service.
-pub const MAX_NESTING_DEPTH: usize = 128;
+pub(crate) const MAX_NESTING_DEPTH: usize = 128;
 
 /// Parse error with 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct XmlError {
-    pub line: usize,
-    pub message: String,
+    pub(crate) line: usize,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for XmlError {
@@ -329,7 +329,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse a document; returns its single root element.
-pub fn parse(src: &str) -> Result<XmlNode, XmlError> {
+pub(crate) fn parse(src: &str) -> Result<XmlNode, XmlError> {
     let mut p = Parser { src: src.as_bytes(), pos: 0, line: 1 };
     p.skip_misc()?;
     let root = p.element(0)?;

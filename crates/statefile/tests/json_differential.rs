@@ -2,15 +2,34 @@
 //!
 //! `parse_json` must accept and reject exactly what the original
 //! char-at-a-time parser did: the same `Ok` values, and on failure the same
-//! `JsonError` line, column and message. That parser is kept below, verbatim
-//! apart from its name, as a private oracle (`parse_reference`). Documents
+//! `JsonError` line, column and message (compared through its `Display`
+//! text, which prints all three). That parser is kept below, verbatim
+//! apart from its name and error type, as a private oracle
+//! (`parse_reference`). Documents
 //! are generated, then mutated and truncated, from a palette that covers 2-,
 //! 3- and 4-byte UTF-8, every escape (surrogate pairs and unpaired halves
 //! included), raw control bytes, duplicate keys on both sides of the
 //! reader's hash-set threshold, and nesting at `MAX_JSON_DEPTH` ± 2.
 
-use bce_statefile::{parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
+use bce_statefile::{parse_json, JsonValue};
 use proptest::prelude::*;
+
+/// The reader's nesting limit (`json::MAX_JSON_DEPTH`).
+const MAX_JSON_DEPTH: usize = 128;
+
+/// The oracle's error: the reader's `JsonError` fields, printed the same way.
+#[derive(Debug)]
+struct JsonError {
+    line: usize,
+    col: usize,
+    message: String,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "json error at line {}, col {}: {}", self.line, self.col, self.message)
+    }
+}
 
 /// The original JSON parser: one `from_utf8` of the rest of the document
 /// per string character, and a scan of every earlier key per object key.
@@ -444,7 +463,12 @@ fn keyed_object(g: &mut Gen, n: usize) -> String {
 }
 
 fn check(doc: &str) -> Result<(), String> {
-    prop_assert_eq!(parse_json(doc), parse_reference(doc), "document {:?}", doc);
+    prop_assert_eq!(
+        parse_json(doc).map_err(|e| e.to_string()),
+        parse_reference(doc).map_err(|e| e.to_string()),
+        "document {:?}",
+        doc
+    );
     Ok(())
 }
 

@@ -38,19 +38,7 @@ impl std::error::Error for ModelError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioErrors(pub Vec<ModelError>);
 
-impl ScenarioErrors {
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    pub fn iter(&self) -> std::slice::Iter<'_, ModelError> {
-        self.0.iter()
-    }
-}
+impl ScenarioErrors {}
 
 impl fmt::Display for ScenarioErrors {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

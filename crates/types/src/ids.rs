@@ -9,10 +9,6 @@ macro_rules! id_type {
         pub struct $name(pub $inner);
 
         impl $name {
-            #[inline]
-            pub fn index(self) -> usize {
-                self.0 as usize
-            }
         }
 
         impl fmt::Display for $name {
@@ -80,7 +76,8 @@ mod tests {
     #[test]
     fn ordering_and_index() {
         assert!(JobId(1) < JobId(2));
-        assert_eq!(ProjectId(7).index(), 7);
+        let inst = |index| InstanceId { proc_type: ProcType::Cpu, index };
+        assert!(inst(1) < inst(2));
         assert_eq!(ProjectId::from(9u32), ProjectId(9));
     }
 }

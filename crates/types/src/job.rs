@@ -131,11 +131,6 @@ impl JobSpec {
     pub fn deadline(&self) -> SimTime {
         self.received + self.latency_bound
     }
-
-    /// Slack available at dispatch: latency bound minus estimated runtime.
-    pub fn slack_est(&self) -> SimDuration {
-        self.latency_bound - self.duration_est
-    }
 }
 
 /// A job already in the client's queue at the start of the emulation —
@@ -152,18 +147,6 @@ pub struct InitialJob {
     pub received_ago: SimDuration,
     /// Dedicated-execution seconds already completed.
     pub progress: SimDuration,
-}
-
-/// Outcome of a job from the client's perspective, used by metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobOutcome {
-    /// Completed at or before its deadline.
-    MetDeadline,
-    /// Completed, but after the deadline (the server has re-issued it, so
-    /// the processing counts as wasted).
-    MissedDeadline,
-    /// Aborted before completion (e.g. end of emulation, or abandoned).
-    Unfinished,
 }
 
 #[cfg(test)]
@@ -191,7 +174,6 @@ mod tests {
     fn deadline_is_receipt_plus_latency_bound() {
         let j = job(ResourceUsage::one_cpu());
         assert_eq!(j.deadline(), SimTime::from_secs(2000.0));
-        assert_eq!(j.slack_est(), SimDuration::from_secs(500.0));
     }
 
     #[test]

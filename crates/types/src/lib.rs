@@ -8,22 +8,20 @@
 //! This crate is dependency-free and purely data + math; all behaviour
 //! (event loops, policies, servers) lives in the crates that build on it.
 
-pub mod error;
-pub mod ids;
-pub mod job;
-pub mod prefs;
-pub mod proc;
-pub mod project;
-pub mod share;
-pub mod time;
+pub(crate) mod error;
+pub(crate) mod ids;
+pub(crate) mod job;
+pub(crate) mod prefs;
+pub(crate) mod proc;
+pub(crate) mod project;
+pub(crate) mod share;
+pub(crate) mod time;
 
 pub use error::{ModelError, ScenarioErrors};
 pub use ids::{AppId, InstanceId, JobId, ProjectId};
-pub use job::{EstErrorModel, InitialJob, JobOutcome, JobSpec, ResourceUsage};
+pub use job::{EstErrorModel, InitialJob, JobSpec, ResourceUsage};
 pub use prefs::{DailyWindow, Preferences};
-pub use proc::{Hardware, ProcGroup, ProcMap, ProcType};
-pub use project::{
-    share_fraction, AppClass, ProjectSpec, ServerUptime, SporadicSupply, WorkSupply,
-};
+pub use proc::{Hardware, ProcMap, ProcType};
+pub use project::{AppClass, ProjectSpec, ServerUptime, SporadicSupply, WorkSupply};
 pub use share::{ideal_allocation, IdealAllocation, ShareDemand, UsableTypes};
-pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, SECOND};
+pub use time::{SimDuration, SimTime, DAY};

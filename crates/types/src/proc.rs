@@ -72,21 +72,13 @@ impl<T> ProcMap<T> {
     pub fn iter(&self) -> impl Iterator<Item = (ProcType, &T)> {
         ProcType::ALL.iter().map(move |&t| (t, &self.0[t.index()]))
     }
-
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ProcType, &mut T)> {
-        ProcType::ALL.iter().copied().zip(self.0.iter_mut())
-    }
-
-    pub fn map<U>(&self, mut f: impl FnMut(ProcType, &T) -> U) -> ProcMap<U> {
-        ProcMap::from_fn(|t| f(t, &self.0[t.index()]))
-    }
 }
 
 impl ProcMap<f64> {
     pub fn zero() -> Self {
         ProcMap([0.0; ProcType::COUNT])
     }
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.0.iter().sum()
     }
 }
@@ -108,15 +100,15 @@ impl<T> IndexMut<ProcType> for ProcMap<T> {
 
 /// The instances of a single processor type on a host.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcGroup {
+pub(crate) struct ProcGroup {
     /// Number of instances (CPU cores or GPU boards).
-    pub count: u32,
+    pub(crate) count: u32,
     /// Peak FLOPS of one instance.
-    pub flops_per_inst: f64,
+    pub(crate) flops_per_inst: f64,
 }
 
 impl ProcGroup {
-    pub fn peak_flops(&self) -> f64 {
+    pub(crate) fn peak_flops(&self) -> f64 {
         self.count as f64 * self.flops_per_inst
     }
 }
@@ -155,10 +147,6 @@ impl Hardware {
     pub fn with_vram(mut self, vram_bytes: f64) -> Self {
         self.vram_bytes = vram_bytes;
         self
-    }
-
-    pub fn group(&self, t: ProcType) -> Option<&ProcGroup> {
-        self.groups[t].as_ref()
     }
 
     /// Number of instances of `t` (zero if the host lacks that type).
@@ -232,8 +220,6 @@ mod tests {
     fn procmap_from_fn_and_map() {
         let m = ProcMap::from_fn(|t| t.index() as f64);
         assert_eq!(m[ProcType::AtiGpu], 2.0);
-        let doubled = m.map(|_, v| v * 2.0);
-        assert_eq!(doubled[ProcType::AtiGpu], 4.0);
     }
 
     #[test]
@@ -251,7 +237,7 @@ mod tests {
     fn zero_count_group_is_absent() {
         let hw = Hardware::default().with_group(ProcType::AtiGpu, 0, 1e9);
         assert_eq!(hw.ninstances(ProcType::AtiGpu), 0);
-        assert!(hw.group(ProcType::AtiGpu).is_none());
+        assert_eq!(hw.ninstances(ProcType::AtiGpu), 0);
     }
 
     #[test]

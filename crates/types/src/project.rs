@@ -81,11 +81,6 @@ impl AppClass {
         self
     }
 
-    pub fn with_weight(mut self, w: f64) -> Self {
-        self.weight = w;
-        self
-    }
-
     pub fn with_checkpoint(mut self, p: Option<SimDuration>) -> Self {
         self.checkpoint_period = p;
         self
@@ -96,20 +91,8 @@ impl AppClass {
         self
     }
 
-    pub fn with_files(mut self, input_bytes: f64, output_bytes: f64) -> Self {
-        self.input_bytes = input_bytes;
-        self.output_bytes = output_bytes;
-        self
-    }
-
     pub fn with_working_set(mut self, bytes: f64) -> Self {
         self.working_set_bytes = bytes;
-        self
-    }
-
-    /// Make this job class sporadically available (§6.2).
-    pub fn with_supply(mut self, work_mean: SimDuration, dry_mean: SimDuration) -> Self {
-        self.supply = Some(SporadicSupply { work_mean, dry_mean });
         self
     }
 }
@@ -169,16 +152,6 @@ impl ProjectSpec {
         self
     }
 
-    pub fn with_supply(mut self, s: WorkSupply) -> Self {
-        self.supply = s;
-        self
-    }
-
-    pub fn with_uptime(mut self, u: ServerUptime) -> Self {
-        self.uptime = u;
-        self
-    }
-
     /// Processor types this project has applications for.
     pub fn proc_types(&self) -> impl Iterator<Item = crate::proc::ProcType> + '_ {
         crate::proc::ProcType::ALL
@@ -189,16 +162,6 @@ impl ProjectSpec {
     pub fn has_apps_for(&self, t: crate::proc::ProcType) -> bool {
         self.apps.iter().any(|a| a.usage.main_proc_type() == t)
     }
-}
-
-/// Compute each project's share fraction among an arbitrary subset.
-/// Returns 0 for an empty/zero-share set rather than dividing by zero.
-pub fn share_fraction(projects: &[ProjectSpec], id: ProjectId) -> f64 {
-    let total: f64 = projects.iter().map(|p| p.resource_share).sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    projects.iter().find(|p| p.id == id).map_or(0.0, |p| p.resource_share / total)
 }
 
 #[cfg(test)]
@@ -227,32 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn share_fraction_normalizes() {
-        let ps = vec![ProjectSpec::new(0, "a", 100.0), ProjectSpec::new(1, "b", 300.0)];
-        assert_eq!(share_fraction(&ps, ProjectId(0)), 0.25);
-        assert_eq!(share_fraction(&ps, ProjectId(1)), 0.75);
-        assert_eq!(share_fraction(&ps, ProjectId(9)), 0.0);
-    }
-
-    #[test]
-    fn share_fraction_empty_is_zero() {
-        assert_eq!(share_fraction(&[], ProjectId(0)), 0.0);
-        let zero = vec![ProjectSpec::new(0, "z", 0.0)];
-        assert_eq!(share_fraction(&zero, ProjectId(0)), 0.0);
-    }
-
-    #[test]
     fn builders_chain() {
         let app = AppClass::cpu(0, SimDuration::from_secs(100.0), SimDuration::from_secs(200.0))
             .with_cv(0.0)
-            .with_weight(2.0)
             .with_checkpoint(None)
-            .with_files(1e6, 2e6)
             .with_working_set(5e8);
         assert_eq!(app.runtime_cv, 0.0);
-        assert_eq!(app.weight, 2.0);
         assert_eq!(app.checkpoint_period, None);
-        assert_eq!(app.input_bytes, 1e6);
         assert_eq!(app.working_set_bytes, 5e8);
     }
 }

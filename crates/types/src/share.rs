@@ -29,7 +29,7 @@ use crate::proc::{Hardware, ProcMap, ProcType};
 pub struct UsableTypes(pub ProcMap<bool>);
 
 impl UsableTypes {
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         UsableTypes(ProcMap::from_fn(|_| false))
     }
     pub fn only(t: ProcType) -> Self {
@@ -44,7 +44,7 @@ impl UsableTypes {
         }
         u
     }
-    pub fn contains(&self, t: ProcType) -> bool {
+    pub(crate) fn contains(&self, t: ProcType) -> bool {
         self.0[t]
     }
     /// Bitmask over `ProcType::ALL`, used to index device-subset tables.
@@ -55,7 +55,7 @@ impl UsableTypes {
             .filter(|(_, &t)| self.0[t])
             .fold(0, |m, (i, _)| m | (1 << i))
     }
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.mask() == 0
     }
 }
@@ -72,9 +72,9 @@ pub struct ShareDemand {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdealAllocation {
     /// Per project: FLOPS allocated on each device type.
-    pub per_project: Vec<(ProjectId, ProcMap<f64>)>,
+    pub(crate) per_project: Vec<(ProjectId, ProcMap<f64>)>,
     /// Capacity that no attached project can use (idles by necessity).
-    pub unusable_flops: f64,
+    pub(crate) unusable_flops: f64,
 }
 
 impl IdealAllocation {
@@ -84,15 +84,6 @@ impl IdealAllocation {
 
     pub fn device_split(&self, id: ProjectId) -> Option<&ProcMap<f64>> {
         self.per_project.iter().find(|(p, _)| *p == id).map(|(_, m)| m)
-    }
-
-    /// Each project's fraction of total host peak FLOPS — the reference
-    /// vector for the share-violation figure of merit.
-    pub fn fractions(&self, total_flops: f64) -> Vec<(ProjectId, f64)> {
-        self.per_project
-            .iter()
-            .map(|(p, m)| (*p, if total_flops > 0.0 { m.total() / total_flops } else { 0.0 }))
-            .collect()
     }
 }
 

@@ -18,9 +18,8 @@ pub struct SimTime(f64);
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
-pub const SECOND: f64 = 1.0;
-pub const MINUTE: f64 = 60.0;
-pub const HOUR: f64 = 3_600.0;
+pub(crate) const MINUTE: f64 = 60.0;
+pub(crate) const HOUR: f64 = 3_600.0;
 pub const DAY: f64 = 86_400.0;
 
 impl SimTime {
@@ -41,24 +40,10 @@ impl SimTime {
     pub fn is_finite(self) -> bool {
         self.0.is_finite()
     }
-    #[inline]
-    pub fn min(self, other: Self) -> Self {
-        SimTime(self.0.min(other.0))
-    }
-    #[inline]
-    pub fn max(self, other: Self) -> Self {
-        SimTime(self.0.max(other.0))
-    }
-    /// Span from `earlier` to `self`; negative if `self` precedes it.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0 - earlier.0)
-    }
 }
 
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0.0);
-    pub const INFINITE: SimDuration = SimDuration(f64::INFINITY);
 
     #[inline]
     pub const fn from_secs(s: f64) -> Self {
@@ -81,10 +66,6 @@ impl SimDuration {
         self.0
     }
     #[inline]
-    pub fn hours(self) -> f64 {
-        self.0 / HOUR
-    }
-    #[inline]
     pub fn days(self) -> f64 {
         self.0 / DAY
     }
@@ -93,16 +74,8 @@ impl SimDuration {
         self.0 > 0.0
     }
     #[inline]
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
-    }
-    #[inline]
     pub fn min(self, other: Self) -> Self {
         SimDuration(self.0.min(other.0))
-    }
-    #[inline]
-    pub fn max(self, other: Self) -> Self {
-        SimDuration(self.0.max(other.0))
     }
     #[inline]
     pub fn clamp_non_negative(self) -> Self {
@@ -253,7 +226,6 @@ mod tests {
         assert_eq!(SimDuration::from_days(2.0).secs(), 2.0 * DAY);
         assert_eq!(SimDuration::from_hours(3.0).secs(), 3.0 * HOUR);
         assert_eq!(SimDuration::from_mins(4.0).secs(), 240.0);
-        assert!((SimDuration::from_days(1.0).hours() - 24.0).abs() < 1e-12);
     }
 
     #[test]
@@ -274,10 +246,9 @@ mod tests {
     fn min_max_and_clamp() {
         let a = SimDuration::from_secs(-5.0);
         assert_eq!(a.clamp_non_negative(), SimDuration::ZERO);
-        assert_eq!(SimTime::from_secs(3.0).min(SimTime::from_secs(2.0)), SimTime::from_secs(2.0));
         assert_eq!(
-            SimDuration::from_secs(3.0).max(SimDuration::from_secs(9.0)),
-            SimDuration::from_secs(9.0)
+            SimDuration::from_secs(3.0).min(SimDuration::from_secs(9.0)),
+            SimDuration::from_secs(3.0)
         );
     }
 

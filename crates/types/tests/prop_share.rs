@@ -35,7 +35,7 @@ fn build(case: &AllocCase) -> (Hardware, Vec<ShareDemand>) {
         .iter()
         .enumerate()
         .map(|(i, (share, usable))| {
-            let mut u = UsableTypes::none();
+            let mut u = UsableTypes::of(&[]);
             // Only mark types the host actually has.
             if usable[0] {
                 u.0[ProcType::Cpu] = true;
@@ -61,30 +61,38 @@ proptest! {
         let alloc = ideal_allocation(&hw, &demands);
         let scale = hw.total_peak_flops().max(1.0);
 
+        let splits: Vec<_> = demands.iter().filter_map(|d| alloc.device_split(d.id)).collect();
+
         // 1. No device overcommitted.
         for t in ProcType::ALL {
-            let used: f64 = alloc.per_project.iter().map(|(_, m)| m[t]).sum();
+            let used: f64 = splits.iter().map(|m| m[t]).sum();
             prop_assert!(used <= hw.peak_flops(t) + 1e-6 * scale,
                 "{t:?}: used {used} > cap {}", hw.peak_flops(t));
         }
 
-        // 2. Total allocated + unusable = total capacity.
-        let total: f64 = alloc.per_project.iter().map(|(_, m)| m.total()).sum();
-        prop_assert!((total + alloc.unusable_flops - hw.total_peak_flops()).abs() < 1e-6 * scale);
+        // 2. Total allocated + unusable = total capacity, where unusable
+        //    is the capacity of devices no positive-share project can use.
+        let total: f64 = demands.iter().map(|d| alloc.total_for(d.id)).sum();
+        let unusable: f64 = ProcType::ALL
+            .iter()
+            .filter(|&&t| !demands.iter().any(|d| d.share > 0.0 && d.usable.0[t]))
+            .map(|&t| hw.peak_flops(t))
+            .sum();
+        prop_assert!((total + unusable - hw.total_peak_flops()).abs() < 1e-6 * scale);
 
         // 3. Nothing allocated on a type a project can't use, and no
         //    negative allocations. (Zero-share / nothing-usable demands
         //    are filtered from the result entirely.)
         for d in &demands {
-            let entry = alloc.per_project.iter().find(|(pid, _)| *pid == d.id);
-            let Some((pid, m)) = entry else {
-                prop_assert!(d.share == 0.0 || d.usable.is_empty(),
+            let pid = d.id;
+            let Some(m) = alloc.device_split(pid) else {
+                prop_assert!(d.share == 0.0 || ProcType::ALL.iter().all(|&t| !d.usable.0[t]),
                     "{} missing from allocation", d.id);
                 continue;
             };
             for t in ProcType::ALL {
                 prop_assert!(m[t] >= -1e-9 * scale);
-                if !d.usable.contains(t) {
+                if !d.usable.0[t] {
                     prop_assert!(m[t].abs() < 1e-9 * scale,
                         "{pid} allocated {t:?} it cannot use");
                 }
@@ -93,9 +101,9 @@ proptest! {
             //    must receive something.
             let host_has_usable = ProcType::ALL
                 .iter()
-                .any(|&t| d.usable.contains(t) && hw.ninstances(t) > 0);
+                .any(|&t| d.usable.0[t] && hw.ninstances(t) > 0);
             if d.share > 0.0 && host_has_usable {
-                prop_assert!(m.total() > 0.0, "{} starved despite positive share", d.id);
+                prop_assert!(alloc.total_for(pid) > 0.0, "{} starved despite positive share", d.id);
             }
         }
     }
