@@ -178,6 +178,7 @@ fn bench_client(njobs: usize) -> Client {
     let mut c = Client::new(
         Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(4e9),
         Preferences::default(),
+        None,
         (0..nprojects)
             .map(|p| Client::project(p, 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu]))
             .collect(),
@@ -246,6 +247,7 @@ fn progress_bench_client(nrunning: u32) -> Client {
     let mut c = Client::new(
         Hardware::cpu_only(nrunning, 1e9),
         Preferences::default(),
+        None,
         (0..nprojects).map(|p| Client::project(p, 1.0, &[ProcType::Cpu])).collect(),
         ClientConfig::default(),
     );
@@ -313,6 +315,7 @@ fn per_decision_client(sched_policy: JobSchedPolicy) -> Client {
     let mut c = Client::new(
         Hardware::cpu_only(4, 1e9).with_group(ProcType::NvidiaGpu, 1, 1e10).with_vram(4e9),
         Preferences::default(),
+        None,
         (0..nprojects)
             .map(|p| Client::project(p, 1.0, &[ProcType::Cpu, ProcType::NvidiaGpu]))
             .collect(),

@@ -416,7 +416,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         ..Default::default()
     };
     if let Some(dc) = args.opt("deadline-check") {
-        emu.server.deadline_check = parse_deadline_check(dc)?;
+        emu.deadline_check = parse_deadline_check(dc)?;
     }
     args.reject_unknown()?;
     let result = Emulator::new(scenario, client, emu).run();

@@ -14,7 +14,7 @@ use crate::sched::{self, JobSchedPolicy, PlanInput, PlanScratch};
 use crate::task::{Task, TaskState};
 use crate::xfer::{NetworkModel, Transfers};
 use bce_avail::HostRunState;
-use bce_faults::{Backoff, RetryPolicy, RetryState, RetryVerdict, TransferFaultModel};
+use bce_faults::{RetryPolicy, RetryState, RetryVerdict, TransferFaultModel};
 use bce_types::{
     Hardware, JobId, JobSpec, Preferences, ProcMap, ProcType, ProjectId, SimDuration, SimTime,
 };
@@ -26,8 +26,6 @@ pub struct ClientConfig {
     pub fetch_policy: FetchPolicy,
     /// Half-life `A` of the REC average (global accounting; Figure 6).
     pub rec_half_life: SimDuration,
-    /// Optional link model; `None` = transfers are instant.
-    pub network: Option<NetworkModel>,
 }
 
 impl Default for ClientConfig {
@@ -38,7 +36,6 @@ impl Default for ClientConfig {
             sched_policy: JobSchedPolicy::GLOBAL,
             fetch_policy: FetchPolicy::Hysteresis,
             rec_half_life: SimDuration::from_days(10.0),
-            network: None,
         }
     }
 }
@@ -50,7 +47,9 @@ pub struct ClientProject {
     pub(crate) share: f64,
     /// Which processor types the project supplies jobs for.
     pub(crate) supplies: ProcMap<bool>,
-    backoff: Backoff,
+    /// Backoff after scheduled downtime or a reply with no usable job,
+    /// escalated under [`RetryPolicy::SCHEDULER_RPC`] without jitter.
+    backoff: RetryState,
     /// Backoff for *transient* communication failures (injected faults),
     /// kept separate from `backoff` so scheduled downtime and transient
     /// loss take distinct escalation paths.
@@ -156,8 +155,6 @@ pub struct Client {
     accounting: Accounting,
     transfers: Transfers,
     last_advance: SimTime,
-    /// Backoff policy for transient RPC failures (shared across projects).
-    rpc_retry_policy: RetryPolicy,
     /// Transfer fault plan source; `None` = transfers never fail.
     xfer_faults: Option<TransferFaultModel>,
     /// Failed transfers awaiting their next attempt.
@@ -212,13 +209,16 @@ pub struct CrashOutcome {
 }
 
 impl Client {
+    /// A client on `hw` under `prefs`, whose transfers cross `network`
+    /// (`None` = transfers are instant).
     pub fn new(
         hw: Hardware,
         prefs: Preferences,
+        network: Option<NetworkModel>,
         projects: Vec<ClientProject>,
         cfg: ClientConfig,
     ) -> Self {
-        Self::with_scratch(hw, prefs, projects, cfg, ClientScratch::default())
+        Self::with_scratch(hw, prefs, network, projects, cfg, ClientScratch::default())
     }
 
     /// As [`Client::new`], but recycling the heap buffers of a previous
@@ -227,6 +227,7 @@ impl Client {
     pub fn with_scratch(
         hw: Hardware,
         prefs: Preferences,
+        network: Option<NetworkModel>,
         projects: Vec<ClientProject>,
         cfg: ClientConfig,
         scratch: ClientScratch,
@@ -257,7 +258,7 @@ impl Client {
         );
         accounting.set_fetchable(&hw, projects.iter().map(|p| (p.id, p.supplies)));
         usage_buf.reset(accounting.num_slots());
-        let transfers = Transfers::new(cfg.network);
+        let transfers = Transfers::new(network);
         let rr_platform = RrPlatform {
             now: SimTime::ZERO,
             ninstances: ProcMap::zero(),
@@ -274,7 +275,6 @@ impl Client {
             accounting,
             transfers,
             last_advance: SimTime::ZERO,
-            rpc_retry_policy: RetryPolicy::SCHEDULER_RPC,
             xfer_faults: None,
             xfer_retries,
             state_gen: 0,
@@ -310,12 +310,6 @@ impl Client {
         }
     }
 
-    /// Override the transient-RPC backoff policy (defaults to
-    /// [`RetryPolicy::SCHEDULER_RPC`]).
-    pub fn set_rpc_retry_policy(&mut self, policy: RetryPolicy) {
-        self.rpc_retry_policy = policy;
-    }
-
     /// Install a transfer fault plan: subsequent transfer attempts may be
     /// planned to fail mid-flight and retry under the model's policy.
     pub fn set_transfer_faults(&mut self, model: TransferFaultModel) {
@@ -332,7 +326,7 @@ impl Client {
             id: ProjectId(id),
             share,
             supplies: s,
-            backoff: Backoff::new(),
+            backoff: RetryState::new(),
             comm_retry: RetryState::new(),
             next_rpc_allowed: SimTime::ZERO,
         }
@@ -851,7 +845,7 @@ impl Client {
                 id: p.id,
                 share: p.share,
                 supplies: p.supplies,
-                backoff_until: p.backoff.until().max(p.comm_retry.until).max(p.next_rpc_allowed),
+                backoff_until: p.backoff.until.max(p.comm_retry.until).max(p.next_rpc_allowed),
             })
             .collect();
         fetch::decide(
@@ -888,7 +882,7 @@ impl Client {
             if accepted_any {
                 p.backoff.succeed();
             } else {
-                p.backoff.fail(now);
+                let _ = p.backoff.fail(now, &RetryPolicy::SCHEDULER_RPC, 0.0);
             }
         }
     }
@@ -897,26 +891,25 @@ impl Client {
     /// escalates the project's ordinary backoff).
     pub fn record_rpc_failure(&mut self, now: SimTime, project: ProjectId) {
         if let Some(p) = self.projects.iter_mut().find(|p| p.id == project) {
-            p.backoff.fail(now);
+            let _ = p.backoff.fail(now, &RetryPolicy::SCHEDULER_RPC, 0.0);
         }
     }
 
     /// Record a *transient* communication failure (injected fault): the RPC
     /// was lost in transit, so it escalates the project's comm backoff
-    /// under [`Client::set_rpc_retry_policy`]'s policy rather than the
-    /// scheduled-downtime backoff. `jitter_u` is a uniform draw in
-    /// `[0, 1)` for jittered policies (ignored when jitter is zero).
+    /// rather than the scheduled-downtime backoff, under the same
+    /// [`RetryPolicy::SCHEDULER_RPC`]. `jitter_u` is a uniform draw in
+    /// `[0, 1)`, ignored while that policy has no jitter.
     pub fn record_transient_rpc_failure(
         &mut self,
         now: SimTime,
         project: ProjectId,
         jitter_u: f64,
     ) {
-        let policy = self.rpc_retry_policy;
         if let Some(p) = self.projects.iter_mut().find(|p| p.id == project) {
             // Scheduler RPCs are never abandoned: a GiveUp verdict still
             // leaves the backoff in place for the next attempt.
-            let _ = p.comm_retry.fail(now, &policy, jitter_u);
+            let _ = p.comm_retry.fail(now, &RetryPolicy::SCHEDULER_RPC, jitter_u);
         }
     }
 
@@ -1015,7 +1008,7 @@ impl Client {
     pub fn next_fetch_unblock_detail(&self, now: SimTime) -> Option<(ProjectId, SimTime)> {
         self.projects
             .iter()
-            .map(|p| (p.id, p.backoff.until().max(p.comm_retry.until).max(p.next_rpc_allowed)))
+            .map(|p| (p.id, p.backoff.until.max(p.comm_retry.until).max(p.next_rpc_allowed)))
             .filter(|&(_, t)| t > now)
             .min_by(|a, b| a.1.cmp(&b.1))
     }
@@ -1102,6 +1095,7 @@ mod tests {
         Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
+            None,
             vec![
                 Client::project(0, 1.0, &[ProcType::Cpu]),
                 Client::project(1, 1.0, &[ProcType::Cpu]),
@@ -1215,8 +1209,9 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
+            Some(NetworkModel::symmetric(1000.0)),
             vec![Client::project(0, 1.0, &[ProcType::Cpu])],
-            ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
+            ClientConfig::default(),
         );
         let mut s = spec(1, 0, 100.0, 1e6);
         s.input_bytes = 2000.0; // 2 s download at 1000 B/s
@@ -1235,8 +1230,9 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
+            Some(NetworkModel::symmetric(1000.0)),
             vec![Client::project(0, 1.0, &[ProcType::Cpu])],
-            ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
+            ClientConfig::default(),
         );
         let mut s = spec(1, 0, 10.0, 1e6);
         s.output_bytes = 5000.0;
@@ -1268,7 +1264,7 @@ mod tests {
         let mut expected = min.secs();
         for attempt in 0..12 {
             c.record_rpc_failure(now, p);
-            let until = c.projects[0].backoff.until();
+            let until = c.projects[0].backoff.until;
             let gap = (until - now).secs();
             assert_eq!(
                 gap.to_bits(),
@@ -1282,9 +1278,9 @@ mod tests {
         assert_eq!(expected, max.secs(), "ladder must have reached the cap");
         // The server comes back and hands over a job: full reset.
         c.record_reply(now, p, vec![spec(50, 0, 100.0, 1e6)], SimDuration::ZERO);
-        assert_eq!(c.projects[0].backoff.until(), SimTime::ZERO);
+        assert_eq!(c.projects[0].backoff.until, SimTime::ZERO);
         c.record_rpc_failure(now, p);
-        let gap = (c.projects[0].backoff.until() - now).secs();
+        let gap = (c.projects[0].backoff.until - now).secs();
         assert_eq!(gap.to_bits(), min.secs().to_bits(), "reset ladder restarts at MIN");
     }
 
@@ -1309,8 +1305,9 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
+            Some(NetworkModel::symmetric(1000.0)),
             vec![Client::project(0, 1.0, &[ProcType::Cpu])],
-            ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
+            ClientConfig::default(),
         );
         // Every attempt fails; give up after 2 consecutive failures.
         let policy = RetryPolicy { jitter: 0.0, give_up_after: Some(2), ..RetryPolicy::TRANSFER };
@@ -1337,8 +1334,9 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
+            Some(NetworkModel::symmetric(1000.0)),
             vec![Client::project(0, 1.0, &[ProcType::Cpu])],
-            ClientConfig { network: Some(NetworkModel::symmetric(1000.0)), ..Default::default() },
+            ClientConfig::default(),
         );
         let mut dl = spec(2, 0, 100.0, 1e6);
         dl.input_bytes = 10_000.0; // 10 s download
@@ -1390,13 +1388,10 @@ mod tests {
                 Client::project(1, 2.0, &[ProcType::Cpu, ProcType::NvidiaGpu]),
             ]
         };
-        let cfg = ClientConfig {
-            sched_policy: JobSchedPolicy::LOCAL,
-            network: Some(NetworkModel::symmetric(1000.0)),
-            ..Default::default()
-        };
+        let cfg = ClientConfig { sched_policy: JobSchedPolicy::LOCAL, ..Default::default() };
+        let net = Some(NetworkModel::symmetric(1000.0));
         let mut c =
-            Client::new(Hardware::cpu_only(2, 1e9), Preferences::default(), projects(), cfg);
+            Client::new(Hardware::cpu_only(2, 1e9), Preferences::default(), net, projects(), cfg);
         // Every transfer attempt fails, and the first failure gives up.
         let policy = RetryPolicy { jitter: 0.0, give_up_after: Some(1), ..RetryPolicy::TRANSFER };
         c.set_transfer_faults(TransferFaultModel::new(7, 1.0, policy));
@@ -1462,7 +1457,7 @@ mod tests {
         c.invalidate_rr();
         assert_caches_fresh(&mut c, cache, "hw change");
         assert_ne!(cache.by_slot, before);
-        let fresh = Client::new(c.hw.clone(), Preferences::default(), projects(), cfg);
+        let fresh = Client::new(c.hw.clone(), Preferences::default(), net, projects(), cfg);
         for pt in ProcType::ALL {
             assert_eq!(c.accounting.lt_entitled(pt), fresh.accounting.lt_entitled(pt));
         }
@@ -1484,6 +1479,7 @@ mod tests {
         let mut c = Client::new(
             Hardware::cpu_only(n, 1e9),
             Preferences::default(),
+            None,
             (0..n).map(|p| Client::project(p, 1.0, &[ProcType::Cpu])).collect(),
             ClientConfig::default(),
         );

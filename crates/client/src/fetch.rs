@@ -193,7 +193,7 @@ pub(crate) fn decide(
 mod tests {
     use super::*;
     use crate::accounting::AccountingKind;
-    use bce_faults::Backoff;
+    use bce_faults::{RetryPolicy, RetryState};
     use bce_types::SimDuration;
 
     fn hw() -> Hardware {
@@ -424,20 +424,23 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_resets() {
-        let mut b = Backoff::new();
-        assert_eq!(b.until(), SimTime::ZERO);
-        b.fail(SimTime::ZERO);
-        let first = b.until();
+        // The client's per-project backoff: a `RetryState` failed under the
+        // scheduler-RPC policy without jitter.
+        let mut b = RetryState::new();
+        let fail = |b: &mut RetryState, now| b.fail(now, &RetryPolicy::SCHEDULER_RPC, 0.0);
+        assert_eq!(b.until, SimTime::ZERO);
+        fail(&mut b, SimTime::ZERO);
+        let first = b.until;
         assert!((first.secs() - 60.0).abs() < 1e-9);
-        b.fail(first);
-        assert!((b.until().secs() - first.secs() - 120.0).abs() < 1e-9);
+        fail(&mut b, first);
+        assert!((b.until.secs() - first.secs() - 120.0).abs() < 1e-9);
         for _ in 0..20 {
-            let now = b.until();
-            b.fail(now);
-            assert!((b.until() - now).secs() <= 4.0 * 3600.0 + 1e-9);
+            let now = b.until;
+            fail(&mut b, now);
+            assert!((b.until - now).secs() <= 4.0 * 3600.0 + 1e-9);
         }
         b.succeed();
-        assert_eq!(b.until(), SimTime::ZERO);
+        assert_eq!(b.until, SimTime::ZERO);
     }
 
     #[test]

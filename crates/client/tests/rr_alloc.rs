@@ -118,6 +118,7 @@ fn simulate_into_is_allocation_free_in_steady_state() {
     let mut c = Client::new(
         Hardware::cpu_only(4, 1e9),
         Preferences::default(),
+        None,
         vec![Client::project(0, 2.0, &[ProcType::Cpu]), Client::project(1, 1.0, &[ProcType::Cpu])],
         ClientConfig::default(),
     );

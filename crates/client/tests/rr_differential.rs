@@ -646,6 +646,7 @@ fn cache_client() -> Client {
     Client::new(
         cache_hardware(),
         Preferences::default(),
+        None,
         vec![
             Client::project(0, CACHE_SHARES[0].1, &[ProcType::Cpu, ProcType::NvidiaGpu]),
             Client::project(1, CACHE_SHARES[1].1, &[ProcType::Cpu]),

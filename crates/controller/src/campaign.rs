@@ -141,15 +141,14 @@ fn store_error(base: &Path, e: StoreError) -> CampaignError {
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Base path of the campaign checkpoint store; generations live
-    /// beside it as `<path>.<gen>` plus a `<path>.manifest` hint. `None`
-    /// disables checkpointing (and `resume` is then meaningless).
+    /// beside it as `<path>.<gen>`. `None` disables checkpointing (and
+    /// `resume` is then meaningless).
     pub checkpoint_path: Option<PathBuf>,
     /// Write a checkpoint every this many completed runs (0 = only the
     /// final completion checkpoint).
     pub checkpoint_every_runs: usize,
-    /// Resume from the newest *valid* generation under `checkpoint_path`
-    /// (a framed bare file at the base path is the last resort). A
-    /// missing, mismatched, or all-generations-corrupt store is an error
+    /// Resume from the newest *valid* generation under `checkpoint_path`.
+    /// A missing, mismatched, or all-generations-corrupt store is an error
     /// — silently starting over would discard work the user explicitly
     /// asked to keep.
     pub resume: bool,

@@ -15,11 +15,11 @@ use crate::metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, Proj
 use crate::scenario::Scenario;
 use bce_avail::{Governor, HostRunState};
 use bce_client::{Client, ClientConfig, ClientProject, ClientScratch, Reschedule};
-use bce_faults::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
+use bce_faults::{CrashProcess, FaultConfig, RetryPolicy, RpcFaultInjector, TransferFaultModel};
 use bce_obs::{
     ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
-use bce_server::{ProjectServer, RpcOutcome, SchedulerRequest, ServerConfig, TypeRequest};
+use bce_server::{DeadlineCheckPolicy, ProjectServer, RpcOutcome, SchedulerRequest, TypeRequest};
 use bce_sim::{EventQueue, Fnv64, Occupancy, Rng, Timeline};
 use bce_types::{Hardware, InstanceId, JobId, ProcType, ProjectId, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -30,6 +30,13 @@ use std::time::Instant;
 const MONOTONY_WINDOW: SimDuration = SimDuration::from_secs(3_600.0);
 /// Upper bound on scheduler RPCs issued per decision point.
 const MAX_RPCS_PER_POINT: usize = 4;
+/// Availability-flap coalescing window: when an availability event fires,
+/// any further on/off transitions within this window are absorbed into it
+/// and the run state is evaluated once, after all of them. Collapses the
+/// reschedule storms a flapping host would otherwise cause. It must stay
+/// well below any policy-visible timescale (scheduling period, work-buffer
+/// preferences): 0.25 s is ~240x below the 60 s scheduling period.
+const AVAIL_COALESCE_WINDOW: SimDuration = SimDuration::from_secs(0.25);
 
 /// Emulator tuning knobs (separate from the client's policy config).
 #[derive(Debug, Clone)]
@@ -40,7 +47,9 @@ pub struct EmulatorConfig {
     pub sched_period: SimDuration,
     /// Record the per-instance timeline? (costs memory on long runs)
     pub record_timeline: bool,
-    pub server: ServerConfig,
+    /// How the project servers judge lateness at report time (§4.3's
+    /// third policy axis).
+    pub deadline_check: DeadlineCheckPolicy,
     /// Deterministic fault injection; [`FaultConfig::OFF`] (the default)
     /// leaves the emulation bit-identical to one without fault plumbing.
     pub faults: FaultConfig,
@@ -49,20 +58,10 @@ pub struct EmulatorConfig {
     /// decision log. Tracing is observation only: enabling it never
     /// changes a result bit.
     pub trace_capacity: usize,
-    /// Record wall-clock/sim-time profiling spans for this run. Off by
+    /// Record wall-clock profiling spans for this run. Off by
     /// default; span timings are reported out-of-band
     /// ([`EmulationResult::profile`]) and never fingerprinted.
     pub profile: bool,
-    /// Availability-flap coalescing window: when an availability event
-    /// fires, any further on/off transitions within this window are
-    /// absorbed into it and the run state is evaluated once, after all of
-    /// them. Collapses the reschedule storms a flapping host would
-    /// otherwise cause. Zero disables coalescing (every transition gets
-    /// its own event, as the seed emulator behaved). The window must stay
-    /// well below any policy-visible timescale (scheduling period,
-    /// work-buffer preferences); the 0.25 s default is ~240x below the
-    /// 60 s scheduling period.
-    pub avail_coalesce_window: SimDuration,
 }
 
 impl Default for EmulatorConfig {
@@ -71,11 +70,10 @@ impl Default for EmulatorConfig {
             duration: SimDuration::from_days(10.0),
             sched_period: SimDuration::from_secs(60.0),
             record_timeline: false,
-            server: ServerConfig::default(),
+            deadline_check: DeadlineCheckPolicy::Strict,
             faults: FaultConfig::OFF,
             trace_capacity: 0,
             profile: false,
-            avail_coalesce_window: SimDuration::from_secs(0.25),
         }
     }
 }
@@ -342,7 +340,7 @@ impl Emulator {
             .enumerate()
             .map(|(slot, p)| {
                 let mut rng = Rng::stream(scenario.seed, &format!("server-{}", p.id));
-                ProjectServer::new(p.clone(), slot, self.cfg.server, &mut rng)
+                ProjectServer::new(p.clone(), slot, self.cfg.deadline_check, &mut rng)
             })
             .collect();
 
@@ -354,13 +352,12 @@ impl Emulator {
                 Client::project(p.id.0, p.resource_share, &types)
             })
             .collect();
-        let mut client_cfg = self.client_cfg;
-        client_cfg.network = scenario.network;
         let mut client = Client::with_scratch(
             hw.clone(),
             scenario.prefs.clone(),
+            scenario.network,
             client_projects,
-            client_cfg,
+            self.client_cfg,
             client_scratch.unwrap_or_default(),
         );
 
@@ -375,10 +372,9 @@ impl Emulator {
             client.set_transfer_faults(TransferFaultModel::new(
                 scenario.seed,
                 faults.transfer_fail_prob,
-                faults.transfer_retry,
+                RetryPolicy::TRANSFER,
             ));
         }
-        client.set_rpc_retry_policy(faults.rpc_retry);
         let mut crash_proc: Option<CrashProcess> =
             faults.crash_mtbf.map(|mtbf| CrashProcess::new(scenario.seed, mtbf));
         let recoveries: Vec<RecoveryTracker> = Vec::new();
@@ -410,7 +406,6 @@ impl Emulator {
         let sp_advance = prof.span("emu.client_advance");
         let sp_resched = prof.span("emu.reschedule");
         let sp_rpc = prof.span("emu.rpc_loop");
-        let sp_unavail = prof.span("sim.unavailable");
         let run_start = self.cfg.profile.then(Instant::now);
 
         // Timeline instance bookkeeping.
@@ -458,7 +453,6 @@ impl Emulator {
             sp_advance,
             sp_resched,
             sp_rpc,
-            sp_unavail,
             run_start,
             timeline,
             assignment,
@@ -502,7 +496,6 @@ struct RunState {
     sp_advance: SpanId,
     sp_resched: SpanId,
     sp_rpc: SpanId,
-    sp_unavail: SpanId,
     run_start: Option<Instant>,
     timeline: Option<Timeline>,
     assignment: BTreeMap<JobId, Vec<InstanceId>>,
@@ -518,7 +511,7 @@ struct RunState {
     events_processed: u64,
     peak_jobs: usize,
     /// Availability transitions absorbed into an earlier event by the
-    /// coalescing window ([`EmulatorConfig::avail_coalesce_window`]).
+    /// coalescing window ([`AVAIL_COALESCE_WINDOW`]).
     flaps_coalesced: u64,
     /// Availability events whose net run-state delta was zero, so the
     /// reschedule/fetch pass was skipped entirely.
@@ -549,7 +542,6 @@ impl RunState {
             sp_advance,
             sp_resched,
             sp_rpc,
-            sp_unavail,
             timeline,
             assignment,
             queue,
@@ -566,8 +558,7 @@ impl RunState {
         } = self;
         let end = *end;
         let on_frac = *on_frac;
-        let (sp_advance, sp_resched, sp_rpc, sp_unavail) =
-            (*sp_advance, *sp_resched, *sp_rpc, *sp_unavail);
+        let (sp_advance, sp_resched, sp_rpc) = (*sp_advance, *sp_resched, *sp_rpc);
 
         let Some((t_ev, event)) = queue.pop() else {
             return false;
@@ -595,9 +586,6 @@ impl RunState {
                 );
             }
             metrics.advance(*now, t, per_project, run_state.can_compute);
-            if !run_state.can_compute {
-                prof.record_sim(sp_unavail, (t - *now).secs());
-            }
             if let Some(tl) = timeline {
                 record_timeline(tl, client, assignment, *now, t, *run_state, instances);
             }
@@ -697,7 +685,7 @@ impl RunState {
                 // re-querying from a fixed `now` would never terminate.
                 // With nothing to coalesce the cursor stays at `now` and
                 // this arm is bit-identical to the uncoalesced path.
-                let horizon = now + cfg.avail_coalesce_window;
+                let horizon = now + AVAIL_COALESCE_WINDOW;
                 let mut cursor = now;
                 loop {
                     let t_next = governor.next_change_after(cursor, &scenario.prefs);

@@ -991,7 +991,6 @@ fn read_faults(path: Path<'_>, v: &JsonValue) -> Result<FaultConfig, SpecError> 
             Some(JsonValue::Null) | None => None,
             Some(cv) => Some(SimDuration::from_secs(read_f64(o.sub("crash_mtbf_s"), cv)?)),
         },
-        ..FaultConfig::OFF
     };
     for (key, prob) in
         [("rpc_fail_prob", fc.rpc_fail_prob), ("transfer_fail_prob", fc.transfer_fail_prob)]
@@ -1110,7 +1109,6 @@ mod tests {
             rpc_fail_prob: 0.01,
             transfer_fail_prob: 0.02,
             crash_mtbf: Some(SimDuration::from_days(3.0)),
-            ..FaultConfig::OFF
         });
         let back = roundtrip(&spec);
         // Canonical form is a fixed point...

@@ -181,7 +181,7 @@ fn deadline_check_grace_forgives_late_results() {
     };
     let run = |policy: DeadlineCheckPolicy| {
         let mut emu = cfg(2.0);
-        emu.server.deadline_check = policy;
+        emu.deadline_check = policy;
         Emulator::new(tight_scenario(), ClientConfig::default(), emu).run()
     };
     let strict = run(DeadlineCheckPolicy::Strict);

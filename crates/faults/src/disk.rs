@@ -117,8 +117,6 @@ pub struct DiskFaultStats {
     pub(crate) read_eio: u64,
 }
 
-impl DiskFaultStats {}
-
 impl std::fmt::Display for DiskFaultStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -24,4 +24,4 @@ pub use disk::{
     DiskFaultConfig, DiskFaultPlan, DiskFaultStats, ReadFault, RenameFault, WriteFault,
 };
 pub use plan::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
-pub use retry::{Backoff, RetryPolicy, RetryState, RetryVerdict};
+pub use retry::{RetryPolicy, RetryState, RetryVerdict};

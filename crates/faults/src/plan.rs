@@ -25,27 +25,16 @@ pub struct FaultConfig {
     /// discards all running-task progress since the last checkpoint and
     /// restarts in-flight transfers from byte zero. `None` disables crashes.
     pub crash_mtbf: Option<SimDuration>,
-    /// Backoff policy for transient RPC communication failures. Distinct
-    /// from the scheduled-downtime backoff so the two failure modes can take
-    /// different paths.
-    pub rpc_retry: RetryPolicy,
-    /// Backoff/give-up policy for failed transfers.
-    pub transfer_retry: RetryPolicy,
 }
 
 impl FaultConfig {
     /// Everything disabled: the emulator behaves bit-identically to one
     /// without fault plumbing.
-    pub const OFF: FaultConfig = FaultConfig {
-        rpc_fail_prob: 0.0,
-        transfer_fail_prob: 0.0,
-        crash_mtbf: None,
-        rpc_retry: RetryPolicy::SCHEDULER_RPC,
-        transfer_retry: RetryPolicy::TRANSFER,
-    };
+    pub const OFF: FaultConfig =
+        FaultConfig { rpc_fail_prob: 0.0, transfer_fail_prob: 0.0, crash_mtbf: None };
 
     /// Convenience: the same transient-failure probability for RPCs and
-    /// transfers, no crashes, default policies.
+    /// transfers, no crashes.
     pub fn with_failure_rate(rate: f64) -> FaultConfig {
         assert!((0.0..=1.0).contains(&rate), "failure rate must be in [0, 1], got {rate}");
         FaultConfig { rpc_fail_prob: rate, transfer_fail_prob: rate, ..FaultConfig::OFF }

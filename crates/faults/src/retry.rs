@@ -2,10 +2,10 @@
 //! transfer layer.
 //!
 //! Policy and state are split so one immutable [`RetryPolicy`] can govern many
-//! independent [`RetryState`]s (one per project for RPCs, one per transfer for
-//! the network layer). The arithmetic of the default scheduler policy is
-//! bit-identical to the ad-hoc `Backoff` this module replaced: delay =
-//! `min * multiplier^n` capped at `max`, with the exponent clamped at 16.
+//! independent [`RetryState`]s (two per project for RPCs, one per transfer for
+//! the network layer). The arithmetic of the scheduler policy is bit-identical
+//! to the client's original ad-hoc backoff: delay = `min * multiplier^n`
+//! capped at `max`, with the exponent clamped at 16.
 
 use bce_types::{SimDuration, SimTime};
 
@@ -28,14 +28,14 @@ pub struct RetryPolicy {
     pub give_up_after: Option<u32>,
 }
 
-/// Exponent clamp, carried over from the legacy `Backoff` (2^16 minutes is
+/// Exponent clamp, carried over from the original client backoff (2^16 minutes is
 /// already far past any realistic `max_delay`; the clamp only guards `powi`).
 const MAX_EXPONENT: u32 = 16;
 
 impl RetryPolicy {
     /// Scheduler-RPC backoff: 1 minute doubling to 4 hours, never gives up.
     /// Matches the BOINC client's scheduler backoff and is arithmetically
-    /// identical to the legacy `Backoff` (no jitter).
+    /// identical to the original client backoff (no jitter).
     pub const SCHEDULER_RPC: RetryPolicy = RetryPolicy {
         min_delay: SimDuration::from_secs(60.0),
         max_delay: SimDuration::from_secs(4.0 * 3600.0),
@@ -116,36 +116,6 @@ impl RetryState {
     }
 }
 
-/// Compatibility wrapper preserving the original `Backoff` API from
-/// `bce-client`'s fetch module; it is now a thin veneer over
-/// [`RetryState`] with [`RetryPolicy::SCHEDULER_RPC`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Backoff {
-    state: RetryState,
-}
-
-impl Backoff {
-    pub fn new() -> Self {
-        Backoff::default()
-    }
-
-    /// Record a failure at `now`; the delay doubles per consecutive
-    /// failure, from 1 minute up to 4 hours.
-    pub fn fail(&mut self, now: SimTime) {
-        self.state.fail(now, &RetryPolicy::SCHEDULER_RPC, 0.0);
-    }
-
-    /// Record a success: clears the backoff.
-    pub fn succeed(&mut self) {
-        self.state.succeed();
-    }
-
-    /// Earliest time the next attempt is allowed.
-    pub fn until(&self) -> SimTime {
-        self.state.until
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,19 +183,5 @@ mod tests {
         state.succeed();
         assert_eq!(state.failures, 0);
         assert!(matches!(state.fail(now, &policy, 0.5), RetryVerdict::RetryAt(_)));
-    }
-
-    #[test]
-    fn backoff_wrapper_doubles_and_resets() {
-        let mut b = Backoff::new();
-        let now = SimTime::ZERO;
-        b.fail(now);
-        assert_eq!(b.until().secs(), 60.0);
-        b.fail(now);
-        assert_eq!(b.until().secs(), 120.0);
-        b.fail(now);
-        assert_eq!(b.until().secs(), 240.0);
-        b.succeed();
-        assert_eq!(b.until(), SimTime::ZERO);
     }
 }

@@ -10,8 +10,8 @@
 //!   histograms with per-component scopes, frozen into one deterministic
 //!   [`MetricsSnapshot`] schema; the `bce serve` daemon's `/metrics`
 //!   endpoint is built on it.
-//! * `spans` — a [`Profiler`] of wall-clock and deterministic sim-time
-//!   spans feeding perfbench's traced per-layer table.
+//! * `spans` — a [`Profiler`] of wall-clock spans feeding perfbench's
+//!   traced per-layer table.
 //! * [`export`] — JSONL serialization of traces and the matching parser
 //!   (`bce trace` and the CI schema smoke test are built on it).
 //!

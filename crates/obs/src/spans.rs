@@ -1,17 +1,10 @@
-//! Lightweight profiling spans.
+//! Lightweight wall-clock profiling spans.
 //!
-//! Two clocks coexist in this codebase and the profiler keeps them
-//! strictly apart:
-//!
-//! * **Wall-clock spans** ([`Profiler::time`]) measure how long the host
-//!   machine spent inside a region — RR simulation, event dispatch, the
-//!   streaming executor. They feed perfbench's traced per-layer table
-//!   and are *never* stored in an `EmulationResult`-adjacent structure
-//!   that a determinism fingerprint could see.
-//! * **Sim-time spans** ([`Profiler::record_sim`]) accumulate simulated
-//!   seconds attributed to a region (e.g. how much sim time the host
-//!   spent unavailable). They are pure functions of the run and safe to
-//!   report anywhere.
+//! A span ([`Profiler::time`]) measures how long the host machine spent
+//! inside a region — RR simulation, event dispatch, the streaming
+//! executor. Spans feed perfbench's traced per-layer table and are
+//! *never* stored in an `EmulationResult`-adjacent structure that a
+//! determinism fingerprint could see.
 //!
 //! A disabled profiler never calls `Instant::now()`: [`Profiler::time`]
 //! runs the closure straight through, so the only residual cost is one
@@ -26,9 +19,7 @@ pub struct SpanId(usize);
 #[derive(Debug, Clone, Default)]
 struct SpanSlot {
     name: &'static str,
-    count: u64,
     wall_nanos: u128,
-    sim_secs: f64,
 }
 
 /// Span registry + accumulator. Create one per run (or per bench
@@ -66,28 +57,14 @@ impl Profiler {
         }
         let start = Instant::now();
         let r = f();
-        let slot = &mut self.spans[id.0];
-        slot.wall_nanos += start.elapsed().as_nanos();
-        slot.count += 1;
+        self.spans[id.0].wall_nanos += start.elapsed().as_nanos();
         r
     }
 
     /// Attribute externally-measured wall nanoseconds to `id`.
     pub fn add_wall_nanos(&mut self, id: SpanId, nanos: u128) {
         if self.enabled {
-            let slot = &mut self.spans[id.0];
-            slot.wall_nanos += nanos;
-            slot.count += 1;
-        }
-    }
-
-    /// Attribute simulated seconds to `id` (deterministic).
-    #[inline]
-    pub fn record_sim(&mut self, id: SpanId, secs: f64) {
-        if self.enabled {
-            let slot = &mut self.spans[id.0];
-            slot.sim_secs += secs;
-            slot.count += 1;
+            self.spans[id.0].wall_nanos += nanos;
         }
     }
 
@@ -96,12 +73,7 @@ impl Profiler {
         let mut spans: Vec<SpanReport> = self
             .spans
             .iter()
-            .map(|s| SpanReport {
-                name: s.name.to_string(),
-                count: s.count,
-                wall_ms: s.wall_nanos as f64 / 1e6,
-                sim_secs: s.sim_secs,
-            })
+            .map(|s| SpanReport { name: s.name.to_string(), wall_ms: s.wall_nanos as f64 / 1e6 })
             .collect();
         spans.sort_by(|a, b| a.name.cmp(&b.name));
         ProfileReport { spans }
@@ -112,9 +84,7 @@ impl Profiler {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanReport {
     pub name: String,
-    pub(crate) count: u64,
     pub wall_ms: f64,
-    pub(crate) sim_secs: f64,
 }
 
 /// All spans, sorted by name.
@@ -139,22 +109,21 @@ mod tests {
         let id = p.span("rr");
         let v = p.time(id, || 42);
         assert_eq!(v, 42);
-        assert!(p.report().span("rr").unwrap().count == 0);
+        p.add_wall_nanos(id, 1_000_000);
+        assert_eq!(p.report().span("rr").unwrap().wall_ms, 0.0);
     }
 
     #[test]
-    fn enabled_profiler_accumulates_counts_and_time() {
+    fn enabled_profiler_accumulates_wall_time() {
         let mut p = Profiler::enabled();
         let id = p.span("dispatch");
-        for _ in 0..3 {
-            p.time(id, || std::hint::black_box(1 + 1));
-        }
-        p.record_sim(id, 10.0);
-        p.record_sim(id, 2.5);
-        let rep = p.report();
-        let s = rep.span("dispatch").unwrap();
-        assert_eq!(s.count, 5);
-        assert!((s.sim_secs - 12.5).abs() < 1e-12);
+        p.time(id, || std::thread::sleep(std::time::Duration::from_millis(2)));
+        let timed = p.report().span("dispatch").unwrap().wall_ms;
+        assert!(timed >= 2.0, "{timed}");
+        p.add_wall_nanos(id, 10_000_000);
+        p.add_wall_nanos(id, 2_500_000);
+        let s = p.report().span("dispatch").unwrap().wall_ms;
+        assert!((s - timed - 12.5).abs() < 1e-9, "{s}");
     }
 
     #[test]
@@ -163,7 +132,7 @@ mod tests {
         let b = p.span("b");
         let a = p.span("a");
         assert_eq!(p.span("b"), b);
-        p.record_sim(a, 1.0);
+        p.add_wall_nanos(a, 1_000_000);
         let rep = p.report();
         assert_eq!(rep.spans[0].name, "a");
         assert_eq!(rep.spans[1].name, "b");

@@ -31,6 +31,9 @@ const INDEX: &str = "bce-serve: volunteer-computing emulation daemon\n\
   POST /campaign?id=..&hosts=..&days=..&seed=..&threads=..\n\
        resumable population campaign; re-POST to resume after a drain\n";
 
+/// Typed-trace buffer capacity for `/run` (served back on `/trace`).
+const TRACE_CAPACITY: usize = 4096;
+
 /// Route one parsed request. Infallible by construction: every branch
 /// produces a `Response`.
 pub(crate) fn route(req: &Request, shared: &Shared) -> Response {
@@ -39,7 +42,7 @@ pub(crate) fn route(req: &Request, shared: &Shared) -> Response {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", "/readyz") => {
             if shared.is_draining() {
-                Response::unavailable("draining", shared.cfg.retry_after_secs)
+                Response::unavailable("draining")
             } else {
                 Response::text(200, "ready\n")
             }
@@ -168,7 +171,7 @@ fn run(req: &Request, shared: &Shared) -> Response {
     }
     let emu = EmulatorConfig {
         duration: SimDuration::from_days(days),
-        trace_capacity: shared.cfg.trace_capacity,
+        trace_capacity: TRACE_CAPACITY,
         faults: faults.unwrap_or(FaultConfig::OFF),
         ..Default::default()
     };
@@ -275,7 +278,7 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
         let mut inflight = shared.campaigns_in_flight.lock().expect("in-flight set poisoned");
         if !inflight.insert(id.clone()) {
             return Response::text(409, format!("campaign {id:?} is already running here\n"))
-                .with_header("Retry-After", shared.cfg.retry_after_secs.to_string());
+                .retry_after();
         }
     }
     let _guard = InFlight { shared, id: id.clone() };
@@ -355,11 +358,11 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
         }
         if shared.is_draining() || crate::signal::termination_requested() {
             shared.inc(shared.ids.campaigns_parked);
-            return parked(shared, &id, &ckpt, chunk_report, "daemon draining");
+            return parked(&id, &ckpt, chunk_report, "daemon draining");
         }
         if Instant::now() >= deadline {
             shared.inc(shared.ids.campaigns_parked);
-            return parked(shared, &id, &ckpt, chunk_report, "request deadline reached");
+            return parked(&id, &ckpt, chunk_report, "request deadline reached");
         }
     };
     let report = &outcome.report;
@@ -385,7 +388,6 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
 /// re-POSTs the identical request to continue. `503 + Retry-After`
 /// mirrors the shed contract so clients need one retry policy.
 fn parked(
-    shared: &Shared,
     id: &str,
     ckpt: &std::path::Path,
     report: &bce_controller::CampaignReport,
@@ -402,5 +404,39 @@ fn parked(
             ckpt.display()
         ),
     )
-    .with_header("Retry-After", shared.cfg.retry_after_secs.to_string())
+    .retry_after()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServeConfig;
+    use bce_controller::run_streaming;
+
+    fn request(raw: &str) -> Request {
+        crate::http::read_request(&mut raw.as_bytes(), 1 << 20).expect("well-formed request")
+    }
+
+    #[test]
+    fn trace_is_the_in_process_trace_at_the_daemon_capacity() {
+        let shared = Shared::new(ServeConfig::default());
+        let run = request("POST /run?scenario=scenario2&days=0.5&seed=42 HTTP/1.1\r\n\r\n");
+        assert_eq!(route(&run, &shared).status, 200);
+        let served = route(&request("GET /trace HTTP/1.1\r\n\r\n"), &shared);
+        assert_eq!(served.status, 200);
+
+        let mut scenario = builtin("scenario2").expect("builtin scenario");
+        scenario.seed = 42;
+        let emu = EmulatorConfig {
+            duration: SimDuration::from_days(0.5),
+            trace_capacity: TRACE_CAPACITY,
+            ..Default::default()
+        };
+        let spec = RunSpec::new("scenario2", scenario, ClientConfig::default())
+            .with_emulator(std::sync::Arc::new(emu));
+        let mut trace = None;
+        run_streaming(std::slice::from_ref(&spec), 1, |_, _, r| trace = Some(r.trace));
+        let expected = to_jsonl(trace.expect("one result").records());
+        assert_eq!(String::from_utf8(served.body).unwrap(), expected);
+    }
 }

@@ -26,6 +26,9 @@ pub(crate) const MAX_REQUEST_LINE: usize = 4096;
 pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Upper bound on the number of header fields.
 pub(crate) const MAX_HEADERS: usize = 64;
+/// Value of the `Retry-After` header on shed, parked and timed-out
+/// responses.
+const RETRY_AFTER_SECS: u32 = 1;
 
 /// Typed request-side failure, each mapping to one status code. The
 /// daemon turns these into responses; nothing here can panic a worker.
@@ -277,10 +280,14 @@ impl Response {
     }
 
     /// A `503` shed/drain response carrying `Retry-After`.
-    pub(crate) fn unavailable(reason: &str, retry_after_secs: u32) -> Self {
-        let mut r = Response::text(503, format!("unavailable: {reason}\n"));
-        r.extra.push(("Retry-After", retry_after_secs.to_string()));
-        r
+    pub(crate) fn unavailable(reason: &str) -> Self {
+        Response::text(503, format!("unavailable: {reason}\n")).retry_after()
+    }
+
+    /// Add the `Retry-After` header of shed, parked and timed-out
+    /// responses.
+    pub(crate) fn retry_after(self) -> Self {
+        self.with_header("Retry-After", RETRY_AFTER_SECS.to_string())
     }
 
     pub(crate) fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
@@ -326,11 +333,11 @@ impl Response {
 }
 
 /// Build the response for a request-side error.
-pub(crate) fn error_response(e: &HttpError, retry_after_secs: u32) -> Response {
+pub(crate) fn error_response(e: &HttpError) -> Response {
     let r = Response::text(e.status(), format!("{e}\n"));
     match e {
         // 408/413 clients may retry with a fixed body or slower link.
-        HttpError::Timeout => r.with_header("Retry-After", retry_after_secs.to_string()),
+        HttpError::Timeout => r.retry_after(),
         _ => r,
     }
 }
@@ -432,10 +439,10 @@ mod tests {
 
     #[test]
     fn response_serializes_with_close_and_extra_headers() {
-        let bytes = Response::unavailable("queue full", 3).to_bytes();
+        let bytes = Response::unavailable("queue full").to_bytes();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
-        assert!(text.contains("Retry-After: 3\r\n"), "{text}");
+        assert!(text.contains("Retry-After: 1\r\n"), "{text}");
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(text.contains("Content-Length: "), "{text}");
         assert!(text.ends_with("unavailable: queue full\n"), "{text}");
@@ -443,8 +450,8 @@ mod tests {
 
     #[test]
     fn error_responses_map_statuses() {
-        assert_eq!(error_response(&HttpError::Timeout, 1).status, 408);
-        assert_eq!(error_response(&HttpError::BodyTooLarge { limit: 9 }, 1).status, 413);
+        assert_eq!(error_response(&HttpError::Timeout).status, 408);
+        assert_eq!(error_response(&HttpError::BodyTooLarge { limit: 9 }).status, 413);
     }
 }
 

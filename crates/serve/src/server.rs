@@ -35,6 +35,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Socket read timeout: a slow-loris client costs one worker at most this
+/// long.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Socket write timeout (responses and shed notices).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long `run` waits for workers after drain before giving up on them
+/// (they hold nothing but their own connection by then).
+const DRAIN_GRACE: Duration = Duration::from_secs(30);
+/// Acceptor poll interval; bounds signal-to-drain latency.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
 /// Everything the daemon will and will not do, fixed at bind time.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -49,31 +60,17 @@ pub struct ServeConfig {
     /// Largest accepted request body (state files can be large; 1 MiB
     /// default). Larger declared bodies are refused *before* reading.
     pub max_body_bytes: usize,
-    /// Socket read timeout — a slow-loris client costs one worker at
-    /// most this long.
-    pub read_timeout: Duration,
-    /// Socket write timeout (responses and shed notices).
-    pub write_timeout: Duration,
     /// Default and maximum wall-clock budget for one `/campaign` request;
     /// on expiry the campaign parks at a chunk boundary with its
     /// checkpoint persisted and the client is told to re-POST.
     pub request_deadline: Duration,
     /// Upper bound on the emulated horizon a request may ask for.
     pub max_days: f64,
-    /// Value of the `Retry-After` header on shed/parked responses.
-    pub retry_after_secs: u32,
     /// Where `/campaign` checkpoints live (`<dir>/<id>.ckpt`).
     pub checkpoint_dir: PathBuf,
     /// Runs per campaign chunk: the granularity at which deadlines and
     /// drain are observed, and at which checkpoints are written.
     pub campaign_chunk_runs: usize,
-    /// Typed-trace buffer capacity for `/run` (served back on `/trace`).
-    pub trace_capacity: usize,
-    /// How long `run` waits for workers after drain before giving up on
-    /// them (they hold nothing but their own connection by then).
-    pub drain_grace: Duration,
-    /// Acceptor poll interval; bounds signal-to-drain latency.
-    pub poll_interval: Duration,
     /// Scenario reference (builtin name or spec/state-file path) used by
     /// `/run` requests that give neither `?scenario=` nor a body.
     pub default_scenario: Option<String>,
@@ -86,16 +83,10 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 64,
             max_body_bytes: 1 << 20,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(120),
             max_days: 60.0,
-            retry_after_secs: 1,
             checkpoint_dir: PathBuf::from("serve-checkpoints"),
             campaign_chunk_runs: 8,
-            trace_capacity: 4096,
-            drain_grace: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(20),
             default_scenario: None,
         }
     }
@@ -192,6 +183,21 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Fresh daemon state for `cfg`, its metric set registered.
+    pub(crate) fn new(cfg: ServeConfig) -> Shared {
+        let mut reg = MetricsRegistry::new();
+        let ids = Ids::register(&mut reg);
+        Shared {
+            cfg,
+            draining: AtomicBool::new(false),
+            metrics: Mutex::new(reg),
+            ids,
+            last_trace: Mutex::new(Vec::new()),
+            campaigns_in_flight: Mutex::new(HashSet::new()),
+            started: Instant::now(),
+        }
+    }
+
     pub(crate) fn inc(&self, id: CounterId) {
         self.metrics.lock().expect("metrics poisoned").inc(id);
     }
@@ -272,19 +278,8 @@ impl Server {
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
-        let mut reg = MetricsRegistry::new();
-        let ids = Ids::register(&mut reg);
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_depth));
-        let shared = Arc::new(Shared {
-            cfg,
-            draining: AtomicBool::new(false),
-            metrics: Mutex::new(reg),
-            ids,
-            last_trace: Mutex::new(Vec::new()),
-            campaigns_in_flight: Mutex::new(HashSet::new()),
-            started: Instant::now(),
-        });
-        Ok(Server { listener, shared, queue })
+        Ok(Server { listener, shared: Arc::new(Shared::new(cfg)), queue })
     }
 
     /// The address actually bound (resolves port `0`).
@@ -335,13 +330,13 @@ impl Server {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(shared.cfg.poll_interval);
+                    std::thread::sleep(POLL_INTERVAL);
                 }
                 Err(_) => {
                     // EMFILE and friends: transient by assumption; back
                     // off on the shared retry curve, never stop accepting.
                     shared.inc(shared.ids.accept_retries);
-                    let delay = retry.fail().unwrap_or(shared.cfg.poll_interval);
+                    let delay = retry.fail().unwrap_or(POLL_INTERVAL);
                     std::thread::sleep(delay);
                 }
             }
@@ -350,7 +345,7 @@ impl Server {
         // Drain: refuse new work, let the admitted backlog finish.
         shared.begin_drain();
         queue.close();
-        let deadline = Instant::now() + shared.cfg.drain_grace;
+        let deadline = Instant::now() + DRAIN_GRACE;
         let mut finished = 0usize;
         while finished < workers {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -391,8 +386,8 @@ fn shed(shared: &Shared, mut stream: TcpStream, why: Rejection) {
         Rejection::Draining => (shared.ids.shed_draining, "draining"),
     };
     shared.inc(id);
-    let resp = Response::unavailable(reason, shared.cfg.retry_after_secs);
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    let resp = Response::unavailable(reason);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.write_all(&resp.to_bytes());
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
@@ -401,8 +396,8 @@ fn shed(shared: &Shared, mut stream: TcpStream, why: Rejection) {
 /// under `catch_unwind`, answer, account.
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let start = Instant::now();
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
     let response = match http::read_request(&mut stream, shared.cfg.max_body_bytes) {
         Ok(req) => match catch_unwind(AssertUnwindSafe(|| handlers::route(&req, shared))) {
@@ -420,7 +415,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 http::HttpError::Timeout => shared.inc(shared.ids.read_timeouts),
                 _ => shared.inc(shared.ids.parse_errors),
             }
-            http::error_response(&e, shared.cfg.retry_after_secs)
+            http::error_response(&e)
         }
     };
 

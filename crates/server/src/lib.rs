@@ -11,4 +11,4 @@ pub(crate) mod rpc;
 pub(crate) mod server;
 
 pub use rpc::{RpcOutcome, SchedulerReply, SchedulerRequest, TypeRequest};
-pub use server::{DeadlineCheckPolicy, ProjectServer, ServerConfig, ServerStats};
+pub use server::{DeadlineCheckPolicy, ProjectServer, ServerStats};

@@ -45,30 +45,13 @@ impl DeadlineCheckPolicy {
     }
 }
 
-/// Server tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerConfig {
-    /// Upper bound on jobs handed out per RPC (the real scheduler's reply
-    /// is bounded by its shared-memory job cache).
-    pub(crate) max_jobs_per_rpc: usize,
-    /// Minimum delay the reply imposes before the next RPC.
-    pub(crate) min_rpc_delay: SimDuration,
-    /// Delay imposed when the server has no work.
-    pub(crate) no_work_delay: SimDuration,
-    /// How lateness is judged at report time (§4.3's third policy axis).
-    pub deadline_check: DeadlineCheckPolicy,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_jobs_per_rpc: 64,
-            min_rpc_delay: SimDuration::from_secs(60.0),
-            no_work_delay: SimDuration::from_secs(600.0),
-            deadline_check: DeadlineCheckPolicy::Strict,
-        }
-    }
-}
+/// Upper bound on jobs handed out per RPC (the real scheduler's reply is
+/// bounded by its shared-memory job cache).
+const MAX_JOBS_PER_RPC: usize = 64;
+/// Minimum delay a reply imposes before the next RPC.
+const MIN_RPC_DELAY: SimDuration = SimDuration::from_secs(60.0);
+/// Delay imposed when the server has no work.
+const NO_WORK_DELAY: SimDuration = SimDuration::from_secs(600.0);
 
 /// Dispatch/report counters, used by the figures of merit (RPCs per job)
 /// and by tests.
@@ -91,7 +74,8 @@ pub struct ServerStats {
 /// One project's simulated server.
 pub struct ProjectServer {
     spec: ProjectSpec,
-    config: ServerConfig,
+    /// How lateness is judged at report time (§4.3's third policy axis).
+    deadline_check: DeadlineCheckPolicy,
     factory: JobFactory,
     uptime: Option<OnOffProcess>,
     supply: Option<OnOffProcess>,
@@ -105,7 +89,12 @@ pub struct ProjectServer {
 impl ProjectServer {
     /// The server of `spec`, the `slot`-th project of its scenario (the
     /// slot keeps its job ids apart from every other project's).
-    pub fn new(spec: ProjectSpec, slot: usize, config: ServerConfig, rng: &mut Rng) -> Self {
+    pub fn new(
+        spec: ProjectSpec,
+        slot: usize,
+        deadline_check: DeadlineCheckPolicy,
+        rng: &mut Rng,
+    ) -> Self {
         let uptime = match spec.uptime {
             ServerUptime::AlwaysUp => None,
             ServerUptime::Sporadic { up_mean, down_mean } => Some(
@@ -146,7 +135,7 @@ impl ProjectServer {
         let factory = JobFactory::new(spec.id, slot, rng.fork("jobs"));
         ProjectServer {
             spec,
-            config,
+            deadline_check,
             factory,
             uptime,
             supply,
@@ -237,7 +226,7 @@ impl ProjectServer {
                 let mut secs_filled = 0.0;
                 let mut inst_filled = 0.0;
                 while (secs_filled < r.secs || inst_filled < r.instances)
-                    && jobs.len() < self.config.max_jobs_per_rpc
+                    && jobs.len() < MAX_JOBS_PER_RPC
                 {
                     if let Some(rem) = self.batch_remaining {
                         if rem == 0 {
@@ -277,9 +266,9 @@ impl ProjectServer {
         self.stats.jobs_dispatched += jobs.len() as u64;
         let delay = if jobs.is_empty() && !req.is_empty() {
             // Nothing to give: back the client off harder.
-            self.config.no_work_delay
+            NO_WORK_DELAY
         } else {
-            self.config.min_rpc_delay
+            MIN_RPC_DELAY
         };
         RpcOutcome::Reply(SchedulerReply { jobs, delay })
     }
@@ -289,7 +278,7 @@ impl ProjectServer {
     /// expiry — or already re-issued — gets none).
     pub fn report_completed(&mut self, now: SimTime, job: JobId) -> bool {
         match self.in_progress.remove(&job) {
-            Some(deadline) if now <= self.config.deadline_check.expiry(deadline) => {
+            Some(deadline) if now <= self.deadline_check.expiry(deadline) => {
                 self.stats.reported_in_time += 1;
                 true
             }
@@ -314,7 +303,7 @@ impl ProjectServer {
     /// new instance to another host; in a single-host emulation the work
     /// is simply counted wasted.
     pub fn check_deadlines(&mut self, now: SimTime) -> Vec<JobId> {
-        let policy = self.config.deadline_check;
+        let policy = self.deadline_check;
         let expired: Vec<JobId> = self
             .in_progress
             .iter()
@@ -349,7 +338,7 @@ mod tests {
     }
 
     fn server(spec: ProjectSpec) -> ProjectServer {
-        ProjectServer::new(spec, 0, ServerConfig::default(), &mut Rng::from_seed(9))
+        ProjectServer::new(spec, 0, DeadlineCheckPolicy::Strict, &mut Rng::from_seed(9))
     }
 
     #[test]
@@ -380,17 +369,17 @@ mod tests {
             panic!()
         };
         assert!(reply.jobs.is_empty());
-        assert_eq!(reply.delay, ServerConfig::default().min_rpc_delay);
+        assert_eq!(reply.delay, MIN_RPC_DELAY);
     }
 
     #[test]
     fn max_jobs_per_rpc_caps_reply() {
-        let cfg = ServerConfig { max_jobs_per_rpc: 3, ..Default::default() };
-        let mut s = ProjectServer::new(spec(), 0, cfg, &mut Rng::from_seed(1));
+        // ~1000 s jobs: a 1e9-second request wants far more than the cap.
+        let mut s = server(spec());
         let RpcOutcome::Reply(reply) = s.handle_rpc(SimTime::ZERO, &req_cpu(1e9, 0.0)) else {
             panic!()
         };
-        assert_eq!(reply.jobs.len(), 3);
+        assert_eq!(reply.jobs.len(), MAX_JOBS_PER_RPC);
     }
 
     #[test]
@@ -401,7 +390,7 @@ mod tests {
         let RpcOutcome::Reply(reply) = s.handle_rpc(SimTime::ZERO, &r) else { panic!() };
         assert!(reply.jobs.is_empty());
         // Non-empty request unfilled => no-work backoff delay.
-        assert_eq!(reply.delay, ServerConfig::default().no_work_delay);
+        assert_eq!(reply.delay, NO_WORK_DELAY);
     }
 
     #[test]

@@ -3,25 +3,22 @@
 //! A single atomic checkpoint file survives a crash *during* the write,
 //! but not damage *after* it: one bit-flip, torn rename, or power-cut
 //! truncation of the only copy turns a 100k-run campaign into a fatal
-//! error. The store keeps the last N generations as `<base>.<gen>`
-//! (plus a tiny `<base>.manifest` hint), frames every generation with a
-//! CRC-64 checksum ([`crate::frame`]), and on open walks generations
-//! newest-first, falling back past corrupt ones and reporting what it
-//! skipped in a typed [`RecoveryReport`] instead of failing.
+//! error. The store keeps the last N generations as `<base>.<gen>`,
+//! frames every generation with a CRC-64 checksum ([`crate::frame`]),
+//! and on open walks generations newest-first, falling back past corrupt
+//! ones and reporting what it skipped in a typed [`RecoveryReport`]
+//! instead of failing.
 //!
 //! Semantics callers rely on:
 //!
-//! * **The directory scan is authoritative.** The manifest is a hint for
-//!   humans and tooling; a stale or missing manifest never changes which
-//!   generation opens.
+//! * **The directory scan is authoritative.** Only `<base>.<digits>`
+//!   files are generations; nothing else in the directory (a bare
+//!   `<base>`, a `.tmp` or `.manifest` left by an earlier build) is read.
 //! * **Fallback is loud.** Opening an older generation succeeds but the
 //!   report lists every rejected newer generation and why.
 //! * **All-corrupt is fatal.** If generations exist but none validates,
 //!   the store returns [`StoreError::NoValidGeneration`] — it never
 //!   silently restarts from scratch.
-//! * **Only framed files load.** A bare `<base>` file is tried last,
-//!   and only if it is framed (earlier builds wrote one there); an
-//!   unframed file is rejected like any corrupt generation.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,7 +34,7 @@ pub const DEFAULT_KEEP_GENERATIONS: usize = 3;
 pub enum StoreError {
     /// A filesystem operation failed; carries what, where, and the OS error.
     Io { op: IoOp, path: PathBuf, source: std::io::Error },
-    /// Nothing to open: no generation files and no bare file.
+    /// Nothing to open: no generation files.
     NoCheckpoint,
     /// Generations exist but every one failed validation. Deliberately
     /// distinct from [`StoreError::NoCheckpoint`]: callers must not
@@ -76,7 +73,6 @@ impl std::error::Error for StoreError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RejectedGeneration {
     pub generation: u64,
-    pub(crate) path: PathBuf,
     pub reason: String,
 }
 
@@ -85,8 +81,8 @@ pub struct RejectedGeneration {
 /// the way.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Generation opened; `None` when the bare `<base>` file was loaded.
-    pub(crate) opened_generation: Option<u64>,
+    /// Generation opened.
+    pub(crate) opened_generation: u64,
     /// Newer generations rejected before one validated, newest first.
     pub(crate) rejected: Vec<RejectedGeneration>,
 }
@@ -99,28 +95,24 @@ impl RecoveryReport {
 
     /// One-line operator-facing summary.
     pub fn describe(&self) -> String {
-        let opened = match self.opened_generation {
-            Some(g) => format!("generation {g}"),
-            None => "bare checkpoint file".to_string(),
-        };
+        let opened = self.opened_generation;
         if self.rejected.is_empty() {
-            format!("opened {opened}")
+            format!("opened generation {opened}")
         } else {
             let skipped: Vec<String> = self
                 .rejected
                 .iter()
                 .map(|r| format!("gen {} ({})", r.generation, r.reason))
                 .collect();
-            format!("opened {opened} after rejecting {}", skipped.join(", "))
+            format!("opened generation {opened} after rejecting {}", skipped.join(", "))
         }
     }
 }
 
-/// Receipt for one durable write: the generation published and how many
-/// old generations rotation pruned.
+/// Receipt for one durable write: how many old generations rotation
+/// pruned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteReceipt {
-    pub(crate) generation: u64,
     pub pruned: u64,
 }
 
@@ -132,8 +124,7 @@ pub struct WriteReceipt {
 /// dir/pop.ckpt.1          oldest kept generation (framed)
 /// dir/pop.ckpt.2
 /// dir/pop.ckpt.3          newest generation (framed)
-/// dir/pop.ckpt.manifest   hint: latest generation + keep count
-/// dir/pop.ckpt            read last, only if framed (earlier builds)
+/// dir/pop.ckpt.tmp        the next generation while it is written
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -177,19 +168,15 @@ impl CheckpointStore {
         self.dir().join(format!("{}.{gen}", self.file_name))
     }
 
-    fn manifest_path(&self) -> PathBuf {
-        self.dir().join(format!("{}.manifest", self.file_name))
-    }
-
     fn tmp_path(&self) -> PathBuf {
         self.dir().join(format!("{}.tmp", self.file_name))
     }
 
-    /// Is there anything to resume from — any generation file or a
-    /// bare `<base>` file? (Corrupt counts as "something": resuming must
-    /// then either recover or fail loudly, never restart silently.)
+    /// Is there anything to resume from — any generation file?
+    /// (Corrupt counts as "something": resuming must then either recover
+    /// or fail loudly, never restart silently.)
     pub fn any_checkpoint_present(&self) -> bool {
-        !self.generations_on_disk().unwrap_or_default().is_empty() || self.io.exists(&self.base)
+        !self.generations_on_disk().unwrap_or_default().is_empty()
     }
 
     /// Generation numbers currently on disk, ascending. A missing
@@ -206,8 +193,8 @@ impl CheckpointStore {
             .iter()
             .filter_map(|n| n.strip_prefix(&prefix))
             .filter_map(|suffix| {
-                // Only all-digit suffixes are generations; `.tmp` and
-                // `.manifest` live in the same namespace.
+                // Only all-digit suffixes are generations; `.tmp` lives
+                // in the same namespace.
                 if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
                     suffix.parse().ok()
                 } else {
@@ -220,12 +207,11 @@ impl CheckpointStore {
         Ok(gens)
     }
 
-    /// Remove every generation on disk and the manifest hint, so the
-    /// store holds nothing to resume from. Files already gone are fine;
-    /// the first other failure is returned.
+    /// Remove every generation on disk, so the store holds nothing to
+    /// resume from. Files already gone are fine; the first other failure
+    /// is returned.
     pub fn clear(&self) -> Result<(), StoreError> {
-        let paths = self.generations_on_disk()?.into_iter().map(|g| self.generation_path(g));
-        for path in paths.chain([self.manifest_path()]) {
+        for path in self.generations_on_disk()?.into_iter().map(|g| self.generation_path(g)) {
             match self.io.remove_file(&path) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
                     return Err(StoreError::Io { op: IoOp::Remove, path, source: e });
@@ -236,8 +222,8 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Frame `payload`, publish it as the next generation, update the
-    /// manifest hint, and prune generations beyond the keep limit.
+    /// Frame `payload`, publish it as the next generation, and prune
+    /// generations beyond the keep limit.
     ///
     /// Durability: the framed bytes are fsynced in a temp file, renamed
     /// into place, and the parent directory fsynced — a crash at any
@@ -271,10 +257,6 @@ impl CheckpointStore {
             source: e,
         })?;
 
-        // The manifest is a non-authoritative hint; a failed hint update
-        // must not fail a successfully published generation.
-        let _ = self.write_manifest(generation);
-
         // Prune beyond the keep window, oldest first. Best-effort: a
         // prune failure leaves extra history, which is safe.
         let mut pruned = 0u64;
@@ -290,20 +272,13 @@ impl CheckpointStore {
             }
         }
 
-        Ok(WriteReceipt { generation, pruned })
-    }
-
-    fn write_manifest(&self, latest: u64) -> std::io::Result<()> {
-        let body = format!("bce-checkpoint-manifest v1\nlatest {latest}\nkeep {}\n", self.keep);
-        let tmp = self.dir().join(format!("{}.manifest.tmp", self.file_name));
-        self.io.write_durable(&tmp, body.as_bytes())?;
-        self.io.rename(&tmp, &self.manifest_path())
+        Ok(WriteReceipt { pruned })
     }
 
     /// Open the newest generation whose frame validates **and** whose
-    /// payload `parse` accepts, falling back past corrupt ones; the bare
-    /// `<base>` file is the last candidate. Returns the parsed value plus
-    /// a [`RecoveryReport`]. Running `parse` inside the walk means a
+    /// payload `parse` accepts, falling back past corrupt ones. Returns
+    /// the parsed value plus a [`RecoveryReport`]. Running `parse` inside
+    /// the walk means a
     /// CRC-valid generation with an unparseable payload (e.g. interrupted
     /// schema migration) also falls back instead of failing.
     pub fn open_latest_with<T>(
@@ -311,12 +286,8 @@ impl CheckpointStore {
         mut parse: impl FnMut(&str) -> Result<T, String>,
     ) -> Result<(T, RecoveryReport), StoreError> {
         let mut rejected = Vec::new();
-        let gens = self.generations_on_disk()?;
-        let bare = self.io.exists(&self.base).then(|| (None, self.base.clone()));
-        let candidates =
-            gens.iter().rev().map(|&gen| (Some(gen), self.generation_path(gen))).chain(bare);
-        for (gen, path) in candidates {
-            let reason = match self.io.read(&path) {
+        for gen in self.generations_on_disk()?.into_iter().rev() {
+            let reason = match self.io.read(&self.generation_path(gen)) {
                 Err(e) => format!("read failed: {e}"),
                 Ok(bytes) => match frame::decode(&bytes) {
                     Err(e) => format!("{e}"),
@@ -332,7 +303,7 @@ impl CheckpointStore {
                     },
                 },
             };
-            rejected.push(RejectedGeneration { generation: gen.unwrap_or(0), path, reason });
+            rejected.push(RejectedGeneration { generation: gen, reason });
         }
         if rejected.is_empty() {
             Err(StoreError::NoCheckpoint)
@@ -369,14 +340,13 @@ mod tests {
         let dir = scratch("rot");
         let s = store(&dir, 3);
         for i in 1..=5u64 {
-            let receipt = s.write(format!("payload-{i}").as_bytes()).unwrap();
-            assert_eq!(receipt.generation, i);
+            s.write(format!("payload-{i}").as_bytes()).unwrap();
+            assert_eq!(s.generations_on_disk().unwrap().last(), Some(&i));
         }
         assert_eq!(s.generations_on_disk().unwrap(), vec![3, 4, 5]);
-        assert!(fs::read_to_string(s.manifest_path()).unwrap().contains("\nlatest 5\n"));
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"payload-5");
-        assert_eq!(report.opened_generation, Some(5));
+        assert_eq!(report.opened_generation, 5);
         assert!(!report.recovered());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -419,7 +389,7 @@ mod tests {
 
         let (payload, report) = s.read_latest().unwrap();
         assert_eq!(payload, b"old-good");
-        assert_eq!(report.opened_generation, Some(1));
+        assert_eq!(report.opened_generation, 1);
         assert!(report.recovered());
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(report.rejected[0].generation, 2);
@@ -474,30 +444,16 @@ mod tests {
     }
 
     #[test]
-    fn unframed_bare_file_is_rejected() {
-        let dir = scratch("unframed");
-        let s = store(&dir, 3);
-        fs::write(dir.join("pop.ckpt"), b"<bce_checkpoint version=\"2\"/>").unwrap();
-        assert!(s.any_checkpoint_present());
-        match s.read_latest() {
-            Err(StoreError::NoValidGeneration { rejected }) => {
-                assert_eq!(rejected.len(), 1);
-                assert_eq!(rejected[0].path, dir.join("pop.ckpt"));
-                assert!(rejected[0].reason.contains("not a checksummed frame"), "{rejected:?}");
-            }
-            other => panic!("expected NoValidGeneration, got {other:?}"),
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn framed_bare_file_still_opens() {
+    fn bare_base_file_is_not_a_checkpoint() {
+        // Earlier builds could leave a bare `<base>` file, framed or not;
+        // this build never reads it.
         let dir = scratch("bare");
         let s = store(&dir, 3);
-        fs::write(dir.join("pop.ckpt"), frame::encode(b"bare")).unwrap();
-        let (bytes, report) = s.read_latest().unwrap();
-        assert_eq!(bytes, b"bare");
-        assert_eq!(report.opened_generation, None);
+        for bytes in [b"<bce_checkpoint version=\"2\"/>".to_vec(), frame::encode(b"bare")] {
+            fs::write(dir.join("pop.ckpt"), bytes).unwrap();
+            assert!(!s.any_checkpoint_present());
+            assert!(matches!(s.read_latest(), Err(StoreError::NoCheckpoint)));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -507,9 +463,33 @@ mod tests {
         let s = store(&dir, 3);
         fs::write(dir.join("pop.ckpt"), frame::encode(b"bare")).unwrap();
         s.write(b"framed").unwrap();
+        fs::write(s.generation_path(1), b"garbage").unwrap();
+        // With the only generation corrupt, the bare file is still no
+        // fallback.
+        match s.read_latest() {
+            Err(StoreError::NoValidGeneration { rejected }) => assert_eq!(rejected.len(), 1),
+            other => panic!("expected NoValidGeneration, got {other:?}"),
+        }
+        s.write(b"framed").unwrap();
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"framed");
-        assert_eq!(report.opened_generation, Some(1));
+        assert_eq!(report.opened_generation, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotation_leaves_only_the_kept_generations() {
+        let dir = scratch("listing");
+        let s = store(&dir, 3);
+        for payload in [b"a", b"b", b"c", b"d"] {
+            s.write(payload).unwrap();
+        }
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["pop.ckpt.2", "pop.ckpt.3", "pop.ckpt.4"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -519,6 +499,7 @@ mod tests {
         let s = store(&dir, 3);
         s.write(b"x").unwrap();
         fs::write(dir.join("pop.ckpt.tmp"), b"junk").unwrap();
+        fs::write(dir.join("pop.ckpt.manifest"), b"latest 9").unwrap();
         fs::write(dir.join("pop.ckpt.17abc"), b"junk").unwrap();
         assert_eq!(s.generations_on_disk().unwrap(), vec![1]);
         let _ = fs::remove_dir_all(&dir);

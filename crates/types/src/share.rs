@@ -73,8 +73,6 @@ pub struct ShareDemand {
 pub struct IdealAllocation {
     /// Per project: FLOPS allocated on each device type.
     pub(crate) per_project: Vec<(ProjectId, ProcMap<f64>)>,
-    /// Capacity that no attached project can use (idles by necessity).
-    pub(crate) unusable_flops: f64,
 }
 
 impl IdealAllocation {
@@ -212,11 +210,8 @@ pub fn ideal_allocation(hw: &Hardware, demands: &[ShareDemand]) -> IdealAllocati
         }
     }
 
-    let unusable: f64 = ProcType::ALL.iter().map(|&t| (caps[t] - dev_used[t]).max(0.0)).sum();
-
     IdealAllocation {
         per_project: usable_demands.iter().zip(alloc).map(|(d, m)| (d.id, m)).collect(),
-        unusable_flops: unusable,
     }
 }
 
@@ -298,6 +293,18 @@ fn max_flow_split(
 mod tests {
     use super::*;
 
+    /// Capacity that no attached project was allocated (idles by
+    /// necessity).
+    fn unusable_flops(hw: &Hardware, a: &IdealAllocation) -> f64 {
+        ProcType::ALL
+            .iter()
+            .map(|&t| {
+                let used: f64 = a.per_project.iter().map(|(_, m)| m[t]).sum();
+                (hw.peak_flops(t) - used).max(0.0)
+            })
+            .sum()
+    }
+
     fn fig1_hardware() -> Hardware {
         Hardware::cpu_only(1, 10e9).with_group(ProcType::NvidiaGpu, 1, 20e9)
     }
@@ -328,7 +335,7 @@ mod tests {
         assert!((split_a[ProcType::Cpu] - 10e9).abs() < 1e-3);
         assert!((split_a[ProcType::NvidiaGpu] - 5e9).abs() < 1e-3);
         assert!((split_b[ProcType::NvidiaGpu] - 15e9).abs() < 1e-3);
-        assert!(a.unusable_flops < 1e-3);
+        assert!(unusable_flops(&hw, &a) < 1e-3);
     }
 
     #[test]
@@ -376,7 +383,7 @@ mod tests {
         }];
         let a = ideal_allocation(&hw, &demands);
         assert!((a.total_for(ProjectId(0)) - 1e9).abs() < 1e-3);
-        assert!((a.unusable_flops - 4e9).abs() < 1e-3);
+        assert!((unusable_flops(&hw, &a) - 4e9).abs() < 1e-3);
     }
 
     #[test]
@@ -407,7 +414,7 @@ mod tests {
             assert!(used <= hw.peak_flops(t) + 1.0);
         }
         let total: f64 = a.per_project.iter().map(|(_, m)| m.total()).sum();
-        assert!((total + a.unusable_flops - hw.total_peak_flops()).abs() < 1.0);
+        assert!((total + unusable_flops(&hw, &a) - hw.total_peak_flops()).abs() < 1.0);
     }
 
     #[test]
@@ -427,6 +434,6 @@ mod tests {
         let hw = Hardware::cpu_only(2, 1e9);
         let a = ideal_allocation(&hw, &[]);
         assert!(a.per_project.is_empty());
-        assert!((a.unusable_flops - 2e9).abs() < 1e-3);
+        assert!((unusable_flops(&hw, &a) - 2e9).abs() < 1e-3);
     }
 }

@@ -23,11 +23,8 @@ fn scenario_with_files() -> Scenario {
     s
 }
 
-fn run_at(rate: f64, transfer_retry: Option<RetryPolicy>) -> EmulationResult {
-    let mut faults = FaultConfig::with_failure_rate(rate);
-    if let Some(p) = transfer_retry {
-        faults.transfer_retry = p;
-    }
+fn run_at(rate: f64) -> EmulationResult {
+    let faults = FaultConfig::with_failure_rate(rate);
     let cfg =
         EmulatorConfig { duration: SimDuration::from_days(1.0), faults, ..Default::default() };
     Emulator::new(scenario_with_files(), ClientConfig::default(), cfg).run()
@@ -37,7 +34,7 @@ fn run_at(rate: f64, transfer_retry: Option<RetryPolicy>) -> EmulationResult {
 fn degradation_is_monotone_in_failure_rate() {
     // Higher transient failure rates must cost more RPCs per delivered job
     // and inject strictly more faults — but never panic or deadlock.
-    let results: Vec<EmulationResult> = [0.0, 0.2, 0.5].iter().map(|&r| run_at(r, None)).collect();
+    let results: Vec<EmulationResult> = [0.0, 0.2, 0.5].iter().map(|&r| run_at(r)).collect();
     for w in results.windows(2) {
         let (lo, hi) = (&w[0], &w[1]);
         assert!(
@@ -68,19 +65,20 @@ fn degradation_is_monotone_in_failure_rate() {
 
 #[test]
 fn transfer_give_up_errors_jobs_and_wastes_their_flops() {
-    // A merciless retry policy (2 attempts) under a high failure rate must
-    // error some jobs end-to-end: client task errored, server notified,
-    // and the spent flops attributed to fault waste.
-    let harsh = RetryPolicy { give_up_after: Some(2), ..RetryPolicy::TRANSFER };
-    let r = run_at(0.6, Some(harsh));
-    assert!(r.faults.jobs_errored > 0, "60% failure x 2 attempts must kill some jobs");
+    // The transfer policy gives a file up after 8 consecutive failed
+    // attempts; a high failure rate must reach that and error some jobs
+    // end-to-end: client task errored, server notified, and the spent
+    // flops attributed to fault waste.
+    assert_eq!(RetryPolicy::TRANSFER.give_up_after, Some(8));
+    let r = run_at(0.6);
+    assert!(r.faults.jobs_errored > 0, "60% failure x 8 attempts must kill some jobs");
     assert!(r.faults.fault_wasted_fraction >= 0.0);
     assert!(r.jobs_completed > 0, "most jobs must still complete");
     // Errored jobs that had run accrue fault-attributable waste; at the
     // very least the counter-side must be consistent.
     assert!(r.faults.any());
-    // And at rate 0 with the same harsh policy nothing errors.
-    let clean = run_at(0.0, Some(harsh));
+    // And at rate 0 nothing errors.
+    let clean = run_at(0.0);
     assert_eq!(clean.faults.jobs_errored, 0);
     assert!(!clean.faults.any());
 }
@@ -105,12 +103,12 @@ fn crashes_recover_and_are_accounted() {
 
 #[test]
 fn faulty_report_renders_fault_section() {
-    let r = run_at(0.3, None);
+    let r = run_at(0.3);
     let report = format!("{r}");
     assert!(report.contains("injected faults:"), "{report}");
     assert!(report.contains("transient RPC failures"), "{report}");
     // A clean run must not mention faults at all.
-    let clean = run_at(0.0, None);
+    let clean = run_at(0.0);
     let report = format!("{clean}");
     assert!(!report.contains("injected faults"), "{report}");
 }
