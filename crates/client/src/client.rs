@@ -311,7 +311,8 @@ impl Client {
     }
 
     /// Install a transfer fault plan: subsequent transfer attempts may be
-    /// planned to fail mid-flight and retry under the model's policy.
+    /// planned to fail mid-flight and retry under
+    /// [`RetryPolicy::TRANSFER`].
     pub fn set_transfer_faults(&mut self, model: TransferFaultModel) {
         self.xfer_faults = Some(model);
     }
@@ -520,10 +521,7 @@ impl Client {
             (XferDir::Upload, Some(t)) => t.spec.output_bytes,
             (_, None) => return,
         };
-        let (policy, jitter_u) = match self.xfer_faults.as_mut() {
-            Some(m) => (m.retry, m.jitter_u()),
-            None => (RetryPolicy::TRANSFER, 0.0),
-        };
+        let jitter_u = self.xfer_faults.as_mut().map_or(0.0, |m| m.jitter_u());
         let entry = match self.xfer_retries.iter_mut().find(|r| r.job == job && r.dir == dir) {
             Some(r) => r,
             None => {
@@ -531,7 +529,7 @@ impl Client {
                 self.xfer_retries.last_mut().unwrap()
             }
         };
-        match entry.state.fail(now, &policy, jitter_u) {
+        match entry.state.fail(now, &RetryPolicy::TRANSFER, jitter_u) {
             RetryVerdict::RetryAt(_) => {}
             RetryVerdict::GiveUp => {
                 self.xfer_retries.retain(|r| !(r.job == job && r.dir == dir));
@@ -1299,9 +1297,43 @@ mod tests {
         assert_eq!(c.projects[0].comm_retry, RetryState::new());
     }
 
+    /// Step `c` from `start` through every attempt of `job`'s 2 s download,
+    /// each planned to fail, until `RetryPolicy::TRANSFER` gives up and
+    /// errors the job; `check` runs after every advance. Each attempt
+    /// fails inside its 2 s, then the job waits out a backoff that doubles
+    /// from 60 s (±50% jitter) before it is re-enqueued. Returns the time
+    /// of the give-up.
+    fn fail_download_until_give_up(
+        c: &mut Client,
+        job: JobId,
+        start: SimTime,
+        mut check: impl FnMut(&mut Client),
+    ) -> SimTime {
+        let rs = run_state();
+        let attempts = RetryPolicy::TRANSFER.give_up_after.unwrap();
+        let mut t = start;
+        for attempt in 1..=attempts {
+            t += SimDuration::from_secs(2.0);
+            let ev = c.advance(t, rs);
+            check(c);
+            assert!(!ev.ready.contains(&job), "attempt {attempt} delivered its input");
+            if attempt == attempts {
+                assert_eq!(ev.errored, vec![job], "no give-up after {attempts} failures");
+                assert!(c.task(job).unwrap().is_errored());
+                return t;
+            }
+            assert!(ev.errored.is_empty(), "gave up after {attempt} of {attempts} failures");
+            while !c.transfers.downloads.contains(job) {
+                t = c.next_event_after(t).expect("retry scheduled");
+                c.advance(t, rs);
+                check(c);
+            }
+        }
+        unreachable!()
+    }
+
     #[test]
     fn transfer_failures_retry_then_error_job() {
-        use bce_faults::RetryPolicy;
         let mut c = Client::new(
             Hardware::cpu_only(1, 1e9),
             Preferences::default(),
@@ -1309,24 +1341,16 @@ mod tests {
             vec![Client::project(0, 1.0, &[ProcType::Cpu])],
             ClientConfig::default(),
         );
-        // Every attempt fails; give up after 2 consecutive failures.
-        let policy = RetryPolicy { jitter: 0.0, give_up_after: Some(2), ..RetryPolicy::TRANSFER };
-        c.set_transfer_faults(TransferFaultModel::new(99, 1.0, policy));
+        // Every attempt fails.
+        c.set_transfer_faults(TransferFaultModel::new(99, 1.0));
         let mut s = spec(1, 0, 100.0, 1e6);
         s.input_bytes = 2000.0;
         c.add_jobs(vec![s]);
-        let rs = run_state();
-        // First attempt fails somewhere inside the 2 s window.
-        let ev = c.advance(SimTime::from_secs(2.0), rs);
-        assert!(ev.errored.is_empty());
-        assert!(ev.ready.is_empty());
-        // Backoff (60 s, no jitter), retry, second failure => give up.
-        let retry_at = c.next_event_after(SimTime::from_secs(2.0)).expect("retry scheduled");
-        let ev = c.advance(retry_at, rs); // re-enqueues the attempt
-        assert!(ev.errored.is_empty());
-        let ev = c.advance(retry_at + SimDuration::from_secs(2.0), rs);
-        assert_eq!(ev.errored, vec![JobId(1)]);
-        assert!(c.task(JobId(1)).unwrap().is_errored());
+        let gave_up = fail_download_until_give_up(&mut c, JobId(1), SimTime::ZERO, |_| {});
+        // Eight 2 s attempts and seven backoffs of 60·2ⁿ s (n = 0..6),
+        // 7 620 s in all before jitter scales each by 0.5–1.5.
+        assert_eq!(RetryPolicy::TRANSFER.give_up_after, Some(8));
+        assert!((3_810.0..=11_430.0 + 16.0).contains(&gave_up.secs()), "gave up at {gave_up:?}");
     }
 
     #[test]
@@ -1392,9 +1416,8 @@ mod tests {
         let net = Some(NetworkModel::symmetric(1000.0));
         let mut c =
             Client::new(Hardware::cpu_only(2, 1e9), Preferences::default(), net, projects(), cfg);
-        // Every transfer attempt fails, and the first failure gives up.
-        let policy = RetryPolicy { jitter: 0.0, give_up_after: Some(1), ..RetryPolicy::TRANSFER };
-        c.set_transfer_faults(TransferFaultModel::new(7, 1.0, policy));
+        // Every transfer attempt fails.
+        c.set_transfer_faults(TransferFaultModel::new(7, 1.0));
         let rs = run_state();
         let t = SimTime::from_secs;
         let cache = &mut FlopsCache::default();
@@ -1442,14 +1465,6 @@ mod tests {
         assert!(!c.reschedule(t(160.0), rs, 1.0).started.is_empty());
         assert_caches_fresh(&mut c, cache, "restart");
 
-        let mut dl = spec(5, 0, 100.0, 1e6);
-        dl.input_bytes = 2000.0;
-        c.add_jobs(vec![dl]);
-        assert_caches_fresh(&mut c, cache, "downloading admission");
-        let ev = c.advance(t(162.0), rs);
-        assert_eq!(ev.errored, vec![JobId(5)]);
-        assert_caches_fresh(&mut c, cache, "transfer give-up");
-
         // Faster CPUs and a GPU: the FLOPS change, and beta's GPU becomes
         // fetchable.
         let before = cache.by_slot.clone();
@@ -1468,6 +1483,16 @@ mod tests {
         gpu_job.usage = ResourceUsage::gpu(ProcType::NvidiaGpu, 1.0, 0.1);
         c.add_initial_task(gpu_job, SimDuration::from_secs(10.0));
         assert_caches_fresh(&mut c, cache, "initial task");
+
+        // A download fails all its attempts; the job errors on the last.
+        let mut dl = spec(5, 0, 100.0, 1e6);
+        dl.input_bytes = 2000.0;
+        c.add_jobs(vec![dl]);
+        assert_caches_fresh(&mut c, cache, "downloading admission");
+        fail_download_until_give_up(&mut c, JobId(5), t(160.0), |c| {
+            assert_caches_fresh(c, cache, "transfer retry");
+        });
+        assert_caches_fresh(&mut c, cache, "transfer give-up");
     }
 
     /// Progress is never a structural change, however many `(proc type,

@@ -30,6 +30,12 @@
 //! completion is its least-remaining job's. A step therefore costs one
 //! division per group and one branch-free subtract per job, and only a
 //! group whose least job finishes is scanned for finishers.
+//!
+//! Two pieces of per-step state are carried across steps instead of being
+//! rebuilt: the group table holds only the groups that can still run (a
+//! group leaves in the step where it empties), and each processor type
+//! keeps its groups in allocation order, repaired only when one of them
+//! loses its first job. Neither touches a floating-point operand.
 
 use bce_types::{JobId, ProcMap, ProcType, ProjectId, SimDuration, SimTime};
 
@@ -104,7 +110,8 @@ impl RrOutcome {
 
 /// A `(proc_type, project)` job group; built once per simulation call.
 /// Its alive jobs occupy slots `start..start + len` of the scratch's
-/// group-major arrays, in ascending job order.
+/// group-major arrays, in ascending job order; its first slot holds its
+/// first alive job.
 #[derive(Debug, Clone, Copy)]
 struct Group {
     project: ProjectId,
@@ -114,7 +121,7 @@ struct Group {
     start: u32,
     len: u32,
     /// The rate every alive job of the group runs at (`frac × on_frac`);
-    /// 0 until the group's type is allocated, and again once it is empty.
+    /// 0 until the group's type is allocated.
     rate: f64,
     /// Instance demand of the alive jobs, summed in job order; re-summed
     /// only when the group loses a job.
@@ -123,7 +130,8 @@ struct Group {
     min: u32,
 }
 
-/// `job_group` entry of a job with no remaining work.
+/// `job_group` entry of a job that cannot run: it has no remaining work,
+/// or its type has no usable instances.
 const NO_GROUP: u32 = u32::MAX;
 
 /// Reusable workspace for [`simulate_into`]. All vectors retain their
@@ -131,10 +139,20 @@ const NO_GROUP: u32 = u32::MAX;
 /// workloads perform zero heap allocations.
 #[derive(Debug, Default)]
 pub struct RrScratch {
+    /// The live groups: those that can still run, because their type has
+    /// usable instances and they have work left. A group that empties is
+    /// swap-removed at the end of its step, so each step's scan and
+    /// advance walk only live groups.
     groups: Vec<Group>,
-    /// Group ids per processor type, in order of first appearance.
+    /// Per processor type, the ids of its live groups in allocation order:
+    /// by first alive job index, the order the reference implementation
+    /// discovers projects in, which fixes the floating-point summation
+    /// order. Built in order of first appearance, which is that order; an
+    /// emptied group is dropped (the group moved into its place keeps its
+    /// position under its new id), and [`repair_order`] re-sorts a type
+    /// only after one of its groups loses its head job.
     pt_groups: [Vec<u32>; ProcType::COUNT],
-    /// Group of each job, [`NO_GROUP`] for a job that starts finished.
+    /// Group of each job, [`NO_GROUP`] for a job that cannot run.
     job_group: Vec<u32>,
     // Group-major slots: each group's alive jobs, compacted in place as
     // they finish, so a group's remaining work is one contiguous run.
@@ -145,17 +163,16 @@ pub struct RrScratch {
     /// Instances the slot's job occupies.
     slot_inst: Vec<f64>,
     // Per-step state.
-    /// Alive groups of the type being allocated, ordered by first alive
-    /// job index — the same order the reference implementation discovers
-    /// projects in, which fixes the floating-point summation order.
-    order: Vec<u32>,
-    /// Allocated instances per group in `order`.
+    /// Allocated instances per group of the type being allocated, in
+    /// `pt_groups` order.
     alloc: Vec<f64>,
-    /// Positions into `order` still competing for instances.
+    /// Positions into that order still competing for instances.
     active: Vec<u32>,
     next_active: Vec<u32>,
     /// Job indices that finished in the current step.
     finished: Vec<u32>,
+    /// Live groups that emptied in the current step, ascending.
+    emptied: Vec<u32>,
 }
 
 impl RrScratch {
@@ -231,11 +248,12 @@ pub fn simulate_into(
     out.shortfall = ProcMap::zero();
     out.busy_now = ProcMap::zero();
 
-    // Build the (proc_type, project) group index over jobs with work
-    // left: group ids in order of first appearance, per-type group lists,
-    // and each group's size.
+    // Build the (proc_type, project) group index over jobs that can run:
+    // they have work left and their type has usable instances. Group ids
+    // in order of first appearance, per-type group lists, and each
+    // group's size.
     for j in jobs {
-        if j.remaining.secs().max(0.0) <= 0.0 {
+        if j.remaining.secs().max(0.0) <= 0.0 || platform.ninstances[j.proc_type] <= 0.0 {
             s.job_group.push(NO_GROUP);
             continue;
         }
@@ -301,6 +319,9 @@ pub fn simulate_into(
     // reused verbatim. Reusing a value is trivially bit-identical to
     // recomputing it from unchanged inputs.
     let mut type_dirty = [true; ProcType::COUNT];
+    // Types whose `pt_groups` order needs `repair_order` before their next
+    // allocation.
+    let mut reorder = [false; ProcType::COUNT];
     let mut busy = ProcMap::zero();
 
     loop {
@@ -314,31 +335,31 @@ pub fn simulate_into(
             }
             type_dirty[pt.index()] = false;
             busy[pt] = 0.0;
-            s.order.clear();
-            s.order.extend(
-                s.pt_groups[pt.index()].iter().copied().filter(|&g| s.groups[g as usize].len > 0),
-            );
-            s.order.sort_unstable_by_key(|&g| s.slot_job[s.groups[g as usize].start as usize]);
-            if s.order.is_empty() {
+            if reorder[pt.index()] {
+                reorder[pt.index()] = false;
+                repair_order(&mut s.pt_groups[pt.index()], &s.groups, &s.slot_job);
+            }
+            let order = &s.pt_groups[pt.index()];
+            if order.is_empty() {
                 continue;
             }
             // Share-weighted instance allocation with redistribution of
             // surplus from projects whose demand is below their share.
             s.alloc.clear();
-            s.alloc.resize(s.order.len(), 0.0);
+            s.alloc.resize(order.len(), 0.0);
             let mut capacity = ninst;
             s.active.clear();
-            s.active.extend(0..s.order.len() as u32);
-            for _ in 0..s.order.len() + 1 {
+            s.active.extend(0..order.len() as u32);
+            for _ in 0..order.len() + 1 {
                 let wsum: f64 =
-                    s.active.iter().map(|&k| s.groups[s.order[k as usize] as usize].share).sum();
+                    s.active.iter().map(|&k| s.groups[order[k as usize] as usize].share).sum();
                 if wsum <= 0.0 || capacity <= 1e-12 || s.active.is_empty() {
                     break;
                 }
                 s.next_active.clear();
                 let mut used = 0.0;
                 for &k in &s.active {
-                    let g = &s.groups[s.order[k as usize] as usize];
+                    let g = &s.groups[order[k as usize] as usize];
                     let fair = capacity * g.share / wsum;
                     let need = g.demand - s.alloc[k as usize];
                     if need <= fair + 1e-12 {
@@ -361,7 +382,7 @@ pub fn simulate_into(
             // open or the step starts inside the buffer window; `t` never
             // decreases, so once both fail it is never read again.
             let need_busy = sat_open[pt] || t < horizon;
-            for (k, &g) in s.order.iter().enumerate() {
+            for (k, &g) in order.iter().enumerate() {
                 let g = &mut s.groups[g as usize];
                 let frac = (s.alloc[k] / g.demand).min(1.0);
                 g.rate = frac * on_frac;
@@ -427,11 +448,14 @@ pub fn simulate_into(
         // `rate × dt`, which keeps the group's order of remaining work, so
         // only a group whose least-remaining job is done holds finishers.
         // Such a group is compacted in place, its demand re-summed in job
-        // order and its minimum found again.
+        // order and its minimum found again. Groups are independent here
+        // and same-step finishers are sorted below, so the order groups
+        // are walked in does not matter.
         t += dt;
         s.finished.clear();
+        s.emptied.clear();
         let mut finishing_groups = 0;
-        for g in &mut s.groups {
+        for (gid, g) in s.groups.iter_mut().enumerate() {
             if g.rate <= 0.0 {
                 continue;
             }
@@ -444,6 +468,9 @@ pub fn simulate_into(
                 continue;
             }
             finishing_groups += 1;
+            // Slots keep job order, so the group's first alive job changes
+            // only if the job in its first slot finished.
+            let head_lost = s.slot_rem[a] <= 1e-6;
             let mut w = a;
             let mut demand = 0.0;
             let mut min_rem = f64::INFINITY;
@@ -465,10 +492,13 @@ pub fn simulate_into(
             }
             g.len = (w - a) as u32;
             g.demand = demand;
+            let pt = g.proc_type.index();
+            type_dirty[pt] = true;
             if g.len == 0 {
-                g.rate = 0.0;
+                s.emptied.push(gid as u32);
+            } else if head_lost && s.pt_groups[pt].len() > 1 {
+                reorder[pt] = true;
             }
-            type_dirty[g.proc_type.index()] = true;
         }
         // Same-step completions are reported in job order, as the
         // reference's full scan discovers them.
@@ -504,7 +534,39 @@ pub fn simulate_into(
             // extreme preference limits) must not hang the emulator.
             break;
         }
+        // Emptied groups leave, last first: each is dropped from its type's
+        // order, and the last group moves into its place and is renamed in
+        // its own type's order. This runs after the exits above, so the
+        // final step skips it.
+        for &gid in s.emptied.iter().rev() {
+            s.pt_groups[s.groups[gid as usize].proc_type.index()].retain(|&g| g != gid);
+            let last = (s.groups.len() - 1) as u32;
+            s.groups.swap_remove(gid as usize);
+            if gid != last {
+                let order = &mut s.pt_groups[s.groups[gid as usize].proc_type.index()];
+                *order.iter_mut().find(|g| **g == last).unwrap() = gid;
+            }
+        }
     }
 
     out.missed.sort_unstable();
+}
+
+/// Restore a type's `pt_groups` order after some of its groups lost their
+/// head job: re-sort by first alive job index. A group's first job only
+/// ever moves later, so the list is nearly sorted and an insertion sort is
+/// linear in it.
+#[inline]
+fn repair_order(order: &mut [u32], groups: &[Group], slot_job: &[u32]) {
+    let head = |g: u32| slot_job[groups[g as usize].start as usize];
+    for i in 1..order.len() {
+        let g = order[i];
+        let key = head(g);
+        let mut j = i;
+        while j > 0 && head(order[j - 1]) > key {
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = g;
+    }
 }

@@ -6,10 +6,12 @@
 //!
 //! 1. One-shot equivalence over randomized multi-project, multi-proc-type
 //!    workloads (shares, on_frac, instance counts, fractional demands),
-//!    from two strategies: a wide one (up to 32 jobs over 6 projects,
-//!    continuous values) and a deep, tie-heavy one (up to 96 jobs over
+//!    from three strategies: a wide one (up to 32 jobs over 6 projects,
+//!    continuous values); a deep, tie-heavy one (up to 96 jobs over
 //!    1–3 projects, values from small sets, so several jobs and several
-//!    groups finish in one step).
+//!    groups finish in one step); and a many-group, tie-heavy one (up to
+//!    24 projects of 1–4 interleaved jobs each, so groups empty and a
+//!    type's allocation order changes every few steps).
 //! 2. Scratch-reuse equivalence: a single `RrScratch`/`RrOutcome` pair
 //!    driven through a *sequence* of differently-shaped workloads must
 //!    produce the same results as fresh per-call state.
@@ -244,6 +246,9 @@ fn simulate_reference(platform: &RrPlatform, jobs: &[RrJob], buf_window: SimDura
     Outcome { missed, sat, shortfall, finish, busy_now }
 }
 
+/// `(project, gpu?, remaining, deadline, instances)` of one job.
+type JobRow = (u32, bool, f64, f64, f64);
+
 /// Randomized workload description: host shape plus a job list spanning
 /// several projects and processor types.
 #[derive(Debug, Clone)]
@@ -252,9 +257,9 @@ struct Workload {
     ngpus: f64,
     on_frac: f64,
     window: f64,
-    /// `(project, gpu?, remaining, deadline, instances)` per job.
-    jobs: Vec<(u32, bool, f64, f64, f64)>,
-    /// Per-project resource shares (projects 0..6 wide, 0..3 deep).
+    jobs: Vec<JobRow>,
+    /// Per-project resource shares (projects 0..6 wide, 0..3 deep, 0..24
+    /// many-group).
     shares: Vec<f64>,
 }
 
@@ -323,6 +328,54 @@ fn deep_workload() -> impl Strategy<Value = Workload> {
                 job.0 %= nprojects;
             }
             shares.truncate(nprojects as usize);
+            Workload { ncpus, ngpus, on_frac, window, jobs, shares }
+        })
+}
+
+const MANY_REMAINING: &[f64] = &[60.0, 300.0, 1000.0];
+
+/// Many-group, tie-heavy workloads: the scenario-4 shape of many small
+/// `(type, project)` groups — up to 24 projects with 1–4 jobs each, CPU
+/// and GPU, on a host where either type may have no instances. Each job
+/// gets a random queue position, so projects interleave: a group that
+/// loses its first job falls behind groups whose first job came later,
+/// and the type's allocation order changes. Remaining work from three
+/// values, and demands too small to saturate a type, make several
+/// groups finish, and empty, in one step.
+fn many_group_workload() -> impl Strategy<Value = Workload> {
+    (
+        pick(&[0.0, 1.0, 2.0, 4.0, 8.0]),
+        pick(&[0.0, 1.0, 2.0]),
+        pick(&[1.0, 0.5]),
+        pick(&[0.0, 1800.0, 20_000.0]),
+        proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    gpu_job(),
+                    pick(MANY_REMAINING),
+                    pick(DEEP_DEADLINE),
+                    pick(DEEP_INSTANCES),
+                    0u32..1000, // queue position
+                ),
+                1..5,
+            ),
+            1..25,
+        ),
+        proptest::collection::vec(pick(DEEP_SHARES), 24),
+    )
+        .prop_map(|(ncpus, ngpus, on_frac, window, projects, mut shares)| {
+            let mut queue: Vec<(u32, JobRow)> = projects
+                .iter()
+                .enumerate()
+                .flat_map(|(p, jobs)| {
+                    jobs.iter().map(move |&(gpu, rem, dl, inst, pos)| {
+                        (pos, (p as u32, gpu, rem, dl, inst))
+                    })
+                })
+                .collect();
+            queue.sort_by_key(|&(pos, _)| pos);
+            shares.truncate(projects.len());
+            let jobs = queue.into_iter().map(|(_, job)| job).collect();
             Workload { ncpus, ngpus, on_frac, window, jobs, shares }
         })
 }
@@ -484,6 +537,12 @@ proptest! {
         check_one_shot(&w);
     }
 
+    /// The one-shot check on many-group, tie-heavy workloads.
+    #[test]
+    fn many_group_simulate_matches_reference(w in many_group_workload()) {
+        check_one_shot(&w);
+    }
+
     /// Scratch reuse: one `RrScratch`/`RrOutcome` pair fed a sequence of
     /// differently-shaped workloads (stale capacities, stale group tables)
     /// must match fresh reference runs at every step.
@@ -497,6 +556,15 @@ proptest! {
     #[test]
     fn deep_scratch_reuse_matches_reference(
         ws in proptest::collection::vec(prop_oneof![deep_workload(), workload()], 1..6),
+    ) {
+        check_scratch_reuse(&ws);
+    }
+
+    /// Scratch reuse across many-group workloads, mixed with deep ones so
+    /// the group count swings between a handful and dozens between calls.
+    #[test]
+    fn many_group_scratch_reuse_matches_reference(
+        ws in proptest::collection::vec(prop_oneof![many_group_workload(), deep_workload()], 1..6),
     ) {
         check_scratch_reuse(&ws);
     }

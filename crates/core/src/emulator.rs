@@ -15,7 +15,7 @@ use crate::metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, Proj
 use crate::scenario::Scenario;
 use bce_avail::{Governor, HostRunState};
 use bce_client::{Client, ClientConfig, ClientProject, ClientScratch, Reschedule};
-use bce_faults::{CrashProcess, FaultConfig, RetryPolicy, RpcFaultInjector, TransferFaultModel};
+use bce_faults::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
 use bce_obs::{
     ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
@@ -372,7 +372,6 @@ impl Emulator {
             client.set_transfer_faults(TransferFaultModel::new(
                 scenario.seed,
                 faults.transfer_fail_prob,
-                RetryPolicy::TRANSFER,
             ));
         }
         let mut crash_proc: Option<CrashProcess> =

@@ -7,7 +7,6 @@
 //! zero, no stream is ever created or drawn from, and the emulation is
 //! bit-identical to one with no fault plumbing at all.
 
-use crate::retry::RetryPolicy;
 use bce_sim::{Distribution, Exponential, Rng};
 use bce_types::{ProjectId, SimDuration, SimTime};
 
@@ -101,17 +100,18 @@ impl RpcFaultInjector {
 #[derive(Debug, Clone)]
 pub struct TransferFaultModel {
     prob: f64,
-    pub retry: RetryPolicy,
     rng: Rng,
 }
 
 impl TransferFaultModel {
-    pub fn new(seed: u64, prob: f64, retry: RetryPolicy) -> Self {
+    /// Failed attempts are retried under
+    /// [`RetryPolicy::TRANSFER`](crate::RetryPolicy::TRANSFER).
+    pub fn new(seed: u64, prob: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&prob),
             "transfer failure probability must be in [0, 1], got {prob}"
         );
-        TransferFaultModel { prob, retry, rng: Rng::stream(seed, "fault-xfer") }
+        TransferFaultModel { prob, rng: Rng::stream(seed, "fault-xfer") }
     }
 
     /// Plan one transfer attempt of `bytes`: `Some(fail_after_bytes)` if this
@@ -193,13 +193,13 @@ mod tests {
         // preserving determinism of anything sharing the seed.
         let mut inj = RpcFaultInjector::new(7, 0.0, &[ProjectId(0)]);
         assert!((0..100).all(|_| !inj.rpc_fails(ProjectId(0))));
-        let mut xf = TransferFaultModel::new(7, 0.0, RetryPolicy::TRANSFER);
+        let mut xf = TransferFaultModel::new(7, 0.0);
         assert!((0..100).all(|_| xf.plan_attempt(1e6).is_none()));
     }
 
     #[test]
     fn transfer_fail_point_is_within_bounds() {
-        let mut xf = TransferFaultModel::new(3, 1.0, RetryPolicy::TRANSFER);
+        let mut xf = TransferFaultModel::new(3, 1.0);
         for _ in 0..100 {
             let point = xf.plan_attempt(5000.0).expect("prob 1.0 always fails");
             assert!((0.0..5000.0).contains(&point));

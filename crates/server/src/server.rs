@@ -179,17 +179,6 @@ impl ProjectServer {
         }
     }
 
-    /// Is this app class currently supplying jobs?
-    fn app_has_work(&mut self, app: AppId, now: SimTime) -> bool {
-        match self.app_supply.iter_mut().find(|(id, _)| *id == app) {
-            None => true,
-            Some((_, p)) => {
-                p.advance(now);
-                p.state()
-            }
-        }
-    }
-
     /// Create a job that was dispatched *before* the emulation started
     /// (an imported in-flight result): sampled from the named app class,
     /// registered in progress with its historical receipt time.
@@ -218,6 +207,16 @@ impl ProjectServer {
 
         let mut jobs: Vec<JobSpec> = Vec::new();
         if self.has_work(now) {
+            // Which app classes supply jobs is fixed for the whole RPC:
+            // each process has its own RNG stream, and advancing it to the
+            // same `now` again changes nothing.
+            for (_, p) in &mut self.app_supply {
+                p.advance(now);
+            }
+            let app_supply = &self.app_supply;
+            let supplying = |app: AppId| {
+                app_supply.iter().find(|(id, _)| *id == app).is_none_or(|(_, p)| p.state())
+            };
             for t in ProcType::ALL {
                 let r = req.per_type[t];
                 if r.is_empty() {
@@ -233,24 +232,12 @@ impl ProjectServer {
                             break;
                         }
                     }
-                    // Evaluate per-app-class supply first (the closure
-                    // passed to pick_app cannot borrow self mutably).
-                    let available: Vec<AppId> = self
-                        .spec
-                        .apps
-                        .iter()
-                        .map(|a| a.id)
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .filter(|&id| self.app_has_work(id, now))
-                        .collect();
                     let Some(idx) = self.factory.pick_app(&self.spec.apps, |a| {
-                        a.usage.main_proc_type() == t && available.contains(&a.id)
+                        a.usage.main_proc_type() == t && supplying(a.id)
                     }) else {
                         break;
                     };
-                    let app = self.spec.apps[idx].clone();
-                    let job = self.factory.make_job(&app, now);
+                    let job = self.factory.make_job(&self.spec.apps[idx], now);
                     let inst = job.usage.instances_of(t).max(1e-6);
                     secs_filled += job.duration_est.secs() * inst;
                     inst_filled += inst;
@@ -301,19 +288,13 @@ impl ProjectServer {
     /// Server-side deadline check: drop and count results whose expiry
     /// (deadline plus any grace) has passed. The real server would issue a
     /// new instance to another host; in a single-host emulation the work
-    /// is simply counted wasted.
-    pub fn check_deadlines(&mut self, now: SimTime) -> Vec<JobId> {
+    /// is simply counted wasted. Returns how many results expired.
+    pub fn check_deadlines(&mut self, now: SimTime) -> u64 {
         let policy = self.deadline_check;
-        let expired: Vec<JobId> = self
-            .in_progress
-            .iter()
-            .filter(|(_, &dl)| policy.expiry(dl) < now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &expired {
-            self.in_progress.remove(id);
-        }
-        self.stats.timed_out += expired.len() as u64;
+        let before = self.in_progress.len();
+        self.in_progress.retain(|_, &mut dl| policy.expiry(dl) >= now);
+        let expired = (before - self.in_progress.len()) as u64;
+        self.stats.timed_out += expired;
         expired
     }
 }
@@ -433,8 +414,9 @@ mod tests {
         let dl = reply.jobs[0].deadline();
         assert_eq!(s.in_progress.values().copied().min(), Some(dl));
         let expired = s.check_deadlines(dl + SimDuration::from_secs(1.0));
-        assert!(expired.contains(&id));
-        assert_eq!(s.stats().timed_out as usize, expired.len());
+        assert!(!s.in_progress.contains_key(&id));
+        assert!(expired >= 1);
+        assert_eq!(s.stats().timed_out, expired);
         // Late report after expiry is counted late.
         assert!(!s.report_completed(dl + SimDuration::from_secs(2.0), id));
         assert_eq!(s.stats().reported_late, 1);
