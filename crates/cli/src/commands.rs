@@ -10,7 +10,7 @@ use bce_controller::{
 use bce_core::{render_timeline, Emulator, EmulatorConfig, FaultConfig, Scenario};
 use bce_emboinc::{run_campaign, HostSelection, PopulationSpec, ReplicationPolicy, Workload};
 use bce_fleet::{assign_shares, host_scenarios, run_fleet, Fleet, FleetHost, ShareStrategy};
-use bce_obs::TraceEvent;
+use bce_obs::{to_jsonl, TraceEvent};
 use bce_scenarios::{
     doc_from_scenario, scenario1, scenario2, scenario3, scenario4, LoadedScenario, ScenarioSource,
     ScenarioSpec, BUILTIN_NAMES,
@@ -1264,8 +1264,6 @@ fn parse_name_filter(
 }
 
 fn cmd_trace(args: &Args) -> Result<String, CliError> {
-    use bce_obs::export::{record_to_json, to_jsonl};
-
     let LoadedScenario { scenario, faults, .. } = resolve_scenario(args)?;
     let client = client_config(args)?;
     let days = days_opt(args, 1.0)?;
@@ -1322,19 +1320,6 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
     }
     if let Some(path) = jsonl_path {
         out.push_str(&format!("\nwrote {} events to {path}\n", selected.len()));
-        // Round-trip sanity: what we wrote must parse back to the same
-        // records. Cheap relative to the emulation, and it keeps the
-        // exporter honest in the face of schema drift.
-        let parsed =
-            bce_obs::export::parse_jsonl(&to_jsonl(selected.iter().copied())).map_err(|e| {
-                CliError::msg(format!("internal: exported trace does not re-parse: {e}"))
-            })?;
-        debug_assert_eq!(parsed.len(), selected.len());
-        if parsed.len() != selected.len()
-            || !parsed.iter().zip(&selected).all(|(a, &b)| record_to_json(a) == record_to_json(b))
-        {
-            return Err(CliError::msg("internal: exported trace does not round-trip".into()));
-        }
     }
     Ok(out)
 }
@@ -1600,14 +1585,37 @@ mod tests {
     #[test]
     fn trace_jsonl_round_trips() {
         let dir = TmpDir::new("trace-jsonl");
-        let p = dir.join("trace.jsonl");
+        let (all, replies) = (dir.join("trace.jsonl"), dir.join("replies.jsonl"));
         let out =
-            run(&format!("trace scenario1 --days 0.1 --jsonl {}", p.to_str().unwrap())).unwrap();
+            run(&format!("trace scenario1 --days 0.1 --jsonl {}", all.to_str().unwrap())).unwrap();
         assert!(out.contains("wrote"), "{out}");
-        let text = std::fs::read_to_string(&p).unwrap();
-        let records = bce_obs::parse_jsonl(&text).unwrap();
+        run(&format!(
+            "trace scenario1 --days 0.1 --kind rpc_reply --jsonl {}",
+            replies.to_str().unwrap()
+        ))
+        .unwrap();
+
+        // The file is exactly the in-process run's trace, written once.
+        let emu = EmulatorConfig {
+            duration: SimDuration::from_days(0.1),
+            trace_capacity: 1_000_000,
+            faults: FaultConfig::OFF,
+            ..Default::default()
+        };
+        let scenario = load_source("scenario1").unwrap().scenario;
+        let result = Emulator::new(scenario, ClientConfig::default(), emu).run();
+        let records = result.trace.records();
         assert!(!records.is_empty());
-        assert!(text.lines().all(|l| l.starts_with("{\"seq\":")));
+        assert_eq!(std::fs::read_to_string(&all).unwrap(), to_jsonl(records));
+
+        let text = std::fs::read_to_string(&replies).unwrap();
+        let n = records.iter().filter(|r| r.event.kind() == "rpc_reply").count();
+        assert!(n > 0);
+        assert_eq!(text.lines().count(), n);
+        for line in text.lines() {
+            let v = bce_statefile::parse_json(line).unwrap();
+            assert_eq!(v.get("kind").and_then(|k| k.as_str()), Some("rpc_reply"), "{line}");
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   endpoint is built on it.
 //! * `spans` — a [`Profiler`] of wall-clock spans feeding perfbench's
 //!   traced per-layer table.
-//! * [`export`] — JSONL serialization of traces and the matching parser
-//!   (`bce trace` and the CI schema smoke test are built on it).
+//! * `export` — JSONL serialization of traces ([`to_jsonl`]); `bce trace
+//!   --jsonl` and the daemon's `/trace` write it, and nothing in the
+//!   program reads it back.
 //!
 //! Design rules (see DESIGN.md §Instrumentation):
 //!
@@ -25,12 +26,12 @@
 //!    snapshots are pure functions of the run; wall-clock time lives
 //!    only in profiler spans, which are reported out-of-band.
 
-pub mod export;
+pub(crate) mod export;
 pub(crate) mod metrics;
 pub(crate) mod spans;
 pub(crate) mod trace;
 
-pub use export::{parse_jsonl, record_to_json, to_jsonl, TraceParseError};
+pub use export::{record_to_json, to_jsonl};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use spans::{ProfileReport, Profiler, SpanId, SpanReport};
 pub use trace::{TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer};

@@ -4,7 +4,7 @@
 //! fault layer) made — which tasks were started or preempted, what an RPC
 //! returned, why work fetch stayed idle. Events are plain data: no string
 //! is formatted at emission time. Rendering happens only at export time
-//! ([`crate::export`]) or when a human reads the decision log (the
+//! ([`crate::to_jsonl`]) or when a human reads the decision log (the
 //! `Display` impl of [`TraceRecord`]). The trace is the emulator's only
 //! record of its decisions, the paper's "message log" (§4.3).
 //!
@@ -27,7 +27,7 @@ use bce_types::{JobId, ProjectId, SimTime};
 use std::fmt;
 
 /// One typed decision record. Field names double as the JSONL schema (see
-/// [`crate::export`]); variants carry ids and numbers, never strings.
+/// [`crate::to_jsonl`]); variants carry ids and numbers, never strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// The job scheduler changed the running set.

@@ -111,7 +111,7 @@ impl PopulationSampler {
         let rng = &mut self.rng;
 
         // Hardware.
-        let cores = [1u32, 2, 4, 8][rng.pick_weighted(&m.core_count_weights)];
+        let cores = [1u32, 2, 4, 8][rng.pick_weighted(m.core_count_weights.iter().copied())];
         let core_flops =
             LogNormal::from_median(m.core_flops_median, m.core_flops_sigma).sample(rng);
         let mut hw =

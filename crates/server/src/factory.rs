@@ -68,13 +68,11 @@ impl JobFactory {
         apps: &[AppClass],
         pred: impl Fn(&AppClass) -> bool,
     ) -> Option<usize> {
-        let candidates: Vec<usize> =
-            (0..apps.len()).filter(|&i| pred(&apps[i]) && apps[i].weight > 0.0).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let weights: Vec<f64> = candidates.iter().map(|&i| apps[i].weight).collect();
-        Some(candidates[self.rng.pick_weighted(&weights)])
+        let candidates = apps.iter().enumerate().filter(|(_, a)| pred(a) && a.weight > 0.0);
+        // No candidate means no pick and no draw from the RNG stream.
+        candidates.clone().next()?;
+        let k = self.rng.pick_weighted(candidates.clone().map(|(_, a)| a.weight));
+        candidates.map(|(i, _)| i).nth(k)
     }
 }
 

@@ -116,18 +116,22 @@ impl Rng {
         self.uniform() < p
     }
 
-    /// Pick an index from non-negative weights (sum > 0).
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    /// Pick a position from non-negative weights (sum > 0). The weights
+    /// are walked twice, once to sum them and once to pick, so callers can
+    /// pass a filtered view without collecting it.
+    pub fn pick_weighted(&mut self, weights: impl Iterator<Item = f64> + Clone) -> usize {
+        let total: f64 = weights.clone().sum();
         debug_assert!(total > 0.0, "pick_weighted needs positive total weight");
         let mut x = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
             x -= w;
             if x < 0.0 {
                 return i;
             }
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 }
 
@@ -187,7 +191,7 @@ mod tests {
         let w = [1.0, 0.0, 3.0];
         let mut counts = [0usize; 3];
         for _ in 0..40_000 {
-            counts[r.pick_weighted(&w)] += 1;
+            counts[r.pick_weighted(w.iter().copied())] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;

@@ -62,7 +62,7 @@ proptest! {
         prop_assume!(weights.iter().sum::<f64>() > 0.0);
         let mut rng = Rng::from_seed(seed);
         for _ in 0..50 {
-            let i = rng.pick_weighted(&weights);
+            let i = rng.pick_weighted(weights.iter().copied());
             prop_assert!(i < weights.len());
             prop_assert!(weights[i] > 0.0, "picked zero-weight index {i}");
         }
