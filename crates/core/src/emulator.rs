@@ -8,20 +8,18 @@
 //! Structure: a discrete-event loop with piecewise-constant allocation.
 //! Between events the running set is fixed, so task progress and metrics
 //! accrue in closed form. Events: periodic scheduling points, availability
-//! transitions, predicted task/transfer completions (generation-stamped so
-//! stale predictions are ignored), and fetch-retry wakeups.
+//! transitions, and wakeups at predicted task/transfer completions and
+//! fetch retries (generation-stamped so stale predictions are ignored).
 
 use crate::metrics::{FaultMetrics, FiguresOfMerit, MetricsAccum, PerfStats, ProjectReport};
 use crate::scenario::Scenario;
-use bce_avail::{Governor, HostRunState};
+use bce_avail::HostRunState;
 use bce_client::{Client, ClientConfig, ClientProject, ClientScratch, Reschedule};
 use bce_faults::{CrashProcess, FaultConfig, RpcFaultInjector, TransferFaultModel};
-use bce_obs::{
-    ProfileReport, Profiler, SpanId, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
-};
+use bce_obs::{ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink};
 use bce_server::{DeadlineCheckPolicy, ProjectServer, RpcOutcome, SchedulerRequest, TypeRequest};
 use bce_sim::{EventQueue, Fnv64, Occupancy, Rng, Timeline};
-use bce_types::{Hardware, InstanceId, JobId, ProcType, ProjectId, SimDuration, SimTime};
+use bce_types::{InstanceId, JobId, ProcType, ProjectId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -83,13 +81,12 @@ impl Default for EmulatorConfig {
 enum Event {
     /// Periodic scheduling point.
     SchedPoint,
-    /// Predicted client event (task or transfer completion); stale when
-    /// its generation is outdated.
-    Client { generation: u64 },
+    /// A predicted client event (task or transfer completion) or the
+    /// expiry of a project backoff/delay that may unblock work fetch;
+    /// stale when its generation is outdated.
+    Wake { generation: u64 },
     /// Availability signal may change here.
     AvailChange,
-    /// A project backoff/delay expires; work fetch may unblock.
-    FetchRetry { generation: u64 },
     /// Injected host crash (only scheduled when a crash process is
     /// configured).
     Crash,
@@ -298,33 +295,28 @@ impl Emulator {
     /// worker so the event queue, RR scratch, task buffers and trace
     /// buffer are allocated once per worker rather than once per run.
     ///
-    /// Panics if the scenario fails [`Scenario::validate`].
-    pub fn run_in(&self, arena: &mut EmulatorArena) -> EmulationResult {
-        let mut st = self.start_in(arena);
-        while st.step(self) {}
-        st.finalize(self, arena)
-    }
-
-    /// Construct the live [`RunState`] of a fresh run: every component is
-    /// built on its own named RNG stream in a fixed order, the event
-    /// queue is seeded, and the reusable buffers are taken out of the
-    /// arena ([`RunState::finalize`] hands them back).
+    /// The whole run is this one function: every component is built on
+    /// its own named RNG stream in a fixed order, one event loop runs
+    /// from t = 0 to the horizon, and the result is read off the
+    /// components. The loop works on the arena's event queue and
+    /// per-project buffer in place; the client scratch and the trace's
+    /// record vector move into the `Client` and `TraceBuffer` that own
+    /// them during the run, and only the client scratch moves back.
     ///
-    /// The validation runs in every build profile: the emulator has no
+    /// Panics if the scenario fails [`Scenario::validate`]. The
+    /// validation runs in every build profile: the emulator has no
     /// defined behaviour for an invalid scenario, and a run that silently
     /// completes with nothing to do would hide the bad input from
     /// supervised executors.
-    fn start_in(&self, arena: &mut EmulatorArena) -> RunState {
+    pub fn run_in(&self, arena: &mut EmulatorArena) -> EmulationResult {
         let scenario = &*self.scenario;
+        let cfg = &*self.cfg;
         if let Err(errors) = scenario.validate() {
             panic!("invalid scenario {:?}: {errors}", scenario.name);
         }
-        let mut queue = std::mem::replace(&mut arena.queue, EventQueue::with_capacity(0));
-        let client_scratch = arena.client.take();
-        let mut per_project = std::mem::take(&mut arena.per_project);
-        let trace_records = std::mem::take(&mut arena.trace_records);
+        let EmulatorArena { queue, client: client_scratch, per_project, trace_records } = arena;
         let hw = scenario.hardware.clone();
-        let end = SimTime::ZERO + self.cfg.duration;
+        let end = SimTime::ZERO + cfg.duration;
 
         // --- Component construction, each with its own RNG stream. ---
         let mut avail_rng = Rng::stream(scenario.seed, "avail");
@@ -340,7 +332,7 @@ impl Emulator {
             .enumerate()
             .map(|(slot, p)| {
                 let mut rng = Rng::stream(scenario.seed, &format!("server-{}", p.id));
-                ProjectServer::new(p.clone(), slot, self.cfg.deadline_check, &mut rng)
+                ProjectServer::new(p.clone(), slot, cfg.deadline_check, &mut rng)
             })
             .collect();
 
@@ -358,15 +350,15 @@ impl Emulator {
             scenario.network,
             client_projects,
             self.client_cfg,
-            client_scratch.unwrap_or_default(),
+            client_scratch.take().unwrap_or_default(),
         );
 
         // Fault processes, each on its own RNG stream. None is created (or
         // drawn from) when its rate is zero, preserving the zero-fault
         // identity: with `FaultConfig::OFF` this whole block is inert.
-        let faults = &self.cfg.faults;
+        let faults = &cfg.faults;
         let project_ids: Vec<ProjectId> = scenario.projects.iter().map(|p| p.id).collect();
-        let rpc_faults: Option<RpcFaultInjector> = (faults.rpc_fail_prob > 0.0)
+        let mut rpc_faults: Option<RpcFaultInjector> = (faults.rpc_fail_prob > 0.0)
             .then(|| RpcFaultInjector::new(scenario.seed, faults.rpc_fail_prob, &project_ids));
         if faults.transfer_fail_prob > 0.0 {
             client.set_transfer_faults(TransferFaultModel::new(
@@ -376,7 +368,7 @@ impl Emulator {
         }
         let mut crash_proc: Option<CrashProcess> =
             faults.crash_mtbf.map(|mtbf| CrashProcess::new(scenario.seed, mtbf));
-        let recoveries: Vec<RecoveryTracker> = Vec::new();
+        let mut recoveries: Vec<RecoveryTracker> = Vec::new();
 
         // Restore imported in-flight jobs (state-file replay, §4.3).
         for ij in &scenario.initial_queue {
@@ -394,18 +386,22 @@ impl Emulator {
             scenario.projects.iter().map(|p| (p.id, p.resource_share)).collect();
         // Its slots are the client accounting's: both index the ascending
         // list of the scenario's project ids.
-        let metrics =
+        let mut metrics =
             MetricsAccum::new(hw.total_peak_flops(), &project_ids, SimTime::ZERO, MONOTONY_WINDOW);
-        let trace = if self.cfg.trace_capacity > 0 {
-            TraceSink::Buffer(TraceBuffer::with_buffer(self.cfg.trace_capacity, trace_records))
+        // The run's decision log; every decision is emitted here.
+        let mut trace = if cfg.trace_capacity > 0 {
+            TraceSink::Buffer(TraceBuffer::with_buffer(
+                cfg.trace_capacity,
+                std::mem::take(trace_records),
+            ))
         } else {
             TraceSink::Noop
         };
-        let mut prof = if self.cfg.profile { Profiler::enabled() } else { Profiler::disabled() };
+        let mut prof = if cfg.profile { Profiler::enabled() } else { Profiler::disabled() };
         let sp_advance = prof.span("emu.client_advance");
         let sp_resched = prof.span("emu.reschedule");
         let sp_rpc = prof.span("emu.rpc_loop");
-        let run_start = self.cfg.profile.then(Instant::now);
+        let run_start = cfg.profile.then(Instant::now);
 
         // Timeline instance bookkeeping.
         let instances: Vec<InstanceId> = ProcType::ALL
@@ -414,9 +410,9 @@ impl Emulator {
                 (0..hw.ninstances(t)).map(move |i| InstanceId { proc_type: t, index: i })
             })
             .collect();
-        let timeline = self.cfg.record_timeline.then(|| Timeline::new(instances.iter().copied()));
+        let mut timeline = cfg.record_timeline.then(|| Timeline::new(instances.iter().copied()));
         // job -> assigned instances (for the timeline only).
-        let assignment: BTreeMap<JobId, Vec<InstanceId>> = BTreeMap::new();
+        let mut assignment: BTreeMap<JobId, Vec<InstanceId>> = BTreeMap::new();
 
         // --- Event loop (queue recycled from the arena, emptied with its
         // tie-break sequence restarted so reuse is bit-identical). ---
@@ -430,460 +426,351 @@ impl Emulator {
             }
         }
         governor.advance(SimTime::ZERO);
-        let run_state = governor.run_state(SimTime::ZERO, &scenario.prefs);
-        let peak_jobs = client.tasks().len();
+        let mut run_state = governor.run_state(SimTime::ZERO, &scenario.prefs);
+        let mut peak_jobs = client.tasks().len();
+        // Peak FLOPS in use per project slot, as of client running-set
+        // generation `per_project_gen`.
         per_project.clear();
+        let mut per_project_gen: Option<u64> = None;
+        let mut generation: u64 = 0;
+        let mut now = SimTime::ZERO;
+        let mut events_processed: u64 = 0;
+        // Availability transitions absorbed into an earlier event by the
+        // coalescing window (`AVAIL_COALESCE_WINDOW`).
+        let mut flaps_coalesced: u64 = 0;
+        // Availability events whose net run-state delta was zero, so the
+        // reschedule/fetch pass was skipped entirely.
+        let mut avail_resched_skipped: u64 = 0;
 
-        RunState {
-            hw,
-            end,
-            on_frac,
-            shares,
-            instances,
-            governor,
-            servers,
-            client,
-            rpc_faults,
-            crash_proc,
-            recoveries,
-            metrics,
-            trace,
-            prof,
-            sp_advance,
-            sp_resched,
-            sp_rpc,
-            run_start,
-            timeline,
-            assignment,
-            queue,
-            per_project,
-            per_project_gen: None,
-            generation: 0,
-            now: SimTime::ZERO,
-            run_state,
-            events_processed: 0,
-            peak_jobs,
-            flaps_coalesced: 0,
-            avail_resched_skipped: 0,
-        }
-    }
-}
-
-/// The live state of one emulation run between event-loop iterations:
-/// every component, RNG stream, buffer and counter the loop mutates.
-/// [`Emulator::start_in`] builds one, [`RunState::step`] executes one
-/// queue pop (one full loop iteration), [`RunState::finalize`] produces
-/// the result and returns the reusable buffers to the arena.
-struct RunState {
-    // Constants resolved at construction.
-    hw: Hardware,
-    end: SimTime,
-    on_frac: f64,
-    shares: Vec<(ProjectId, f64)>,
-    instances: Vec<InstanceId>,
-    // Live components.
-    governor: Governor,
-    servers: Vec<ProjectServer>,
-    client: Client,
-    rpc_faults: Option<RpcFaultInjector>,
-    crash_proc: Option<CrashProcess>,
-    recoveries: Vec<RecoveryTracker>,
-    metrics: MetricsAccum,
-    /// The run's decision log; every decision is emitted here.
-    trace: TraceSink,
-    prof: Profiler,
-    sp_advance: SpanId,
-    sp_resched: SpanId,
-    sp_rpc: SpanId,
-    run_start: Option<Instant>,
-    timeline: Option<Timeline>,
-    assignment: BTreeMap<JobId, Vec<InstanceId>>,
-    queue: EventQueue<Event>,
-    /// Peak FLOPS in use per project slot, as of client running-set
-    /// generation `per_project_gen`.
-    per_project: Vec<(usize, f64)>,
-    per_project_gen: Option<u64>,
-    // Loop scalars.
-    generation: u64,
-    now: SimTime,
-    run_state: HostRunState,
-    events_processed: u64,
-    peak_jobs: usize,
-    /// Availability transitions absorbed into an earlier event by the
-    /// coalescing window ([`AVAIL_COALESCE_WINDOW`]).
-    flaps_coalesced: u64,
-    /// Availability events whose net run-state delta was zero, so the
-    /// reschedule/fetch pass was skipped entirely.
-    avail_resched_skipped: u64,
-}
-
-impl RunState {
-    /// Execute one event-loop iteration (one queue pop). Returns `false`
-    /// when the run is over — queue drained or the horizon reached — and
-    /// must not be called again after that.
-    fn step(&mut self, emu: &Emulator) -> bool {
-        let scenario = &*emu.scenario;
-        let cfg = &*emu.cfg;
-        let RunState {
-            hw,
-            end,
-            on_frac,
-            instances,
-            governor,
-            servers,
-            client,
-            rpc_faults,
-            crash_proc,
-            recoveries,
-            metrics,
-            trace,
-            prof,
-            sp_advance,
-            sp_resched,
-            sp_rpc,
-            timeline,
-            assignment,
-            queue,
-            per_project,
-            per_project_gen,
-            generation,
-            now,
-            run_state,
-            events_processed,
-            peak_jobs,
-            flaps_coalesced,
-            avail_resched_skipped,
-            ..
-        } = self;
-        let end = *end;
-        let on_frac = *on_frac;
-        let (sp_advance, sp_resched, sp_rpc) = (*sp_advance, *sp_resched, *sp_rpc);
-
-        let Some((t_ev, event)) = queue.pop() else {
-            return false;
-        };
-        *events_processed += 1;
-        let t = t_ev.min(end);
-        // 1. Account the elapsed interval under the constant allocation.
-        if t > *now {
-            // Per-project FLOPS change only with the running set.
-            if *per_project_gen != Some(client.run_gen()) {
-                client.flops_in_use_by_slot_into(per_project);
-                *per_project_gen = Some(client.run_gen());
-            }
-            #[cfg(debug_assertions)]
-            {
-                let mut fresh = Vec::new();
-                client.flops_in_use_by_slot_into(&mut fresh);
-                let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
-                    v.iter().map(|&(s, f)| (s, f.to_bits())).collect()
-                };
-                assert_eq!(
-                    bits(&fresh),
-                    bits(per_project),
-                    "stale per-project FLOPS: a running-set change did not bump run_gen"
-                );
-            }
-            metrics.advance(*now, t, per_project, run_state.can_compute);
-            if let Some(tl) = timeline {
-                record_timeline(tl, client, assignment, *now, t, *run_state, instances);
-            }
-        }
-        let events = prof.time(sp_advance, || client.advance(t, *run_state));
-        *now = t;
-        let now = t;
-
-        // 2. Report uploaded jobs to their servers and retire them.
-        // Whether a result counts is the *server's* verdict: under the
-        // default strict deadline check this equals the client-side
-        // deadline test; grace/none policies are more forgiving.
-        for id in &events.uploaded {
-            let task = client.retire(*id).expect("uploaded task exists");
-            let project = task.spec.project;
-            let met = match servers.iter_mut().find(|s| s.id() == project) {
-                Some(server) => {
-                    server.check_deadlines(now);
-                    server.report_completed(now, *id)
+        // One iteration per queue pop; the run ends when the queue drains
+        // or the horizon is reached.
+        while let Some((t_ev, event)) = queue.pop() {
+            events_processed += 1;
+            let t = t_ev.min(end);
+            // 1. Account the elapsed interval under the constant allocation.
+            if t > now {
+                // Per-project FLOPS change only with the running set.
+                if per_project_gen != Some(client.run_gen()) {
+                    client.flops_in_use_by_slot_into(per_project);
+                    per_project_gen = Some(client.run_gen());
                 }
-                None => false,
-            };
-            let peak_flops = task.spec.usage.peak_flops_on(&*hw);
-            metrics.record_job_done(
-                met,
-                if met { 0.0 } else { task.spec.duration.secs() * peak_flops },
-            );
-            if task.rollback_waste > 0.0 {
-                metrics.record_rollback_waste(task.rollback_waste * peak_flops);
-            }
-            trace.emit(now, || TraceEvent::JobFinished { job: *id, project, met_deadline: met });
-            assignment.remove(id);
-        }
-
-        // Fault bookkeeping: failed transfer attempts, jobs that
-        // exhausted their retry budget, and crash-recovery progress.
-        for &(job, upload) in &events.failed_transfers {
-            metrics.record_transfer_failure();
-            trace.emit(now, || TraceEvent::TransferFailed { job, upload });
-        }
-        for id in &events.errored {
-            let task = client.retire(*id).expect("errored task exists");
-            let project = task.spec.project;
-            if let Some(server) = servers.iter_mut().find(|s| s.id() == project) {
-                server.report_errored(*id);
-            }
-            metrics.record_job_errored(task.progress() * task.spec.usage.peak_flops_on(&*hw));
-            trace.emit(now, || TraceEvent::JobErrored { job: *id, project });
-            assignment.remove(id);
-        }
-        if !recoveries.is_empty() {
-            recoveries.retain_mut(|r| {
-                r.targets.retain(|&(id, target)| match client.task(id) {
-                    // Still recovering only while the task is live,
-                    // healthy, and below its pre-crash progress.
-                    Some(t) => !t.is_errored() && t.progress() + 1e-9 < target,
-                    None => false,
-                });
-                if r.targets.is_empty() {
-                    let secs = (now - r.start).secs();
-                    metrics.record_recovery(secs);
-                    trace.emit(now, || TraceEvent::Recovered { secs });
-                    false
-                } else {
-                    true
+                #[cfg(debug_assertions)]
+                {
+                    let mut fresh = Vec::new();
+                    client.flops_in_use_by_slot_into(&mut fresh);
+                    let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                        v.iter().map(|&(s, f)| (s, f.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&fresh),
+                        bits(per_project),
+                        "stale per-project FLOPS: a running-set change did not bump run_gen"
+                    );
                 }
-            });
-        }
-
-        if now >= end {
-            return false;
-        }
-
-        // 3. Interpret the event.
-        let mut need_sched = !events.computed.is_empty() || !events.ready.is_empty();
-        match event {
-            Event::SchedPoint => {
-                need_sched = true;
-                queue.push(now + cfg.sched_period, Event::SchedPoint);
-            }
-            Event::Client { generation: g } => {
-                if g == *generation {
-                    need_sched = true;
+                metrics.advance(now, t, per_project, run_state.can_compute);
+                if let Some(tl) = &mut timeline {
+                    record_timeline(tl, &client, &assignment, now, t, run_state, &instances);
                 }
             }
-            Event::AvailChange => {
-                governor.advance(now);
-                // Flap coalescing: absorb every further transition inside
-                // the window into this event and evaluate the run state
-                // once, after all of them. A host that flaps on/off n
-                // times within the window costs one state evaluation
-                // instead of n reschedule passes; a flap with zero net
-                // delta then falls through to the skip branch below. The
-                // cursor (not `now`) must drive the scan: recorded traces
-                // and preference-window boundaries are pure functions of
-                // the query time that `advance` does not consume, so
-                // re-querying from a fixed `now` would never terminate.
-                // With nothing to coalesce the cursor stays at `now` and
-                // this arm is bit-identical to the uncoalesced path.
-                let horizon = now + AVAIL_COALESCE_WINDOW;
-                let mut cursor = now;
-                loop {
-                    let t_next = governor.next_change_after(cursor, &scenario.prefs);
-                    if !(t_next.is_finite() && t_next <= horizon && t_next < end) {
-                        break;
+            let events = prof.time(sp_advance, || client.advance(t, run_state));
+            now = t;
+
+            // 2. Report uploaded jobs to their servers and retire them.
+            // Whether a result counts is the *server's* verdict: under the
+            // default strict deadline check this equals the client-side
+            // deadline test; grace/none policies are more forgiving.
+            for id in &events.uploaded {
+                let task = client.retire(*id).expect("uploaded task exists");
+                let project = task.spec.project;
+                let met = match servers.iter_mut().find(|s| s.id() == project) {
+                    Some(server) => {
+                        server.check_deadlines(now);
+                        server.report_completed(now, *id)
                     }
-                    governor.advance(t_next);
-                    cursor = t_next;
-                    *flaps_coalesced += 1;
+                    None => false,
+                };
+                let peak_flops = task.spec.usage.peak_flops_on(&hw);
+                metrics.record_job_done(
+                    met,
+                    if met { 0.0 } else { task.spec.duration.secs() * peak_flops },
+                );
+                if task.rollback_waste > 0.0 {
+                    metrics.record_rollback_waste(task.rollback_waste * peak_flops);
                 }
-                let new_state = governor.run_state(cursor, &scenario.prefs);
-                if new_state != *run_state {
-                    trace.emit(now, || TraceEvent::AvailChanged {
-                        can_compute: new_state.can_compute,
-                        can_gpu: new_state.can_gpu,
-                        net_up: new_state.net_up,
-                    });
-                    *run_state = new_state;
-                    need_sched = true;
-                } else {
-                    *avail_resched_skipped += 1;
-                }
-                // Requeue from the cursor, not `now`: transitions the scan
-                // absorbed are already reflected in the state above, and
-                // re-firing on them would undo the coalescing for pure
-                // trace sources.
-                let next = governor.next_change_after(cursor, &scenario.prefs);
-                if next.is_finite() && next < end {
-                    queue.push(next, Event::AvailChange);
-                }
-            }
-            Event::FetchRetry { generation: g } => {
-                if g == *generation {
-                    need_sched = true;
-                }
-            }
-            Event::Crash => {
-                let outcome = client.crash(now);
-                let lost_flops: f64 =
-                    outcome.lost.iter().map(|&(id, secs)| secs * client.peak_flops_of(id)).sum();
-                metrics.record_crash(lost_flops);
-                trace.emit(now, || TraceEvent::Crashed {
-                    tasks_rolled_back: outcome.lost.len() as u64,
-                    exec_secs_lost: outcome.lost.iter().map(|&(_, s)| s).sum::<f64>(),
-                    transfers_restarted: outcome.restarted_transfers as u64,
+                trace.emit(now, || TraceEvent::JobFinished {
+                    job: *id,
+                    project,
+                    met_deadline: met,
                 });
-                if !outcome.lost.is_empty() {
-                    // Recovery target: the progress each task had at
-                    // the instant of the crash (post-rollback progress
-                    // plus what the crash destroyed).
-                    let targets = outcome
+                assignment.remove(id);
+            }
+
+            // Fault bookkeeping: failed transfer attempts, jobs that
+            // exhausted their retry budget, and crash-recovery progress.
+            for &(job, upload) in &events.failed_transfers {
+                metrics.record_transfer_failure();
+                trace.emit(now, || TraceEvent::TransferFailed { job, upload });
+            }
+            for id in &events.errored {
+                let task = client.retire(*id).expect("errored task exists");
+                let project = task.spec.project;
+                if let Some(server) = servers.iter_mut().find(|s| s.id() == project) {
+                    server.report_errored(*id);
+                }
+                metrics.record_job_errored(task.progress() * task.spec.usage.peak_flops_on(&hw));
+                trace.emit(now, || TraceEvent::JobErrored { job: *id, project });
+                assignment.remove(id);
+            }
+            if !recoveries.is_empty() {
+                recoveries.retain_mut(|r| {
+                    r.targets.retain(|&(id, target)| match client.task(id) {
+                        // Still recovering only while the task is live,
+                        // healthy, and below its pre-crash progress.
+                        Some(t) => !t.is_errored() && t.progress() + 1e-9 < target,
+                        None => false,
+                    });
+                    if r.targets.is_empty() {
+                        let secs = (now - r.start).secs();
+                        metrics.record_recovery(secs);
+                        trace.emit(now, || TraceEvent::Recovered { secs });
+                        false
+                    } else {
+                        true
+                    }
+                });
+            }
+
+            if now >= end {
+                break;
+            }
+
+            // 3. Interpret the event.
+            let mut need_sched = !events.computed.is_empty() || !events.ready.is_empty();
+            match event {
+                Event::SchedPoint => {
+                    need_sched = true;
+                    queue.push(now + cfg.sched_period, Event::SchedPoint);
+                }
+                Event::Wake { generation: g } => {
+                    if g == generation {
+                        need_sched = true;
+                    }
+                }
+                Event::AvailChange => {
+                    governor.advance(now);
+                    // Flap coalescing: absorb every further transition
+                    // inside the window into this event and evaluate the
+                    // run state once, after all of them. A host that flaps
+                    // on/off n times within the window costs one state
+                    // evaluation instead of n reschedule passes; a flap
+                    // with zero net delta then falls through to the skip
+                    // branch below. The cursor (not `now`) must drive the
+                    // scan: recorded traces and preference-window
+                    // boundaries are pure functions of the query time that
+                    // `advance` does not consume, so re-querying from a
+                    // fixed `now` would never terminate. With nothing to
+                    // coalesce the cursor stays at `now` and this arm is
+                    // bit-identical to the uncoalesced path.
+                    let horizon = now + AVAIL_COALESCE_WINDOW;
+                    let mut cursor = now;
+                    loop {
+                        let t_next = governor.next_change_after(cursor, &scenario.prefs);
+                        if !(t_next.is_finite() && t_next <= horizon && t_next < end) {
+                            break;
+                        }
+                        governor.advance(t_next);
+                        cursor = t_next;
+                        flaps_coalesced += 1;
+                    }
+                    let new_state = governor.run_state(cursor, &scenario.prefs);
+                    if new_state != run_state {
+                        trace.emit(now, || TraceEvent::AvailChanged {
+                            can_compute: new_state.can_compute,
+                            can_gpu: new_state.can_gpu,
+                            net_up: new_state.net_up,
+                        });
+                        run_state = new_state;
+                        need_sched = true;
+                    } else {
+                        avail_resched_skipped += 1;
+                    }
+                    // Requeue from the cursor, not `now`: transitions the
+                    // scan absorbed are already reflected in the state
+                    // above, and re-firing on them would undo the
+                    // coalescing for pure trace sources.
+                    let next = governor.next_change_after(cursor, &scenario.prefs);
+                    if next.is_finite() && next < end {
+                        queue.push(next, Event::AvailChange);
+                    }
+                }
+                Event::Crash => {
+                    let outcome = client.crash(now);
+                    let lost_flops: f64 = outcome
                         .lost
                         .iter()
-                        .map(|&(id, lost)| {
-                            let p = client.task(id).map(|t| t.progress()).unwrap_or(0.0);
-                            (id, p + lost)
-                        })
-                        .collect();
-                    recoveries.push(RecoveryTracker { start: now, targets });
-                }
-                need_sched = true;
-                if let Some(cp) = crash_proc {
-                    let next = cp.next_after(now);
-                    if next < end {
-                        queue.push(next, Event::Crash);
+                        .map(|&(id, secs)| secs * client.peak_flops_of(id))
+                        .sum();
+                    metrics.record_crash(lost_flops);
+                    trace.emit(now, || TraceEvent::Crashed {
+                        tasks_rolled_back: outcome.lost.len() as u64,
+                        exec_secs_lost: outcome.lost.iter().map(|&(_, s)| s).sum::<f64>(),
+                        transfers_restarted: outcome.restarted_transfers as u64,
+                    });
+                    if !outcome.lost.is_empty() {
+                        // Recovery target: the progress each task had at
+                        // the instant of the crash (post-rollback progress
+                        // plus what the crash destroyed).
+                        let targets = outcome
+                            .lost
+                            .iter()
+                            .map(|&(id, lost)| {
+                                let p = client.task(id).map(|t| t.progress()).unwrap_or(0.0);
+                                (id, p + lost)
+                            })
+                            .collect();
+                        recoveries.push(RecoveryTracker { start: now, targets });
                     }
-                }
-            }
-        }
-
-        if !need_sched {
-            return true;
-        }
-        *generation += 1;
-
-        // 4. Reschedule and run the fetch loop. The first fetch
-        //    decision reuses the snapshot the reschedule was based on
-        //    (as the pre-cache code did); later iterations refresh it,
-        //    which re-runs the simulation only after an RPC actually
-        //    changed the queue.
-        let resched = prof.time(sp_resched, || client.reschedule(now, *run_state, on_frac));
-        emit_scheduled(trace, now, &resched);
-        let mut fetched_any = false;
-        let mut first_rpc = true;
-        prof.time(sp_rpc, || {
-            for _ in 0..MAX_RPCS_PER_POINT {
-                if !first_rpc {
-                    client.rr_refresh(now, *run_state, on_frac);
-                }
-                first_rpc = false;
-                let Some(decision) = client.fetch_decision(now, *run_state, client.rr_snapshot())
-                else {
-                    // Forensics: the queue wanted work (some type shows
-                    // a shortfall) but no project was eligible. A
-                    // disabled sink skips even the check.
-                    if trace.is_enabled() && run_state.net_up {
-                        let rr = client.rr_snapshot();
-                        let wants = ProcType::ALL.iter().any(|&pt| rr.shortfall[pt] > 1.0);
-                        if wants {
-                            if let Some((p, until)) = client.next_fetch_unblock_detail(now) {
-                                trace.emit(now, || TraceEvent::FetchDeferred { project: p, until });
-                            }
+                    need_sched = true;
+                    if let Some(cp) = &mut crash_proc {
+                        let next = cp.next_after(now);
+                        if next < end {
+                            queue.push(next, Event::Crash);
                         }
                     }
-                    break;
-                };
-                let project = decision.project;
-                let mut request = SchedulerRequest::default();
-                for pt in ProcType::ALL {
-                    request.per_type[pt] = TypeRequest {
-                        secs: decision.request.secs[pt],
-                        instances: decision.request.instances[pt],
+                }
+            }
+
+            if !need_sched {
+                continue;
+            }
+            generation += 1;
+
+            // 4. Reschedule and run the fetch loop. The first fetch
+            //    decision reuses the snapshot the reschedule was based on
+            //    (as the pre-cache code did); later iterations refresh it,
+            //    which re-runs the simulation only after an RPC actually
+            //    changed the queue.
+            let resched = prof.time(sp_resched, || client.reschedule(now, run_state, on_frac));
+            emit_scheduled(&mut trace, now, &resched);
+            let mut fetched_any = false;
+            let mut first_rpc = true;
+            prof.time(sp_rpc, || {
+                for _ in 0..MAX_RPCS_PER_POINT {
+                    if !first_rpc {
+                        client.rr_refresh(now, run_state, on_frac);
+                    }
+                    first_rpc = false;
+                    let Some(decision) =
+                        client.fetch_decision(now, run_state, client.rr_snapshot())
+                    else {
+                        // Forensics: the queue wanted work (some type
+                        // shows a shortfall) but no project was eligible.
+                        // A disabled sink skips even the check.
+                        if trace.is_enabled() && run_state.net_up {
+                            let rr = client.rr_snapshot();
+                            let wants = ProcType::ALL.iter().any(|&pt| rr.shortfall[pt] > 1.0);
+                            if wants {
+                                if let Some((p, until)) = client.next_fetch_unblock_detail(now) {
+                                    trace.emit(now, || TraceEvent::FetchDeferred {
+                                        project: p,
+                                        until,
+                                    });
+                                }
+                            }
+                        }
+                        break;
                     };
+                    let project = decision.project;
+                    let mut request = SchedulerRequest::default();
+                    for pt in ProcType::ALL {
+                        request.per_type[pt] = TypeRequest {
+                            secs: decision.request.secs[pt],
+                            instances: decision.request.instances[pt],
+                        };
+                    }
+                    let server = servers
+                        .iter_mut()
+                        .find(|s| s.id() == project)
+                        .expect("fetch decision for unknown project");
+                    server.check_deadlines(now);
+                    metrics.record_rpc();
+                    // Transient-fault injection: a lost request never
+                    // reaches the server (its state is untouched). With no
+                    // injector this is exactly the seed path.
+                    let lost_in_transit =
+                        rpc_faults.as_mut().is_some_and(|inj| inj.rpc_fails(project));
+                    let outcome = if lost_in_transit {
+                        RpcOutcome::TransientFailure
+                    } else {
+                        server.handle_rpc(now, &request)
+                    };
+                    match outcome {
+                        RpcOutcome::Reply(reply) => {
+                            trace.emit(now, || TraceEvent::RpcReply {
+                                project,
+                                cpu_secs: request.per_type[ProcType::Cpu].secs,
+                                gpu_secs: request.per_type[ProcType::NvidiaGpu].secs
+                                    + request.per_type[ProcType::AtiGpu].secs,
+                                jobs: reply.jobs.len() as u64,
+                            });
+                            let got_jobs = !reply.jobs.is_empty();
+                            client.record_reply(now, project, reply.jobs, reply.delay);
+                            fetched_any |= got_jobs;
+                        }
+                        RpcOutcome::Down => {
+                            trace.emit(now, || TraceEvent::RpcDown { project });
+                            client.record_rpc_failure(now, project);
+                        }
+                        RpcOutcome::TransientFailure => {
+                            trace.emit(now, || TraceEvent::RpcLost { project });
+                            let jitter_u =
+                                rpc_faults.as_mut().map_or(0.0, |inj| inj.jitter_u(project));
+                            client.record_transient_rpc_failure(now, project, jitter_u);
+                            metrics.record_transient_rpc_failure();
+                        }
+                    }
                 }
-                let server = servers
-                    .iter_mut()
-                    .find(|s| s.id() == project)
-                    .expect("fetch decision for unknown project");
-                server.check_deadlines(now);
-                metrics.record_rpc();
-                // Transient-fault injection: a lost request never reaches
-                // the server (its state is untouched). With no injector
-                // this is exactly the seed path.
-                let lost_in_transit = rpc_faults.as_mut().is_some_and(|inj| inj.rpc_fails(project));
-                let outcome = if lost_in_transit {
-                    RpcOutcome::TransientFailure
-                } else {
-                    server.handle_rpc(now, &request)
-                };
-                match outcome {
-                    RpcOutcome::Reply(reply) => {
-                        trace.emit(now, || TraceEvent::RpcReply {
-                            project,
-                            cpu_secs: request.per_type[ProcType::Cpu].secs,
-                            gpu_secs: request.per_type[ProcType::NvidiaGpu].secs
-                                + request.per_type[ProcType::AtiGpu].secs,
-                            jobs: reply.jobs.len() as u64,
-                        });
-                        let got_jobs = !reply.jobs.is_empty();
-                        client.record_reply(now, project, reply.jobs, reply.delay);
-                        fetched_any |= got_jobs;
-                    }
-                    RpcOutcome::Down => {
-                        trace.emit(now, || TraceEvent::RpcDown { project });
-                        client.record_rpc_failure(now, project);
-                    }
-                    RpcOutcome::TransientFailure => {
-                        trace.emit(now, || TraceEvent::RpcLost { project });
-                        let jitter_u = rpc_faults.as_mut().map_or(0.0, |inj| inj.jitter_u(project));
-                        client.record_transient_rpc_failure(now, project, jitter_u);
-                        metrics.record_transient_rpc_failure();
-                    }
+            });
+            if fetched_any {
+                let r2 = prof.time(sp_resched, || client.reschedule(now, run_state, on_frac));
+                emit_scheduled(&mut trace, now, &r2);
+            }
+            peak_jobs = peak_jobs.max(client.tasks().len());
+
+            // 5. Refresh the timeline instance assignment (only kept up to
+            //    date when a timeline is actually recorded) and schedule
+            //    the next predicted client event and fetch retry.
+            if timeline.is_some() {
+                update_assignment(&mut assignment, &client, &instances);
+            }
+            if let Some(t_next) = client.next_event_after(now) {
+                // Enforce a minimum event granularity: predicted completion
+                // times can round to `now` itself in f64 (a sub-picosecond
+                // transfer residue at t ~ 10^4 s), which would stall the
+                // clock with same-instant events. One millisecond is far
+                // below anything the policies can observe.
+                let t_next = t_next.max(now + SimDuration::from_secs(1e-3));
+                if t_next <= end {
+                    queue.push(t_next, Event::Wake { generation });
                 }
             }
-        });
-        if fetched_any {
-            let r2 = prof.time(sp_resched, || client.reschedule(now, *run_state, on_frac));
-            emit_scheduled(trace, now, &r2);
-        }
-        *peak_jobs = (*peak_jobs).max(client.tasks().len());
-
-        // 5. Refresh the timeline instance assignment (only kept up to
-        //    date when a timeline is actually recorded) and schedule
-        //    the next predicted client event.
-        if timeline.is_some() {
-            update_assignment(assignment, client, instances);
-        }
-        if let Some(t_next) = client.next_event_after(now) {
-            // Enforce a minimum event granularity: predicted completion
-            // times can round to `now` itself in f64 (a sub-picosecond
-            // transfer residue at t ~ 10^4 s), which would stall the
-            // clock with same-instant events. One millisecond is far
-            // below anything the policies can observe.
-            let t_next = t_next.max(now + SimDuration::from_secs(1e-3));
-            if t_next <= end {
-                queue.push(t_next, Event::Client { generation: *generation });
+            if let Some(t_unblock) = client.next_fetch_unblock(now) {
+                if t_unblock <= end {
+                    queue.push(t_unblock, Event::Wake { generation });
+                }
             }
         }
-        if let Some(t_unblock) = client.next_fetch_unblock(now) {
-            if t_unblock <= end {
-                queue.push(t_unblock, Event::FetchRetry { generation: *generation });
-            }
-        }
-        true
-    }
 
-    /// Produce the result and hand the reusable buffers (client scratch,
-    /// event queue, per-project scratch) back to the arena.
-    fn finalize(mut self, emu: &Emulator, arena: &mut EmulatorArena) -> EmulationResult {
-        let scenario = &*emu.scenario;
-        let merit = self.metrics.finalize(&self.shares);
-        let total_used = self.metrics.total_flops_used();
+        // --- Result. ---
+        let merit = metrics.finalize(&shares);
+        let total_used = metrics.total_flops_used();
         let projects: Vec<ProjectReport> = scenario
             .projects
             .iter()
             .map(|p| {
-                let server = self.servers.iter().find(|s| s.id() == p.id).expect("server");
+                let server = servers.iter().find(|s| s.id() == p.id).expect("server");
                 let share_sum: f64 = scenario.projects.iter().map(|q| q.resource_share).sum();
-                let flops_used = self.metrics.flops_used_by(p.id);
+                let flops_used = metrics.flops_used_by(p.id);
                 ProjectReport {
                     id: p.id,
                     name: p.name.clone(),
@@ -897,44 +784,40 @@ impl RunState {
             })
             .collect();
 
-        let rr = self.client.rr_stats();
+        let rr = client.rr_stats();
         let perf = PerfStats {
-            events_processed: self.events_processed,
-            peak_jobs: self.peak_jobs,
+            events_processed,
+            peak_jobs,
             rr_queries: rr.queries,
             rr_runs: rr.runs,
             rr_frozen: rr.frozen,
-            flaps_coalesced: self.flaps_coalesced,
-            avail_resched_skipped: self.avail_resched_skipped,
+            flaps_coalesced,
+            avail_resched_skipped,
         };
-        let jobs_unfinished =
-            self.client.tasks().iter().filter(|t| !t.is_complete()).count() as u64;
-        // Hand the working buffers back to the arena for the next run.
-        arena.client = Some(self.client.into_scratch());
-        arena.queue = self.queue;
-        arena.per_project = self.per_project;
-        let fault_metrics = self.metrics.fault_metrics();
-        if let Some(start) = self.run_start {
-            let sp_total = self.prof.span("emu.total");
-            self.prof.add_wall_nanos(sp_total, start.elapsed().as_nanos());
+        let jobs_unfinished = client.tasks().iter().filter(|t| !t.is_complete()).count() as u64;
+        // Hand the client's working buffers back to the arena for the
+        // next run.
+        *client_scratch = Some(client.into_scratch());
+        if let Some(start) = run_start {
+            let sp_total = prof.span("emu.total");
+            prof.add_wall_nanos(sp_total, start.elapsed().as_nanos());
         }
-        let trace = self.trace.take_buffer();
 
         EmulationResult {
             scenario_name: scenario.name.clone(),
             merit,
             projects,
-            jobs_completed: self.metrics.jobs_completed(),
-            jobs_missed_deadline: self.metrics.jobs_missed(),
+            jobs_completed: metrics.jobs_completed(),
+            jobs_missed_deadline: metrics.jobs_missed(),
             jobs_unfinished,
-            available_fraction: self.metrics.available_fraction(),
+            available_fraction: metrics.available_fraction(),
             total_flops_used: total_used,
-            duration: emu.cfg.duration,
-            faults: fault_metrics,
+            duration: cfg.duration,
+            faults: metrics.fault_metrics(),
             perf,
-            timeline: self.timeline,
-            trace,
-            profile: emu.cfg.profile.then(|| self.prof.report()),
+            timeline,
+            trace: trace.take_buffer(),
+            profile: cfg.profile.then(|| prof.report()),
         }
     }
 }

@@ -20,9 +20,7 @@ pub(crate) mod scenario;
 pub mod spec;
 
 pub use bce_faults::FaultConfig;
-pub use bce_obs::{
-    ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer,
-};
+pub use bce_obs::{ProfileReport, Profiler, TraceBuffer, TraceEvent, TraceRecord, TraceSink};
 pub use builder::ScenarioBuilder;
 pub use emulator::{EmulationResult, Emulator, EmulatorArena, EmulatorConfig};
 pub use metrics::{FaultMetrics, FiguresOfMerit, PerfStats, ProjectReport};

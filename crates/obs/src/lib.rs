@@ -3,7 +3,7 @@
 //! One instrumentation API for every crate in the workspace:
 //!
 //! * `trace` — typed [`TraceEvent`] decision records emitted through
-//!   the [`Tracer`] trait: the emulator's one decision log. The no-op
+//!   [`TraceSink::emit`]: the emulator's one decision log. The no-op
 //!   sink compiles to a branch; string formatting happens only at export
 //!   or display time (`impl Display for TraceRecord`).
 //! * `metrics` — a [`MetricsRegistry`] of named counters, gauges and
@@ -34,4 +34,4 @@ pub(crate) mod trace;
 pub use export::{record_to_json, to_jsonl};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use spans::{ProfileReport, Profiler, SpanId, SpanReport};
-pub use trace::{TraceBuffer, TraceEvent, TraceRecord, TraceSink, Tracer};
+pub use trace::{TraceBuffer, TraceEvent, TraceRecord, TraceSink};

@@ -1,4 +1,4 @@
-//! Typed trace events and the [`Tracer`] emission API.
+//! Typed trace events and the [`TraceSink`] emission API.
 //!
 //! A [`TraceEvent`] records one *decision* the emulated client (or the
 //! fault layer) made — which tasks were started or preempted, what an RPC
@@ -11,7 +11,7 @@
 //! The emission API is designed so that a disabled tracer costs nothing on
 //! the hot path:
 //!
-//! * [`Tracer::emit`] takes a *closure* that builds the event. When the
+//! * [`TraceSink::emit`] takes a *closure* that builds the event. When the
 //!   sink is disabled the closure is never called, so the event — and any
 //!   `Vec` it would carry — is never constructed.
 //! * [`TraceSink::Noop`] is a fieldless variant; `is_enabled()` is a
@@ -190,29 +190,6 @@ fn write_job_list(f: &mut fmt::Formatter<'_>, jobs: &[JobId]) -> fmt::Result {
     f.write_str("]")
 }
 
-/// Emission side of the API. Implemented by [`TraceSink`]; generic code
-/// (and tests) can supply their own recorders.
-pub trait Tracer {
-    /// Cheap gate; callers may use it to skip *computing inputs* to an
-    /// event, not just the event itself.
-    fn is_enabled(&self) -> bool;
-
-    /// Record an already-built event. Only called when enabled.
-    fn record(&mut self, t: SimTime, event: TraceEvent);
-
-    /// Emit an event lazily: `build` runs only when the sink is enabled,
-    /// so a disabled sink never constructs the event.
-    #[inline(always)]
-    fn emit(&mut self, t: SimTime, build: impl FnOnce() -> TraceEvent)
-    where
-        Self: Sized,
-    {
-        if self.is_enabled() {
-            self.record(t, build());
-        }
-    }
-}
-
 /// Bounded in-memory recorder. When full, further events are counted in
 /// `dropped` rather than grown into — population runs must not let a noisy
 /// host balloon memory.
@@ -265,15 +242,10 @@ impl TraceBuffer {
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.records
     }
-}
 
-impl Tracer for TraceBuffer {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, t: SimTime, event: TraceEvent) {
+    /// Record an already-built event, or count it as dropped when the
+    /// buffer is full.
+    pub(crate) fn record(&mut self, t: SimTime, event: TraceEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.records.len() < self.capacity {
@@ -294,26 +266,28 @@ pub enum TraceSink {
 }
 
 impl TraceSink {
+    /// Cheap gate; callers may use it to skip *computing inputs* to an
+    /// event, not just the event itself.
+    #[inline(always)]
+    pub fn is_enabled(&self) -> bool {
+        matches!(self, TraceSink::Buffer(_))
+    }
+
+    /// Emit an event lazily: `build` runs only when the sink is enabled,
+    /// so a disabled sink never constructs the event.
+    #[inline(always)]
+    pub fn emit(&mut self, t: SimTime, build: impl FnOnce() -> TraceEvent) {
+        if let TraceSink::Buffer(b) = self {
+            b.record(t, build());
+        }
+    }
+
     /// Extract the buffer, leaving `Noop` behind. Empty buffer if the
     /// sink never recorded.
     pub fn take_buffer(&mut self) -> TraceBuffer {
         match std::mem::take(self) {
             TraceSink::Noop => TraceBuffer::default(),
             TraceSink::Buffer(b) => b,
-        }
-    }
-}
-
-impl Tracer for TraceSink {
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        matches!(self, TraceSink::Buffer(_))
-    }
-
-    #[inline]
-    fn record(&mut self, t: SimTime, event: TraceEvent) {
-        if let TraceSink::Buffer(b) = self {
-            b.record(t, event);
         }
     }
 }
@@ -330,7 +304,7 @@ mod tests {
     fn buffer_records_in_order_with_seq() {
         let mut b = TraceBuffer::with_buffer(8, Vec::new());
         for i in 0..3 {
-            b.emit(SimTime::from_secs(i as f64), || ev(i));
+            b.record(SimTime::from_secs(i as f64), ev(i));
         }
         assert_eq!(b.len(), 3);
         assert_eq!(b.records()[2].seq, 2);

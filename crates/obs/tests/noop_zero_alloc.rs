@@ -2,7 +2,7 @@
 //! [`TraceSink::Noop`] performs **zero** heap
 //! allocations per event, even for variants that would carry `Vec`s.
 //!
-//! This works because [`Tracer::emit`] takes the event as a closure: a
+//! This works because [`TraceSink::emit`] takes the event as a closure: a
 //! disabled sink never runs the closure, so the `Vec`s are never built.
 //! The test drives the same closures through a recording sink first to
 //! prove they *would* allocate if called — otherwise a lazily-optimized
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bce_obs::{TraceBuffer, TraceEvent, TraceSink, Tracer};
+use bce_obs::{TraceBuffer, TraceEvent, TraceSink};
 use bce_types::{JobId, ProjectId, SimTime};
 
 struct Counting;
@@ -43,7 +43,7 @@ static A: Counting = Counting;
 /// carries two `Vec<JobId>`s, the others are plain but still must not be
 /// built when disabled. `i` varies the contents so nothing is promotable
 /// to a constant.
-fn emit_round(tracer: &mut impl Tracer, i: u64) {
+fn emit_round(tracer: &mut TraceSink, i: u64) {
     let t = SimTime::from_secs(i as f64);
     tracer.emit(t, || TraceEvent::Scheduled {
         started: vec![JobId(i), JobId(i + 1)],

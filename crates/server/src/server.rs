@@ -82,7 +82,14 @@ pub struct ProjectServer {
     /// §6.2: sporadic availability of particular job types.
     app_supply: Vec<(AppId, OnOffProcess)>,
     batch_remaining: Option<u64>,
+    /// Dispatched results not yet reported, with their deadlines.
     in_progress: BTreeMap<JobId, SimTime>,
+    /// A lower bound on the earliest expiry in `in_progress`
+    /// (`FAR_FUTURE` while nothing is in flight), so the deadline check
+    /// has nothing to walk before it. Every dispatch lowers it and every
+    /// walk makes it exact; a report or an error can leave it too low,
+    /// which costs one walk.
+    earliest_expiry: SimTime,
     stats: ServerStats,
 }
 
@@ -142,6 +149,7 @@ impl ProjectServer {
             app_supply,
             batch_remaining,
             in_progress: BTreeMap::new(),
+            earliest_expiry: SimTime::FAR_FUTURE,
             stats: ServerStats::default(),
         }
     }
@@ -191,6 +199,7 @@ impl ProjectServer {
         let template = self.spec.apps[idx].clone();
         let job = self.factory.make_job(&template, received);
         self.in_progress.insert(job.id, job.deadline());
+        self.earliest_expiry = self.earliest_expiry.min(self.deadline_check.expiry(job.deadline()));
         self.stats.jobs_dispatched += 1;
         Some(job)
     }
@@ -242,6 +251,8 @@ impl ProjectServer {
                     secs_filled += job.duration_est.secs() * inst;
                     inst_filled += inst;
                     self.in_progress.insert(job.id, job.deadline());
+                    self.earliest_expiry =
+                        self.earliest_expiry.min(self.deadline_check.expiry(job.deadline()));
                     if let Some(rem) = &mut self.batch_remaining {
                         *rem -= 1;
                     }
@@ -290,9 +301,21 @@ impl ProjectServer {
     /// new instance to another host; in a single-host emulation the work
     /// is simply counted wasted. Returns how many results expired.
     pub fn check_deadlines(&mut self, now: SimTime) -> u64 {
+        if now < self.earliest_expiry {
+            return 0;
+        }
         let policy = self.deadline_check;
         let before = self.in_progress.len();
-        self.in_progress.retain(|_, &mut dl| policy.expiry(dl) >= now);
+        let mut earliest = SimTime::FAR_FUTURE;
+        self.in_progress.retain(|_, &mut dl| {
+            let expiry = policy.expiry(dl);
+            let keep = expiry >= now;
+            if keep {
+                earliest = earliest.min(expiry);
+            }
+            keep
+        });
+        self.earliest_expiry = earliest;
         let expired = (before - self.in_progress.len()) as u64;
         self.stats.timed_out += expired;
         expired
@@ -420,6 +443,65 @@ mod tests {
         // Late report after expiry is counted late.
         assert!(!s.report_completed(dl + SimDuration::from_secs(2.0), id));
         assert_eq!(s.stats().reported_late, 1);
+    }
+
+    #[test]
+    fn deadline_check_bound_matches_full_walk() {
+        // A 10 h CPU app and a 1 h GPU app: GPU jobs dispatched later, and
+        // an initial job received in the past, expire before the CPU jobs
+        // already in flight.
+        let project = ProjectSpec::new(0, "p", 100.0)
+            .with_app(AppClass::cpu(
+                0,
+                SimDuration::from_secs(1000.0),
+                SimDuration::from_hours(10.0),
+            ))
+            .with_app(AppClass::gpu(
+                1,
+                ProcType::NvidiaGpu,
+                SimDuration::from_secs(1000.0),
+                SimDuration::from_hours(1.0),
+            ));
+        let mut gpu = SchedulerRequest::default();
+        gpu.per_type[ProcType::NvidiaGpu] =
+            crate::rpc::TypeRequest { secs: 2500.0, instances: 0.0 };
+        for policy in
+            [DeadlineCheckPolicy::Strict, DeadlineCheckPolicy::Grace(SimDuration::from_hours(0.5))]
+        {
+            let mut s = ProjectServer::new(project.clone(), 0, policy, &mut Rng::from_seed(9));
+            // Each step runs the check at `now` after an optional action, and
+            // compares it with a walk over every in-progress result.
+            for step in 0..24 {
+                let now = SimTime::ZERO + SimDuration::from_hours(step as f64 * 0.5);
+                match step {
+                    0 => drop(s.handle_rpc(now, &req_cpu(3500.0, 0.0))),
+                    2 | 6 => drop(s.handle_rpc(now, &gpu)),
+                    3 => drop(s.make_initial_job(AppId(1), now - SimDuration::from_hours(0.75))),
+                    4 => {
+                        let first = *s.in_progress.keys().next().expect("results in flight");
+                        s.report_completed(now, first);
+                    }
+                    _ => {}
+                }
+                let expected: Vec<JobId> = s
+                    .in_progress
+                    .iter()
+                    .filter(|&(_, &dl)| policy.expiry(dl) >= now)
+                    .map(|(&id, _)| id)
+                    .collect();
+                let walk_expired = (s.in_progress.len() - expected.len()) as u64;
+                let timed_out = s.stats().timed_out;
+                assert_eq!(s.check_deadlines(now), walk_expired, "{policy:?} at {now}");
+                assert_eq!(s.stats().timed_out, timed_out + walk_expired);
+                assert_eq!(s.in_progress.keys().copied().collect::<Vec<_>>(), expected);
+                assert!(s.in_progress.values().all(|&dl| policy.expiry(dl) >= s.earliest_expiry));
+            }
+            // By the last check every result but the reported one has
+            // timed out.
+            assert!(s.in_progress.is_empty());
+            assert_eq!(s.stats().timed_out, s.stats().jobs_dispatched - 1, "{policy:?}");
+            assert_eq!(s.earliest_expiry, SimTime::FAR_FUTURE);
+        }
     }
 
     #[test]
